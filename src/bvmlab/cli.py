@@ -315,6 +315,7 @@ def _run_coverage(context: ExperimentContext, workers: int):
 def _rates_chunk(payload) -> list[tuple]:
     config_text, epsilon, indices = payload
     context = build_context(parse_config(config_text))
+    factor = posterior.posterior_factor(context.prior, context.forward, epsilon)
     rows = []
     for i in indices:
         obs = posterior.observe(
@@ -323,7 +324,7 @@ def _rates_chunk(payload) -> list[tuple]:
             epsilon,
             derive_seed(context.config.master_seed, i),
         )
-        post = posterior.posterior_update(context.prior, context.forward, obs)
+        post = factor.update(obs.data)
         err = spectral.dual_norm(
             spectral.coeff_vector(
                 context.basis, post.mean.coeffs - context.truth.coeffs

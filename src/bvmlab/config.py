@@ -5,6 +5,7 @@ echoed into every output file's metadata block.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -93,6 +94,9 @@ _KEY_TABLE = {
 
 _ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEY_TABLE.items()}
 
+# keys parsed by these hold floats, which must all be finite
+_FLOAT_PARSERS = (_parse_float, _parse_float_list, _parse_pair)
+
 
 @dataclass
 class ExperimentConfig:
@@ -141,6 +145,14 @@ class ExperimentConfig:
     explicit_keys: frozenset = field(default_factory=frozenset, repr=False)
 
     def validate(self) -> None:
+        for key, (attr, parser) in _KEY_TABLE.items():
+            value = getattr(self, attr)
+            if parser in _FLOAT_PARSERS and value is not None:
+                values = value if isinstance(value, tuple) else (value,)
+                if not all(math.isfinite(v) for v in values):
+                    raise ConfigurationError(
+                        f"key '{key}': values must be finite, got {_format_value(value)}"
+                    )
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(
                 f"key 'experiment': unknown experiment {self.experiment!r}; "

@@ -2,9 +2,14 @@
 an independently coded Tikhonov minimiser as cross-check, marginal laws of
 linear functionals, credible intervals, posterior sampling, and dual-norm
 credible-ball radii.
+
+The covariance and the gain of the update do not depend on the data:
+``posterior_factor`` computes them once per noise level, and its ``update``
+turns any data vector into a posterior with one matrix-vector product.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -20,12 +25,13 @@ from .spectral import CoeffVector, SpectralBasis, coeff_vector
 
 __all__ = [
     "Observation",
+    "PosteriorFactor",
     "PosteriorGaussian",
     "FunctionalLaw",
     "CredibleInterval",
     "noise_draw",
     "observe",
-    "observation_from_data",
+    "posterior_factor",
     "posterior_update",
     "tikhonov_solve",
     "functional_marginal",
@@ -68,25 +74,27 @@ def observe(
     return Observation(data=data, epsilon=epsilon, truth=f_dagger, noise_seed=seed)
 
 
-def observation_from_data(data: CoeffVector, epsilon: float) -> Observation:
-    return Observation(data=data, epsilon=epsilon)
-
-
 @dataclass(frozen=True, eq=False)
-class PosteriorGaussian:
-    """Conditional law of f given the data: mean plus diagonal or dense covariance."""
+class PosteriorFactor:
+    """Data-independent part of the conjugate posterior for one (prior, operator, epsilon).
 
-    mean: CoeffVector
-    epsilon: float
+    Under white noise the gain K = S A^T (A S A^T + eps^2 I)^{-1} and the
+    posterior covariance depend only on the prior, the operator and the noise
+    level, so one factor serves every data vector M: the posterior mean is K M.
+    Diagonal operators keep per-mode vectors, dense ones full matrices.
+    """
+
     prior: GaussianPrior
     operator: ForwardOperator
+    epsilon: float
+    gain: np.ndarray
     variances: Optional[np.ndarray] = None
     covariance: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if (self.variances is None) == (self.covariance is None):
             raise ConfigurationError("exactly one covariance representation must be given")
-        for name in ("variances", "covariance"):
+        for name in ("gain", "variances", "covariance"):
             array = getattr(self, name)
             if array is not None and array.flags.writeable:
                 frozen = array.copy()
@@ -98,10 +106,78 @@ class PosteriorGaussian:
         return self.variances is not None
 
     @cached_property
-    def _sample_factor(self) -> np.ndarray:
-        # symmetric square root of the dense covariance, eigenvalue-floored at zero
-        vals, vecs = np.linalg.eigh(self.covariance)
+    def root(self) -> np.ndarray:
+        """Covariance square root: per-mode standard deviations, or the symmetric
+        root of the dense covariance with its eigenvalues floored at zero."""
+        if self.is_diagonal:
+            return np.sqrt(self.variances)
+        try:
+            vals, vecs = np.linalg.eigh(self.covariance)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"posterior covariance square root (eigh) failed: {exc}") from exc
         return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+    def centred_draws(self, z: np.ndarray) -> np.ndarray:
+        """Map standard normal vectors (the last axis of ``z``) to centred posterior draws."""
+        if self.is_diagonal:
+            return z * self.root
+        return z @ self.root.T
+
+    def functional_variance(self, psi: CoeffVector) -> float:
+        """Posterior variance psi^T Sigma psi of the functional <f, psi>; data-independent."""
+        if not self.prior.basis.compatible(psi.basis):
+            raise ShapeError("functional lives on a different basis than the posterior")
+        if self.is_diagonal:
+            var = float(np.dot(self.variances, psi.coeffs**2))
+        else:
+            var = float(psi.coeffs @ self.covariance @ psi.coeffs)
+        return max(var, 0.0)
+
+    def update(self, data: CoeffVector) -> "PosteriorGaussian":
+        """Posterior given one data vector: mean K M, covariance shared through this factor."""
+        if not self.prior.basis.compatible(data.basis):
+            raise ShapeError("data live on a different basis than the posterior")
+        if self.is_diagonal:
+            mean = self.gain * data.coeffs
+        else:
+            mean = self.gain @ data.coeffs
+        return PosteriorGaussian(mean=coeff_vector(self.prior.basis, mean), factor=self)
+
+
+@dataclass(frozen=True, eq=False)
+class PosteriorGaussian:
+    """Conditional law of f given the data: mean plus the data-independent factor."""
+
+    mean: CoeffVector
+    factor: PosteriorFactor
+
+    @property
+    def epsilon(self) -> float:
+        return self.factor.epsilon
+
+    @property
+    def prior(self) -> GaussianPrior:
+        return self.factor.prior
+
+    @property
+    def operator(self) -> ForwardOperator:
+        return self.factor.operator
+
+    @property
+    def variances(self) -> Optional[np.ndarray]:
+        return self.factor.variances
+
+    @property
+    def covariance(self) -> Optional[np.ndarray]:
+        return self.factor.covariance
+
+    @property
+    def is_diagonal(self) -> bool:
+        return self.factor.is_diagonal
+
+    @property
+    def _sample_factor(self) -> np.ndarray:
+        return self.factor.root
 
 
 def _check_compatible(prior: GaussianPrior, op: ForwardOperator, obs: Observation) -> None:
@@ -109,29 +185,31 @@ def _check_compatible(prior: GaussianPrior, op: ForwardOperator, obs: Observatio
         raise ShapeError("prior, operator, and observation must share one basis")
 
 
-def posterior_update(
-    prior: GaussianPrior, op: ForwardOperator, obs: Observation
-) -> PosteriorGaussian:
-    """Closed-form conjugate update.
+def posterior_factor(
+    prior: GaussianPrior, op: ForwardOperator, epsilon: float
+) -> PosteriorFactor:
+    """Gain and covariance of the conjugate update at noise level epsilon.
 
     Diagonal path: per-mode formulas.  Dense path: data-space form
-    mean = S A^T (A S A^T + eps^2 I)^{-1} M with S the prior covariance,
-    symmetrised and eigenvalue-floored within the PSD defect tolerance.
+    K = S A^T (A S A^T + eps^2 I)^{-1} with S the prior covariance, and
+    covariance S - K A S, symmetrised and eigenvalue-floored within the PSD
+    defect tolerance.
     """
-    _check_compatible(prior, op, obs)
-    eps2 = obs.epsilon**2
+    if not prior.basis.compatible(op.basis):
+        raise ShapeError("prior and operator must share one basis")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ConfigurationError("noise level epsilon must be positive and finite")
+    eps2 = epsilon**2
     tau = prior.variances
     if op.is_diagonal:
         a = op.multipliers
         denom = a**2 * tau + eps2
-        mean = tau * a * obs.data.coeffs / denom
-        var = eps2 * tau / denom
-        return PosteriorGaussian(
-            mean=coeff_vector(prior.basis, mean),
-            epsilon=obs.epsilon,
+        return PosteriorFactor(
             prior=prior,
             operator=op,
-            variances=var,
+            epsilon=epsilon,
+            gain=tau * a / denom,
+            variances=eps2 * tau / denom,
         )
     amat = op.matrix
     data_cov = (amat * tau[None, :]) @ amat.T + eps2 * np.eye(prior.basis.n_modes)
@@ -143,26 +221,35 @@ def posterior_update(
             f"data-space solve failed (condition number {cond:.3g}): {exc}"
         ) from exc
     cross = tau[:, None] * amat.T  # S A^T
-    mean = cross @ scipy.linalg.cho_solve(factor, obs.data.coeffs)
-    cov = np.diag(tau) - cross @ scipy.linalg.cho_solve(factor, cross.T)
+    solved = scipy.linalg.cho_solve(factor, cross.T)  # (A S A^T + eps^2 I)^{-1} A S = K^T
+    cov = np.diag(tau) - cross @ solved
     cov = 0.5 * (cov + cov.T)
-    eigvals = np.linalg.eigvalsh(cov)
+    try:
+        eigvals = np.linalg.eigvalsh(cov)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"posterior covariance spectrum (eigvalsh) failed: {exc}") from exc
     trace = float(np.trace(cov))
     if eigvals[0] < -PSD_DEFECT_TOLERANCE * max(trace, np.finfo(float).tiny):
         raise NumericalError(
             f"posterior covariance defect {eigvals[0]:.3g} exceeds tolerance"
         )
     if eigvals[0] < 0.0:
-        vals, vecs = np.linalg.eigh(cov)
+        try:
+            vals, vecs = np.linalg.eigh(cov)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"posterior covariance repair (eigh) failed: {exc}") from exc
         cov = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
         cov = 0.5 * (cov + cov.T)
-    return PosteriorGaussian(
-        mean=coeff_vector(prior.basis, mean),
-        epsilon=obs.epsilon,
-        prior=prior,
-        operator=op,
-        covariance=cov,
+    return PosteriorFactor(
+        prior=prior, operator=op, epsilon=epsilon, gain=solved.T, covariance=cov
     )
+
+
+def posterior_update(
+    prior: GaussianPrior, op: ForwardOperator, obs: Observation
+) -> PosteriorGaussian:
+    """Closed-form conjugate update: ``posterior_factor`` applied to the observed data."""
+    return posterior_factor(prior, op, obs.epsilon).update(obs.data)
 
 
 def tikhonov_solve(
@@ -202,14 +289,8 @@ class CredibleInterval(NamedTuple):
 
 def functional_marginal(post: PosteriorGaussian, psi: CoeffVector) -> FunctionalLaw:
     """Exact Gaussian marginal of the linear functional <f, psi> under the posterior."""
-    if not post.mean.basis.compatible(psi.basis):
-        raise ShapeError("functional lives on a different basis than the posterior")
-    mean = float(np.dot(post.mean.coeffs, psi.coeffs))
-    if post.is_diagonal:
-        var = float(np.dot(post.variances, psi.coeffs**2))
-    else:
-        var = float(psi.coeffs @ post.covariance @ psi.coeffs)
-    return FunctionalLaw(mean=mean, variance=max(var, 0.0))
+    variance = post.factor.functional_variance(psi)
+    return FunctionalLaw(mean=float(np.dot(post.mean.coeffs, psi.coeffs)), variance=variance)
 
 
 def two_sided_quantile(level: float) -> float:
@@ -232,11 +313,7 @@ def posterior_sample(post: PosteriorGaussian, seed: int) -> CoeffVector:
     """Exact Gaussian draw from the posterior; deterministic per seed."""
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(post.mean.basis.n_modes)
-    if post.is_diagonal:
-        draw = post.mean.coeffs + np.sqrt(post.variances) * z
-    else:
-        draw = post.mean.coeffs + post._sample_factor @ z
-    return coeff_vector(post.mean.basis, draw)
+    return coeff_vector(post.mean.basis, post.mean.coeffs + post.factor.centred_draws(z))
 
 
 def credible_ball_radius(
@@ -261,9 +338,6 @@ def credible_ball_radius(
     weights = (1.0 + basis.eigenvalues) ** (-beta)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_draws, basis.n_modes))
-    if post.is_diagonal:
-        centred = z * np.sqrt(post.variances)[None, :]
-    else:
-        centred = z @ post._sample_factor.T
+    centred = post.factor.centred_draws(z)
     norms = np.sqrt((centred**2) @ weights)
     return float(np.quantile(norms, level, method="higher"))

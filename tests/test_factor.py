@@ -1,0 +1,190 @@
+"""The per-noise-level posterior factor: agreement with independent solves,
+one factorisation per epsilon, chunk invariance, and error mapping."""
+import numpy as np
+import pytest
+import scipy.linalg
+
+from bvmlab import cli, posterior
+from bvmlab.bvm import representer, run_replicates
+from bvmlab.config import parse_config
+from bvmlab.errors import ConfigurationError, NumericalError
+from bvmlab.operators import EllipticCoefficient, apply, elliptic_operator
+from bvmlab.posterior import (
+    Observation,
+    posterior_factor,
+    tikhonov_solve,
+)
+from bvmlab.priors import matern_prior
+from bvmlab.seeds import derive_seed
+from bvmlab.spectral import (
+    BasisKind,
+    analyze,
+    build_basis,
+    coeff_vector,
+    make_bump,
+    sobolev_draw,
+)
+
+
+@pytest.fixture(scope="module")
+def dense_setup():
+    """Dense Galerkin solution map of the sine-coefficient elliptic problem."""
+    basis = build_basis(BasisKind.DIRICHLET_SINE, 32, 8)
+    coeff = EllipticCoefficient(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), floor=0.25)
+    op = elliptic_operator(coeff, basis)[1]
+    assert not op.is_diagonal
+    prior = matern_prior(basis, r=1.0)
+    truth = analyze(make_bump((0.2, 0.7), (0.35, 0.55))(basis.grid), basis)
+    tf = representer(op, apply(op, sobolev_draw(basis, 5.0, 12)))
+    return prior, op, truth, tf
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("epsilon", [1e-2, 1e-4])
+def test_replicates_match_parameter_space_solve(dense_setup, epsilon):
+    prior, op, truth, tf = dense_setup
+    results = run_replicates(prior, op, truth, [tf], epsilon, 6, master_seed=3)
+    amat = op.matrix
+    hess = amat.T @ amat / epsilon**2 + np.diag(1.0 / prior.variances)
+    want_var = tf.psi.coeffs @ np.linalg.solve(hess, tf.psi.coeffs)
+    signal = apply(op, truth).coeffs
+    for r in results:
+        noise = posterior.noise_draw(op.basis, derive_seed(3, 2 * r.replicate_index))
+        data = coeff_vector(op.basis, signal + epsilon * noise.coeffs)
+        obs = Observation(data=data, epsilon=epsilon)
+        want_mean = float(np.dot(tikhonov_solve(prior, op, obs).coeffs, tf.psi.coeffs))
+        assert r.functional_mean == pytest.approx(want_mean, rel=1e-10, abs=1e-14)
+        assert r.posterior_functional_variance == pytest.approx(want_var, rel=1e-10)
+
+
+def test_one_factorisation_per_epsilon(dense_setup, monkeypatch):
+    prior, op, truth, tf = dense_setup
+    counts = {}
+    _count_calls(monkeypatch, scipy.linalg, "cho_factor", counts)
+    _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
+    _count_calls(monkeypatch, np.linalg, "eigh", counts)
+    run_replicates(prior, op, truth, [tf], 1e-3, 5, ball_beta=3.5, master_seed=1)
+    assert counts["cho_factor"] == 1
+    assert counts["eigvalsh"] == 1
+    # the sampling root, plus at most one PSD repair
+    assert 1 <= counts["eigh"] <= 2
+
+
+def test_rates_factor_once_per_epsilon(tmp_path, monkeypatch):
+    config = parse_config(
+        f"""
+experiment=rates
+operator.kind=bvp
+operator.coefficient=sine
+n_modes=32
+n_replicates=4
+epsilons=1e-1,1e-2,1e-3
+output_path={tmp_path / "rates.csv"}
+"""
+    )
+    seen = []
+    original = posterior.posterior_factor
+
+    def counted(prior, op, epsilon):
+        seen.append(epsilon)
+        return original(prior, op, epsilon)
+
+    monkeypatch.setattr(posterior, "posterior_factor", counted)
+    assert cli.run_command(config) == 0
+    assert seen == [1e-1, 1e-2, 1e-3]
+
+
+def test_index_split_bitwise_with_ball(dense_setup):
+    prior, op, truth, tf = dense_setup
+    kwargs = dict(ball_beta=3.5, master_seed=7)
+    full = run_replicates(prior, op, truth, [tf], 1e-3, 10, **kwargs)
+    first = run_replicates(
+        prior, op, truth, [tf], 1e-3, 10, replicate_indices=range(5), **kwargs
+    )
+    rest = run_replicates(
+        prior, op, truth, [tf], 1e-3, 10, replicate_indices=range(5, 10), **kwargs
+    )
+    assert first + rest == full
+    assert all(r.ball_radius is not None for r in full)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+def test_factor_rejects_bad_epsilon(dense_setup, epsilon):
+    prior, op, _, _ = dense_setup
+    with pytest.raises(ConfigurationError, match="epsilon"):
+        posterior_factor(prior, op, epsilon)
+
+
+def _raise_linalg(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_eigh_failure_is_numerical_error(dense_setup, monkeypatch):
+    prior, op, _, _ = dense_setup
+    factor = posterior_factor(prior, op, 1e-3)
+    monkeypatch.setattr(np.linalg, "eigh", _raise_linalg)
+    with pytest.raises(NumericalError, match="square root"):
+        factor.root
+
+
+def test_eigvalsh_failure_is_numerical_error(dense_setup, monkeypatch):
+    prior, op, _, _ = dense_setup
+    monkeypatch.setattr(np.linalg, "eigvalsh", _raise_linalg)
+    with pytest.raises(NumericalError, match="eigvalsh"):
+        posterior_factor(prior, op, 1e-3)
+
+
+def test_eigh_failure_exits_two_without_traceback(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "dense.ini"
+    path.write_text(
+        f"""
+experiment=coverage
+operator.kind=bvp
+operator.coefficient=sine
+n_modes=32
+n_replicates=2
+epsilons=1e-3
+functional.band=8
+ball_beta=3.5
+output_path={tmp_path / "out.csv"}
+"""
+    )
+    monkeypatch.setattr(np.linalg, "eigh", _raise_linalg)
+    assert cli.main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error[2]:") and "eigh" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("epsilons", "1e-2,nan"),
+        ("epsilons", "inf"),
+        ("ball_beta", "nan"),
+        ("prior.r", "nan"),
+        ("prior.amplitude", "inf"),
+        ("truth.scale", "nan"),
+        ("level", "nan"),
+        ("operator.time", "nan"),
+        ("operator.coefficient_base", "inf"),
+        ("operator.coefficient_amplitude", "nan"),
+    ],
+)
+def test_non_finite_value_exits_one_naming_key(tmp_path, capsys, key, value):
+    path = tmp_path / "bad.ini"
+    out = tmp_path / "out.csv"
+    path.write_text(f"experiment=coverage\nn_modes=16\n{key}={value}\noutput_path={out}\n")
+    assert cli.main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[1]:") and f"'{key}'" in err and "finite" in err
+    assert not out.exists()
