@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.stats
+from scipy.special import ndtr, ndtri
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .operators import (
@@ -233,9 +233,11 @@ def ks_distance(samples: Sequence[float], variance: float) -> float:
         raise ConfigurationError("need at least two samples")
     if variance <= 0:
         raise ConfigurationError("variance must be positive")
-    return float(
-        scipy.stats.kstest(x, scipy.stats.norm(scale=math.sqrt(variance)).cdf).statistic
-    )
+    n = x.size
+    cdf = ndtr(np.sort(x) / math.sqrt(variance))
+    d_plus = np.arange(1.0, n + 1) / n - cdf
+    d_minus = cdf - np.arange(0.0, n) / n
+    return float(max(d_plus.max(), d_minus.max()))
 
 
 def bl_distance_upper(
@@ -257,7 +259,7 @@ def bl_distance_upper(
     sigma = math.sqrt(variance)
     bound = clip * sigma
     n = x.size
-    quantiles = scipy.stats.norm.ppf((np.arange(n) + 0.5) / n) * sigma
+    quantiles = ndtri((np.arange(n) + 0.5) / n) * sigma
     lhs = np.clip(np.sort(x), -bound, bound)
     rhs = np.clip(quantiles, -bound, bound)
     return float(min(2.0, np.mean(np.abs(lhs - rhs))))

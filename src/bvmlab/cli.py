@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -72,7 +73,12 @@ class ExperimentContext:
 
 def _build_operator(config: ExperimentConfig, basis):
     if config.operator_kind == "psido":
-        return psido_with_identity(basis, config.operator_t), None, -config.operator_t
+        t = config.operator_t
+        if t == 0.0:
+            forward = operators.identity_operator(basis)
+        else:
+            forward = operators.psido_multiplier(basis, t)
+        return forward, None, -t
     if config.operator_kind == "heat":
         return operators.heat_semigroup(basis, config.operator_time), None, 0.0
     if config.coefficient == "constant":
@@ -88,12 +94,6 @@ def _build_operator(config: ExperimentConfig, basis):
         )
     diff_op, solution_op = operators.elliptic_operator(coeff, basis)
     return solution_op, diff_op, -2.0
-
-
-def psido_with_identity(basis, t):
-    if t == 0.0:
-        return operators.identity_operator(basis)
-    return operators.psido_multiplier(basis, t)
 
 
 def _build_truth(config: ExperimentConfig, basis) -> spectral.CoeffVector:
@@ -197,8 +197,18 @@ def emit_csv(records, path: str, metadata: Sequence[tuple[str, str]] = ()) -> No
         if len(row) != len(header):
             raise ConfigurationError("row width does not match the header")
         lines.append(",".join(_format_cell(cell) for cell in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    # write a sibling file, then rename it over the output, so a reader never
+    # sees a partial table and a failed run leaves an older file intact
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_csv(path: str):
@@ -283,6 +293,7 @@ def _config_text(config: ExperimentConfig) -> str:
 
 def _run_coverage(context: ExperimentContext, workers: int):
     config = context.config
+    workers = min(workers, os.cpu_count() or 1)
     rows: list[tuple] = []
     if workers <= 1:
         for eps in config.epsilons:
@@ -306,7 +317,8 @@ def _run_coverage(context: ExperimentContext, workers: int):
         for eps in config.epsilons
         for chunk in _chunks(config.n_replicates, workers)
     ]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(payloads))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
         for chunk_rows in pool.map(_coverage_chunk, payloads):
             rows.extend(chunk_rows)
     return COVERAGE_COLUMNS, rows
@@ -337,6 +349,7 @@ def _rates_chunk(payload) -> list[tuple]:
 
 def _run_rates(context: ExperimentContext, workers: int):
     config = context.config
+    workers = min(workers, os.cpu_count() or 1)
     text = _config_text(config)
     rows: list[tuple] = []
     payloads = [
@@ -348,7 +361,8 @@ def _run_rates(context: ExperimentContext, workers: int):
         for payload in payloads:
             rows.extend(_rates_chunk(payload))
     else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        pool_size = min(workers, len(payloads))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
             for chunk_rows in pool.map(_rates_chunk, payloads):
                 rows.extend(chunk_rows)
     mean_errors = []
@@ -468,6 +482,9 @@ def run_command(config: ExperimentConfig, workers: int = 1) -> int:
     except OSError as exc:
         print(f"error[1]: cannot write output: {exc}", file=sys.stderr)
         return 1
+    except (concurrent.futures.BrokenExecutor, MemoryError) as exc:
+        print(f"error[2]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

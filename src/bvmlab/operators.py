@@ -45,7 +45,6 @@ class OperatorLabel(enum.Enum):
     ELLIPTIC_BVP = "elliptic_bvp"
     HEAT = "heat"
     IDENTITY = "identity"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True, eq=False)

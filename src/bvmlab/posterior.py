@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
-import scipy.stats
+from scipy.special import ndtri
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .operators import ForwardOperator, apply
@@ -297,7 +297,7 @@ def two_sided_quantile(level: float) -> float:
     """q with P(|Z| <= q) = level for standard normal Z."""
     if not 0.0 < level < 1.0:
         raise ConfigurationError("level must lie strictly between 0 and 1")
-    return float(scipy.stats.norm.ppf(0.5 + level / 2.0))
+    return float(ndtri(0.5 + level / 2.0))
 
 
 def credible_interval(

@@ -6,9 +6,7 @@ seed always map to distinct derived seeds.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-__all__ = ["SeedDerivation", "derive_seed"]
+__all__ = ["derive_seed"]
 
 _MASK64 = (1 << 64) - 1
 _STREAM_STEP = 0x9E3779B97F4A7C15  # odd, so stream offsets stay injective
@@ -28,11 +26,3 @@ def derive_seed(master_seed: int, stream_id: int) -> int:
     """Derived 64-bit seed for one stream; collision-free across stream ids."""
     return _mix64((master_seed + stream_id * _STREAM_STEP) & _MASK64)
 
-
-@dataclass(frozen=True)
-class SeedDerivation:
-    master_seed: int
-    stream_id: int
-
-    def derive(self) -> int:
-        return derive_seed(self.master_seed, self.stream_id)

@@ -238,6 +238,13 @@ class TestKsDistance:
         with pytest.raises(ConfigurationError):
             ks_distance([1.0, 2.0], 0.0)
 
+    @pytest.mark.parametrize("n", [2, 7, 100, 2000])
+    @pytest.mark.parametrize("variance", [1e-6, 0.25, 1.0, 9.0])
+    def test_matches_scipy_kstest_bitwise(self, n, variance):
+        samples = 1.3 * np.random.default_rng(n).standard_normal(n)
+        law = scipy.stats.norm(scale=math.sqrt(variance))
+        assert ks_distance(samples, variance) == scipy.stats.kstest(samples, law.cdf).statistic
+
 
 class TestBlDistance:
     def test_exact_draws_small_bound(self):

@@ -1,8 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+import bvmlab
+from bvmlab import cli
 from bvmlab.cli import build_context, emit_csv, load_csv, main, run_command
 from bvmlab.config import parse_config, resolved_items
 from bvmlab.errors import ConfigurationError
@@ -23,6 +29,17 @@ n_modes=24
 n_replicates=6
 operator.t=2.0
 operator.time=0.05
+output_path={out}
+"""
+
+RATES = """
+experiment=rates
+operator.kind=bvp
+n_modes=16
+n_replicates=5
+truth.kind=sobolev
+truth.alpha=2.0
+epsilons=1e-2,3e-3,1e-3
 output_path={out}
 """
 
@@ -281,3 +298,107 @@ class TestBuildContext:
         )
         with pytest.raises(ConfigurationError):
             build_context(config)
+
+
+def test_cli_import_graph_excludes_scipy_stats(tmp_path):
+    # importing scipy.stats costs about a second per process; the CLI must not pull it in
+    config = tmp_path / "cfg"
+    config.write_text(MINIMAL_BVP.format(out=tmp_path / "o.csv"))
+    script = (
+        "import sys\n"
+        "from bvmlab.cli import main\n"
+        f"assert main(['run', {str(config)!r}]) == 0\n"
+        "print('scipy.stats' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(bvmlab.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    def __init__(self, sizes, max_workers):
+        sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, payloads):
+        return map(fn, payloads)
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(
+            cli.concurrent.futures,
+            "ProcessPoolExecutor",
+            lambda max_workers: _RecordingPool(sizes, max_workers),
+        )
+        return sizes
+
+    @pytest.mark.parametrize(
+        "template, n_epsilons", [(MINIMAL_BVP, 2), (RATES, 3)], ids=["coverage", "rates"]
+    )
+    @pytest.mark.parametrize("cpus", [3, 64, 1, None])
+    def test_workers_capped(self, tmp_path, monkeypatch, pool_sizes, template, n_epsilons, cpus):
+        # 3 cores cap the pool; 64 cores leave the cap at the payload count (one
+        # replicate per chunk); one core, or an unknown count, runs without a pool
+        expected = {3: [3], 64: [5 * n_epsilons], 1: [], None: []}[cpus]
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        path = tmp_path / "cfg"
+        out = tmp_path / "o.csv"
+        path.write_text(template.format(out=out))
+        assert main(["run", str(path), "--workers", "10000"]) == 0
+        assert pool_sizes == expected
+        serial = tmp_path / "serial.csv"
+        assert main(["run", str(path), "--out", str(serial)]) == 0
+        assert load_csv(str(out))[1:] == load_csv(str(serial))[1:]
+
+
+class TestFailureExitCodes:
+    @pytest.mark.parametrize(
+        "error", [BrokenProcessPool("a worker died"), MemoryError()], ids=["broken_pool", "memory"]
+    )
+    def test_escaping_error_exits_two(self, tmp_path, monkeypatch, capsys, error):
+        def fail(context, workers):
+            raise error
+
+        monkeypatch.setattr(cli, "_run_coverage", fail)
+        config = parse_config(MINIMAL_BVP.format(out=tmp_path / "o.csv"))
+        assert run_command(config, workers=2) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[2]: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_failed_write_keeps_old_output(self, tmp_path, monkeypatch):
+        out = tmp_path / "o.csv"
+        out.write_text("old\n")
+
+        def fail_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", fail_replace)
+        with pytest.raises(OSError, match="disk full"):
+            emit_csv((("a",), [(1,)]), str(out))
+        assert out.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["o.csv"]
+        config = parse_config(MINIMAL_BVP.format(out=out))
+        assert run_command(config) == 1
+        assert out.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["o.csv"]
+        monkeypatch.undo()
+        emit_csv((("a",), [(1,)]), str(out))
+        assert out.read_text() == "a\n1\n"
+        assert os.listdir(tmp_path) == ["o.csv"]
+

@@ -24,6 +24,7 @@ from bvmlab.posterior import (
     posterior_sample,
     posterior_update,
     tikhonov_solve,
+    two_sided_quantile,
 )
 from bvmlab.priors import GaussianPrior, matern_prior
 from bvmlab.spectral import (
@@ -239,6 +240,10 @@ class TestCredibleInterval:
         post = posterior_update(prior, bvp_inv, observe(bvp_inv, f, 1e-2, seed=5))
         with pytest.raises(ConfigurationError):
             credible_interval(post, unit_vector(interval, 0), 1.0)
+
+    @pytest.mark.parametrize("level", [1e-9, 0.5, 0.68, 0.9, 0.95, 0.99, 0.999999])
+    def test_quantile_matches_scipy_stats_bitwise(self, level):
+        assert two_sided_quantile(level) == scipy.stats.norm.ppf(0.5 + level / 2.0)
 
 
 class TestPosteriorSample:
