@@ -14,18 +14,23 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
+# parallelism comes from --workers: one BLAS thread per process unless the user
+# set one; this must run before numpy and scipy load their BLAS
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
-from . import bvm, operators, posterior, priors, spectral
-from .config import ExperimentConfig, parse_config, resolved_items
-from .errors import (
+import numpy as np  # noqa: E402
+
+from . import bvm, operators, posterior, priors, spectral  # noqa: E402
+from .config import ExperimentConfig, parse_config, resolved_items  # noqa: E402
+from .errors import (  # noqa: E402
     BvmlabError,
     ConfigurationError,
     IllPosedError,
     NumericalError,
     RareEventError,
 )
-from .seeds import derive_seed
+from .seeds import derive_seed  # noqa: E402
 
 __all__ = [
     "ExperimentContext",
@@ -393,18 +398,22 @@ def _run_tightness(context: ExperimentContext):
 
 def _run_concentration(context: ExperimentContext):
     config = context.config
-    rows = []
-    for k, delta in enumerate(config.concentration_deltas):
-        query = priors.ConcentrationQuery(
-            f_dagger=context.truth,
-            delta=delta,
-            ambient_exponent=config.concentration_ambient,
-            mc_samples=config.concentration_mc_samples,
-            seed=derive_seed(config.master_seed, k),
-        )
-        value = priors.concentration_fn(context.prior, query)
-        rows.append((delta, value.approx_term, value.smallball_term, value.phi))
-    return ("delta", "approx_term", "smallball_term", "phi"), rows
+    deltas = config.concentration_deltas
+    values = priors.concentration_ladder(
+        context.prior,
+        context.truth,
+        deltas,
+        config.concentration_ambient,
+        config.concentration_mc_samples,
+        derive_seed(config.master_seed, 0),
+    )
+    rows = [(delta, v.approx_term, v.smallball_term, v.phi) for delta, v in zip(deltas, values)]
+    extra = [
+        ("diag.smallball_hits", ",".join(str(v.estimate.hits) for v in values)),
+        ("diag.smallball_log_low", ",".join(_format_cell(v.estimate.log_low) for v in values)),
+        ("diag.smallball_log_high", ",".join(_format_cell(v.estimate.log_high) for v in values)),
+    ]
+    return ("delta", "approx_term", "smallball_term", "phi"), rows, extra
 
 
 _CONJUGACY_FAMILIES = ("bvp", "psido", "heat")
@@ -468,7 +477,7 @@ def run_command(config: ExperimentConfig, workers: int = 1) -> int:
         elif config.experiment == "tightness":
             header, rows, extra_metadata = _run_tightness(context)
         elif config.experiment == "concentration":
-            header, rows = _run_concentration(context)
+            header, rows, extra_metadata = _run_concentration(context)
         else:
             header, rows = _run_conjugacy(context)
         metadata = _base_metadata(context) + extra_metadata
@@ -482,7 +491,7 @@ def run_command(config: ExperimentConfig, workers: int = 1) -> int:
     except OSError as exc:
         print(f"error[1]: cannot write output: {exc}", file=sys.stderr)
         return 1
-    except (concurrent.futures.BrokenExecutor, MemoryError) as exc:
+    except (concurrent.futures.BrokenExecutor, MemoryError, np.linalg.LinAlgError) as exc:
         print(f"error[2]: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     return 0

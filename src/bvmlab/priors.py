@@ -6,7 +6,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,9 @@ __all__ = [
     "rkhs_norm",
     "truncation_tail",
     "small_ball_logprob",
+    "small_ball_ladder",
     "concentration_fn",
+    "concentration_ladder",
     "predict_rate",
 ]
 
@@ -78,9 +80,12 @@ class SmallBallEstimate(NamedTuple):
 
 
 class ConcentrationValue(NamedTuple):
+    """phi(delta) = approx_term + smallball_term, with the small-ball estimate behind it."""
+
     approx_term: float
     smallball_term: float
     phi: float
+    estimate: SmallBallEstimate
 
 
 class RateBranch(enum.Enum):
@@ -151,6 +156,67 @@ def _wilson_interval(hits: int, n: int) -> tuple[float, float]:
     return max(centre - half, 0.0), min(centre + half, 1.0)
 
 
+def _positive_deltas(deltas: Sequence[float]) -> tuple[float, ...]:
+    deltas = tuple(float(d) for d in deltas)
+    if not deltas:
+        raise ConfigurationError("need at least one delta")
+    if any(d <= 0 for d in deltas):
+        raise ConfigurationError("delta must be positive")
+    return deltas
+
+
+def small_ball_ladder(
+    prior: GaussianPrior,
+    norm_exponent: float,
+    deltas: Sequence[float],
+    mc_samples: int,
+    seed: int,
+) -> tuple[SmallBallEstimate, ...]:
+    """Monte Carlo estimates of log P(||f|| <= delta) for every delta, from one sample.
+
+    The norm has smoothness ``norm_exponent``.  Each draw is made and its norm
+    computed once, then tested against every radius, so all estimates share
+    one set of ``mc_samples`` draws and the hit counts are non-decreasing in
+    delta.  Refuses rare-event regimes: if any delta gets fewer than 10 hits,
+    ``RareEventError`` names the first such delta in the given order rather
+    than returning a silently unreliable number.
+    """
+    deltas = _positive_deltas(deltas)
+    if mc_samples < 1000:
+        raise ConfigurationError("need at least 1000 Monte Carlo samples")
+    weights = (1.0 + prior.basis.eigenvalues) ** norm_exponent * prior.variances
+    rng = np.random.default_rng(seed)
+    hits = [0] * len(deltas)
+    thresholds = [d**2 for d in deltas]
+    remaining = mc_samples
+    while remaining > 0:
+        block = min(_MC_CHUNK, remaining)
+        g = rng.standard_normal((block, prior.basis.n_modes))
+        norms_sq = (g**2) @ weights
+        for k, thresh in enumerate(thresholds):
+            hits[k] += int(np.count_nonzero(norms_sq <= thresh))
+        remaining -= block
+    for delta, h in zip(deltas, hits):
+        if h < 10:
+            raise RareEventError(
+                f"delta={delta!r}: only {h} of {mc_samples} draws landed in the ball; "
+                "estimate would be unreliable (need >= 10 hits)"
+            )
+    estimates = []
+    for h in hits:
+        low, high = _wilson_interval(h, mc_samples)
+        estimates.append(
+            SmallBallEstimate(
+                log_prob=math.log(h / mc_samples),
+                log_low=math.log(low),
+                log_high=math.log(high) if high > 0 else -math.inf,
+                hits=h,
+                n_samples=mc_samples,
+            )
+        )
+    return tuple(estimates)
+
+
 def small_ball_logprob(
     prior: GaussianPrior,
     norm_exponent: float,
@@ -158,40 +224,8 @@ def small_ball_logprob(
     mc_samples: int,
     seed: int,
 ) -> SmallBallEstimate:
-    """Monte Carlo estimate of log P(||f|| <= delta) in the smoothness-``norm_exponent`` norm.
-
-    Refuses rare-event regimes: fewer than 10 hits raise ``RareEventError``
-    rather than returning a silently unreliable number.
-    """
-    if delta <= 0:
-        raise ConfigurationError("delta must be positive")
-    if mc_samples < 1000:
-        raise ConfigurationError("need at least 1000 Monte Carlo samples")
-    weights = (1.0 + prior.basis.eigenvalues) ** norm_exponent * prior.variances
-    rng = np.random.default_rng(seed)
-    hits = 0
-    remaining = mc_samples
-    thresh = delta**2
-    while remaining > 0:
-        block = min(_MC_CHUNK, remaining)
-        g = rng.standard_normal((block, prior.basis.n_modes))
-        norms_sq = (g**2) @ weights
-        hits += int(np.count_nonzero(norms_sq <= thresh))
-        remaining -= block
-    if hits < 10:
-        raise RareEventError(
-            f"only {hits} of {mc_samples} draws landed in the ball; "
-            "estimate would be unreliable (need >= 10 hits)"
-        )
-    low, high = _wilson_interval(hits, mc_samples)
-    p = hits / mc_samples
-    return SmallBallEstimate(
-        log_prob=math.log(p),
-        log_low=math.log(low),
-        log_high=math.log(high) if high > 0 else -math.inf,
-        hits=hits,
-        n_samples=mc_samples,
-    )
+    """Monte Carlo estimate of log P(||f|| <= delta); ``small_ball_ladder`` at one delta."""
+    return small_ball_ladder(prior, norm_exponent, (delta,), mc_samples, seed)[0]
 
 
 def _rkhs_approximation_cost(
@@ -233,18 +267,47 @@ def _rkhs_approximation_cost(
     return float(0.5 * np.sum(g**2 / tau))
 
 
+def concentration_ladder(
+    prior: GaussianPrior,
+    f_dagger: CoeffVector,
+    deltas: Sequence[float],
+    ambient_exponent: float,
+    mc_samples: int,
+    seed: int,
+) -> tuple[ConcentrationValue, ...]:
+    """phi(delta) = RKHS approximation cost of the truth + negative log small-ball mass.
+
+    Evaluated at every delta; the small-ball terms come from one
+    ``small_ball_ladder`` sample, so phi is non-increasing in delta.
+    """
+    if not prior.basis.compatible(f_dagger.basis):
+        raise ShapeError("query truth lives on a different basis than the prior")
+    deltas = _positive_deltas(deltas)
+    approx = [
+        _rkhs_approximation_cost(prior, f_dagger, delta, ambient_exponent) for delta in deltas
+    ]
+    estimates = small_ball_ladder(prior, ambient_exponent, deltas, mc_samples, seed)
+    values = []
+    for a, est in zip(approx, estimates):
+        smallball = -est.log_prob
+        values.append(
+            ConcentrationValue(
+                approx_term=a, smallball_term=smallball, phi=a + smallball, estimate=est
+            )
+        )
+    return tuple(values)
+
+
 def concentration_fn(prior: GaussianPrior, query: ConcentrationQuery) -> ConcentrationValue:
     """RKHS approximation cost of the truth plus the negative log small-ball mass."""
-    if not prior.basis.compatible(query.f_dagger.basis):
-        raise ShapeError("query truth lives on a different basis than the prior")
-    approx = _rkhs_approximation_cost(
-        prior, query.f_dagger, query.delta, query.ambient_exponent
-    )
-    est = small_ball_logprob(
-        prior, query.ambient_exponent, query.delta, query.mc_samples, query.seed
-    )
-    smallball = -est.log_prob
-    return ConcentrationValue(approx_term=approx, smallball_term=smallball, phi=approx + smallball)
+    return concentration_ladder(
+        prior,
+        query.f_dagger,
+        (query.delta,),
+        query.ambient_exponent,
+        query.mc_samples,
+        query.seed,
+    )[0]
 
 
 def predict_rate(t: float, r: float, alpha: float, d: int = 1) -> RatePrediction:

@@ -41,7 +41,7 @@ from bvmlab.posterior import (
     posterior_update,
     tikhonov_solve,
 )
-from bvmlab.priors import matern_prior, predict_rate, small_ball_logprob
+from bvmlab.priors import matern_prior, predict_rate, small_ball_ladder
 from bvmlab.seeds import derive_seed
 from bvmlab.spectral import (
     BasisKind,
@@ -343,10 +343,7 @@ def test_criterion_10_small_ball_slope(interval):
     """Log small-ball cost grows polynomially in 1/delta at the predicted exponent."""
     prior = matern_prior(interval, r=1.0, amplitude=1e5)
     deltas = np.array([0.5, 0.35, 0.25, 0.18])
-    neglog = []
-    for delta in deltas:
-        est = small_ball_logprob(prior, -2.0, float(delta), 400_000, seed=1234)
-        neglog.append(-est.log_prob)
+    neglog = [-est.log_prob for est in small_ball_ladder(prior, -2.0, deltas, 400_000, seed=1234)]
     slope = float(np.polyfit(np.log(1.0 / deltas), np.log(neglog), 1)[0])
     target = 1.0 / (1.0 + 1.5)
     assert abs(slope - target) <= 0.3

@@ -6,12 +6,14 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import bvmlab
-from bvmlab import cli
+from bvmlab import bvm, cli, priors
 from bvmlab.cli import build_context, emit_csv, load_csv, main, run_command
 from bvmlab.config import parse_config, resolved_items
 from bvmlab.errors import ConfigurationError
+from bvmlab.seeds import derive_seed
 
 MINIMAL_BVP = """
 experiment=coverage
@@ -40,6 +42,16 @@ n_replicates=5
 truth.kind=sobolev
 truth.alpha=2.0
 epsilons=1e-2,3e-3,1e-3
+output_path={out}
+"""
+
+CONCENTRATION = """
+experiment=concentration
+n_modes=24
+truth.scale=20
+concentration.deltas={deltas}
+concentration.mc_samples=5000
+master_seed=11
 output_path={out}
 """
 
@@ -300,6 +312,22 @@ class TestBuildContext:
             build_context(config)
 
 
+def _run_python(script, **env_overrides):
+    """Run ``script`` in a fresh interpreter that imports this checkout's bvmlab."""
+    src = os.path.dirname(os.path.dirname(bvmlab.__file__))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    for key, value in env_overrides.items():
+        env.pop(key, None)
+        if value is not None:
+            env[key] = value
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
 def test_cli_import_graph_excludes_scipy_stats(tmp_path):
     # importing scipy.stats costs about a second per process; the CLI must not pull it in
     config = tmp_path / "cfg"
@@ -310,14 +338,78 @@ def test_cli_import_graph_excludes_scipy_stats(tmp_path):
         f"assert main(['run', {str(config)!r}]) == 0\n"
         "print('scipy.stats' in sys.modules)\n"
     )
-    src = os.path.dirname(os.path.dirname(bvmlab.__file__))
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert _run_python(script) == "False"
+
+
+_BLAS_SCRIPT = """
+import os
+import bvmlab.cli
+import numpy as np
+import scipy.linalg
+a = np.random.default_rng(0).standard_normal((256, 256))
+b = a @ a.T
+scipy.linalg.cho_factor(b + 256 * np.eye(256))
+env = os.environ
+print(len(os.listdir("/proc/self/task")), env["OPENBLAS_NUM_THREADS"], env["OMP_NUM_THREADS"])
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc to count threads")
+class TestBlasThreads:
+    def test_one_thread_per_process(self):
+        # numpy and scipy each bundle a BLAS; both must stay single-threaded
+        unset = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+        assert _run_python(_BLAS_SCRIPT, **unset) == "1 1 1"
+
+    def test_user_setting_wins(self):
+        out = _run_python(
+            _BLAS_SCRIPT, OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS=None, MKL_NUM_THREADS=None
+        )
+        assert out.split()[1:] == ["2", "1"]
+
+
+class TestConcentration:
+    def test_first_row_matches_single_delta_run(self, tmp_path):
+        out = tmp_path / "conc.csv"
+        config = parse_config(CONCENTRATION.format(deltas="0.3,0.1,0.2", out=out))
+        assert run_command(config) == 0
+        context = build_context(config)
+        single = priors.concentration_fn(
+            context.prior,
+            priors.ConcentrationQuery(
+                f_dagger=context.truth,
+                delta=0.3,
+                ambient_exponent=config.concentration_ambient,
+                mc_samples=5000,
+                seed=derive_seed(11, 0),
+            ),
+        )
+        _, header, rows = load_csv(str(out))
+        assert header == ["delta", "approx_term", "smallball_term", "phi"]
+        assert single.approx_term > 0
+        assert rows[0] == [cli._format_cell(v) for v in (0.3, *single[:3])]
+
+    def test_smallball_diagnostics(self, tmp_path):
+        out = tmp_path / "conc.csv"
+        config = parse_config(CONCENTRATION.format(deltas="0.3,0.1,0.2", out=out))
+        assert run_command(config) == 0
+        metadata, _, rows = load_csv(str(out))
+        hits = [int(h) for h in metadata["diag.smallball_hits"].split(",")]
+        low = [float(x) for x in metadata["diag.smallball_log_low"].split(",")]
+        high = [float(x) for x in metadata["diag.smallball_log_high"].split(",")]
+        assert len(hits) == len(low) == len(high) == len(rows) == 3
+        assert hits[1] <= hits[2] <= hits[0]
+        for row, h, lo, hi in zip(rows, hits, low, high):
+            log_prob = -float(row[2])
+            assert log_prob == math.log(h / 5000)
+            assert lo <= log_prob <= hi
+
+    def test_rare_event_names_delta(self, tmp_path, capsys):
+        config = parse_config(CONCENTRATION.format(deltas="1.0,1e-9", out=tmp_path / "c.csv"))
+        assert run_command(config) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error[3]: delta=1e-09: only 0 of 5000 draws")
+        assert not (tmp_path / "c.csv").exists()
 
 
 class _RecordingPool:
@@ -380,6 +472,19 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error[2]: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_raw_linalg_error_exits_two(self, tmp_path, monkeypatch, capsys):
+        # scipy.linalg raises numpy's LinAlgError class; neither may escape as a traceback
+        assert scipy.linalg.LinAlgError is np.linalg.LinAlgError
+
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("leading minor not positive definite")
+
+        monkeypatch.setattr(bvm, "fisher_solve", fail)
+        config = parse_config(MINIMAL_BVP.format(out=tmp_path / "o.csv"))
+        assert run_command(config) == 2
+        err = capsys.readouterr().err
+        assert err == "error[2]: LinAlgError: leading minor not positive definite\n"
 
     def test_failed_write_keeps_old_output(self, tmp_path, monkeypatch):
         out = tmp_path / "o.csv"

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvmlab.errors import ConfigurationError, RareEventError, ShapeError
 from bvmlab.priors import (
@@ -10,10 +12,12 @@ from bvmlab.priors import (
     GaussianPrior,
     RateBranch,
     concentration_fn,
+    concentration_ladder,
     matern_prior,
     predict_rate,
     rkhs_norm,
     sample_prior,
+    small_ball_ladder,
     small_ball_logprob,
     truncation_tail,
 )
@@ -142,6 +146,80 @@ class TestSmallBall:
     def test_sample_count_floor(self, prior):
         with pytest.raises(ConfigurationError):
             small_ball_logprob(prior, 0.0, delta=1.0, mc_samples=500, seed=5)
+
+
+def _per_delta_hits(prior, norm_exponent, delta, mc_samples, seed):
+    """Reference: one fresh sample per delta, counted the way the estimator does."""
+    weights = (1.0 + prior.basis.eigenvalues) ** norm_exponent * prior.variances
+    rng = np.random.default_rng(seed)
+    hits, remaining = 0, mc_samples
+    while remaining > 0:
+        block = min(4096, remaining)
+        norms_sq = (rng.standard_normal((block, prior.basis.n_modes)) ** 2) @ weights
+        hits += int(np.count_nonzero(norms_sq <= delta**2))
+        remaining -= block
+    return hits
+
+
+@pytest.fixture(scope="module")
+def tiny_prior():
+    return matern_prior(build_basis(BasisKind.DIRICHLET_SINE, 4, 8), r=1.0)
+
+
+class TestSmallBallLadder:
+    def test_hits_match_per_delta_runs(self, prior):
+        deltas = (0.3, 0.05, 0.1, 0.2)
+        ladder = small_ball_ladder(prior, -2.0, deltas, 10_000, seed=31)
+        for delta, est in zip(deltas, ladder):
+            assert est.hits == _per_delta_hits(prior, -2.0, delta, 10_000, 31)
+            assert est == small_ball_logprob(prior, -2.0, delta, 10_000, seed=31)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        deltas=st.lists(st.floats(0.15, 2.0), min_size=1, max_size=6),
+        mc_samples=st.integers(1000, 5000),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_hits_nondecreasing_in_delta(self, tiny_prior, deltas, mc_samples, seed):
+        ladder = small_ball_ladder(tiny_prior, 0.0, deltas, mc_samples, seed)
+        assert len(ladder) == len(deltas)
+        ordered = sorted(zip(deltas, (est.hits for est in ladder)))
+        hits = [h for _, h in ordered]
+        assert all(lo <= hi for lo, hi in zip(hits, hits[1:]))
+        assert all(est.n_samples == mc_samples for est in ladder)
+
+    @pytest.mark.parametrize(
+        "deltas",
+        [(1e-9, 1.0), (1.0, 1e-9), (1e3, 1.0, 1e-9, 1e-12)],
+        ids=["first", "second", "third"],
+    )
+    def test_rare_event_names_first_failing_delta(self, prior, deltas):
+        with pytest.raises(RareEventError, match=r"^delta=1e-09: only 0 of 2000 draws"):
+            small_ball_ladder(prior, 0.0, deltas, 2000, seed=5)
+
+    @pytest.mark.parametrize("deltas", [(), (0.1, 0.0), (-0.1,)], ids=["empty", "zero", "negative"])
+    def test_bad_deltas_rejected(self, prior, deltas):
+        with pytest.raises(ConfigurationError):
+            small_ball_ladder(prior, 0.0, deltas, 2000, seed=5)
+
+    def test_concentration_ladder_matches_per_delta_terms(self, prior, interval):
+        rng = np.random.default_rng(17)
+        f = coeff_vector(interval, rng.standard_normal(interval.n_modes))
+        deltas = (0.02, 0.04, 0.01)
+        values = concentration_ladder(prior, f, deltas, -2.0, 5000, seed=9)
+        for delta, value in zip(deltas, values):
+            single = concentration_fn(
+                prior,
+                ConcentrationQuery(
+                    f_dagger=f, delta=delta, ambient_exponent=-2.0, mc_samples=5000, seed=9
+                ),
+            )
+            assert value == single
+            assert value.smallball_term == -math.log(
+                _per_delta_hits(prior, -2.0, delta, 5000, 9) / 5000
+            )
+        ordered = [v.phi for _, v in sorted(zip(deltas, values))]
+        assert ordered[0] > ordered[1] > ordered[2]
 
 
 def _projected_gradient_cost(prior, f_dagger, delta, ambient_exponent, iters=200_000):
