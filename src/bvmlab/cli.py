@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import math
 import os
 import sys
@@ -163,7 +164,7 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
     prior = priors.matern_prior(basis, config.prior_r, config.prior_amplitude)
     truth = _build_truth(config, basis)
     functional = None
-    if config.experiment in ("coverage",):
+    if config.experiment == "coverage":
         functional = _build_functional(config, basis, forward)
     return ExperimentContext(
         config=config,
@@ -251,7 +252,21 @@ def _base_metadata(context: ExperimentContext) -> list[tuple[str, str]]:
     return items
 
 
-def _coverage_rows(results) -> list[tuple]:
+def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -> list[tuple]:
+    config = context.config
+    results = bvm.run_replicates(
+        context.prior,
+        context.forward,
+        context.truth,
+        [context.functional],
+        epsilon,
+        config.n_replicates,
+        level=config.level,
+        ball_beta=config.ball_beta,
+        master_seed=config.master_seed,
+        ball_draws=config.ball_draws,
+        replicate_indices=indices,
+    )
     return [
         (
             r.epsilon,
@@ -268,70 +283,7 @@ def _coverage_rows(results) -> list[tuple]:
     ]
 
 
-def _coverage_chunk(payload) -> list[tuple]:
-    config_text, epsilon, indices = payload
-    context = build_context(parse_config(config_text))
-    results = bvm.run_replicates(
-        context.prior,
-        context.forward,
-        context.truth,
-        [context.functional],
-        epsilon,
-        context.config.n_replicates,
-        level=context.config.level,
-        ball_beta=context.config.ball_beta,
-        master_seed=context.config.master_seed,
-        ball_draws=context.config.ball_draws,
-        replicate_indices=indices,
-    )
-    return _coverage_rows(results)
-
-
-def _chunks(n: int, workers: int) -> list[range]:
-    size = math.ceil(n / workers)
-    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
-
-
-def _config_text(config: ExperimentConfig) -> str:
-    return "\n".join(f"{k}={v}" for k, v in resolved_items(config))
-
-
-def _run_coverage(context: ExperimentContext, workers: int):
-    config = context.config
-    workers = min(workers, os.cpu_count() or 1)
-    rows: list[tuple] = []
-    if workers <= 1:
-        for eps in config.epsilons:
-            results = bvm.run_replicates(
-                context.prior,
-                context.forward,
-                context.truth,
-                [context.functional],
-                eps,
-                config.n_replicates,
-                level=config.level,
-                ball_beta=config.ball_beta,
-                master_seed=config.master_seed,
-                ball_draws=config.ball_draws,
-            )
-            rows.extend(_coverage_rows(results))
-        return COVERAGE_COLUMNS, rows
-    text = _config_text(config)
-    payloads = [
-        (text, eps, list(chunk))
-        for eps in config.epsilons
-        for chunk in _chunks(config.n_replicates, workers)
-    ]
-    pool_size = min(workers, len(payloads))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
-        for chunk_rows in pool.map(_coverage_chunk, payloads):
-            rows.extend(chunk_rows)
-    return COVERAGE_COLUMNS, rows
-
-
-def _rates_chunk(payload) -> list[tuple]:
-    config_text, epsilon, indices = payload
-    context = build_context(parse_config(config_text))
+def _rates_rows(context: ExperimentContext, epsilon: float, indices: range) -> list[tuple]:
     factor = posterior.posterior_factor(context.prior, context.forward, epsilon)
     rows = []
     for i in indices:
@@ -352,24 +304,59 @@ def _rates_chunk(payload) -> list[tuple]:
     return rows
 
 
-def _run_rates(context: ExperimentContext, workers: int):
+def _chunks(n: int, workers: int) -> list[range]:
+    size = math.ceil(n / workers)
+    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
+
+
+def _config_text(config: ExperimentConfig) -> str:
+    return "\n".join(f"{k}={v}" for k, v in resolved_items(config))
+
+
+@functools.lru_cache(maxsize=1)
+def _worker_context(config_text: str) -> ExperimentContext:
+    # a pool worker builds the context on its first chunk and reuses it after
+    return build_context(parse_config(config_text))
+
+
+def _run_chunk(payload) -> list[tuple]:
+    config_text, row_fn, epsilon, indices = payload
+    return row_fn(_worker_context(config_text), epsilon, indices)
+
+
+def _map_chunks(context: ExperimentContext, workers: int, row_fn) -> list[tuple]:
+    """Rows of ``row_fn(context, epsilon, indices)`` over every noise level and
+    replicate chunk, in order.
+
+    One worker runs in-process on ``context``; more map the chunks over a
+    process pool.  Rows depend only on (epsilon, replicate index), so the
+    output is the same for any worker count.
+    """
     config = context.config
     workers = min(workers, os.cpu_count() or 1)
-    text = _config_text(config)
-    rows: list[tuple] = []
-    payloads = [
-        (text, eps, list(chunk))
+    tasks = [
+        (eps, chunk)
         for eps in config.epsilons
-        for chunk in _chunks(config.n_replicates, max(workers, 1))
+        for chunk in _chunks(config.n_replicates, workers)
     ]
     if workers <= 1:
-        for payload in payloads:
-            rows.extend(_rates_chunk(payload))
+        chunk_rows = [row_fn(context, eps, chunk) for eps, chunk in tasks]
     else:
-        pool_size = min(workers, len(payloads))
+        text = _config_text(config)
+        payloads = [(text, row_fn, eps, chunk) for eps, chunk in tasks]
+        pool_size = min(workers, len(tasks))
         with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
-            for chunk_rows in pool.map(_rates_chunk, payloads):
-                rows.extend(chunk_rows)
+            chunk_rows = list(pool.map(_run_chunk, payloads))
+    return [row for rows in chunk_rows for row in rows]
+
+
+def _run_coverage(context: ExperimentContext, workers: int):
+    return COVERAGE_COLUMNS, _map_chunks(context, workers, _coverage_rows), []
+
+
+def _run_rates(context: ExperimentContext, workers: int):
+    config = context.config
+    rows = _map_chunks(context, workers, _rates_rows)
     mean_errors = []
     for eps in config.epsilons:
         errs = [r[2] for r in rows if r[0] == eps]
@@ -462,26 +449,24 @@ def _run_conjugacy(context: ExperimentContext):
         raise NumericalError(
             f"Tikhonov minimiser and posterior mean disagree by {worst:.3g} (> 1e-8)"
         )
-    return ("index", "family", "epsilon", "rel_distance"), rows
+    return ("index", "family", "epsilon", "rel_distance"), rows, []
 
 
 def run_command(config: ExperimentConfig, workers: int = 1) -> int:
     """Execute the configured experiment, write its CSV, and return an exit status."""
     try:
         context = build_context(config)
-        extra_metadata: list[tuple[str, str]] = []
         if config.experiment == "coverage":
-            header, rows = _run_coverage(context, workers)
+            header, rows, extra = _run_coverage(context, workers)
         elif config.experiment == "rates":
-            header, rows, extra_metadata = _run_rates(context, workers)
+            header, rows, extra = _run_rates(context, workers)
         elif config.experiment == "tightness":
-            header, rows, extra_metadata = _run_tightness(context)
+            header, rows, extra = _run_tightness(context)
         elif config.experiment == "concentration":
-            header, rows, extra_metadata = _run_concentration(context)
+            header, rows, extra = _run_concentration(context)
         else:
-            header, rows = _run_conjugacy(context)
-        metadata = _base_metadata(context) + extra_metadata
-        emit_csv((header, rows), config.output_path, metadata)
+            header, rows, extra = _run_conjugacy(context)
+        emit_csv((header, rows), config.output_path, _base_metadata(context) + extra)
     except BvmlabError as exc:
         for err_type, code in _EXIT_CODES:
             if isinstance(exc, err_type):

@@ -47,11 +47,10 @@ PSD_DEFECT_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class Observation:
-    """Noisy measurement M = A f + eps * w, optionally remembering the simulated truth."""
+    """Noisy measurement M = A f + eps * w, with its noise seed when it was simulated."""
 
     data: CoeffVector
     epsilon: float
-    truth: Optional[CoeffVector] = None
     noise_seed: Optional[int] = None
 
     def __post_init__(self):
@@ -71,7 +70,7 @@ def observe(
     """Simulate one measurement from the fixed truth with a seeded noise draw."""
     w = noise_draw(op.basis, seed)
     data = coeff_vector(op.basis, apply(op, f_dagger).coeffs + epsilon * w.coeffs)
-    return Observation(data=data, epsilon=epsilon, truth=f_dagger, noise_seed=seed)
+    return Observation(data=data, epsilon=epsilon, noise_seed=seed)
 
 
 @dataclass(frozen=True, eq=False)

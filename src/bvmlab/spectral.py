@@ -18,7 +18,6 @@ __all__ = [
     "BasisKind",
     "SpectralBasis",
     "CoeffVector",
-    "SobolevScale",
     "BumpCutoff",
     "build_basis",
     "coeff_vector",
@@ -114,19 +113,6 @@ class CoeffVector:
         if not np.all(np.isfinite(c)):
             raise ConfigurationError("coefficients must be finite")
         object.__setattr__(self, "coeffs", _readonly(c))
-
-
-@dataclass(frozen=True)
-class SobolevScale:
-    """Weight sequence (1 + lambda_j)^s defining the smoothness-s norm."""
-
-    exponent: float
-    weights: np.ndarray
-
-    @classmethod
-    def for_basis(cls, basis: SpectralBasis, exponent: float) -> "SobolevScale":
-        w = (1.0 + basis.eigenvalues) ** exponent
-        return cls(exponent=float(exponent), weights=_readonly(w))
 
 
 def build_basis(kind: BasisKind, n_modes: int, oversample: int = 8) -> SpectralBasis:
@@ -234,8 +220,8 @@ def inner(f: CoeffVector, g: CoeffVector) -> float:
 
 def sobolev_norm(f: CoeffVector, exponent: float) -> float:
     """Smoothness-weighted norm sqrt(sum_j (1 + lambda_j)^s c_j^2); s = 0 is the L2 norm."""
-    scale = SobolevScale.for_basis(f.basis, exponent)
-    return float(np.sqrt(np.dot(scale.weights, f.coeffs**2)))
+    weights = (1.0 + f.basis.eigenvalues) ** exponent
+    return float(np.sqrt(np.dot(weights, f.coeffs**2)))
 
 
 def dual_norm(x: CoeffVector, beta: float) -> float:

@@ -7,6 +7,8 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bvmlab
 from bvmlab import bvm, cli, priors
@@ -457,6 +459,47 @@ class TestWorkerCap:
         assert main(["run", str(path), "--out", str(serial)]) == 0
         assert load_csv(str(out))[1:] == load_csv(str(serial))[1:]
 
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = cli.build_context
+
+        def counted(config):
+            calls.append(config.experiment)
+            return original(config)
+
+        monkeypatch.setattr(cli, "build_context", counted)
+        return calls
+
+    def test_serial_rates_builds_context_once(self, tmp_path, builds):
+        path = tmp_path / "cfg"
+        path.write_text(RATES.format(out=tmp_path / "o.csv"))
+        assert main(["run", str(path)]) == 0
+        assert builds == ["rates"]
+
+    @pytest.mark.parametrize("template", [MINIMAL_BVP, RATES], ids=["coverage", "rates"])
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_pool_run_builds_context_at_most_twice(
+        self, tmp_path, monkeypatch, pool_sizes, builds, template, workers
+    ):
+        # the fake pool maps in one process: the parent builds once, and the
+        # chunks share one more build however many there are
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        path = tmp_path / "cfg"
+        path.write_text(template.format(out=tmp_path / "o.csv"))
+        assert main(["run", str(path), "--workers", str(workers)]) == 0
+        assert pool_sizes == [workers]
+        assert 1 <= len(builds) <= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 500), workers=st.integers(1, 64))
+def test_chunks_partition_replicates(n, workers):
+    chunks = cli._chunks(n, workers)
+    assert 1 <= len(chunks) <= workers
+    assert all(len(chunk) > 0 and chunk.step == 1 for chunk in chunks)
+    assert [i for chunk in chunks for i in chunk] == list(range(n))
 
 class TestFailureExitCodes:
     @pytest.mark.parametrize(

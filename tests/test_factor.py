@@ -3,6 +3,8 @@ one factorisation per epsilon, chunk invariance, and error mapping."""
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvmlab import cli, posterior
 from bvmlab.bvm import representer, run_replicates
@@ -115,6 +117,26 @@ def test_index_split_bitwise_with_ball(dense_setup):
     )
     assert first + rest == full
     assert all(r.ball_radius is not None for r in full)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_any_contiguous_split_is_bitwise(dense_setup, data):
+    prior, op, truth, tf = dense_setup
+    n = data.draw(st.integers(1, 8), label="n")
+    cuts = data.draw(st.sets(st.integers(1, n - 1)), label="cuts") if n > 1 else set()
+    bounds = [0, *sorted(cuts), n]
+    kwargs = dict(ball_beta=3.5, master_seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    full = run_replicates(prior, op, truth, [tf], 1e-3, n, **kwargs)
+    joined = [
+        r
+        for lo, hi in zip(bounds, bounds[1:])
+        for r in run_replicates(
+            prior, op, truth, [tf], 1e-3, n, replicate_indices=range(lo, hi), **kwargs
+        )
+    ]
+    # repr prints every float to full precision, so equal reprs are equal bits
+    assert repr(joined) == repr(full)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
