@@ -21,19 +21,21 @@ from .operators import (
     normal_apply,
 )
 from .posterior import (
+    PosteriorGaussian,
     credible_ball_radius,
-    noise_draw,
+    noise_block,
     posterior_factor,
     two_sided_quantile,
 )
 from .priors import GaussianPrior, _wilson_interval
 from .seeds import derive_seed
-from .spectral import CoeffVector, coeff_vector, dual_norm, inner
+from .spectral import CoeffVector, coeff_vector, inner
 
 __all__ = [
     "Construction",
     "TestFunctional",
     "ReplicateResult",
+    "ReplicateTable",
     "CoverageKind",
     "CoverageReport",
     "RateFit",
@@ -41,6 +43,7 @@ __all__ = [
     "TightnessResult",
     "representer",
     "heat_psi_from_representer",
+    "replicate_table",
     "run_replicates",
     "ks_distance",
     "bl_distance_upper",
@@ -54,6 +57,10 @@ __all__ = [
 # largest decay exponent the heat representer map evaluates before the
 # semigroup weight is numerically void
 HEAT_DECAY_CEILING = 300.0
+
+# the replicate engine works through its replicates in blocks of this many
+# rows, so its memory is O(REPLICATE_BLOCK * n_modes) for any replicate count
+REPLICATE_BLOCK = 256
 
 
 class Construction(enum.Enum):
@@ -157,6 +164,100 @@ class ReplicateResult:
     ball_covered: Optional[bool] = None
 
 
+@dataclass(frozen=True, eq=False)
+class ReplicateTable:
+    """Columnar replicate records at one noise level.
+
+    Row r belongs to replicate ``replicate_index[r]``.  The two-dimensional
+    columns hold one column per functional, in the order the functionals were
+    given; the ball columns are None unless a ball was requested.
+    """
+
+    replicate_index: np.ndarray  # (rows,)
+    functional_mean: np.ndarray  # (rows, functionals)
+    scaled_error: np.ndarray  # (rows, functionals)
+    hat_psi: np.ndarray  # (rows, functionals)
+    interval_covered: np.ndarray  # (rows, functionals), bool
+    interval_radius: np.ndarray  # (functionals,)
+    posterior_functional_variance: np.ndarray  # (functionals,)
+    ball_radius: Optional[np.ndarray] = None  # (rows,)
+    ball_covered: Optional[np.ndarray] = None  # (rows,), bool
+
+
+def replicate_table(
+    prior: GaussianPrior,
+    op: ForwardOperator,
+    f_dagger: CoeffVector,
+    functionals: Sequence[TestFunctional],
+    epsilon: float,
+    n_replicates: int,
+    level: float = 0.95,
+    ball_beta: Optional[float] = None,
+    master_seed: int = 0,
+    ball_draws: int = 1000,
+    replicate_indices: Optional[Sequence[int]] = None,
+) -> ReplicateTable:
+    """Independent measurement replicates from the fixed truth, as columns.
+
+    Replicate i draws its noise from the seed ``derive_seed(master_seed, 2i)``
+    and its ball draws from ``derive_seed(master_seed, 2i + 1)``;
+    ``replicate_indices`` lets a parallel driver run a sub-range.  The
+    posterior factor and the functional variances are computed once per call.
+    Replicates are processed in blocks of ``REPLICATE_BLOCK`` rows: one noise
+    block, one posterior update per row and row-local dot products, so every
+    row is bitwise the same for any index split.
+    """
+    if n_replicates < 1:
+        raise ConfigurationError("need at least one replicate")
+    if not op.basis.compatible(f_dagger.basis):
+        raise ShapeError("truth lives on a different basis than the operator")
+    indices = range(n_replicates) if replicate_indices is None else replicate_indices
+    q = two_sided_quantile(level)
+    factor = posterior_factor(prior, op, epsilon)
+    truth_values = np.array([inner(f_dagger, tf.psi) for tf in functionals])
+    psis = [tf.psi.coeffs for tf in functionals]
+    images = [apply(op, tf.psi_tilde).coeffs for tf in functionals]
+    variances = [factor.functional_variance(tf.psi) for tf in functionals]
+    radii = np.array([q * math.sqrt(var) for var in variances])
+    signal = apply(op, f_dagger).coeffs
+    n_rows = len(indices)
+    means = np.empty((n_rows, len(functionals)))
+    noise_terms = np.empty((n_rows, len(functionals)))
+    ball_radius = ball_covered = None
+    if ball_beta is not None:
+        ball_radius = np.empty(n_rows)
+        distances = np.empty(n_rows)
+        weights = (1.0 + op.basis.eigenvalues) ** (-ball_beta)
+    for lo in range(0, n_rows, REPLICATE_BLOCK):
+        block = indices[lo : lo + REPLICATE_BLOCK]
+        rows = slice(lo, lo + len(block))
+        noise = noise_block(op.basis, [derive_seed(master_seed, 2 * i) for i in block])
+        post_means = factor.update_block(signal + epsilon * noise)
+        for k, (psi, image) in enumerate(zip(psis, images)):
+            means[rows, k] = np.vecdot(post_means, psi)
+            noise_terms[rows, k] = np.vecdot(noise, image)
+        if ball_beta is not None:
+            distances[rows] = np.sqrt(np.vecdot((f_dagger.coeffs - post_means) ** 2, weights))
+            for r, (i, mean) in enumerate(zip(block, post_means), start=lo):
+                post = PosteriorGaussian(mean=coeff_vector(op.basis, mean), factor=factor)
+                ball_radius[r] = credible_ball_radius(
+                    post, ball_beta, level, ball_draws, derive_seed(master_seed, 2 * i + 1)
+                )
+    if ball_beta is not None:
+        ball_covered = distances <= ball_radius
+    return ReplicateTable(
+        replicate_index=np.array(indices, dtype=np.int64),
+        functional_mean=means,
+        scaled_error=(means - truth_values) / epsilon,
+        hat_psi=truth_values - epsilon * noise_terms,
+        interval_covered=np.abs(truth_values - means) <= radii,
+        interval_radius=radii,
+        posterior_functional_variance=np.array(variances),
+        ball_radius=ball_radius,
+        ball_covered=ball_covered,
+    )
+
+
 def run_replicates(
     prior: GaussianPrior,
     op: ForwardOperator,
@@ -170,52 +271,51 @@ def run_replicates(
     ball_draws: int = 1000,
     replicate_indices: Optional[Sequence[int]] = None,
 ) -> list[ReplicateResult]:
-    """Independent measurement replicates from the fixed truth, fully deterministic.
+    """``replicate_table`` as one record per (replicate, functional), replicate-major.
 
-    Replicate i draws its noise from a seed derived from (master_seed, i), so
-    the result list is bitwise identical for any scheduling or index split;
-    ``replicate_indices`` lets a parallel driver run a sub-range.  The
-    posterior factor and the functional variances are computed once per call,
-    so a replicate costs a noise draw, one gain application and the ball draws.
+    Fully deterministic: the list is bitwise identical for any scheduling or
+    index split.
     """
-    if n_replicates < 1:
-        raise ConfigurationError("need at least one replicate")
-    if not op.basis.compatible(f_dagger.basis):
-        raise ShapeError("truth lives on a different basis than the operator")
-    indices = range(n_replicates) if replicate_indices is None else replicate_indices
-    q = two_sided_quantile(level)
-    factor = posterior_factor(prior, op, epsilon)
-    truth_values = [inner(f_dagger, tf.psi) for tf in functionals]
-    images = [apply(op, tf.psi_tilde) for tf in functionals]
-    variances = [factor.functional_variance(tf.psi) for tf in functionals]
-    radii = [q * math.sqrt(var) for var in variances]
-    signal = apply(op, f_dagger)
+    table = replicate_table(
+        prior,
+        op,
+        f_dagger,
+        functionals,
+        epsilon,
+        n_replicates,
+        level=level,
+        ball_beta=ball_beta,
+        master_seed=master_seed,
+        ball_draws=ball_draws,
+        replicate_indices=replicate_indices,
+    )
+    n_rows = len(table.replicate_index)
+    radii = table.interval_radius.tolist()
+    variances = table.posterior_functional_variance.tolist()
+    if table.ball_radius is None:
+        balls = [(None, None)] * n_rows
+    else:
+        balls = zip(table.ball_radius.tolist(), table.ball_covered.tolist())
     results: list[ReplicateResult] = []
-    for i in indices:
-        noise = noise_draw(op.basis, derive_seed(master_seed, 2 * i))
-        post = factor.update(coeff_vector(op.basis, signal.coeffs + epsilon * noise.coeffs))
-        ball_radius = None
-        ball_covered = None
-        if ball_beta is not None:
-            ball_radius = credible_ball_radius(
-                post, ball_beta, level, ball_draws, derive_seed(master_seed, 2 * i + 1)
-            )
-            distance = dual_norm(
-                coeff_vector(op.basis, f_dagger.coeffs - post.mean.coeffs), ball_beta
-            )
-            ball_covered = bool(distance <= ball_radius)
+    for i, means, errors, hats, covered, (ball_radius, ball_covered) in zip(
+        table.replicate_index.tolist(),
+        table.functional_mean.tolist(),
+        table.scaled_error.tolist(),
+        table.hat_psi.tolist(),
+        table.interval_covered.tolist(),
+        balls,
+    ):
         for k, tf in enumerate(functionals):
-            mean = float(np.dot(post.mean.coeffs, tf.psi.coeffs))
             results.append(
                 ReplicateResult(
                     replicate_index=i,
                     functional_index=k,
                     epsilon=epsilon,
-                    functional_mean=mean,
-                    scaled_error=(mean - truth_values[k]) / epsilon,
-                    hat_psi=truth_values[k] - epsilon * inner(images[k], noise),
+                    functional_mean=means[k],
+                    scaled_error=errors[k],
+                    hat_psi=hats[k],
                     interval_radius=radii[k],
-                    interval_covered=bool(abs(truth_values[k] - mean) <= radii[k]),
+                    interval_covered=covered[k],
                     posterior_functional_variance=variances[k],
                     limiting_variance=tf.limiting_variance,
                     level=level,

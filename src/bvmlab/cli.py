@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 # parallelism comes from --workers: one BLAS thread per process unless the user
 # set one; this must run before numpy and scipy load their BLAS
@@ -188,6 +188,14 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _csv_line(row) -> str:
+    try:
+        # the chunked experiments hand over rows whose cells are formatted already
+        return ",".join(row) + "\n"
+    except TypeError:
+        return ",".join(_format_cell(cell) for cell in row) + "\n"
+
+
 def emit_csv(records, path: str, metadata: Sequence[tuple[str, str]] = ()) -> None:
     """Write rows as CSV: one '# key=value' metadata block, then header, then data.
 
@@ -197,20 +205,19 @@ def emit_csv(records, path: str, metadata: Sequence[tuple[str, str]] = ()) -> No
     header, rows = records
     if not rows:
         raise ConfigurationError("refusing to emit an empty results table")
-    lines = [f"# {key}={value}" for key, value in metadata]
-    lines.append(",".join(header))
-    for row in rows:
-        if len(row) != len(header):
-            raise ConfigurationError("row width does not match the header")
-        lines.append(",".join(_format_cell(cell) for cell in row))
+    if any(len(row) != len(header) for row in rows):
+        raise ConfigurationError("row width does not match the header")
     # write a sibling file, then rename it over the output, so a reader never
-    # sees a partial table and a failed run leaves an older file intact
+    # sees a partial table and a failed run leaves an older file intact; the
+    # lines are streamed, so the whole text is never held in memory
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.writelines(f"# {key}={value}\n" for key, value in metadata)
+            fh.write(",".join(header) + "\n")
+            fh.writelines(map(_csv_line, rows))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -252,9 +259,25 @@ def _base_metadata(context: ExperimentContext) -> list[tuple[str, str]]:
     return items
 
 
-def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -> list[tuple]:
+class _Chunk(NamedTuple):
+    """Rows of one (epsilon, replicate chunk), with every cell formatted in the
+    process that computed it, and the raw columns the parent summarises."""
+
+    rows: list[tuple[str, ...]]
+    columns: dict[str, np.ndarray]
+
+
+def _float_cells(values: np.ndarray) -> list[str]:
+    return [format(x, ".17g") for x in values.tolist()]
+
+
+def _flag_cells(flags: np.ndarray) -> list[str]:
+    return ["true" if flag else "false" for flag in flags.tolist()]
+
+
+def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -> _Chunk:
     config = context.config
-    results = bvm.run_replicates(
+    table = bvm.replicate_table(
         context.prior,
         context.forward,
         context.truth,
@@ -267,41 +290,47 @@ def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -
         ball_draws=config.ball_draws,
         replicate_indices=indices,
     )
-    return [
-        (
-            r.epsilon,
-            r.replicate_index,
-            r.functional_mean,
-            r.scaled_error,
-            r.hat_psi,
-            r.interval_radius,
-            r.interval_covered,
-            r.ball_radius,
-            r.ball_covered,
-        )
-        for r in results
-    ]
+    n_rows = len(indices)
+    covered = table.interval_covered[:, 0]
+    columns = {"covered": covered}
+    no_ball = [""] * n_rows
+    ball_cells = [no_ball, no_ball]
+    if table.ball_radius is not None:
+        columns["ball_covered"] = table.ball_covered
+        ball_cells = [_float_cells(table.ball_radius), _flag_cells(table.ball_covered)]
+    cells = (
+        [_format_cell(epsilon)] * n_rows,
+        [str(i) for i in indices],
+        _float_cells(table.functional_mean[:, 0]),
+        _float_cells(table.scaled_error[:, 0]),
+        _float_cells(table.hat_psi[:, 0]),
+        _float_cells(table.interval_radius[:1]) * n_rows,
+        _flag_cells(covered),
+        *ball_cells,
+    )
+    return _Chunk(list(zip(*cells)), columns)
 
 
-def _rates_rows(context: ExperimentContext, epsilon: float, indices: range) -> list[tuple]:
+def _rates_rows(context: ExperimentContext, epsilon: float, indices: range) -> _Chunk:
     factor = posterior.posterior_factor(context.prior, context.forward, epsilon)
-    rows = []
-    for i in indices:
-        obs = posterior.observe(
-            context.forward,
-            context.truth,
-            epsilon,
-            derive_seed(context.config.master_seed, i),
+    signal = operators.apply(context.forward, context.truth).coeffs
+    # the dual norm of beta = 2, as spectral.dual_norm computes it, one row at a time
+    weights = (1.0 + context.basis.eigenvalues) ** -2.0
+    errors = np.empty(len(indices))
+    for lo in range(0, len(indices), bvm.REPLICATE_BLOCK):
+        block = indices[lo : lo + bvm.REPLICATE_BLOCK]
+        seeds = [derive_seed(context.config.master_seed, i) for i in block]
+        noise = posterior.noise_block(context.basis, seeds)
+        means = factor.update_block(signal + epsilon * noise)
+        errors[lo : lo + len(block)] = np.sqrt(
+            np.vecdot((means - context.truth.coeffs) ** 2, weights)
         )
-        post = factor.update(obs.data)
-        err = spectral.dual_norm(
-            spectral.coeff_vector(
-                context.basis, post.mean.coeffs - context.truth.coeffs
-            ),
-            2.0,
-        )
-        rows.append((epsilon, i, err))
-    return rows
+    cells = (
+        [_format_cell(epsilon)] * len(indices),
+        [str(i) for i in indices],
+        _float_cells(errors),
+    )
+    return _Chunk(list(zip(*cells)), {"dual_error": errors})
 
 
 def _chunks(n: int, workers: int) -> list[range]:
@@ -319,13 +348,13 @@ def _worker_context(config_text: str) -> ExperimentContext:
     return build_context(parse_config(config_text))
 
 
-def _run_chunk(payload) -> list[tuple]:
+def _run_chunk(payload) -> _Chunk:
     config_text, row_fn, epsilon, indices = payload
     return row_fn(_worker_context(config_text), epsilon, indices)
 
 
-def _map_chunks(context: ExperimentContext, workers: int, row_fn) -> list[tuple]:
-    """Rows of ``row_fn(context, epsilon, indices)`` over every noise level and
+def _map_chunks(context: ExperimentContext, workers: int, row_fn) -> list[tuple[float, _Chunk]]:
+    """``(epsilon, row_fn(context, epsilon, indices))`` for every noise level and
     replicate chunk, in order.
 
     One worker runs in-process on ``context``; more map the chunks over a
@@ -340,27 +369,43 @@ def _map_chunks(context: ExperimentContext, workers: int, row_fn) -> list[tuple]
         for chunk in _chunks(config.n_replicates, workers)
     ]
     if workers <= 1:
-        chunk_rows = [row_fn(context, eps, chunk) for eps, chunk in tasks]
+        chunks = [row_fn(context, eps, chunk) for eps, chunk in tasks]
     else:
         text = _config_text(config)
         payloads = [(text, row_fn, eps, chunk) for eps, chunk in tasks]
         pool_size = min(workers, len(tasks))
         with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
-            chunk_rows = list(pool.map(_run_chunk, payloads))
-    return [row for rows in chunk_rows for row in rows]
+            chunks = list(pool.map(_run_chunk, payloads))
+    return [(eps, chunk) for (eps, _), chunk in zip(tasks, chunks)]
+
+
+def _joined_rows(chunks: list[tuple[float, _Chunk]]) -> list[tuple[str, ...]]:
+    return [row for _, chunk in chunks for row in chunk.rows]
+
+
+def _column(chunks: list[tuple[float, _Chunk]], epsilon: float, name: str) -> np.ndarray:
+    """One raw column over every chunk of one noise level, in replicate order."""
+    return np.concatenate([chunk.columns[name] for eps, chunk in chunks if eps == epsilon])
+
+
+def _hits(chunks: list[tuple[float, _Chunk]], epsilons, name: str) -> str:
+    """True entries of a boolean column per noise level, comma-separated in order."""
+    return ",".join(str(np.count_nonzero(_column(chunks, eps, name))) for eps in epsilons)
 
 
 def _run_coverage(context: ExperimentContext, workers: int):
-    return COVERAGE_COLUMNS, _map_chunks(context, workers, _coverage_rows), []
+    config = context.config
+    chunks = _map_chunks(context, workers, _coverage_rows)
+    extra = [("diag.coverage_hits", _hits(chunks, config.epsilons, "covered"))]
+    if config.ball_beta is not None:
+        extra.append(("diag.ball_hits", _hits(chunks, config.epsilons, "ball_covered")))
+    return COVERAGE_COLUMNS, _joined_rows(chunks), extra
 
 
 def _run_rates(context: ExperimentContext, workers: int):
     config = context.config
-    rows = _map_chunks(context, workers, _rates_rows)
-    mean_errors = []
-    for eps in config.epsilons:
-        errs = [r[2] for r in rows if r[0] == eps]
-        mean_errors.append(float(np.mean(errs)))
+    chunks = _map_chunks(context, workers, _rates_rows)
+    mean_errors = [float(np.mean(_column(chunks, eps, "dual_error"))) for eps in config.epsilons]
     t_order = 2.0 if config.operator_kind == "bvp" else config.operator_t
     predicted = priors.predict_rate(t_order, config.prior_r, config.truth_alpha, 1)
     fit = bvm.rate_fit(config.epsilons, mean_errors, predicted.exponent)
@@ -370,7 +415,7 @@ def _run_rates(context: ExperimentContext, workers: int):
         ("rate_predicted_exponent", format(fit.predicted_exponent, ".17g")),
         ("rate_binding_branch", predicted.which.value),
     ]
-    return ("epsilon", "replicate", "dual_error"), rows, extra
+    return ("epsilon", "replicate", "dual_error"), _joined_rows(chunks), extra
 
 
 def _run_tightness(context: ExperimentContext):

@@ -213,6 +213,26 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "key 'concentration.mc_samples': need at least 1000 samples"
             )
+        if self.ball_beta is not None and self.ball_draws < 1000:
+            raise ConfigurationError(
+                "key 'ball_draws': need at least 1000 posterior draws for a ball radius"
+            )
+        # the coverage functional indexes a basis of exactly n_modes modes; a
+        # functional kind paired with the wrong operator (which build_context
+        # rejects) never reads these keys
+        kind, coverage = self.functional_kind, self.experiment == "coverage"
+        reads_band = kind == "sobolev" or (kind == "smoothed_image" and self.operator_kind == "bvp")
+        reads_mode = kind == "mode" or (kind == "heat_mode" and self.operator_kind == "heat")
+        if coverage and reads_band and self.functional_band > self.n_modes:
+            raise ConfigurationError(
+                f"key 'functional.band': band {self.functional_band} exceeds "
+                f"n_modes={self.n_modes}"
+            )
+        if coverage and reads_mode and not 1 <= self.functional_mode <= self.n_modes:
+            raise ConfigurationError(
+                f"key 'functional.mode': mode {self.functional_mode} is outside "
+                f"1..n_modes={self.n_modes}"
+            )
 
 
 def parse_config(text: str) -> ExperimentConfig:

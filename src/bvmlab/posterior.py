@@ -4,15 +4,16 @@ linear functionals, credible intervals, posterior sampling, and dual-norm
 credible-ball radii.
 
 The covariance and the gain of the update do not depend on the data:
-``posterior_factor`` computes them once per noise level, and its ``update``
-turns any data vector into a posterior with one matrix-vector product.
+``posterior_factor`` computes them once per noise level, and its
+``update_block`` turns a block of data vectors into posterior means with one
+matrix-vector product per row.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -30,6 +31,7 @@ __all__ = [
     "FunctionalLaw",
     "CredibleInterval",
     "noise_draw",
+    "noise_block",
     "observe",
     "posterior_factor",
     "posterior_update",
@@ -58,10 +60,18 @@ class Observation:
             raise ConfigurationError("noise level epsilon must be positive")
 
 
+def noise_block(basis: SpectralBasis, seeds: Sequence[int]) -> np.ndarray:
+    """White-noise realisations, one row per seed: row r holds the iid standard
+    normal coefficients of ``default_rng(seeds[r])``, shape (len(seeds), n_modes)."""
+    block = np.empty((len(seeds), basis.n_modes))
+    for row, seed in zip(block, seeds):
+        np.random.default_rng(seed).standard_normal(out=row)
+    return block
+
+
 def noise_draw(basis: SpectralBasis, seed: int) -> CoeffVector:
     """White-noise realisation: iid standard normal coefficients."""
-    rng = np.random.default_rng(seed)
-    return coeff_vector(basis, rng.standard_normal(basis.n_modes))
+    return coeff_vector(basis, noise_block(basis, (seed,))[0])
 
 
 def observe(
@@ -132,14 +142,27 @@ class PosteriorFactor:
             var = float(psi.coeffs @ self.covariance @ psi.coeffs)
         return max(var, 0.0)
 
+    def update_block(self, data: np.ndarray) -> np.ndarray:
+        """Posterior means K M for data vectors along the last axis of ``data``.
+
+        Each row is computed on its own (an elementwise product, or one
+        matrix-vector product per row), so a row's mean is bitwise the same
+        in any block; a matrix-matrix product would not guarantee that.
+        """
+        if data.shape[-1] != self.prior.basis.n_modes:
+            raise ShapeError(
+                f"expected data with {self.prior.basis.n_modes} coefficients, "
+                f"got shape {data.shape}"
+            )
+        if self.is_diagonal:
+            return self.gain * data
+        return np.matmul(self.gain, data[..., None])[..., 0]
+
     def update(self, data: CoeffVector) -> "PosteriorGaussian":
         """Posterior given one data vector: mean K M, covariance shared through this factor."""
         if not self.prior.basis.compatible(data.basis):
             raise ShapeError("data live on a different basis than the posterior")
-        if self.is_diagonal:
-            mean = self.gain * data.coeffs
-        else:
-            mean = self.gain @ data.coeffs
+        mean = self.update_block(data.coeffs)
         return PosteriorGaussian(mean=coeff_vector(self.prior.basis, mean), factor=self)
 
 

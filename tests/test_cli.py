@@ -296,6 +296,93 @@ class TestMain:
         assert main(["run", str(path), "--workers", "0"]) == 1
 
 
+class TestLateFailingKeys:
+    """Inputs that used to pass ``validate`` and then fail in ``run`` without a key name."""
+
+    @pytest.mark.parametrize(
+        "lines, key",
+        [
+            ("ball_beta=3.5\nball_draws=10", "ball_draws"),
+            ("n_modes=32", "functional.band"),
+            ("n_modes=32\nfunctional.kind=sobolev\nfunctional.band=33", "functional.band"),
+            ("n_modes=32\nfunctional.kind=mode\nfunctional.mode=999", "functional.mode"),
+            ("n_modes=32\nfunctional.kind=mode\nfunctional.mode=0", "functional.mode"),
+            (
+                "operator.kind=heat\nn_modes=32\nfunctional.kind=heat_mode\nfunctional.mode=33",
+                "functional.mode",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_rejected_naming_key(self, tmp_path, capsys, lines, key, command):
+        path = tmp_path / "bad.ini"
+        out = tmp_path / "out.csv"
+        path.write_text(f"experiment=coverage\n{lines}\noutput_path={out}\n")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[1]: key '{key}': ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_limits_still_accepted(self, tmp_path):
+        # ball_draws is read only with a ball; band and mode may reach n_modes
+        config = parse_config(
+            "experiment=coverage\nn_modes=32\nball_draws=10\nfunctional.band=32\n"
+            f"output_path={tmp_path / 'o.csv'}\nn_replicates=2\nepsilons=1e-2\n"
+        )
+        assert run_command(config) == 0
+        config = parse_config(
+            "experiment=coverage\nn_modes=32\nfunctional.kind=mode\nfunctional.mode=32\n"
+            f"output_path={tmp_path / 'o.csv'}\nn_replicates=2\nepsilons=1e-2\n"
+        )
+        assert run_command(config) == 0
+        # the other experiments build no functional, so its keys are not read
+        assert parse_config("experiment=rates\nn_modes=16\nfunctional.mode=999\n")
+
+
+class TestCoverageDiagnostics:
+    @staticmethod
+    def _hits(header, rows, column, epsilons):
+        eps, flag = header.index("epsilon"), header.index(column)
+        return ",".join(
+            str(sum(r[flag] == "true" for r in rows if float(r[eps]) == e)) for e in epsilons
+        )
+
+    @pytest.mark.parametrize("ball", [False, True], ids=["interval", "ball"])
+    def test_hits_match_rows(self, tmp_path, ball):
+        out = tmp_path / "cov.csv"
+        text = (
+            "experiment=coverage\noperator.kind=bvp\nn_modes=32\nfunctional.band=8\n"
+            f"n_replicates=40\nepsilons=1e-1,1e-3,1e-5\noutput_path={out}\n"
+        )
+        if ball:
+            text += "ball_beta=3.5\n"
+        config = parse_config(text)
+        assert run_command(config) == 0
+        metadata, header, rows = load_csv(str(out))
+        epsilons = config.epsilons
+        assert metadata["diag.coverage_hits"] == self._hits(header, rows, "covered", epsilons)
+        assert len(metadata["diag.coverage_hits"].split(",")) == 3
+        if ball:
+            assert metadata["diag.ball_hits"] == self._hits(header, rows, "ball_covered", epsilons)
+        else:
+            assert "diag.ball_hits" not in metadata
+
+    @pytest.mark.parametrize(
+        "template, extra",
+        [(MINIMAL_BVP, "ball_beta=3.5\n"), (RATES, "")],
+        ids=["coverage", "rates"],
+    )
+    def test_one_and_two_workers_byte_identical(self, tmp_path, template, extra):
+        # a real process pool (criterion 12), capped at the core count
+        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        assert run_command(parse_config(template.format(out=out1) + extra), workers=1) == 0
+        assert run_command(parse_config(template.format(out=out2) + extra), workers=2) == 0
+        body1 = out1.read_bytes().replace(bytes(str(out1), "utf-8"), b"OUT")
+        body2 = out2.read_bytes().replace(bytes(str(out2), "utf-8"), b"OUT")
+        assert body1 == body2
+
+
 class TestBuildContext:
     def test_psido_context(self):
         config = parse_config(

@@ -1,5 +1,8 @@
-"""The per-noise-level posterior factor: agreement with independent solves,
+"""The per-noise-level posterior factor and the columnar replicate engine:
+agreement with independent solves and with a per-replicate reference loop,
 one factorisation per epsilon, chunk invariance, and error mapping."""
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvmlab import cli, posterior
-from bvmlab.bvm import representer, run_replicates
+from bvmlab.bvm import (
+    REPLICATE_BLOCK,
+    ReplicateResult,
+    replicate_table,
+    representer,
+    run_replicates,
+)
 from bvmlab.config import parse_config
 from bvmlab.errors import ConfigurationError, NumericalError
 from bvmlab.operators import EllipticCoefficient, apply, elliptic_operator
@@ -23,8 +32,11 @@ from bvmlab.spectral import (
     analyze,
     build_basis,
     coeff_vector,
+    dual_norm,
+    inner,
     make_bump,
     sobolev_draw,
+    unit_vector,
 )
 
 
@@ -39,6 +51,138 @@ def dense_setup():
     truth = analyze(make_bump((0.2, 0.7), (0.35, 0.55))(basis.grid), basis)
     tf = representer(op, apply(op, sobolev_draw(basis, 5.0, 12)))
     return prior, op, truth, tf
+
+
+@pytest.fixture(scope="module")
+def diag_setup():
+    """Diagonal solution map of the constant-coefficient elliptic problem."""
+    basis = build_basis(BasisKind.DIRICHLET_SINE, 32, 8)
+    op = elliptic_operator(EllipticCoefficient(lambda x: np.ones_like(x)), basis)[1]
+    assert op.is_diagonal
+    prior = matern_prior(basis, r=1.0)
+    truth = analyze(make_bump((0.2, 0.7), (0.35, 0.55))(basis.grid), basis)
+    tf = representer(op, apply(op, sobolev_draw(basis, 5.0, 12)))
+    return prior, op, truth, tf
+
+
+def _reference_replicates(
+    prior, op, f_dagger, functionals, epsilon, indices, level, ball_beta, master_seed, ball_draws
+):
+    """One replicate at a time through the single-vector API: the oracle for the engine."""
+    q = posterior.two_sided_quantile(level)
+    factor = posterior_factor(prior, op, epsilon)
+    truth_values = [inner(f_dagger, tf.psi) for tf in functionals]
+    images = [apply(op, tf.psi_tilde) for tf in functionals]
+    variances = [factor.functional_variance(tf.psi) for tf in functionals]
+    radii = [q * math.sqrt(var) for var in variances]
+    signal = apply(op, f_dagger)
+    results = []
+    for i in indices:
+        noise = posterior.noise_draw(op.basis, derive_seed(master_seed, 2 * i))
+        post = factor.update(coeff_vector(op.basis, signal.coeffs + epsilon * noise.coeffs))
+        ball_radius = ball_covered = None
+        if ball_beta is not None:
+            ball_radius = posterior.credible_ball_radius(
+                post, ball_beta, level, ball_draws, derive_seed(master_seed, 2 * i + 1)
+            )
+            distance = dual_norm(
+                coeff_vector(op.basis, f_dagger.coeffs - post.mean.coeffs), ball_beta
+            )
+            ball_covered = bool(distance <= ball_radius)
+        for k, tf in enumerate(functionals):
+            mean = float(np.dot(post.mean.coeffs, tf.psi.coeffs))
+            results.append(
+                ReplicateResult(
+                    replicate_index=i,
+                    functional_index=k,
+                    epsilon=epsilon,
+                    functional_mean=mean,
+                    scaled_error=(mean - truth_values[k]) / epsilon,
+                    hat_psi=truth_values[k] - epsilon * inner(images[k], noise),
+                    interval_radius=radii[k],
+                    interval_covered=bool(abs(truth_values[k] - mean) <= radii[k]),
+                    posterior_functional_variance=variances[k],
+                    limiting_variance=tf.limiting_variance,
+                    level=level,
+                    ball_radius=ball_radius,
+                    ball_covered=ball_covered,
+                )
+            )
+    return results
+
+
+@pytest.mark.parametrize("setup", ["diag_setup", "dense_setup"])
+@pytest.mark.parametrize("ball_beta", [None, 3.5])
+@pytest.mark.parametrize(
+    "indices",
+    [None, [3, 1, REPLICATE_BLOCK + 1, 7]],
+    ids=["all", "scattered"],
+)
+def test_engine_matches_reference_loop(request, setup, ball_beta, indices):
+    prior, op, truth, tf = request.getfixturevalue(setup)
+    second = representer(op, unit_vector(op.basis, 1))
+    n = REPLICATE_BLOCK + 3  # crosses a row-block boundary
+    kwargs = dict(level=0.9, ball_beta=ball_beta, master_seed=11, ball_draws=1000)
+    got = run_replicates(
+        prior, op, truth, [tf, second], 1e-3, n, replicate_indices=indices, **kwargs
+    )
+    want = _reference_replicates(
+        prior, op, truth, [tf, second], 1e-3, range(n) if indices is None else indices, **kwargs
+    )
+    # repr prints every float to full precision and shows numpy scalar types,
+    # so equal reprs are equal bits and equal Python types
+    assert [repr(r) for r in got] == [repr(r) for r in want]
+    table = replicate_table(
+        prior, op, truth, [tf, second], 1e-3, n, replicate_indices=indices, **kwargs
+    )
+    assert table.functional_mean.shape == (len(got) // 2, 2)
+    assert (table.ball_radius is None) == (ball_beta is None)
+
+
+@pytest.mark.parametrize("setup", ["diag_setup", "dense_setup"])
+def test_update_block_matches_update_bitwise(request, setup):
+    prior, op, truth, _ = request.getfixturevalue(setup)
+    factor = posterior_factor(prior, op, 1e-3)
+    seeds = [derive_seed(4, i) for i in range(40)]
+    noise = posterior.noise_block(op.basis, seeds)
+    for row, seed in zip(noise, seeds):
+        assert row.tobytes() == posterior.noise_draw(op.basis, seed).coeffs.tobytes()
+    data = apply(op, truth).coeffs + 1e-3 * noise
+    means = factor.update_block(data)
+    assert means.shape == data.shape
+    for mean, row in zip(means, data):
+        single = factor.update(coeff_vector(op.basis, row)).mean.coeffs
+        assert mean.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize("coefficient", ["constant", "sine"])
+def test_rates_rows_match_reference_loop(tmp_path, coefficient):
+    config = parse_config(
+        f"""
+experiment=rates
+operator.kind=bvp
+operator.coefficient={coefficient}
+n_modes=32
+n_replicates={REPLICATE_BLOCK + 3}
+truth.kind=sobolev
+epsilons=1e-3
+master_seed=5
+output_path={tmp_path / "rates.csv"}
+"""
+    )
+    context = cli.build_context(config)
+    indices = range(2, REPLICATE_BLOCK + 3)
+    chunk = cli._rates_rows(context, 1e-3, indices)
+    factor = posterior_factor(context.prior, context.forward, 1e-3)
+    want = []
+    for i in indices:
+        obs = posterior.observe(context.forward, context.truth, 1e-3, derive_seed(5, i))
+        mean = factor.update(obs.data).mean
+        want.append(dual_norm(coeff_vector(context.basis, mean.coeffs - context.truth.coeffs), 2.0))
+    assert [repr(e) for e in chunk.columns["dual_error"].tolist()] == [repr(e) for e in want]
+    assert chunk.rows == [
+        (format(1e-3, ".17g"), str(i), format(err, ".17g")) for i, err in zip(indices, want)
+    ]
 
 
 def _count_calls(monkeypatch, module, name, counts):
@@ -119,14 +263,18 @@ def test_index_split_bitwise_with_ball(dense_setup):
     assert all(r.ball_radius is not None for r in full)
 
 
-@settings(max_examples=25, deadline=None)
-@given(data=st.data())
-def test_any_contiguous_split_is_bitwise(dense_setup, data):
-    prior, op, truth, tf = dense_setup
-    n = data.draw(st.integers(1, 8), label="n")
-    cuts = data.draw(st.sets(st.integers(1, n - 1)), label="cuts") if n > 1 else set()
+def _check_contiguous_split(setup, data, max_n, ball_beta, max_cuts=None):
+    prior, op, truth, tf = setup
+    n = data.draw(st.integers(1, max_n), label="n")
+    cuts = (
+        data.draw(st.sets(st.integers(1, n - 1), max_size=max_cuts), label="cuts")
+        if n > 1
+        else set()
+    )
     bounds = [0, *sorted(cuts), n]
-    kwargs = dict(ball_beta=3.5, master_seed=data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    kwargs = dict(
+        ball_beta=ball_beta, master_seed=data.draw(st.integers(0, 2**32 - 1), label="seed")
+    )
     full = run_replicates(prior, op, truth, [tf], 1e-3, n, **kwargs)
     joined = [
         r
@@ -136,7 +284,22 @@ def test_any_contiguous_split_is_bitwise(dense_setup, data):
         )
     ]
     # repr prints every float to full precision, so equal reprs are equal bits
-    assert repr(joined) == repr(full)
+    assert [repr(r) for r in joined] == [repr(r) for r in full]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_any_contiguous_split_is_bitwise(dense_setup, data):
+    _check_contiguous_split(dense_setup, data, max_n=8, ball_beta=3.5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_any_contiguous_split_is_bitwise_diagonal(diag_setup, data):
+    # large enough for splits that cut across row blocks
+    _check_contiguous_split(
+        diag_setup, data, max_n=2 * REPLICATE_BLOCK + 8, ball_beta=None, max_cuts=6
+    )
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvmlab.errors import ConfigurationError, IllPosedError, ShapeError
 from bvmlab.operators import (
@@ -210,6 +212,33 @@ class TestApplyAdjoint:
                 lhs = inner(apply(op, f), g)
                 rhs = inner(f, adjoint_apply(op, g))
                 assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        family=st.sampled_from(["identity", "psido", "bvp", "bvp_variable", "heat"]),
+        dense=st.booleans(),
+        seeds=st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1)),
+    )
+    def test_adjoint_identity_property(
+        self, torus, interval, bvp_pair, bvp_variable_pair, family, dense, seeds
+    ):
+        op = {
+            "identity": identity_operator(interval),
+            "psido": psido_multiplier(torus, 2.0),
+            "bvp": bvp_pair[1],
+            "bvp_variable": bvp_variable_pair[1],
+            "heat": heat_semigroup(interval, 0.1),
+        }[family]
+        if dense:
+            op = as_dense(op)
+        f, g = random_vec(op.basis, seeds[0]), random_vec(op.basis, seeds[1])
+        af, adj_g = apply(op, f), adjoint_apply(op, g)
+        lhs, rhs = inner(af, g), inner(f, adj_g)
+        scale = max(
+            np.linalg.norm(af.coeffs) * np.linalg.norm(g.coeffs),
+            np.linalg.norm(f.coeffs) * np.linalg.norm(adj_g.coeffs),
+        )
+        assert abs(lhs - rhs) <= 1e-12 * scale
 
     def test_solution_map_self_adjoint(self, bvp_variable_pair, interval):
         _, inv = bvp_variable_pair

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvmlab.errors import ConfigurationError, ShapeError
 from bvmlab.operators import (
@@ -135,6 +137,36 @@ class TestPosteriorUpdate:
             posterior_update(prior, op, obs)
 
 
+# the operator families of the conjugacy experiment, diagonal and dense
+CONJUGACY_FAMILIES = (
+    "bvp",
+    "bvp_dense",
+    "bvp_variable",
+    "heat",
+    "heat_dense",
+    "psido",
+    "psido_dense",
+)
+
+
+@pytest.fixture(scope="module")
+def families(interval):
+    torus = build_basis(BasisKind.FOURIER_TORUS, 33, 8)
+    constant = EllipticCoefficient(lambda x: np.ones_like(x))
+    variable = EllipticCoefficient(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), floor=0.4)
+    ops = {
+        "bvp": elliptic_operator(constant, interval)[1],
+        "bvp_variable": elliptic_operator(variable, interval)[1],
+        "heat": heat_semigroup(interval, 0.1),
+        "psido": psido_multiplier(torus, 2.0),
+    }
+    for name in ("bvp", "heat", "psido"):
+        ops[f"{name}_dense"] = as_dense(ops[name])
+    assert set(ops) == set(CONJUGACY_FAMILIES)
+    assert not ops["bvp_variable"].is_diagonal and ops["bvp"].is_diagonal
+    return ops
+
+
 class TestTikhonovSolve:
     def test_zero_data_gives_zero(self, interval, prior, bvp_inv):
         obs = Observation(data=zero_vector(interval), epsilon=0.1)
@@ -164,6 +196,26 @@ class TestTikhonovSolve:
             tik = tikhonov_solve(prior, op, obs)
             gap = np.linalg.norm(tik.coeffs - mean.coeffs)
             assert gap <= 1e-8 * max(np.linalg.norm(mean.coeffs), 1e-30)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        family=st.sampled_from(sorted(CONJUGACY_FAMILIES)),
+        r=st.floats(0.8, 2.2),
+        amplitude=st.floats(0.5, 2.0),
+        log_epsilon=st.floats(-3.0, -1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_posterior_mean_is_tikhonov_property(
+        self, families, family, r, amplitude, log_epsilon, seed
+    ):
+        op = families[family]
+        prior = matern_prior(op.basis, r=r, amplitude=amplitude)
+        truth = sobolev_draw(op.basis, 1.5, seed)
+        obs = observe(op, truth, 10.0**log_epsilon, seed=seed + 1)
+        mean = posterior_update(prior, op, obs).mean
+        tik = tikhonov_solve(prior, op, obs)
+        gap = np.linalg.norm(tik.coeffs - mean.coeffs)
+        assert gap <= 1e-8 * max(np.linalg.norm(mean.coeffs), 1e-30)
 
     def test_vanishing_regularisation_recovers_rkhs_truth(self, interval, prior, bvp_inv):
         f = sobolev_draw(interval, 1.0, 9)
