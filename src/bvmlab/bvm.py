@@ -21,7 +21,6 @@ from .operators import (
     normal_apply,
 )
 from .posterior import (
-    PosteriorGaussian,
     credible_ball_radius,
     noise_block,
     posterior_factor,
@@ -34,7 +33,6 @@ from .spectral import CoeffVector, coeff_vector, inner
 __all__ = [
     "Construction",
     "TestFunctional",
-    "ReplicateResult",
     "ReplicateTable",
     "CoverageKind",
     "CoverageReport",
@@ -44,7 +42,6 @@ __all__ = [
     "representer",
     "heat_psi_from_representer",
     "replicate_table",
-    "run_replicates",
     "ks_distance",
     "bl_distance_upper",
     "coverage_report",
@@ -145,34 +142,19 @@ def heat_psi_from_representer(psi_tilde: CoeffVector, time_horizon: float) -> Te
     )
 
 
-@dataclass(frozen=True)
-class ReplicateResult:
-    """Per-replicate record of the functional estimate and its credible sets."""
-
-    replicate_index: int
-    functional_index: int
-    epsilon: float
-    functional_mean: float
-    scaled_error: float
-    hat_psi: float
-    interval_radius: float
-    interval_covered: bool
-    posterior_functional_variance: float
-    limiting_variance: float
-    level: float
-    ball_radius: Optional[float] = None
-    ball_covered: Optional[bool] = None
-
-
 @dataclass(frozen=True, eq=False)
 class ReplicateTable:
     """Columnar replicate records at one noise level.
 
     Row r belongs to replicate ``replicate_index[r]``.  The two-dimensional
     columns hold one column per functional, in the order the functionals were
-    given; the ball columns are None unless a ball was requested.
+    given; the ball columns are None unless a ball was requested.  The noise
+    level, the credible level and the limiting variances are recorded too, so
+    ``coverage_report`` needs nothing but the table.
     """
 
+    epsilon: float
+    level: float
     replicate_index: np.ndarray  # (rows,)
     functional_mean: np.ndarray  # (rows, functionals)
     scaled_error: np.ndarray  # (rows, functionals)
@@ -180,6 +162,7 @@ class ReplicateTable:
     interval_covered: np.ndarray  # (rows, functionals), bool
     interval_radius: np.ndarray  # (functionals,)
     posterior_functional_variance: np.ndarray  # (functionals,)
+    limiting_variance: np.ndarray  # (functionals,)
     ball_radius: Optional[np.ndarray] = None  # (rows,)
     ball_covered: Optional[np.ndarray] = None  # (rows,), bool
 
@@ -238,14 +221,15 @@ def replicate_table(
             noise_terms[rows, k] = np.vecdot(noise, image)
         if ball_beta is not None:
             distances[rows] = np.sqrt(np.vecdot((f_dagger.coeffs - post_means) ** 2, weights))
-            for r, (i, mean) in enumerate(zip(block, post_means), start=lo):
-                post = PosteriorGaussian(mean=coeff_vector(op.basis, mean), factor=factor)
+            for r, i in enumerate(block, start=lo):
                 ball_radius[r] = credible_ball_radius(
-                    post, ball_beta, level, ball_draws, derive_seed(master_seed, 2 * i + 1)
+                    factor, ball_beta, level, ball_draws, derive_seed(master_seed, 2 * i + 1)
                 )
     if ball_beta is not None:
         ball_covered = distances <= ball_radius
     return ReplicateTable(
+        epsilon=epsilon,
+        level=level,
         replicate_index=np.array(indices, dtype=np.int64),
         functional_mean=means,
         scaled_error=(means - truth_values) / epsilon,
@@ -253,77 +237,10 @@ def replicate_table(
         interval_covered=np.abs(truth_values - means) <= radii,
         interval_radius=radii,
         posterior_functional_variance=np.array(variances),
+        limiting_variance=np.array([tf.limiting_variance for tf in functionals]),
         ball_radius=ball_radius,
         ball_covered=ball_covered,
     )
-
-
-def run_replicates(
-    prior: GaussianPrior,
-    op: ForwardOperator,
-    f_dagger: CoeffVector,
-    functionals: Sequence[TestFunctional],
-    epsilon: float,
-    n_replicates: int,
-    level: float = 0.95,
-    ball_beta: Optional[float] = None,
-    master_seed: int = 0,
-    ball_draws: int = 1000,
-    replicate_indices: Optional[Sequence[int]] = None,
-) -> list[ReplicateResult]:
-    """``replicate_table`` as one record per (replicate, functional), replicate-major.
-
-    Fully deterministic: the list is bitwise identical for any scheduling or
-    index split.
-    """
-    table = replicate_table(
-        prior,
-        op,
-        f_dagger,
-        functionals,
-        epsilon,
-        n_replicates,
-        level=level,
-        ball_beta=ball_beta,
-        master_seed=master_seed,
-        ball_draws=ball_draws,
-        replicate_indices=replicate_indices,
-    )
-    n_rows = len(table.replicate_index)
-    radii = table.interval_radius.tolist()
-    variances = table.posterior_functional_variance.tolist()
-    if table.ball_radius is None:
-        balls = [(None, None)] * n_rows
-    else:
-        balls = zip(table.ball_radius.tolist(), table.ball_covered.tolist())
-    results: list[ReplicateResult] = []
-    for i, means, errors, hats, covered, (ball_radius, ball_covered) in zip(
-        table.replicate_index.tolist(),
-        table.functional_mean.tolist(),
-        table.scaled_error.tolist(),
-        table.hat_psi.tolist(),
-        table.interval_covered.tolist(),
-        balls,
-    ):
-        for k, tf in enumerate(functionals):
-            results.append(
-                ReplicateResult(
-                    replicate_index=i,
-                    functional_index=k,
-                    epsilon=epsilon,
-                    functional_mean=means[k],
-                    scaled_error=errors[k],
-                    hat_psi=hats[k],
-                    interval_radius=radii[k],
-                    interval_covered=covered[k],
-                    posterior_functional_variance=variances[k],
-                    limiting_variance=tf.limiting_variance,
-                    level=level,
-                    ball_radius=ball_radius,
-                    ball_covered=ball_covered,
-                )
-            )
-    return results
 
 
 def ks_distance(samples: Sequence[float], variance: float) -> float:
@@ -384,30 +301,34 @@ class CoverageReport:
 
 
 def coverage_report(
-    results: Sequence[ReplicateResult], which: CoverageKind = CoverageKind.INTERVAL
+    table: ReplicateTable,
+    which: CoverageKind = CoverageKind.INTERVAL,
+    functional: int = 0,
 ) -> CoverageReport:
-    """Hit rate with Wilson bounds, scaled mean radius, and KS distance to the limit law."""
-    if len(results) == 0:
-        raise ConfigurationError("cannot report coverage of an empty result list")
+    """Hit rate with Wilson bounds, scaled mean radius, and KS distance to the limit
+    law, for the given functional's columns of the table."""
+    n = len(table.replicate_index)
+    if n == 0:
+        raise ConfigurationError("cannot report coverage of an empty table")
     if which is CoverageKind.BALL:
-        if any(r.ball_radius is None or r.ball_covered is None for r in results):
-            raise ConfigurationError("ball coverage requested but ball fields are missing")
-        hits = sum(r.ball_covered for r in results)
-        radii = np.array([r.ball_radius / r.epsilon for r in results])
+        if table.ball_radius is None:
+            raise ConfigurationError("ball coverage requested but the table has no ball")
+        covered, radii = table.ball_covered, table.ball_radius
     else:
-        hits = sum(r.interval_covered for r in results)
-        radii = np.array([r.interval_radius / r.epsilon for r in results])
-    n = len(results)
+        covered = table.interval_covered[:, functional]
+        radii = table.interval_radius[functional]
+    hits = int(np.count_nonzero(covered))
     low, high = _wilson_interval(hits, n)
-    scaled = [r.scaled_error for r in results]
     return CoverageReport(
         n_replicates=n,
         hit_rate=hits / n,
         wilson_low=low,
         wilson_high=high,
-        mean_scaled_radius=float(np.mean(radii)),
-        ks_to_limit=ks_distance(scaled, results[0].limiting_variance),
-        target_level=results[0].level,
+        mean_scaled_radius=float(np.mean(radii / table.epsilon)),
+        ks_to_limit=ks_distance(
+            table.scaled_error[:, functional], table.limiting_variance[functional]
+        ),
+        target_level=table.level,
     )
 
 

@@ -217,12 +217,29 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "key 'ball_draws': need at least 1000 posterior draws for a ball radius"
             )
+        if self.experiment == "concentration":
+            if not self.concentration_deltas:
+                raise ConfigurationError("key 'concentration.deltas': need at least one delta")
+            if any(d <= 0 for d in self.concentration_deltas):
+                raise ConfigurationError(
+                    "key 'concentration.deltas': every delta must be positive"
+                )
+        if self.experiment == "tightness" and self.tightness_max_modes < 100:
+            raise ConfigurationError(
+                "key 'tightness.max_modes': need at least 100 modes to judge the tail"
+            )
         # the coverage functional indexes a basis of exactly n_modes modes; a
         # functional kind paired with the wrong operator (which build_context
         # rejects) never reads these keys
         kind, coverage = self.functional_kind, self.experiment == "coverage"
         reads_band = kind == "sobolev" or (kind == "smoothed_image" and self.operator_kind == "bvp")
         reads_mode = kind == "mode" or (kind == "heat_mode" and self.operator_kind == "heat")
+        # every functional but heat_mode goes through the representer solve
+        reads_cond = reads_band or kind == "mode"
+        if coverage and reads_cond and self.cond_limit <= 0:
+            raise ConfigurationError(
+                f"key 'operator.cond_limit': must be positive, got {self.cond_limit!r}"
+            )
         if coverage and reads_band and self.functional_band > self.n_modes:
             raise ConfigurationError(
                 f"key 'functional.band': band {self.functional_band} exceeds "

@@ -173,34 +173,6 @@ class PosteriorGaussian:
     mean: CoeffVector
     factor: PosteriorFactor
 
-    @property
-    def epsilon(self) -> float:
-        return self.factor.epsilon
-
-    @property
-    def prior(self) -> GaussianPrior:
-        return self.factor.prior
-
-    @property
-    def operator(self) -> ForwardOperator:
-        return self.factor.operator
-
-    @property
-    def variances(self) -> Optional[np.ndarray]:
-        return self.factor.variances
-
-    @property
-    def covariance(self) -> Optional[np.ndarray]:
-        return self.factor.covariance
-
-    @property
-    def is_diagonal(self) -> bool:
-        return self.factor.is_diagonal
-
-    @property
-    def _sample_factor(self) -> np.ndarray:
-        return self.factor.root
-
 
 def _check_compatible(prior: GaussianPrior, op: ForwardOperator, obs: Observation) -> None:
     if not (prior.basis.compatible(op.basis) and op.basis.compatible(obs.data.basis)):
@@ -339,7 +311,7 @@ def posterior_sample(post: PosteriorGaussian, seed: int) -> CoeffVector:
 
 
 def credible_ball_radius(
-    post: PosteriorGaussian,
+    factor: PosteriorFactor,
     beta: float,
     level: float,
     n_draws: int,
@@ -347,8 +319,9 @@ def credible_ball_radius(
 ) -> float:
     """Empirical (level)-quantile of the dual-norm distance of posterior draws from the mean.
 
-    Uses the 'higher' empirical quantile with the draw count fixed by the
-    caller; deterministic per seed.
+    The centred draws depend only on the posterior covariance, so the radius
+    needs the factor and not the data.  Uses the 'higher' empirical quantile
+    with the draw count fixed by the caller; deterministic per seed.
     """
     if n_draws < 1000:
         raise ConfigurationError("need at least 1000 posterior draws for a ball radius")
@@ -356,10 +329,10 @@ def credible_ball_radius(
         raise ConfigurationError("ball norms use beta >= 0")
     if not 0.0 < level < 1.0:
         raise ConfigurationError("level must lie strictly between 0 and 1")
-    basis = post.mean.basis
+    basis = factor.prior.basis
     weights = (1.0 + basis.eigenvalues) ** (-beta)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_draws, basis.n_modes))
-    centred = post.factor.centred_draws(z)
+    centred = factor.centred_draws(z)
     norms = np.sqrt((centred**2) @ weights)
     return float(np.quantile(norms, level, method="higher"))

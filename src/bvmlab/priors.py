@@ -15,7 +15,6 @@ from .spectral import BasisKind, CoeffVector, SpectralBasis, coeff_vector
 
 __all__ = [
     "GaussianPrior",
-    "ConcentrationQuery",
     "SmallBallEstimate",
     "ConcentrationValue",
     "RateBranch",
@@ -24,9 +23,7 @@ __all__ = [
     "sample_prior",
     "rkhs_norm",
     "truncation_tail",
-    "small_ball_logprob",
     "small_ball_ladder",
-    "concentration_fn",
     "concentration_ladder",
     "predict_rate",
 ]
@@ -46,27 +43,6 @@ class GaussianPrior:
     variances: np.ndarray
     rkhs_exponent: float
     amplitude: float
-
-
-@dataclass(frozen=True)
-class ConcentrationQuery:
-    """Inputs for a concentration-function evaluation at accuracy delta.
-
-    ``ambient_exponent`` selects the weak norm the accuracy is measured in
-    (-2 for the elliptic solution map's natural scale).
-    """
-
-    f_dagger: CoeffVector
-    delta: float
-    ambient_exponent: float
-    mc_samples: int
-    seed: int
-
-    def __post_init__(self):
-        if self.delta <= 0:
-            raise ConfigurationError("delta must be positive")
-        if self.mc_samples < 1:
-            raise ConfigurationError("mc_samples must be at least 1")
 
 
 class SmallBallEstimate(NamedTuple):
@@ -217,17 +193,6 @@ def small_ball_ladder(
     return tuple(estimates)
 
 
-def small_ball_logprob(
-    prior: GaussianPrior,
-    norm_exponent: float,
-    delta: float,
-    mc_samples: int,
-    seed: int,
-) -> SmallBallEstimate:
-    """Monte Carlo estimate of log P(||f|| <= delta); ``small_ball_ladder`` at one delta."""
-    return small_ball_ladder(prior, norm_exponent, (delta,), mc_samples, seed)[0]
-
-
 def _rkhs_approximation_cost(
     prior: GaussianPrior, f_dagger: CoeffVector, delta: float, ambient_exponent: float
 ) -> float:
@@ -279,6 +244,8 @@ def concentration_ladder(
 
     Evaluated at every delta; the small-ball terms come from one
     ``small_ball_ladder`` sample, so phi is non-increasing in delta.
+    ``ambient_exponent`` selects the weak norm the accuracy is measured in
+    (-2 for the elliptic solution map's natural scale).
     """
     if not prior.basis.compatible(f_dagger.basis):
         raise ShapeError("query truth lives on a different basis than the prior")
@@ -296,18 +263,6 @@ def concentration_ladder(
             )
         )
     return tuple(values)
-
-
-def concentration_fn(prior: GaussianPrior, query: ConcentrationQuery) -> ConcentrationValue:
-    """RKHS approximation cost of the truth plus the negative log small-ball mass."""
-    return concentration_ladder(
-        prior,
-        query.f_dagger,
-        (query.delta,),
-        query.ambient_exponent,
-        query.mc_samples,
-        query.seed,
-    )[0]
 
 
 def predict_rate(t: float, r: float, alpha: float, d: int = 1) -> RatePrediction:

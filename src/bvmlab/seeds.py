@@ -6,6 +6,8 @@ seed always map to distinct derived seeds.
 """
 from __future__ import annotations
 
+import operator
+
 __all__ = ["derive_seed"]
 
 _MASK64 = (1 << 64) - 1
@@ -23,6 +25,11 @@ def _mix64(z: int) -> int:
 
 
 def derive_seed(master_seed: int, stream_id: int) -> int:
-    """Derived 64-bit seed for one stream; collision-free across stream ids."""
+    """Derived 64-bit seed for one stream; collision-free across stream ids.
+
+    Any integer type is accepted: both arguments are taken as Python ints, so
+    NumPy integers cannot overflow in the stream offset.
+    """
+    master_seed, stream_id = operator.index(master_seed), operator.index(stream_id)
     return _mix64((master_seed + stream_id * _STREAM_STEP) & _MASK64)
 

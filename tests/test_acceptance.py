@@ -18,8 +18,8 @@ from bvmlab.bvm import (
     ks_distance,
     oracle_truncation_level,
     rate_fit,
+    replicate_table,
     representer,
-    run_replicates,
     svd_truncated_functional,
     tightness_series,
 )
@@ -94,7 +94,7 @@ def bvp_experiment(interval, bvp):
     psi = apply(l_inv, image)
     functional = representer(l_inv, psi)
     results = {
-        eps: run_replicates(
+        eps: replicate_table(
             prior, l_inv, fdag, [functional], eps, 2000, level=0.95,
             master_seed=MASTER_SEED,
         )
@@ -136,14 +136,14 @@ def test_criterion_2_semiparametric_bvm_bvp(bvp_experiment):
     prior, l_inv, fdag, functional, results = bvp_experiment
     sigma2 = functional.limiting_variance
     ks_values = {
-        eps: ks_distance([r.scaled_error for r in results[eps]], sigma2)
+        eps: ks_distance(results[eps].scaled_error[:, 0], sigma2)
         for eps in EPS_LADDER
     }
     last_three = [ks_values[eps] for eps in EPS_LADDER[-3:]]
     assert last_three[0] >= last_three[1] >= last_three[2], f"KS not monotone: {last_three}"
     assert last_three[-1] < 0.05
-    finest = results[EPS_LADDER[-1]][0]
-    var_ratio = finest.posterior_functional_variance / (EPS_LADDER[-1] ** 2 * sigma2)
+    finest = results[EPS_LADDER[-1]]
+    var_ratio = finest.posterior_functional_variance[0] / (EPS_LADDER[-1] ** 2 * sigma2)
     assert abs(var_ratio - 1.0) <= 0.05
     report(
         "2 semiparametric BvM (elliptic solution map)",
@@ -175,10 +175,10 @@ def test_criterion_4_heat_bvm(interval):
     functional = heat_psi_from_representer(unit_vector(interval, 0), 0.1)
     sigma2_oracle = math.exp(-2 * math.pi**2 * 0.1)
     assert functional.limiting_variance == pytest.approx(sigma2_oracle, rel=1e-12)
-    results = run_replicates(
+    table = replicate_table(
         prior, op, fdag, [functional], 1e-4, 2000, level=0.95, master_seed=MASTER_SEED
     )
-    ks = ks_distance([r.scaled_error for r in results], sigma2_oracle)
+    ks = ks_distance(table.scaled_error[:, 0], sigma2_oracle)
     assert ks < 0.05
     report("4 heat-equation BvM", f"KS {ks:.4f} < 0.05 against N(0, {sigma2_oracle:.6f})")
 
@@ -197,10 +197,10 @@ def test_criterion_5_psido_bvm():
         np.sum((1.0 + torus.frequencies.astype(float) ** 2) ** t_order * psi.coeffs**2)
     )
     assert functional.limiting_variance == pytest.approx(sigma2_oracle, rel=1e-10)
-    results = run_replicates(
+    table = replicate_table(
         prior, op, fdag, [functional], 1e-4, 2000, level=0.95, master_seed=MASTER_SEED
     )
-    ks = ks_distance([r.scaled_error for r in results], sigma2_oracle)
+    ks = ks_distance(table.scaled_error[:, 0], sigma2_oracle)
     assert ks < 0.05
     report("5 smoothing-multiplier BvM", f"KS {ks:.4f} < 0.05")
 
@@ -245,22 +245,22 @@ def test_criterion_6_contraction_rate_slopes(interval, bvp):
 def test_criterion_7_credible_ball(bvp_experiment):
     """Dual-norm credible balls cover the truth and shrink linearly in the noise."""
     prior, l_inv, fdag, functional, _ = bvp_experiment
-    results = run_replicates(
+    table = replicate_table(
         prior, l_inv, fdag, [functional], 3e-4, 500, level=0.95,
         ball_beta=3.5, master_seed=MASTER_SEED, ball_draws=1000,
     )
-    rep = coverage_report(results, CoverageKind.BALL)
+    rep = coverage_report(table, CoverageKind.BALL)
     assert 0.92 <= rep.hit_rate <= 0.98
     # radius decay measured on the asymptotic rungs of the ladder (the top
     # rungs saturate at the prior ball)
     slope_ladder = EPS_LADDER[-5:]
     radii = []
     for eps in slope_ladder:
-        r = run_replicates(
+        table = replicate_table(
             prior, l_inv, fdag, [functional], eps, 50, level=0.95,
             ball_beta=3.5, master_seed=MASTER_SEED + 1, ball_draws=1000,
         )
-        radii.append(float(np.mean([x.ball_radius for x in r])))
+        radii.append(float(np.mean(table.ball_radius)))
     fit = rate_fit(slope_ladder, radii, 1.0)
     assert abs(fit.slope - 1.0) <= 0.15
     report(
@@ -275,11 +275,11 @@ def test_ball_coverage_below_smoothness_threshold_recorded(bvp_experiment):
     prior, l_inv, fdag, functional, _ = bvp_experiment
     lines = []
     for beta in (2.75, 3.0):
-        results = run_replicates(
+        table = replicate_table(
             prior, l_inv, fdag, [functional], 3e-4, 100, level=0.95,
             ball_beta=beta, master_seed=MASTER_SEED, ball_draws=1000,
         )
-        rep = coverage_report(results, CoverageKind.BALL)
+        rep = coverage_report(table, CoverageKind.BALL)
         assert 0.0 <= rep.hit_rate <= 1.0
         lines.append(f"beta={beta}: hit rate {rep.hit_rate:.3f}")
     print(f"RECORDED (no acceptance force) ball coverage below threshold: {'; '.join(lines)}")
@@ -361,8 +361,8 @@ def test_criterion_11_efficiency_floor(bvp_experiment):
     truth_value = inner(fdag, functional.psi)
     signal = apply(l_inv, fdag)
     scaled_errors = []
-    for r in results[eps]:
-        w = noise_draw(l_inv.basis, derive_seed(MASTER_SEED, 2 * r.replicate_index))
+    for i in results[eps].replicate_index.tolist():
+        w = noise_draw(l_inv.basis, derive_seed(MASTER_SEED, 2 * i))
         data = coeff_vector(l_inv.basis, signal.coeffs + eps * w.coeffs)
         estimate = svd_truncated_functional(l_inv, data, functional.psi, level)
         scaled_errors.append((estimate - truth_value) / eps)
@@ -404,7 +404,7 @@ def test_criterion_12_infrastructure(interval, bvp, tmp_path):
     diag_post = posterior_update(prior, l_inv_const, obs)
     dense_post = posterior_update(prior, as_dense(l_inv_const), obs)
     mean_gap = np.abs(dense_post.mean.coeffs - diag_post.mean.coeffs).max()
-    cov_gap = np.abs(np.diag(dense_post.covariance) - diag_post.variances).max()
+    cov_gap = np.abs(np.diag(dense_post.factor.covariance) - diag_post.factor.variances).max()
     assert mean_gap <= 1e-10 and cov_gap <= 1e-10
 
     # end-to-end determinism across worker counts

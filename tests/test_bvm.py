@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,8 +15,8 @@ from bvmlab.bvm import (
     ks_distance,
     oracle_truncation_level,
     rate_fit,
+    replicate_table,
     representer,
-    run_replicates,
     svd_truncated_functional,
     tightness_series,
 )
@@ -151,61 +152,68 @@ class TestHeatPsi:
 class TestRunReplicates:
     def test_bitwise_determinism(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp
-        a = run_replicates(prior, op, fdag, [tf], 1e-3, 20, master_seed=5)
-        b = run_replicates(prior, op, fdag, [tf], 1e-3, 20, master_seed=5)
-        assert a == b
+        a = replicate_table(prior, op, fdag, [tf], 1e-3, 20, master_seed=5)
+        b = replicate_table(prior, op, fdag, [tf], 1e-3, 20, master_seed=5)
+        for field in dataclasses.fields(a):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            same = x.tobytes() == y.tobytes() if isinstance(x, np.ndarray) else x == y
+            assert same, field.name
 
     def test_index_split_invariance(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp
-        full = run_replicates(prior, op, fdag, [tf], 1e-3, 20, master_seed=5)
-        first = run_replicates(
+        full = replicate_table(prior, op, fdag, [tf], 1e-3, 20, master_seed=5)
+        first = replicate_table(
             prior, op, fdag, [tf], 1e-3, 20, master_seed=5, replicate_indices=range(0, 7)
         )
-        rest = run_replicates(
+        rest = replicate_table(
             prior, op, fdag, [tf], 1e-3, 20, master_seed=5, replicate_indices=range(7, 20)
         )
-        assert full == first + rest
+        for name in ("replicate_index", "functional_mean", "scaled_error", "hat_psi",
+                     "interval_covered"):
+            joined = np.concatenate([getattr(first, name), getattr(rest, name)])
+            assert joined.tobytes() == getattr(full, name).tobytes(), name
+        assert full.interval_radius.tobytes() == first.interval_radius.tobytes()
 
     def test_hat_psi_recomputable_from_noise(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp
-        results = run_replicates(prior, op, fdag, [tf], 1e-3, 10, master_seed=9)
+        table = replicate_table(prior, op, fdag, [tf], 1e-3, 10, master_seed=9)
         truth_val = inner(fdag, tf.psi)
         image = apply(op, tf.psi_tilde)
-        for r in results:
-            w = noise_draw(op.basis, derive_seed(9, 2 * r.replicate_index))
-            assert r.hat_psi == truth_val - r.epsilon * inner(image, w)
+        for i, hat in zip(table.replicate_index.tolist(), table.hat_psi[:, 0].tolist()):
+            w = noise_draw(op.basis, derive_seed(9, 2 * i))
+            assert hat == truth_val - table.epsilon * inner(image, w)
 
     def test_interval_coverage_smoke(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp
-        results = run_replicates(prior, op, fdag, [tf], 1e-4, 400, master_seed=1)
-        report = coverage_report(results, CoverageKind.INTERVAL)
+        table = replicate_table(prior, op, fdag, [tf], 1e-4, 400, master_seed=1)
+        report = coverage_report(table, CoverageKind.INTERVAL)
         assert 0.9 <= report.hit_rate <= 1.0
         assert report.target_level == 0.95
 
     def test_covered_flag_consistent(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp
         truth_val = inner(fdag, tf.psi)
-        for r in run_replicates(prior, op, fdag, [tf], 1e-3, 20, master_seed=3):
-            assert r.interval_covered == (
-                abs(truth_val - r.functional_mean) <= r.interval_radius
-            )
+        table = replicate_table(prior, op, fdag, [tf], 1e-3, 20, master_seed=3)
+        radius = table.interval_radius[0]
+        for covered, mean in zip(table.interval_covered[:, 0], table.functional_mean[:, 0]):
+            assert covered == (abs(truth_val - mean) <= radius)
 
     def test_ball_fields_only_with_beta(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp
-        plain = run_replicates(prior, op, fdag, [tf], 1e-3, 3, master_seed=3)
-        assert all(r.ball_radius is None and r.ball_covered is None for r in plain)
-        with_ball = run_replicates(
+        plain = replicate_table(prior, op, fdag, [tf], 1e-3, 3, master_seed=3)
+        assert plain.ball_radius is None and plain.ball_covered is None
+        with_ball = replicate_table(
             prior, op, fdag, [tf], 1e-3, 3, master_seed=3, ball_beta=3.5
         )
-        assert all(r.ball_radius is not None and r.ball_covered is not None for r in with_ball)
+        assert with_ball.ball_radius.shape == with_ball.ball_covered.shape == (3,)
 
     def test_centring_equivalence_shrinks(self, setup_bvp):
         # posterior-mean centring and the efficient centring agree at scale eps
         prior, op, fdag, tf = setup_bvp
         sds = []
         for eps in (1e-2, 1e-3, 1e-4):
-            results = run_replicates(prior, op, fdag, [tf], eps, 200, master_seed=8)
-            diffs = [(r.functional_mean - r.hat_psi) / eps for r in results]
+            table = replicate_table(prior, op, fdag, [tf], eps, 200, master_seed=8)
+            diffs = (table.functional_mean[:, 0] - table.hat_psi[:, 0]) / eps
             sds.append(np.std(diffs))
         assert sds[2] <= 0.1 * math.sqrt(tf.limiting_variance)
         assert sds[0] >= sds[2]
@@ -213,9 +221,12 @@ class TestRunReplicates:
     def test_multiple_functionals(self, setup_bvp, interval):
         prior, op, fdag, tf = setup_bvp
         tf2 = representer(op, unit_vector(interval, 1))
-        results = run_replicates(prior, op, fdag, [tf, tf2], 1e-3, 4, master_seed=2)
-        assert len(results) == 8
-        assert [r.functional_index for r in results[:2]] == [0, 1]
+        table = replicate_table(prior, op, fdag, [tf, tf2], 1e-3, 4, master_seed=2)
+        assert table.functional_mean.shape == (4, 2)
+        assert table.limiting_variance.tolist() == [tf.limiting_variance, tf2.limiting_variance]
+        # column k is functional k's, bit for bit
+        second = replicate_table(prior, op, fdag, [tf2], 1e-3, 4, master_seed=2)
+        assert table.functional_mean[:, 1].tobytes() == second.functional_mean[:, 0].tobytes()
 
 
 class TestKsDistance:
@@ -271,9 +282,9 @@ class TestBlDistance:
 class TestCoverageReport:
     def test_all_covered(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp
-        results = run_replicates(prior, op, fdag, [tf], 1e-4, 50, master_seed=8)
-        assert all(r.interval_covered for r in results)
-        report = coverage_report(results)
+        table = replicate_table(prior, op, fdag, [tf], 1e-4, 50, master_seed=8)
+        assert np.all(table.interval_covered)
+        report = coverage_report(table)
         assert report.hit_rate == 1.0
         assert report.wilson_high == pytest.approx(1.0)
 
@@ -291,23 +302,39 @@ class TestCoverageReport:
         assert low == pytest.approx(0.9396, abs=3e-4)
         assert high == pytest.approx(0.9586, abs=3e-4)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            coverage_report([])
+    def test_empty_rejected(self, setup_bvp):
+        prior, op, fdag, tf = setup_bvp
+        table = replicate_table(prior, op, fdag, [tf], 1e-3, 3, replicate_indices=[])
+        with pytest.raises(ConfigurationError, match="empty"):
+            coverage_report(table)
 
     def test_ball_mode_needs_ball_fields(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp
-        results = run_replicates(prior, op, fdag, [tf], 1e-3, 3, master_seed=3)
-        with pytest.raises(ConfigurationError):
-            coverage_report(results, CoverageKind.BALL)
+        table = replicate_table(prior, op, fdag, [tf], 1e-3, 3, master_seed=3)
+        with pytest.raises(ConfigurationError, match="ball"):
+            coverage_report(table, CoverageKind.BALL)
 
     def test_ball_report(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp
-        results = run_replicates(
+        table = replicate_table(
             prior, op, fdag, [tf], 1e-3, 20, master_seed=3, ball_beta=3.5
         )
-        report = coverage_report(results, CoverageKind.BALL)
+        report = coverage_report(table, CoverageKind.BALL)
         assert report.wilson_low <= report.hit_rate <= report.wilson_high
+
+    @pytest.mark.parametrize("which", list(CoverageKind))
+    def test_functional_column_matches_single_functional_table(self, setup_bvp, interval, which):
+        prior, op, fdag, tf = setup_bvp
+        # the second functional covers 13 of the 20 replicates, the first all 20
+        functionals = [tf, representer(op, unit_vector(interval, 2))]
+        kwargs = dict(master_seed=4, ball_beta=3.5)
+        table = replicate_table(prior, op, fdag, functionals, 1e-3, 20, **kwargs)
+        for k, functional in enumerate(functionals):
+            single = replicate_table(prior, op, fdag, [functional], 1e-3, 20, **kwargs)
+            # repr prints every float to full precision: field by field, bit for bit
+            assert repr(coverage_report(table, which, functional=k)) == repr(
+                coverage_report(single, which)
+            )
 
 
 class TestRateFit:

@@ -1,5 +1,7 @@
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from concurrent.futures.process import BrokenProcessPool
@@ -296,28 +298,47 @@ class TestMain:
         assert main(["run", str(path), "--workers", "0"]) == 1
 
 
+_LATE_FAILING = [
+    ("coverage", "ball_beta=3.5\nball_draws=10", "ball_draws"),
+    ("coverage", "n_modes=32", "functional.band"),
+    ("coverage", "n_modes=32\nfunctional.kind=sobolev\nfunctional.band=33", "functional.band"),
+    ("coverage", "n_modes=32\nfunctional.kind=mode\nfunctional.mode=999", "functional.mode"),
+    ("coverage", "n_modes=32\nfunctional.kind=mode\nfunctional.mode=0", "functional.mode"),
+    (
+        "coverage",
+        "operator.kind=heat\nn_modes=32\nfunctional.kind=heat_mode\nfunctional.mode=33",
+        "functional.mode",
+    ),
+    ("coverage", "n_modes=32\nfunctional.band=8\noperator.cond_limit=0", "operator.cond_limit"),
+    (
+        "coverage",
+        "n_modes=32\nfunctional.kind=mode\noperator.cond_limit=-1",
+        "operator.cond_limit",
+    ),
+    ("concentration", "n_modes=32\nconcentration.deltas=", "concentration.deltas"),
+    ("concentration", "n_modes=32\nconcentration.deltas=0.3,0", "concentration.deltas"),
+    ("concentration", "n_modes=32\nconcentration.deltas=-0.1", "concentration.deltas"),
+    ("tightness", "n_modes=32\ntightness.max_modes=99", "tightness.max_modes"),
+]
+
+
 class TestLateFailingKeys:
     """Inputs that used to pass ``validate`` and then fail in ``run`` without a key name."""
 
     @pytest.mark.parametrize(
-        "lines, key",
-        [
-            ("ball_beta=3.5\nball_draws=10", "ball_draws"),
-            ("n_modes=32", "functional.band"),
-            ("n_modes=32\nfunctional.kind=sobolev\nfunctional.band=33", "functional.band"),
-            ("n_modes=32\nfunctional.kind=mode\nfunctional.mode=999", "functional.mode"),
-            ("n_modes=32\nfunctional.kind=mode\nfunctional.mode=0", "functional.mode"),
-            (
-                "operator.kind=heat\nn_modes=32\nfunctional.kind=heat_mode\nfunctional.mode=33",
-                "functional.mode",
-            ),
+        "experiment, lines, key",
+        _LATE_FAILING,
+        # the coverage cases keep the ids they had before the experiment was a parameter
+        ids=[
+            f"{lines}-{key}" if experiment == "coverage" else f"{experiment}-{lines}-{key}"
+            for experiment, lines, key in _LATE_FAILING
         ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_rejected_naming_key(self, tmp_path, capsys, lines, key, command):
+    def test_rejected_naming_key(self, tmp_path, capsys, experiment, lines, key, command):
         path = tmp_path / "bad.ini"
         out = tmp_path / "out.csv"
-        path.write_text(f"experiment=coverage\n{lines}\noutput_path={out}\n")
+        path.write_text(f"experiment={experiment}\n{lines}\noutput_path={out}\n")
         assert main([command, str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[1]: key '{key}': ")
@@ -336,8 +357,17 @@ class TestLateFailingKeys:
             f"output_path={tmp_path / 'o.csv'}\nn_replicates=2\nepsilons=1e-2\n"
         )
         assert run_command(config) == 0
-        # the other experiments build no functional, so its keys are not read
-        assert parse_config("experiment=rates\nn_modes=16\nfunctional.mode=999\n")
+        # the other experiments build no functional, so its keys are not read;
+        # the same holds for the keys only concentration or tightness reads
+        assert parse_config(
+            "experiment=rates\nn_modes=16\nfunctional.mode=999\noperator.cond_limit=0\n"
+            "concentration.deltas=\ntightness.max_modes=99\n"
+        )
+        # heat_mode functionals skip the representer solve, so cond_limit is not read
+        assert parse_config(
+            "experiment=coverage\noperator.kind=heat\nn_modes=32\n"
+            "functional.kind=heat_mode\noperator.cond_limit=0\n"
+        )
 
 
 class TestCoverageDiagnostics:
@@ -430,6 +460,16 @@ def test_cli_import_graph_excludes_scipy_stats(tmp_path):
     assert _run_python(script) == "False"
 
 
+@pytest.mark.parametrize(
+    "name", ["bvmlab"] + [f"bvmlab.{m.name}" for m in pkgutil.iter_modules(bvmlab.__path__)]
+)
+def test_every_exported_name_resolves(name):
+    # the span tracer in bench/hook looks up every name in __all__ when it installs
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", ())
+    assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
 _BLAS_SCRIPT = """
 import os
 import bvmlab.cli
@@ -463,15 +503,13 @@ class TestConcentration:
         config = parse_config(CONCENTRATION.format(deltas="0.3,0.1,0.2", out=out))
         assert run_command(config) == 0
         context = build_context(config)
-        single = priors.concentration_fn(
+        (single,) = priors.concentration_ladder(
             context.prior,
-            priors.ConcentrationQuery(
-                f_dagger=context.truth,
-                delta=0.3,
-                ambient_exponent=config.concentration_ambient,
-                mc_samples=5000,
-                seed=derive_seed(11, 0),
-            ),
+            context.truth,
+            (0.3,),
+            config.concentration_ambient,
+            mc_samples=5000,
+            seed=derive_seed(11, 0),
         )
         _, header, rows = load_csv(str(out))
         assert header == ["delta", "approx_term", "smallball_term", "phi"]

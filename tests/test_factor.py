@@ -10,13 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvmlab import cli, posterior
-from bvmlab.bvm import (
-    REPLICATE_BLOCK,
-    ReplicateResult,
-    replicate_table,
-    representer,
-    run_replicates,
-)
+from bvmlab.bvm import REPLICATE_BLOCK, replicate_table, representer
 from bvmlab.config import parse_config
 from bvmlab.errors import ConfigurationError, NumericalError
 from bvmlab.operators import EllipticCoefficient, apply, elliptic_operator
@@ -65,10 +59,45 @@ def diag_setup():
     return prior, op, truth, tf
 
 
+# the table's columns with one entry per row, and those with one entry per functional
+ROW_COLUMNS = (
+    "replicate_index",
+    "functional_mean",
+    "scaled_error",
+    "hat_psi",
+    "interval_covered",
+    "ball_radius",
+    "ball_covered",
+)
+FUNCTIONAL_COLUMNS = ("interval_radius", "posterior_functional_variance", "limiting_variance")
+
+
+def _rows(table):
+    """One repr per row over the per-row columns, taken from ``.tolist()``.
+
+    repr prints every float to full precision, so equal reprs are equal bits;
+    a failing comparison names the first differing row.
+    """
+    n = len(table.replicate_index)
+    columns = [getattr(table, name) for name in ROW_COLUMNS]
+    return [repr(row) for row in zip(*([None] * n if c is None else c.tolist() for c in columns))]
+
+
+def _per_call(table):
+    """Everything in the table that does not depend on the row, as one repr."""
+    values = [table.epsilon, table.level]
+    values += [getattr(table, name).tolist() for name in FUNCTIONAL_COLUMNS]
+    return repr(values)
+
+
 def _reference_replicates(
     prior, op, f_dagger, functionals, epsilon, indices, level, ball_beta, master_seed, ball_draws
 ):
-    """One replicate at a time through the single-vector API: the oracle for the engine."""
+    """One replicate at a time through the single-vector API: the oracle for the engine.
+
+    Returns the rows in the form of ``_rows`` and the per-call values in the
+    form of ``_per_call``.
+    """
     q = posterior.two_sided_quantile(level)
     factor = posterior_factor(prior, op, epsilon)
     truth_values = [inner(f_dagger, tf.psi) for tf in functionals]
@@ -76,39 +105,33 @@ def _reference_replicates(
     variances = [factor.functional_variance(tf.psi) for tf in functionals]
     radii = [q * math.sqrt(var) for var in variances]
     signal = apply(op, f_dagger)
-    results = []
+    rows = []
     for i in indices:
         noise = posterior.noise_draw(op.basis, derive_seed(master_seed, 2 * i))
         post = factor.update(coeff_vector(op.basis, signal.coeffs + epsilon * noise.coeffs))
         ball_radius = ball_covered = None
         if ball_beta is not None:
             ball_radius = posterior.credible_ball_radius(
-                post, ball_beta, level, ball_draws, derive_seed(master_seed, 2 * i + 1)
+                factor, ball_beta, level, ball_draws, derive_seed(master_seed, 2 * i + 1)
             )
             distance = dual_norm(
                 coeff_vector(op.basis, f_dagger.coeffs - post.mean.coeffs), ball_beta
             )
             ball_covered = bool(distance <= ball_radius)
-        for k, tf in enumerate(functionals):
-            mean = float(np.dot(post.mean.coeffs, tf.psi.coeffs))
-            results.append(
-                ReplicateResult(
-                    replicate_index=i,
-                    functional_index=k,
-                    epsilon=epsilon,
-                    functional_mean=mean,
-                    scaled_error=(mean - truth_values[k]) / epsilon,
-                    hat_psi=truth_values[k] - epsilon * inner(images[k], noise),
-                    interval_radius=radii[k],
-                    interval_covered=bool(abs(truth_values[k] - mean) <= radii[k]),
-                    posterior_functional_variance=variances[k],
-                    limiting_variance=tf.limiting_variance,
-                    level=level,
-                    ball_radius=ball_radius,
-                    ball_covered=ball_covered,
-                )
+        means = [float(np.dot(post.mean.coeffs, tf.psi.coeffs)) for tf in functionals]
+        rows.append(
+            (
+                i,
+                means,
+                [(m - t) / epsilon for m, t in zip(means, truth_values)],
+                [t - epsilon * inner(image, noise) for t, image in zip(truth_values, images)],
+                [bool(abs(t - m) <= r) for t, m, r in zip(truth_values, means, radii)],
+                ball_radius,
+                ball_covered,
             )
-    return results
+        )
+    limiting = [tf.limiting_variance for tf in functionals]
+    return [repr(row) for row in rows], repr([epsilon, level, radii, variances, limiting])
 
 
 @pytest.mark.parametrize("setup", ["diag_setup", "dense_setup"])
@@ -123,19 +146,15 @@ def test_engine_matches_reference_loop(request, setup, ball_beta, indices):
     second = representer(op, unit_vector(op.basis, 1))
     n = REPLICATE_BLOCK + 3  # crosses a row-block boundary
     kwargs = dict(level=0.9, ball_beta=ball_beta, master_seed=11, ball_draws=1000)
-    got = run_replicates(
-        prior, op, truth, [tf, second], 1e-3, n, replicate_indices=indices, **kwargs
-    )
-    want = _reference_replicates(
-        prior, op, truth, [tf, second], 1e-3, range(n) if indices is None else indices, **kwargs
-    )
-    # repr prints every float to full precision and shows numpy scalar types,
-    # so equal reprs are equal bits and equal Python types
-    assert [repr(r) for r in got] == [repr(r) for r in want]
     table = replicate_table(
         prior, op, truth, [tf, second], 1e-3, n, replicate_indices=indices, **kwargs
     )
-    assert table.functional_mean.shape == (len(got) // 2, 2)
+    want_rows, want_per_call = _reference_replicates(
+        prior, op, truth, [tf, second], 1e-3, range(n) if indices is None else indices, **kwargs
+    )
+    assert _rows(table) == want_rows
+    assert _per_call(table) == want_per_call
+    assert table.functional_mean.shape == (len(want_rows), 2)
     assert (table.ball_radius is None) == (ball_beta is None)
 
 
@@ -198,18 +217,18 @@ def _count_calls(monkeypatch, module, name, counts):
 @pytest.mark.parametrize("epsilon", [1e-2, 1e-4])
 def test_replicates_match_parameter_space_solve(dense_setup, epsilon):
     prior, op, truth, tf = dense_setup
-    results = run_replicates(prior, op, truth, [tf], epsilon, 6, master_seed=3)
+    table = replicate_table(prior, op, truth, [tf], epsilon, 6, master_seed=3)
     amat = op.matrix
     hess = amat.T @ amat / epsilon**2 + np.diag(1.0 / prior.variances)
     want_var = tf.psi.coeffs @ np.linalg.solve(hess, tf.psi.coeffs)
     signal = apply(op, truth).coeffs
-    for r in results:
-        noise = posterior.noise_draw(op.basis, derive_seed(3, 2 * r.replicate_index))
+    for i, mean in zip(table.replicate_index.tolist(), table.functional_mean[:, 0].tolist()):
+        noise = posterior.noise_draw(op.basis, derive_seed(3, 2 * i))
         data = coeff_vector(op.basis, signal + epsilon * noise.coeffs)
         obs = Observation(data=data, epsilon=epsilon)
         want_mean = float(np.dot(tikhonov_solve(prior, op, obs).coeffs, tf.psi.coeffs))
-        assert r.functional_mean == pytest.approx(want_mean, rel=1e-10, abs=1e-14)
-        assert r.posterior_functional_variance == pytest.approx(want_var, rel=1e-10)
+        assert mean == pytest.approx(want_mean, rel=1e-10, abs=1e-14)
+    assert table.posterior_functional_variance[0] == pytest.approx(want_var, rel=1e-10)
 
 
 def test_one_factorisation_per_epsilon(dense_setup, monkeypatch):
@@ -218,7 +237,7 @@ def test_one_factorisation_per_epsilon(dense_setup, monkeypatch):
     _count_calls(monkeypatch, scipy.linalg, "cho_factor", counts)
     _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
     _count_calls(monkeypatch, np.linalg, "eigh", counts)
-    run_replicates(prior, op, truth, [tf], 1e-3, 5, ball_beta=3.5, master_seed=1)
+    replicate_table(prior, op, truth, [tf], 1e-3, 5, ball_beta=3.5, master_seed=1)
     assert counts["cho_factor"] == 1
     assert counts["eigvalsh"] == 1
     # the sampling root, plus at most one PSD repair
@@ -252,15 +271,16 @@ output_path={tmp_path / "rates.csv"}
 def test_index_split_bitwise_with_ball(dense_setup):
     prior, op, truth, tf = dense_setup
     kwargs = dict(ball_beta=3.5, master_seed=7)
-    full = run_replicates(prior, op, truth, [tf], 1e-3, 10, **kwargs)
-    first = run_replicates(
+    full = replicate_table(prior, op, truth, [tf], 1e-3, 10, **kwargs)
+    first = replicate_table(
         prior, op, truth, [tf], 1e-3, 10, replicate_indices=range(5), **kwargs
     )
-    rest = run_replicates(
+    rest = replicate_table(
         prior, op, truth, [tf], 1e-3, 10, replicate_indices=range(5, 10), **kwargs
     )
-    assert first + rest == full
-    assert all(r.ball_radius is not None for r in full)
+    assert _rows(first) + _rows(rest) == _rows(full)
+    assert _per_call(first) == _per_call(rest) == _per_call(full)
+    assert full.ball_radius.shape == full.ball_covered.shape == (10,)
 
 
 def _check_contiguous_split(setup, data, max_n, ball_beta, max_cuts=None):
@@ -275,16 +295,15 @@ def _check_contiguous_split(setup, data, max_n, ball_beta, max_cuts=None):
     kwargs = dict(
         ball_beta=ball_beta, master_seed=data.draw(st.integers(0, 2**32 - 1), label="seed")
     )
-    full = run_replicates(prior, op, truth, [tf], 1e-3, n, **kwargs)
-    joined = [
-        r
-        for lo, hi in zip(bounds, bounds[1:])
-        for r in run_replicates(
+    full = replicate_table(prior, op, truth, [tf], 1e-3, n, **kwargs)
+    parts = [
+        replicate_table(
             prior, op, truth, [tf], 1e-3, n, replicate_indices=range(lo, hi), **kwargs
         )
+        for lo, hi in zip(bounds, bounds[1:])
     ]
-    # repr prints every float to full precision, so equal reprs are equal bits
-    assert [repr(r) for r in joined] == [repr(r) for r in full]
+    assert [row for part in parts for row in _rows(part)] == _rows(full)
+    assert all(_per_call(part) == _per_call(full) for part in parts)
 
 
 @settings(max_examples=25, deadline=None)
@@ -300,6 +319,21 @@ def test_any_contiguous_split_is_bitwise_diagonal(diag_setup, data):
     _check_contiguous_split(
         diag_setup, data, max_n=2 * REPLICATE_BLOCK + 8, ball_beta=None, max_cuts=6
     )
+
+
+def test_numpy_indices_match_range(dense_setup):
+    prior, op, truth, tf = dense_setup
+    n = 6
+    want = replicate_table(
+        prior, op, truth, [tf], 1e-3, n, ball_beta=3.5, master_seed=7, replicate_indices=range(n)
+    )
+    got = replicate_table(
+        prior, op, truth, [tf], 1e-3, n,
+        ball_beta=3.5, master_seed=np.int64(7), replicate_indices=np.arange(n),
+    )
+    for name in ROW_COLUMNS + FUNCTIONAL_COLUMNS:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert _per_call(got) == _per_call(want)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])

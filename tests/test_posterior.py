@@ -23,6 +23,7 @@ from bvmlab.posterior import (
     functional_marginal,
     noise_draw,
     observe,
+    posterior_factor,
     posterior_sample,
     posterior_update,
     tikhonov_solve,
@@ -87,7 +88,7 @@ class TestPosteriorUpdate:
         prior, op, obs = scalar_setup(2.0)
         post = posterior_update(prior, op, obs)
         assert post.mean.coeffs[0] == pytest.approx(1.0, rel=1e-15)
-        assert post.variances[0] == pytest.approx(0.5, rel=1e-15)
+        assert post.factor.variances[0] == pytest.approx(0.5, rel=1e-15)
 
     def test_dense_path_matches_diagonal(self, interval, prior, bvp_inv):
         f = sobolev_draw(interval, 2.0, 3)
@@ -98,23 +99,23 @@ class TestPosteriorUpdate:
             dense_post.mean.coeffs, diag_post.mean.coeffs, atol=1e-10
         )
         np.testing.assert_allclose(
-            np.diag(dense_post.covariance), diag_post.variances, atol=1e-10
+            np.diag(dense_post.factor.covariance), diag_post.factor.variances, atol=1e-10
         )
-        off = dense_post.covariance - np.diag(np.diag(dense_post.covariance))
+        off = dense_post.factor.covariance - np.diag(np.diag(dense_post.factor.covariance))
         assert np.abs(off).max() <= 1e-10
 
     def test_no_information_limit(self, interval, prior, bvp_inv):
         f = sobolev_draw(interval, 2.0, 3)
         obs = observe(bvp_inv, f, 1e6, seed=5)
         post = posterior_update(prior, bvp_inv, obs)
-        np.testing.assert_allclose(post.variances, prior.variances, rtol=1e-6)
+        np.testing.assert_allclose(post.factor.variances, prior.variances, rtol=1e-6)
 
     def test_variance_monotone_in_epsilon(self, interval, prior, bvp_inv):
         f = sobolev_draw(interval, 2.0, 3)
         variances = []
         for eps in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
             obs = observe(bvp_inv, f, eps, seed=5)
-            variances.append(posterior_update(prior, bvp_inv, obs).variances)
+            variances.append(posterior_update(prior, bvp_inv, obs).factor.variances)
         for lo, hi in zip(variances, variances[1:]):
             assert np.all(hi > lo)
 
@@ -125,7 +126,7 @@ class TestPosteriorUpdate:
         rng = np.random.default_rng(8)
         for _ in range(20):
             psi = rng.standard_normal(interval.n_modes)
-            quad_post = psi @ post.covariance @ psi
+            quad_post = psi @ post.factor.covariance @ psi
             quad_prior = np.dot(prior.variances, psi**2)
             assert quad_post <= quad_prior + 1e-10
 
@@ -231,7 +232,7 @@ class TestFunctionalMarginal:
         post = posterior_update(prior, bvp_inv, observe(bvp_inv, f, 1e-2, seed=5))
         law = functional_marginal(post, unit_vector(interval, 0))
         assert law.mean == pytest.approx(post.mean.coeffs[0])
-        assert law.variance == pytest.approx(post.variances[0])
+        assert law.variance == pytest.approx(post.factor.variances[0])
 
     def test_variance_positive_for_nonzero_psi(self, interval, prior, bvp_inv):
         f = sobolev_draw(interval, 2.0, 3)
@@ -248,7 +249,8 @@ class TestFunctionalMarginal:
         law = functional_marginal(post, psi)
         n = 100_000
         rng = np.random.default_rng(77)
-        draws = post.mean.coeffs[1] + math.sqrt(post.variances[1]) * rng.standard_normal(n)
+        sd = math.sqrt(post.factor.variances[1])
+        draws = post.mean.coeffs[1] + sd * rng.standard_normal(n)
         se_mean = math.sqrt(law.variance / n)
         assert abs(draws.mean() - law.mean) <= 3 * se_mean
         se_var = law.variance * math.sqrt(2.0 / (n - 1))
@@ -267,7 +269,7 @@ class TestCredibleInterval:
         )
         obs2 = Observation(data=coeff_vector(prior.basis, [0.0]), epsilon=math.sqrt(2.0))
         post = posterior_update(prior2, op, obs2)
-        assert post.variances[0] == pytest.approx(1.0, rel=1e-14)
+        assert post.factor.variances[0] == pytest.approx(1.0, rel=1e-14)
         ci = credible_interval(post, unit_vector(prior.basis, 0), 0.95)
         assert ci.radius == pytest.approx(1.959964, abs=1e-6)
 
@@ -320,11 +322,11 @@ class TestPosteriorSample:
         rng = np.random.default_rng(31)
         z = rng.standard_normal((n, basis.n_modes))
         if dense:
-            draws = post.mean.coeffs[None, :] + z @ post._sample_factor.T
-            var = np.diag(post.covariance)
+            draws = post.mean.coeffs[None, :] + z @ post.factor.root.T
+            var = np.diag(post.factor.covariance)
         else:
-            draws = post.mean.coeffs[None, :] + z * np.sqrt(post.variances)[None, :]
-            var = post.variances
+            draws = post.mean.coeffs[None, :] + z * np.sqrt(post.factor.variances)[None, :]
+            var = post.factor.variances
         se_var = var * math.sqrt(2.0 / (n - 1))
         assert np.all(np.abs(draws.var(axis=0, ddof=1) - var) <= 3.5 * se_var)
         se_mean = np.sqrt(var / n)
@@ -336,31 +338,31 @@ class TestPosteriorSample:
         draw = posterior_sample(post, 123)
         rng = np.random.default_rng(123)
         z = rng.standard_normal(interval.n_modes)
-        want = post.mean.coeffs + np.sqrt(post.variances) * z
+        want = post.mean.coeffs + np.sqrt(post.factor.variances) * z
         np.testing.assert_array_equal(draw.coeffs, want)
 
 
 class TestCredibleBall:
     @pytest.fixture()
-    def post(self, interval, prior, bvp_inv):
-        f = sobolev_draw(interval, 2.0, 3)
-        return posterior_update(prior, bvp_inv, observe(bvp_inv, f, 1e-2, seed=5))
+    def factor(self, prior, bvp_inv):
+        # the radius depends on the covariance only, so no data are needed
+        return posterior_factor(prior, bvp_inv, 1e-2)
 
-    def test_extreme_level_is_max_norm(self, post, interval):
-        radius = credible_ball_radius(post, 3.5, 1 - 1e-12, 1000, seed=6)
+    def test_extreme_level_is_max_norm(self, factor, interval):
+        radius = credible_ball_radius(factor, 3.5, 1 - 1e-12, 1000, seed=6)
         # oracle: replay the sampler and take the maximum dual norm
         rng = np.random.default_rng(6)
         z = rng.standard_normal((1000, interval.n_modes))
-        centred = z * np.sqrt(post.variances)[None, :]
+        centred = z * np.sqrt(factor.variances)[None, :]
         weights = (1.0 + interval.eigenvalues) ** (-3.5)
         norms = np.sqrt((centred**2) @ weights)
         assert radius == norms.max()
 
-    def test_radius_nonincreasing_in_beta(self, post):
-        r_small = credible_ball_radius(post, 2.0, 0.95, 2000, seed=6)
-        r_large = credible_ball_radius(post, 3.5, 0.95, 2000, seed=6)
+    def test_radius_nonincreasing_in_beta(self, factor):
+        r_small = credible_ball_radius(factor, 2.0, 0.95, 2000, seed=6)
+        r_large = credible_ball_radius(factor, 3.5, 0.95, 2000, seed=6)
         assert r_large <= r_small
 
-    def test_draw_count_floor(self, post):
+    def test_draw_count_floor(self, factor):
         with pytest.raises(ConfigurationError):
-            credible_ball_radius(post, 3.5, 0.95, 500, seed=6)
+            credible_ball_radius(factor, 3.5, 0.95, 500, seed=6)

@@ -8,17 +8,14 @@ from hypothesis import strategies as st
 
 from bvmlab.errors import ConfigurationError, RareEventError, ShapeError
 from bvmlab.priors import (
-    ConcentrationQuery,
     GaussianPrior,
     RateBranch,
-    concentration_fn,
     concentration_ladder,
     matern_prior,
     predict_rate,
     rkhs_norm,
     sample_prior,
     small_ball_ladder,
-    small_ball_logprob,
     truncation_tail,
 )
 from bvmlab.spectral import BasisKind, build_basis, coeff_vector, unit_vector, zero_vector
@@ -112,7 +109,7 @@ def _single_mode_prior(variance=1.0):
 class TestSmallBall:
     def test_single_gaussian_against_cdf(self):
         prior = _single_mode_prior(1.0)
-        est = small_ball_logprob(prior, norm_exponent=0.0, delta=1.0, mc_samples=200_000, seed=11)
+        (est,) = small_ball_ladder(prior, 0.0, (1.0,), mc_samples=200_000, seed=11)
         exact = math.log(2 * scipy.stats.norm.cdf(1.0) - 1.0)
         p = math.exp(est.log_prob)
         se = math.sqrt(p * (1 - p) / est.n_samples)
@@ -120,7 +117,7 @@ class TestSmallBall:
         assert est.log_low <= est.log_prob <= est.log_high
 
     def test_whole_space_limit(self, prior):
-        est = small_ball_logprob(prior, 0.0, delta=1e3, mc_samples=2000, seed=3)
+        (est,) = small_ball_ladder(prior, 0.0, (1e3,), mc_samples=2000, seed=3)
         assert est.log_prob == 0.0
 
     def test_two_mode_weighted_chi2_quadrature_oracle(self):
@@ -129,7 +126,7 @@ class TestSmallBall:
         tau.flags.writeable = False
         prior = GaussianPrior(basis=basis, variances=tau, rkhs_exponent=1.0, amplitude=1.0)
         delta = 0.7
-        est = small_ball_logprob(prior, 0.0, delta=delta, mc_samples=200_000, seed=21)
+        (est,) = small_ball_ladder(prior, 0.0, (delta,), mc_samples=200_000, seed=21)
         # oracle: integrate the second mode's Gaussian mass over the first mode's density
         u = np.linspace(-delta / math.sqrt(tau[0]), delta / math.sqrt(tau[0]), 20_001)
         inner_r2 = (delta**2 - tau[0] * u**2) / tau[1]
@@ -141,11 +138,11 @@ class TestSmallBall:
 
     def test_rare_event_gate(self, prior):
         with pytest.raises(RareEventError):
-            small_ball_logprob(prior, 0.0, delta=1e-9, mc_samples=2000, seed=5)
+            small_ball_ladder(prior, 0.0, (1e-9,), mc_samples=2000, seed=5)
 
     def test_sample_count_floor(self, prior):
         with pytest.raises(ConfigurationError):
-            small_ball_logprob(prior, 0.0, delta=1.0, mc_samples=500, seed=5)
+            small_ball_ladder(prior, 0.0, (1.0,), mc_samples=500, seed=5)
 
 
 def _per_delta_hits(prior, norm_exponent, delta, mc_samples, seed):
@@ -172,7 +169,7 @@ class TestSmallBallLadder:
         ladder = small_ball_ladder(prior, -2.0, deltas, 10_000, seed=31)
         for delta, est in zip(deltas, ladder):
             assert est.hits == _per_delta_hits(prior, -2.0, delta, 10_000, 31)
-            assert est == small_ball_logprob(prior, -2.0, delta, 10_000, seed=31)
+            assert est == small_ball_ladder(prior, -2.0, (delta,), 10_000, seed=31)[0]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -208,12 +205,7 @@ class TestSmallBallLadder:
         deltas = (0.02, 0.04, 0.01)
         values = concentration_ladder(prior, f, deltas, -2.0, 5000, seed=9)
         for delta, value in zip(deltas, values):
-            single = concentration_fn(
-                prior,
-                ConcentrationQuery(
-                    f_dagger=f, delta=delta, ambient_exponent=-2.0, mc_samples=5000, seed=9
-                ),
-            )
+            (single,) = concentration_ladder(prior, f, (delta,), -2.0, 5000, seed=9)
             assert value == single
             assert value.smallball_term == -math.log(
                 _per_delta_hits(prior, -2.0, delta, 5000, 9) / 5000
@@ -240,11 +232,7 @@ def _projected_gradient_cost(prior, f_dagger, delta, ambient_exponent, iters=200
 
 class TestConcentrationFn:
     def test_zero_truth_has_zero_approx_cost(self, prior, interval):
-        q = ConcentrationQuery(
-            f_dagger=zero_vector(interval), delta=0.05, ambient_exponent=-2.0,
-            mc_samples=5000, seed=9,
-        )
-        val = concentration_fn(prior, q)
+        (val,) = concentration_ladder(prior, zero_vector(interval), (0.05,), -2.0, 5000, seed=9)
         assert val.approx_term == 0.0
         assert val.phi == val.smallball_term
 
@@ -253,10 +241,8 @@ class TestConcentrationFn:
         f = coeff_vector(interval, rng.standard_normal(interval.n_modes))
         costs = []
         for delta in (0.05, 0.1, 0.2, 0.4):
-            q = ConcentrationQuery(
-                f_dagger=f, delta=delta, ambient_exponent=-2.0, mc_samples=2000, seed=9
-            )
-            costs.append(concentration_fn(prior, q).approx_term)
+            (val,) = concentration_ladder(prior, f, (delta,), -2.0, 2000, seed=9)
+            costs.append(val.approx_term)
         assert all(a >= b for a, b in zip(costs, costs[1:]))
 
     def test_kkt_matches_projected_gradient(self):
@@ -265,20 +251,13 @@ class TestConcentrationFn:
         rng = np.random.default_rng(4)
         f = coeff_vector(basis, rng.standard_normal(basis.n_modes))
         delta = 0.08
-        q = ConcentrationQuery(
-            f_dagger=f, delta=delta, ambient_exponent=-2.0, mc_samples=2000, seed=13
-        )
-        val = concentration_fn(prior, q)
+        (val,) = concentration_ladder(prior, f, (delta,), -2.0, 2000, seed=13)
         oracle = _projected_gradient_cost(prior, f, delta, -2.0)
         assert abs(val.approx_term - oracle) <= 1e-6 * max(oracle, 1.0)
 
     def test_propagates_rare_event(self, prior, interval):
-        q = ConcentrationQuery(
-            f_dagger=zero_vector(interval), delta=1e-9, ambient_exponent=-2.0,
-            mc_samples=2000, seed=9,
-        )
         with pytest.raises(RareEventError):
-            concentration_fn(prior, q)
+            concentration_ladder(prior, zero_vector(interval), (1e-9,), -2.0, 2000, seed=9)
 
 
 class TestConcentrationCondition:
@@ -301,11 +280,9 @@ class TestConcentrationCondition:
         rho = predict_rate(2.0, 1.0, 2.0, 1).exponent
         for eps in (0.3, 0.1, 0.05):
             delta = 5.0 * eps**rho
-            q = ConcentrationQuery(
-                f_dagger=f_dagger, delta=delta / (2 * c), ambient_exponent=-2.0,
-                mc_samples=100_000, seed=77,
+            (val,) = concentration_ladder(
+                prior, f_dagger, (delta / (2 * c),), -2.0, mc_samples=100_000, seed=77
             )
-            val = concentration_fn(prior, q)
             assert val.smallball_term >= 1.0  # the check must not be vacuous
             assert val.phi <= 1.5 * (delta / eps) ** 2
 
