@@ -6,7 +6,7 @@ echoed into every output file's metadata block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigurationError
@@ -142,7 +142,6 @@ class ExperimentConfig:
     concentration_deltas: tuple[float, ...] = (0.5, 0.35, 0.25, 0.18)
     concentration_ambient: float = -2.0
     concentration_mc_samples: int = 100_000
-    explicit_keys: frozenset = field(default_factory=frozenset, repr=False)
 
     def validate(self) -> None:
         for key, (attr, parser) in _KEY_TABLE.items():
@@ -201,6 +200,8 @@ class ExperimentConfig:
                 "key 'operator.coefficient_amplitude': sine swing must stay below the base "
                 "(uniform ellipticity)"
             )
+        if self.truth_kind == "bump":
+            _check_bump("truth", self.truth_support, self.truth_plateau)
         if self.truth_kind == "modes" and len(self.truth_modes) != len(self.truth_values):
             raise ConfigurationError(
                 "keys 'truth.modes'/'truth.values': lists must have equal length"
@@ -209,6 +210,19 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "key 'experiment': polynomial rate fits are not defined for the heat semigroup"
             )
+        if self.experiment == "rates":
+            # the rate prediction reads these only after every replicate has run
+            if self.operator_kind == "psido" and self.operator_t < 0:
+                raise ConfigurationError(
+                    f"key 'operator.t': a rate needs a smoothing order t >= 0, "
+                    f"got {self.operator_t!r}"
+                )
+            t = 2.0 if self.operator_kind == "bvp" else self.operator_t
+            if self.truth_alpha < 0 and self.truth_alpha <= -t:
+                raise ConfigurationError(
+                    f"key 'truth.alpha': a rate needs truth smoothness alpha > -t = {-t!r}, "
+                    f"got {self.truth_alpha!r}"
+                )
         if self.experiment == "concentration" and self.concentration_mc_samples < 1000:
             raise ConfigurationError(
                 "key 'concentration.mc_samples': need at least 1000 samples"
@@ -240,6 +254,8 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"key 'operator.cond_limit': must be positive, got {self.cond_limit!r}"
             )
+        if coverage and kind == "smoothed_image" and self.operator_kind == "bvp":
+            _check_bump("functional", self.functional_support, self.functional_plateau)
         if coverage and reads_band and self.functional_band > self.n_modes:
             raise ConfigurationError(
                 f"key 'functional.band': band {self.functional_band} exceeds "
@@ -250,6 +266,21 @@ class ExperimentConfig:
                 f"key 'functional.mode': mode {self.functional_mode} is outside "
                 f"1..n_modes={self.n_modes}"
             )
+
+
+def _check_bump(section: str, support: tuple[float, float], plateau: tuple[float, float]) -> None:
+    """The cutoff ``spectral.make_bump`` accepts: 0 < a < p <= q < b < 1."""
+    (a, b), (p, q) = support, plateau
+    if not 0.0 < a < b < 1.0:
+        raise ConfigurationError(
+            f"key '{section}.support': need 0 < support[0] < support[1] < 1, "
+            f"got {_format_value(support)}"
+        )
+    if not a < p <= q < b:
+        raise ConfigurationError(
+            f"key '{section}.plateau': need support[0] < plateau[0] <= plateau[1] < support[1], "
+            f"got {_format_value(plateau)} inside {_format_value(support)}"
+        )
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -277,7 +308,6 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigurationError(
                 f"line {lineno}: key '{key}': cannot parse {value!r} ({exc})"
             ) from exc
-    config.explicit_keys = frozenset(seen)
     config.validate()
     return config
 

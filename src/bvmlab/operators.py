@@ -2,7 +2,8 @@
 operator on the interval, heat semigroup, with adjoints and inversion of the
 normal operator A*A.
 
-Operators are immutable; dense factorizations are computed once and cached.
+Operators are immutable; a dense operator's singular value decomposition is
+computed once and cached.
 """
 from __future__ import annotations
 
@@ -98,23 +99,19 @@ class ForwardOperator:
     def min_singular_value(self) -> float:
         if self.is_diagonal:
             return float(np.min(np.abs(self.multipliers)))
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[-1])
+        return float(self._svd[0][-1])
 
     @cached_property
-    def _gram(self) -> np.ndarray:
-        # normal operator A^T A for the dense representation
-        return self.matrix.T @ self.matrix
-
-    @cached_property
-    def _gram_cond(self) -> float:
-        return float(np.linalg.cond(self._gram))
-
-    @cached_property
-    def _gram_factor(self):
+    def _svd(self) -> tuple[np.ndarray, np.ndarray]:
+        # singular values (descending) and right singular vectors V^T of the
+        # dense representation; A^T A = V diag(s^2) V^T
         try:
-            return scipy.linalg.cho_factor(self._gram)
-        except scipy.linalg.LinAlgError as exc:
-            raise NumericalError(f"normal operator factorization failed: {exc}") from exc
+            _, s, vt = np.linalg.svd(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"forward operator singular value decomposition (svd) failed: {exc}"
+            ) from exc
+        return s, vt
 
 
 @dataclass(frozen=True)
@@ -267,6 +264,9 @@ def fisher_solve(
     For diagonal operators the effective condition number is measured over the
     modes psi actually occupies, relative to the best-observed mode; exceeding
     ``cond_limit`` (or touching an underflowed mode) raises ``IllPosedError``.
+    Dense operators use their cached singular system A = U diag(s) V^T: the
+    condition is (s_max / s_min)^2 (infinite when s_min = 0), and the solution
+    V ((V^T psi) / s^2) has an error that scales with cond(A), not cond(A^T A).
     """
     _check_basis(op, psi)
     if cond_limit <= 0:
@@ -287,12 +287,13 @@ def fisher_solve(
         out = np.zeros(op.basis.n_modes)
         out[occupied] = psi.coeffs[occupied] / squared[occupied]
         return coeff_vector(op.basis, out)
-    if op._gram_cond > cond_limit:
+    s, vt = op._svd
+    cond = math.inf if s[-1] == 0.0 else float((s[0] / s[-1]) ** 2)
+    if cond > cond_limit:
         raise IllPosedError(
-            f"normal operator condition {op._gram_cond:.3g} exceeds limit {cond_limit:.3g}"
+            f"normal operator condition {cond:.3g} exceeds limit {cond_limit:.3g}"
         )
-    sol = scipy.linalg.cho_solve(op._gram_factor, psi.coeffs)
-    return coeff_vector(op.basis, sol)
+    return coeff_vector(op.basis, vt.T @ ((vt @ psi.coeffs) / s**2))
 
 
 def embedding_constant(op: ForwardOperator, ambient_exponent: float) -> float:

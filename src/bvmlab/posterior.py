@@ -6,13 +6,14 @@ credible-ball radii.
 The covariance and the gain of the update do not depend on the data:
 ``posterior_factor`` computes them once per noise level, and its
 ``update_block`` turns a block of data vectors into posterior means with one
-matrix-vector product per row.
+matrix-vector product per row.  A dense operator costs one singular value
+decomposition of the whitened operator per noise level, and the covariance it
+yields is positive semidefinite by construction.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -41,11 +42,6 @@ __all__ = [
     "posterior_sample",
     "credible_ball_radius",
 ]
-
-# dense posterior covariances may carry eigenvalue defects up to this
-# fraction of the trace before we refuse to repair them
-PSD_DEFECT_TOLERANCE = 1e-10
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -91,19 +87,22 @@ class PosteriorFactor:
     posterior covariance depend only on the prior, the operator and the noise
     level, so one factor serves every data vector M: the posterior mean is K M.
     Diagonal operators keep per-mode vectors, dense ones full matrices.
+    ``root`` maps standard normal vectors to centred posterior draws: the
+    per-mode standard deviations, or a dense R with R R^T = covariance.
     """
 
     prior: GaussianPrior
     operator: ForwardOperator
     epsilon: float
     gain: np.ndarray
+    root: np.ndarray
     variances: Optional[np.ndarray] = None
     covariance: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if (self.variances is None) == (self.covariance is None):
             raise ConfigurationError("exactly one covariance representation must be given")
-        for name in ("gain", "variances", "covariance"):
+        for name in ("gain", "root", "variances", "covariance"):
             array = getattr(self, name)
             if array is not None and array.flags.writeable:
                 frozen = array.copy()
@@ -113,18 +112,6 @@ class PosteriorFactor:
     @property
     def is_diagonal(self) -> bool:
         return self.variances is not None
-
-    @cached_property
-    def root(self) -> np.ndarray:
-        """Covariance square root: per-mode standard deviations, or the symmetric
-        root of the dense covariance with its eigenvalues floored at zero."""
-        if self.is_diagonal:
-            return np.sqrt(self.variances)
-        try:
-            vals, vecs = np.linalg.eigh(self.covariance)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"posterior covariance square root (eigh) failed: {exc}") from exc
-        return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
     def centred_draws(self, z: np.ndarray) -> np.ndarray:
         """Map standard normal vectors (the last axis of ``z``) to centred posterior draws."""
@@ -182,60 +169,49 @@ def _check_compatible(prior: GaussianPrior, op: ForwardOperator, obs: Observatio
 def posterior_factor(
     prior: GaussianPrior, op: ForwardOperator, epsilon: float
 ) -> PosteriorFactor:
-    """Gain and covariance of the conjugate update at noise level epsilon.
+    """Gain, covariance and sampling root of the conjugate update at noise level epsilon.
 
-    Diagonal path: per-mode formulas.  Dense path: data-space form
-    K = S A^T (A S A^T + eps^2 I)^{-1} with S the prior covariance, and
-    covariance S - K A S, symmetrised and eigenvalue-floored within the PSD
-    defect tolerance.
+    Diagonal path: per-mode formulas.  Dense path: with S the prior covariance
+    and the singular system B = A S^{1/2} / eps = U diag(s) V^T of the whitened
+    operator, W = S^{1/2} V gives the root R = W diag((1 + s^2)^{-1/2}), the
+    covariance R R^T = (A^T A / eps^2 + S^{-1})^{-1} and the gain
+    K = W diag(s / (1 + s^2)) U^T / eps.
     """
     if not prior.basis.compatible(op.basis):
         raise ShapeError("prior and operator must share one basis")
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ConfigurationError("noise level epsilon must be positive and finite")
-    eps2 = epsilon**2
     tau = prior.variances
     if op.is_diagonal:
+        eps2 = epsilon**2
         a = op.multipliers
         denom = a**2 * tau + eps2
+        variances = eps2 * tau / denom
         return PosteriorFactor(
             prior=prior,
             operator=op,
             epsilon=epsilon,
             gain=tau * a / denom,
-            variances=eps2 * tau / denom,
+            root=np.sqrt(variances),
+            variances=variances,
         )
-    amat = op.matrix
-    data_cov = (amat * tau[None, :]) @ amat.T + eps2 * np.eye(prior.basis.n_modes)
+    prior_sd = np.sqrt(tau)
     try:
-        factor = scipy.linalg.cho_factor(data_cov)
-    except scipy.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(data_cov)
-        raise NumericalError(
-            f"data-space solve failed (condition number {cond:.3g}): {exc}"
-        ) from exc
-    cross = tau[:, None] * amat.T  # S A^T
-    solved = scipy.linalg.cho_solve(factor, cross.T)  # (A S A^T + eps^2 I)^{-1} A S = K^T
-    cov = np.diag(tau) - cross @ solved
-    cov = 0.5 * (cov + cov.T)
-    try:
-        eigvals = np.linalg.eigvalsh(cov)
+        u, s, vt = np.linalg.svd(op.matrix * (prior_sd / epsilon)[None, :])
     except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"posterior covariance spectrum (eigvalsh) failed: {exc}") from exc
-    trace = float(np.trace(cov))
-    if eigvals[0] < -PSD_DEFECT_TOLERANCE * max(trace, np.finfo(float).tiny):
         raise NumericalError(
-            f"posterior covariance defect {eigvals[0]:.3g} exceeds tolerance"
-        )
-    if eigvals[0] < 0.0:
-        try:
-            vals, vecs = np.linalg.eigh(cov)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"posterior covariance repair (eigh) failed: {exc}") from exc
-        cov = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-        cov = 0.5 * (cov + cov.T)
+            f"posterior factor singular value decomposition (svd) failed: {exc}"
+        ) from exc
+    w = prior_sd[:, None] * vt.T
+    shrink = 1.0 + s**2
+    root = w / np.sqrt(shrink)
     return PosteriorFactor(
-        prior=prior, operator=op, epsilon=epsilon, gain=solved.T, covariance=cov
+        prior=prior,
+        operator=op,
+        epsilon=epsilon,
+        gain=(w * (s / shrink)) @ u.T / epsilon,
+        root=root,
+        covariance=root @ root.T,
     )
 
 

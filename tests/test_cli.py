@@ -319,6 +319,34 @@ _LATE_FAILING = [
     ("concentration", "n_modes=32\nconcentration.deltas=0.3,0", "concentration.deltas"),
     ("concentration", "n_modes=32\nconcentration.deltas=-0.1", "concentration.deltas"),
     ("tightness", "n_modes=32\ntightness.max_modes=99", "tightness.max_modes"),
+    # every experiment builds the truth, so a bump truth's cutoff is always read
+    ("tightness", "n_modes=32\ntruth.support=0.0,0.7", "truth.support"),
+    ("conjugacy", "n_modes=32\ntruth.support=0.2,1.0", "truth.support"),
+    ("coverage", "n_modes=32\nfunctional.band=8\ntruth.plateau=0.1,0.5", "truth.plateau"),
+    ("rates", "n_modes=32\ntruth.plateau=0.5,0.4", "truth.plateau"),
+    (
+        "coverage",
+        "n_modes=32\nfunctional.band=8\nfunctional.support=0.5,0.4",
+        "functional.support",
+    ),
+    (
+        "coverage",
+        "n_modes=32\nfunctional.band=8\nfunctional.plateau=0.01,0.9",
+        "functional.plateau",
+    ),
+    # rates reads these in the rate prediction, after every replicate
+    (
+        "rates",
+        "operator.kind=psido\nn_modes=17\noperator.t=-1\nepsilons=1e-1,1e-2,1e-3",
+        "operator.t",
+    ),
+    ("rates", "n_modes=32\ntruth.alpha=-2\nepsilons=1e-1,1e-2,1e-3", "truth.alpha"),
+    (
+        "rates",
+        "operator.kind=psido\nn_modes=17\noperator.t=1\ntruth.alpha=-1.5\n"
+        "epsilons=1e-1,1e-2,1e-3",
+        "truth.alpha",
+    ),
 ]
 
 
@@ -367,6 +395,34 @@ class TestLateFailingKeys:
         assert parse_config(
             "experiment=coverage\noperator.kind=heat\nn_modes=32\n"
             "functional.kind=heat_mode\noperator.cond_limit=0\n"
+        )
+        # a bump's plateau may shrink to a point; the functional's cutoff is read
+        # only for a smoothed_image functional, and the truth's only for a bump
+        config = parse_config(
+            "experiment=coverage\nn_modes=32\nfunctional.band=8\n"
+            "truth.support=0.01,0.99\ntruth.plateau=0.5,0.5\n"
+            "functional.support=0.3,0.6\nfunctional.plateau=0.45,0.45\n"
+            f"output_path={tmp_path / 'o.csv'}\nn_replicates=2\nepsilons=1e-2\n"
+        )
+        assert run_command(config) == 0
+        assert parse_config(
+            "experiment=coverage\nn_modes=32\nfunctional.kind=mode\n"
+            "functional.support=0.5,0.4\ntruth.kind=modes\ntruth.support=0,1\n"
+        )
+        # a rate needs t >= 0 and alpha > -t, but t = 0 and alpha = 0 pass,
+        # and only rates reads operator.t's sign or truth.alpha's bound
+        for lines in (
+            "operator.kind=psido\nn_modes=17\noperator.t=0\ntruth.alpha=0",
+            "n_modes=16\ntruth.kind=modes\ntruth.alpha=-1.99",
+        ):
+            config = parse_config(
+                f"experiment=rates\n{lines}\nepsilons=1e-1,1e-2,1e-3\nn_replicates=2\n"
+                f"output_path={tmp_path / 'o.csv'}\n"
+            )
+            assert run_command(config) == 0
+        assert parse_config(
+            "experiment=coverage\noperator.kind=psido\nn_modes=17\noperator.t=-1\n"
+            "functional.kind=sobolev\nfunctional.band=4\ntruth.alpha=-5\nepsilons=1e-2\n"
         )
 
 

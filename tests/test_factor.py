@@ -13,7 +13,7 @@ from bvmlab import cli, posterior
 from bvmlab.bvm import REPLICATE_BLOCK, replicate_table, representer
 from bvmlab.config import parse_config
 from bvmlab.errors import ConfigurationError, NumericalError
-from bvmlab.operators import EllipticCoefficient, apply, elliptic_operator
+from bvmlab.operators import EllipticCoefficient, apply, elliptic_operator, fisher_solve
 from bvmlab.posterior import (
     Observation,
     posterior_factor,
@@ -234,14 +234,31 @@ def test_replicates_match_parameter_space_solve(dense_setup, epsilon):
 def test_one_factorisation_per_epsilon(dense_setup, monkeypatch):
     prior, op, truth, tf = dense_setup
     counts = {}
+    _count_calls(monkeypatch, np.linalg, "svd", counts)
     _count_calls(monkeypatch, scipy.linalg, "cho_factor", counts)
     _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
     _count_calls(monkeypatch, np.linalg, "eigh", counts)
     replicate_table(prior, op, truth, [tf], 1e-3, 5, ball_beta=3.5, master_seed=1)
-    assert counts["cho_factor"] == 1
-    assert counts["eigvalsh"] == 1
-    # the sampling root, plus at most one PSD repair
-    assert 1 <= counts["eigh"] <= 2
+    # gain, covariance and sampling root all come from one decomposition
+    assert counts == {"svd": 1}
+
+
+@pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+def test_dense_factor_identities(dense_setup, epsilon):
+    prior, op, _, _ = dense_setup
+    factor = posterior_factor(prior, op, epsilon)
+    amat, tau = op.matrix, prior.variances
+    prior_cov = np.diag(tau)
+    # the data-space form K = S A^T (A S A^T + eps^2 I)^{-1}, kept here as the oracle
+    data_cov = amat @ prior_cov @ amat.T + epsilon**2 * np.eye(len(tau))
+    want_gain = np.linalg.solve(data_cov, amat @ prior_cov).T
+    gap = np.linalg.norm(factor.gain - want_gain) / np.linalg.norm(want_gain)
+    assert gap <= 1e-10
+    np.testing.assert_allclose(
+        factor.root @ factor.root.T, factor.covariance, rtol=0, atol=1e-15 * tau.sum()
+    )
+    # the data shrink the prior: S - Sigma is positive semidefinite
+    assert np.linalg.eigvalsh(prior_cov - factor.covariance)[0] >= -1e-12 * tau.sum()
 
 
 def test_rates_factor_once_per_epsilon(tmp_path, monkeypatch):
@@ -344,43 +361,55 @@ def test_factor_rejects_bad_epsilon(dense_setup, epsilon):
 
 
 def _raise_linalg(*args, **kwargs):
-    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    raise np.linalg.LinAlgError("SVD did not converge")
 
 
-def test_eigh_failure_is_numerical_error(dense_setup, monkeypatch):
+def test_factor_svd_failure_is_numerical_error(dense_setup, monkeypatch):
     prior, op, _, _ = dense_setup
-    factor = posterior_factor(prior, op, 1e-3)
-    monkeypatch.setattr(np.linalg, "eigh", _raise_linalg)
-    with pytest.raises(NumericalError, match="square root"):
-        factor.root
-
-
-def test_eigvalsh_failure_is_numerical_error(dense_setup, monkeypatch):
-    prior, op, _, _ = dense_setup
-    monkeypatch.setattr(np.linalg, "eigvalsh", _raise_linalg)
-    with pytest.raises(NumericalError, match="eigvalsh"):
+    monkeypatch.setattr(np.linalg, "svd", _raise_linalg)
+    with pytest.raises(NumericalError, match=r"posterior factor .*\(svd\) failed"):
         posterior_factor(prior, op, 1e-3)
 
 
-def test_eigh_failure_exits_two_without_traceback(tmp_path, monkeypatch, capsys):
+def test_operator_svd_failure_is_numerical_error(monkeypatch):
+    # a fresh operator, so that no decomposition is cached yet
+    basis = build_basis(BasisKind.DIRICHLET_SINE, 32, 8)
+    coeff = EllipticCoefficient(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), floor=0.25)
+    op = elliptic_operator(coeff, basis)[1]
+    monkeypatch.setattr(np.linalg, "svd", _raise_linalg)
+    with pytest.raises(NumericalError, match=r"forward operator .*\(svd\) failed"):
+        fisher_solve(op, unit_vector(basis, 0))
+
+
+# coverage decomposes the operator for the representer before any posterior
+# factor; rates builds no functional, so its first decomposition is the factor's
+@pytest.mark.parametrize(
+    "lines, stage",
+    [
+        (
+            "experiment=coverage\nfunctional.band=8\nball_beta=3.5\nepsilons=1e-3",
+            "forward operator",
+        ),
+        ("experiment=rates\nepsilons=1e-1,1e-2,1e-3", "posterior factor"),
+    ],
+    ids=["coverage", "rates"],
+)
+def test_svd_failure_exits_two_without_traceback(tmp_path, monkeypatch, capsys, lines, stage):
     path = tmp_path / "dense.ini"
     path.write_text(
         f"""
-experiment=coverage
+{lines}
 operator.kind=bvp
 operator.coefficient=sine
 n_modes=32
 n_replicates=2
-epsilons=1e-3
-functional.band=8
-ball_beta=3.5
 output_path={tmp_path / "out.csv"}
 """
     )
-    monkeypatch.setattr(np.linalg, "eigh", _raise_linalg)
+    monkeypatch.setattr(np.linalg, "svd", _raise_linalg)
     assert cli.main(["run", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error[2]:") and "eigh" in err
+    assert err.startswith(f"error[2]: {stage} ") and "(svd) failed" in err
     assert "Traceback" not in err
 
 

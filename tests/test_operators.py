@@ -293,6 +293,18 @@ class TestFisherSolve:
         dense_out = fisher_solve(dense, psi, 1e12)
         np.testing.assert_allclose(dense_out.coeffs, diag_out.coeffs, rtol=1e-8)
 
+    def test_dense_cond_limit_gates_normal_operator(self, bvp_variable_pair, interval):
+        _, inv = bvp_variable_pair
+        assert not inv.is_diagonal
+        s = np.linalg.svd(inv.matrix, compute_uv=False)
+        cond = (s[0] / s[-1]) ** 2
+        psi = random_vec(interval, 3, max_mode=interval.n_modes // 2)
+        with pytest.raises(IllPosedError, match="normal operator condition"):
+            fisher_solve(inv, psi, cond * (1 - 1e-6))
+        sol = fisher_solve(inv, psi, cond * (1 + 1e-6))
+        back = normal_apply(inv, sol)
+        np.testing.assert_allclose(back.coeffs, psi.coeffs, rtol=1e-8, atol=1e-9)
+
     @pytest.mark.parametrize("pair_name", ["bvp_pair", "bvp_variable_pair"])
     def test_normal_roundtrip(self, pair_name, interval, request):
         _, inv = request.getfixturevalue(pair_name)
