@@ -7,10 +7,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .operators import (
@@ -243,15 +243,23 @@ def replicate_table(
     )
 
 
-def ks_distance(samples: Sequence[float], variance: float) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against N(0, variance)."""
+def _check_samples(samples: Sequence[float], variance: float) -> np.ndarray:
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise ConfigurationError("need at least two samples")
+    if not np.all(np.isfinite(x)):
+        raise ConfigurationError("samples must be finite")
     if variance <= 0:
         raise ConfigurationError("variance must be positive")
+    return x
+
+
+def ks_distance(samples: Sequence[float], variance: float) -> float:
+    """One-sample Kolmogorov-Smirnov statistic against N(0, variance)."""
+    x = _check_samples(samples, variance)
     n = x.size
-    cdf = ndtr(np.sort(x) / math.sqrt(variance))
+    z = np.sort(x) / math.sqrt(variance)
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
     d_plus = np.arange(1.0, n + 1) / n - cdf
     d_minus = cdf - np.arange(0.0, n) / n
     return float(max(d_plus.max(), d_minus.max()))
@@ -266,17 +274,14 @@ def bl_distance_upper(
     tails clipped at +-clip*sigma) and caps at the trivial diameter 2.  An
     upper bound only, never the exact metric value.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise ConfigurationError("need at least two samples")
-    if variance <= 0:
-        raise ConfigurationError("variance must be positive")
+    x = _check_samples(samples, variance)
     if clip <= 0:
         raise ConfigurationError("clip must be positive")
     sigma = math.sqrt(variance)
     bound = clip * sigma
     n = x.size
-    quantiles = ndtri((np.arange(n) + 0.5) / n) * sigma
+    inv_cdf = NormalDist().inv_cdf
+    quantiles = np.array([inv_cdf((i + 0.5) / n) for i in range(n)]) * sigma
     lhs = np.clip(np.sort(x), -bound, bound)
     rhs = np.clip(quantiles, -bound, bound)
     return float(min(2.0, np.mean(np.abs(lhs - rhs))))

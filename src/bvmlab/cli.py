@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 # parallelism comes from --workers: one BLAS thread per process unless the user
-# set one; this must run before numpy and scipy load their BLAS
+# set one; this must run before numpy loads its BLAS
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

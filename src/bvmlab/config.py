@@ -183,6 +183,10 @@ class ExperimentConfig:
             raise ConfigurationError("key 'prior.amplitude': must be positive")
         if not 0.0 < self.level < 1.0:
             raise ConfigurationError("key 'level': must lie strictly between 0 and 1")
+        if 0.5 + self.level / 2.0 == 1.0:
+            raise ConfigurationError(
+                f"key 'level': {self.level!r} is too close to 1 for a finite quantile"
+            )
         if not self.epsilons or any(e <= 0 for e in self.epsilons):
             raise ConfigurationError("key 'epsilons': need a nonempty list of positive values")
         if self.n_replicates < 1:
@@ -211,7 +215,12 @@ class ExperimentConfig:
                 "key 'experiment': polynomial rate fits are not defined for the heat semigroup"
             )
         if self.experiment == "rates":
-            # the rate prediction reads these only after every replicate has run
+            # the rate fit reads these only after every replicate has run
+            if len(set(self.epsilons)) < 3:
+                raise ConfigurationError(
+                    f"key 'epsilons': a rate fit needs at least three distinct noise levels, "
+                    f"got {_format_value(self.epsilons)}"
+                )
             if self.operator_kind == "psido" and self.operator_t < 0:
                 raise ConfigurationError(
                     f"key 'operator.t': a rate needs a smoothing order t >= 0, "

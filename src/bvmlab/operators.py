@@ -14,7 +14,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigurationError, IllPosedError, NumericalError, ShapeError
 from .spectral import BasisKind, CoeffVector, SpectralBasis, coeff_vector
@@ -127,6 +126,9 @@ class EllipticCoefficient:
 
     def samples(self, grid: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.evaluator(grid), dtype=float) * np.ones_like(grid)
+        # np.linalg.cholesky passes NaN through, so the Galerkin gate cannot catch it
+        if not np.all(np.isfinite(vals)):
+            raise ConfigurationError("coefficient must be finite on the grid")
         if vals.min() < self.floor:
             raise ConfigurationError(
                 f"coefficient dips to {vals.min():.3g}, below the ellipticity floor {self.floor:.3g}"
@@ -185,10 +187,11 @@ def elliptic_operator(
     mat = weighted @ weighted.T
     mat = 0.5 * (mat + mat.T)
     try:
-        factor = scipy.linalg.cho_factor(mat)
-        inv_mat = scipy.linalg.cho_solve(factor, np.eye(basis.n_modes))
-    except scipy.linalg.LinAlgError as exc:
+        chol_inv = np.linalg.inv(np.linalg.cholesky(mat))
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Galerkin matrix is numerically singular: {exc}") from exc
+    # mat = C C^T, so mat^{-1} = C^{-T} C^{-1}
+    inv_mat = chol_inv.T @ chol_inv
     inv_mat = 0.5 * (inv_mat + inv_mat.T)
     fwd = ForwardOperator(
         basis=basis, label=OperatorLabel.ELLIPTIC_BVP, smoothing_order=-2.0, matrix=mat,

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.special import ndtri
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .operators import ForwardOperator, apply
@@ -241,10 +240,12 @@ def tikhonov_solve(
     hess = amat.T @ amat / eps2 + np.diag(1.0 / prior.variances)
     rhs = amat.T @ obs.data.coeffs / eps2
     try:
-        factor = scipy.linalg.cho_factor(hess)
-    except scipy.linalg.LinAlgError as exc:
+        # the Cholesky factor is only the positive-definiteness gate
+        np.linalg.cholesky(hess)
+        solution = np.linalg.solve(hess, rhs)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"normal-equation solve failed: {exc}") from exc
-    return coeff_vector(prior.basis, scipy.linalg.cho_solve(factor, rhs))
+    return coeff_vector(prior.basis, solution)
 
 
 class FunctionalLaw(NamedTuple):
@@ -267,7 +268,10 @@ def two_sided_quantile(level: float) -> float:
     """q with P(|Z| <= q) = level for standard normal Z."""
     if not 0.0 < level < 1.0:
         raise ConfigurationError("level must lie strictly between 0 and 1")
-    return float(ndtri(0.5 + level / 2.0))
+    upper = 0.5 + level / 2.0
+    if upper == 1.0:
+        raise ConfigurationError(f"level {level!r} is too close to 1 for a finite quantile")
+    return NormalDist().inv_cdf(upper)
 
 
 def credible_interval(

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -248,13 +249,17 @@ class TestKsDistance:
             ks_distance([1.0], 1.0)
         with pytest.raises(ConfigurationError):
             ks_distance([1.0, 2.0], 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match="finite"):
+                ks_distance([0.0, bad, 1.0], 1.0)
 
     @pytest.mark.parametrize("n", [2, 7, 100, 2000])
     @pytest.mark.parametrize("variance", [1e-6, 0.25, 1.0, 9.0])
-    def test_matches_scipy_kstest_bitwise(self, n, variance):
+    def test_matches_scipy_kstest_to_4_ulp(self, n, variance):
         samples = 1.3 * np.random.default_rng(n).standard_normal(n)
         law = scipy.stats.norm(scale=math.sqrt(variance))
-        assert ks_distance(samples, variance) == scipy.stats.kstest(samples, law.cdf).statistic
+        want = scipy.stats.kstest(samples, law.cdf).statistic
+        np.testing.assert_array_max_ulp(ks_distance(samples, variance), want, maxulp=4)
 
 
 class TestBlDistance:
@@ -270,13 +275,24 @@ class TestBlDistance:
 
     def test_zero_only_for_matching_quantiles(self):
         n = 1000
-        quantiles = scipy.stats.norm.ppf((np.arange(n) + 0.5) / n)
+        quantiles = np.array([NormalDist().inv_cdf((i + 0.5) / n) for i in range(n)])
         assert bl_distance_upper(quantiles, 1.0) == 0.0
         assert bl_distance_upper(quantiles + 0.1, 1.0) > 0.0
 
     def test_capped_at_diameter(self):
         samples = np.full(100, 1e12)
         assert bl_distance_upper(samples, 1.0, clip=1e14) == 2.0
+
+    def test_validation(self):
+        with pytest.raises(ConfigurationError):
+            bl_distance_upper([1.0], 1.0)
+        with pytest.raises(ConfigurationError):
+            bl_distance_upper([1.0, 2.0], 0.0)
+        with pytest.raises(ConfigurationError):
+            bl_distance_upper([1.0, 2.0], 1.0, clip=0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigurationError, match="finite"):
+                bl_distance_upper([0.0, bad, 1.0], 1.0)
 
 
 class TestCoverageReport:

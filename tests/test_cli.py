@@ -90,6 +90,11 @@ class TestParseConfig:
         assert config.experiment == "rates"
         assert config.level == 0.9
 
+    def test_level_without_finite_quantile_rejected(self):
+        # 0.5 + level / 2 rounds to 1 for the largest double below 1
+        with pytest.raises(ConfigurationError, match="key 'level'"):
+            parse_config("experiment=coverage\nlevel=0.9999999999999999\n")
+
     def test_even_torus_modes_rejected(self):
         with pytest.raises(ConfigurationError, match="odd"):
             parse_config("experiment=coverage\noperator.kind=psido\nn_modes=256\n")
@@ -334,7 +339,10 @@ _LATE_FAILING = [
         "n_modes=32\nfunctional.band=8\nfunctional.plateau=0.01,0.9",
         "functional.plateau",
     ),
-    # rates reads these in the rate prediction, after every replicate
+    # rates reads these in the rate fit, after every replicate
+    ("rates", "n_modes=32\nepsilons=1e-1,1e-2", "epsilons"),
+    # a repeated noise level gave a rank-deficient fit and exit 0
+    ("rates", "n_modes=32\nepsilons=1e-2,1e-2,1e-3", "epsilons"),
     (
         "rates",
         "operator.kind=psido\nn_modes=17\noperator.t=-1\nepsilons=1e-1,1e-2,1e-3",
@@ -503,17 +511,30 @@ def _run_python(script, **env_overrides):
     return done.stdout.strip()
 
 
-def test_cli_import_graph_excludes_scipy_stats(tmp_path):
-    # importing scipy.stats costs about a second per process; the CLI must not pull it in
-    config = tmp_path / "cfg"
-    config.write_text(MINIMAL_BVP.format(out=tmp_path / "o.csv"))
+_SCIPY_FREE_RUNS = {
+    "dense-ball": MINIMAL_BVP + "operator.coefficient=sine\nball_beta=3.5\n",
+    "diagonal": MINIMAL_BVP,
+    "rates": RATES,
+    "tightness": "experiment=tightness\nn_modes=32\noutput_path={out}\n",
+    "concentration": CONCENTRATION.replace("{deltas}", "0.3,0.2"),
+    "conjugacy": CONJUGACY,
+}
+
+
+def test_cli_runs_with_scipy_unimportable(tmp_path):
+    # the runtime needs only numpy and the standard library; scipy is a test oracle
+    configs = []
+    for name, template in _SCIPY_FREE_RUNS.items():
+        path = tmp_path / f"{name}.ini"
+        path.write_text(template.format(out=tmp_path / f"{name}.csv"))
+        configs.append(str(path))
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = None\n"
         "from bvmlab.cli import main\n"
-        f"assert main(['run', {str(config)!r}]) == 0\n"
-        "print('scipy.stats' in sys.modules)\n"
+        f"print([main(['run', path]) for path in {configs!r}])\n"
     )
-    assert _run_python(script) == "False"
+    assert _run_python(script) == str([0] * len(configs))
 
 
 @pytest.mark.parametrize(

@@ -112,6 +112,11 @@ class TestEllipticOperator:
         with pytest.raises(ConfigurationError):
             elliptic_operator(coeff, interval)
 
+    def test_non_finite_coefficient(self, interval):
+        coeff = EllipticCoefficient(lambda x: np.where(x < 0.5, 1.0, np.nan))
+        with pytest.raises(ConfigurationError, match="finite"):
+            elliptic_operator(coeff, interval)
+
     def test_requires_interval_basis(self, torus):
         with pytest.raises(ConfigurationError):
             elliptic_operator(EllipticCoefficient(lambda x: np.ones_like(x)), torus)

@@ -6,7 +6,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvmlab.errors import ConfigurationError, ShapeError
+from bvmlab.errors import ConfigurationError, NumericalError, ShapeError
 from bvmlab.operators import (
     EllipticCoefficient,
     apply,
@@ -218,6 +218,15 @@ class TestTikhonovSolve:
         gap = np.linalg.norm(tik.coeffs - mean.coeffs)
         assert gap <= 1e-8 * max(np.linalg.norm(mean.coeffs), 1e-30)
 
+    def test_indefinite_normal_equations_raise(self):
+        # hess = 1 + 1 / (-0.5) = -1 is nonsingular, so only the Cholesky gate can refuse it
+        prior, op, obs = scalar_setup(1.0)
+        bad = GaussianPrior(
+            basis=prior.basis, variances=np.array([-0.5]), rkhs_exponent=1.0, amplitude=1.0
+        )
+        with pytest.raises(NumericalError, match="normal-equation solve failed"):
+            tikhonov_solve(bad, op, obs)
+
     def test_vanishing_regularisation_recovers_rkhs_truth(self, interval, prior, bvp_inv):
         f = sobolev_draw(interval, 1.0, 9)
         obs = Observation(data=apply(bvp_inv, f), epsilon=1e-6)
@@ -294,10 +303,14 @@ class TestCredibleInterval:
         post = posterior_update(prior, bvp_inv, observe(bvp_inv, f, 1e-2, seed=5))
         with pytest.raises(ConfigurationError):
             credible_interval(post, unit_vector(interval, 0), 1.0)
+        # 0.5 + level / 2 rounds to 1, whose quantile is infinite
+        with pytest.raises(ConfigurationError, match="too close to 1"):
+            credible_interval(post, unit_vector(interval, 0), math.nextafter(1.0, 0.0))
 
     @pytest.mark.parametrize("level", [1e-9, 0.5, 0.68, 0.9, 0.95, 0.99, 0.999999])
-    def test_quantile_matches_scipy_stats_bitwise(self, level):
-        assert two_sided_quantile(level) == scipy.stats.norm.ppf(0.5 + level / 2.0)
+    def test_quantile_matches_scipy_stats_to_8_ulp(self, level):
+        want = scipy.stats.norm.ppf(0.5 + level / 2.0)
+        np.testing.assert_array_max_ulp(two_sided_quantile(level), want, maxulp=8)
 
 
 class TestPosteriorSample:
