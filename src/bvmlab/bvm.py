@@ -21,7 +21,7 @@ from .operators import (
     normal_apply,
 )
 from .posterior import (
-    credible_ball_radius,
+    exact_ball_radius,
     noise_block,
     posterior_factor,
     two_sided_quantile,
@@ -148,9 +148,10 @@ class ReplicateTable:
 
     Row r belongs to replicate ``replicate_index[r]``.  The two-dimensional
     columns hold one column per functional, in the order the functionals were
-    given; the ball columns are None unless a ball was requested.  The noise
-    level, the credible level and the limiting variances are recorded too, so
-    ``coverage_report`` needs nothing but the table.
+    given; the ball fields are None unless a ball was requested.  The ball
+    radius depends only on the posterior covariance, so it is one number per
+    table.  The noise level, the credible level and the limiting variances are
+    recorded too, so ``coverage_report`` needs nothing but the table.
     """
 
     epsilon: float
@@ -163,7 +164,7 @@ class ReplicateTable:
     interval_radius: np.ndarray  # (functionals,)
     posterior_functional_variance: np.ndarray  # (functionals,)
     limiting_variance: np.ndarray  # (functionals,)
-    ball_radius: Optional[np.ndarray] = None  # (rows,)
+    ball_radius: Optional[float] = None
     ball_covered: Optional[np.ndarray] = None  # (rows,), bool
 
 
@@ -177,15 +178,14 @@ def replicate_table(
     level: float = 0.95,
     ball_beta: Optional[float] = None,
     master_seed: int = 0,
-    ball_draws: int = 1000,
     replicate_indices: Optional[Sequence[int]] = None,
 ) -> ReplicateTable:
     """Independent measurement replicates from the fixed truth, as columns.
 
-    Replicate i draws its noise from the seed ``derive_seed(master_seed, 2i)``
-    and its ball draws from ``derive_seed(master_seed, 2i + 1)``;
+    Replicate i draws its noise from the seed ``derive_seed(master_seed, 2i)``;
     ``replicate_indices`` lets a parallel driver run a sub-range.  The
-    posterior factor and the functional variances are computed once per call.
+    posterior factor, the functional variances and the exact ball radius are
+    computed once per call.
     Replicates are processed in blocks of ``REPLICATE_BLOCK`` rows: one noise
     block, one posterior update per row and row-local dot products, so every
     row is bitwise the same for any index split.
@@ -208,7 +208,7 @@ def replicate_table(
     noise_terms = np.empty((n_rows, len(functionals)))
     ball_radius = ball_covered = None
     if ball_beta is not None:
-        ball_radius = np.empty(n_rows)
+        ball_radius = exact_ball_radius(factor, ball_beta, level)
         distances = np.empty(n_rows)
         weights = (1.0 + op.basis.eigenvalues) ** (-ball_beta)
     for lo in range(0, n_rows, REPLICATE_BLOCK):
@@ -221,10 +221,6 @@ def replicate_table(
             noise_terms[rows, k] = np.vecdot(noise, image)
         if ball_beta is not None:
             distances[rows] = np.sqrt(np.vecdot((f_dagger.coeffs - post_means) ** 2, weights))
-            for r, i in enumerate(block, start=lo):
-                ball_radius[r] = credible_ball_radius(
-                    factor, ball_beta, level, ball_draws, derive_seed(master_seed, 2 * i + 1)
-                )
     if ball_beta is not None:
         ball_covered = distances <= ball_radius
     return ReplicateTable(

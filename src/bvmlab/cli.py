@@ -287,7 +287,6 @@ def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -
         level=config.level,
         ball_beta=config.ball_beta,
         master_seed=config.master_seed,
-        ball_draws=config.ball_draws,
         replicate_indices=indices,
     )
     n_rows = len(indices)
@@ -297,7 +296,10 @@ def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -
     ball_cells = [no_ball, no_ball]
     if table.ball_radius is not None:
         columns["ball_covered"] = table.ball_covered
-        ball_cells = [_float_cells(table.ball_radius), _flag_cells(table.ball_covered)]
+        ball_cells = [
+            _float_cells(np.array([table.ball_radius])) * n_rows,
+            _flag_cells(table.ball_covered),
+        ]
     cells = (
         [_format_cell(epsilon)] * n_rows,
         [str(i) for i in indices],

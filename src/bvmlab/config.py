@@ -59,7 +59,6 @@ _KEY_TABLE = {
     "n_replicates": ("n_replicates", _parse_int),
     "level": ("level", _parse_float),
     "ball_beta": ("ball_beta", _parse_float),
-    "ball_draws": ("ball_draws", _parse_int),
     "operator.kind": ("operator_kind", _parse_str),
     "operator.t": ("operator_t", _parse_float),
     "operator.time": ("operator_time", _parse_float),
@@ -111,7 +110,6 @@ class ExperimentConfig:
     n_replicates: int = 100
     level: float = 0.95
     ball_beta: Optional[float] = None
-    ball_draws: int = 1000
     operator_kind: str = "bvp"
     operator_t: float = 2.0
     operator_time: float = 0.1
@@ -210,15 +208,27 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "keys 'truth.modes'/'truth.values': lists must have equal length"
             )
+        if self.truth_kind == "modes" and len(set(self.truth_modes)) != len(self.truth_modes):
+            raise ConfigurationError(
+                f"key 'truth.modes': modes must be distinct, got {_format_value(self.truth_modes)}"
+            )
+        # replicate rows are gathered per noise level, so a repeated level
+        # would count its rows twice
+        if self.experiment in ("coverage", "rates") and len(set(self.epsilons)) != len(
+            self.epsilons
+        ):
+            raise ConfigurationError(
+                f"key 'epsilons': noise levels must be distinct, got {_format_value(self.epsilons)}"
+            )
         if self.experiment == "rates" and self.operator_kind == "heat":
             raise ConfigurationError(
                 "key 'experiment': polynomial rate fits are not defined for the heat semigroup"
             )
         if self.experiment == "rates":
             # the rate fit reads these only after every replicate has run
-            if len(set(self.epsilons)) < 3:
+            if len(self.epsilons) < 3:
                 raise ConfigurationError(
-                    f"key 'epsilons': a rate fit needs at least three distinct noise levels, "
+                    f"key 'epsilons': a rate fit needs at least three noise levels, "
                     f"got {_format_value(self.epsilons)}"
                 )
             if self.operator_kind == "psido" and self.operator_t < 0:
@@ -235,10 +245,6 @@ class ExperimentConfig:
         if self.experiment == "concentration" and self.concentration_mc_samples < 1000:
             raise ConfigurationError(
                 "key 'concentration.mc_samples': need at least 1000 samples"
-            )
-        if self.ball_beta is not None and self.ball_draws < 1000:
-            raise ConfigurationError(
-                "key 'ball_draws': need at least 1000 posterior draws for a ball radius"
             )
         if self.experiment == "concentration":
             if not self.concentration_deltas:

@@ -95,12 +95,6 @@ class ForwardOperator:
         return np.zeros(self.basis.n_modes, dtype=bool)
 
     @cached_property
-    def min_singular_value(self) -> float:
-        if self.is_diagonal:
-            return float(np.min(np.abs(self.multipliers)))
-        return float(self._svd[0][-1])
-
-    @cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray]:
         # singular values (descending) and right singular vectors V^T of the
         # dense representation; A^T A = V diag(s^2) V^T

@@ -1,7 +1,7 @@
 """Exact conjugate Gaussian posterior for the linear white-noise model, with
 an independently coded Tikhonov minimiser as cross-check, marginal laws of
-linear functionals, credible intervals, posterior sampling, and dual-norm
-credible-ball radii.
+linear functionals, credible intervals, posterior sampling, and exact
+dual-norm credible-ball radii.
 
 The covariance and the gain of the update do not depend on the data:
 ``posterior_factor`` computes them once per noise level, and its
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .operators import ForwardOperator, apply
-from .priors import GaussianPrior
+from .priors import GaussianPrior, quadratic_form_quantile
 from .spectral import CoeffVector, SpectralBasis, coeff_vector
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "functional_marginal",
     "credible_interval",
     "posterior_sample",
-    "credible_ball_radius",
+    "exact_ball_radius",
 ]
 
 @dataclass(frozen=True)
@@ -117,6 +117,23 @@ class PosteriorFactor:
         if self.is_diagonal:
             return z * self.root
         return z @ self.root.T
+
+    def weighted_spectrum(self, weights: np.ndarray) -> np.ndarray:
+        """Eigenvalues mu of W^{1/2} Sigma W^{1/2} for W = diag(weights).
+
+        A centred draw f has sum_j weights_j f_j^2 distributed as
+        sum_k mu_k Z_k^2 with Z iid standard normal.  Dense path: the squared
+        singular values of W^{1/2} R, one singular value decomposition.
+        """
+        if self.is_diagonal:
+            return weights * self.root**2
+        try:
+            s = np.linalg.svd(np.sqrt(weights)[:, None] * self.root, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"weighted posterior spectrum singular value decomposition (svd) failed: {exc}"
+            ) from exc
+        return s**2
 
     def functional_variance(self, psi: CoeffVector) -> float:
         """Posterior variance psi^T Sigma psi of the functional <f, psi>; data-independent."""
@@ -290,29 +307,16 @@ def posterior_sample(post: PosteriorGaussian, seed: int) -> CoeffVector:
     return coeff_vector(post.mean.basis, post.mean.coeffs + post.factor.centred_draws(z))
 
 
-def credible_ball_radius(
-    factor: PosteriorFactor,
-    beta: float,
-    level: float,
-    n_draws: int,
-    seed: int,
-) -> float:
-    """Empirical (level)-quantile of the dual-norm distance of posterior draws from the mean.
+def exact_ball_radius(factor: PosteriorFactor, beta: float, level: float) -> float:
+    """Radius of the level credible ball about the posterior mean, in the dual norm of
+    smoothness beta.
 
-    The centred draws depend only on the posterior covariance, so the radius
-    needs the factor and not the data.  Uses the 'higher' empirical quantile
-    with the draw count fixed by the caller; deterministic per seed.
+    The squared distance of a posterior draw from the mean is a Gaussian
+    quadratic form with the weighted spectrum of the covariance as weights, so
+    the radius is the square root of its exact quantile; it needs the factor
+    and not the data.
     """
-    if n_draws < 1000:
-        raise ConfigurationError("need at least 1000 posterior draws for a ball radius")
     if beta < 0:
         raise ConfigurationError("ball norms use beta >= 0")
-    if not 0.0 < level < 1.0:
-        raise ConfigurationError("level must lie strictly between 0 and 1")
-    basis = factor.prior.basis
-    weights = (1.0 + basis.eigenvalues) ** (-beta)
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_draws, basis.n_modes))
-    centred = factor.centred_draws(z)
-    norms = np.sqrt((centred**2) @ weights)
-    return float(np.quantile(norms, level, method="higher"))
+    weights = (1.0 + factor.prior.basis.eigenvalues) ** (-beta)
+    return math.sqrt(quadratic_form_quantile(factor.weighted_spectrum(weights), level))

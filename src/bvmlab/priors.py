@@ -1,16 +1,18 @@
 """Matern-type Gaussian priors: sampling, RKHS norms, small-ball probability
-estimation, the concentration function, and contraction-rate prediction.
+estimation, the concentration function, contraction-rate prediction, and the
+exact law of a Gaussian quadratic form sum_j w_j Z_j^2.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, RareEventError, ShapeError
+from .errors import ConfigurationError, NumericalError, RareEventError, ShapeError
 from .spectral import BasisKind, CoeffVector, SpectralBasis, coeff_vector
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "truncation_tail",
     "small_ball_ladder",
     "concentration_ladder",
+    "quadratic_form_quantile",
     "predict_rate",
 ]
 
@@ -263,6 +266,170 @@ def concentration_ladder(
             )
         )
     return tuple(values)
+
+
+# two successive trapezoid passes of a contour integral below are accepted
+# once they agree to this relative tolerance
+QUADRATURE_RTOL = 1e-14
+
+# the quantile's Newton iteration stops once a step moves x (upper tail) or
+# log x (lower tail) by less than this
+_QUANTILE_STEP_TOL = 1e-13
+
+# contour points per block, times the weight count, bounds the complex
+# temporaries of one cumulant evaluation
+_CONTOUR_BLOCK_ENTRIES = 1 << 15
+
+
+def _cgf(weights: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Cumulant generating function K(s) = -1/2 sum_j log(1 - 2 s w_j), elementwise in s."""
+    block = max(1, _CONTOUR_BLOCK_ENTRIES // weights.size)
+    out = np.empty(s.shape, dtype=s.dtype)
+    for lo in range(0, s.size, block):
+        out[lo : lo + block] = -0.5 * np.sum(
+            np.log1p(-2.0 * np.multiply.outer(s[lo : lo + block], weights)), axis=1
+        )
+    return out
+
+
+def _cgf_slopes(weights: np.ndarray, s: float) -> tuple[float, float]:
+    """K'(s) and K''(s) at a real point left of the branch point 1 / (2 max w)."""
+    u = weights / (1.0 - 2.0 * s * weights)
+    return float(np.sum(u)), float(2.0 * np.sum(u * u))
+
+
+def _saddlepoint(weights: np.ndarray, x: float) -> float:
+    """The real s with K'(s) = x, by Newton's method kept inside a bracket.
+
+    K' increases from 0 to infinity on (-inf, 1 / (2 max w)); each term
+    w / (1 - 2 s w) lies below 1 / (-2 s) for s < 0 and the largest term alone
+    reaches x at 1 / (2 max w) - 1 / (2 x), which brackets the root.
+    """
+    w_max = float(weights.max())
+    lo = -weights.size / (2.0 * x)
+    hi = (1.0 - w_max / x) / (2.0 * w_max)
+    s = hi
+    for _ in range(200):
+        slope, curvature = _cgf_slopes(weights, s)
+        if abs(slope - x) <= 1e-12 * x:
+            return s
+        if slope > x:
+            hi = s
+        else:
+            lo = s
+        step = s - (slope - x) / curvature
+        s = step if lo < step < hi else 0.5 * (lo + hi)
+    raise NumericalError(f"saddlepoint of the quadratic form did not converge at x={x!r}")
+
+
+def _trapezoid(integrand, h: float, n: int) -> np.ndarray:
+    """Integrals over t >= 0 of integrands even in t: the whole-line trapezoid
+    rule folded at 0, on points 0, h, ..., n h, with h halved until two passes
+    agree.  ``integrand`` maps a vector of t to one row per integrand."""
+    values = integrand(h * np.arange(n + 1))
+    total = h * (values.sum(axis=1) - 0.5 * values[:, 0])
+    for _ in range(20):
+        values = integrand(h * (np.arange(n) + 0.5))
+        refined = 0.5 * total + 0.5 * h * values.sum(axis=1)
+        h, n = 0.5 * h, 2 * n
+        if np.all(np.abs(refined - total) <= QUADRATURE_RTOL * np.abs(refined)):
+            return refined
+        total = refined
+    raise NumericalError("trapezoid passes of the quadratic-form integral did not converge")
+
+
+def _tail_and_density(weights: np.ndarray, x: float, upper: bool) -> tuple[float, float]:
+    """log of P(Q > x) (upper) or P(Q <= x), and its derivative in x.
+
+    Rice's inversion: P(Q > x) is (1 / 2 pi i) times the integral of
+    exp(K(s) - s x) / s over a vertical line crossing the real axis at c > 0,
+    and the same integral crossing at c < 0 is -P(Q <= x).  The line is bent
+    into the parabola s(t) = c + a t^2 + i t with a = K''(c) / (2 x), which
+    meets the real axis only at c, so it passes no pole or branch point, and
+    along it exp(-s x) decays like a Gaussian in t.  By conjugate symmetry
+    the integral is (1 / pi) times that of the imaginary part over t > 0; the
+    integrand without 1 / s gives the density.  The crossing is the saddlepoint
+    unless the pole at 0 lies within half a Gaussian width 1 / sqrt(K'') of
+    it; then it moves to one width from 0 on the same side, and at most
+    halfway to the branch point 1 / (2 max w).
+    """
+    c = _saddlepoint(weights, x)
+    curvature = _cgf_slopes(weights, c)[1]
+    if abs(c) * math.sqrt(curvature) < 0.5:
+        c = min(math.copysign(1.0 / math.sqrt(curvature), c), 0.25 / float(weights.max()))
+        curvature = _cgf_slopes(weights, c)[1]
+    a = curvature / (2.0 * x)
+    scale = float(_cgf(weights, np.array([c]))[0]) - c * x
+
+    def integrand(t: np.ndarray) -> np.ndarray:
+        s = c + a * t * t + 1j * t
+        density = np.exp(_cgf(weights, s) - s * x - scale) * (2.0 * a * t + 1j)
+        return np.stack([(density / s).imag, density.imag])
+
+    # the Gaussian factor has width 1 / sd in t; start at ten widths, step 1/2
+    sd = math.sqrt(curvature)
+    h, n = 0.5 / sd, 20
+    while True:
+        ends = integrand(np.array([0.0, n * h]))
+        if np.all(np.abs(ends[:, 1]) <= 1e-3 * QUADRATURE_RTOL * np.abs(ends[:, 0])):
+            break
+        n *= 2
+        if n > 1 << 16:
+            raise NumericalError("quadratic-form integrand does not decay along the contour")
+    tail_integral, density_integral = _trapezoid(integrand, h, n) / math.pi
+    direct = math.exp(scale) * abs(tail_integral)  # P(Q > x) if c > 0, else P(Q <= x)
+    sign = -1.0 if upper else 1.0
+    if (c > 0) == upper:
+        return scale + math.log(abs(tail_integral)), sign * density_integral / abs(tail_integral)
+    return math.log1p(-direct), sign * math.exp(scale) * density_integral / (1.0 - direct)
+
+
+def quadratic_form_quantile(weights: Sequence[float], level: float) -> float:
+    """The x with P(Q <= x) = level for Q = sum_j w_j Z_j^2, Z_j iid standard normal.
+
+    Exact up to the quadrature tolerance ``QUADRATURE_RTOL``: the law is
+    inverted by Rice's contour integral (``_tail_and_density``), and x found by
+    a bracketed Newton iteration on the log of the smaller tail, in x for the
+    upper tail and in log x for the lower, where each log tail is nearly
+    linear.  The weights are scaled to unit sum; zero weights drop out.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(w < 0) or not np.any(w > 0):
+        raise ConfigurationError("quadratic-form weights must be finite, nonnegative, not all 0")
+    if not 0.0 < level < 1.0:
+        raise ConfigurationError("level must lie strictly between 0 and 1")
+    total = float(w.sum())
+    w = w[w > 0] / total
+    upper = level > 0.5
+    log_target = math.log(1.0 - level if upper else level)
+    # start from the Wilson-Hilferty quantile of the scaled chi-square g chi^2_nu
+    # with the same mean and variance
+    nu = 1.0 / float(np.sum(w * w))
+    z = NormalDist().inv_cdf(level)
+    x = max(1.0 - 2.0 / (9.0 * nu) + z * math.sqrt(2.0 / (9.0 * nu)), 0.1) ** 3
+    lo, hi = 0.0, math.inf  # P(Q > lo) > 1 - level > P(Q > hi)
+    for _ in range(60):
+        log_tail, slope = _tail_and_density(w, x, upper)
+        residual = log_tail - log_target
+        if (residual > 0) == upper:
+            lo = x
+        else:
+            hi = x
+        if upper:
+            step = -residual / slope
+            candidate = x + step
+            converged = abs(step) <= _QUANTILE_STEP_TOL * x
+        else:
+            step = -residual / (x * slope)
+            candidate = x * math.exp(step)
+            converged = abs(step) <= _QUANTILE_STEP_TOL
+        if converged:
+            return candidate * total
+        if lo < candidate < hi:
+            x = candidate
+        else:
+            x = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
+    raise NumericalError(f"quadratic-form quantile at level {level!r} did not converge")
 
 
 def predict_rate(t: float, r: float, alpha: float, d: int = 1) -> RatePrediction:

@@ -247,7 +247,7 @@ def test_criterion_7_credible_ball(bvp_experiment):
     prior, l_inv, fdag, functional, _ = bvp_experiment
     table = replicate_table(
         prior, l_inv, fdag, [functional], 3e-4, 500, level=0.95,
-        ball_beta=3.5, master_seed=MASTER_SEED, ball_draws=1000,
+        ball_beta=3.5, master_seed=MASTER_SEED,
     )
     rep = coverage_report(table, CoverageKind.BALL)
     assert 0.92 <= rep.hit_rate <= 0.98
@@ -258,9 +258,9 @@ def test_criterion_7_credible_ball(bvp_experiment):
     for eps in slope_ladder:
         table = replicate_table(
             prior, l_inv, fdag, [functional], eps, 50, level=0.95,
-            ball_beta=3.5, master_seed=MASTER_SEED + 1, ball_draws=1000,
+            ball_beta=3.5, master_seed=MASTER_SEED + 1,
         )
-        radii.append(float(np.mean(table.ball_radius)))
+        radii.append(table.ball_radius)
     fit = rate_fit(slope_ladder, radii, 1.0)
     assert abs(fit.slope - 1.0) <= 0.15
     report(
@@ -277,7 +277,7 @@ def test_ball_coverage_below_smoothness_threshold_recorded(bvp_experiment):
     for beta in (2.75, 3.0):
         table = replicate_table(
             prior, l_inv, fdag, [functional], 3e-4, 100, level=0.95,
-            ball_beta=beta, master_seed=MASTER_SEED, ball_draws=1000,
+            ball_beta=beta, master_seed=MASTER_SEED,
         )
         rep = coverage_report(table, CoverageKind.BALL)
         assert 0.0 <= rep.hit_rate <= 1.0

@@ -1,4 +1,6 @@
+import ast
 import importlib
+import inspect
 import math
 import os
 import pkgutil
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 import bvmlab
 from bvmlab import bvm, cli, priors
+from bvmlab import config as config_module
 from bvmlab.cli import build_context, emit_csv, load_csv, main, run_command
 from bvmlab.config import parse_config, resolved_items
 from bvmlab.errors import ConfigurationError
@@ -94,6 +97,35 @@ class TestParseConfig:
         # 0.5 + level / 2 rounds to 1 for the largest double below 1
         with pytest.raises(ConfigurationError, match="key 'level'"):
             parse_config("experiment=coverage\nlevel=0.9999999999999999\n")
+
+    def test_ball_draws_is_unknown(self, tmp_path, capsys):
+        path = tmp_path / "ball.ini"
+        path.write_text("experiment=coverage\nball_beta=3.5\nball_draws=1000\n")
+        assert main(["validate", str(path)]) == 1
+        assert "unknown configuration key 'ball_draws'" in capsys.readouterr().err
+
+    def test_repeated_truth_modes_rejected(self):
+        # the second value used to overwrite the first without an error
+        with pytest.raises(ConfigurationError, match="key 'truth.modes'"):
+            parse_config(
+                "experiment=coverage\ntruth.kind=modes\ntruth.modes=1,1\ntruth.values=1,2\n"
+            )
+
+    def test_every_key_is_read_by_the_cli(self):
+        # a key whose attribute the CLI never reads is a knob that changes nothing
+        tree = ast.parse(inspect.getsource(cli))
+        read = {
+            node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and (
+                (isinstance(node.value, ast.Name) and node.value.id == "config")
+                or (isinstance(node.value, ast.Attribute) and node.value.attr == "config")
+            )
+        }
+        keys = {attr: key for key, (attr, _) in config_module._KEY_TABLE.items()}
+        assert sorted(key for attr, key in keys.items() if attr not in read) == []
 
     def test_even_torus_modes_rejected(self):
         with pytest.raises(ConfigurationError, match="odd"):
@@ -212,14 +244,18 @@ output_path={out}
 
     def test_coverage_with_ball_fields(self, tmp_path):
         out = tmp_path / "ball.csv"
-        text = MINIMAL_BVP.format(out=out) + "ball_beta=3.5\nball_draws=1000\n"
+        text = MINIMAL_BVP.format(out=out) + "ball_beta=3.5\n"
         config = parse_config(text)
         assert run_command(config) == 0
         _, header, rows = load_csv(str(out))
+        epsilon = header.index("epsilon")
         ball_radius = header.index("ball_radius")
         ball_covered = header.index("ball_covered")
         assert all(float(r[ball_radius]) > 0 for r in rows)
         assert all(r[ball_covered] in ("true", "false") for r in rows)
+        # the exact radius is one number per noise level
+        radii = {(r[epsilon], r[ball_radius]) for r in rows}
+        assert len(radii) == len({r[epsilon] for r in rows}) == 2
 
     def test_rates_metadata(self, tmp_path):
         out = tmp_path / "rates.csv"
@@ -304,7 +340,6 @@ class TestMain:
 
 
 _LATE_FAILING = [
-    ("coverage", "ball_beta=3.5\nball_draws=10", "ball_draws"),
     ("coverage", "n_modes=32", "functional.band"),
     ("coverage", "n_modes=32\nfunctional.kind=sobolev\nfunctional.band=33", "functional.band"),
     ("coverage", "n_modes=32\nfunctional.kind=mode\nfunctional.mode=999", "functional.mode"),
@@ -339,6 +374,8 @@ _LATE_FAILING = [
         "n_modes=32\nfunctional.band=8\nfunctional.plateau=0.01,0.9",
         "functional.plateau",
     ),
+    # coverage summed a repeated noise level's rows twice in diag.coverage_hits
+    ("coverage", "n_modes=32\nfunctional.band=8\nepsilons=1e-2,1e-2", "epsilons"),
     # rates reads these in the rate fit, after every replicate
     ("rates", "n_modes=32\nepsilons=1e-1,1e-2", "epsilons"),
     # a repeated noise level gave a rank-deficient fit and exit 0
@@ -382,9 +419,9 @@ class TestLateFailingKeys:
         assert not out.exists()
 
     def test_limits_still_accepted(self, tmp_path):
-        # ball_draws is read only with a ball; band and mode may reach n_modes
+        # band and mode may reach n_modes
         config = parse_config(
-            "experiment=coverage\nn_modes=32\nball_draws=10\nfunctional.band=32\n"
+            "experiment=coverage\nn_modes=32\nfunctional.band=32\n"
             f"output_path={tmp_path / 'o.csv'}\nn_replicates=2\nepsilons=1e-2\n"
         )
         assert run_command(config) == 0
@@ -464,8 +501,12 @@ class TestCoverageDiagnostics:
 
     @pytest.mark.parametrize(
         "template, extra",
-        [(MINIMAL_BVP, "ball_beta=3.5\n"), (RATES, "")],
-        ids=["coverage", "rates"],
+        [
+            (MINIMAL_BVP, "ball_beta=3.5\n"),
+            (MINIMAL_BVP, "ball_beta=3.5\noperator.coefficient=sine\n"),
+            (RATES, ""),
+        ],
+        ids=["coverage", "coverage-dense", "rates"],
     )
     def test_one_and_two_workers_byte_identical(self, tmp_path, template, extra):
         # a real process pool (criterion 12), capped at the core count

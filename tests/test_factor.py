@@ -65,7 +65,6 @@ ROW_COLUMNS = (
     "scaled_error",
     "hat_psi",
     "interval_covered",
-    "ball_radius",
     "ball_covered",
 )
 FUNCTIONAL_COLUMNS = ("interval_radius", "posterior_functional_variance", "limiting_variance")
@@ -86,11 +85,11 @@ def _per_call(table):
     """Everything in the table that does not depend on the row, as one repr."""
     values = [table.epsilon, table.level]
     values += [getattr(table, name).tolist() for name in FUNCTIONAL_COLUMNS]
-    return repr(values)
+    return repr(values + [table.ball_radius])
 
 
 def _reference_replicates(
-    prior, op, f_dagger, functionals, epsilon, indices, level, ball_beta, master_seed, ball_draws
+    prior, op, f_dagger, functionals, epsilon, indices, level, ball_beta, master_seed
 ):
     """One replicate at a time through the single-vector API: the oracle for the engine.
 
@@ -103,16 +102,16 @@ def _reference_replicates(
     images = [apply(op, tf.psi_tilde) for tf in functionals]
     variances = [factor.functional_variance(tf.psi) for tf in functionals]
     radii = [q * math.sqrt(var) for var in variances]
+    ball_radius = None
+    if ball_beta is not None:
+        ball_radius = posterior.exact_ball_radius(factor, ball_beta, level)
     signal = apply(op, f_dagger)
     rows = []
     for i in indices:
         noise = posterior.noise_draw(op.basis, derive_seed(master_seed, 2 * i))
         post = factor.update(coeff_vector(op.basis, signal.coeffs + epsilon * noise.coeffs))
-        ball_radius = ball_covered = None
+        ball_covered = None
         if ball_beta is not None:
-            ball_radius = posterior.credible_ball_radius(
-                factor, ball_beta, level, ball_draws, derive_seed(master_seed, 2 * i + 1)
-            )
             distance = dual_norm(
                 coeff_vector(op.basis, f_dagger.coeffs - post.mean.coeffs), ball_beta
             )
@@ -125,12 +124,12 @@ def _reference_replicates(
                 [(m - t) / epsilon for m, t in zip(means, truth_values)],
                 [t - epsilon * inner(image, noise) for t, image in zip(truth_values, images)],
                 [bool(abs(t - m) <= r) for t, m, r in zip(truth_values, means, radii)],
-                ball_radius,
                 ball_covered,
             )
         )
     limiting = [tf.limiting_variance for tf in functionals]
-    return [repr(row) for row in rows], repr([epsilon, level, radii, variances, limiting])
+    per_call = [epsilon, level, radii, variances, limiting, ball_radius]
+    return [repr(row) for row in rows], repr(per_call)
 
 
 @pytest.mark.parametrize("setup", ["diag_setup", "dense_setup"])
@@ -144,7 +143,7 @@ def test_engine_matches_reference_loop(request, setup, ball_beta, indices):
     prior, op, truth, tf = request.getfixturevalue(setup)
     second = representer(op, unit_vector(op.basis, 1))
     n = REPLICATE_BLOCK + 3  # crosses a row-block boundary
-    kwargs = dict(level=0.9, ball_beta=ball_beta, master_seed=11, ball_draws=1000)
+    kwargs = dict(level=0.9, ball_beta=ball_beta, master_seed=11)
     table = replicate_table(
         prior, op, truth, [tf, second], 1e-3, n, replicate_indices=indices, **kwargs
     )
@@ -238,9 +237,13 @@ def test_one_factorisation_per_epsilon(dense_setup, monkeypatch):
     _count_calls(monkeypatch, np.linalg, "solve", counts)
     _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
     _count_calls(monkeypatch, np.linalg, "eigh", counts)
-    replicate_table(prior, op, truth, [tf], 1e-3, 5, ball_beta=3.5, master_seed=1)
+    replicate_table(prior, op, truth, [tf], 1e-3, 5, master_seed=1)
     # gain, covariance and sampling root all come from one decomposition
     assert counts == {"svd": 1}
+    counts.clear()
+    replicate_table(prior, op, truth, [tf], 1e-3, 5, ball_beta=3.5, master_seed=1)
+    # the ball radius adds one for the weighted spectrum, not one per replicate
+    assert counts == {"svd": 2}
 
 
 @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
@@ -297,7 +300,8 @@ def test_index_split_bitwise_with_ball(dense_setup):
     )
     assert _rows(first) + _rows(rest) == _rows(full)
     assert _per_call(first) == _per_call(rest) == _per_call(full)
-    assert full.ball_radius.shape == full.ball_covered.shape == (10,)
+    assert isinstance(full.ball_radius, float)
+    assert full.ball_covered.shape == (10,)
 
 
 def _check_contiguous_split(setup, data, max_n, ball_beta, max_cuts=None):

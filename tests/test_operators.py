@@ -331,8 +331,3 @@ class TestSmoothingEstimate:
             lhs = sobolev_norm(apply(inv_var, f), 0.0)
             rhs = sobolev_norm(f, -2.0)
             assert lhs <= 10 * c * rhs
-
-    def test_min_singular_value_positive(self, bvp_variable_pair):
-        fwd, inv = bvp_variable_pair
-        assert fwd.min_singular_value > 0
-        assert inv.min_singular_value > 0

@@ -18,8 +18,8 @@ from bvmlab.operators import (
 )
 from bvmlab.posterior import (
     Observation,
-    credible_ball_radius,
     credible_interval,
+    exact_ball_radius,
     functional_marginal,
     noise_draw,
     observe,
@@ -29,7 +29,7 @@ from bvmlab.posterior import (
     tikhonov_solve,
     two_sided_quantile,
 )
-from bvmlab.priors import GaussianPrior, matern_prior
+from bvmlab.priors import GaussianPrior, _wilson_interval, matern_prior
 from bvmlab.spectral import (
     BasisKind,
     build_basis,
@@ -355,27 +355,47 @@ class TestPosteriorSample:
         np.testing.assert_array_equal(draw.coeffs, want)
 
 
-class TestCredibleBall:
-    @pytest.fixture()
-    def factor(self, prior, bvp_inv):
+class TestExactBallRadius:
+    @pytest.fixture(params=["diagonal", "dense"])
+    def factor(self, request, prior, families):
         # the radius depends on the covariance only, so no data are needed
-        return posterior_factor(prior, bvp_inv, 1e-2)
+        op = families["bvp" if request.param == "diagonal" else "bvp_variable"]
+        return posterior_factor(prior, op, 1e-2)
 
-    def test_extreme_level_is_max_norm(self, factor, interval):
-        radius = credible_ball_radius(factor, 3.5, 1 - 1e-12, 1000, seed=6)
-        # oracle: replay the sampler and take the maximum dual norm
-        rng = np.random.default_rng(6)
-        z = rng.standard_normal((1000, interval.n_modes))
-        centred = z * np.sqrt(factor.variances)[None, :]
+    def test_monte_carlo_hit_rate_in_wilson_band(self, factor, interval):
+        # oracle: the dual norms of 200k centred draws, counted against the radius
+        level, n_draws, block = 0.95, 200_000, 20_000
+        radius = exact_ball_radius(factor, 3.5, level)
         weights = (1.0 + interval.eigenvalues) ** (-3.5)
-        norms = np.sqrt((centred**2) @ weights)
-        assert radius == norms.max()
+        rng = np.random.default_rng(6)
+        hits = 0
+        for _ in range(n_draws // block):
+            centred = factor.centred_draws(rng.standard_normal((block, interval.n_modes)))
+            hits += int(np.count_nonzero(np.sqrt((centred**2) @ weights) <= radius))
+        low, high = _wilson_interval(hits, n_draws)
+        assert low <= level <= high, (hits / n_draws, low, high)
 
-    def test_radius_nonincreasing_in_beta(self, factor):
-        r_small = credible_ball_radius(factor, 2.0, 0.95, 2000, seed=6)
-        r_large = credible_ball_radius(factor, 3.5, 0.95, 2000, seed=6)
-        assert r_large <= r_small
+    def test_weighted_spectrum_paths_agree(self, prior, families, interval):
+        weights = (1.0 + interval.eigenvalues) ** (-3.5)
+        diagonal = posterior_factor(prior, families["bvp"], 1e-2)
+        dense = posterior_factor(prior, as_dense(families["bvp"]), 1e-2)
+        np.testing.assert_allclose(
+            np.sort(dense.weighted_spectrum(weights)),
+            np.sort(diagonal.weighted_spectrum(weights)),
+            rtol=1e-9,
+        )
 
-    def test_draw_count_floor(self, factor):
-        with pytest.raises(ConfigurationError):
-            credible_ball_radius(factor, 3.5, 0.95, 500, seed=6)
+    def test_monotone_in_beta_and_level(self, factor):
+        levels = (0.5, 0.9, 0.95, 0.999, 1 - 1e-12)
+        by_level = [exact_ball_radius(factor, 3.5, level) for level in levels]
+        assert all(math.isfinite(r) for r in by_level)
+        assert all(a < b for a, b in zip(by_level, by_level[1:]))
+        by_beta = [exact_ball_radius(factor, beta, 0.95) for beta in (0.0, 1.0, 2.0, 3.5, 5.0)]
+        assert all(a >= b for a, b in zip(by_beta, by_beta[1:]))
+
+    def test_validation(self, factor):
+        with pytest.raises(ConfigurationError, match="beta"):
+            exact_ball_radius(factor, -0.5, 0.95)
+        for level in (0.0, 1.0):
+            with pytest.raises(ConfigurationError, match="level"):
+                exact_ball_radius(factor, 3.5, level)

@@ -13,6 +13,7 @@ from bvmlab.priors import (
     concentration_ladder,
     matern_prior,
     predict_rate,
+    quadratic_form_quantile,
     rkhs_norm,
     sample_prior,
     small_ball_ladder,
@@ -285,6 +286,56 @@ class TestConcentrationCondition:
             )
             assert val.smallball_term >= 1.0  # the check must not be vacuous
             assert val.phi <= 1.5 * (delta / eps) ** 2
+
+
+class TestQuadraticFormQuantile:
+    LEVELS = (1e-12, 0.01, 0.05, 0.5, 0.95, 0.999, 1 - 1e-12)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 50])
+    def test_chi_square_quantiles(self, k):
+        # k equal weights 0.7 give 0.7 chi^2_k; zero weights drop out
+        weights = np.concatenate([np.full(k, 0.7), np.zeros(3)])
+        for level in self.LEVELS:
+            chi2 = scipy.stats.chi2
+            want = 0.7 * (chi2.ppf(level, k) if level < 0.5 else chi2.isf(1 - level, k))
+            got = quadratic_form_quantile(weights, level)
+            assert abs(got / want - 1) <= 1e-12, (k, level, got, want)
+
+    def test_chi_square_two_closed_form(self):
+        for level in self.LEVELS:
+            want = -2.0 * math.log1p(-level)
+            assert abs(quadratic_form_quantile([1.0, 1.0], level) / want - 1) <= 1e-12
+
+    def test_hypoexponential_tail(self):
+        # Z1^2 + Z2^2 + 0.3 (Z3^2 + Z4^2) is a sum of exponentials of means 2 and 0.6
+        r1, r2 = 0.5, 1 / 0.6
+        for level in (1e-6, 0.01, 0.3, 0.9, 0.999, 1 - 1e-9):
+            x = quadratic_form_quantile([1.0, 0.3, 1.0, 0.3], level)
+            if level < 0.5:
+                tail = (r1 * math.expm1(-r2 * x) - r2 * math.expm1(-r1 * x)) / (r2 - r1)
+                want = level
+            else:
+                tail = (r2 * math.exp(-r1 * x) - r1 * math.exp(-r2 * x)) / (r2 - r1)
+                want = 1 - level
+            assert abs(tail / want - 1) <= 1e-12, (level, tail, want)
+
+    def test_increasing_in_level(self):
+        weights = np.arange(1.0, 65.0) ** -4
+        quantiles = [quadratic_form_quantile(weights, level) for level in self.LEVELS]
+        assert all(np.isfinite(quantiles))
+        assert quantiles == sorted(quantiles) and len(set(quantiles)) == len(quantiles)
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, -0.1, math.nan])
+    def test_level_validation(self, level):
+        with pytest.raises(ConfigurationError, match="level"):
+            quadratic_form_quantile([1.0, 2.0], level)
+
+    @pytest.mark.parametrize(
+        "weights", [[], [0.0, 0.0], [1.0, -0.5], [1.0, math.nan], [1.0, math.inf], [[1.0]]]
+    )
+    def test_weight_validation(self, weights):
+        with pytest.raises(ConfigurationError, match="weights"):
+            quadratic_form_quantile(weights, 0.95)
 
 
 class TestPredictRate:
