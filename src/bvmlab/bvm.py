@@ -1,13 +1,13 @@
 """Monte Carlo harness for the asymptotic-normality experiments: representer
-construction, limiting variances, replicate engine, distributional distances,
-coverage reports, rate regression, and the tightness series of the limit law.
+construction, limiting variances, replicate engine, the Kolmogorov-Smirnov
+distance, coverage reports, rate regression, and the tightness series of the
+limit law.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "heat_psi_from_representer",
     "replicate_table",
     "ks_distance",
-    "bl_distance_upper",
     "coverage_report",
     "rate_fit",
     "tightness_series",
@@ -259,28 +258,6 @@ def ks_distance(samples: Sequence[float], variance: float) -> float:
     d_plus = np.arange(1.0, n + 1) / n - cdf
     d_minus = cdf - np.arange(0.0, n) / n
     return float(max(d_plus.max(), d_minus.max()))
-
-
-def bl_distance_upper(
-    samples: Sequence[float], variance: float, clip: float = 8.0
-) -> float:
-    """Upper bound on the bounded-Lipschitz distance to N(0, variance).
-
-    Couples order statistics with Gaussian quantiles (a W1 coupling cost with
-    tails clipped at +-clip*sigma) and caps at the trivial diameter 2.  An
-    upper bound only, never the exact metric value.
-    """
-    x = _check_samples(samples, variance)
-    if clip <= 0:
-        raise ConfigurationError("clip must be positive")
-    sigma = math.sqrt(variance)
-    bound = clip * sigma
-    n = x.size
-    inv_cdf = NormalDist().inv_cdf
-    quantiles = np.array([inv_cdf((i + 0.5) / n) for i in range(n)]) * sigma
-    lhs = np.clip(np.sort(x), -bound, bound)
-    rhs = np.clip(quantiles, -bound, bound)
-    return float(min(2.0, np.mean(np.abs(lhs - rhs))))
 
 
 class CoverageKind(enum.Enum):

@@ -178,29 +178,16 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
     )
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    return str(value)
-
-
-def _csv_line(row) -> str:
-    try:
-        # the chunked experiments hand over rows whose cells are formatted already
-        return ",".join(row) + "\n"
-    except TypeError:
-        return ",".join(_format_cell(cell) for cell in row) + "\n"
+def _csv_line(row: Sequence[str]) -> str:
+    return ",".join(row) + "\n"
 
 
 def emit_csv(records, path: str, metadata: Sequence[tuple[str, str]] = ()) -> None:
-    """Write rows as CSV: one '# key=value' metadata block, then header, then data.
+    """Write rows of string cells as CSV: one '# key=value' metadata block, then
+    header, then data.
 
-    Floating-point cells carry 17 significant digits so a reparse reproduces
-    the values exactly.
+    The experiments format floating-point cells with 17 significant digits, so
+    a reparse reproduces the values exactly.
     """
     header, rows = records
     if not rows:
@@ -301,7 +288,7 @@ def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -
             _flag_cells(table.ball_covered),
         ]
     cells = (
-        [_format_cell(epsilon)] * n_rows,
+        [format(epsilon, ".17g")] * n_rows,
         [str(i) for i in indices],
         _float_cells(table.functional_mean[:, 0]),
         _float_cells(table.scaled_error[:, 0]),
@@ -328,7 +315,7 @@ def _rates_rows(context: ExperimentContext, epsilon: float, indices: range) -> _
             np.vecdot((means - context.truth.coeffs) ** 2, weights)
         )
     cells = (
-        [_format_cell(epsilon)] * len(indices),
+        [format(epsilon, ".17g")] * len(indices),
         [str(i) for i in indices],
         _float_cells(errors),
     )
@@ -426,7 +413,7 @@ def _run_tightness(context: ExperimentContext):
     if op_l is None:
         raise ConfigurationError("tightness needs the elliptic differential operator")
     result = bvm.tightness_series(op_l, config.tightness_beta, config.tightness_max_modes)
-    rows = [(j + 1, s) for j, s in enumerate(result.partial_sums)]
+    rows = [(str(j), s) for j, s in enumerate(_float_cells(result.partial_sums), start=1)]
     return ("modes", "partial_sum"), rows, [("tightness_verdict", result.verdict.value)]
 
 
@@ -441,11 +428,14 @@ def _run_concentration(context: ExperimentContext):
         config.concentration_mc_samples,
         derive_seed(config.master_seed, 0),
     )
-    rows = [(delta, v.approx_term, v.smallball_term, v.phi) for delta, v in zip(deltas, values)]
+    rows = [
+        tuple(format(x, ".17g") for x in (delta, v.approx_term, v.smallball_term, v.phi))
+        for delta, v in zip(deltas, values)
+    ]
     extra = [
         ("diag.smallball_hits", ",".join(str(v.estimate.hits) for v in values)),
-        ("diag.smallball_log_low", ",".join(_format_cell(v.estimate.log_low) for v in values)),
-        ("diag.smallball_log_high", ",".join(_format_cell(v.estimate.log_high) for v in values)),
+        ("diag.smallball_log_low", ",".join(format(v.estimate.log_low, ".17g") for v in values)),
+        ("diag.smallball_log_high", ",".join(format(v.estimate.log_high, ".17g") for v in values)),
     ]
     return ("delta", "approx_term", "smallball_term", "phi"), rows, extra
 
@@ -484,14 +474,14 @@ def _run_conjugacy(context: ExperimentContext):
         obs = posterior.observe(
             op, truth, epsilon, derive_seed(config.master_seed, 2**33 + i)
         )
-        mean = posterior.posterior_update(prior, op, obs).mean
+        mean = posterior.posterior_update(prior, op, obs)
         tik = posterior.tikhonov_solve(prior, op, obs)
         gap = float(
             np.linalg.norm(tik.coeffs - mean.coeffs)
             / max(np.linalg.norm(mean.coeffs), np.finfo(float).tiny)
         )
         worst = max(worst, gap)
-        rows.append((i, family, epsilon, gap))
+        rows.append((str(i), family, format(epsilon, ".17g"), format(gap, ".17g")))
     if worst > 1e-8:
         raise NumericalError(
             f"Tikhonov minimiser and posterior mean disagree by {worst:.3g} (> 1e-8)"

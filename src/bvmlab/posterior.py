@@ -1,21 +1,21 @@
 """Exact conjugate Gaussian posterior for the linear white-noise model, with
-an independently coded Tikhonov minimiser as cross-check, marginal laws of
-linear functionals, credible intervals, posterior sampling, and exact
-dual-norm credible-ball radii.
+an independently coded Tikhonov minimiser as cross-check, variances of linear
+functionals, and exact dual-norm credible-ball radii.
 
-The covariance and the gain of the update do not depend on the data:
+The posterior is the Gaussian law with mean K M and covariance R R^T, and
+neither the gain K nor the sampling root R depends on the data:
 ``posterior_factor`` computes them once per noise level, and its
 ``update_block`` turns a block of data vectors into posterior means with one
 matrix-vector product per row.  A dense operator costs one singular value
-decomposition of the whitened operator per noise level, and the covariance it
-yields is positive semidefinite by construction.
+decomposition of the whitened operator per noise level, and the covariance
+R R^T is positive semidefinite by construction.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -27,18 +27,13 @@ from .spectral import CoeffVector, SpectralBasis, coeff_vector
 __all__ = [
     "Observation",
     "PosteriorFactor",
-    "PosteriorGaussian",
-    "FunctionalLaw",
-    "CredibleInterval",
     "noise_draw",
     "noise_block",
     "observe",
     "posterior_factor",
     "posterior_update",
     "tikhonov_solve",
-    "functional_marginal",
-    "credible_interval",
-    "posterior_sample",
+    "two_sided_quantile",
     "exact_ball_radius",
 ]
 
@@ -51,8 +46,8 @@ class Observation:
     noise_seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ConfigurationError("noise level epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigurationError("noise level epsilon must be positive and finite")
 
 
 def noise_block(basis: SpectralBasis, seeds: Sequence[int]) -> np.ndarray:
@@ -85,9 +80,9 @@ class PosteriorFactor:
     Under white noise the gain K = S A^T (A S A^T + eps^2 I)^{-1} and the
     posterior covariance depend only on the prior, the operator and the noise
     level, so one factor serves every data vector M: the posterior mean is K M.
-    Diagonal operators keep per-mode vectors, dense ones full matrices.
-    ``root`` maps standard normal vectors to centred posterior draws: the
-    per-mode standard deviations, or a dense R with R R^T = covariance.
+    ``root`` maps standard normal vectors to centred posterior draws, so the
+    covariance is R R^T.  Diagonal operators keep per-mode vectors (the gains
+    and the standard deviations), dense ones full matrices.
     """
 
     prior: GaussianPrior
@@ -95,22 +90,18 @@ class PosteriorFactor:
     epsilon: float
     gain: np.ndarray
     root: np.ndarray
-    variances: Optional[np.ndarray] = None
-    covariance: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if (self.variances is None) == (self.covariance is None):
-            raise ConfigurationError("exactly one covariance representation must be given")
-        for name in ("gain", "root", "variances", "covariance"):
+        for name in ("gain", "root"):
             array = getattr(self, name)
-            if array is not None and array.flags.writeable:
+            if array.flags.writeable:
                 frozen = array.copy()
                 frozen.flags.writeable = False
                 object.__setattr__(self, name, frozen)
 
     @property
     def is_diagonal(self) -> bool:
-        return self.variances is not None
+        return self.root.ndim == 1
 
     def centred_draws(self, z: np.ndarray) -> np.ndarray:
         """Map standard normal vectors (the last axis of ``z``) to centred posterior draws."""
@@ -119,7 +110,7 @@ class PosteriorFactor:
         return z @ self.root.T
 
     def weighted_spectrum(self, weights: np.ndarray) -> np.ndarray:
-        """Eigenvalues mu of W^{1/2} Sigma W^{1/2} for W = diag(weights).
+        """Eigenvalues mu of W^{1/2} R R^T W^{1/2} for W = diag(weights).
 
         A centred draw f has sum_j weights_j f_j^2 distributed as
         sum_k mu_k Z_k^2 with Z iid standard normal.  Dense path: the squared
@@ -136,14 +127,14 @@ class PosteriorFactor:
         return s**2
 
     def functional_variance(self, psi: CoeffVector) -> float:
-        """Posterior variance psi^T Sigma psi of the functional <f, psi>; data-independent."""
+        """Posterior variance |R^T psi|^2 of the functional <f, psi>; data-independent."""
         if not self.prior.basis.compatible(psi.basis):
             raise ShapeError("functional lives on a different basis than the posterior")
         if self.is_diagonal:
-            var = float(np.dot(self.variances, psi.coeffs**2))
+            spread = self.root * psi.coeffs
         else:
-            var = float(psi.coeffs @ self.covariance @ psi.coeffs)
-        return max(var, 0.0)
+            spread = psi.coeffs @ self.root
+        return float(np.dot(spread, spread))
 
     def update_block(self, data: np.ndarray) -> np.ndarray:
         """Posterior means K M for data vectors along the last axis of ``data``.
@@ -161,20 +152,11 @@ class PosteriorFactor:
             return self.gain * data
         return np.matmul(self.gain, data[..., None])[..., 0]
 
-    def update(self, data: CoeffVector) -> "PosteriorGaussian":
-        """Posterior given one data vector: mean K M, covariance shared through this factor."""
+    def update(self, data: CoeffVector) -> CoeffVector:
+        """Posterior mean K M for one data vector M; the covariance R R^T does not depend on M."""
         if not self.prior.basis.compatible(data.basis):
             raise ShapeError("data live on a different basis than the posterior")
-        mean = self.update_block(data.coeffs)
-        return PosteriorGaussian(mean=coeff_vector(self.prior.basis, mean), factor=self)
-
-
-@dataclass(frozen=True, eq=False)
-class PosteriorGaussian:
-    """Conditional law of f given the data: mean plus the data-independent factor."""
-
-    mean: CoeffVector
-    factor: PosteriorFactor
+        return coeff_vector(self.prior.basis, self.update_block(data.coeffs))
 
 
 def _check_compatible(prior: GaussianPrior, op: ForwardOperator, obs: Observation) -> None:
@@ -185,7 +167,7 @@ def _check_compatible(prior: GaussianPrior, op: ForwardOperator, obs: Observatio
 def posterior_factor(
     prior: GaussianPrior, op: ForwardOperator, epsilon: float
 ) -> PosteriorFactor:
-    """Gain, covariance and sampling root of the conjugate update at noise level epsilon.
+    """Gain and sampling root of the conjugate update at noise level epsilon.
 
     Diagonal path: per-mode formulas.  Dense path: with S the prior covariance
     and the singular system B = A S^{1/2} / eps = U diag(s) V^T of the whitened
@@ -202,14 +184,12 @@ def posterior_factor(
         eps2 = epsilon**2
         a = op.multipliers
         denom = a**2 * tau + eps2
-        variances = eps2 * tau / denom
         return PosteriorFactor(
             prior=prior,
             operator=op,
             epsilon=epsilon,
             gain=tau * a / denom,
-            root=np.sqrt(variances),
-            variances=variances,
+            root=np.sqrt(eps2 * tau / denom),
         )
     prior_sd = np.sqrt(tau)
     try:
@@ -220,21 +200,19 @@ def posterior_factor(
         ) from exc
     w = prior_sd[:, None] * vt.T
     shrink = 1.0 + s**2
-    root = w / np.sqrt(shrink)
     return PosteriorFactor(
         prior=prior,
         operator=op,
         epsilon=epsilon,
         gain=(w * (s / shrink)) @ u.T / epsilon,
-        root=root,
-        covariance=root @ root.T,
+        root=w / np.sqrt(shrink),
     )
 
 
 def posterior_update(
     prior: GaussianPrior, op: ForwardOperator, obs: Observation
-) -> PosteriorGaussian:
-    """Closed-form conjugate update: ``posterior_factor`` applied to the observed data."""
+) -> CoeffVector:
+    """Closed-form conjugate posterior mean: ``posterior_factor`` applied to the observed data."""
     return posterior_factor(prior, op, obs.epsilon).update(obs.data)
 
 
@@ -249,7 +227,6 @@ def tikhonov_solve(
     """
     _check_compatible(prior, op, obs)
     eps2 = obs.epsilon**2
-    n = prior.basis.n_modes
     if op.is_diagonal:
         amat = np.diag(op.multipliers)
     else:
@@ -265,22 +242,6 @@ def tikhonov_solve(
     return coeff_vector(prior.basis, solution)
 
 
-class FunctionalLaw(NamedTuple):
-    mean: float
-    variance: float
-
-
-class CredibleInterval(NamedTuple):
-    center: float
-    radius: float
-
-
-def functional_marginal(post: PosteriorGaussian, psi: CoeffVector) -> FunctionalLaw:
-    """Exact Gaussian marginal of the linear functional <f, psi> under the posterior."""
-    variance = post.factor.functional_variance(psi)
-    return FunctionalLaw(mean=float(np.dot(post.mean.coeffs, psi.coeffs)), variance=variance)
-
-
 def two_sided_quantile(level: float) -> float:
     """q with P(|Z| <= q) = level for standard normal Z."""
     if not 0.0 < level < 1.0:
@@ -289,22 +250,6 @@ def two_sided_quantile(level: float) -> float:
     if upper == 1.0:
         raise ConfigurationError(f"level {level!r} is too close to 1 for a finite quantile")
     return NormalDist().inv_cdf(upper)
-
-
-def credible_interval(
-    post: PosteriorGaussian, psi: CoeffVector, level: float
-) -> CredibleInterval:
-    """Exact central credible interval for <f, psi>: the marginal is Gaussian at finite noise."""
-    law = functional_marginal(post, psi)
-    q = two_sided_quantile(level)
-    return CredibleInterval(center=law.mean, radius=q * np.sqrt(law.variance))
-
-
-def posterior_sample(post: PosteriorGaussian, seed: int) -> CoeffVector:
-    """Exact Gaussian draw from the posterior; deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal(post.mean.basis.n_modes)
-    return coeff_vector(post.mean.basis, post.mean.coeffs + post.factor.centred_draws(z))
 
 
 def exact_ball_radius(factor: PosteriorFactor, beta: float, level: float) -> float:

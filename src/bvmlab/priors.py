@@ -1,6 +1,6 @@
-"""Matern-type Gaussian priors: sampling, RKHS norms, small-ball probability
-estimation, the concentration function, contraction-rate prediction, and the
-exact law of a Gaussian quadratic form sum_j w_j Z_j^2.
+"""Matern-type Gaussian priors: small-ball probability estimation, the
+concentration function, contraction-rate prediction, and the exact law of a
+Gaussian quadratic form sum_j w_j Z_j^2.
 """
 from __future__ import annotations
 
@@ -8,12 +8,12 @@ import enum
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, RareEventError, ShapeError
-from .spectral import BasisKind, CoeffVector, SpectralBasis, coeff_vector
+from .spectral import BasisKind, CoeffVector, SpectralBasis
 
 __all__ = [
     "GaussianPrior",
@@ -22,8 +22,6 @@ __all__ = [
     "RateBranch",
     "RatePrediction",
     "matern_prior",
-    "sample_prior",
-    "rkhs_norm",
     "truncation_tail",
     "small_ball_ladder",
     "concentration_ladder",
@@ -88,20 +86,6 @@ def matern_prior(basis: SpectralBasis, r: float, amplitude: float = 1.0) -> Gaus
     tau = amplitude * (1.0 + basis.eigenvalues) ** (-r)
     tau.flags.writeable = False
     return GaussianPrior(basis=basis, variances=tau, rkhs_exponent=float(r), amplitude=float(amplitude))
-
-
-def sample_prior(prior: GaussianPrior, seed: int) -> CoeffVector:
-    """One draw with independent N(0, tau_j) coefficients; deterministic per seed."""
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal(prior.basis.n_modes)
-    return coeff_vector(prior.basis, np.sqrt(prior.variances) * g)
-
-
-def rkhs_norm(prior: GaussianPrior, g: CoeffVector) -> float:
-    """Cameron-Martin norm sqrt(sum_j g_j^2 / tau_j)."""
-    if not prior.basis.compatible(g.basis):
-        raise ShapeError("vector lives on a different basis than the prior")
-    return float(np.sqrt(np.sum(g.coeffs**2 / prior.variances)))
 
 
 def truncation_tail(prior: GaussianPrior, terms: int = 100_000) -> float:

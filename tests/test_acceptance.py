@@ -35,9 +35,9 @@ from bvmlab.operators import (
     psido_multiplier,
 )
 from bvmlab.posterior import (
-    functional_marginal,
     noise_draw,
     observe,
+    posterior_factor,
     posterior_update,
     tikhonov_solve,
 )
@@ -123,7 +123,7 @@ def test_criterion_1_conjugacy_identity(interval):
         prior = matern_prior(op.basis, 0.8 + 1.4 * rng.random(), 0.5 + 1.5 * rng.random())
         truth = sobolev_draw(op.basis, 1.5, derive_seed(102, i))
         obs = observe(op, truth, 10.0 ** rng.uniform(-3, -1), seed=derive_seed(103, i))
-        mean = posterior_update(prior, op, obs).mean
+        mean = posterior_update(prior, op, obs)
         tik = tikhonov_solve(prior, op, obs)
         gap = np.linalg.norm(tik.coeffs - mean.coeffs) / np.linalg.norm(mean.coeffs)
         worst = max(worst, gap)
@@ -221,7 +221,7 @@ def test_criterion_6_contraction_rate_slopes(interval, bvp):
                         interval,
                         posterior_update(
                             prior, l_inv, observe(l_inv, fdag, eps, derive_seed(99, i))
-                        ).mean.coeffs
+                        ).coeffs
                         - fdag.coeffs,
                     ),
                     2.0,
@@ -401,10 +401,12 @@ def test_criterion_12_infrastructure(interval, bvp, tmp_path):
     prior = matern_prior(interval, r=1.0)
     fdag = sobolev_draw(interval, 2.0, 5)
     obs = observe(l_inv_const, fdag, 1e-3, seed=77)
-    diag_post = posterior_update(prior, l_inv_const, obs)
-    dense_post = posterior_update(prior, as_dense(l_inv_const), obs)
-    mean_gap = np.abs(dense_post.mean.coeffs - diag_post.mean.coeffs).max()
-    cov_gap = np.abs(np.diag(dense_post.factor.covariance) - diag_post.factor.variances).max()
+    diag_mean = posterior_update(prior, l_inv_const, obs)
+    dense_mean = posterior_update(prior, as_dense(l_inv_const), obs)
+    mean_gap = np.abs(dense_mean.coeffs - diag_mean.coeffs).max()
+    diag_root = posterior_factor(prior, l_inv_const, 1e-3).root
+    dense_root = posterior_factor(prior, as_dense(l_inv_const), 1e-3).root
+    cov_gap = np.abs(np.diag(dense_root @ dense_root.T) - diag_root**2).max()
     assert mean_gap <= 1e-10 and cov_gap <= 1e-10
 
     # end-to-end determinism across worker counts

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from bvmlab.bvm import (
     Construction,
     CoverageKind,
     TightnessVerdict,
-    bl_distance_upper,
     coverage_report,
     heat_psi_from_representer,
     ks_distance,
@@ -261,39 +259,6 @@ class TestKsDistance:
         law = scipy.stats.norm(scale=math.sqrt(variance))
         want = scipy.stats.kstest(samples, law.cdf).statistic
         np.testing.assert_array_max_ulp(ks_distance(samples, variance), want, maxulp=4)
-
-
-class TestBlDistance:
-    def test_exact_draws_small_bound(self):
-        rng = np.random.default_rng(99)
-        samples = rng.standard_normal(100_000)
-        assert bl_distance_upper(samples, 1.0, clip=8.0) < 0.02
-
-    def test_point_mass_mean_absolute_deviation(self):
-        samples = np.zeros(100_000)
-        bound = bl_distance_upper(samples, 1.0, clip=8.0)
-        assert bound == pytest.approx(math.sqrt(2 / math.pi), abs=1e-3)
-
-    def test_zero_only_for_matching_quantiles(self):
-        n = 1000
-        quantiles = np.array([NormalDist().inv_cdf((i + 0.5) / n) for i in range(n)])
-        assert bl_distance_upper(quantiles, 1.0) == 0.0
-        assert bl_distance_upper(quantiles + 0.1, 1.0) > 0.0
-
-    def test_capped_at_diameter(self):
-        samples = np.full(100, 1e12)
-        assert bl_distance_upper(samples, 1.0, clip=1e14) == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            bl_distance_upper([1.0], 1.0)
-        with pytest.raises(ConfigurationError):
-            bl_distance_upper([1.0, 2.0], 0.0)
-        with pytest.raises(ConfigurationError):
-            bl_distance_upper([1.0, 2.0], 1.0, clip=0.0)
-        for bad in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ConfigurationError, match="finite"):
-                bl_distance_upper([0.0, bad, 1.0], 1.0)
 
 
 class TestCoverageReport:

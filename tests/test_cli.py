@@ -142,12 +142,12 @@ class TestEmitCsv:
     def test_roundtrip_seventeen_digits(self, tmp_path):
         path = tmp_path / "x.csv"
         values = [math.pi, 1 / 3, 6.02e23, 1.7e-308]
-        rows = [(i, v) for i, v in enumerate(values)]
+        rows = list(zip(map(str, range(len(values))), cli._float_cells(np.array(values))))
         emit_csv((("idx", "value"), rows), str(path), [("key", "val")])
         metadata, header, parsed = load_csv(str(path))
         assert metadata == {"key": "val"}
         assert header == ["idx", "value"]
-        for (i, v), row in zip(rows, parsed):
+        for v, row in zip(values, parsed):
             assert float(row[1]) == v
 
     def test_empty_rejected(self, tmp_path):
@@ -156,7 +156,8 @@ class TestEmitCsv:
 
     def test_boolean_and_missing_cells(self, tmp_path):
         path = tmp_path / "x.csv"
-        emit_csv((("a", "b"), [(True, None), (False, 1.5)]), str(path))
+        rows = list(zip(cli._flag_cells(np.array([True, False])), ("", "1.5")))
+        emit_csv((("a", "b"), rows), str(path))
         _, _, rows = load_csv(str(path))
         assert rows[0] == ["true", ""]
         assert rows[1] == ["false", "1.5"]
@@ -632,7 +633,7 @@ class TestConcentration:
         _, header, rows = load_csv(str(out))
         assert header == ["delta", "approx_term", "smallball_term", "phi"]
         assert single.approx_term > 0
-        assert rows[0] == [cli._format_cell(v) for v in (0.3, *single[:3])]
+        assert rows[0] == [format(v, ".17g") for v in (0.3, *single[:3])]
 
     def test_smallball_diagnostics(self, tmp_path):
         out = tmp_path / "conc.csv"
@@ -781,7 +782,7 @@ class TestFailureExitCodes:
 
         monkeypatch.setattr(cli.os, "replace", fail_replace)
         with pytest.raises(OSError, match="disk full"):
-            emit_csv((("a",), [(1,)]), str(out))
+            emit_csv((("a",), [("1",)]), str(out))
         assert out.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["o.csv"]
         config = parse_config(MINIMAL_BVP.format(out=out))
@@ -789,7 +790,7 @@ class TestFailureExitCodes:
         assert out.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["o.csv"]
         monkeypatch.undo()
-        emit_csv((("a",), [(1,)]), str(out))
+        emit_csv((("a",), [("1",)]), str(out))
         assert out.read_text() == "a\n1\n"
         assert os.listdir(tmp_path) == ["o.csv"]
 

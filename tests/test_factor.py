@@ -109,14 +109,14 @@ def _reference_replicates(
     rows = []
     for i in indices:
         noise = posterior.noise_draw(op.basis, derive_seed(master_seed, 2 * i))
-        post = factor.update(coeff_vector(op.basis, signal.coeffs + epsilon * noise.coeffs))
+        mean = factor.update(coeff_vector(op.basis, signal.coeffs + epsilon * noise.coeffs))
         ball_covered = None
         if ball_beta is not None:
             distance = dual_norm(
-                coeff_vector(op.basis, f_dagger.coeffs - post.mean.coeffs), ball_beta
+                coeff_vector(op.basis, f_dagger.coeffs - mean.coeffs), ball_beta
             )
             ball_covered = bool(distance <= ball_radius)
-        means = [float(np.dot(post.mean.coeffs, tf.psi.coeffs)) for tf in functionals]
+        means = [float(np.dot(mean.coeffs, tf.psi.coeffs)) for tf in functionals]
         rows.append(
             (
                 i,
@@ -168,7 +168,7 @@ def test_update_block_matches_update_bitwise(request, setup):
     means = factor.update_block(data)
     assert means.shape == data.shape
     for mean, row in zip(means, data):
-        single = factor.update(coeff_vector(op.basis, row)).mean.coeffs
+        single = factor.update(coeff_vector(op.basis, row)).coeffs
         assert mean.tobytes() == single.tobytes()
 
 
@@ -194,7 +194,7 @@ output_path={tmp_path / "rates.csv"}
     want = []
     for i in indices:
         obs = posterior.observe(context.forward, context.truth, 1e-3, derive_seed(5, i))
-        mean = factor.update(obs.data).mean
+        mean = factor.update(obs.data)
         want.append(dual_norm(coeff_vector(context.basis, mean.coeffs - context.truth.coeffs), 2.0))
     assert [repr(e) for e in chunk.columns["dual_error"].tolist()] == [repr(e) for e in want]
     assert chunk.rows == [
@@ -252,16 +252,18 @@ def test_dense_factor_identities(dense_setup, epsilon):
     factor = posterior_factor(prior, op, epsilon)
     amat, tau = op.matrix, prior.variances
     prior_cov = np.diag(tau)
-    # the data-space form K = S A^T (A S A^T + eps^2 I)^{-1}, kept here as the oracle
+    # the data-space forms K = S A^T (A S A^T + eps^2 I)^{-1} and Sigma = S - K A S,
+    # kept here as the oracle
     data_cov = amat @ prior_cov @ amat.T + epsilon**2 * np.eye(len(tau))
     want_gain = np.linalg.solve(data_cov, amat @ prior_cov).T
     gap = np.linalg.norm(factor.gain - want_gain) / np.linalg.norm(want_gain)
     assert gap <= 1e-10
+    covariance = factor.root @ factor.root.T
     np.testing.assert_allclose(
-        factor.root @ factor.root.T, factor.covariance, rtol=0, atol=1e-15 * tau.sum()
+        covariance, prior_cov - want_gain @ amat @ prior_cov, rtol=0, atol=1e-14 * tau.sum()
     )
     # the data shrink the prior: S - Sigma is positive semidefinite
-    assert np.linalg.eigvalsh(prior_cov - factor.covariance)[0] >= -1e-12 * tau.sum()
+    assert np.linalg.eigvalsh(prior_cov - covariance)[0] >= -1e-12 * tau.sum()
 
 
 def test_rates_factor_once_per_epsilon(tmp_path, monkeypatch):

@@ -18,13 +18,10 @@ from bvmlab.operators import (
 )
 from bvmlab.posterior import (
     Observation,
-    credible_interval,
     exact_ball_radius,
-    functional_marginal,
     noise_draw,
     observe,
     posterior_factor,
-    posterior_sample,
     posterior_update,
     tikhonov_solve,
     two_sided_quantile,
@@ -79,54 +76,48 @@ class TestObservation:
         )
 
     def test_epsilon_must_be_positive(self, interval):
-        with pytest.raises(ConfigurationError):
-            Observation(data=zero_vector(interval), epsilon=0.0)
+        for epsilon in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                Observation(data=zero_vector(interval), epsilon=epsilon)
 
 
 class TestPosteriorUpdate:
     def test_scalar_conjugate_gaussian(self):
         prior, op, obs = scalar_setup(2.0)
-        post = posterior_update(prior, op, obs)
-        assert post.mean.coeffs[0] == pytest.approx(1.0, rel=1e-15)
-        assert post.factor.variances[0] == pytest.approx(0.5, rel=1e-15)
+        assert posterior_update(prior, op, obs).coeffs[0] == pytest.approx(1.0, rel=1e-15)
+        root = posterior_factor(prior, op, obs.epsilon).root
+        assert root[0] ** 2 == pytest.approx(0.5, rel=1e-15)
 
     def test_dense_path_matches_diagonal(self, interval, prior, bvp_inv):
         f = sobolev_draw(interval, 2.0, 3)
         obs = observe(bvp_inv, f, 1e-2, seed=5)
-        diag_post = posterior_update(prior, bvp_inv, obs)
-        dense_post = posterior_update(prior, as_dense(bvp_inv), obs)
         np.testing.assert_allclose(
-            dense_post.mean.coeffs, diag_post.mean.coeffs, atol=1e-10
+            posterior_update(prior, as_dense(bvp_inv), obs).coeffs,
+            posterior_update(prior, bvp_inv, obs).coeffs,
+            atol=1e-10,
         )
-        np.testing.assert_allclose(
-            np.diag(dense_post.factor.covariance), diag_post.factor.variances, atol=1e-10
-        )
-        off = dense_post.factor.covariance - np.diag(np.diag(dense_post.factor.covariance))
-        assert np.abs(off).max() <= 1e-10
+        diag_root = posterior_factor(prior, bvp_inv, 1e-2).root
+        dense_root = posterior_factor(prior, as_dense(bvp_inv), 1e-2).root
+        np.testing.assert_allclose(dense_root @ dense_root.T, np.diag(diag_root**2), atol=1e-10)
 
-    def test_no_information_limit(self, interval, prior, bvp_inv):
-        f = sobolev_draw(interval, 2.0, 3)
-        obs = observe(bvp_inv, f, 1e6, seed=5)
-        post = posterior_update(prior, bvp_inv, obs)
-        np.testing.assert_allclose(post.factor.variances, prior.variances, rtol=1e-6)
+    def test_no_information_limit(self, prior, bvp_inv):
+        root = posterior_factor(prior, bvp_inv, 1e6).root
+        np.testing.assert_allclose(root**2, prior.variances, rtol=1e-6)
 
-    def test_variance_monotone_in_epsilon(self, interval, prior, bvp_inv):
-        f = sobolev_draw(interval, 2.0, 3)
-        variances = []
-        for eps in (1e-4, 1e-3, 1e-2, 1e-1, 1.0):
-            obs = observe(bvp_inv, f, eps, seed=5)
-            variances.append(posterior_update(prior, bvp_inv, obs).factor.variances)
+    def test_variance_monotone_in_epsilon(self, prior, bvp_inv):
+        variances = [
+            posterior_factor(prior, bvp_inv, eps).root ** 2
+            for eps in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+        ]
         for lo, hi in zip(variances, variances[1:]):
             assert np.all(hi > lo)
 
     def test_posterior_never_exceeds_prior_variance(self, interval, prior, bvp_inv):
-        f = sobolev_draw(interval, 2.0, 3)
-        obs = observe(bvp_inv, f, 1e-3, seed=5)
-        post = posterior_update(prior, as_dense(bvp_inv), obs)
+        factor = posterior_factor(prior, as_dense(bvp_inv), 1e-3)
         rng = np.random.default_rng(8)
         for _ in range(20):
             psi = rng.standard_normal(interval.n_modes)
-            quad_post = psi @ post.factor.covariance @ psi
+            quad_post = factor.functional_variance(coeff_vector(interval, psi))
             quad_prior = np.dot(prior.variances, psi**2)
             assert quad_post <= quad_prior + 1e-10
 
@@ -193,7 +184,7 @@ class TestTikhonovSolve:
         for seed in range(10):
             f = sobolev_draw(basis, 1.5, seed)
             obs = observe(op, f, 10 ** (-1 - 2 * (seed % 3) / 2), seed=seed)
-            mean = posterior_update(prior, op, obs).mean
+            mean = posterior_update(prior, op, obs)
             tik = tikhonov_solve(prior, op, obs)
             gap = np.linalg.norm(tik.coeffs - mean.coeffs)
             assert gap <= 1e-8 * max(np.linalg.norm(mean.coeffs), 1e-30)
@@ -213,7 +204,7 @@ class TestTikhonovSolve:
         prior = matern_prior(op.basis, r=r, amplitude=amplitude)
         truth = sobolev_draw(op.basis, 1.5, seed)
         obs = observe(op, truth, 10.0**log_epsilon, seed=seed + 1)
-        mean = posterior_update(prior, op, obs).mean
+        mean = posterior_update(prior, op, obs)
         tik = tikhonov_solve(prior, op, obs)
         gap = np.linalg.norm(tik.coeffs - mean.coeffs)
         assert gap <= 1e-8 * max(np.linalg.norm(mean.coeffs), 1e-30)
@@ -235,77 +226,71 @@ class TestTikhonovSolve:
         assert dual_norm(err, 2.0) <= 1e-3
 
 
-class TestFunctionalMarginal:
-    def test_coordinate_functional(self, interval, prior, bvp_inv):
-        f = sobolev_draw(interval, 2.0, 3)
-        post = posterior_update(prior, bvp_inv, observe(bvp_inv, f, 1e-2, seed=5))
-        law = functional_marginal(post, unit_vector(interval, 0))
-        assert law.mean == pytest.approx(post.mean.coeffs[0])
-        assert law.variance == pytest.approx(post.factor.variances[0])
+@pytest.fixture(params=["diagonal", "dense"])
+def factor(request, prior, families):
+    # the factor depends on (prior, operator, epsilon) only, so no data are needed
+    op = families["bvp" if request.param == "diagonal" else "bvp_variable"]
+    return posterior_factor(prior, op, 1e-2)
 
-    def test_variance_positive_for_nonzero_psi(self, interval, prior, bvp_inv):
-        f = sobolev_draw(interval, 2.0, 3)
-        post = posterior_update(prior, bvp_inv, observe(bvp_inv, f, 1e-2, seed=5))
+
+def _normal_equation_covariance(factor):
+    """(A^T A / eps^2 + S^{-1})^{-1}, the oracle for the covariance R R^T of the root."""
+    op = factor.operator
+    amat = np.diag(op.multipliers) if op.is_diagonal else op.matrix
+    hess = amat.T @ amat / factor.epsilon**2 + np.diag(1.0 / factor.prior.variances)
+    return np.linalg.inv(hess)
+
+
+class TestSamplingRoot:
+    def test_moments(self, factor, interval):
+        # centred draws R z have mean 0 and covariance R R^T, which must be the
+        # normal-equation covariance
+        n = 100_000
+        z = np.random.default_rng(31).standard_normal((n, interval.n_modes))
+        draws = factor.centred_draws(z)
+        var = np.diag(_normal_equation_covariance(factor))
+        se_var = var * math.sqrt(2.0 / (n - 1))
+        assert np.all(np.abs(draws.var(axis=0, ddof=1) - var) <= 3.5 * se_var)
+        assert np.all(np.abs(draws.mean(axis=0)) <= 3.5 * np.sqrt(var / n))
+
+
+class TestFunctionalVariance:
+    def test_coordinate_functional(self, prior, bvp_inv, interval):
+        factor = posterior_factor(prior, bvp_inv, 1e-2)
+        variance = factor.functional_variance(unit_vector(interval, 0))
+        assert variance == pytest.approx(factor.root[0] ** 2)
+
+    def test_matches_normal_equation_covariance(self, factor, interval):
+        psi = np.random.default_rng(2).standard_normal(interval.n_modes)
+        want = psi @ _normal_equation_covariance(factor) @ psi
+        got = factor.functional_variance(coeff_vector(interval, psi))
+        assert got == pytest.approx(want, rel=1e-10)
+
+    def test_variance_positive_for_nonzero_psi(self, factor, interval):
         rng = np.random.default_rng(2)
         psi = coeff_vector(interval, rng.standard_normal(interval.n_modes))
-        assert functional_marginal(post, psi).variance > 0
-        assert functional_marginal(post, zero_vector(interval)).variance == 0.0
+        assert factor.functional_variance(psi) > 0
+        assert factor.functional_variance(zero_vector(interval)) == 0.0
 
-    def test_against_sampling(self, prior, interval, bvp_inv):
-        f = sobolev_draw(interval, 2.0, 3)
-        post = posterior_update(prior, bvp_inv, observe(bvp_inv, f, 1e-2, seed=5))
-        psi = unit_vector(interval, 1)
-        law = functional_marginal(post, psi)
+    def test_against_sampling(self, factor, interval):
+        psi = coeff_vector(interval, np.random.default_rng(3).standard_normal(interval.n_modes))
+        variance = factor.functional_variance(psi)
         n = 100_000
-        rng = np.random.default_rng(77)
-        sd = math.sqrt(post.factor.variances[1])
-        draws = post.mean.coeffs[1] + sd * rng.standard_normal(n)
-        se_mean = math.sqrt(law.variance / n)
-        assert abs(draws.mean() - law.mean) <= 3 * se_mean
-        se_var = law.variance * math.sqrt(2.0 / (n - 1))
-        assert abs(draws.var(ddof=1) - law.variance) <= 3 * se_var
+        z = np.random.default_rng(77).standard_normal((n, interval.n_modes))
+        draws = factor.centred_draws(z) @ psi.coeffs
+        assert abs(draws.mean()) <= 3 * math.sqrt(variance / n)
+        se_var = variance * math.sqrt(2.0 / (n - 1))
+        assert abs(draws.var(ddof=1) - variance) <= 3 * se_var
 
 
-class TestCredibleInterval:
-    def test_standard_normal_radius(self):
-        prior, op, _ = scalar_setup(0.0)
-        # prior variance 2 at noise sqrt(2) puts the marginal exactly at unit variance
-        prior2 = GaussianPrior(
-            basis=prior.basis,
-            variances=np.array([2.0]),
-            rkhs_exponent=1.0,
-            amplitude=2.0,
-        )
-        obs2 = Observation(data=coeff_vector(prior.basis, [0.0]), epsilon=math.sqrt(2.0))
-        post = posterior_update(prior2, op, obs2)
-        assert post.factor.variances[0] == pytest.approx(1.0, rel=1e-14)
-        ci = credible_interval(post, unit_vector(prior.basis, 0), 0.95)
-        assert ci.radius == pytest.approx(1.959964, abs=1e-6)
-
-    def test_radius_vanishes_with_level(self):
-        prior, op, obs = scalar_setup(1.0)
-        post = posterior_update(prior, op, obs)
-        psi = unit_vector(prior.basis, 0)
-        assert credible_interval(post, psi, 1e-9).radius < 1e-8
-
-    def test_mass_identity(self, interval, prior, bvp_inv):
-        f = sobolev_draw(interval, 2.0, 3)
-        post = posterior_update(prior, bvp_inv, observe(bvp_inv, f, 1e-2, seed=5))
-        psi = unit_vector(interval, 2)
-        law = functional_marginal(post, psi)
-        for level in (0.5, 0.9, 0.95, 0.99):
-            ci = credible_interval(post, psi, level)
-            mass = 2 * scipy.stats.norm.cdf(ci.radius / math.sqrt(law.variance)) - 1
-            assert mass == pytest.approx(level, abs=1e-12)
-
-    def test_level_validation(self, interval, prior, bvp_inv):
-        f = sobolev_draw(interval, 2.0, 3)
-        post = posterior_update(prior, bvp_inv, observe(bvp_inv, f, 1e-2, seed=5))
-        with pytest.raises(ConfigurationError):
-            credible_interval(post, unit_vector(interval, 0), 1.0)
+class TestTwoSidedQuantile:
+    def test_level_validation(self):
+        for level in (0.0, 1.0):
+            with pytest.raises(ConfigurationError):
+                two_sided_quantile(level)
         # 0.5 + level / 2 rounds to 1, whose quantile is infinite
         with pytest.raises(ConfigurationError, match="too close to 1"):
-            credible_interval(post, unit_vector(interval, 0), math.nextafter(1.0, 0.0))
+            two_sided_quantile(math.nextafter(1.0, 0.0))
 
     @pytest.mark.parametrize("level", [1e-9, 0.5, 0.68, 0.9, 0.95, 0.99, 0.999999])
     def test_quantile_matches_scipy_stats_to_8_ulp(self, level):
@@ -313,55 +298,7 @@ class TestCredibleInterval:
         np.testing.assert_array_max_ulp(two_sided_quantile(level), want, maxulp=8)
 
 
-class TestPosteriorSample:
-    def test_deterministic(self, interval, prior, bvp_inv):
-        f = sobolev_draw(interval, 2.0, 3)
-        post = posterior_update(prior, bvp_inv, observe(bvp_inv, f, 1e-2, seed=5))
-        np.testing.assert_array_equal(
-            posterior_sample(post, 4).coeffs, posterior_sample(post, 4).coeffs
-        )
-
-    @pytest.mark.parametrize("dense", [False, True])
-    def test_moments(self, interval, prior, bvp_inv, dense):
-        basis = build_basis(BasisKind.DIRICHLET_SINE, 8, 8)
-        pr = matern_prior(basis, r=1.0)
-        op = elliptic_operator(EllipticCoefficient(lambda x: np.ones_like(x)), basis)[1]
-        if dense:
-            op = as_dense(op)
-        f = sobolev_draw(basis, 2.0, 3)
-        post = posterior_update(pr, op, observe(op, f, 1e-1, seed=5))
-        n = 100_000
-        # vectorised equivalent of repeated posterior_sample calls
-        rng = np.random.default_rng(31)
-        z = rng.standard_normal((n, basis.n_modes))
-        if dense:
-            draws = post.mean.coeffs[None, :] + z @ post.factor.root.T
-            var = np.diag(post.factor.covariance)
-        else:
-            draws = post.mean.coeffs[None, :] + z * np.sqrt(post.factor.variances)[None, :]
-            var = post.factor.variances
-        se_var = var * math.sqrt(2.0 / (n - 1))
-        assert np.all(np.abs(draws.var(axis=0, ddof=1) - var) <= 3.5 * se_var)
-        se_mean = np.sqrt(var / n)
-        assert np.all(np.abs(draws.mean(axis=0) - post.mean.coeffs) <= 3.5 * se_mean)
-
-    def test_sample_seed_paths_match_sampler(self, interval, prior, bvp_inv):
-        f = sobolev_draw(interval, 2.0, 3)
-        post = posterior_update(prior, bvp_inv, observe(bvp_inv, f, 1e-2, seed=5))
-        draw = posterior_sample(post, 123)
-        rng = np.random.default_rng(123)
-        z = rng.standard_normal(interval.n_modes)
-        want = post.mean.coeffs + np.sqrt(post.factor.variances) * z
-        np.testing.assert_array_equal(draw.coeffs, want)
-
-
 class TestExactBallRadius:
-    @pytest.fixture(params=["diagonal", "dense"])
-    def factor(self, request, prior, families):
-        # the radius depends on the covariance only, so no data are needed
-        op = families["bvp" if request.param == "diagonal" else "bvp_variable"]
-        return posterior_factor(prior, op, 1e-2)
-
     def test_monte_carlo_hit_rate_in_wilson_band(self, factor, interval):
         # oracle: the dual norms of 200k centred draws, counted against the radius
         level, n_draws, block = 0.95, 200_000, 20_000

@@ -6,7 +6,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvmlab.errors import ConfigurationError, RareEventError, ShapeError
+from bvmlab.errors import ConfigurationError, RareEventError
 from bvmlab.priors import (
     GaussianPrior,
     RateBranch,
@@ -14,12 +14,10 @@ from bvmlab.priors import (
     matern_prior,
     predict_rate,
     quadratic_form_quantile,
-    rkhs_norm,
-    sample_prior,
     small_ball_ladder,
     truncation_tail,
 )
-from bvmlab.spectral import BasisKind, build_basis, coeff_vector, unit_vector, zero_vector
+from bvmlab.spectral import BasisKind, build_basis, coeff_vector, zero_vector
 
 
 @pytest.fixture(scope="module")
@@ -48,56 +46,6 @@ class TestMaternPrior:
     def test_variances_nonincreasing(self, prior):
         assert np.all(np.diff(prior.variances) <= 0)
         assert np.all(prior.variances > 0)
-
-
-class TestSamplePrior:
-    def test_deterministic(self, prior):
-        a = sample_prior(prior, 7)
-        b = sample_prior(prior, 7)
-        np.testing.assert_array_equal(a.coeffs, b.coeffs)
-
-    def test_moments(self):
-        basis = build_basis(BasisKind.DIRICHLET_SINE, 8, 8)
-        prior = matern_prior(basis, r=1.0)
-        n = 100_000
-        draws = np.array([sample_prior(prior, 1000 + i).coeffs for i in range(500)])
-        # full matrix of draws via one rng is cheaper; spot check via many seeds above,
-        # moment check on a single-seeded bulk sample below
-        rng = np.random.default_rng(123)
-        bulk = np.sqrt(prior.variances)[None, :] * rng.standard_normal((n, basis.n_modes))
-        var_err = np.abs(bulk.var(axis=0, ddof=1) - prior.variances)
-        var_se = prior.variances * math.sqrt(2.0 / (n - 1))
-        assert np.all(var_err <= 3 * var_se)
-        mean_se = np.sqrt(prior.variances / n)
-        assert np.all(np.abs(bulk.mean(axis=0)) <= 3 * mean_se)
-        assert np.all(np.abs(draws.mean(axis=0)) <= 4 * np.sqrt(prior.variances / 500))
-
-    def test_mode_one_marginal_ks(self, prior):
-        draws = np.array([sample_prior(prior, 5000 + i).coeffs[0] for i in range(10_000)])
-        stat = scipy.stats.kstest(
-            draws, scipy.stats.norm(scale=math.sqrt(prior.variances[0])).cdf
-        )
-        assert stat.pvalue > 0.01
-
-
-class TestRkhsNorm:
-    def test_first_mode(self, prior, interval):
-        want = (1 + math.pi**2) ** 0.5
-        np.testing.assert_allclose(rkhs_norm(prior, unit_vector(interval, 0)), want, rtol=1e-14)
-
-    def test_zero(self, prior, interval):
-        assert rkhs_norm(prior, zero_vector(interval)) == 0.0
-
-    def test_linear_scaling(self, prior, interval):
-        rng = np.random.default_rng(0)
-        g = coeff_vector(interval, rng.standard_normal(interval.n_modes))
-        g2 = coeff_vector(interval, 2.0 * g.coeffs)
-        assert rkhs_norm(prior, g2) == pytest.approx(2.0 * rkhs_norm(prior, g), rel=1e-15)
-
-    def test_basis_mismatch(self, prior):
-        other = build_basis(BasisKind.DIRICHLET_SINE, 12, 8)
-        with pytest.raises(ShapeError):
-            rkhs_norm(prior, zero_vector(other))
 
 
 def _single_mode_prior(variance=1.0):
