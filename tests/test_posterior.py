@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from bvmlab.operators import (
 )
 from bvmlab.posterior import (
     Observation,
+    PosteriorFactor,
     exact_ball_radius,
     noise_draw,
     observe,
@@ -241,6 +243,46 @@ def _normal_equation_covariance(factor):
     return np.linalg.inv(hess)
 
 
+class TestPosteriorFactor:
+    def test_array_fields_are_gain_and_root(self):
+        names = [field.name for field in dataclasses.fields(PosteriorFactor)]
+        assert names == ["prior", "operator", "epsilon", "gain", "root"]
+
+    def test_shapes_follow_the_operator(self, factor, interval):
+        n = interval.n_modes
+        assert factor.is_diagonal == factor.operator.is_diagonal
+        shape = (n,) if factor.is_diagonal else (n, n)
+        assert factor.gain.shape == shape and factor.root.shape == shape
+
+    def test_arrays_are_frozen_copies(self, factor):
+        gain, root = factor.gain.copy(), factor.root.copy()
+        rebuilt = PosteriorFactor(
+            prior=factor.prior,
+            operator=factor.operator,
+            epsilon=factor.epsilon,
+            gain=gain,
+            root=root,
+        )
+        for name in ("gain", "root"):
+            array = getattr(rebuilt, name)
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        # the caller's arrays stay writeable and are not aliased
+        gain[0] = root[0] = 0.0
+        np.testing.assert_array_equal(rebuilt.gain, factor.gain)
+        np.testing.assert_array_equal(rebuilt.root, factor.root)
+
+    def test_basis_mismatch(self, factor):
+        other = build_basis(BasisKind.DIRICHLET_SINE, 16, 8)
+        with pytest.raises(ShapeError):
+            factor.update(zero_vector(other))
+        with pytest.raises(ShapeError):
+            factor.update_block(np.zeros((3, other.n_modes)))
+        with pytest.raises(ShapeError):
+            factor.functional_variance(zero_vector(other))
+
+
 class TestSamplingRoot:
     def test_moments(self, factor, interval):
         # centred draws R z have mean 0 and covariance R R^T, which must be the
@@ -252,6 +294,18 @@ class TestSamplingRoot:
         se_var = var * math.sqrt(2.0 / (n - 1))
         assert np.all(np.abs(draws.var(axis=0, ddof=1) - var) <= 3.5 * se_var)
         assert np.all(np.abs(draws.mean(axis=0)) <= 3.5 * np.sqrt(var / n))
+
+
+    def test_centred_draws_apply_root(self, factor, interval):
+        z = np.random.default_rng(123).standard_normal((4, interval.n_modes))
+        draws = factor.centred_draws(z)
+        if factor.is_diagonal:
+            np.testing.assert_array_equal(draws, factor.root * z)
+        else:
+            want = np.array([factor.root @ row for row in z])
+            np.testing.assert_allclose(draws, want, rtol=1e-13, atol=1e-15)
+        # a single vector maps like a row of a block
+        np.testing.assert_allclose(factor.centred_draws(z[1]), draws[1], rtol=1e-13, atol=1e-15)
 
 
 class TestFunctionalVariance:
@@ -272,6 +326,13 @@ class TestFunctionalVariance:
         assert factor.functional_variance(psi) > 0
         assert factor.functional_variance(zero_vector(interval)) == 0.0
 
+    def test_quadratic_in_psi(self, factor, interval):
+        psi = np.random.default_rng(4).standard_normal(interval.n_modes)
+        variance = factor.functional_variance(coeff_vector(interval, psi))
+        for c in (-3.0, 0.5, 2.0):
+            scaled = factor.functional_variance(coeff_vector(interval, c * psi))
+            assert scaled == pytest.approx(c**2 * variance, rel=1e-14)
+
     def test_against_sampling(self, factor, interval):
         psi = coeff_vector(interval, np.random.default_rng(3).standard_normal(interval.n_modes))
         variance = factor.functional_variance(psi)
@@ -291,6 +352,31 @@ class TestTwoSidedQuantile:
         # 0.5 + level / 2 rounds to 1, whose quantile is infinite
         with pytest.raises(ConfigurationError, match="too close to 1"):
             two_sided_quantile(math.nextafter(1.0, 0.0))
+
+    def test_standard_normal_radius(self):
+        prior, op, _ = scalar_setup(0.0)
+        # prior variance 2 at noise sqrt(2) puts the marginal exactly at unit variance
+        prior2 = GaussianPrior(
+            basis=prior.basis, variances=np.array([2.0]), rkhs_exponent=1.0, amplitude=2.0
+        )
+        factor = posterior_factor(prior2, op, math.sqrt(2.0))
+        variance = factor.functional_variance(unit_vector(prior.basis, 0))
+        assert variance == pytest.approx(1.0, rel=1e-14)
+        radius = two_sided_quantile(0.95) * math.sqrt(variance)
+        assert radius == pytest.approx(1.959964, abs=1e-6)
+
+    def test_radius_vanishes_with_level(self):
+        assert 0.0 < two_sided_quantile(1e-9) < 1e-8
+
+    def test_mass_identity(self, prior, bvp_inv, interval):
+        # the interval of half-width q sd about the posterior mean of <f, psi>
+        # carries exactly the requested posterior mass
+        factor = posterior_factor(prior, bvp_inv, 1e-2)
+        sd = math.sqrt(factor.functional_variance(unit_vector(interval, 2)))
+        for level in (0.5, 0.9, 0.95, 0.99):
+            radius = two_sided_quantile(level) * sd
+            mass = 2 * scipy.stats.norm.cdf(radius / sd) - 1
+            assert mass == pytest.approx(level, abs=1e-12)
 
     @pytest.mark.parametrize("level", [1e-9, 0.5, 0.68, 0.9, 0.95, 0.99, 0.999999])
     def test_quantile_matches_scipy_stats_to_8_ulp(self, level):
