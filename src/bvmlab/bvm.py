@@ -21,17 +21,16 @@ from .operators import (
     normal_apply,
 )
 from .posterior import (
+    PosteriorFactor,
     exact_ball_radius,
     noise_block,
-    posterior_factor,
     two_sided_quantile,
 )
-from .priors import GaussianPrior, _wilson_interval
+from .priors import _wilson_interval
 from .seeds import derive_seed
 from .spectral import CoeffVector, coeff_vector, inner
 
 __all__ = [
-    "Construction",
     "TestFunctional",
     "ReplicateTable",
     "CoverageKind",
@@ -59,11 +58,6 @@ HEAT_DECAY_CEILING = 300.0
 REPLICATE_BLOCK = 256
 
 
-class Construction(enum.Enum):
-    FROM_PSI = "from_psi"
-    FROM_REPRESENTER = "from_representer"
-
-
 @dataclass(frozen=True)
 class TestFunctional:
     """A test functional psi together with its representer and limiting variance.
@@ -75,7 +69,6 @@ class TestFunctional:
     psi: CoeffVector
     psi_tilde: CoeffVector
     limiting_variance: float
-    construction: Construction
 
 
 def _roundtrip_check(op: ForwardOperator, psi: CoeffVector, psi_tilde: CoeffVector) -> None:
@@ -112,7 +105,6 @@ def representer(
         psi=psi,
         psi_tilde=tilde,
         limiting_variance=inner(image, image),
-        construction=Construction.FROM_PSI,
     )
 
 
@@ -137,74 +129,66 @@ def heat_psi_from_representer(psi_tilde: CoeffVector, time_horizon: float) -> Te
         psi=psi,
         psi_tilde=psi_tilde,
         limiting_variance=float(np.sum(weights * psi_tilde.coeffs**2)),
-        construction=Construction.FROM_REPRESENTER,
     )
 
 
 @dataclass(frozen=True, eq=False)
 class ReplicateTable:
-    """Columnar replicate records at one noise level.
+    """Columnar replicate records of one functional at one noise level.
 
-    Row r belongs to replicate ``replicate_index[r]``.  The two-dimensional
-    columns hold one column per functional, in the order the functionals were
-    given; the ball fields are None unless a ball was requested.  The ball
-    radius depends only on the posterior covariance, so it is one number per
-    table.  The noise level, the credible level and the limiting variances are
-    recorded too, so ``coverage_report`` needs nothing but the table.
+    Row r belongs to replicate ``replicate_index[r]``; the ball fields are None
+    unless a ball was requested.  The interval and ball radii depend only on
+    the posterior covariance, so each is one number per table.  The noise
+    level, the credible level and the limiting variance are recorded too, so
+    ``coverage_report`` needs nothing but the table.
     """
 
     epsilon: float
     level: float
     replicate_index: np.ndarray  # (rows,)
-    functional_mean: np.ndarray  # (rows, functionals)
-    scaled_error: np.ndarray  # (rows, functionals)
-    hat_psi: np.ndarray  # (rows, functionals)
-    interval_covered: np.ndarray  # (rows, functionals), bool
-    interval_radius: np.ndarray  # (functionals,)
-    posterior_functional_variance: np.ndarray  # (functionals,)
-    limiting_variance: np.ndarray  # (functionals,)
+    functional_mean: np.ndarray  # (rows,)
+    scaled_error: np.ndarray  # (rows,)
+    hat_psi: np.ndarray  # (rows,)
+    interval_covered: np.ndarray  # (rows,), bool
+    interval_radius: float
+    posterior_functional_variance: float
+    limiting_variance: float
     ball_radius: Optional[float] = None
     ball_covered: Optional[np.ndarray] = None  # (rows,), bool
 
 
 def replicate_table(
-    prior: GaussianPrior,
-    op: ForwardOperator,
+    factor: PosteriorFactor,
     f_dagger: CoeffVector,
-    functionals: Sequence[TestFunctional],
-    epsilon: float,
-    n_replicates: int,
+    functional: TestFunctional,
+    indices: Sequence[int],
     level: float = 0.95,
     ball_beta: Optional[float] = None,
     master_seed: int = 0,
-    replicate_indices: Optional[Sequence[int]] = None,
 ) -> ReplicateTable:
     """Independent measurement replicates from the fixed truth, as columns.
 
-    Replicate i draws its noise from the seed ``derive_seed(master_seed, 2i)``;
-    ``replicate_indices`` lets a parallel driver run a sub-range.  The
-    posterior factor, the functional variances and the exact ball radius are
-    computed once per call.
+    The operator and the noise level are the factor's.  Replicate i draws its
+    noise from the seed ``derive_seed(master_seed, 2i)``, so a parallel driver
+    may pass any sub-range of the indices.  The functional variance and the
+    exact ball radius are computed once per call.
     Replicates are processed in blocks of ``REPLICATE_BLOCK`` rows: one noise
     block, one posterior update per row and row-local dot products, so every
     row is bitwise the same for any index split.
     """
-    if n_replicates < 1:
-        raise ConfigurationError("need at least one replicate")
+    op, epsilon = factor.operator, factor.epsilon
     if not op.basis.compatible(f_dagger.basis):
         raise ShapeError("truth lives on a different basis than the operator")
-    indices = range(n_replicates) if replicate_indices is None else replicate_indices
     q = two_sided_quantile(level)
-    factor = posterior_factor(prior, op, epsilon)
-    truth_values = np.array([inner(f_dagger, tf.psi) for tf in functionals])
-    psis = [tf.psi.coeffs for tf in functionals]
-    images = [apply(op, tf.psi_tilde).coeffs for tf in functionals]
-    variances = [factor.functional_variance(tf.psi) for tf in functionals]
-    radii = np.array([q * math.sqrt(var) for var in variances])
+    truth_value = inner(f_dagger, functional.psi)
+    psi = functional.psi.coeffs
+    image = apply(op, functional.psi_tilde).coeffs
+    variance = factor.functional_variance(functional.psi)
+    radius = q * math.sqrt(variance)
     signal = apply(op, f_dagger).coeffs
     n_rows = len(indices)
-    means = np.empty((n_rows, len(functionals)))
-    noise_terms = np.empty((n_rows, len(functionals)))
+    means = np.empty(n_rows)
+    noise_terms = np.empty(n_rows)
     ball_radius = ball_covered = None
     if ball_beta is not None:
         ball_radius = exact_ball_radius(factor, ball_beta, level)
@@ -215,9 +199,8 @@ def replicate_table(
         rows = slice(lo, lo + len(block))
         noise = noise_block(op.basis, [derive_seed(master_seed, 2 * i) for i in block])
         post_means = factor.update_block(signal + epsilon * noise)
-        for k, (psi, image) in enumerate(zip(psis, images)):
-            means[rows, k] = np.vecdot(post_means, psi)
-            noise_terms[rows, k] = np.vecdot(noise, image)
+        means[rows] = np.vecdot(post_means, psi)
+        noise_terms[rows] = np.vecdot(noise, image)
         if ball_beta is not None:
             distances[rows] = np.sqrt(np.vecdot((f_dagger.coeffs - post_means) ** 2, weights))
     if ball_beta is not None:
@@ -227,12 +210,12 @@ def replicate_table(
         level=level,
         replicate_index=np.array(indices, dtype=np.int64),
         functional_mean=means,
-        scaled_error=(means - truth_values) / epsilon,
-        hat_psi=truth_values - epsilon * noise_terms,
-        interval_covered=np.abs(truth_values - means) <= radii,
-        interval_radius=radii,
-        posterior_functional_variance=np.array(variances),
-        limiting_variance=np.array([tf.limiting_variance for tf in functionals]),
+        scaled_error=(means - truth_value) / epsilon,
+        hat_psi=truth_value - epsilon * noise_terms,
+        interval_covered=np.abs(truth_value - means) <= radius,
+        interval_radius=radius,
+        posterior_functional_variance=variance,
+        limiting_variance=functional.limiting_variance,
         ball_radius=ball_radius,
         ball_covered=ball_covered,
     )
@@ -269,7 +252,7 @@ class CoverageKind(enum.Enum):
 class CoverageReport:
     """Aggregated Monte Carlo coverage evidence for one credible-set family."""
 
-    n_replicates: int
+    replicates: int
     hit_rate: float
     wilson_low: float
     wilson_high: float
@@ -279,33 +262,28 @@ class CoverageReport:
 
 
 def coverage_report(
-    table: ReplicateTable,
-    which: CoverageKind = CoverageKind.INTERVAL,
-    functional: int = 0,
+    table: ReplicateTable, which: CoverageKind = CoverageKind.INTERVAL
 ) -> CoverageReport:
     """Hit rate with Wilson bounds, scaled mean radius, and KS distance to the limit
-    law, for the given functional's columns of the table."""
+    law, for the table's interval or ball."""
     n = len(table.replicate_index)
     if n == 0:
         raise ConfigurationError("cannot report coverage of an empty table")
     if which is CoverageKind.BALL:
         if table.ball_radius is None:
             raise ConfigurationError("ball coverage requested but the table has no ball")
-        covered, radii = table.ball_covered, table.ball_radius
+        covered, radius = table.ball_covered, table.ball_radius
     else:
-        covered = table.interval_covered[:, functional]
-        radii = table.interval_radius[functional]
+        covered, radius = table.interval_covered, table.interval_radius
     hits = int(np.count_nonzero(covered))
     low, high = _wilson_interval(hits, n)
     return CoverageReport(
-        n_replicates=n,
+        replicates=n,
         hit_rate=hits / n,
         wilson_low=low,
         wilson_high=high,
-        mean_scaled_radius=float(np.mean(radii / table.epsilon)),
-        ks_to_limit=ks_distance(
-            table.scaled_error[:, functional], table.limiting_variance[functional]
-        ),
+        mean_scaled_radius=radius / table.epsilon,
+        ks_to_limit=ks_distance(table.scaled_error, table.limiting_variance),
         target_level=table.level,
     )
 

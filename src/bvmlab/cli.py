@@ -70,7 +70,6 @@ class ExperimentContext:
     config: ExperimentConfig
     basis: spectral.SpectralBasis
     forward: operators.ForwardOperator
-    diff_op: Optional[operators.ForwardOperator]
     prior: priors.GaussianPrior
     truth: spectral.CoeffVector
     functional: Optional[bvm.TestFunctional]
@@ -79,14 +78,9 @@ class ExperimentContext:
 
 def _build_operator(config: ExperimentConfig, basis):
     if config.operator_kind == "psido":
-        t = config.operator_t
-        if t == 0.0:
-            forward = operators.identity_operator(basis)
-        else:
-            forward = operators.psido_multiplier(basis, t)
-        return forward, None, -t
+        return operators.psido_multiplier(basis, config.operator_t), -config.operator_t
     if config.operator_kind == "heat":
-        return operators.heat_semigroup(basis, config.operator_time), None, 0.0
+        return operators.heat_semigroup(basis, config.operator_time), 0.0
     if config.coefficient == "constant":
         coeff = operators.EllipticCoefficient(
             lambda x, b=config.coefficient_base: b * np.ones_like(x)
@@ -98,8 +92,7 @@ def _build_operator(config: ExperimentConfig, basis):
             ),
             floor=(config.coefficient_base - abs(config.coefficient_amplitude)) / 2,
         )
-    diff_op, solution_op = operators.elliptic_operator(coeff, basis)
-    return solution_op, diff_op, -2.0
+    return operators.elliptic_operator(coeff, basis)[1], -2.0
 
 
 def _build_truth(config: ExperimentConfig, basis) -> spectral.CoeffVector:
@@ -121,10 +114,6 @@ def _build_truth(config: ExperimentConfig, basis) -> spectral.CoeffVector:
 def _build_functional(config: ExperimentConfig, basis, forward) -> bvm.TestFunctional:
     kind = config.functional_kind
     if kind == "heat_mode":
-        if config.operator_kind != "heat":
-            raise ConfigurationError(
-                "key 'functional.kind': heat_mode requires the heat operator"
-            )
         tilde = spectral.unit_vector(basis, config.functional_mode - 1)
         return bvm.heat_psi_from_representer(tilde, config.operator_time)
     if kind == "mode":
@@ -136,10 +125,6 @@ def _build_functional(config: ExperimentConfig, basis, forward) -> bvm.TestFunct
         return bvm.representer(forward, psi, config.cond_limit)
     # smoothed_image: the functional whose image under the differential
     # operator is a band-limited bump-windowed sine
-    if config.operator_kind != "bvp":
-        raise ConfigurationError(
-            "key 'functional.kind': smoothed_image requires the elliptic operator"
-        )
     zeta = spectral.make_bump(config.functional_support, config.functional_plateau)
     window = zeta(basis.grid) * np.sin(config.functional_sine * np.pi * basis.grid)
     image = spectral.bandlimit_approx(
@@ -160,7 +145,7 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
     if config.experiment == "tightness":
         n_modes = max(n_modes, config.tightness_max_modes)
     basis = spectral.build_basis(kind, n_modes, config.oversample)
-    forward, diff_op, ambient = _build_operator(config, basis)
+    forward, ambient = _build_operator(config, basis)
     prior = priors.matern_prior(basis, config.prior_r, config.prior_amplitude)
     truth = _build_truth(config, basis)
     functional = None
@@ -170,7 +155,6 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
         config=config,
         basis=basis,
         forward=forward,
-        diff_op=diff_op,
         prior=prior,
         truth=truth,
         functional=functional,
@@ -265,36 +249,32 @@ def _flag_cells(flags: np.ndarray) -> list[str]:
 def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -> _Chunk:
     config = context.config
     table = bvm.replicate_table(
-        context.prior,
-        context.forward,
+        posterior.posterior_factor(context.prior, context.forward, epsilon),
         context.truth,
-        [context.functional],
-        epsilon,
-        config.n_replicates,
+        context.functional,
+        indices,
         level=config.level,
         ball_beta=config.ball_beta,
         master_seed=config.master_seed,
-        replicate_indices=indices,
     )
     n_rows = len(indices)
-    covered = table.interval_covered[:, 0]
-    columns = {"covered": covered}
+    columns = {"covered": table.interval_covered}
     no_ball = [""] * n_rows
     ball_cells = [no_ball, no_ball]
     if table.ball_radius is not None:
         columns["ball_covered"] = table.ball_covered
         ball_cells = [
-            _float_cells(np.array([table.ball_radius])) * n_rows,
+            [format(table.ball_radius, ".17g")] * n_rows,
             _flag_cells(table.ball_covered),
         ]
     cells = (
         [format(epsilon, ".17g")] * n_rows,
         [str(i) for i in indices],
-        _float_cells(table.functional_mean[:, 0]),
-        _float_cells(table.scaled_error[:, 0]),
-        _float_cells(table.hat_psi[:, 0]),
-        _float_cells(table.interval_radius[:1]) * n_rows,
-        _flag_cells(covered),
+        _float_cells(table.functional_mean),
+        _float_cells(table.scaled_error),
+        _float_cells(table.hat_psi),
+        [format(table.interval_radius, ".17g")] * n_rows,
+        _flag_cells(table.interval_covered),
         *ball_cells,
     )
     return _Chunk(list(zip(*cells)), columns)
@@ -409,10 +389,11 @@ def _run_rates(context: ExperimentContext, workers: int):
 
 def _run_tightness(context: ExperimentContext):
     config = context.config
-    op_l = context.diff_op
-    if op_l is None:
-        raise ConfigurationError("tightness needs the elliptic differential operator")
-    result = bvm.tightness_series(op_l, config.tightness_beta, config.tightness_max_modes)
+    # validate admits tightness only for the elliptic solution map, whose
+    # companion is the differential operator
+    result = bvm.tightness_series(
+        context.forward.companion, config.tightness_beta, config.tightness_max_modes
+    )
     rows = [(str(j), s) for j, s in enumerate(_float_cells(result.partial_sums), start=1)]
     return ("modes", "partial_sum"), rows, [("tightness_verdict", result.verdict.value)]
 

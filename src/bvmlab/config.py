@@ -91,8 +91,6 @@ _KEY_TABLE = {
     "concentration.mc_samples": ("concentration_mc_samples", _parse_int),
 }
 
-_ATTR_TO_KEY = {attr: key for key, (attr, _) in _KEY_TABLE.items()}
-
 # keys parsed by these hold floats, which must all be finite
 _FLOAT_PARSERS = (_parse_float, _parse_float_list, _parse_pair)
 
@@ -164,6 +162,12 @@ class ExperimentConfig:
         if self.functional_kind not in FUNCTIONAL_KINDS:
             raise ConfigurationError(
                 f"key 'functional.kind': unknown functional {self.functional_kind!r}"
+            )
+        # tightness sums the series of the elliptic differential operator
+        if self.experiment == "tightness" and self.operator_kind != "bvp":
+            raise ConfigurationError(
+                f"key 'operator.kind': tightness needs the elliptic operator (bvp), "
+                f"got {self.operator_kind!r}"
             )
         if self.n_modes < 1:
             raise ConfigurationError("key 'n_modes': must be a positive integer")
@@ -257,19 +261,25 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "key 'tightness.max_modes': need at least 100 modes to judge the tail"
             )
-        # the coverage functional indexes a basis of exactly n_modes modes; a
-        # functional kind paired with the wrong operator (which build_context
-        # rejects) never reads these keys
         kind, coverage = self.functional_kind, self.experiment == "coverage"
-        reads_band = kind == "sobolev" or (kind == "smoothed_image" and self.operator_kind == "bvp")
-        reads_mode = kind == "mode" or (kind == "heat_mode" and self.operator_kind == "heat")
+        if coverage and kind == "smoothed_image" and self.operator_kind != "bvp":
+            raise ConfigurationError(
+                "key 'functional.kind': smoothed_image requires the elliptic operator (bvp)"
+            )
+        if coverage and kind == "heat_mode" and self.operator_kind != "heat":
+            raise ConfigurationError(
+                "key 'functional.kind': heat_mode requires the heat operator"
+            )
+        # the coverage functional indexes a basis of exactly n_modes modes
+        reads_band = kind in ("sobolev", "smoothed_image")
+        reads_mode = kind in ("mode", "heat_mode")
         # every functional but heat_mode goes through the representer solve
-        reads_cond = reads_band or kind == "mode"
+        reads_cond = kind != "heat_mode"
         if coverage and reads_cond and self.cond_limit <= 0:
             raise ConfigurationError(
                 f"key 'operator.cond_limit': must be positive, got {self.cond_limit!r}"
             )
-        if coverage and kind == "smoothed_image" and self.operator_kind == "bvp":
+        if coverage and kind == "smoothed_image":
             _check_bump("functional", self.functional_support, self.functional_plateau)
         if coverage and reads_band and self.functional_band > self.n_modes:
             raise ConfigurationError(

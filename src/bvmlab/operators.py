@@ -34,7 +34,7 @@ __all__ = [
     "embedding_constant",
 ]
 
-# multipliers below this are stored as exact zeros and the mode flagged
+# multipliers below this are stored as exact zeros
 UNDERFLOW_FLOOR = 1e-300
 
 DEFAULT_COND_LIMIT = 1e12
@@ -52,12 +52,11 @@ class ForwardOperator:
     """Linear forward map in the spectral basis: diagonal multipliers or a dense matrix.
 
     ``companion`` links the elliptic differential operator and its solution
-    map to each other; ``smoothing_order`` is +inf for the heat semigroup.
+    map to each other.
     """
 
     basis: SpectralBasis
     label: OperatorLabel
-    smoothing_order: float
     multipliers: Optional[np.ndarray] = None
     matrix: Optional[np.ndarray] = None
     companion: Optional["ForwardOperator"] = None
@@ -86,13 +85,6 @@ class ForwardOperator:
     @property
     def is_diagonal(self) -> bool:
         return self.multipliers is not None
-
-    @property
-    def unidentifiable_modes(self) -> np.ndarray:
-        """Modes whose multiplier underflowed to zero (severely ill-posed range)."""
-        if self.is_diagonal:
-            return self.multipliers == 0.0
-        return np.zeros(self.basis.n_modes, dtype=bool)
 
     @cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray]:
@@ -134,7 +126,6 @@ def identity_operator(basis: SpectralBasis) -> ForwardOperator:
     return ForwardOperator(
         basis=basis,
         label=OperatorLabel.IDENTITY,
-        smoothing_order=0.0,
         multipliers=np.ones(basis.n_modes),
     )
 
@@ -147,7 +138,6 @@ def psido_multiplier(basis: SpectralBasis, t: float) -> ForwardOperator:
     return ForwardOperator(
         basis=basis,
         label=OperatorLabel.PSIDO,
-        smoothing_order=float(t),
         multipliers=mult,
     )
 
@@ -166,13 +156,9 @@ def elliptic_operator(
     avals = coeff.samples(basis.grid)
     if np.ptp(avals) == 0.0:
         lam = avals[0] * basis.eigenvalues
-        fwd = ForwardOperator(
-            basis=basis, label=OperatorLabel.ELLIPTIC_BVP, smoothing_order=-2.0,
-            multipliers=lam,
-        )
+        fwd = ForwardOperator(basis=basis, label=OperatorLabel.ELLIPTIC_BVP, multipliers=lam)
         inv = ForwardOperator(
-            basis=basis, label=OperatorLabel.ELLIPTIC_BVP, smoothing_order=2.0,
-            multipliers=1.0 / lam, companion=fwd,
+            basis=basis, label=OperatorLabel.ELLIPTIC_BVP, multipliers=1.0 / lam, companion=fwd,
         )
         object.__setattr__(fwd, "companion", inv)
         return fwd, inv
@@ -187,12 +173,9 @@ def elliptic_operator(
     # mat = C C^T, so mat^{-1} = C^{-T} C^{-1}
     inv_mat = chol_inv.T @ chol_inv
     inv_mat = 0.5 * (inv_mat + inv_mat.T)
-    fwd = ForwardOperator(
-        basis=basis, label=OperatorLabel.ELLIPTIC_BVP, smoothing_order=-2.0, matrix=mat,
-    )
+    fwd = ForwardOperator(basis=basis, label=OperatorLabel.ELLIPTIC_BVP, matrix=mat)
     inv = ForwardOperator(
-        basis=basis, label=OperatorLabel.ELLIPTIC_BVP, smoothing_order=2.0,
-        matrix=inv_mat, companion=fwd,
+        basis=basis, label=OperatorLabel.ELLIPTIC_BVP, matrix=inv_mat, companion=fwd,
     )
     object.__setattr__(fwd, "companion", inv)
     return fwd, inv
@@ -210,7 +193,6 @@ def heat_semigroup(basis: SpectralBasis, time_horizon: float) -> ForwardOperator
     return ForwardOperator(
         basis=basis,
         label=OperatorLabel.HEAT,
-        smoothing_order=math.inf if time_horizon > 0 else 0.0,
         multipliers=mult,
     )
 
@@ -222,7 +204,6 @@ def as_dense(op: ForwardOperator) -> ForwardOperator:
     return ForwardOperator(
         basis=op.basis,
         label=op.label,
-        smoothing_order=op.smoothing_order,
         matrix=np.diag(op.multipliers),
     )
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,11 +39,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Observation:
-    """Noisy measurement M = A f + eps * w, with its noise seed when it was simulated."""
+    """Noisy measurement M = A f + eps * w."""
 
     data: CoeffVector
     epsilon: float
-    noise_seed: Optional[int] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon > 0):
@@ -70,7 +69,7 @@ def observe(
     """Simulate one measurement from the fixed truth with a seeded noise draw."""
     w = noise_draw(op.basis, seed)
     data = coeff_vector(op.basis, apply(op, f_dagger).coeffs + epsilon * w.coeffs)
-    return Observation(data=data, epsilon=epsilon, noise_seed=seed)
+    return Observation(data=data, epsilon=epsilon)
 
 
 @dataclass(frozen=True, eq=False)

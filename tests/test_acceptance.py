@@ -8,7 +8,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.stats
 
 from bvmlab.bvm import (
     CoverageKind,
@@ -23,7 +22,7 @@ from bvmlab.bvm import (
     svd_truncated_functional,
     tightness_series,
 )
-from bvmlab.cli import load_csv, run_command
+from bvmlab.cli import run_command
 from bvmlab.config import parse_config
 from bvmlab.operators import (
     EllipticCoefficient,
@@ -95,7 +94,7 @@ def bvp_experiment(interval, bvp):
     functional = representer(l_inv, psi)
     results = {
         eps: replicate_table(
-            prior, l_inv, fdag, [functional], eps, 2000, level=0.95,
+            posterior_factor(prior, l_inv, eps), fdag, functional, range(2000), level=0.95,
             master_seed=MASTER_SEED,
         )
         for eps in EPS_LADDER
@@ -136,14 +135,14 @@ def test_criterion_2_semiparametric_bvm_bvp(bvp_experiment):
     prior, l_inv, fdag, functional, results = bvp_experiment
     sigma2 = functional.limiting_variance
     ks_values = {
-        eps: ks_distance(results[eps].scaled_error[:, 0], sigma2)
+        eps: ks_distance(results[eps].scaled_error, sigma2)
         for eps in EPS_LADDER
     }
     last_three = [ks_values[eps] for eps in EPS_LADDER[-3:]]
     assert last_three[0] >= last_three[1] >= last_three[2], f"KS not monotone: {last_three}"
     assert last_three[-1] < 0.05
     finest = results[EPS_LADDER[-1]]
-    var_ratio = finest.posterior_functional_variance[0] / (EPS_LADDER[-1] ** 2 * sigma2)
+    var_ratio = finest.posterior_functional_variance / (EPS_LADDER[-1] ** 2 * sigma2)
     assert abs(var_ratio - 1.0) <= 0.05
     report(
         "2 semiparametric BvM (elliptic solution map)",
@@ -176,9 +175,10 @@ def test_criterion_4_heat_bvm(interval):
     sigma2_oracle = math.exp(-2 * math.pi**2 * 0.1)
     assert functional.limiting_variance == pytest.approx(sigma2_oracle, rel=1e-12)
     table = replicate_table(
-        prior, op, fdag, [functional], 1e-4, 2000, level=0.95, master_seed=MASTER_SEED
+        posterior_factor(prior, op, 1e-4), fdag, functional, range(2000), level=0.95,
+        master_seed=MASTER_SEED,
     )
-    ks = ks_distance(table.scaled_error[:, 0], sigma2_oracle)
+    ks = ks_distance(table.scaled_error, sigma2_oracle)
     assert ks < 0.05
     report("4 heat-equation BvM", f"KS {ks:.4f} < 0.05 against N(0, {sigma2_oracle:.6f})")
 
@@ -198,9 +198,10 @@ def test_criterion_5_psido_bvm():
     )
     assert functional.limiting_variance == pytest.approx(sigma2_oracle, rel=1e-10)
     table = replicate_table(
-        prior, op, fdag, [functional], 1e-4, 2000, level=0.95, master_seed=MASTER_SEED
+        posterior_factor(prior, op, 1e-4), fdag, functional, range(2000), level=0.95,
+        master_seed=MASTER_SEED,
     )
-    ks = ks_distance(table.scaled_error[:, 0], sigma2_oracle)
+    ks = ks_distance(table.scaled_error, sigma2_oracle)
     assert ks < 0.05
     report("5 smoothing-multiplier BvM", f"KS {ks:.4f} < 0.05")
 
@@ -246,7 +247,7 @@ def test_criterion_7_credible_ball(bvp_experiment):
     """Dual-norm credible balls cover the truth and shrink linearly in the noise."""
     prior, l_inv, fdag, functional, _ = bvp_experiment
     table = replicate_table(
-        prior, l_inv, fdag, [functional], 3e-4, 500, level=0.95,
+        posterior_factor(prior, l_inv, 3e-4), fdag, functional, range(500), level=0.95,
         ball_beta=3.5, master_seed=MASTER_SEED,
     )
     rep = coverage_report(table, CoverageKind.BALL)
@@ -257,7 +258,7 @@ def test_criterion_7_credible_ball(bvp_experiment):
     radii = []
     for eps in slope_ladder:
         table = replicate_table(
-            prior, l_inv, fdag, [functional], eps, 50, level=0.95,
+            posterior_factor(prior, l_inv, eps), fdag, functional, range(50), level=0.95,
             ball_beta=3.5, master_seed=MASTER_SEED + 1,
         )
         radii.append(table.ball_radius)
@@ -276,7 +277,7 @@ def test_ball_coverage_below_smoothness_threshold_recorded(bvp_experiment):
     lines = []
     for beta in (2.75, 3.0):
         table = replicate_table(
-            prior, l_inv, fdag, [functional], 3e-4, 100, level=0.95,
+            posterior_factor(prior, l_inv, 3e-4), fdag, functional, range(100), level=0.95,
             ball_beta=beta, master_seed=MASTER_SEED,
         )
         rep = coverage_report(table, CoverageKind.BALL)

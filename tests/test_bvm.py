@@ -6,7 +6,6 @@ import pytest
 import scipy.stats
 
 from bvmlab.bvm import (
-    Construction,
     CoverageKind,
     TightnessVerdict,
     coverage_report,
@@ -27,7 +26,7 @@ from bvmlab.operators import (
     heat_semigroup,
     identity_operator,
 )
-from bvmlab.posterior import noise_draw, observe
+from bvmlab.posterior import noise_draw, observe, posterior_factor
 from bvmlab.priors import matern_prior
 from bvmlab.seeds import derive_seed
 from bvmlab.spectral import (
@@ -74,7 +73,6 @@ class TestRepresenter:
         psi = sobolev_draw(interval, 2.0, 0)
         tf = representer(op, psi)
         np.testing.assert_array_equal(tf.psi_tilde.coeffs, -psi.coeffs)
-        assert tf.construction is Construction.FROM_PSI
 
     def test_bvp_first_mode_closed_form(self, interval, bvp_pair):
         _, l_inv = bvp_pair
@@ -119,7 +117,6 @@ class TestHeatPsi:
         tilde = unit_vector(interval, 2)
         tf = heat_psi_from_representer(tilde, 0.0)
         np.testing.assert_array_equal(tf.psi.coeffs, -tilde.coeffs)
-        assert tf.construction is Construction.FROM_REPRESENTER
 
     def test_first_mode_weight(self, interval):
         tf = heat_psi_from_representer(unit_vector(interval, 0), 0.1)
@@ -148,11 +145,16 @@ class TestHeatPsi:
             heat_psi_from_representer(tilde, 0.1)
 
 
+def _table(setup, epsilon, n, **kwargs):
+    """``replicate_table`` over replicates ``range(n)`` of the small BVP experiment."""
+    prior, op, fdag, tf = setup
+    return replicate_table(posterior_factor(prior, op, epsilon), fdag, tf, range(n), **kwargs)
+
+
 class TestRunReplicates:
     def test_bitwise_determinism(self, setup_bvp):
-        prior, op, fdag, tf = setup_bvp
-        a = replicate_table(prior, op, fdag, [tf], 1e-3, 20, master_seed=5)
-        b = replicate_table(prior, op, fdag, [tf], 1e-3, 20, master_seed=5)
+        a = _table(setup_bvp, 1e-3, 20, master_seed=5)
+        b = _table(setup_bvp, 1e-3, 20, master_seed=5)
         for field in dataclasses.fields(a):
             x, y = getattr(a, field.name), getattr(b, field.name)
             same = x.tobytes() == y.tobytes() if isinstance(x, np.ndarray) else x == y
@@ -160,31 +162,27 @@ class TestRunReplicates:
 
     def test_index_split_invariance(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp
-        full = replicate_table(prior, op, fdag, [tf], 1e-3, 20, master_seed=5)
-        first = replicate_table(
-            prior, op, fdag, [tf], 1e-3, 20, master_seed=5, replicate_indices=range(0, 7)
-        )
-        rest = replicate_table(
-            prior, op, fdag, [tf], 1e-3, 20, master_seed=5, replicate_indices=range(7, 20)
-        )
+        factor = posterior_factor(prior, op, 1e-3)
+        full = replicate_table(factor, fdag, tf, range(20), master_seed=5)
+        first = replicate_table(factor, fdag, tf, range(0, 7), master_seed=5)
+        rest = replicate_table(factor, fdag, tf, range(7, 20), master_seed=5)
         for name in ("replicate_index", "functional_mean", "scaled_error", "hat_psi",
                      "interval_covered"):
             joined = np.concatenate([getattr(first, name), getattr(rest, name)])
             assert joined.tobytes() == getattr(full, name).tobytes(), name
-        assert full.interval_radius.tobytes() == first.interval_radius.tobytes()
+        assert repr(full.interval_radius) == repr(first.interval_radius)
 
     def test_hat_psi_recomputable_from_noise(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp
-        table = replicate_table(prior, op, fdag, [tf], 1e-3, 10, master_seed=9)
+        table = _table(setup_bvp, 1e-3, 10, master_seed=9)
         truth_val = inner(fdag, tf.psi)
         image = apply(op, tf.psi_tilde)
-        for i, hat in zip(table.replicate_index.tolist(), table.hat_psi[:, 0].tolist()):
+        for i, hat in zip(table.replicate_index.tolist(), table.hat_psi.tolist()):
             w = noise_draw(op.basis, derive_seed(9, 2 * i))
             assert hat == truth_val - table.epsilon * inner(image, w)
 
     def test_interval_coverage_smoke(self, setup_bvp):
-        prior, op, fdag, tf = setup_bvp
-        table = replicate_table(prior, op, fdag, [tf], 1e-4, 400, master_seed=1)
+        table = _table(setup_bvp, 1e-4, 400, master_seed=1)
         report = coverage_report(table, CoverageKind.INTERVAL)
         assert 0.9 <= report.hit_rate <= 1.0
         assert report.target_level == 0.95
@@ -192,41 +190,28 @@ class TestRunReplicates:
     def test_covered_flag_consistent(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp
         truth_val = inner(fdag, tf.psi)
-        table = replicate_table(prior, op, fdag, [tf], 1e-3, 20, master_seed=3)
-        radius = table.interval_radius[0]
-        for covered, mean in zip(table.interval_covered[:, 0], table.functional_mean[:, 0]):
+        table = _table(setup_bvp, 1e-3, 20, master_seed=3)
+        radius = table.interval_radius
+        for covered, mean in zip(table.interval_covered, table.functional_mean):
             assert covered == (abs(truth_val - mean) <= radius)
 
     def test_ball_fields_only_with_beta(self, setup_bvp):
-        prior, op, fdag, tf = setup_bvp
-        plain = replicate_table(prior, op, fdag, [tf], 1e-3, 3, master_seed=3)
+        plain = _table(setup_bvp, 1e-3, 3, master_seed=3)
         assert plain.ball_radius is None and plain.ball_covered is None
-        with_ball = replicate_table(
-            prior, op, fdag, [tf], 1e-3, 3, master_seed=3, ball_beta=3.5
-        )
+        with_ball = _table(setup_bvp, 1e-3, 3, master_seed=3, ball_beta=3.5)
         assert isinstance(with_ball.ball_radius, float)
         assert with_ball.ball_covered.shape == (3,)
 
     def test_centring_equivalence_shrinks(self, setup_bvp):
         # posterior-mean centring and the efficient centring agree at scale eps
-        prior, op, fdag, tf = setup_bvp
+        tf = setup_bvp[3]
         sds = []
         for eps in (1e-2, 1e-3, 1e-4):
-            table = replicate_table(prior, op, fdag, [tf], eps, 200, master_seed=8)
-            diffs = (table.functional_mean[:, 0] - table.hat_psi[:, 0]) / eps
+            table = _table(setup_bvp, eps, 200, master_seed=8)
+            diffs = (table.functional_mean - table.hat_psi) / eps
             sds.append(np.std(diffs))
         assert sds[2] <= 0.1 * math.sqrt(tf.limiting_variance)
         assert sds[0] >= sds[2]
-
-    def test_multiple_functionals(self, setup_bvp, interval):
-        prior, op, fdag, tf = setup_bvp
-        tf2 = representer(op, unit_vector(interval, 1))
-        table = replicate_table(prior, op, fdag, [tf, tf2], 1e-3, 4, master_seed=2)
-        assert table.functional_mean.shape == (4, 2)
-        assert table.limiting_variance.tolist() == [tf.limiting_variance, tf2.limiting_variance]
-        # column k is functional k's, bit for bit
-        second = replicate_table(prior, op, fdag, [tf2], 1e-3, 4, master_seed=2)
-        assert table.functional_mean[:, 1].tobytes() == second.functional_mean[:, 0].tobytes()
 
 
 class TestKsDistance:
@@ -263,8 +248,7 @@ class TestKsDistance:
 
 class TestCoverageReport:
     def test_all_covered(self, setup_bvp):
-        prior, op, fdag, tf = setup_bvp
-        table = replicate_table(prior, op, fdag, [tf], 1e-4, 50, master_seed=8)
+        table = _table(setup_bvp, 1e-4, 50, master_seed=8)
         assert np.all(table.interval_covered)
         report = coverage_report(table)
         assert report.hit_rate == 1.0
@@ -285,38 +269,19 @@ class TestCoverageReport:
         assert high == pytest.approx(0.9586, abs=3e-4)
 
     def test_empty_rejected(self, setup_bvp):
-        prior, op, fdag, tf = setup_bvp
-        table = replicate_table(prior, op, fdag, [tf], 1e-3, 3, replicate_indices=[])
+        table = _table(setup_bvp, 1e-3, 0)
         with pytest.raises(ConfigurationError, match="empty"):
             coverage_report(table)
 
     def test_ball_mode_needs_ball_fields(self, setup_bvp):
-        prior, op, fdag, tf = setup_bvp
-        table = replicate_table(prior, op, fdag, [tf], 1e-3, 3, master_seed=3)
+        table = _table(setup_bvp, 1e-3, 3, master_seed=3)
         with pytest.raises(ConfigurationError, match="ball"):
             coverage_report(table, CoverageKind.BALL)
 
     def test_ball_report(self, setup_bvp):
-        prior, op, fdag, tf = setup_bvp
-        table = replicate_table(
-            prior, op, fdag, [tf], 1e-3, 20, master_seed=3, ball_beta=3.5
-        )
+        table = _table(setup_bvp, 1e-3, 20, master_seed=3, ball_beta=3.5)
         report = coverage_report(table, CoverageKind.BALL)
         assert report.wilson_low <= report.hit_rate <= report.wilson_high
-
-    @pytest.mark.parametrize("which", list(CoverageKind))
-    def test_functional_column_matches_single_functional_table(self, setup_bvp, interval, which):
-        prior, op, fdag, tf = setup_bvp
-        # the second functional covers 13 of the 20 replicates, the first all 20
-        functionals = [tf, representer(op, unit_vector(interval, 2))]
-        kwargs = dict(master_seed=4, ball_beta=3.5)
-        table = replicate_table(prior, op, fdag, functionals, 1e-3, 20, **kwargs)
-        for k, functional in enumerate(functionals):
-            single = replicate_table(prior, op, fdag, [functional], 1e-3, 20, **kwargs)
-            # repr prints every float to full precision: field by field, bit for bit
-            assert repr(coverage_report(table, which, functional=k)) == repr(
-                coverage_report(single, which)
-            )
 
 
 class TestRateFit:

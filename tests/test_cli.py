@@ -360,6 +360,16 @@ _LATE_FAILING = [
     ("concentration", "n_modes=32\nconcentration.deltas=0.3,0", "concentration.deltas"),
     ("concentration", "n_modes=32\nconcentration.deltas=-0.1", "concentration.deltas"),
     ("tightness", "n_modes=32\ntightness.max_modes=99", "tightness.max_modes"),
+    # tightness sums the elliptic differential operator's series; the heat
+    # semigroup had none and failed unnamed, the torus raised n_modes to the
+    # even tightness.max_modes and failed on the mode count
+    ("tightness", "operator.kind=heat\nn_modes=32", "operator.kind"),
+    ("tightness", "operator.kind=psido\nn_modes=33", "operator.kind"),
+    # each of these functionals is defined for one operator only
+    ("coverage", "operator.kind=heat\nn_modes=32", "functional.kind"),
+    ("coverage", "operator.kind=psido\nn_modes=33", "functional.kind"),
+    ("coverage", "n_modes=32\nfunctional.kind=heat_mode", "functional.kind"),
+    ("coverage", "operator.kind=psido\nn_modes=33\nfunctional.kind=heat_mode", "functional.kind"),
     # every experiment builds the truth, so a bump truth's cutoff is always read
     ("tightness", "n_modes=32\ntruth.support=0.0,0.7", "truth.support"),
     ("conjugacy", "n_modes=32\ntruth.support=0.2,1.0", "truth.support"),
@@ -530,11 +540,11 @@ class TestBuildContext:
         assert context.functional.limiting_variance > 0
 
     def test_smoothed_image_needs_bvp(self):
-        config = parse_config(
-            "experiment=coverage\noperator.kind=heat\nfunctional.kind=smoothed_image\nn_modes=32\n"
-        )
-        with pytest.raises(ConfigurationError):
-            build_context(config)
+        with pytest.raises(ConfigurationError, match="key 'functional.kind'"):
+            parse_config(
+                "experiment=coverage\noperator.kind=heat\nfunctional.kind=smoothed_image\n"
+                "n_modes=32\n"
+            )
 
 
 def _run_python(script, **env_overrides):

@@ -58,7 +58,7 @@ def diag_setup():
     return prior, op, truth, tf
 
 
-# the table's columns with one entry per row, and those with one entry per functional
+# the table's columns with one entry per row, and its numbers with one value per call
 ROW_COLUMNS = (
     "replicate_index",
     "functional_mean",
@@ -67,7 +67,20 @@ ROW_COLUMNS = (
     "interval_covered",
     "ball_covered",
 )
-FUNCTIONAL_COLUMNS = ("interval_radius", "posterior_functional_variance", "limiting_variance")
+PER_CALL = (
+    "epsilon",
+    "level",
+    "interval_radius",
+    "posterior_functional_variance",
+    "limiting_variance",
+    "ball_radius",
+)
+
+
+def _table(setup, epsilon, indices, **kwargs):
+    """``replicate_table`` of a setup's functional, with the factor built at ``epsilon``."""
+    prior, op, truth, tf = setup
+    return replicate_table(posterior_factor(prior, op, epsilon), truth, tf, indices, **kwargs)
 
 
 def _rows(table):
@@ -83,25 +96,22 @@ def _rows(table):
 
 def _per_call(table):
     """Everything in the table that does not depend on the row, as one repr."""
-    values = [table.epsilon, table.level]
-    values += [getattr(table, name).tolist() for name in FUNCTIONAL_COLUMNS]
-    return repr(values + [table.ball_radius])
+    return repr([getattr(table, name) for name in PER_CALL])
 
 
 def _reference_replicates(
-    prior, op, f_dagger, functionals, epsilon, indices, level, ball_beta, master_seed
+    prior, op, f_dagger, functional, epsilon, indices, level, ball_beta, master_seed
 ):
     """One replicate at a time through the single-vector API: the oracle for the engine.
 
     Returns the rows in the form of ``_rows`` and the per-call values in the
     form of ``_per_call``.
     """
-    q = posterior.two_sided_quantile(level)
     factor = posterior_factor(prior, op, epsilon)
-    truth_values = [inner(f_dagger, tf.psi) for tf in functionals]
-    images = [apply(op, tf.psi_tilde) for tf in functionals]
-    variances = [factor.functional_variance(tf.psi) for tf in functionals]
-    radii = [q * math.sqrt(var) for var in variances]
+    truth_value = inner(f_dagger, functional.psi)
+    image = apply(op, functional.psi_tilde)
+    variance = factor.functional_variance(functional.psi)
+    radius = posterior.two_sided_quantile(level) * math.sqrt(variance)
     ball_radius = None
     if ball_beta is not None:
         ball_radius = posterior.exact_ball_radius(factor, ball_beta, level)
@@ -116,19 +126,18 @@ def _reference_replicates(
                 coeff_vector(op.basis, f_dagger.coeffs - mean.coeffs), ball_beta
             )
             ball_covered = bool(distance <= ball_radius)
-        means = [float(np.dot(mean.coeffs, tf.psi.coeffs)) for tf in functionals]
+        value = float(np.dot(mean.coeffs, functional.psi.coeffs))
         rows.append(
             (
                 i,
-                means,
-                [(m - t) / epsilon for m, t in zip(means, truth_values)],
-                [t - epsilon * inner(image, noise) for t, image in zip(truth_values, images)],
-                [bool(abs(t - m) <= r) for t, m, r in zip(truth_values, means, radii)],
+                value,
+                (value - truth_value) / epsilon,
+                truth_value - epsilon * inner(image, noise),
+                bool(abs(truth_value - value) <= radius),
                 ball_covered,
             )
         )
-    limiting = [tf.limiting_variance for tf in functionals]
-    per_call = [epsilon, level, radii, variances, limiting, ball_radius]
+    per_call = [epsilon, level, radius, variance, functional.limiting_variance, ball_radius]
     return [repr(row) for row in rows], repr(per_call)
 
 
@@ -141,19 +150,19 @@ def _reference_replicates(
 )
 def test_engine_matches_reference_loop(request, setup, ball_beta, indices):
     prior, op, truth, tf = request.getfixturevalue(setup)
-    second = representer(op, unit_vector(op.basis, 1))
     n = REPLICATE_BLOCK + 3  # crosses a row-block boundary
+    indices = range(n) if indices is None else indices
     kwargs = dict(level=0.9, ball_beta=ball_beta, master_seed=11)
-    table = replicate_table(
-        prior, op, truth, [tf, second], 1e-3, n, replicate_indices=indices, **kwargs
-    )
-    want_rows, want_per_call = _reference_replicates(
-        prior, op, truth, [tf, second], 1e-3, range(n) if indices is None else indices, **kwargs
-    )
-    assert _rows(table) == want_rows
-    assert _per_call(table) == want_per_call
-    assert table.functional_mean.shape == (len(want_rows), 2)
-    assert (table.ball_radius is None) == (ball_beta is None)
+    factor = posterior_factor(prior, op, 1e-3)
+    for functional in (tf, representer(op, unit_vector(op.basis, 1))):
+        table = replicate_table(factor, truth, functional, indices, **kwargs)
+        want_rows, want_per_call = _reference_replicates(
+            prior, op, truth, functional, 1e-3, indices, **kwargs
+        )
+        assert _rows(table) == want_rows
+        assert _per_call(table) == want_per_call
+        assert table.functional_mean.shape == (len(want_rows),)
+        assert (table.ball_radius is None) == (ball_beta is None)
 
 
 @pytest.mark.parametrize("setup", ["diag_setup", "dense_setup"])
@@ -215,33 +224,33 @@ def _count_calls(monkeypatch, module, name, counts):
 @pytest.mark.parametrize("epsilon", [1e-2, 1e-4])
 def test_replicates_match_parameter_space_solve(dense_setup, epsilon):
     prior, op, truth, tf = dense_setup
-    table = replicate_table(prior, op, truth, [tf], epsilon, 6, master_seed=3)
+    table = _table(dense_setup, epsilon, range(6), master_seed=3)
     amat = op.matrix
     hess = amat.T @ amat / epsilon**2 + np.diag(1.0 / prior.variances)
     want_var = tf.psi.coeffs @ np.linalg.solve(hess, tf.psi.coeffs)
     signal = apply(op, truth).coeffs
-    for i, mean in zip(table.replicate_index.tolist(), table.functional_mean[:, 0].tolist()):
+    for i, mean in zip(table.replicate_index.tolist(), table.functional_mean.tolist()):
         noise = posterior.noise_draw(op.basis, derive_seed(3, 2 * i))
         data = coeff_vector(op.basis, signal + epsilon * noise.coeffs)
         obs = Observation(data=data, epsilon=epsilon)
         want_mean = float(np.dot(tikhonov_solve(prior, op, obs).coeffs, tf.psi.coeffs))
         assert mean == pytest.approx(want_mean, rel=1e-10, abs=1e-14)
-    assert table.posterior_functional_variance[0] == pytest.approx(want_var, rel=1e-10)
+    assert table.posterior_functional_variance == pytest.approx(want_var, rel=1e-10)
 
 
 def test_one_factorisation_per_epsilon(dense_setup, monkeypatch):
-    prior, op, truth, tf = dense_setup
     counts = {}
     _count_calls(monkeypatch, np.linalg, "svd", counts)
     _count_calls(monkeypatch, np.linalg, "cholesky", counts)
     _count_calls(monkeypatch, np.linalg, "solve", counts)
     _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
     _count_calls(monkeypatch, np.linalg, "eigh", counts)
-    replicate_table(prior, op, truth, [tf], 1e-3, 5, master_seed=1)
-    # gain, covariance and sampling root all come from one decomposition
+    # the factor and the engine together: gain, covariance and sampling root
+    # all come from one decomposition
+    _table(dense_setup, 1e-3, range(5), master_seed=1)
     assert counts == {"svd": 1}
     counts.clear()
-    replicate_table(prior, op, truth, [tf], 1e-3, 5, ball_beta=3.5, master_seed=1)
+    _table(dense_setup, 1e-3, range(5), ball_beta=3.5, master_seed=1)
     # the ball radius adds one for the weighted spectrum, not one per replicate
     assert counts == {"svd": 2}
 
@@ -266,16 +275,21 @@ def test_dense_factor_identities(dense_setup, epsilon):
     assert np.linalg.eigvalsh(prior_cov - covariance)[0] >= -1e-12 * tau.sum()
 
 
-def test_rates_factor_once_per_epsilon(tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "lines",
+    ["experiment=rates", "experiment=coverage\nfunctional.band=8\nball_beta=3.5"],
+    ids=["rates", "coverage-ball"],
+)
+def test_rates_factor_once_per_epsilon(tmp_path, monkeypatch, lines):
     config = parse_config(
         f"""
-experiment=rates
+{lines}
 operator.kind=bvp
 operator.coefficient=sine
 n_modes=32
 n_replicates=4
 epsilons=1e-1,1e-2,1e-3
-output_path={tmp_path / "rates.csv"}
+output_path={tmp_path / "out.csv"}
 """
     )
     seen = []
@@ -291,15 +305,10 @@ output_path={tmp_path / "rates.csv"}
 
 
 def test_index_split_bitwise_with_ball(dense_setup):
-    prior, op, truth, tf = dense_setup
     kwargs = dict(ball_beta=3.5, master_seed=7)
-    full = replicate_table(prior, op, truth, [tf], 1e-3, 10, **kwargs)
-    first = replicate_table(
-        prior, op, truth, [tf], 1e-3, 10, replicate_indices=range(5), **kwargs
-    )
-    rest = replicate_table(
-        prior, op, truth, [tf], 1e-3, 10, replicate_indices=range(5, 10), **kwargs
-    )
+    full = _table(dense_setup, 1e-3, range(10), **kwargs)
+    first = _table(dense_setup, 1e-3, range(5), **kwargs)
+    rest = _table(dense_setup, 1e-3, range(5, 10), **kwargs)
     assert _rows(first) + _rows(rest) == _rows(full)
     assert _per_call(first) == _per_call(rest) == _per_call(full)
     assert isinstance(full.ball_radius, float)
@@ -307,7 +316,6 @@ def test_index_split_bitwise_with_ball(dense_setup):
 
 
 def _check_contiguous_split(setup, data, max_n, ball_beta, max_cuts=None):
-    prior, op, truth, tf = setup
     n = data.draw(st.integers(1, max_n), label="n")
     cuts = (
         data.draw(st.sets(st.integers(1, n - 1), max_size=max_cuts), label="cuts")
@@ -318,13 +326,8 @@ def _check_contiguous_split(setup, data, max_n, ball_beta, max_cuts=None):
     kwargs = dict(
         ball_beta=ball_beta, master_seed=data.draw(st.integers(0, 2**32 - 1), label="seed")
     )
-    full = replicate_table(prior, op, truth, [tf], 1e-3, n, **kwargs)
-    parts = [
-        replicate_table(
-            prior, op, truth, [tf], 1e-3, n, replicate_indices=range(lo, hi), **kwargs
-        )
-        for lo, hi in zip(bounds, bounds[1:])
-    ]
+    full = _table(setup, 1e-3, range(n), **kwargs)
+    parts = [_table(setup, 1e-3, range(lo, hi), **kwargs) for lo, hi in zip(bounds, bounds[1:])]
     assert [row for part in parts for row in _rows(part)] == _rows(full)
     assert all(_per_call(part) == _per_call(full) for part in parts)
 
@@ -345,16 +348,10 @@ def test_any_contiguous_split_is_bitwise_diagonal(diag_setup, data):
 
 
 def test_numpy_indices_match_range(dense_setup):
-    prior, op, truth, tf = dense_setup
     n = 6
-    want = replicate_table(
-        prior, op, truth, [tf], 1e-3, n, ball_beta=3.5, master_seed=7, replicate_indices=range(n)
-    )
-    got = replicate_table(
-        prior, op, truth, [tf], 1e-3, n,
-        ball_beta=3.5, master_seed=np.int64(7), replicate_indices=np.arange(n),
-    )
-    for name in ROW_COLUMNS + FUNCTIONAL_COLUMNS:
+    want = _table(dense_setup, 1e-3, range(n), ball_beta=3.5, master_seed=7)
+    got = _table(dense_setup, 1e-3, np.arange(n), ball_beta=3.5, master_seed=np.int64(7))
+    for name in ROW_COLUMNS:
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert _per_call(got) == _per_call(want)
 

@@ -91,7 +91,7 @@ class TestEllipticOperator:
         fwd, inv = bvp_pair
         assert fwd.is_diagonal and inv.is_diagonal
         assert fwd.companion is inv and inv.companion is fwd
-        assert inv.smoothing_order == 2.0
+        np.testing.assert_array_equal(inv.multipliers, 1.0 / fwd.multipliers)
 
     def test_variable_coefficient_matrix_symmetric(self, bvp_variable_pair):
         fwd, inv = bvp_variable_pair
@@ -151,14 +151,10 @@ class TestHeatSemigroup:
 
     def test_underflow_flagged(self, interval):
         op = heat_semigroup(interval, 0.5)
-        flagged = op.unidentifiable_modes
+        flagged = op.multipliers == 0.0
         assert flagged.any()
-        assert np.all(op.multipliers[flagged] == 0.0)
-        # flagged exactly where the exponent exceeds the representable range
+        # zero exactly where the exponent exceeds the representable range
         assert np.array_equal(flagged, interval.eigenvalues * 0.5 > 710)
-
-    def test_infinite_smoothing_order(self, interval):
-        assert heat_semigroup(interval, 0.1).smoothing_order == math.inf
 
 
 class TestApplyAdjoint:
