@@ -8,7 +8,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -40,6 +40,7 @@ __all__ = [
     "TightnessResult",
     "representer",
     "heat_psi_from_representer",
+    "replicate_blocks",
     "replicate_table",
     "ks_distance",
     "coverage_report",
@@ -157,6 +158,31 @@ class ReplicateTable:
     ball_covered: Optional[np.ndarray] = None  # (rows,), bool
 
 
+def replicate_blocks(
+    factor: PosteriorFactor,
+    f_dagger: CoeffVector,
+    indices: Sequence[int],
+    master_seed: int,
+) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
+    """Measurements ``A f_dagger + epsilon W`` from the fixed truth, in blocks of
+    up to ``REPLICATE_BLOCK`` replicates, with the factor's operator and epsilon.
+
+    Replicate i draws W from the seed ``derive_seed(master_seed, 2i)``, so a
+    parallel driver may pass any sub-range of the indices.  Each block yields
+    ``(rows, noise, means)``: the slice of ``indices`` it covers, its noise rows
+    and their posterior means.  The update is row-local, so every row is
+    bitwise the same for any index split.
+    """
+    op, epsilon = factor.operator, factor.epsilon
+    if not op.basis.compatible(f_dagger.basis):
+        raise ShapeError("truth lives on a different basis than the operator")
+    signal = apply(op, f_dagger).coeffs
+    for lo in range(0, len(indices), REPLICATE_BLOCK):
+        block = indices[lo : lo + REPLICATE_BLOCK]
+        noise = noise_block(op.basis, [derive_seed(master_seed, 2 * i) for i in block])
+        yield slice(lo, lo + len(block)), noise, factor.update_block(signal + epsilon * noise)
+
+
 def replicate_table(
     factor: PosteriorFactor,
     f_dagger: CoeffVector,
@@ -166,26 +192,15 @@ def replicate_table(
     ball_beta: Optional[float] = None,
     master_seed: int = 0,
 ) -> ReplicateTable:
-    """Independent measurement replicates from the fixed truth, as columns.
-
-    The operator and the noise level are the factor's.  Replicate i draws its
-    noise from the seed ``derive_seed(master_seed, 2i)``, so a parallel driver
-    may pass any sub-range of the indices.  The functional variance and the
-    exact ball radius are computed once per call.
-    Replicates are processed in blocks of ``REPLICATE_BLOCK`` rows: one noise
-    block, one posterior update per row and row-local dot products, so every
-    row is bitwise the same for any index split.
-    """
+    """The replicates of ``replicate_blocks`` scored for one functional, as columns;
+    the functional variance and the exact ball radius are computed once per call."""
     op, epsilon = factor.operator, factor.epsilon
-    if not op.basis.compatible(f_dagger.basis):
-        raise ShapeError("truth lives on a different basis than the operator")
     q = two_sided_quantile(level)
     truth_value = inner(f_dagger, functional.psi)
     psi = functional.psi.coeffs
     image = apply(op, functional.psi_tilde).coeffs
     variance = factor.functional_variance(functional.psi)
     radius = q * math.sqrt(variance)
-    signal = apply(op, f_dagger).coeffs
     n_rows = len(indices)
     means = np.empty(n_rows)
     noise_terms = np.empty(n_rows)
@@ -194,11 +209,7 @@ def replicate_table(
         ball_radius = exact_ball_radius(factor, ball_beta, level)
         distances = np.empty(n_rows)
         weights = (1.0 + op.basis.eigenvalues) ** (-ball_beta)
-    for lo in range(0, n_rows, REPLICATE_BLOCK):
-        block = indices[lo : lo + REPLICATE_BLOCK]
-        rows = slice(lo, lo + len(block))
-        noise = noise_block(op.basis, [derive_seed(master_seed, 2 * i) for i in block])
-        post_means = factor.update_block(signal + epsilon * noise)
+    for rows, noise, post_means in replicate_blocks(factor, f_dagger, indices, master_seed):
         means[rows] = np.vecdot(post_means, psi)
         noise_terms[rows] = np.vecdot(noise, image)
         if ball_beta is not None:

@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 # parallelism comes from --workers: one BLAS thread per process unless the user
 # set one; this must run before numpy loads its BLAS
@@ -62,6 +62,9 @@ COVERAGE_COLUMNS = (
     "ball_covered",
 )
 
+# the cells of a table's rows, each formatted where the row was computed
+_Rows = list[tuple[str, ...]]
+
 
 @dataclass
 class ExperimentContext:
@@ -105,8 +108,6 @@ def _build_truth(config: ExperimentConfig, basis) -> spectral.CoeffVector:
         return spectral.coeff_vector(basis, config.truth_scale * draw.coeffs)
     coeffs = np.zeros(basis.n_modes)
     for mode, value in zip(config.truth_modes, config.truth_values):
-        if not 1 <= mode <= basis.n_modes:
-            raise ConfigurationError(f"key 'truth.modes': mode {mode} out of range")
         coeffs[mode - 1] = value
     return spectral.coeff_vector(basis, config.truth_scale * coeffs)
 
@@ -230,14 +231,6 @@ def _base_metadata(context: ExperimentContext) -> list[tuple[str, str]]:
     return items
 
 
-class _Chunk(NamedTuple):
-    """Rows of one (epsilon, replicate chunk), with every cell formatted in the
-    process that computed it, and the raw columns the parent summarises."""
-
-    rows: list[tuple[str, ...]]
-    columns: dict[str, np.ndarray]
-
-
 def _float_cells(values: np.ndarray) -> list[str]:
     return [format(x, ".17g") for x in values.tolist()]
 
@@ -246,7 +239,7 @@ def _flag_cells(flags: np.ndarray) -> list[str]:
     return ["true" if flag else "false" for flag in flags.tolist()]
 
 
-def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -> _Chunk:
+def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -> _Rows:
     config = context.config
     table = bvm.replicate_table(
         posterior.posterior_factor(context.prior, context.forward, epsilon),
@@ -258,11 +251,9 @@ def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -
         master_seed=config.master_seed,
     )
     n_rows = len(indices)
-    columns = {"covered": table.interval_covered}
     no_ball = [""] * n_rows
     ball_cells = [no_ball, no_ball]
     if table.ball_radius is not None:
-        columns["ball_covered"] = table.ball_covered
         ball_cells = [
             [format(table.ball_radius, ".17g")] * n_rows,
             _flag_cells(table.ball_covered),
@@ -277,29 +268,19 @@ def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -
         _flag_cells(table.interval_covered),
         *ball_cells,
     )
-    return _Chunk(list(zip(*cells)), columns)
+    return list(zip(*cells))
 
 
-def _rates_rows(context: ExperimentContext, epsilon: float, indices: range) -> _Chunk:
+def _rates_rows(context: ExperimentContext, epsilon: float, indices: range) -> _Rows:
     factor = posterior.posterior_factor(context.prior, context.forward, epsilon)
-    signal = operators.apply(context.forward, context.truth).coeffs
     # the dual norm of beta = 2, as spectral.dual_norm computes it, one row at a time
     weights = (1.0 + context.basis.eigenvalues) ** -2.0
     errors = np.empty(len(indices))
-    for lo in range(0, len(indices), bvm.REPLICATE_BLOCK):
-        block = indices[lo : lo + bvm.REPLICATE_BLOCK]
-        seeds = [derive_seed(context.config.master_seed, i) for i in block]
-        noise = posterior.noise_block(context.basis, seeds)
-        means = factor.update_block(signal + epsilon * noise)
-        errors[lo : lo + len(block)] = np.sqrt(
-            np.vecdot((means - context.truth.coeffs) ** 2, weights)
-        )
-    cells = (
-        [format(epsilon, ".17g")] * len(indices),
-        [str(i) for i in indices],
-        _float_cells(errors),
-    )
-    return _Chunk(list(zip(*cells)), {"dual_error": errors})
+    blocks = bvm.replicate_blocks(factor, context.truth, indices, context.config.master_seed)
+    for rows, _, means in blocks:
+        errors[rows] = np.sqrt(np.vecdot((means - context.truth.coeffs) ** 2, weights))
+    cells = ([format(epsilon, ".17g")] * len(indices), map(str, indices), _float_cells(errors))
+    return list(zip(*cells))
 
 
 def _chunks(n: int, workers: int) -> list[range]:
@@ -317,14 +298,15 @@ def _worker_context(config_text: str) -> ExperimentContext:
     return build_context(parse_config(config_text))
 
 
-def _run_chunk(payload) -> _Chunk:
+def _run_chunk(payload) -> _Rows:
     config_text, row_fn, epsilon, indices = payload
     return row_fn(_worker_context(config_text), epsilon, indices)
 
 
-def _map_chunks(context: ExperimentContext, workers: int, row_fn) -> list[tuple[float, _Chunk]]:
-    """``(epsilon, row_fn(context, epsilon, indices))`` for every noise level and
-    replicate chunk, in order.
+def _map_chunks(context: ExperimentContext, workers: int, row_fn) -> _Rows:
+    """The rows of ``row_fn(context, epsilon, indices)`` for every noise level and
+    replicate chunk, in (epsilon, replicate) order: noise level k owns rows
+    ``k * n_replicates`` to ``(k + 1) * n_replicates - 1``.
 
     One worker runs in-process on ``context``; more map the chunks over a
     process pool.  Rows depend only on (epsilon, replicate index), so the
@@ -345,38 +327,39 @@ def _map_chunks(context: ExperimentContext, workers: int, row_fn) -> list[tuple[
         pool_size = min(workers, len(tasks))
         with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
             chunks = list(pool.map(_run_chunk, payloads))
-    return [(eps, chunk) for (eps, _), chunk in zip(tasks, chunks)]
+    return [row for chunk in chunks for row in chunk]
 
 
-def _joined_rows(chunks: list[tuple[float, _Chunk]]) -> list[tuple[str, ...]]:
-    return [row for _, chunk in chunks for row in chunk.rows]
+def _level_cells(rows: _Rows, n: int, column: int) -> list[list[str]]:
+    """One column's cells per noise level, for levels of ``n`` consecutive rows."""
+    return [[row[column] for row in rows[lo : lo + n]] for lo in range(0, len(rows), n)]
 
 
-def _column(chunks: list[tuple[float, _Chunk]], epsilon: float, name: str) -> np.ndarray:
-    """One raw column over every chunk of one noise level, in replicate order."""
-    return np.concatenate([chunk.columns[name] for eps, chunk in chunks if eps == epsilon])
-
-
-def _hits(chunks: list[tuple[float, _Chunk]], epsilons, name: str) -> str:
-    """True entries of a boolean column per noise level, comma-separated in order."""
-    return ",".join(str(np.count_nonzero(_column(chunks, eps, name))) for eps in epsilons)
+def _hits(rows: _Rows, n: int, column: str) -> str:
+    """"true" cells of a flag column per noise level, comma-separated in order."""
+    cells = _level_cells(rows, n, COVERAGE_COLUMNS.index(column))
+    return ",".join(str(level.count("true")) for level in cells)
 
 
 def _run_coverage(context: ExperimentContext, workers: int):
     config = context.config
-    chunks = _map_chunks(context, workers, _coverage_rows)
-    extra = [("diag.coverage_hits", _hits(chunks, config.epsilons, "covered"))]
+    rows = _map_chunks(context, workers, _coverage_rows)
+    extra = [("diag.coverage_hits", _hits(rows, config.n_replicates, "covered"))]
     if config.ball_beta is not None:
-        extra.append(("diag.ball_hits", _hits(chunks, config.epsilons, "ball_covered")))
-    return COVERAGE_COLUMNS, _joined_rows(chunks), extra
+        extra.append(("diag.ball_hits", _hits(rows, config.n_replicates, "ball_covered")))
+    return COVERAGE_COLUMNS, rows, extra
 
 
 def _run_rates(context: ExperimentContext, workers: int):
     config = context.config
-    chunks = _map_chunks(context, workers, _rates_rows)
-    mean_errors = [float(np.mean(_column(chunks, eps, "dual_error"))) for eps in config.epsilons]
+    rows = _map_chunks(context, workers, _rates_rows)
+    # the dual_error cells (column 2) reparse to the doubles they were formatted from
+    mean_errors = [
+        float(np.mean([float(cell) for cell in level]))
+        for level in _level_cells(rows, config.n_replicates, 2)
+    ]
     t_order = 2.0 if config.operator_kind == "bvp" else config.operator_t
-    predicted = priors.predict_rate(t_order, config.prior_r, config.truth_alpha, 1)
+    predicted = priors.predict_rate(t_order, config.prior_r, config.truth_alpha)
     fit = bvm.rate_fit(config.epsilons, mean_errors, predicted.exponent)
     extra = [
         ("rate_slope", format(fit.slope, ".17g")),
@@ -384,7 +367,7 @@ def _run_rates(context: ExperimentContext, workers: int):
         ("rate_predicted_exponent", format(fit.predicted_exponent, ".17g")),
         ("rate_binding_branch", predicted.which.value),
     ]
-    return ("epsilon", "replicate", "dual_error"), _joined_rows(chunks), extra
+    return ("epsilon", "replicate", "dual_error"), rows, extra
 
 
 def _run_tightness(context: ExperimentContext):

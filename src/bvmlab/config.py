@@ -216,6 +216,20 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"key 'truth.modes': modes must be distinct, got {_format_value(self.truth_modes)}"
             )
+        # the truth lives on the experiment's basis, which tightness widens
+        basis_modes = self.n_modes
+        if self.experiment == "tightness":
+            basis_modes = max(self.n_modes, self.tightness_max_modes)
+        if self.truth_kind == "modes" and not all(1 <= m <= basis_modes for m in self.truth_modes):
+            raise ConfigurationError(
+                f"key 'truth.modes': modes must lie in 1..{basis_modes}, "
+                f"got {_format_value(self.truth_modes)}"
+            )
+        # a Sobolev draw seeds NumPy's generator, which takes no negative seed
+        if self.truth_kind == "sobolev" and self.truth_seed < 0:
+            raise ConfigurationError(
+                f"key 'truth.seed': must be nonnegative, got {self.truth_seed}"
+            )
         # replicate rows are gathered per noise level, so a repeated level
         # would count its rows twice
         if self.experiment in ("coverage", "rates") and len(set(self.epsilons)) != len(
@@ -278,6 +292,10 @@ class ExperimentConfig:
         if coverage and reads_cond and self.cond_limit <= 0:
             raise ConfigurationError(
                 f"key 'operator.cond_limit': must be positive, got {self.cond_limit!r}"
+            )
+        if coverage and kind == "sobolev" and self.functional_seed < 0:
+            raise ConfigurationError(
+                f"key 'functional.seed': must be nonnegative, got {self.functional_seed}"
             )
         if coverage and kind == "smoothed_image":
             _check_bump("functional", self.functional_support, self.functional_plateau)

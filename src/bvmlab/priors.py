@@ -416,7 +416,7 @@ def quadratic_form_quantile(weights: Sequence[float], level: float) -> float:
     raise NumericalError(f"quadratic-form quantile at level {level!r} did not converge")
 
 
-def predict_rate(t: float, r: float, alpha: float, d: int = 1) -> RatePrediction:
+def predict_rate(t: float, r: float, alpha: float) -> RatePrediction:
     """Contraction-rate exponent for smoothing order t, RKHS smoothness r, truth smoothness alpha.
 
     Returns the smaller of the approximation and small-ball exponents (the
@@ -424,14 +424,12 @@ def predict_rate(t: float, r: float, alpha: float, d: int = 1) -> RatePrediction
     """
     if t < 0:
         raise ConfigurationError("smoothing order t must be nonnegative")
-    if d < 1:
-        raise ConfigurationError("dimension must be a positive integer")
-    if r <= d / 2:
-        raise ConfigurationError(f"RKHS smoothness r={r} violates r > d/2")
+    if r <= 0.5:
+        raise ConfigurationError(f"RKHS smoothness r={r} violates r > d/2 = 0.5")
     if alpha < 0 and alpha <= -t:
         raise ConfigurationError("truth smoothness must satisfy alpha > -t")
     approx_exp = (t + alpha) / (t + r)
-    smallball_exp = (t + r - d / 2) / (t + r)
+    smallball_exp = (t + r - 0.5) / (t + r)
     if approx_exp < smallball_exp:
         return RatePrediction(exponent=approx_exp, which=RateBranch.APPROX_LIMITED)
     return RatePrediction(exponent=smallball_exp, which=RateBranch.SMALL_BALL_LIMITED)

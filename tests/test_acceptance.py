@@ -212,7 +212,7 @@ def test_criterion_6_contraction_rate_slopes(interval, bvp):
     prior = matern_prior(interval, r=1.0, amplitude=1e5)
     slopes = {}
     for alpha in (2.0, 0.5):
-        predicted = predict_rate(2.0, 1.0, alpha, 1)
+        predicted = predict_rate(2.0, 1.0, alpha)
         fdag = sobolev_draw(interval, alpha, 3)
         mean_errors = []
         for eps in EPS_LADDER:

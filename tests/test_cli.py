@@ -375,6 +375,16 @@ _LATE_FAILING = [
     ("conjugacy", "n_modes=32\ntruth.support=0.2,1.0", "truth.support"),
     ("coverage", "n_modes=32\nfunctional.band=8\ntruth.plateau=0.1,0.5", "truth.plateau"),
     ("rates", "n_modes=32\ntruth.plateau=0.5,0.4", "truth.plateau"),
+    # NumPy rejected a negative seed with a traceback; a mode outside the
+    # basis failed only when the truth was built
+    ("rates", "n_modes=32\ntruth.kind=sobolev\ntruth.seed=-1", "truth.seed"),
+    (
+        "coverage",
+        "n_modes=32\nfunctional.kind=sobolev\nfunctional.band=8\nfunctional.seed=-1",
+        "functional.seed",
+    ),
+    ("coverage", "n_modes=32\nfunctional.band=8\ntruth.kind=modes\ntruth.modes=999", "truth.modes"),
+    ("coverage", "n_modes=32\nfunctional.band=8\ntruth.kind=modes\ntruth.modes=0", "truth.modes"),
     (
         "coverage",
         "n_modes=32\nfunctional.band=8\nfunctional.support=0.5,0.4",
@@ -527,6 +537,31 @@ class TestCoverageDiagnostics:
         body1 = out1.read_bytes().replace(bytes(str(out1), "utf-8"), b"OUT")
         body2 = out2.read_bytes().replace(bytes(str(out2), "utf-8"), b"OUT")
         assert body1 == body2
+
+    @pytest.mark.parametrize("coefficient", ["constant", "sine"], ids=["diagonal", "dense"])
+    def test_ball_flags_match_rates_dual_error(self, tmp_path, coefficient):
+        # rates replicate i observes the noise of coverage replicate i, so with
+        # ball_beta=2 its dual error is the distance the ball flag compares
+        text = (
+            "operator.kind=bvp\nn_modes=32\nn_replicates=60\ntruth.kind=sobolev\n"
+            f"operator.coefficient={coefficient}\nepsilons=1e-1,1e-2,1e-3\nmaster_seed=3\n"
+        )
+        cov_out, rates_out = tmp_path / "cov.csv", tmp_path / "rates.csv"
+        coverage = parse_config(
+            text + f"experiment=coverage\nfunctional.band=8\nball_beta=2\noutput_path={cov_out}\n"
+        )
+        assert run_command(coverage) == 0
+        assert run_command(parse_config(text + f"experiment=rates\noutput_path={rates_out}\n")) == 0
+        _, cov_header, cov_rows = load_csv(str(cov_out))
+        _, rates_header, rates_rows = load_csv(str(rates_out))
+        key = [cov_header.index("epsilon"), cov_header.index("replicate")]
+        radius, covered = cov_header.index("ball_radius"), cov_header.index("ball_covered")
+        assert [[r[i] for i in key] for r in cov_rows] == [r[:2] for r in rates_rows]
+        flags = [r[covered] == "true" for r in cov_rows]
+        assert flags == [
+            float(rates[2]) <= float(cov[radius]) for cov, rates in zip(cov_rows, rates_rows)
+        ]
+        assert any(flags) and not all(flags)
 
 
 class TestBuildContext:

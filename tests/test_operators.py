@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bvmlab.errors import ConfigurationError, IllPosedError, ShapeError
 from bvmlab.operators import (
     EllipticCoefficient,
-    OperatorLabel,
     adjoint_apply,
     apply,
     as_dense,

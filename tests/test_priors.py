@@ -226,7 +226,7 @@ class TestConcentrationCondition:
         prior = matern_prior(basis, r=1.0, amplitude=1e5)
         bump = analyze(make_bump((0.2, 0.7), (0.35, 0.55))(basis.grid), basis)
         f_dagger = coeff_vector(basis, 50.0 * bump.coeffs)
-        rho = predict_rate(2.0, 1.0, 2.0, 1).exponent
+        rho = predict_rate(2.0, 1.0, 2.0).exponent
         for eps in (0.3, 0.1, 0.05):
             delta = 5.0 * eps**rho
             (val,) = concentration_ladder(
@@ -288,31 +288,31 @@ class TestQuadraticFormQuantile:
 
 class TestPredictRate:
     def test_bvp_smooth_truth(self):
-        pred = predict_rate(2.0, 1.0, 2.0, 1)
+        pred = predict_rate(2.0, 1.0, 2.0)
         assert pred.exponent == pytest.approx(5.0 / 6.0)
         assert pred.which is RateBranch.SMALL_BALL_LIMITED
 
     def test_balanced_case(self):
-        pred = predict_rate(2.0, 1.0, 0.5, 1)
+        pred = predict_rate(2.0, 1.0, 0.5)
         assert pred.exponent == pytest.approx(5.0 / 6.0)
         both = (2.0 + 0.5) / (2.0 + 1.0)
         assert pred.exponent == pytest.approx(both)
 
     def test_rough_truth_is_approx_limited(self):
-        pred = predict_rate(2.0, 1.0, 0.2, 1)
+        pred = predict_rate(2.0, 1.0, 0.2)
         assert pred.which is RateBranch.APPROX_LIMITED
         assert pred.exponent == pytest.approx(2.2 / 3.0)
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
-            predict_rate(-1.0, 1.0, 1.0, 1)
+            predict_rate(-1.0, 1.0, 1.0)
         with pytest.raises(ConfigurationError):
-            predict_rate(2.0, 0.5, 1.0, 1)
+            predict_rate(2.0, 0.5, 1.0)
         with pytest.raises(ConfigurationError):
-            predict_rate(2.0, 1.0, -2.5, 1)
+            predict_rate(2.0, 1.0, -2.5)
 
     def test_negative_alpha_allowed_with_smoothing(self):
-        pred = predict_rate(2.0, 1.0, -1.0, 1)
+        pred = predict_rate(2.0, 1.0, -1.0)
         assert pred.which is RateBranch.APPROX_LIMITED
 
 
