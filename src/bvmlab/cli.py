@@ -74,28 +74,24 @@ class ExperimentContext:
     basis: spectral.SpectralBasis
     forward: operators.ForwardOperator
     prior: priors.GaussianPrior
-    truth: spectral.CoeffVector
+    truth: Optional[spectral.CoeffVector]  # None for experiments that read no truth
     functional: Optional[bvm.TestFunctional]
-    ambient_exponent: float
 
 
-def _build_operator(config: ExperimentConfig, basis):
+def _build_operator(config: ExperimentConfig, basis) -> operators.ForwardOperator:
     if config.operator_kind == "psido":
-        return operators.psido_multiplier(basis, config.operator_t), -config.operator_t
+        return operators.psido_multiplier(basis, config.operator_t)
     if config.operator_kind == "heat":
-        return operators.heat_semigroup(basis, config.operator_time), 0.0
-    if config.coefficient == "constant":
-        coeff = operators.EllipticCoefficient(
-            lambda x, b=config.coefficient_base: b * np.ones_like(x)
-        )
+        return operators.heat_semigroup(basis, config.operator_time)
+    base, amplitude = config.operator_coefficient_base, config.operator_coefficient_amplitude
+    if config.operator_coefficient == "constant":
+        coeff = operators.EllipticCoefficient(lambda x, b=base: b * np.ones_like(x))
     else:
         coeff = operators.EllipticCoefficient(
-            lambda x, b=config.coefficient_base, a=config.coefficient_amplitude: (
-                b + a * np.sin(2 * np.pi * x)
-            ),
-            floor=(config.coefficient_base - abs(config.coefficient_amplitude)) / 2,
+            lambda x, b=base, a=amplitude: b + a * np.sin(2 * np.pi * x),
+            floor=(base - abs(amplitude)) / 2,
         )
-    return operators.elliptic_operator(coeff, basis)[1], -2.0
+    return operators.elliptic_operator(coeff, basis)[1]
 
 
 def _build_truth(config: ExperimentConfig, basis) -> spectral.CoeffVector:
@@ -119,11 +115,11 @@ def _build_functional(config: ExperimentConfig, basis, forward) -> bvm.TestFunct
         return bvm.heat_psi_from_representer(tilde, config.operator_time)
     if kind == "mode":
         psi = spectral.unit_vector(basis, config.functional_mode - 1)
-        return bvm.representer(forward, psi, config.cond_limit)
+        return bvm.representer(forward, psi, config.operator_cond_limit)
     if kind == "sobolev":
         draw = spectral.sobolev_draw(basis, config.functional_alpha, config.functional_seed)
         psi = spectral.bandlimit_approx(draw, config.functional_band)
-        return bvm.representer(forward, psi, config.cond_limit)
+        return bvm.representer(forward, psi, config.operator_cond_limit)
     # smoothed_image: the functional whose image under the differential
     # operator is a band-limited bump-windowed sine
     zeta = spectral.make_bump(config.functional_support, config.functional_plateau)
@@ -132,7 +128,7 @@ def _build_functional(config: ExperimentConfig, basis, forward) -> bvm.TestFunct
         spectral.analyze(window, basis), config.functional_band
     )
     psi = operators.apply(forward, image)
-    return bvm.representer(forward, psi, config.cond_limit)
+    return bvm.representer(forward, psi, config.operator_cond_limit)
 
 
 def build_context(config: ExperimentConfig) -> ExperimentContext:
@@ -142,25 +138,14 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
         if config.operator_kind == "psido"
         else spectral.BasisKind.DIRICHLET_SINE
     )
-    n_modes = config.n_modes
-    if config.experiment == "tightness":
-        n_modes = max(n_modes, config.tightness_max_modes)
-    basis = spectral.build_basis(kind, n_modes, config.oversample)
-    forward, ambient = _build_operator(config, basis)
+    basis = spectral.build_basis(kind, config.basis_modes, config.oversample)
+    forward = _build_operator(config, basis)
     prior = priors.matern_prior(basis, config.prior_r, config.prior_amplitude)
-    truth = _build_truth(config, basis)
+    truth = _build_truth(config, basis) if config.reads_truth else None
     functional = None
     if config.experiment == "coverage":
         functional = _build_functional(config, basis, forward)
-    return ExperimentContext(
-        config=config,
-        basis=basis,
-        forward=forward,
-        prior=prior,
-        truth=truth,
-        functional=functional,
-        ambient_exponent=ambient,
-    )
+    return ExperimentContext(config, basis, forward, prior, truth, functional)
 
 
 def _csv_line(row: Sequence[str]) -> str:
@@ -217,18 +202,14 @@ def load_csv(path: str):
 
 
 def _base_metadata(context: ExperimentContext) -> list[tuple[str, str]]:
-    items = list(resolved_items(context.config))
-    items.append(("prior_tail_bound", format(priors.truncation_tail(context.prior), ".17g")))
-    items.append(
-        (
-            "embedding_constant_c",
-            format(
-                operators.embedding_constant(context.forward, context.ambient_exponent),
-                ".17g",
-            ),
-        )
-    )
-    return items
+    tail = priors.truncation_tail(context.prior)
+    # in the forward map's weak norm, which contraction and concentration use too
+    c = operators.embedding_constant(context.forward, context.config.ambient_exponent)
+    return [
+        *resolved_items(context.config),
+        ("prior_tail_bound", format(tail, ".17g")),
+        ("embedding_constant_c", format(c, ".17g")),
+    ]
 
 
 def _float_cells(values: np.ndarray) -> list[str]:
@@ -358,8 +339,7 @@ def _run_rates(context: ExperimentContext, workers: int):
         float(np.mean([float(cell) for cell in level]))
         for level in _level_cells(rows, config.n_replicates, 2)
     ]
-    t_order = 2.0 if config.operator_kind == "bvp" else config.operator_t
-    predicted = priors.predict_rate(t_order, config.prior_r, config.truth_alpha)
+    predicted = priors.predict_rate(-config.ambient_exponent, config.prior_r, config.truth_alpha)
     fit = bvm.rate_fit(config.epsilons, mean_errors, predicted.exponent)
     extra = [
         ("rate_slope", format(fit.slope, ".17g")),
@@ -388,7 +368,7 @@ def _run_concentration(context: ExperimentContext):
         context.prior,
         context.truth,
         deltas,
-        config.concentration_ambient,
+        config.ambient_exponent,
         config.concentration_mc_samples,
         derive_seed(config.master_seed, 0),
     )

@@ -1,15 +1,20 @@
 """Flat key=value experiment configuration with section prefixes.
 
-Unknown keys are rejected by name; defaults are applied at parse time and
-echoed into every output file's metadata block.
+``ExperimentConfig`` is the only description of the keys: each field is one
+key, spelled as the key with its section dot replaced by ``_``
+(``operator.cond_limit`` is the field ``operator_cond_limit``), parsed by its
+annotation, and listed in field order.  Unknown keys are rejected by name;
+defaults are applied at parse time and echoed into every output file's
+metadata block.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 from .errors import ConfigurationError
+from .operators import EllipticCoefficient
 
 __all__ = ["ExperimentConfig", "parse_config", "resolved_items"]
 
@@ -19,14 +24,6 @@ EXPERIMENTS = ("coverage", "rates", "tightness", "concentration", "conjugacy")
 OPERATOR_KINDS = ("psido", "bvp", "heat")
 TRUTH_KINDS = ("bump", "sobolev", "modes")
 FUNCTIONAL_KINDS = ("smoothed_image", "mode", "heat_mode", "sobolev")
-
-
-def _parse_float(text: str) -> float:
-    return float(text)
-
-
-def _parse_int(text: str) -> int:
-    return int(text)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -44,55 +41,18 @@ def _parse_pair(text: str) -> tuple[float, float]:
     return parts  # type: ignore[return-value]
 
 
-def _parse_str(text: str) -> str:
-    return text
-
-
-# key -> (attribute, parser)
-_KEY_TABLE = {
-    "experiment": ("experiment", _parse_str),
-    "n_modes": ("n_modes", _parse_int),
-    "oversample": ("oversample", _parse_int),
-    "master_seed": ("master_seed", _parse_int),
-    "output_path": ("output_path", _parse_str),
-    "epsilons": ("epsilons", _parse_float_list),
-    "n_replicates": ("n_replicates", _parse_int),
-    "level": ("level", _parse_float),
-    "ball_beta": ("ball_beta", _parse_float),
-    "operator.kind": ("operator_kind", _parse_str),
-    "operator.t": ("operator_t", _parse_float),
-    "operator.time": ("operator_time", _parse_float),
-    "operator.coefficient": ("coefficient", _parse_str),
-    "operator.coefficient_base": ("coefficient_base", _parse_float),
-    "operator.coefficient_amplitude": ("coefficient_amplitude", _parse_float),
-    "operator.cond_limit": ("cond_limit", _parse_float),
-    "prior.r": ("prior_r", _parse_float),
-    "prior.amplitude": ("prior_amplitude", _parse_float),
-    "truth.kind": ("truth_kind", _parse_str),
-    "truth.support": ("truth_support", _parse_pair),
-    "truth.plateau": ("truth_plateau", _parse_pair),
-    "truth.scale": ("truth_scale", _parse_float),
-    "truth.alpha": ("truth_alpha", _parse_float),
-    "truth.seed": ("truth_seed", _parse_int),
-    "truth.modes": ("truth_modes", _parse_int_list),
-    "truth.values": ("truth_values", _parse_float_list),
-    "functional.kind": ("functional_kind", _parse_str),
-    "functional.support": ("functional_support", _parse_pair),
-    "functional.plateau": ("functional_plateau", _parse_pair),
-    "functional.sine": ("functional_sine", _parse_int),
-    "functional.band": ("functional_band", _parse_int),
-    "functional.mode": ("functional_mode", _parse_int),
-    "functional.alpha": ("functional_alpha", _parse_float),
-    "functional.seed": ("functional_seed", _parse_int),
-    "tightness.beta": ("tightness_beta", _parse_float),
-    "tightness.max_modes": ("tightness_max_modes", _parse_int),
-    "concentration.deltas": ("concentration_deltas", _parse_float_list),
-    "concentration.ambient": ("concentration_ambient", _parse_float),
-    "concentration.mc_samples": ("concentration_mc_samples", _parse_int),
+# field annotation -> parser of a key's text
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "Optional[float]": float,
+    "tuple[float, ...]": _parse_float_list,
+    "tuple[int, ...]": _parse_int_list,
+    "tuple[float, float]": _parse_pair,
 }
 
-# keys parsed by these hold floats, which must all be finite
-_FLOAT_PARSERS = (_parse_float, _parse_float_list, _parse_pair)
+_SECTIONS = ("operator", "prior", "truth", "functional", "tightness", "concentration")
 
 
 @dataclass
@@ -111,10 +71,10 @@ class ExperimentConfig:
     operator_kind: str = "bvp"
     operator_t: float = 2.0
     operator_time: float = 0.1
-    coefficient: str = "constant"
-    coefficient_base: float = 1.0
-    coefficient_amplitude: float = 0.5
-    cond_limit: float = 1e12
+    operator_coefficient: str = "constant"
+    operator_coefficient_base: float = 1.0
+    operator_coefficient_amplitude: float = 0.5
+    operator_cond_limit: float = 1e12
     prior_r: float = 1.0
     prior_amplitude: float = 1.0
     truth_kind: str = "bump"
@@ -136,18 +96,37 @@ class ExperimentConfig:
     tightness_beta: float = 3.5
     tightness_max_modes: int = 400
     concentration_deltas: tuple[float, ...] = (0.5, 0.35, 0.25, 0.18)
-    concentration_ambient: float = -2.0
     concentration_mc_samples: int = 100_000
 
+    @property
+    def basis_modes(self) -> int:
+        """Mode count of the experiment's basis, which tightness widens to its series."""
+        if self.experiment == "tightness":
+            return max(self.n_modes, self.tightness_max_modes)
+        return self.n_modes
+
+    @property
+    def ambient_exponent(self) -> float:
+        """Sobolev exponent of the weak norm the forward map is measured in:
+        H^{-t} for the order-t multiplier, H^{-2} for the elliptic solution
+        map, L^2 for the heat semigroup."""
+        if self.operator_kind == "psido":
+            return -self.operator_t
+        return -2.0 if self.operator_kind == "bvp" else 0.0
+
+    @property
+    def reads_truth(self) -> bool:
+        """Tightness and conjugacy never read the configured truth."""
+        return self.experiment in ("coverage", "rates", "concentration")
+
     def validate(self) -> None:
-        for key, (attr, parser) in _KEY_TABLE.items():
+        for key, (attr, _) in _KEY_TABLE.items():
             value = getattr(self, attr)
-            if parser in _FLOAT_PARSERS and value is not None:
-                values = value if isinstance(value, tuple) else (value,)
-                if not all(math.isfinite(v) for v in values):
-                    raise ConfigurationError(
-                        f"key '{key}': values must be finite, got {_format_value(value)}"
-                    )
+            values = value if isinstance(value, tuple) else (value,)
+            if not all(math.isfinite(v) for v in values if isinstance(v, float)):
+                raise ConfigurationError(
+                    f"key '{key}': values must be finite, got {_format_value(value)}"
+                )
         if self.experiment not in EXPERIMENTS:
             raise ConfigurationError(
                 f"key 'experiment': unknown experiment {self.experiment!r}; "
@@ -191,45 +170,24 @@ class ExperimentConfig:
             )
         if not self.epsilons or any(e <= 0 for e in self.epsilons):
             raise ConfigurationError("key 'epsilons': need a nonempty list of positive values")
+        # the posterior squares each noise level, which must stay a positive double
+        if self.experiment in ("coverage", "rates") and not all(
+            0 < e * e < math.inf for e in self.epsilons
+        ):
+            raise ConfigurationError(
+                f"key 'epsilons': every squared noise level must be a positive finite double, "
+                f"got {_format_value(self.epsilons)}"
+            )
         if self.n_replicates < 1:
             raise ConfigurationError("key 'n_replicates': must be a positive integer")
         if self.ball_beta is not None and self.ball_beta < 0:
             raise ConfigurationError("key 'ball_beta': must be nonnegative")
         if self.operator_kind == "heat" and self.operator_time < 0:
             raise ConfigurationError("key 'operator.time': must be nonnegative")
-        if self.operator_kind == "bvp" and self.coefficient not in ("constant", "sine"):
-            raise ConfigurationError(
-                f"key 'operator.coefficient': unknown coefficient {self.coefficient!r}"
-            )
-        if self.coefficient == "sine" and abs(self.coefficient_amplitude) >= self.coefficient_base:
-            raise ConfigurationError(
-                "key 'operator.coefficient_amplitude': sine swing must stay below the base "
-                "(uniform ellipticity)"
-            )
-        if self.truth_kind == "bump":
-            _check_bump("truth", self.truth_support, self.truth_plateau)
-        if self.truth_kind == "modes" and len(self.truth_modes) != len(self.truth_values):
-            raise ConfigurationError(
-                "keys 'truth.modes'/'truth.values': lists must have equal length"
-            )
-        if self.truth_kind == "modes" and len(set(self.truth_modes)) != len(self.truth_modes):
-            raise ConfigurationError(
-                f"key 'truth.modes': modes must be distinct, got {_format_value(self.truth_modes)}"
-            )
-        # the truth lives on the experiment's basis, which tightness widens
-        basis_modes = self.n_modes
-        if self.experiment == "tightness":
-            basis_modes = max(self.n_modes, self.tightness_max_modes)
-        if self.truth_kind == "modes" and not all(1 <= m <= basis_modes for m in self.truth_modes):
-            raise ConfigurationError(
-                f"key 'truth.modes': modes must lie in 1..{basis_modes}, "
-                f"got {_format_value(self.truth_modes)}"
-            )
-        # a Sobolev draw seeds NumPy's generator, which takes no negative seed
-        if self.truth_kind == "sobolev" and self.truth_seed < 0:
-            raise ConfigurationError(
-                f"key 'truth.seed': must be nonnegative, got {self.truth_seed}"
-            )
+        if self.operator_kind == "bvp":
+            self._check_coefficient()
+        if self.reads_truth:
+            self._check_truth()
         # replicate rows are gathered per noise level, so a repeated level
         # would count its rows twice
         if self.experiment in ("coverage", "rates") and len(set(self.epsilons)) != len(
@@ -254,17 +212,17 @@ class ExperimentConfig:
                     f"key 'operator.t': a rate needs a smoothing order t >= 0, "
                     f"got {self.operator_t!r}"
                 )
-            t = 2.0 if self.operator_kind == "bvp" else self.operator_t
+            t = -self.ambient_exponent
             if self.truth_alpha < 0 and self.truth_alpha <= -t:
                 raise ConfigurationError(
                     f"key 'truth.alpha': a rate needs truth smoothness alpha > -t = {-t!r}, "
                     f"got {self.truth_alpha!r}"
                 )
-        if self.experiment == "concentration" and self.concentration_mc_samples < 1000:
-            raise ConfigurationError(
-                "key 'concentration.mc_samples': need at least 1000 samples"
-            )
         if self.experiment == "concentration":
+            if self.concentration_mc_samples < 1000:
+                raise ConfigurationError(
+                    "key 'concentration.mc_samples': need at least 1000 samples"
+                )
             if not self.concentration_deltas:
                 raise ConfigurationError("key 'concentration.deltas': need at least one delta")
             if any(d <= 0 for d in self.concentration_deltas):
@@ -289,9 +247,9 @@ class ExperimentConfig:
         reads_mode = kind in ("mode", "heat_mode")
         # every functional but heat_mode goes through the representer solve
         reads_cond = kind != "heat_mode"
-        if coverage and reads_cond and self.cond_limit <= 0:
+        if coverage and reads_cond and self.operator_cond_limit <= 0:
             raise ConfigurationError(
-                f"key 'operator.cond_limit': must be positive, got {self.cond_limit!r}"
+                f"key 'operator.cond_limit': must be positive, got {self.operator_cond_limit!r}"
             )
         if coverage and kind == "sobolev" and self.functional_seed < 0:
             raise ConfigurationError(
@@ -309,6 +267,60 @@ class ExperimentConfig:
                 f"key 'functional.mode': mode {self.functional_mode} is outside "
                 f"1..n_modes={self.n_modes}"
             )
+
+    def _check_coefficient(self) -> None:
+        coefficient, base = self.operator_coefficient, self.operator_coefficient_base
+        if coefficient not in ("constant", "sine"):
+            raise ConfigurationError(
+                f"key 'operator.coefficient': unknown coefficient {coefficient!r}"
+            )
+        # the constant coefficient must clear EllipticCoefficient's default
+        # floor; the sine coefficient's floor is half its minimum, base - |swing|
+        too_low = base <= 0 if coefficient == "sine" else base < EllipticCoefficient.floor
+        if too_low:
+            raise ConfigurationError(
+                f"key 'operator.coefficient_base': {base!r} leaves the {coefficient} "
+                f"coefficient below its ellipticity floor"
+            )
+        if coefficient == "sine" and abs(self.operator_coefficient_amplitude) >= base:
+            raise ConfigurationError(
+                "key 'operator.coefficient_amplitude': sine swing must stay below the base "
+                "(uniform ellipticity)"
+            )
+
+    def _check_truth(self) -> None:
+        if self.truth_kind == "bump":
+            _check_bump("truth", self.truth_support, self.truth_plateau)
+        modes = self.truth_modes
+        if self.truth_kind == "modes" and len(modes) != len(self.truth_values):
+            raise ConfigurationError(
+                "keys 'truth.modes'/'truth.values': lists must have equal length"
+            )
+        if self.truth_kind == "modes" and len(set(modes)) != len(modes):
+            raise ConfigurationError(
+                f"key 'truth.modes': modes must be distinct, got {_format_value(modes)}"
+            )
+        if self.truth_kind == "modes" and not all(1 <= m <= self.basis_modes for m in modes):
+            raise ConfigurationError(
+                f"key 'truth.modes': modes must lie in 1..{self.basis_modes}, "
+                f"got {_format_value(modes)}"
+            )
+        # a Sobolev draw seeds NumPy's generator, which takes no negative seed
+        if self.truth_kind == "sobolev" and self.truth_seed < 0:
+            raise ConfigurationError(
+                f"key 'truth.seed': must be nonnegative, got {self.truth_seed}"
+            )
+
+
+def _key(attr: str) -> str:
+    section, _, rest = attr.partition("_")
+    return f"{section}.{rest}" if section in _SECTIONS else attr
+
+
+# key -> (attribute, parser), in field order
+_KEY_TABLE = {
+    _key(field.name): (field.name, _PARSERS[field.type]) for field in fields(ExperimentConfig)
+}
 
 
 def _check_bump(section: str, support: tuple[float, float], plateau: tuple[float, float]) -> None:

@@ -45,8 +45,15 @@ class Observation:
     epsilon: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ConfigurationError("noise level epsilon must be positive and finite")
+        _check_epsilon(self.epsilon)
+
+
+def _check_epsilon(epsilon: float) -> None:
+    # the update squares epsilon, which must stay a positive finite double
+    if not (epsilon > 0 and 0 < epsilon * epsilon < math.inf):
+        raise ConfigurationError(
+            f"noise level epsilon must be positive with a positive finite square, got {epsilon!r}"
+        )
 
 
 def noise_block(basis: SpectralBasis, seeds: Sequence[int]) -> np.ndarray:
@@ -176,8 +183,7 @@ def posterior_factor(
     """
     if not prior.basis.compatible(op.basis):
         raise ShapeError("prior and operator must share one basis")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ConfigurationError("noise level epsilon must be positive and finite")
+    _check_epsilon(epsilon)
     tau = prior.variances
     if op.is_diagonal:
         eps2 = epsilon**2

@@ -275,23 +275,12 @@ def make_bump(support: tuple[float, float], plateau: tuple[float, float]) -> Bum
     return BumpCutoff(support=(a, b), plateau=(p, q))
 
 
-def bandlimit_approx(
-    f: CoeffVector, cutoff_freq: int, zeta: BumpCutoff | None = None
-) -> CoeffVector:
-    """Low-pass projection to modes with |frequency| <= cutoff_freq.
-
-    Without a cutoff function this is the exact spectral projection; with one,
-    the projected function is multiplied by zeta on the grid and re-analysed,
-    which accepts a small aliasing error at default oversampling.
-    """
+def bandlimit_approx(f: CoeffVector, cutoff_freq: int) -> CoeffVector:
+    """Exact spectral projection to modes with |frequency| <= cutoff_freq."""
     if cutoff_freq > f.basis.n_modes:
         raise ConfigurationError("cutoff_freq exceeds the number of available modes")
     keep = np.abs(f.basis.frequencies) <= cutoff_freq
-    projected = coeff_vector(f.basis, np.where(keep, f.coeffs, 0.0))
-    if zeta is None:
-        return projected
-    values = synthesize(projected, f.basis.grid) * zeta(f.basis.grid)
-    return analyze(values, f.basis)
+    return coeff_vector(f.basis, np.where(keep, f.coeffs, 0.0))
 
 
 def sobolev_draw(basis: SpectralBasis, alpha: float, seed: int) -> CoeffVector:

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bvmlab
-from bvmlab import bvm, cli, priors
+from bvmlab import bvm, cli, operators, priors
 from bvmlab import config as config_module
 from bvmlab.cli import build_context, emit_csv, load_csv, main, run_command
 from bvmlab.config import parse_config, resolved_items
@@ -126,6 +126,54 @@ class TestParseConfig:
         }
         keys = {attr: key for key, (attr, _) in config_module._KEY_TABLE.items()}
         assert sorted(key for attr, key in keys.items() if attr not in read) == []
+
+    def test_key_names_are_pinned(self):
+        # the keys come from the config's field names, so renaming a field must
+        # fail here instead of silently renaming a user-facing key
+        assert tuple(config_module._KEY_TABLE) == (
+            "experiment",
+            "n_modes",
+            "oversample",
+            "master_seed",
+            "output_path",
+            "epsilons",
+            "n_replicates",
+            "level",
+            "ball_beta",
+            "operator.kind",
+            "operator.t",
+            "operator.time",
+            "operator.coefficient",
+            "operator.coefficient_base",
+            "operator.coefficient_amplitude",
+            "operator.cond_limit",
+            "prior.r",
+            "prior.amplitude",
+            "truth.kind",
+            "truth.support",
+            "truth.plateau",
+            "truth.scale",
+            "truth.alpha",
+            "truth.seed",
+            "truth.modes",
+            "truth.values",
+            "functional.kind",
+            "functional.support",
+            "functional.plateau",
+            "functional.sine",
+            "functional.band",
+            "functional.mode",
+            "functional.alpha",
+            "functional.seed",
+            "tightness.beta",
+            "tightness.max_modes",
+            "concentration.deltas",
+            "concentration.mc_samples",
+        )
+
+    def test_attribute_is_key_with_underscore(self):
+        for key, (attr, _) in config_module._KEY_TABLE.items():
+            assert attr == key.replace(".", "_")
 
     def test_even_torus_modes_rejected(self):
         with pytest.raises(ConfigurationError, match="odd"):
@@ -370,9 +418,7 @@ _LATE_FAILING = [
     ("coverage", "operator.kind=psido\nn_modes=33", "functional.kind"),
     ("coverage", "n_modes=32\nfunctional.kind=heat_mode", "functional.kind"),
     ("coverage", "operator.kind=psido\nn_modes=33\nfunctional.kind=heat_mode", "functional.kind"),
-    # every experiment builds the truth, so a bump truth's cutoff is always read
-    ("tightness", "n_modes=32\ntruth.support=0.0,0.7", "truth.support"),
-    ("conjugacy", "n_modes=32\ntruth.support=0.2,1.0", "truth.support"),
+    # coverage, rates and concentration build the truth, so its cutoff is read
     ("coverage", "n_modes=32\nfunctional.band=8\ntruth.plateau=0.1,0.5", "truth.plateau"),
     ("rates", "n_modes=32\ntruth.plateau=0.5,0.4", "truth.plateau"),
     # NumPy rejected a negative seed with a traceback; a mode outside the
@@ -413,6 +459,19 @@ _LATE_FAILING = [
         "epsilons=1e-1,1e-2,1e-3",
         "truth.alpha",
     ),
+    # epsilon**2 overflowed to a traceback, or underflowed to 0 and failed in
+    # the ball radius naming no key
+    ("coverage", "n_modes=32\nfunctional.band=8\nepsilons=1e300", "epsilons"),
+    ("rates", "n_modes=32\nepsilons=1e300,1e-2,1e-3", "epsilons"),
+    ("coverage", "n_modes=32\nfunctional.band=8\nepsilons=1e-200\nball_beta=3.5", "epsilons"),
+    # the constant coefficient sat below its ellipticity floor when the
+    # operator was built, which every experiment does
+    (
+        "coverage",
+        "n_modes=32\nfunctional.band=8\noperator.coefficient_base=0",
+        "operator.coefficient_base",
+    ),
+    ("tightness", "n_modes=32\noperator.coefficient_base=0", "operator.coefficient_base"),
 ]
 
 
@@ -475,6 +534,14 @@ class TestLateFailingKeys:
             "experiment=coverage\nn_modes=32\nfunctional.kind=mode\n"
             "functional.support=0.5,0.4\ntruth.kind=modes\ntruth.support=0,1\n"
         )
+        # only the elliptic operator reads its coefficient
+        assert parse_config(
+            "experiment=coverage\noperator.kind=psido\nn_modes=33\nfunctional.kind=mode\n"
+            "operator.coefficient=sine\noperator.coefficient_amplitude=2\n"
+        )
+        # tightness and conjugacy build no truth, so its keys are not read
+        assert parse_config("experiment=tightness\nn_modes=32\ntruth.support=0.0,0.7\n")
+        assert parse_config("experiment=conjugacy\nn_modes=32\ntruth.support=0.2,1.0\n")
         # a rate needs t >= 0 and alpha > -t, but t = 0 and alpha = 0 pass,
         # and only rates reads operator.t's sign or truth.alpha's bound
         for lines in (
@@ -671,7 +738,7 @@ class TestConcentration:
             context.prior,
             context.truth,
             (0.3,),
-            config.concentration_ambient,
+            config.ambient_exponent,
             mc_samples=5000,
             seed=derive_seed(11, 0),
         )
@@ -679,6 +746,28 @@ class TestConcentration:
         assert header == ["delta", "approx_term", "smallball_term", "phi"]
         assert single.approx_term > 0
         assert rows[0] == [format(v, ".17g") for v in (0.3, *single[:3])]
+
+    def test_psido_ladder_uses_operator_norm(self, tmp_path):
+        # the ladder and the embedding constant are measured in one norm, H^{-t}
+        out = tmp_path / "conc.csv"
+        text = CONCENTRATION.format(deltas="0.5,0.4", out=out).replace(
+            "n_modes=24", "operator.kind=psido\noperator.t=1\nn_modes=25"
+        )
+        config = parse_config(text)
+        assert run_command(config) == 0
+        context = build_context(config)
+        expected = priors.concentration_ladder(
+            context.prior, context.truth, (0.5, 0.4), -1.0, 5000, derive_seed(11, 0)
+        )
+        other = priors.concentration_ladder(
+            context.prior, context.truth, (0.5, 0.4), -2.0, 5000, derive_seed(11, 0)
+        )
+        metadata, _, rows = load_csv(str(out))
+        for row, value, wrong in zip(rows, expected, other):
+            assert row[1:] == [format(v, ".17g") for v in value[:3]]
+            assert row[1] != format(wrong.approx_term, ".17g")
+        c = operators.embedding_constant(context.forward, -1.0)
+        assert metadata["embedding_constant_c"] == format(c, ".17g")
 
     def test_smallball_diagnostics(self, tmp_path):
         out = tmp_path / "conc.csv"

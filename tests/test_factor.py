@@ -357,7 +357,8 @@ def test_numpy_indices_match_range(dense_setup):
     assert _per_call(got) == _per_call(want)
 
 
-@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf")])
+# 1e300 squares to inf and 1e-200 to 0
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf"), 1e300, 1e-200])
 def test_factor_rejects_bad_epsilon(dense_setup, epsilon):
     prior, op, _, _ = dense_setup
     with pytest.raises(ConfigurationError, match="epsilon"):

@@ -78,7 +78,8 @@ class TestObservation:
         )
 
     def test_epsilon_must_be_positive(self, interval):
-        for epsilon in (0.0, -1.0, math.inf, math.nan):
+        # 1e300 squares to inf and 1e-200 to 0
+        for epsilon in (0.0, -1.0, math.inf, math.nan, 1e300, 1e-200):
             with pytest.raises(ConfigurationError):
                 Observation(data=zero_vector(interval), epsilon=epsilon)
 

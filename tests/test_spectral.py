@@ -255,27 +255,6 @@ class TestBandlimit:
                 rhs = (1 + cutoff**2) ** (-s - alpha) * sobolev_norm(f, alpha) ** 2
                 assert lhs <= rhs
 
-    def test_grid_cutoff_multiplication(self, interval):
-        zeta = make_bump((0.2, 0.8), (0.4, 0.6))
-        f = random_bandlimited(interval, 6, max_mode=3)
-        out = bandlimit_approx(f, 4, zeta=zeta)
-        assert out.basis is interval
-        # multiplying by a [0,1]-valued cutoff cannot inflate the mass much
-        assert sobolev_norm(out, 0.0) <= sobolev_norm(f, 0.0) * (1 + 1e-6)
-
-    def test_grid_cutoff_aliasing_bound(self):
-        # coefficients of the cutoff product computed at default oversampling
-        # stay within 1e-6 of a four-times-finer quadrature
-        coarse = build_basis(BasisKind.DIRICHLET_SINE, 16, 8)
-        fine = build_basis(BasisKind.DIRICHLET_SINE, 16, 32)
-        zeta = make_bump((0.2, 0.8), (0.4, 0.6))
-        rng = np.random.default_rng(12)
-        c = rng.standard_normal(16)
-        c[4:] = 0.0
-        out_coarse = bandlimit_approx(coeff_vector(coarse, c), 4, zeta=zeta)
-        out_fine = bandlimit_approx(coeff_vector(fine, c), 4, zeta=zeta)
-        assert np.abs(out_coarse.coeffs - out_fine.coeffs).max() <= 1e-6
-
 
 class TestSobolevDraw:
     def test_unit_norm_and_determinism(self, interval):
