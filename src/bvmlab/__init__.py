@@ -10,7 +10,6 @@ small-noise limit.
 from .errors import (
     BvmlabError,
     ConfigurationError,
-    DomainError,
     IllPosedError,
     NumericalError,
     RareEventError,
@@ -22,7 +21,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BvmlabError",
     "ConfigurationError",
-    "DomainError",
     "IllPosedError",
     "NumericalError",
     "RareEventError",

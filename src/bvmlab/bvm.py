@@ -13,13 +13,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
-from .operators import (
-    ForwardOperator,
-    OperatorLabel,
-    apply,
-    fisher_solve,
-    normal_apply,
-)
+from .operators import DEFAULT_COND_LIMIT, ForwardOperator, apply, fisher_solve, normal_apply
 from .posterior import (
     PosteriorFactor,
     exact_ball_radius,
@@ -46,8 +40,6 @@ __all__ = [
     "coverage_report",
     "rate_fit",
     "tightness_series",
-    "svd_truncated_functional",
-    "oracle_truncation_level",
 ]
 
 # largest decay exponent the heat representer map evaluates before the
@@ -83,17 +75,17 @@ def _roundtrip_check(op: ForwardOperator, psi: CoeffVector, psi_tilde: CoeffVect
 
 
 def representer(
-    op: ForwardOperator, psi: CoeffVector, cond_limit: float = 1e12
+    op: ForwardOperator, psi: CoeffVector, cond_limit: float = DEFAULT_COND_LIMIT
 ) -> TestFunctional:
     """Solve psi = -A*A psi_tilde and record the limiting variance ||A psi_tilde||^2.
 
-    For the elliptic solution map the closed form psi_tilde = -L(L psi) is
-    evaluated as well and must agree with the solver path to relative 1e-8.
+    An operator with a companion C (the elliptic pair, each the inverse of
+    the other) has the closed form psi_tilde = -C(C psi) as well, which must
+    agree with the solver path to relative 1e-8.
     """
     tilde = coeff_vector(op.basis, -fisher_solve(op, psi, cond_limit).coeffs)
-    if op.label is OperatorLabel.ELLIPTIC_BVP and op.companion is not None:
-        diff_op = op.companion
-        alt = coeff_vector(op.basis, -apply(diff_op, apply(diff_op, psi)).coeffs)
+    if op.companion is not None:
+        alt = coeff_vector(op.basis, -apply(op.companion, apply(op.companion, psi)).coeffs)
         gap = np.linalg.norm(alt.coeffs - tilde.coeffs)
         scale = max(np.linalg.norm(tilde.coeffs), np.finfo(float).tiny)
         if gap > 1e-8 * scale:
@@ -384,43 +376,3 @@ def tightness_series(
         verdict = TightnessVerdict.BOUNDARY
     return TightnessResult(partial_sums=partial, verdict=verdict)
 
-
-def svd_truncated_functional(
-    op: ForwardOperator, data: CoeffVector, psi: CoeffVector, level: int
-) -> float:
-    """Spectral-cutoff least squares: invert the ``level`` best-observed modes only.
-
-    The plug-in competitor for the efficiency-floor experiment; diagonal
-    operators only (their singular system is the mode system).
-    """
-    if not op.is_diagonal:
-        raise ConfigurationError("the spectral-cutoff competitor needs a diagonal operator")
-    if not 0 <= level <= op.basis.n_modes:
-        raise ConfigurationError("truncation level out of range")
-    order = np.argsort(-np.abs(op.multipliers), kind="stable")
-    kept = order[:level]
-    estimate = np.zeros(op.basis.n_modes)
-    estimate[kept] = data.coeffs[kept] / op.multipliers[kept]
-    return float(np.dot(psi.coeffs, estimate))
-
-
-def oracle_truncation_level(
-    op: ForwardOperator, psi: CoeffVector, f_dagger: CoeffVector, epsilon: float
-) -> int:
-    """Truncation level minimising the exact mean squared error of the functional estimate.
-
-    Uses the true signal (an oracle choice): squared bias of the discarded
-    modes plus noise variance of the inverted ones.
-    """
-    if not op.is_diagonal:
-        raise ConfigurationError("the spectral-cutoff competitor needs a diagonal operator")
-    order = np.argsort(-np.abs(op.multipliers), kind="stable")
-    psi_o = psi.coeffs[order]
-    f_o = f_dagger.coeffs[order]
-    a_o = op.multipliers[order]
-    with np.errstate(divide="ignore"):
-        var_terms = np.where(a_o != 0.0, psi_o**2 / a_o**2, np.inf)
-    var_cum = np.concatenate([[0.0], np.cumsum(var_terms)])
-    bias_tail = np.concatenate([np.cumsum((psi_o * f_o)[::-1])[::-1], [0.0]])
-    mse = bias_tail**2 + epsilon**2 * var_cum
-    return int(np.argmin(mse))

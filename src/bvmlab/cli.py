@@ -38,7 +38,6 @@ __all__ = [
     "build_context",
     "run_command",
     "emit_csv",
-    "load_csv",
     "main",
 ]
 
@@ -181,26 +180,6 @@ def emit_csv(records, path: str, metadata: Sequence[tuple[str, str]] = ()) -> No
         raise
 
 
-def load_csv(path: str):
-    """Read back an emitted file: (metadata dict, header list, rows of strings)."""
-    metadata: dict[str, str] = {}
-    header: list[str] = []
-    rows: list[list[str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("# "):
-                key, _, value = line[2:].partition("=")
-                metadata[key] = value
-                continue
-            if not header:
-                header = line.split(",")
-                continue
-            if line:
-                rows.append(line.split(","))
-    return metadata, header, rows
-
-
 def _base_metadata(context: ExperimentContext) -> list[tuple[str, str]]:
     tail = priors.truncation_tail(context.prior)
     # in the forward map's weak norm, which contraction and concentration use too
@@ -254,7 +233,7 @@ def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -
 
 def _rates_rows(context: ExperimentContext, epsilon: float, indices: range) -> _Rows:
     factor = posterior.posterior_factor(context.prior, context.forward, epsilon)
-    # the dual norm of beta = 2, as spectral.dual_norm computes it, one row at a time
+    # the dual norm of beta = 2, spectral.sobolev_norm at exponent -2, one row at a time
     weights = (1.0 + context.basis.eigenvalues) ** -2.0
     errors = np.empty(len(indices))
     blocks = bvm.replicate_blocks(factor, context.truth, indices, context.config.master_seed)

@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from .bvm import HEAT_DECAY_CEILING
 from .errors import ConfigurationError
-from .operators import EllipticCoefficient
+from .operators import DEFAULT_COND_LIMIT, EllipticCoefficient
 
 __all__ = ["ExperimentConfig", "parse_config", "resolved_items"]
 
@@ -74,7 +75,7 @@ class ExperimentConfig:
     operator_coefficient: str = "constant"
     operator_coefficient_base: float = 1.0
     operator_coefficient_amplitude: float = 0.5
-    operator_cond_limit: float = 1e12
+    operator_cond_limit: float = DEFAULT_COND_LIMIT
     prior_r: float = 1.0
     prior_amplitude: float = 1.0
     truth_kind: str = "bump"
@@ -162,6 +163,14 @@ class ExperimentConfig:
             )
         if self.prior_amplitude <= 0:
             raise ConfigurationError("key 'prior.amplitude': must be positive")
+        # every experiment builds the prior, and priors.matern_prior refuses a
+        # variance that underflows to 0; the highest mode's is the smallest
+        n = self.basis_modes
+        top = (n // 2) ** 2 if self.operator_kind == "psido" else (math.pi * n) ** 2
+        decay = (1.0 + top) ** -self.prior_r
+        if self.prior_amplitude * decay == 0.0:
+            key = "prior.r" if decay == 0.0 else "prior.amplitude"
+            raise ConfigurationError(f"key '{key}': the prior variance of mode {n} underflows to 0")
         if not 0.0 < self.level < 1.0:
             raise ConfigurationError("key 'level': must lie strictly between 0 and 1")
         if 0.5 + self.level / 2.0 == 1.0:
@@ -182,8 +191,22 @@ class ExperimentConfig:
             raise ConfigurationError("key 'n_replicates': must be a positive integer")
         if self.ball_beta is not None and self.ball_beta < 0:
             raise ConfigurationError("key 'ball_beta': must be nonnegative")
-        if self.operator_kind == "heat" and self.operator_time < 0:
+        # conjugacy builds all three forward maps, whatever operator.kind says
+        conjugacy = self.experiment == "conjugacy"
+        if (self.operator_kind == "heat" or conjugacy) and self.operator_time < 0:
             raise ConfigurationError("key 'operator.time': must be nonnegative")
+        if self.operator_kind == "psido" or conjugacy:
+            # operators.psido_multiplier refuses a multiplier (1 + k^2)^(-t/2)
+            # outside the positive finite doubles; the highest frequency's is extreme
+            k = self.basis_modes // 2
+            try:
+                edge = (1.0 + k * k) ** (-self.operator_t / 2.0)
+            except OverflowError:
+                edge = math.inf
+            if not 0.0 < edge < math.inf:
+                raise ConfigurationError(
+                    f"key 'operator.t': the multiplier of frequency {k} is {edge!r}"
+                )
         if self.operator_kind == "bvp":
             self._check_coefficient()
         if self.reads_truth:
@@ -267,25 +290,36 @@ class ExperimentConfig:
                 f"key 'functional.mode': mode {self.functional_mode} is outside "
                 f"1..n_modes={self.n_modes}"
             )
+        # bvm.heat_psi_from_representer refuses a mode whose weight exp(-2 lambda T)
+        # is numerically void
+        mode = self.functional_mode
+        if coverage and kind == "heat_mode" and (
+            2.0 * (math.pi * mode) ** 2 * self.operator_time > HEAT_DECAY_CEILING
+        ):
+            raise ConfigurationError(
+                f"key 'functional.mode': mode {mode} decays past 2 lambda T = {HEAT_DECAY_CEILING:g}"
+            )
 
     def _check_coefficient(self) -> None:
         coefficient, base = self.operator_coefficient, self.operator_coefficient_base
+        amplitude = abs(self.operator_coefficient_amplitude)
         if coefficient not in ("constant", "sine"):
             raise ConfigurationError(
                 f"key 'operator.coefficient': unknown coefficient {coefficient!r}"
             )
-        # the constant coefficient must clear EllipticCoefficient's default
-        # floor; the sine coefficient's floor is half its minimum, base - |swing|
-        too_low = base <= 0 if coefficient == "sine" else base < EllipticCoefficient.floor
-        if too_low:
-            raise ConfigurationError(
-                f"key 'operator.coefficient_base': {base!r} leaves the {coefficient} "
-                f"coefficient below its ellipticity floor"
-            )
-        if coefficient == "sine" and abs(self.operator_coefficient_amplitude) >= base:
+        if coefficient == "sine" and 0 < base <= amplitude:
             raise ConfigurationError(
                 "key 'operator.coefficient_amplitude': sine swing must stay below the base "
                 "(uniform ellipticity)"
+            )
+        # the constant coefficient must clear EllipticCoefficient's default
+        # floor; the sine coefficient's floor, (base - |swing|) / 2 as
+        # cli._build_operator sets it, must be a positive double
+        floor = (base - amplitude) / 2 if coefficient == "sine" else EllipticCoefficient.floor
+        if not base >= floor > 0:
+            raise ConfigurationError(
+                f"key 'operator.coefficient_base': {base!r} leaves the {coefficient} "
+                f"coefficient below its ellipticity floor"
             )
 
     def _check_truth(self) -> None:

@@ -17,10 +17,6 @@ class ShapeError(ConfigurationError):
     """Mismatched bases, lengths, or array shapes."""
 
 
-class DomainError(ConfigurationError):
-    """Evaluation point outside the basis domain."""
-
-
 class NumericalError(BvmlabError):
     """Linear-algebra failure: singular system, PSD defect, lost agreement."""
 

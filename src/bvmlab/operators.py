@@ -7,7 +7,6 @@ computed once and cached.
 """
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,14 +18,11 @@ from .errors import ConfigurationError, IllPosedError, NumericalError, ShapeErro
 from .spectral import BasisKind, CoeffVector, SpectralBasis, coeff_vector
 
 __all__ = [
-    "OperatorLabel",
     "ForwardOperator",
     "EllipticCoefficient",
-    "identity_operator",
     "psido_multiplier",
     "elliptic_operator",
     "heat_semigroup",
-    "as_dense",
     "apply",
     "adjoint_apply",
     "normal_apply",
@@ -40,13 +36,6 @@ UNDERFLOW_FLOOR = 1e-300
 DEFAULT_COND_LIMIT = 1e12
 
 
-class OperatorLabel(enum.Enum):
-    PSIDO = "psido"
-    ELLIPTIC_BVP = "elliptic_bvp"
-    HEAT = "heat"
-    IDENTITY = "identity"
-
-
 @dataclass(frozen=True, eq=False)
 class ForwardOperator:
     """Linear forward map in the spectral basis: diagonal multipliers or a dense matrix.
@@ -56,7 +45,6 @@ class ForwardOperator:
     """
 
     basis: SpectralBasis
-    label: OperatorLabel
     multipliers: Optional[np.ndarray] = None
     matrix: Optional[np.ndarray] = None
     companion: Optional["ForwardOperator"] = None
@@ -70,8 +58,6 @@ class ForwardOperator:
                 raise ShapeError("multiplier count does not match the basis")
             if not np.all(np.isfinite(m)):
                 raise ConfigurationError("multipliers must be finite")
-            if np.any(m == 0.0) and self.label is not OperatorLabel.HEAT:
-                raise ConfigurationError("zero multipliers are only tolerated for the heat semigroup")
             m.flags.writeable = False
             object.__setattr__(self, "multipliers", m)
         else:
@@ -122,24 +108,17 @@ class EllipticCoefficient:
         return vals
 
 
-def identity_operator(basis: SpectralBasis) -> ForwardOperator:
-    return ForwardOperator(
-        basis=basis,
-        label=OperatorLabel.IDENTITY,
-        multipliers=np.ones(basis.n_modes),
-    )
-
-
 def psido_multiplier(basis: SpectralBasis, t: float) -> ForwardOperator:
-    """Order-t smoothing multiplier (1 + k^2)^(-t/2) on the torus; t = 0 is the identity."""
+    """Order-t smoothing multiplier (1 + k^2)^(-t/2) on the torus; t = 0 is the identity.
+
+    An order that takes a multiplier to 0 or inf is refused."""
     if basis.kind is not BasisKind.FOURIER_TORUS:
         raise ConfigurationError("the smoothing multiplier is defined on the torus basis")
-    mult = (1.0 + basis.eigenvalues) ** (-t / 2.0)
-    return ForwardOperator(
-        basis=basis,
-        label=OperatorLabel.PSIDO,
-        multipliers=mult,
-    )
+    with np.errstate(over="ignore"):
+        mult = (1.0 + basis.eigenvalues) ** (-t / 2.0)
+    if not np.all((mult > 0) & (mult < math.inf)):
+        raise ConfigurationError(f"order t={t!r} takes a multiplier to 0 or inf")
+    return ForwardOperator(basis=basis, multipliers=mult)
 
 
 def elliptic_operator(
@@ -156,10 +135,8 @@ def elliptic_operator(
     avals = coeff.samples(basis.grid)
     if np.ptp(avals) == 0.0:
         lam = avals[0] * basis.eigenvalues
-        fwd = ForwardOperator(basis=basis, label=OperatorLabel.ELLIPTIC_BVP, multipliers=lam)
-        inv = ForwardOperator(
-            basis=basis, label=OperatorLabel.ELLIPTIC_BVP, multipliers=1.0 / lam, companion=fwd,
-        )
+        fwd = ForwardOperator(basis=basis, multipliers=lam)
+        inv = ForwardOperator(basis=basis, multipliers=1.0 / lam, companion=fwd)
         object.__setattr__(fwd, "companion", inv)
         return fwd, inv
     deriv = basis.mode_derivatives(basis.grid)
@@ -173,10 +150,8 @@ def elliptic_operator(
     # mat = C C^T, so mat^{-1} = C^{-T} C^{-1}
     inv_mat = chol_inv.T @ chol_inv
     inv_mat = 0.5 * (inv_mat + inv_mat.T)
-    fwd = ForwardOperator(basis=basis, label=OperatorLabel.ELLIPTIC_BVP, matrix=mat)
-    inv = ForwardOperator(
-        basis=basis, label=OperatorLabel.ELLIPTIC_BVP, matrix=inv_mat, companion=fwd,
-    )
+    fwd = ForwardOperator(basis=basis, matrix=mat)
+    inv = ForwardOperator(basis=basis, matrix=inv_mat, companion=fwd)
     object.__setattr__(fwd, "companion", inv)
     return fwd, inv
 
@@ -190,22 +165,7 @@ def heat_semigroup(basis: SpectralBasis, time_horizon: float) -> ForwardOperator
     with np.errstate(under="ignore"):
         mult = np.exp(-basis.eigenvalues * time_horizon)
     mult[mult < UNDERFLOW_FLOOR] = 0.0
-    return ForwardOperator(
-        basis=basis,
-        label=OperatorLabel.HEAT,
-        multipliers=mult,
-    )
-
-
-def as_dense(op: ForwardOperator) -> ForwardOperator:
-    """Rewrap a diagonal operator in the dense representation (testing aid)."""
-    if not op.is_diagonal:
-        return op
-    return ForwardOperator(
-        basis=op.basis,
-        label=op.label,
-        matrix=np.diag(op.multipliers),
-    )
+    return ForwardOperator(basis=basis, multipliers=mult)
 
 
 def _check_basis(op: ForwardOperator, f: CoeffVector) -> None:

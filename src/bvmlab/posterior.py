@@ -109,12 +109,6 @@ class PosteriorFactor:
     def is_diagonal(self) -> bool:
         return self.root.ndim == 1
 
-    def centred_draws(self, z: np.ndarray) -> np.ndarray:
-        """Map standard normal vectors (the last axis of ``z``) to centred posterior draws."""
-        if self.is_diagonal:
-            return z * self.root
-        return z @ self.root.T
-
     def weighted_spectrum(self, weights: np.ndarray) -> np.ndarray:
         """Eigenvalues mu of W^{1/2} R R^T W^{1/2} for W = diag(weights).
 

@@ -76,7 +76,9 @@ class RatePrediction(NamedTuple):
 
 
 def matern_prior(basis: SpectralBasis, r: float, amplitude: float = 1.0) -> GaussianPrior:
-    """Prior with RKHS of smoothness r; on the line this requires r > 1/2."""
+    """Prior with RKHS of smoothness r; on the line this requires r > 1/2.
+
+    A variance of 0 or inf is refused."""
     if r <= 0.5:
         raise ConfigurationError(
             f"RKHS smoothness r={r} violates the requirement r > d/2 = 0.5"
@@ -84,6 +86,8 @@ def matern_prior(basis: SpectralBasis, r: float, amplitude: float = 1.0) -> Gaus
     if amplitude <= 0:
         raise ConfigurationError("amplitude must be positive")
     tau = amplitude * (1.0 + basis.eigenvalues) ** (-r)
+    if not np.all((tau > 0) & (tau < math.inf)):
+        raise ConfigurationError(f"r={r!r}, amplitude={amplitude!r}: a variance is 0 or inf")
     tau.flags.writeable = False
     return GaussianPrior(basis=basis, variances=tau, rkhs_exponent=float(r), amplitude=float(amplitude))
 

@@ -1,8 +1,9 @@
 """Spectral bases on the torus and the unit interval.
 
 Provides orthonormal eigenbases of the (negative) Laplacian, coefficient
-vectors, Sobolev-scale norms, quadrature synthesis/analysis, smooth bump
-cutoffs, and band-limited approximation.
+vectors, Sobolev-scale norms (negative exponents give the dual norms),
+quadrature analysis of grid samples, smooth bump cutoffs, and band-limited
+approximation.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, ShapeError
+from .errors import ConfigurationError, ShapeError
 
 __all__ = [
     "BasisKind",
@@ -22,13 +23,9 @@ __all__ = [
     "build_basis",
     "coeff_vector",
     "unit_vector",
-    "zero_vector",
-    "synthesize",
     "analyze",
     "inner",
-    "quadrature",
     "sobolev_norm",
-    "dual_norm",
     "make_bump",
     "bandlimit_approx",
     "sobolev_draw",
@@ -58,12 +55,10 @@ class SpectralBasis:
 
     kind: BasisKind
     n_modes: int
-    oversample: int
     frequencies: np.ndarray  # signed mode indices
     eigenvalues: np.ndarray  # Laplacian eigenvalues, nondecreasing in |freq|
     grid: np.ndarray         # quadrature nodes
     quad_weights: np.ndarray
-    domain: tuple[float, float]
     grid_matrix: np.ndarray = field(repr=False)  # [j, i] = phi_j(grid[i])
 
     def mode_values(self, points: np.ndarray) -> np.ndarray:
@@ -137,24 +132,20 @@ def build_basis(kind: BasisKind, n_modes: int, oversample: int = 8) -> SpectralB
         eigs = freqs.astype(float) ** 2
         grid = 2.0 * math.pi * np.arange(n_grid) / n_grid
         weights = np.full(n_grid, 2.0 * math.pi / n_grid)
-        domain = (0.0, 2.0 * math.pi)
     elif kind is BasisKind.DIRICHLET_SINE:
         freqs = np.arange(1, n_modes + 1)
         eigs = (np.pi * freqs.astype(float)) ** 2
         grid = (np.arange(n_grid) + 0.5) / n_grid
         weights = np.full(n_grid, 1.0 / n_grid)
-        domain = (0.0, 1.0)
     else:
         raise ConfigurationError(f"unknown basis kind: {kind!r}")
     basis = SpectralBasis(
         kind=kind,
         n_modes=n_modes,
-        oversample=oversample,
         frequencies=_readonly(freqs),
         eigenvalues=_readonly(eigs),
         grid=_readonly(grid),
         quad_weights=_readonly(weights),
-        domain=domain,
         grid_matrix=np.empty(0),
     )
     object.__setattr__(basis, "grid_matrix", _readonly(basis.mode_values(grid)))
@@ -163,10 +154,6 @@ def build_basis(kind: BasisKind, n_modes: int, oversample: int = 8) -> SpectralB
 
 def coeff_vector(basis: SpectralBasis, values) -> CoeffVector:
     return CoeffVector(basis=basis, coeffs=np.asarray(values, dtype=float))
-
-
-def zero_vector(basis: SpectralBasis) -> CoeffVector:
-    return coeff_vector(basis, np.zeros(basis.n_modes))
 
 
 def unit_vector(basis: SpectralBasis, index: int) -> CoeffVector:
@@ -183,17 +170,6 @@ def _check_same_basis(f: CoeffVector, g: CoeffVector) -> None:
         raise ShapeError("coefficient vectors live on different bases")
 
 
-def synthesize(f: CoeffVector, points) -> np.ndarray:
-    """Evaluate sum_j c_j phi_j(x) at each point of the basis domain."""
-    x = np.asarray(points, dtype=float)
-    lo, hi = f.basis.domain
-    if x.size and (x.min() < lo or x.max() > hi):
-        raise DomainError(f"evaluation points must lie in [{lo}, {hi}]")
-    if x.size == f.basis.grid.size and np.array_equal(x, f.basis.grid):
-        return f.coeffs @ f.basis.grid_matrix
-    return f.coeffs @ f.basis.mode_values(x)
-
-
 def analyze(values, basis: SpectralBasis) -> CoeffVector:
     """Project grid samples onto the basis by quadrature inner products."""
     v = np.asarray(values, dtype=float)
@@ -202,14 +178,6 @@ def analyze(values, basis: SpectralBasis) -> CoeffVector:
             f"expected {basis.grid.size} grid samples, got array of shape {v.shape}"
         )
     return coeff_vector(basis, basis.grid_matrix @ (basis.quad_weights * v))
-
-
-def quadrature(basis: SpectralBasis, values) -> float:
-    """Integrate grid samples over the base domain."""
-    v = np.asarray(values, dtype=float)
-    if v.shape != basis.grid.shape:
-        raise ShapeError("grid samples do not match the quadrature grid")
-    return float(np.dot(basis.quad_weights, v))
 
 
 def inner(f: CoeffVector, g: CoeffVector) -> float:
@@ -222,13 +190,6 @@ def sobolev_norm(f: CoeffVector, exponent: float) -> float:
     """Smoothness-weighted norm sqrt(sum_j (1 + lambda_j)^s c_j^2); s = 0 is the L2 norm."""
     weights = (1.0 + f.basis.eigenvalues) ** exponent
     return float(np.sqrt(np.dot(weights, f.coeffs**2)))
-
-
-def dual_norm(x: CoeffVector, beta: float) -> float:
-    """Norm of the negative-smoothness scale with weights (1 + lambda_j)^(-beta), beta >= 0."""
-    if beta < 0:
-        raise ConfigurationError("dual_norm requires beta >= 0; use sobolev_norm for positive smoothness")
-    return sobolev_norm(x, -beta)
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:

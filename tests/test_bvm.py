@@ -11,20 +11,18 @@ from bvmlab.bvm import (
     coverage_report,
     heat_psi_from_representer,
     ks_distance,
-    oracle_truncation_level,
     rate_fit,
     replicate_table,
     representer,
-    svd_truncated_functional,
     tightness_series,
 )
 from bvmlab.errors import ConfigurationError, IllPosedError
 from bvmlab.operators import (
     EllipticCoefficient,
+    ForwardOperator,
     apply,
     elliptic_operator,
     heat_semigroup,
-    identity_operator,
 )
 from bvmlab.posterior import noise_draw, observe, posterior_factor
 from bvmlab.priors import matern_prior
@@ -40,6 +38,7 @@ from bvmlab.spectral import (
     sobolev_draw,
     unit_vector,
 )
+from reference import oracle_truncation_level, svd_truncated_functional
 
 
 @pytest.fixture(scope="module")
@@ -69,10 +68,18 @@ def setup_bvp(interval, bvp_pair):
 
 class TestRepresenter:
     def test_identity_flips_sign(self, interval):
-        op = identity_operator(interval)
+        op = ForwardOperator(basis=interval, multipliers=np.ones(interval.n_modes))
         psi = sobolev_draw(interval, 2.0, 0)
         tf = representer(op, psi)
         np.testing.assert_array_equal(tf.psi_tilde.coeffs, -psi.coeffs)
+
+    def test_differential_operator_closed_form(self, interval, bvp_pair):
+        # the companion of L is its solution map, so psi_tilde = -L^-1(L^-1 psi)
+        l_op, l_inv = bvp_pair
+        psi = bandlimit_approx(sobolev_draw(interval, 2.0, 5), 4)
+        tf = representer(l_op, psi)
+        want = -apply(l_inv, apply(l_inv, psi)).coeffs
+        np.testing.assert_allclose(tf.psi_tilde.coeffs, want, rtol=1e-12, atol=1e-18)
 
     def test_bvp_first_mode_closed_form(self, interval, bvp_pair):
         _, l_inv = bvp_pair

@@ -5,8 +5,10 @@ import math
 import os
 import pkgutil
 import subprocess
+import re
 import sys
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +19,11 @@ from hypothesis import strategies as st
 import bvmlab
 from bvmlab import bvm, cli, operators, priors
 from bvmlab import config as config_module
-from bvmlab.cli import build_context, emit_csv, load_csv, main, run_command
+from bvmlab.cli import build_context, emit_csv, main, run_command
 from bvmlab.config import parse_config, resolved_items
 from bvmlab.errors import ConfigurationError
 from bvmlab.seeds import derive_seed
+from reference import load_csv
 
 MINIMAL_BVP = """
 experiment=coverage
@@ -472,6 +475,31 @@ _LATE_FAILING = [
         "operator.coefficient_base",
     ),
     ("tightness", "n_modes=32\noperator.coefficient_base=0", "operator.coefficient_base"),
+    # the sine coefficient's floor (base - |swing|) / 2 underflowed to 0
+    (
+        "coverage",
+        "n_modes=32\nfunctional.band=8\noperator.coefficient=sine\n"
+        "operator.coefficient_base=5e-324\noperator.coefficient_amplitude=0",
+        "operator.coefficient_base",
+    ),
+    # the highest torus multiplier underflowed to 0 or overflowed to inf
+    ("concentration", "operator.kind=psido\nn_modes=257\noperator.t=1000", "operator.t"),
+    ("concentration", "operator.kind=psido\nn_modes=257\noperator.t=-300", "operator.t"),
+    # conjugacy builds the multiplier and the semigroup whatever operator.kind is
+    ("conjugacy", "n_modes=256\noperator.t=1000", "operator.t"),
+    ("conjugacy", "n_modes=32\noperator.time=-1", "operator.time"),
+    # every prior variance underflowed to 0: radius-0 coverage rows, constant
+    # rates errors and a zero concentration, each with exit 0
+    ("coverage", "n_modes=32\nfunctional.band=8\nprior.r=1e6", "prior.r"),
+    ("rates", "n_modes=32\nprior.r=1e6", "prior.r"),
+    ("concentration", "n_modes=32\nprior.r=1e6", "prior.r"),
+    ("coverage", "n_modes=32\nfunctional.band=8\nprior.amplitude=1e-320", "prior.amplitude"),
+    # the heat representer's weight exp(-2 lambda T) was void past 2 lambda T = 300
+    (
+        "coverage",
+        "operator.kind=heat\nn_modes=32\nfunctional.kind=heat_mode\nfunctional.mode=13",
+        "functional.mode",
+    ),
 ]
 
 
@@ -516,10 +544,11 @@ class TestLateFailingKeys:
             "experiment=rates\nn_modes=16\nfunctional.mode=999\noperator.cond_limit=0\n"
             "concentration.deltas=\ntightness.max_modes=99\n"
         )
-        # heat_mode functionals skip the representer solve, so cond_limit is not read
+        # heat_mode functionals skip the representer solve, so cond_limit is not
+        # read; mode 12 is the last whose 2 lambda T stays within 300 at T = 0.1
         assert parse_config(
             "experiment=coverage\noperator.kind=heat\nn_modes=32\n"
-            "functional.kind=heat_mode\noperator.cond_limit=0\n"
+            "functional.kind=heat_mode\noperator.cond_limit=0\nfunctional.mode=12\n"
         )
         # a bump's plateau may shrink to a point; the functional's cutoff is read
         # only for a smoothed_image functional, and the truth's only for a bump
@@ -691,14 +720,40 @@ def test_cli_runs_with_scipy_unimportable(tmp_path):
     assert _run_python(script) == str([0] * len(configs))
 
 
-@pytest.mark.parametrize(
-    "name", ["bvmlab"] + [f"bvmlab.{m.name}" for m in pkgutil.iter_modules(bvmlab.__path__)]
-)
+_MODULES = ["bvmlab"] + [f"bvmlab.{m.name}" for m in pkgutil.iter_modules(bvmlab.__path__)]
+
+
+@pytest.mark.parametrize("name", _MODULES)
 def test_every_exported_name_resolves(name):
     # the span tracer in bench/hook looks up every name in __all__ when it installs
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", ())
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def test_every_exported_name_is_used():
+    # the package exports only what the experiments, the benchmark or the
+    # README sketch read; test oracles live in tests/reference.py
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    sources = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    for path in [*(root / "src" / "bvmlab").glob("*.py"), *(root / "bench").rglob("*.py")]:
+        sources.append(path.read_text(encoding="utf-8"))
+    used = set()
+    for top in (node for source in sources for node in ast.parse(source).body):
+        nodes = list(ast.walk(top))
+        reads = {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        reads |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        # a definition's reads of its own name do not count
+        used |= reads - {getattr(top, "name", None)}
+    unused = [
+        f"{module.__name__}.{name}"
+        for module in map(importlib.import_module, _MODULES)
+        # dunders such as __version__ are package metadata, not API
+        for name in getattr(module, "__all__", ())
+        if not name.startswith("__") and name not in used
+    ]
+    assert unused == []
 
 
 _BLAS_SCRIPT = """

@@ -25,10 +25,10 @@ from bvmlab.spectral import (
     analyze,
     build_basis,
     coeff_vector,
-    dual_norm,
     inner,
     make_bump,
     sobolev_draw,
+    sobolev_norm,
     unit_vector,
 )
 
@@ -122,8 +122,8 @@ def _reference_replicates(
         mean = factor.update(coeff_vector(op.basis, signal.coeffs + epsilon * noise.coeffs))
         ball_covered = None
         if ball_beta is not None:
-            distance = dual_norm(
-                coeff_vector(op.basis, f_dagger.coeffs - mean.coeffs), ball_beta
+            distance = sobolev_norm(
+                coeff_vector(op.basis, f_dagger.coeffs - mean.coeffs), -ball_beta
             )
             ball_covered = bool(distance <= ball_radius)
         value = float(np.dot(mean.coeffs, functional.psi.coeffs))
@@ -205,7 +205,8 @@ output_path={tmp_path / "rates.csv"}
         # replicate i draws the noise of coverage replicate i
         obs = posterior.observe(context.forward, context.truth, 1e-3, derive_seed(5, 2 * i))
         mean = factor.update(obs.data)
-        want.append(dual_norm(coeff_vector(context.basis, mean.coeffs - context.truth.coeffs), 2.0))
+        error = coeff_vector(context.basis, mean.coeffs - context.truth.coeffs)
+        want.append(sobolev_norm(error, -2.0))
     assert rows == [
         (format(1e-3, ".17g"), str(i), format(err, ".17g")) for i, err in zip(indices, want)
     ]

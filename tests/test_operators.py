@@ -8,14 +8,13 @@ from hypothesis import strategies as st
 from bvmlab.errors import ConfigurationError, IllPosedError, ShapeError
 from bvmlab.operators import (
     EllipticCoefficient,
+    ForwardOperator,
     adjoint_apply,
     apply,
-    as_dense,
     elliptic_operator,
     embedding_constant,
     fisher_solve,
     heat_semigroup,
-    identity_operator,
     normal_apply,
     psido_multiplier,
 )
@@ -27,6 +26,7 @@ from bvmlab.spectral import (
     sobolev_norm,
     unit_vector,
 )
+from reference import random_vec
 
 
 @pytest.fixture(scope="module")
@@ -50,14 +50,6 @@ def bvp_variable_pair(interval):
     return elliptic_operator(coeff, interval)
 
 
-def random_vec(basis, seed, max_mode=None):
-    rng = np.random.default_rng(seed)
-    c = rng.standard_normal(basis.n_modes)
-    if max_mode is not None:
-        c[np.abs(basis.frequencies) > max_mode] = 0.0
-    return coeff_vector(basis, c)
-
-
 class TestPsido:
     def test_zero_order_is_identity(self, torus):
         op = psido_multiplier(torus, 0.0)
@@ -76,6 +68,14 @@ class TestPsido:
     def test_requires_torus(self, interval):
         with pytest.raises(ConfigurationError):
             psido_multiplier(interval, 2.0)
+
+    @pytest.mark.parametrize("t", [1000.0, -300.0])
+    def test_order_leaving_the_doubles_refused(self, t):
+        # at 257 modes (1 + 128^2)^(-t/2) underflows to 0 for t = 1000 and
+        # overflows for t = -300
+        basis = build_basis(BasisKind.FOURIER_TORUS, 257, 4)
+        with pytest.raises(ConfigurationError, match="0 or inf"):
+            psido_multiplier(basis, t)
 
 
 class TestEllipticOperator:
@@ -175,7 +175,7 @@ class TestApplyAdjoint:
 
     def test_dense_wrap_matches_diagonal(self, interval):
         op = heat_semigroup(interval, 0.05)
-        dense = as_dense(op)
+        dense = ForwardOperator(basis=interval, matrix=np.diag(op.multipliers))
         f = random_vec(interval, 3)
         np.testing.assert_allclose(
             apply(dense, f).coeffs, apply(op, f).coeffs, atol=1e-12
@@ -223,14 +223,14 @@ class TestApplyAdjoint:
         self, torus, interval, bvp_pair, bvp_variable_pair, family, dense, seeds
     ):
         op = {
-            "identity": identity_operator(interval),
+            "identity": ForwardOperator(basis=interval, multipliers=np.ones(interval.n_modes)),
             "psido": psido_multiplier(torus, 2.0),
             "bvp": bvp_pair[1],
             "bvp_variable": bvp_variable_pair[1],
             "heat": heat_semigroup(interval, 0.1),
         }[family]
-        if dense:
-            op = as_dense(op)
+        if dense and op.is_diagonal:
+            op = ForwardOperator(basis=op.basis, matrix=np.diag(op.multipliers))
         f, g = random_vec(op.basis, seeds[0]), random_vec(op.basis, seeds[1])
         af, adj_g = apply(op, f), adjoint_apply(op, g)
         lhs, rhs = inner(af, g), inner(f, adj_g)
@@ -258,7 +258,7 @@ class TestFisherSolve:
         np.testing.assert_allclose(out.coeffs, want, rtol=1e-12)
 
     def test_identity_unchanged(self, interval):
-        op = identity_operator(interval)
+        op = ForwardOperator(basis=interval, multipliers=np.ones(interval.n_modes))
         f = random_vec(interval, 7)
         np.testing.assert_array_equal(fisher_solve(op, f, 1e12).coeffs, f.coeffs)
 
@@ -287,7 +287,7 @@ class TestFisherSolve:
 
     def test_dense_matches_diagonal(self, bvp_pair, interval):
         _, inv = bvp_pair
-        dense = as_dense(inv)
+        dense = ForwardOperator(basis=interval, matrix=np.diag(inv.multipliers))
         psi = random_vec(interval, 11)
         diag_out = fisher_solve(inv, psi, 1e12)
         dense_out = fisher_solve(dense, psi, 1e12)

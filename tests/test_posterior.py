@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from bvmlab.errors import ConfigurationError, NumericalError, ShapeError
 from bvmlab.operators import (
     EllipticCoefficient,
+    ForwardOperator,
     apply,
-    as_dense,
     elliptic_operator,
     heat_semigroup,
-    identity_operator,
     psido_multiplier,
 )
 from bvmlab.posterior import (
@@ -33,11 +32,11 @@ from bvmlab.spectral import (
     BasisKind,
     build_basis,
     coeff_vector,
-    dual_norm,
     sobolev_draw,
+    sobolev_norm,
     unit_vector,
-    zero_vector,
 )
+from reference import centred_draws
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +59,7 @@ def scalar_setup(measurement):
     tau = np.array([1.0])
     tau.flags.writeable = False
     prior = GaussianPrior(basis=basis, variances=tau, rkhs_exponent=1.0, amplitude=1.0)
-    op = identity_operator(basis)
+    op = ForwardOperator(basis=basis, multipliers=np.ones(1))
     obs = Observation(data=coeff_vector(basis, [measurement]), epsilon=1.0)
     return prior, op, obs
 
@@ -81,7 +80,7 @@ class TestObservation:
         # 1e300 squares to inf and 1e-200 to 0
         for epsilon in (0.0, -1.0, math.inf, math.nan, 1e300, 1e-200):
             with pytest.raises(ConfigurationError):
-                Observation(data=zero_vector(interval), epsilon=epsilon)
+                Observation(data=unit_vector(interval, 0), epsilon=epsilon)
 
 
 class TestPosteriorUpdate:
@@ -94,13 +93,14 @@ class TestPosteriorUpdate:
     def test_dense_path_matches_diagonal(self, interval, prior, bvp_inv):
         f = sobolev_draw(interval, 2.0, 3)
         obs = observe(bvp_inv, f, 1e-2, seed=5)
+        dense = ForwardOperator(basis=interval, matrix=np.diag(bvp_inv.multipliers))
         np.testing.assert_allclose(
-            posterior_update(prior, as_dense(bvp_inv), obs).coeffs,
+            posterior_update(prior, dense, obs).coeffs,
             posterior_update(prior, bvp_inv, obs).coeffs,
             atol=1e-10,
         )
         diag_root = posterior_factor(prior, bvp_inv, 1e-2).root
-        dense_root = posterior_factor(prior, as_dense(bvp_inv), 1e-2).root
+        dense_root = posterior_factor(prior, dense, 1e-2).root
         np.testing.assert_allclose(dense_root @ dense_root.T, np.diag(diag_root**2), atol=1e-10)
 
     def test_no_information_limit(self, prior, bvp_inv):
@@ -116,7 +116,8 @@ class TestPosteriorUpdate:
             assert np.all(hi > lo)
 
     def test_posterior_never_exceeds_prior_variance(self, interval, prior, bvp_inv):
-        factor = posterior_factor(prior, as_dense(bvp_inv), 1e-3)
+        dense = ForwardOperator(basis=interval, matrix=np.diag(bvp_inv.multipliers))
+        factor = posterior_factor(prior, dense, 1e-3)
         rng = np.random.default_rng(8)
         for _ in range(20):
             psi = rng.standard_normal(interval.n_modes)
@@ -126,8 +127,8 @@ class TestPosteriorUpdate:
 
     def test_basis_mismatch(self, prior, interval):
         other = build_basis(BasisKind.DIRICHLET_SINE, 16, 8)
-        op = identity_operator(other)
-        obs = Observation(data=zero_vector(other), epsilon=1.0)
+        op = ForwardOperator(basis=other, multipliers=np.ones(other.n_modes))
+        obs = Observation(data=coeff_vector(other, np.zeros(other.n_modes)), epsilon=1.0)
         with pytest.raises(ShapeError):
             posterior_update(prior, op, obs)
 
@@ -156,7 +157,8 @@ def families(interval):
         "psido": psido_multiplier(torus, 2.0),
     }
     for name in ("bvp", "heat", "psido"):
-        ops[f"{name}_dense"] = as_dense(ops[name])
+        op = ops[name]
+        ops[f"{name}_dense"] = ForwardOperator(basis=op.basis, matrix=np.diag(op.multipliers))
     assert set(ops) == set(CONJUGACY_FAMILIES)
     assert not ops["bvp_variable"].is_diagonal and ops["bvp"].is_diagonal
     return ops
@@ -164,7 +166,7 @@ def families(interval):
 
 class TestTikhonovSolve:
     def test_zero_data_gives_zero(self, interval, prior, bvp_inv):
-        obs = Observation(data=zero_vector(interval), epsilon=0.1)
+        obs = Observation(data=coeff_vector(interval, np.zeros(interval.n_modes)), epsilon=0.1)
         out = tikhonov_solve(prior, bvp_inv, obs)
         np.testing.assert_allclose(out.coeffs, 0.0, atol=1e-15)
 
@@ -226,7 +228,7 @@ class TestTikhonovSolve:
         obs = Observation(data=apply(bvp_inv, f), epsilon=1e-6)
         out = tikhonov_solve(prior, bvp_inv, obs)
         err = coeff_vector(interval, out.coeffs - f.coeffs)
-        assert dual_norm(err, 2.0) <= 1e-3
+        assert sobolev_norm(err, -2.0) <= 1e-3
 
 
 @pytest.fixture(params=["diagonal", "dense"])
@@ -277,11 +279,11 @@ class TestPosteriorFactor:
     def test_basis_mismatch(self, factor):
         other = build_basis(BasisKind.DIRICHLET_SINE, 16, 8)
         with pytest.raises(ShapeError):
-            factor.update(zero_vector(other))
+            factor.update(coeff_vector(other, np.zeros(other.n_modes)))
         with pytest.raises(ShapeError):
             factor.update_block(np.zeros((3, other.n_modes)))
         with pytest.raises(ShapeError):
-            factor.functional_variance(zero_vector(other))
+            factor.functional_variance(coeff_vector(other, np.zeros(other.n_modes)))
 
 
 class TestSamplingRoot:
@@ -290,7 +292,7 @@ class TestSamplingRoot:
         # normal-equation covariance
         n = 100_000
         z = np.random.default_rng(31).standard_normal((n, interval.n_modes))
-        draws = factor.centred_draws(z)
+        draws = centred_draws(factor, z)
         var = np.diag(_normal_equation_covariance(factor))
         se_var = var * math.sqrt(2.0 / (n - 1))
         assert np.all(np.abs(draws.var(axis=0, ddof=1) - var) <= 3.5 * se_var)
@@ -299,14 +301,14 @@ class TestSamplingRoot:
 
     def test_centred_draws_apply_root(self, factor, interval):
         z = np.random.default_rng(123).standard_normal((4, interval.n_modes))
-        draws = factor.centred_draws(z)
+        draws = centred_draws(factor, z)
         if factor.is_diagonal:
             np.testing.assert_array_equal(draws, factor.root * z)
         else:
             want = np.array([factor.root @ row for row in z])
             np.testing.assert_allclose(draws, want, rtol=1e-13, atol=1e-15)
         # a single vector maps like a row of a block
-        np.testing.assert_allclose(factor.centred_draws(z[1]), draws[1], rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(centred_draws(factor, z[1]), draws[1], rtol=1e-13, atol=1e-15)
 
 
 class TestFunctionalVariance:
@@ -325,7 +327,7 @@ class TestFunctionalVariance:
         rng = np.random.default_rng(2)
         psi = coeff_vector(interval, rng.standard_normal(interval.n_modes))
         assert factor.functional_variance(psi) > 0
-        assert factor.functional_variance(zero_vector(interval)) == 0.0
+        assert factor.functional_variance(coeff_vector(interval, 0.0 * psi.coeffs)) == 0.0
 
     def test_quadratic_in_psi(self, factor, interval):
         psi = np.random.default_rng(4).standard_normal(interval.n_modes)
@@ -339,7 +341,7 @@ class TestFunctionalVariance:
         variance = factor.functional_variance(psi)
         n = 100_000
         z = np.random.default_rng(77).standard_normal((n, interval.n_modes))
-        draws = factor.centred_draws(z) @ psi.coeffs
+        draws = centred_draws(factor, z) @ psi.coeffs
         assert abs(draws.mean()) <= 3 * math.sqrt(variance / n)
         se_var = variance * math.sqrt(2.0 / (n - 1))
         assert abs(draws.var(ddof=1) - variance) <= 3 * se_var
@@ -394,7 +396,7 @@ class TestExactBallRadius:
         rng = np.random.default_rng(6)
         hits = 0
         for _ in range(n_draws // block):
-            centred = factor.centred_draws(rng.standard_normal((block, interval.n_modes)))
+            centred = centred_draws(factor, rng.standard_normal((block, interval.n_modes)))
             hits += int(np.count_nonzero(np.sqrt((centred**2) @ weights) <= radius))
         low, high = _wilson_interval(hits, n_draws)
         assert low <= level <= high, (hits / n_draws, low, high)
@@ -402,7 +404,8 @@ class TestExactBallRadius:
     def test_weighted_spectrum_paths_agree(self, prior, families, interval):
         weights = (1.0 + interval.eigenvalues) ** (-3.5)
         diagonal = posterior_factor(prior, families["bvp"], 1e-2)
-        dense = posterior_factor(prior, as_dense(families["bvp"]), 1e-2)
+        dense_op = ForwardOperator(basis=interval, matrix=np.diag(families["bvp"].multipliers))
+        dense = posterior_factor(prior, dense_op, 1e-2)
         np.testing.assert_allclose(
             np.sort(dense.weighted_spectrum(weights)),
             np.sort(diagonal.weighted_spectrum(weights)),

@@ -17,7 +17,7 @@ from bvmlab.priors import (
     small_ball_ladder,
     truncation_tail,
 )
-from bvmlab.spectral import BasisKind, build_basis, coeff_vector, zero_vector
+from bvmlab.spectral import BasisKind, build_basis, coeff_vector
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +37,11 @@ class TestMaternPrior:
     def test_rough_prior_rejected(self, interval):
         with pytest.raises(ConfigurationError, match="r > d/2"):
             matern_prior(interval, r=0.4)
+
+    @pytest.mark.parametrize("r, amplitude", [(1e6, 1.0), (1.0, 1e-320), (1.0, math.inf)])
+    def test_variance_leaving_the_doubles_refused(self, interval, r, amplitude):
+        with pytest.raises(ConfigurationError, match="0 or inf"):
+            matern_prior(interval, r=r, amplitude=amplitude)
 
     def test_amplitude_scales_exactly(self, interval):
         base = matern_prior(interval, r=1.0, amplitude=1.0)
@@ -181,7 +186,8 @@ def _projected_gradient_cost(prior, f_dagger, delta, ambient_exponent, iters=200
 
 class TestConcentrationFn:
     def test_zero_truth_has_zero_approx_cost(self, prior, interval):
-        (val,) = concentration_ladder(prior, zero_vector(interval), (0.05,), -2.0, 5000, seed=9)
+        zero = coeff_vector(interval, np.zeros(interval.n_modes))
+        (val,) = concentration_ladder(prior, zero, (0.05,), -2.0, 5000, seed=9)
         assert val.approx_term == 0.0
         assert val.phi == val.smallball_term
 
@@ -205,8 +211,9 @@ class TestConcentrationFn:
         assert abs(val.approx_term - oracle) <= 1e-6 * max(oracle, 1.0)
 
     def test_propagates_rare_event(self, prior, interval):
+        zero = coeff_vector(interval, np.zeros(interval.n_modes))
         with pytest.raises(RareEventError):
-            concentration_ladder(prior, zero_vector(interval), (1e-9,), -2.0, 2000, seed=9)
+            concentration_ladder(prior, zero, (1e-9,), -2.0, 2000, seed=9)
 
 
 class TestConcentrationCondition:
