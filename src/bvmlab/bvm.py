@@ -21,7 +21,7 @@ from .posterior import (
     two_sided_quantile,
 )
 from .priors import _wilson_interval
-from .seeds import derive_seed
+from .seeds import derive_seeds
 from .spectral import CoeffVector, coeff_vector, inner
 
 __all__ = [
@@ -160,7 +160,8 @@ def replicate_blocks(
     up to ``REPLICATE_BLOCK`` replicates, with the factor's operator and epsilon.
 
     Replicate i draws W from the seed ``derive_seed(master_seed, 2i)``, so a
-    parallel driver may pass any sub-range of the indices.  Each block yields
+    parallel driver may pass any sub-range of the indices; the master seed
+    must lie in 0..2**64 - 1.  Each block yields
     ``(rows, noise, means)``: the slice of ``indices`` it covers, its noise rows
     and their posterior means.  The update is row-local, so every row is
     bitwise the same for any index split.
@@ -170,8 +171,8 @@ def replicate_blocks(
         raise ShapeError("truth lives on a different basis than the operator")
     signal = apply(op, f_dagger).coeffs
     for lo in range(0, len(indices), REPLICATE_BLOCK):
-        block = indices[lo : lo + REPLICATE_BLOCK]
-        noise = noise_block(op.basis, [derive_seed(master_seed, 2 * i) for i in block])
+        block = np.asarray(indices[lo : lo + REPLICATE_BLOCK], dtype=np.uint64)
+        noise = noise_block(op.basis, derive_seeds(master_seed, 2 * block))
         yield slice(lo, lo + len(block)), noise, factor.update_block(signal + epsilon * noise)
 
 

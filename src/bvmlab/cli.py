@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import functools
 import math
 import os
 import sys
@@ -252,10 +251,17 @@ def _config_text(config: ExperimentConfig) -> str:
     return "\n".join(f"{k}={v}" for k, v in resolved_items(config))
 
 
-@functools.lru_cache(maxsize=1)
+# the context of the config text a pool runs: the parent sets it before the pool
+# starts, so a forked worker inherits it; a worker started any other way builds
+# it on its first chunk and reuses it after
+_worker_contexts: dict[str, ExperimentContext] = {}
+
+
 def _worker_context(config_text: str) -> ExperimentContext:
-    # a pool worker builds the context on its first chunk and reuses it after
-    return build_context(parse_config(config_text))
+    if config_text not in _worker_contexts:
+        _worker_contexts.clear()
+        _worker_contexts[config_text] = build_context(parse_config(config_text))
+    return _worker_contexts[config_text]
 
 
 def _run_chunk(payload) -> _Rows:
@@ -285,8 +291,13 @@ def _map_chunks(context: ExperimentContext, workers: int, row_fn) -> _Rows:
         text = _config_text(config)
         payloads = [(text, row_fn, eps, chunk) for eps, chunk in tasks]
         pool_size = min(workers, len(tasks))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
-            chunks = list(pool.map(_run_chunk, payloads))
+        _worker_contexts.clear()
+        _worker_contexts[text] = context
+        try:
+            with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
+                chunks = list(pool.map(_run_chunk, payloads))
+        finally:
+            _worker_contexts.clear()
     return [row for chunk in chunks for row in chunk]
 
 
@@ -465,6 +476,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     try:
         config = parse_config(text)
+        if args.command == "run" and args.seed is not None:
+            # the override passes the same check as the key
+            config.master_seed = args.seed
+            config.validate()
     except ConfigurationError as exc:
         print(f"error[1]: {exc}", file=sys.stderr)
         return 1
@@ -475,8 +490,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
     if args.out is not None:
         config.output_path = args.out
-    if args.seed is not None:
-        config.master_seed = args.seed
     if args.workers < 1:
         print("error[1]: --workers must be at least 1", file=sys.stderr)
         return 1

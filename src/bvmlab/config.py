@@ -155,6 +155,11 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "key 'n_modes': the torus basis needs an odd mode count"
             )
+        # every seed is derived from the master seed as one 64-bit word
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigurationError(
+                f"key 'master_seed': must lie in 0..2**64 - 1, got {self.master_seed}"
+            )
         if self.oversample < 4:
             raise ConfigurationError("key 'oversample': must be at least 4")
         if self.prior_r <= 0.5:

@@ -29,9 +29,10 @@ __all__ = [
     "predict_rate",
 ]
 
-# draws per chunk when Monte Carlo estimates are accumulated (fixed so that
-# results are reproducible independently of available memory)
-_MC_CHUNK = 4096
+# draws per chunk when Monte Carlo estimates are accumulated; the draws are
+# read from one stream row by row, so the chunk size bounds memory and never
+# changes the estimates
+_MC_CHUNK = 256
 
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -155,11 +156,15 @@ def small_ball_ladder(
     rng = np.random.default_rng(seed)
     hits = [0] * len(deltas)
     thresholds = [d**2 for d in deltas]
+    buffer = np.empty((min(_MC_CHUNK, mc_samples), prior.basis.n_modes))
     remaining = mc_samples
     while remaining > 0:
         block = min(_MC_CHUNK, remaining)
-        g = rng.standard_normal((block, prior.basis.n_modes))
-        norms_sq = (g**2) @ weights
+        g = rng.standard_normal(out=buffer[:block])
+        np.square(g, out=g)
+        # one dot product per row: a matrix-vector product would let a row's
+        # norm depend on the chunk it falls in
+        norms_sq = np.vecdot(g, weights)
         for k, thresh in enumerate(thresholds):
             hits[k] += int(np.count_nonzero(norms_sq <= thresh))
         remaining -= block

@@ -2,24 +2,34 @@
 
 A fixed 64-bit mixing permutation (the splitmix64 finalizer) applied to
 master_seed + stream_id * odd-constant; distinct stream ids under one master
-seed always map to distinct derived seeds.
+seed always map to distinct derived seeds.  ``derive_seeds`` mixes a whole
+array of stream ids at once in uint64 arithmetic, which wraps modulo 2**64.
 """
 from __future__ import annotations
 
 import operator
+from typing import Sequence
 
-__all__ = ["derive_seed"]
+import numpy as np
+
+__all__ = ["derive_seed", "derive_seeds"]
 
 _MASK64 = (1 << 64) - 1
 _STREAM_STEP = 0x9E3779B97F4A7C15  # odd, so stream offsets stay injective
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK64
+def derive_seeds(master_seed: int, stream_ids: Sequence[int]) -> np.ndarray:
+    """Derived 64-bit seeds, one per stream id, as a uint64 array.
+
+    ``master_seed`` must lie in 0..2**64 - 1 (``OverflowError`` otherwise);
+    stream ids are taken as uint64.
+    """
+    ids = np.asarray(stream_ids, dtype=np.uint64)
+    z = np.uint64(operator.index(master_seed)) + ids * _STREAM_STEP
     z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z *= 0xBF58476D1CE4E5B9
     z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
+    z *= 0x94D049BB133111EB
     z ^= z >> 31
     return z
 
@@ -27,9 +37,7 @@ def _mix64(z: int) -> int:
 def derive_seed(master_seed: int, stream_id: int) -> int:
     """Derived 64-bit seed for one stream; collision-free across stream ids.
 
-    Any integer type is accepted: both arguments are taken as Python ints, so
-    NumPy integers cannot overflow in the stream offset.
+    Any integer type is accepted, and both arguments are taken modulo 2**64.
     """
     master_seed, stream_id = operator.index(master_seed), operator.index(stream_id)
-    return _mix64((master_seed + stream_id * _STREAM_STEP) & _MASK64)
-
+    return int(derive_seeds(master_seed & _MASK64, [stream_id & _MASK64])[0])

@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import math
+import multiprocessing
 import os
 import pkgutil
 import subprocess
@@ -374,6 +375,23 @@ class TestMain:
         metadata, _, _ = load_csv(str(out))
         assert metadata["master_seed"] == "99"
 
+    @pytest.mark.parametrize("seed", ["-3", "18446744073709551616"])
+    def test_seed_override_is_validated(self, tmp_path, capsys, seed):
+        path = tmp_path / "cfg"
+        out = tmp_path / "o.csv"
+        path.write_text(MINIMAL_BVP.format(out=out))
+        assert main(["run", str(path), "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[1]: key 'master_seed': ")
+        assert not out.exists()
+
+    def test_largest_seed_override_runs(self, tmp_path):
+        path = tmp_path / "cfg"
+        out = tmp_path / "o.csv"
+        path.write_text(MINIMAL_BVP.format(out=out))
+        assert main(["run", str(path), "--seed", str(2**64 - 1)]) == 0
+        assert load_csv(str(out))[0]["master_seed"] == str(2**64 - 1)
+
     def test_missing_config_file(self, capsys):
         assert main(["run", "/no/such/file"]) == 1
         assert "cannot read config" in capsys.readouterr().err
@@ -494,6 +512,10 @@ _LATE_FAILING = [
     ("rates", "n_modes=32\nprior.r=1e6", "prior.r"),
     ("concentration", "n_modes=32\nprior.r=1e6", "prior.r"),
     ("coverage", "n_modes=32\nfunctional.band=8\nprior.amplitude=1e-320", "prior.amplitude"),
+    # the master seed was taken modulo 2**64: -1 ran as 2**64 - 1 and 2**64 as 0
+    ("coverage", "n_modes=32\nfunctional.band=8\nmaster_seed=-1", "master_seed"),
+    ("coverage", "n_modes=32\nfunctional.band=8\nmaster_seed=18446744073709551616", "master_seed"),
+    ("concentration", "n_modes=32\nmaster_seed=-1", "master_seed"),
     # the heat representer's weight exp(-2 lambda T) was void past 2 lambda T = 300
     (
         "coverage",
@@ -633,6 +655,23 @@ class TestCoverageDiagnostics:
         body1 = out1.read_bytes().replace(bytes(str(out1), "utf-8"), b"OUT")
         body2 = out2.read_bytes().replace(bytes(str(out2), "utf-8"), b"OUT")
         assert body1 == body2
+
+    def test_forked_workers_reuse_the_parents_context(self, tmp_path, monkeypatch):
+        if multiprocessing.get_context().get_start_method() != "fork":
+            pytest.skip("only forked workers inherit the parent's context")
+        builds = tmp_path / "builds"
+        build = cli.build_context
+
+        def logged_build(config):
+            with open(builds, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return build(config)
+
+        monkeypatch.setattr(cli, "build_context", logged_build)
+        config = parse_config(MINIMAL_BVP.format(out=tmp_path / "o.csv"))
+        assert run_command(config, workers=2) == 0
+        assert builds.read_text().splitlines() == [str(os.getpid())]
+        assert cli._worker_contexts == {}
 
     @pytest.mark.parametrize("coefficient", ["constant", "sine"], ids=["diagonal", "dense"])
     def test_ball_flags_match_rates_dual_error(self, tmp_path, coefficient):

@@ -20,6 +20,7 @@ from bvmlab.posterior import (
     Observation,
     PosteriorFactor,
     exact_ball_radius,
+    noise_block,
     noise_draw,
     observe,
     posterior_factor,
@@ -81,6 +82,36 @@ class TestObservation:
         for epsilon in (0.0, -1.0, math.inf, math.nan, 1e300, 1e-200):
             with pytest.raises(ConfigurationError):
                 Observation(data=unit_vector(interval, 0), epsilon=epsilon)
+
+
+def _default_rng_rows(basis, seeds):
+    return [np.random.default_rng(s).standard_normal(basis.n_modes).tobytes() for s in seeds]
+
+
+class TestNoiseBlock:
+    """``noise_block`` recomputes NumPy's seeding of ``default_rng`` for a whole
+    block, so a NumPy release that seeds differently must fail here."""
+
+    EDGE_SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1]
+
+    def test_edge_seeds_match_default_rng(self, interval):
+        block = noise_block(interval, self.EDGE_SEEDS)
+        assert block.shape == (len(self.EDGE_SEEDS), interval.n_modes)
+        assert [row.tobytes() for row in block] == _default_rng_rows(interval, self.EDGE_SEEDS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
+    def test_matches_default_rng(self, interval, seeds):
+        block = noise_block(interval, np.array(seeds, dtype=np.uint64))
+        assert [row.tobytes() for row in block] == _default_rng_rows(interval, seeds)
+
+    def test_empty_block(self, interval):
+        assert noise_block(interval, []).shape == (0, interval.n_modes)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_refused(self, interval, seed):
+        with pytest.raises(OverflowError):
+            noise_block(interval, [seed])
 
 
 class TestPosteriorUpdate:

@@ -6,6 +6,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvmlab import priors
 from bvmlab.errors import ConfigurationError, RareEventError
 from bvmlab.priors import (
     GaussianPrior,
@@ -124,6 +125,17 @@ class TestSmallBallLadder:
         for delta, est in zip(deltas, ladder):
             assert est.hits == _per_delta_hits(prior, -2.0, delta, 10_000, 31)
             assert est == small_ball_ladder(prior, -2.0, (delta,), 10_000, seed=31)[0]
+
+    def test_chunk_size_changes_no_estimate(self, prior, monkeypatch):
+        # the draws are read row by row and each norm is one dot product, so
+        # the chunk size only bounds memory
+        deltas = (0.03, 0.012, 0.02, 0.015)
+        ladders = []
+        for chunk in (1, 7, 256, 4096):
+            monkeypatch.setattr(priors, "_MC_CHUNK", chunk)
+            ladders.append(small_ball_ladder(prior, -2.0, deltas, 10_000, seed=31))
+        assert all(ladder == ladders[0] for ladder in ladders)
+        assert 0 < ladders[0][1].hits < ladders[0][0].hits < 10_000
 
     @settings(max_examples=30, deadline=None)
     @given(
