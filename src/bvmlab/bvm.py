@@ -81,8 +81,10 @@ def representer(
 
     An operator with a companion C (the elliptic pair, each the inverse of
     the other) has the closed form psi_tilde = -C(C psi) as well, which must
-    agree with the solver path to relative 1e-8.
+    agree with the solver path to relative 1e-8.  A zero psi is refused.
     """
+    if not np.any(psi.coeffs):
+        raise ConfigurationError("the functional psi is zero")
     tilde = coeff_vector(op.basis, -fisher_solve(op, psi, cond_limit).coeffs)
     if op.companion is not None:
         alt = coeff_vector(op.basis, -apply(op.companion, apply(op.companion, psi)).coeffs)

@@ -290,6 +290,16 @@ class ExperimentConfig:
                 f"key 'functional.band': band {self.functional_band} exceeds "
                 f"n_modes={self.n_modes}"
             )
+        # a band below the basis's lowest frequency, or sin(0 pi x), makes psi
+        # zero, and a zero functional covers every replicate with radius 0
+        lowest = 0 if self.operator_kind == "psido" else 1
+        if coverage and reads_band and self.functional_band < lowest:
+            raise ConfigurationError(
+                f"key 'functional.band': band {self.functional_band} keeps no mode; "
+                f"the basis's lowest frequency is {lowest}"
+            )
+        if coverage and kind == "smoothed_image" and self.functional_sine == 0:
+            raise ConfigurationError("key 'functional.sine': sine 0 makes the functional zero")
         if coverage and reads_mode and not 1 <= self.functional_mode <= self.n_modes:
             raise ConfigurationError(
                 f"key 'functional.mode': mode {self.functional_mode} is outside "

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, IllPosedError, NumericalError, ShapeError
-from .spectral import BasisKind, CoeffVector, SpectralBasis, coeff_vector
+from .spectral import BasisKind, CoeffVector, SpectralBasis, coeff_vector, fourier_moments
 
 __all__ = [
     "ForwardOperator",
@@ -126,9 +126,10 @@ def elliptic_operator(
 ) -> tuple[ForwardOperator, ForwardOperator]:
     """Assemble the divergence-form operator L and its solution map L^-1.
 
-    Galerkin entries integrate a(x) phi_i'(x) phi_j'(x) with the analytic mode
-    derivatives on the oversampled grid; a constant coefficient collapses both
-    operators to exact diagonals.  Returns ``(L, L_inv)`` linked as companions.
+    The Galerkin entries, quadratures of a(x) phi_i'(x) phi_j'(x), are
+    pi^2 i j (a_{|i-j|} + a_{i+j}) in the cosine moments a_k of the coefficient
+    (exactly symmetric); a constant coefficient collapses both operators to
+    exact diagonals.  Returns ``(L, L_inv)`` linked as companions.
     """
     if basis.kind is not BasisKind.DIRICHLET_SINE:
         raise ConfigurationError("the elliptic solution operator is defined on the Dirichlet basis")
@@ -139,10 +140,9 @@ def elliptic_operator(
         inv = ForwardOperator(basis=basis, multipliers=1.0 / lam, companion=fwd)
         object.__setattr__(fwd, "companion", inv)
         return fwd, inv
-    deriv = basis.mode_derivatives(basis.grid)
-    weighted = deriv * np.sqrt(basis.quad_weights * avals)
-    mat = weighted @ weighted.T
-    mat = 0.5 * (mat + mat.T)
+    j = np.arange(1, basis.n_modes + 1)
+    moments = fourier_moments(avals, basis, 2 * basis.n_modes + 1).real
+    mat = np.pi**2 * np.outer(j, j) * (moments[np.abs(j[:, None] - j)] + moments[j[:, None] + j])
     try:
         chol_inv = np.linalg.inv(np.linalg.cholesky(mat))
     except np.linalg.LinAlgError as exc:

@@ -3,13 +3,14 @@
 Provides orthonormal eigenbases of the (negative) Laplacian, coefficient
 vectors, Sobolev-scale norms (negative exponents give the dual norms),
 quadrature analysis of grid samples, smooth bump cutoffs, and band-limited
-approximation.
+approximation.  Only this module knows the quadrature rule; its sums against
+the basis are real FFTs of the grid samples, with no table of mode values.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "coeff_vector",
     "unit_vector",
     "analyze",
+    "fourier_moments",
     "inner",
     "sobolev_norm",
     "make_bump",
@@ -58,31 +60,6 @@ class SpectralBasis:
     frequencies: np.ndarray  # signed mode indices
     eigenvalues: np.ndarray  # Laplacian eigenvalues, nondecreasing in |freq|
     grid: np.ndarray         # quadrature nodes
-    quad_weights: np.ndarray
-    grid_matrix: np.ndarray = field(repr=False)  # [j, i] = phi_j(grid[i])
-
-    def mode_values(self, points: np.ndarray) -> np.ndarray:
-        """Matrix of basis functions evaluated at arbitrary points, shape (n_modes, len(points))."""
-        x = np.asarray(points, dtype=float)
-        if self.kind is BasisKind.DIRICHLET_SINE:
-            j = np.arange(1, self.n_modes + 1)
-            return math.sqrt(2.0) * np.sin(np.pi * np.outer(j, x))
-        out = np.empty((self.n_modes, x.size))
-        out[0] = 1.0 / math.sqrt(2.0 * math.pi)
-        for row, k in enumerate(self.frequencies[1:], start=1):
-            if k > 0:
-                out[row] = np.cos(k * x) / math.sqrt(math.pi)
-            else:
-                out[row] = np.sin(-k * x) / math.sqrt(math.pi)
-        return out
-
-    def mode_derivatives(self, points: np.ndarray) -> np.ndarray:
-        """First derivatives phi_j'(x); Dirichlet basis only (Galerkin assembly)."""
-        if self.kind is not BasisKind.DIRICHLET_SINE:
-            raise ConfigurationError("mode derivatives are provided for the Dirichlet sine basis only")
-        x = np.asarray(points, dtype=float)
-        j = np.arange(1, self.n_modes + 1)
-        return math.sqrt(2.0) * np.pi * j[:, None] * np.cos(np.pi * np.outer(j, x))
 
     def compatible(self, other: "SpectralBasis") -> bool:
         return (
@@ -111,11 +88,11 @@ class CoeffVector:
 
 
 def build_basis(kind: BasisKind, n_modes: int, oversample: int = 8) -> SpectralBasis:
-    """Construct a spectral basis with a grid of oversample * n_modes quadrature nodes.
+    """Construct a spectral basis with a grid of N = oversample * n_modes quadrature nodes.
 
-    The torus uses the (spectrally exact) rectangle rule on [0, 2pi), the
-    interval the composite midpoint rule on (0, 1); products of basis modes
-    are then integrated exactly at oversample >= 4.
+    The torus uses the (spectrally exact) rectangle rule on 2 pi i / N, the
+    interval the midpoint rule on (i + 1/2) / N; products of basis modes are
+    integrated exactly at oversample >= 4.  The basis keeps no mode values.
     """
     if n_modes < 1:
         raise ConfigurationError("n_modes must be a positive integer")
@@ -131,25 +108,19 @@ def build_basis(kind: BasisKind, n_modes: int, oversample: int = 8) -> SpectralB
         freqs[2::2] = -np.arange(1, half + 1)
         eigs = freqs.astype(float) ** 2
         grid = 2.0 * math.pi * np.arange(n_grid) / n_grid
-        weights = np.full(n_grid, 2.0 * math.pi / n_grid)
     elif kind is BasisKind.DIRICHLET_SINE:
         freqs = np.arange(1, n_modes + 1)
         eigs = (np.pi * freqs.astype(float)) ** 2
         grid = (np.arange(n_grid) + 0.5) / n_grid
-        weights = np.full(n_grid, 1.0 / n_grid)
     else:
         raise ConfigurationError(f"unknown basis kind: {kind!r}")
-    basis = SpectralBasis(
+    return SpectralBasis(
         kind=kind,
         n_modes=n_modes,
         frequencies=_readonly(freqs),
         eigenvalues=_readonly(eigs),
         grid=_readonly(grid),
-        quad_weights=_readonly(weights),
-        grid_matrix=np.empty(0),
     )
-    object.__setattr__(basis, "grid_matrix", _readonly(basis.mode_values(grid)))
-    return basis
 
 
 def coeff_vector(basis: SpectralBasis, values) -> CoeffVector:
@@ -170,14 +141,36 @@ def _check_same_basis(f: CoeffVector, g: CoeffVector) -> None:
         raise ShapeError("coefficient vectors live on different bases")
 
 
-def analyze(values, basis: SpectralBasis) -> CoeffVector:
-    """Project grid samples onto the basis by quadrature inner products."""
+def fourier_moments(values, basis: SpectralBasis, count: int) -> np.ndarray:
+    """Quadrature sums sum_i w_i v(x_i) exp(-i k x_i) on the torus, or with pi k
+    on the interval, for k = 0..count-1: one real FFT of the samples, of length
+    2N with the twiddle exp(-i pi k / (2N)) on the interval's midpoint grid
+    (Makhoul, IEEE TASSP 1980), whose sine sums are a DST-II.
+    """
     v = np.asarray(values, dtype=float)
     if v.ndim != 1 or v.size != basis.grid.size:
         raise ShapeError(
             f"expected {basis.grid.size} grid samples, got array of shape {v.shape}"
         )
-    return coeff_vector(basis, basis.grid_matrix @ (basis.quad_weights * v))
+    n_grid = v.size
+    if basis.kind is BasisKind.FOURIER_TORUS:
+        return np.fft.rfft(v)[:count] * (2.0 * math.pi / n_grid)
+    twiddle = np.exp(-0.5j * np.pi * np.arange(count) / n_grid)
+    return twiddle * np.fft.rfft(v, 2 * n_grid)[:count] / n_grid
+
+
+def analyze(values, basis: SpectralBasis) -> CoeffVector:
+    """Project grid samples onto the basis by quadrature inner products."""
+    n = basis.n_modes
+    if basis.kind is BasisKind.DIRICHLET_SINE:
+        sums = fourier_moments(values, basis, n + 1)
+        return coeff_vector(basis, -math.sqrt(2.0) * sums.imag[1:])
+    sums = fourier_moments(values, basis, (n + 1) // 2) / math.sqrt(math.pi)
+    coeffs = np.empty(n)
+    coeffs[0] = sums.real[0] / math.sqrt(2.0)
+    coeffs[1::2] = sums.real[1:]    # cos(kx) / sqrt(pi)
+    coeffs[2::2] = -sums.imag[1:]   # sin(kx) / sqrt(pi)
+    return coeff_vector(basis, coeffs)
 
 
 def inner(f: CoeffVector, g: CoeffVector) -> float:

@@ -1,7 +1,9 @@
 """Test helpers and oracles that no experiment runs."""
+import math
+
 import numpy as np
 
-from bvmlab.spectral import coeff_vector
+from bvmlab.spectral import BasisKind, coeff_vector
 
 
 _MASK64 = (1 << 64) - 1
@@ -27,9 +29,47 @@ def random_vec(basis, seed, max_mode=None):
     return coeff_vector(basis, c)
 
 
+def mode_values(basis, points):
+    """Basis functions evaluated at arbitrary points, shape (n_modes, len(points))."""
+    x = np.asarray(points, dtype=float)
+    if basis.kind is BasisKind.DIRICHLET_SINE:
+        j = np.arange(1, basis.n_modes + 1)
+        return math.sqrt(2.0) * np.sin(np.pi * np.outer(j, x))
+    out = np.empty((basis.n_modes, x.size))
+    out[0] = 1.0 / math.sqrt(2.0 * math.pi)
+    for row, k in enumerate(basis.frequencies[1:], start=1):
+        if k > 0:
+            out[row] = np.cos(k * x) / math.sqrt(math.pi)
+        else:
+            out[row] = np.sin(-k * x) / math.sqrt(math.pi)
+    return out
+
+
+def quad_weights(basis):
+    """Weights of the grid's quadrature rule: the rectangle rule on the torus
+    [0, 2 pi), the midpoint rule on (0, 1)."""
+    length = 2.0 * math.pi if basis.kind is BasisKind.FOURIER_TORUS else 1.0
+    return np.full(basis.grid.size, length / basis.grid.size)
+
+
+def direct_analyze(values, basis):
+    """Quadrature inner products of grid samples with every mode, as one
+    direct (n_modes x N) matrix-vector product."""
+    return mode_values(basis, basis.grid) @ (quad_weights(basis) * np.asarray(values, dtype=float))
+
+
+def galerkin_matrix(avals, basis):
+    """Galerkin matrix sum_i w_i a(x_i) phi_j'(x_i) phi_k'(x_i) on the
+    interval grid, from a table of the analytic mode derivatives."""
+    j = np.arange(1, basis.n_modes + 1)
+    deriv = math.sqrt(2.0) * np.pi * j[:, None] * np.cos(np.pi * np.outer(j, basis.grid))
+    weighted = deriv * np.sqrt(quad_weights(basis) * avals)
+    return weighted @ weighted.T
+
+
 def synthesize(f, points):
     """Evaluate sum_j c_j phi_j(x) at each point."""
-    return f.coeffs @ f.basis.mode_values(np.asarray(points, dtype=float))
+    return f.coeffs @ mode_values(f.basis, points)
 
 
 def centred_draws(factor, z):

@@ -98,6 +98,14 @@ class TestRepresenter:
         tf = representer(l_inv, coeff_vector(interval, c))
         assert tf.limiting_variance > 0
 
+    @pytest.mark.parametrize("kind", ["diagonal", "dense"])
+    def test_zero_psi_refused(self, interval, bvp_pair, kind):
+        op = bvp_pair[1]
+        if kind == "dense":
+            op = ForwardOperator(basis=interval, matrix=np.diag(op.multipliers))
+        with pytest.raises(ConfigurationError, match="zero"):
+            representer(op, coeff_vector(interval, np.zeros(interval.n_modes)))
+
     def test_heat_generic_psi_ill_posed(self, interval):
         op = heat_semigroup(interval, 0.1)
         rng = np.random.default_rng(6)

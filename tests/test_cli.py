@@ -522,6 +522,15 @@ _LATE_FAILING = [
         "operator.kind=heat\nn_modes=32\nfunctional.kind=heat_mode\nfunctional.mode=13",
         "functional.mode",
     ),
+    # these functionals were zero: every row had radius 0 and was covered, with exit 0
+    ("coverage", "n_modes=64\nepsilons=1e-2,1e-3\nfunctional.band=0", "functional.band"),
+    ("coverage", "n_modes=64\nepsilons=1e-2,1e-3\nfunctional.sine=0", "functional.sine"),
+    ("coverage", "n_modes=32\nfunctional.kind=sobolev\nfunctional.band=0", "functional.band"),
+    (
+        "coverage",
+        "operator.kind=psido\nn_modes=33\nfunctional.kind=sobolev\nfunctional.band=-1",
+        "functional.band",
+    ),
 ]
 
 
@@ -585,6 +594,12 @@ class TestLateFailingKeys:
             "experiment=coverage\nn_modes=32\nfunctional.kind=mode\n"
             "functional.support=0.5,0.4\ntruth.kind=modes\ntruth.support=0,1\n"
         )
+        # band 0 keeps the torus's constant mode
+        config = parse_config(
+            "experiment=coverage\noperator.kind=psido\nn_modes=33\nfunctional.kind=sobolev\n"
+            f"functional.band=0\noutput_path={tmp_path / 'o.csv'}\nn_replicates=2\nepsilons=1e-2\n"
+        )
+        assert run_command(config) == 0
         # only the elliptic operator reads its coefficient
         assert parse_config(
             "experiment=coverage\noperator.kind=psido\nn_modes=33\nfunctional.kind=mode\n"

@@ -26,7 +26,7 @@ from bvmlab.spectral import (
     sobolev_norm,
     unit_vector,
 )
-from reference import random_vec
+from reference import galerkin_matrix, random_vec
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,19 @@ class TestEllipticOperator:
         assert not fwd.is_diagonal
         assert np.abs(fwd.matrix - fwd.matrix.T).max() <= 1e-12 * np.abs(fwd.matrix).max()
         assert np.abs(inv.matrix - inv.matrix.T).max() <= 1e-12 * np.abs(inv.matrix).max()
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize(
+        "a",
+        [lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), lambda x: 2.0 + x**2],
+        ids=["sine", "two_plus_x_squared"],
+    )
+    def test_galerkin_matches_derivative_table(self, n, a):
+        basis = build_basis(BasisKind.DIRICHLET_SINE, n, 8)
+        fwd, _ = elliptic_operator(EllipticCoefficient(a), basis)
+        want = galerkin_matrix(a(basis.grid), basis)
+        assert np.abs(fwd.matrix - want).max() <= 1e-13 * np.abs(want).max()
+        np.testing.assert_array_equal(fwd.matrix, fwd.matrix.T)
 
     @pytest.mark.parametrize("pair_name", ["bvp_pair", "bvp_variable_pair"])
     def test_inverse_roundtrip(self, pair_name, interval, request):

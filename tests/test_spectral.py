@@ -16,7 +16,7 @@ from bvmlab.spectral import (
     sobolev_norm,
     unit_vector,
 )
-from reference import random_vec, synthesize
+from reference import direct_analyze, quad_weights, random_vec, synthesize
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +96,49 @@ class TestSynthesizeAnalyze:
         with pytest.raises(ShapeError):
             analyze(np.array([]), interval)
 
+    @pytest.mark.parametrize("oversample", [4, 8])
+    @pytest.mark.parametrize(
+        "kind, n",
+        [
+            (BasisKind.DIRICHLET_SINE, 16),
+            (BasisKind.DIRICHLET_SINE, 17),
+            (BasisKind.FOURIER_TORUS, 17),
+            (BasisKind.FOURIER_TORUS, 19),
+        ],
+    )
+    def test_analyze_matches_direct_quadrature(self, kind, n, oversample):
+        basis = build_basis(kind, n, oversample)
+        # grid samples that are no band-limited function of the basis
+        values = np.random.default_rng(n).standard_normal(basis.grid.size) + basis.grid**2
+        want = direct_analyze(values, basis)
+        got = analyze(values, basis).coeffs
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_no_array_larger_than_grid(self):
+        for kind, n in [(BasisKind.DIRICHLET_SINE, 64), (BasisKind.FOURIER_TORUS, 65)]:
+            basis = build_basis(kind, n, 8)
+            sizes = {
+                name: np.asarray(value).size
+                for name, value in vars(basis).items()
+                if isinstance(value, np.ndarray)
+            }
+            assert sizes and max(sizes.values()) <= basis.grid.size, sizes
+
+    def test_analyze_at_scale(self):
+        # a table of mode values on this grid would hold 8 n^2 doubles, 17 GB
+        n = 16384
+        basis = build_basis(BasisKind.DIRICHLET_SINE, n, 8)
+        n_grid = basis.grid.size
+        values = np.random.default_rng(1).standard_normal(n_grid)
+        got = analyze(values, basis).coeffs
+        assert got.shape == (n,)
+        odd = 2 * np.arange(n_grid, dtype=np.int64) + 1
+        for j in (1, 1000, n):
+            # sin(pi j (i + 1/2) / N) with the phase reduced exactly in integers
+            phase = (j * odd) % (4 * n_grid)
+            want = math.sqrt(2.0) * np.dot(np.sin(np.pi * phase / (2 * n_grid)), values) / n_grid
+            assert abs(got[j - 1] - want) <= 1e-13 * np.linalg.norm(values) / math.sqrt(n_grid)
+
 
 class TestInner:
     def test_orthonormality(self, interval):
@@ -116,12 +159,13 @@ class TestInner:
         for seed in range(5):
             f = random_vec(basis, seed)
             g = random_vec(basis, seed + 100)
-            quad = np.dot(basis.quad_weights, synthesize(f, basis.grid) * synthesize(g, basis.grid))
+            values = synthesize(f, basis.grid) * synthesize(g, basis.grid)
+            quad = np.dot(quad_weights(basis), values)
             assert abs(inner(f, g) - quad) <= 1e-8 * max(abs(inner(f, g)), 1.0)
 
     def test_parseval_self(self, interval):
         f = random_vec(interval, 3)
-        quad = np.dot(interval.quad_weights, synthesize(f, interval.grid) ** 2)
+        quad = np.dot(quad_weights(interval), synthesize(f, interval.grid) ** 2)
         assert abs(inner(f, f) - quad) <= 1e-8 * inner(f, f)
 
 
