@@ -1,7 +1,8 @@
 """Monte Carlo harness for the asymptotic-normality experiments: representer
-construction, limiting variances, replicate engine, the Kolmogorov-Smirnov
-distance, coverage reports, rate regression, and the tightness series of the
-limit law.
+construction, limiting variances, credible sets per noise level, the
+replicate engine (one noise draw per replicate, scored at every noise level),
+the Kolmogorov-Smirnov distance, coverage reports, rate regression, and the
+tightness series of the limit law.
 """
 from __future__ import annotations
 
@@ -27,6 +28,7 @@ from .spectral import CoeffVector, coeff_vector, inner
 __all__ = [
     "TestFunctional",
     "ReplicateTable",
+    "CredibleSets",
     "CoverageKind",
     "CoverageReport",
     "RateFit",
@@ -34,6 +36,7 @@ __all__ = [
     "TightnessResult",
     "representer",
     "heat_psi_from_representer",
+    "credible_sets",
     "replicate_blocks",
     "replicate_table",
     "ks_distance",
@@ -152,79 +155,121 @@ class ReplicateTable:
     ball_covered: Optional[np.ndarray] = None  # (rows,), bool
 
 
-def replicate_blocks(
+@dataclass(frozen=True, eq=False)
+class CredibleSets:
+    """The credible sets of one functional at one noise level.
+
+    The interval is ``<posterior mean, psi> +- interval_radius``; with
+    ``ball_beta`` the ball holds the functions within ``ball_radius`` of the
+    posterior mean in the dual norm of smoothness ``ball_beta``.  Both radii
+    depend on the posterior covariance alone, so ``credible_sets`` computes
+    them once per noise level and they serve every replicate.
+    """
+
+    factor: PosteriorFactor
+    functional: TestFunctional
+    level: float
+    posterior_functional_variance: float
+    interval_radius: float
+    ball_beta: Optional[float] = None
+    ball_radius: Optional[float] = None
+
+
+def credible_sets(
     factor: PosteriorFactor,
+    functional: TestFunctional,
+    level: float = 0.95,
+    ball_beta: Optional[float] = None,
+) -> CredibleSets:
+    """The functional's posterior variance and the interval and exact ball radii at
+    the factor's noise level."""
+    q = two_sided_quantile(level)
+    variance = factor.functional_variance(functional.psi)
+    return CredibleSets(
+        factor=factor,
+        functional=functional,
+        level=level,
+        posterior_functional_variance=variance,
+        interval_radius=q * math.sqrt(variance),
+        ball_beta=ball_beta,
+        ball_radius=None if ball_beta is None else exact_ball_radius(factor, ball_beta, level),
+    )
+
+
+def replicate_blocks(
+    factors: Sequence[PosteriorFactor],
     f_dagger: CoeffVector,
     indices: Sequence[int],
     master_seed: int,
-) -> Iterator[tuple[slice, np.ndarray, np.ndarray]]:
-    """Measurements ``A f_dagger + epsilon W`` from the fixed truth, in blocks of
-    up to ``REPLICATE_BLOCK`` replicates, with the factor's operator and epsilon.
+) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
+    """Measurements ``A f_dagger + epsilon W`` from the fixed truth at every
+    factor's noise level, in blocks of up to ``REPLICATE_BLOCK`` replicates.
 
-    Replicate i draws W from the seed ``derive_seed(master_seed, 2i)``, so a
-    parallel driver may pass any sub-range of the indices; the master seed
-    must lie in 0..2**64 - 1.  Each block yields
-    ``(rows, noise, means)``: the slice of ``indices`` it covers, its noise rows
-    and their posterior means.  The update is row-local, so every row is
-    bitwise the same for any index split.
+    Replicate i draws W once, from the seed ``derive_seed(master_seed, 2i)``,
+    and every factor updates that same W with its own operator and epsilon;
+    the master seed must lie in 0..2**64 - 1.  Each block yields
+    ``(k, rows, noise, means)`` for each factor k in turn: the slice of
+    ``indices`` it covers, its noise rows and their posterior means under
+    factor k, so a block holds one level's means at a time.  The update is
+    row-local, so every row is bitwise the same for any index split, and a
+    parallel driver may pass any sub-range of the indices.
     """
-    op, epsilon = factor.operator, factor.epsilon
-    if not op.basis.compatible(f_dagger.basis):
-        raise ShapeError("truth lives on a different basis than the operator")
-    signal = apply(op, f_dagger).coeffs
+    signals = []
+    for factor in factors:
+        if not factor.operator.basis.compatible(f_dagger.basis):
+            raise ShapeError("truth lives on a different basis than the operator")
+        signals.append(apply(factor.operator, f_dagger).coeffs)
     for lo in range(0, len(indices), REPLICATE_BLOCK):
         block = np.asarray(indices[lo : lo + REPLICATE_BLOCK], dtype=np.uint64)
-        noise = noise_block(op.basis, derive_seeds(master_seed, 2 * block))
-        yield slice(lo, lo + len(block)), noise, factor.update_block(signal + epsilon * noise)
+        rows = slice(lo, lo + len(block))
+        noise = noise_block(f_dagger.basis, derive_seeds(master_seed, 2 * block))
+        for k, (factor, signal) in enumerate(zip(factors, signals)):
+            yield k, rows, noise, factor.update_block(signal + factor.epsilon * noise)
 
 
 def replicate_table(
-    factor: PosteriorFactor,
+    levels: Sequence[CredibleSets],
     f_dagger: CoeffVector,
-    functional: TestFunctional,
     indices: Sequence[int],
-    level: float = 0.95,
-    ball_beta: Optional[float] = None,
     master_seed: int = 0,
-) -> ReplicateTable:
-    """The replicates of ``replicate_blocks`` scored for one functional, as columns;
-    the functional variance and the exact ball radius are computed once per call."""
-    op, epsilon = factor.operator, factor.epsilon
-    q = two_sided_quantile(level)
-    truth_value = inner(f_dagger, functional.psi)
-    psi = functional.psi.coeffs
-    image = apply(op, functional.psi_tilde).coeffs
-    variance = factor.functional_variance(functional.psi)
-    radius = q * math.sqrt(variance)
-    n_rows = len(indices)
-    means = np.empty(n_rows)
-    noise_terms = np.empty(n_rows)
-    ball_radius = ball_covered = None
-    if ball_beta is not None:
-        ball_radius = exact_ball_radius(factor, ball_beta, level)
-        distances = np.empty(n_rows)
-        weights = (1.0 + op.basis.eigenvalues) ** (-ball_beta)
-    for rows, noise, post_means in replicate_blocks(factor, f_dagger, indices, master_seed):
-        means[rows] = np.vecdot(post_means, psi)
-        noise_terms[rows] = np.vecdot(noise, image)
-        if ball_beta is not None:
-            distances[rows] = np.sqrt(np.vecdot((f_dagger.coeffs - post_means) ** 2, weights))
-    if ball_beta is not None:
-        ball_covered = distances <= ball_radius
-    return ReplicateTable(
-        epsilon=epsilon,
-        level=level,
-        replicate_index=np.array(indices, dtype=np.int64),
-        functional_mean=means,
-        scaled_error=(means - truth_value) / epsilon,
-        hat_psi=truth_value - epsilon * noise_terms,
-        interval_covered=np.abs(truth_value - means) <= radius,
-        interval_radius=radius,
-        posterior_functional_variance=variance,
-        limiting_variance=functional.limiting_variance,
-        ball_radius=ball_radius,
-        ball_covered=ball_covered,
-    )
+) -> list[ReplicateTable]:
+    """The replicates of ``replicate_blocks`` scored against each noise level's
+    credible sets, as columns: one table per level, in the order of ``levels``."""
+    truth_values = [inner(f_dagger, sets.functional.psi) for sets in levels]
+    images = [apply(sets.factor.operator, sets.functional.psi_tilde).coeffs for sets in levels]
+    ball_weights = [
+        None if sets.ball_beta is None
+        else (1.0 + sets.factor.operator.basis.eigenvalues) ** (-sets.ball_beta)
+        for sets in levels
+    ]
+    shape = (len(levels), len(indices))
+    means, noise_terms, distances = np.empty(shape), np.empty(shape), np.empty(shape)
+    factors = [sets.factor for sets in levels]
+    for k, rows, noise, post_means in replicate_blocks(factors, f_dagger, indices, master_seed):
+        means[k, rows] = np.vecdot(post_means, levels[k].functional.psi.coeffs)
+        noise_terms[k, rows] = np.vecdot(noise, images[k])
+        if ball_weights[k] is not None:
+            distances[k, rows] = np.sqrt(
+                np.vecdot((f_dagger.coeffs - post_means) ** 2, ball_weights[k])
+            )
+    columns = zip(levels, truth_values, means, noise_terms, distances)
+    return [
+        ReplicateTable(
+            epsilon=sets.factor.epsilon,
+            level=sets.level,
+            replicate_index=np.array(indices, dtype=np.int64),
+            functional_mean=mean,
+            scaled_error=(mean - truth_value) / sets.factor.epsilon,
+            hat_psi=truth_value - sets.factor.epsilon * noise_term,
+            interval_covered=np.abs(truth_value - mean) <= sets.interval_radius,
+            interval_radius=sets.interval_radius,
+            posterior_functional_variance=sets.posterior_functional_variance,
+            limiting_variance=sets.functional.limiting_variance,
+            ball_radius=sets.ball_radius,
+            ball_covered=None if sets.ball_beta is None else distance <= sets.ball_radius,
+        )
+        for sets, truth_value, mean, noise_term, distance in columns
+    ]
 
 
 def _check_samples(samples: Sequence[float], variance: float) -> np.ndarray:

@@ -198,18 +198,24 @@ def _flag_cells(flags: np.ndarray) -> list[str]:
     return ["true" if flag else "false" for flag in flags.tolist()]
 
 
-def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -> _Rows:
+def _factors(context: ExperimentContext) -> list[posterior.PosteriorFactor]:
+    """The posterior factor of each noise level, in epsilon order."""
+    return [
+        posterior.posterior_factor(context.prior, context.forward, epsilon)
+        for epsilon in context.config.epsilons
+    ]
+
+
+def _coverage_levels(context: ExperimentContext) -> list[bvm.CredibleSets]:
     config = context.config
-    table = bvm.replicate_table(
-        posterior.posterior_factor(context.prior, context.forward, epsilon),
-        context.truth,
-        context.functional,
-        indices,
-        level=config.level,
-        ball_beta=config.ball_beta,
-        master_seed=config.master_seed,
-    )
-    n_rows = len(indices)
+    return [
+        bvm.credible_sets(factor, context.functional, config.level, config.ball_beta)
+        for factor in _factors(context)
+    ]
+
+
+def _table_rows(table: bvm.ReplicateTable, replicates: list[str]) -> _Rows:
+    n_rows = len(replicates)
     no_ball = [""] * n_rows
     ball_cells = [no_ball, no_ball]
     if table.ball_radius is not None:
@@ -218,8 +224,8 @@ def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -
             _flag_cells(table.ball_covered),
         ]
     cells = (
-        [format(epsilon, ".17g")] * n_rows,
-        [str(i) for i in indices],
+        [format(table.epsilon, ".17g")] * n_rows,
+        replicates,
         _float_cells(table.functional_mean),
         _float_cells(table.scaled_error),
         _float_cells(table.hat_psi),
@@ -230,20 +236,35 @@ def _coverage_rows(context: ExperimentContext, epsilon: float, indices: range) -
     return list(zip(*cells))
 
 
-def _rates_rows(context: ExperimentContext, epsilon: float, indices: range) -> _Rows:
-    factor = posterior.posterior_factor(context.prior, context.forward, epsilon)
+def _coverage_rows(
+    context: ExperimentContext, levels: Sequence[bvm.CredibleSets], indices: range
+) -> list[_Rows]:
+    tables = bvm.replicate_table(levels, context.truth, indices, context.config.master_seed)
+    replicates = [str(i) for i in indices]
+    return [_table_rows(table, replicates) for table in tables]
+
+
+def _rates_rows(
+    context: ExperimentContext, factors: Sequence[posterior.PosteriorFactor], indices: range
+) -> list[_Rows]:
     # the dual norm of beta = 2, spectral.sobolev_norm at exponent -2, one row at a time
     weights = (1.0 + context.basis.eigenvalues) ** -2.0
-    errors = np.empty(len(indices))
-    blocks = bvm.replicate_blocks(factor, context.truth, indices, context.config.master_seed)
-    for rows, _, means in blocks:
-        errors[rows] = np.sqrt(np.vecdot((means - context.truth.coeffs) ** 2, weights))
-    cells = ([format(epsilon, ".17g")] * len(indices), map(str, indices), _float_cells(errors))
-    return list(zip(*cells))
+    errors = np.empty((len(factors), len(indices)))
+    blocks = bvm.replicate_blocks(factors, context.truth, indices, context.config.master_seed)
+    for k, rows, _, means in blocks:
+        errors[k, rows] = np.sqrt(np.vecdot((means - context.truth.coeffs) ** 2, weights))
+    replicates = [str(i) for i in indices]
+    return [
+        list(zip([format(factor.epsilon, ".17g")] * len(indices), replicates, _float_cells(row)))
+        for factor, row in zip(factors, errors)
+    ]
 
 
 def _chunks(n: int, workers: int) -> list[range]:
-    size = math.ceil(n / workers)
+    """Contiguous index ranges of ``ceil(n / workers)`` replicates, but of no more
+    than ``bvm.REPLICATE_BLOCK``: a chunk holds every noise level's rows of its
+    replicates, so the block size bounds what a task holds."""
+    size = min(bvm.REPLICATE_BLOCK, math.ceil(n / workers))
     return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
@@ -251,54 +272,56 @@ def _config_text(config: ExperimentConfig) -> str:
     return "\n".join(f"{k}={v}" for k, v in resolved_items(config))
 
 
-# the context of the config text a pool runs: the parent sets it before the pool
-# starts, so a forked worker inherits it; a worker started any other way builds
-# it on its first chunk and reuses it after
-_worker_contexts: dict[str, ExperimentContext] = {}
+# the context and per-level objects of the config text a pool runs: the parent
+# sets them before the pool starts, so a forked worker inherits them; a worker
+# started any other way builds them on its first chunk and reuses them after
+_worker_runs: dict[str, tuple[ExperimentContext, list]] = {}
 
 
-def _worker_context(config_text: str) -> ExperimentContext:
-    if config_text not in _worker_contexts:
-        _worker_contexts.clear()
-        _worker_contexts[config_text] = build_context(parse_config(config_text))
-    return _worker_contexts[config_text]
+def _worker_run(config_text: str, levels_fn) -> tuple[ExperimentContext, list]:
+    if config_text not in _worker_runs:
+        _worker_runs.clear()
+        context = build_context(parse_config(config_text))
+        _worker_runs[config_text] = context, levels_fn(context)
+    return _worker_runs[config_text]
 
 
-def _run_chunk(payload) -> _Rows:
-    config_text, row_fn, epsilon, indices = payload
-    return row_fn(_worker_context(config_text), epsilon, indices)
+def _run_chunk(payload) -> list[_Rows]:
+    config_text, levels_fn, row_fn, indices = payload
+    context, levels = _worker_run(config_text, levels_fn)
+    return row_fn(context, levels, indices)
 
 
-def _map_chunks(context: ExperimentContext, workers: int, row_fn) -> _Rows:
-    """The rows of ``row_fn(context, epsilon, indices)`` for every noise level and
-    replicate chunk, in (epsilon, replicate) order: noise level k owns rows
-    ``k * n_replicates`` to ``(k + 1) * n_replicates - 1``.
+def _map_chunks(context: ExperimentContext, workers: int, levels_fn, row_fn) -> _Rows:
+    """The rows of every noise level and replicate, in (epsilon, replicate) order:
+    noise level k owns rows ``k * n_replicates`` to ``(k + 1) * n_replicates - 1``.
 
-    One worker runs in-process on ``context``; more map the chunks over a
-    process pool.  Rows depend only on (epsilon, replicate index), so the
-    output is the same for any worker count.
+    ``levels_fn(context)`` builds each noise level's data-independent objects,
+    once per run (and once per worker not forked from this process), and
+    ``row_fn(context, levels, indices)`` returns one list of rows per level for
+    a chunk of replicates, so each replicate's noise is drawn once for all
+    levels.  One worker runs the chunks in-process on ``context``; more map
+    them over a process pool.  Rows depend only on (epsilon, replicate
+    index), so the output is the same for any worker count.
     """
     config = context.config
     workers = min(workers, os.cpu_count() or 1)
-    tasks = [
-        (eps, chunk)
-        for eps in config.epsilons
-        for chunk in _chunks(config.n_replicates, workers)
-    ]
+    tasks = _chunks(config.n_replicates, workers)
+    levels = levels_fn(context)
     if workers <= 1:
-        chunks = [row_fn(context, eps, chunk) for eps, chunk in tasks]
+        chunks = [row_fn(context, levels, chunk) for chunk in tasks]
     else:
         text = _config_text(config)
-        payloads = [(text, row_fn, eps, chunk) for eps, chunk in tasks]
+        payloads = [(text, levels_fn, row_fn, chunk) for chunk in tasks]
         pool_size = min(workers, len(tasks))
-        _worker_contexts.clear()
-        _worker_contexts[text] = context
+        _worker_runs.clear()
+        _worker_runs[text] = context, levels
         try:
             with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
                 chunks = list(pool.map(_run_chunk, payloads))
         finally:
-            _worker_contexts.clear()
-    return [row for chunk in chunks for row in chunk]
+            _worker_runs.clear()
+    return [row for k in range(len(levels)) for chunk in chunks for row in chunk[k]]
 
 
 def _level_cells(rows: _Rows, n: int, column: int) -> list[list[str]]:
@@ -314,7 +337,7 @@ def _hits(rows: _Rows, n: int, column: str) -> str:
 
 def _run_coverage(context: ExperimentContext, workers: int):
     config = context.config
-    rows = _map_chunks(context, workers, _coverage_rows)
+    rows = _map_chunks(context, workers, _coverage_levels, _coverage_rows)
     extra = [("diag.coverage_hits", _hits(rows, config.n_replicates, "covered"))]
     if config.ball_beta is not None:
         extra.append(("diag.ball_hits", _hits(rows, config.n_replicates, "ball_covered")))
@@ -323,7 +346,7 @@ def _run_coverage(context: ExperimentContext, workers: int):
 
 def _run_rates(context: ExperimentContext, workers: int):
     config = context.config
-    rows = _map_chunks(context, workers, _rates_rows)
+    rows = _map_chunks(context, workers, _factors, _rates_rows)
     # the dual_error cells (column 2) reparse to the doubles they were formatted from
     mean_errors = [
         float(np.mean([float(cell) for cell in level]))

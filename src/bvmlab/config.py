@@ -300,6 +300,13 @@ class ExperimentConfig:
             )
         if coverage and kind == "smoothed_image" and self.functional_sine == 0:
             raise ConfigurationError("key 'functional.sine': sine 0 makes the functional zero")
+        # the sine is sampled on the N-point midpoint grid, where k aliases to 2N - k
+        grid = self.oversample * self.basis_modes
+        if coverage and kind == "smoothed_image" and abs(self.functional_sine) >= grid:
+            raise ConfigurationError(
+                f"key 'functional.sine': |sine| {abs(self.functional_sine)} must stay below "
+                f"the grid size oversample * n_modes = {grid}"
+            )
         if coverage and reads_mode and not 1 <= self.functional_mode <= self.n_modes:
             raise ConfigurationError(
                 f"key 'functional.mode': mode {self.functional_mode} is outside "

@@ -14,6 +14,7 @@ from bvmlab.bvm import (
     TightnessVerdict,
     coverage_report,
     heat_psi_from_representer,
+    credible_sets,
     ks_distance,
     rate_fit,
     replicate_table,
@@ -90,13 +91,12 @@ def bvp_experiment(interval, bvp):
     image = bandlimit_approx(analyze(window, interval), N_MODES // 4)
     psi = apply(l_inv, image)
     functional = representer(l_inv, psi)
-    results = {
-        eps: replicate_table(
-            posterior_factor(prior, l_inv, eps), fdag, functional, range(2000), level=0.95,
-            master_seed=MASTER_SEED,
-        )
+    levels = [
+        credible_sets(posterior_factor(prior, l_inv, eps), functional, level=0.95)
         for eps in EPS_LADDER
-    }
+    ]
+    tables = replicate_table(levels, fdag, range(2000), master_seed=MASTER_SEED)
+    results = dict(zip(EPS_LADDER, tables))
     return prior, l_inv, fdag, functional, results
 
 
@@ -172,9 +172,9 @@ def test_criterion_4_heat_bvm(interval):
     functional = heat_psi_from_representer(unit_vector(interval, 0), 0.1)
     sigma2_oracle = math.exp(-2 * math.pi**2 * 0.1)
     assert functional.limiting_variance == pytest.approx(sigma2_oracle, rel=1e-12)
-    table = replicate_table(
-        posterior_factor(prior, op, 1e-4), fdag, functional, range(2000), level=0.95,
-        master_seed=MASTER_SEED,
+    (table,) = replicate_table(
+        [credible_sets(posterior_factor(prior, op, 1e-4), functional, level=0.95)],
+        fdag, range(2000), master_seed=MASTER_SEED,
     )
     ks = ks_distance(table.scaled_error, sigma2_oracle)
     assert ks < 0.05
@@ -195,9 +195,9 @@ def test_criterion_5_psido_bvm():
         np.sum((1.0 + torus.frequencies.astype(float) ** 2) ** t_order * psi.coeffs**2)
     )
     assert functional.limiting_variance == pytest.approx(sigma2_oracle, rel=1e-10)
-    table = replicate_table(
-        posterior_factor(prior, op, 1e-4), fdag, functional, range(2000), level=0.95,
-        master_seed=MASTER_SEED,
+    (table,) = replicate_table(
+        [credible_sets(posterior_factor(prior, op, 1e-4), functional, level=0.95)],
+        fdag, range(2000), master_seed=MASTER_SEED,
     )
     ks = ks_distance(table.scaled_error, sigma2_oracle)
     assert ks < 0.05
@@ -244,22 +244,21 @@ def test_criterion_6_contraction_rate_slopes(interval, bvp):
 def test_criterion_7_credible_ball(bvp_experiment):
     """Dual-norm credible balls cover the truth and shrink linearly in the noise."""
     prior, l_inv, fdag, functional, _ = bvp_experiment
-    table = replicate_table(
-        posterior_factor(prior, l_inv, 3e-4), fdag, functional, range(500), level=0.95,
-        ball_beta=3.5, master_seed=MASTER_SEED,
+    (table,) = replicate_table(
+        [credible_sets(posterior_factor(prior, l_inv, 3e-4), functional, 0.95, ball_beta=3.5)],
+        fdag, range(500), master_seed=MASTER_SEED,
     )
     rep = coverage_report(table, CoverageKind.BALL)
     assert 0.92 <= rep.hit_rate <= 0.98
     # radius decay measured on the asymptotic rungs of the ladder (the top
     # rungs saturate at the prior ball)
     slope_ladder = EPS_LADDER[-5:]
-    radii = []
-    for eps in slope_ladder:
-        table = replicate_table(
-            posterior_factor(prior, l_inv, eps), fdag, functional, range(50), level=0.95,
-            ball_beta=3.5, master_seed=MASTER_SEED + 1,
-        )
-        radii.append(table.ball_radius)
+    levels = [
+        credible_sets(posterior_factor(prior, l_inv, eps), functional, 0.95, ball_beta=3.5)
+        for eps in slope_ladder
+    ]
+    tables = replicate_table(levels, fdag, range(50), master_seed=MASTER_SEED + 1)
+    radii = [table.ball_radius for table in tables]
     fit = rate_fit(slope_ladder, radii, 1.0)
     assert abs(fit.slope - 1.0) <= 0.15
     report(
@@ -274,9 +273,9 @@ def test_ball_coverage_below_smoothness_threshold_recorded(bvp_experiment):
     prior, l_inv, fdag, functional, _ = bvp_experiment
     lines = []
     for beta in (2.75, 3.0):
-        table = replicate_table(
-            posterior_factor(prior, l_inv, 3e-4), fdag, functional, range(100), level=0.95,
-            ball_beta=beta, master_seed=MASTER_SEED,
+        (table,) = replicate_table(
+            [credible_sets(posterior_factor(prior, l_inv, 3e-4), functional, 0.95, ball_beta=beta)],
+            fdag, range(100), master_seed=MASTER_SEED,
         )
         rep = coverage_report(table, CoverageKind.BALL)
         assert 0.0 <= rep.hit_rate <= 1.0

@@ -9,6 +9,7 @@ from bvmlab.bvm import (
     CoverageKind,
     TightnessVerdict,
     coverage_report,
+    credible_sets,
     heat_psi_from_representer,
     ks_distance,
     rate_fit,
@@ -160,10 +161,13 @@ class TestHeatPsi:
             heat_psi_from_representer(tilde, 0.1)
 
 
-def _table(setup, epsilon, n, **kwargs):
-    """``replicate_table`` over replicates ``range(n)`` of the small BVP experiment."""
+def _table(setup, epsilon, n, level=0.95, ball_beta=None, master_seed=0):
+    """``replicate_table`` over replicates ``range(n)`` of the small BVP experiment,
+    at the one noise level ``epsilon``."""
     prior, op, fdag, tf = setup
-    return replicate_table(posterior_factor(prior, op, epsilon), fdag, tf, range(n), **kwargs)
+    sets = credible_sets(posterior_factor(prior, op, epsilon), tf, level, ball_beta)
+    (table,) = replicate_table([sets], fdag, range(n), master_seed)
+    return table
 
 
 class TestRunReplicates:
@@ -177,10 +181,10 @@ class TestRunReplicates:
 
     def test_index_split_invariance(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp
-        factor = posterior_factor(prior, op, 1e-3)
-        full = replicate_table(factor, fdag, tf, range(20), master_seed=5)
-        first = replicate_table(factor, fdag, tf, range(0, 7), master_seed=5)
-        rest = replicate_table(factor, fdag, tf, range(7, 20), master_seed=5)
+        levels = [credible_sets(posterior_factor(prior, op, 1e-3), tf)]
+        (full,) = replicate_table(levels, fdag, range(20), master_seed=5)
+        (first,) = replicate_table(levels, fdag, range(0, 7), master_seed=5)
+        (rest,) = replicate_table(levels, fdag, range(7, 20), master_seed=5)
         for name in ("replicate_index", "functional_mean", "scaled_error", "hat_psi",
                      "interval_covered"):
             joined = np.concatenate([getattr(first, name), getattr(rest, name)])

@@ -1,4 +1,5 @@
 import ast
+import collections
 import importlib
 import inspect
 import math
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bvmlab
-from bvmlab import bvm, cli, operators, priors
+from bvmlab import bvm, cli, operators, posterior, priors
 from bvmlab import config as config_module
 from bvmlab.cli import build_context, emit_csv, main, run_command
 from bvmlab.config import parse_config, resolved_items
@@ -525,6 +526,10 @@ _LATE_FAILING = [
     # these functionals were zero: every row had radius 0 and was covered, with exit 0
     ("coverage", "n_modes=64\nepsilons=1e-2,1e-3\nfunctional.band=0", "functional.band"),
     ("coverage", "n_modes=64\nepsilons=1e-2,1e-3\nfunctional.sine=0", "functional.sine"),
+    # the midpoint grid of N = 512 nodes aliases sine k to 2N - k: 1024 sampled
+    # the sine at its zeros (radius about 1e-15), 1023 ran as sin(pi x)
+    ("coverage", "n_modes=64\nepsilons=1e-2,1e-3\nfunctional.sine=1024", "functional.sine"),
+    ("coverage", "n_modes=64\nepsilons=1e-2,1e-3\nfunctional.sine=1023", "functional.sine"),
     ("coverage", "n_modes=32\nfunctional.kind=sobolev\nfunctional.band=0", "functional.band"),
     (
         "coverage",
@@ -594,6 +599,10 @@ class TestLateFailingKeys:
             "experiment=coverage\nn_modes=32\nfunctional.kind=mode\n"
             "functional.support=0.5,0.4\ntruth.kind=modes\ntruth.support=0,1\n"
         )
+        # the highest sine the 512-node grid resolves at n_modes=64
+        assert parse_config(
+            "experiment=coverage\nn_modes=64\nfunctional.sine=511\nepsilons=1e-2,1e-3\n"
+        ).functional_sine == 511
         # band 0 keeps the torus's constant mode
         config = parse_config(
             "experiment=coverage\noperator.kind=psido\nn_modes=33\nfunctional.kind=sobolev\n"
@@ -686,7 +695,7 @@ class TestCoverageDiagnostics:
         config = parse_config(MINIMAL_BVP.format(out=tmp_path / "o.csv"))
         assert run_command(config, workers=2) == 0
         assert builds.read_text().splitlines() == [str(os.getpid())]
-        assert cli._worker_contexts == {}
+        assert cli._worker_runs == {}
 
     @pytest.mark.parametrize("coefficient", ["constant", "sine"], ids=["diagonal", "dense"])
     def test_ball_flags_match_rates_dual_error(self, tmp_path, coefficient):
@@ -917,25 +926,25 @@ class _RecordingPool:
         return map(fn, payloads)
 
 
-class TestWorkerCap:
-    @pytest.fixture
-    def pool_sizes(self, monkeypatch):
-        sizes = []
-        monkeypatch.setattr(
-            cli.concurrent.futures,
-            "ProcessPoolExecutor",
-            lambda max_workers: _RecordingPool(sizes, max_workers),
-        )
-        return sizes
-
-    @pytest.mark.parametrize(
-        "template, n_epsilons", [(MINIMAL_BVP, 2), (RATES, 3)], ids=["coverage", "rates"]
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(
+        cli.concurrent.futures,
+        "ProcessPoolExecutor",
+        lambda max_workers: _RecordingPool(sizes, max_workers),
     )
+    return sizes
+
+
+class TestWorkerCap:
+    @pytest.mark.parametrize("template", [MINIMAL_BVP, RATES], ids=["coverage", "rates"])
     @pytest.mark.parametrize("cpus", [3, 64, 1, None])
-    def test_workers_capped(self, tmp_path, monkeypatch, pool_sizes, template, n_epsilons, cpus):
-        # 3 cores cap the pool; 64 cores leave the cap at the payload count (one
-        # replicate per chunk); one core, or an unknown count, runs without a pool
-        expected = {3: [3], 64: [5 * n_epsilons], 1: [], None: []}[cpus]
+    def test_workers_capped(self, tmp_path, monkeypatch, pool_sizes, template, cpus):
+        # 3 cores cap the pool; 64 cores leave the cap at the payload count, one
+        # chunk of one replicate per payload, each covering every noise level;
+        # one core, or an unknown count, runs without a pool
+        expected = {3: [3], 64: [5], 1: [], None: []}[cpus]
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         path = tmp_path / "cfg"
         out = tmp_path / "o.csv"
@@ -981,12 +990,110 @@ class TestWorkerCap:
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(1, 500), workers=st.integers(1, 64))
+@given(n=st.integers(1, 2000), workers=st.integers(1, 64))
 def test_chunks_partition_replicates(n, workers):
+    # a chunk is one task of the pool and holds every noise level's rows of
+    # its replicates, so it stays within one replicate block
+    block = bvm.REPLICATE_BLOCK
     chunks = cli._chunks(n, workers)
-    assert 1 <= len(chunks) <= workers
-    assert all(len(chunk) > 0 and chunk.step == 1 for chunk in chunks)
+    assert 1 <= len(chunks) <= max(workers, math.ceil(n / block))
+    assert all(0 < len(chunk) <= block and chunk.step == 1 for chunk in chunks)
     assert [i for chunk in chunks for i in chunk] == list(range(n))
+
+
+def _body(path):
+    """The bytes of an output file, with its own path masked."""
+    return path.read_bytes().replace(bytes(str(path), "utf-8"), b"OUT")
+
+
+class TestReplicateMajor:
+    """A pool task is a range of replicates at every noise level: each replicate's
+    noise is drawn once per run, and each level's factor and radii are computed
+    once per run, however the replicates are split."""
+
+    TEMPLATES = {
+        # three noise levels, and 300 replicates, so chunks cross a block boundary
+        "coverage": MINIMAL_BVP.replace("epsilons=1e-2,1e-3", "epsilons=1e-1,1e-2,1e-3")
+        .replace("n_replicates=5", "n_replicates=300")
+        + "ball_beta=3.5\noperator.coefficient=sine\n",
+        "rates": RATES,
+    }
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = collections.Counter()
+
+        def count(module, name, work):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                counts[name] += work(*args)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(bvm, "noise_block", lambda basis, seeds: len(seeds))
+        count(posterior, "posterior_factor", lambda *args: 1)
+        count(bvm, "exact_ball_radius", lambda *args: 1)
+        return counts
+
+    def _run(self, tmp_path, monkeypatch, experiment, workers):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        config = parse_config(self.TEMPLATES[experiment].format(out=tmp_path / "o.csv"))
+        assert run_command(config, workers=workers) == 0
+        return config
+
+    @pytest.mark.parametrize("experiment", ["coverage", "rates"])
+    @pytest.mark.parametrize("workers", [1, 5])
+    def test_one_noise_row_per_replicate(
+        self, tmp_path, monkeypatch, pool_sizes, counts, experiment, workers
+    ):
+        config = self._run(tmp_path, monkeypatch, experiment, workers)
+        assert pool_sizes == ([] if workers == 1 else [workers])
+        assert counts["noise_block"] == config.n_replicates
+
+    @pytest.mark.parametrize("experiment", ["coverage", "rates"])
+    def test_level_work_once_per_run(self, tmp_path, monkeypatch, pool_sizes, counts, experiment):
+        # the recording pool maps in this process, like a worker forked from it
+        config = self._run(tmp_path, monkeypatch, experiment, workers=5)
+        assert pool_sizes == [5]
+        assert counts["posterior_factor"] == len(config.epsilons)
+        balls = len(config.epsilons) if config.ball_beta is not None else 0
+        assert counts["exact_ball_radius"] == balls
+
+    @pytest.mark.parametrize("experiment", ["coverage", "rates"])
+    def test_spawned_workers_byte_identical(self, tmp_path, monkeypatch, experiment):
+        # a spawned worker inherits nothing from the parent: it builds the
+        # context and every level's factor and radii on its first chunk
+        pool = cli.concurrent.futures.ProcessPoolExecutor
+        spawn = multiprocessing.get_context("spawn")
+        started = []
+
+        def spawn_pool(max_workers):
+            started.append(max_workers)
+            return pool(max_workers=max_workers, mp_context=spawn)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", spawn_pool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        template = self.TEMPLATES[experiment]
+        out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
+        assert run_command(parse_config(template.format(out=out1)), workers=1) == 0
+        assert run_command(parse_config(template.format(out=out2)), workers=2) == 0
+        assert started == [2]
+        assert _body(out1) == _body(out2)
+
+    def test_ragged_chunks_byte_identical(self, tmp_path, monkeypatch):
+        # 300 replicates: one worker runs chunks of 256 and 44, two run 150 each
+        # and three 100 each
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        template = MINIMAL_BVP.replace("n_replicates=5", "n_replicates=300") + "ball_beta=3.5\n"
+        bodies = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}.csv"
+            assert run_command(parse_config(template.format(out=out)), workers=workers) == 0
+            bodies.append(_body(out))
+        assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
+
 
 class TestFailureExitCodes:
     @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvmlab import cli, posterior
-from bvmlab.bvm import REPLICATE_BLOCK, replicate_table, representer
+from bvmlab.bvm import REPLICATE_BLOCK, credible_sets, replicate_table, representer
 from bvmlab.config import parse_config
 from bvmlab.errors import ConfigurationError, NumericalError
 from bvmlab.operators import EllipticCoefficient, apply, elliptic_operator, fisher_solve
@@ -77,10 +77,12 @@ PER_CALL = (
 )
 
 
-def _table(setup, epsilon, indices, **kwargs):
-    """``replicate_table`` of a setup's functional, with the factor built at ``epsilon``."""
+def _table(setup, epsilon, indices, level=0.95, ball_beta=None, master_seed=0):
+    """``replicate_table`` of a setup's functional at the one noise level ``epsilon``."""
     prior, op, truth, tf = setup
-    return replicate_table(posterior_factor(prior, op, epsilon), truth, tf, indices, **kwargs)
+    sets = credible_sets(posterior_factor(prior, op, epsilon), tf, level, ball_beta)
+    (table,) = replicate_table([sets], truth, indices, master_seed)
+    return table
 
 
 def _rows(table):
@@ -153,16 +155,21 @@ def test_engine_matches_reference_loop(request, setup, ball_beta, indices):
     n = REPLICATE_BLOCK + 3  # crosses a row-block boundary
     indices = range(n) if indices is None else indices
     kwargs = dict(level=0.9, ball_beta=ball_beta, master_seed=11)
-    factor = posterior_factor(prior, op, 1e-3)
+    epsilons = (1e-2, 1e-3)
+    factors = [posterior_factor(prior, op, epsilon) for epsilon in epsilons]
     for functional in (tf, representer(op, unit_vector(op.basis, 1))):
-        table = replicate_table(factor, truth, functional, indices, **kwargs)
-        want_rows, want_per_call = _reference_replicates(
-            prior, op, truth, functional, 1e-3, indices, **kwargs
-        )
-        assert _rows(table) == want_rows
-        assert _per_call(table) == want_per_call
-        assert table.functional_mean.shape == (len(want_rows),)
-        assert (table.ball_radius is None) == (ball_beta is None)
+        # one call scores every noise level against one noise draw per replicate
+        levels = [credible_sets(factor, functional, 0.9, ball_beta) for factor in factors]
+        tables = replicate_table(levels, truth, indices, master_seed=11)
+        assert len(tables) == len(epsilons)
+        for epsilon, table in zip(epsilons, tables):
+            want_rows, want_per_call = _reference_replicates(
+                prior, op, truth, functional, epsilon, indices, **kwargs
+            )
+            assert _rows(table) == want_rows
+            assert _per_call(table) == want_per_call
+            assert table.functional_mean.shape == (len(want_rows),)
+            assert (table.ball_radius is None) == (ball_beta is None)
 
 
 @pytest.mark.parametrize("setup", ["diag_setup", "dense_setup"])
@@ -198,19 +205,23 @@ output_path={tmp_path / "rates.csv"}
     )
     context = cli.build_context(config)
     indices = range(2, REPLICATE_BLOCK + 3)
-    rows = cli._rates_rows(context, 1e-3, indices)
-    factor = posterior_factor(context.prior, context.forward, 1e-3)
-    want = []
-    for i in indices:
-        # replicate i draws the noise of coverage replicate i
-        obs = posterior.observe(context.forward, context.truth, 1e-3, derive_seed(5, 2 * i))
-        mean = factor.update(obs.data)
-        error = coeff_vector(context.basis, mean.coeffs - context.truth.coeffs)
-        want.append(sobolev_norm(error, -2.0))
-    assert rows == [
-        (format(1e-3, ".17g"), str(i), format(err, ".17g")) for i, err in zip(indices, want)
-    ]
-    assert [repr(float(row[2])) for row in rows] == [repr(e) for e in want]
+    chunk = cli._rates_rows(context, cli._factors(context), indices)
+    assert len(chunk) == len(config.epsilons)
+    for epsilon, rows in zip(config.epsilons, chunk):
+        factor = posterior_factor(context.prior, context.forward, epsilon)
+        want = []
+        for i in indices:
+            # replicate i draws the noise of coverage replicate i
+            seed = derive_seed(5, 2 * i)
+            obs = posterior.observe(context.forward, context.truth, epsilon, seed)
+            mean = factor.update(obs.data)
+            error = coeff_vector(context.basis, mean.coeffs - context.truth.coeffs)
+            want.append(sobolev_norm(error, -2.0))
+        assert rows == [
+            (format(epsilon, ".17g"), str(i), format(err, ".17g"))
+            for i, err in zip(indices, want)
+        ]
+        assert [repr(float(row[2])) for row in rows] == [repr(e) for e in want]
 
 
 def _count_calls(monkeypatch, module, name, counts):
