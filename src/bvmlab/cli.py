@@ -268,59 +268,45 @@ def _chunks(n: int, workers: int) -> list[range]:
     return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-def _config_text(config: ExperimentConfig) -> str:
-    return "\n".join(f"{k}={v}" for k, v in resolved_items(config))
+# the (row_fn, context, levels) a pool worker scores its chunks with: the pool's
+# initializer stores it once per worker, inherited under fork and pickled once
+# otherwise, so a task is an index range and no worker builds or factors anything
+_worker_run: Optional[tuple] = None
 
 
-# the context and per-level objects of the config text a pool runs: the parent
-# sets them before the pool starts, so a forked worker inherits them; a worker
-# started any other way builds them on its first chunk and reuses them after
-_worker_runs: dict[str, tuple[ExperimentContext, list]] = {}
+def _init_worker(run: tuple) -> None:
+    global _worker_run
+    _worker_run = run
 
 
-def _worker_run(config_text: str, levels_fn) -> tuple[ExperimentContext, list]:
-    if config_text not in _worker_runs:
-        _worker_runs.clear()
-        context = build_context(parse_config(config_text))
-        _worker_runs[config_text] = context, levels_fn(context)
-    return _worker_runs[config_text]
-
-
-def _run_chunk(payload) -> list[_Rows]:
-    config_text, levels_fn, row_fn, indices = payload
-    context, levels = _worker_run(config_text, levels_fn)
+def _run_chunk(indices: range) -> list[_Rows]:
+    row_fn, context, levels = _worker_run
     return row_fn(context, levels, indices)
 
 
-def _map_chunks(context: ExperimentContext, workers: int, levels_fn, row_fn) -> _Rows:
+def _map_chunks(context: ExperimentContext, workers: int, levels: list, row_fn) -> _Rows:
     """The rows of every noise level and replicate, in (epsilon, replicate) order:
     noise level k owns rows ``k * n_replicates`` to ``(k + 1) * n_replicates - 1``.
 
-    ``levels_fn(context)`` builds each noise level's data-independent objects,
-    once per run (and once per worker not forked from this process), and
-    ``row_fn(context, levels, indices)`` returns one list of rows per level for
-    a chunk of replicates, so each replicate's noise is drawn once for all
-    levels.  One worker runs the chunks in-process on ``context``; more map
-    them over a process pool.  Rows depend only on (epsilon, replicate
-    index), so the output is the same for any worker count.
+    ``levels`` holds each noise level's data-independent objects, built once
+    per run, and ``row_fn(context, levels, indices)`` returns one list of rows
+    per level for a chunk of replicates, so each replicate's noise is drawn
+    once for all levels.  One worker runs the chunks in-process; more map them
+    over a process pool whose initializer hands each worker the run once.
+    Rows depend only on (epsilon, replicate index), so the output is the same
+    for any worker count.
     """
-    config = context.config
     workers = min(workers, os.cpu_count() or 1)
-    tasks = _chunks(config.n_replicates, workers)
-    levels = levels_fn(context)
+    tasks = _chunks(context.config.n_replicates, workers)
     if workers <= 1:
         chunks = [row_fn(context, levels, chunk) for chunk in tasks]
     else:
-        text = _config_text(config)
-        payloads = [(text, levels_fn, row_fn, chunk) for chunk in tasks]
-        pool_size = min(workers, len(tasks))
-        _worker_runs.clear()
-        _worker_runs[text] = context, levels
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
-                chunks = list(pool.map(_run_chunk, payloads))
-        finally:
-            _worker_runs.clear()
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, len(tasks)),
+            initializer=_init_worker,
+            initargs=((row_fn, context, levels),),
+        ) as pool:
+            chunks = list(pool.map(_run_chunk, tasks))
     return [row for k in range(len(levels)) for chunk in chunks for row in chunk[k]]
 
 
@@ -337,7 +323,7 @@ def _hits(rows: _Rows, n: int, column: str) -> str:
 
 def _run_coverage(context: ExperimentContext, workers: int):
     config = context.config
-    rows = _map_chunks(context, workers, _coverage_levels, _coverage_rows)
+    rows = _map_chunks(context, workers, _coverage_levels(context), _coverage_rows)
     extra = [("diag.coverage_hits", _hits(rows, config.n_replicates, "covered"))]
     if config.ball_beta is not None:
         extra.append(("diag.ball_hits", _hits(rows, config.n_replicates, "ball_covered")))
@@ -346,7 +332,7 @@ def _run_coverage(context: ExperimentContext, workers: int):
 
 def _run_rates(context: ExperimentContext, workers: int):
     config = context.config
-    rows = _map_chunks(context, workers, _factors, _rates_rows)
+    rows = _map_chunks(context, workers, _factors(context), _rates_rows)
     # the dual_error cells (column 2) reparse to the doubles they were formatted from
     mean_errors = [
         float(np.mean([float(cell) for cell in level]))

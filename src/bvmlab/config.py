@@ -182,6 +182,10 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"key 'level': {self.level!r} is too close to 1 for a finite quantile"
             )
+        if 0.5 + self.level / 2.0 == 0.5:
+            raise ConfigurationError(
+                f"key 'level': {self.level!r} is too close to 0 for a nonzero quantile"
+            )
         if not self.epsilons or any(e <= 0 for e in self.epsilons):
             raise ConfigurationError("key 'epsilons': need a nonempty list of positive values")
         # the posterior squares each noise level, which must stay a positive double

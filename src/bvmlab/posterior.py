@@ -320,6 +320,8 @@ def two_sided_quantile(level: float) -> float:
     upper = 0.5 + level / 2.0
     if upper == 1.0:
         raise ConfigurationError(f"level {level!r} is too close to 1 for a finite quantile")
+    if upper == 0.5:
+        raise ConfigurationError(f"level {level!r} is too close to 0 for a nonzero quantile")
     return NormalDist().inv_cdf(upper)
 
 

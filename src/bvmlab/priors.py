@@ -304,6 +304,9 @@ def _saddlepoint(weights: np.ndarray, x: float) -> float:
     s = hi
     for _ in range(200):
         slope, curvature = _cgf_slopes(weights, s)
+        # far left of 0 every squared term underflows, leaving no Newton step
+        if curvature == 0.0:
+            raise NumericalError(f"saddlepoint curvature underflows to 0 at x={x!r}")
         if abs(slope - x) <= 1e-12 * x:
             return s
         if slope > x:

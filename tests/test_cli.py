@@ -530,6 +530,10 @@ _LATE_FAILING = [
     # the sine at its zeros (radius about 1e-15), 1023 ran as sin(pi x)
     ("coverage", "n_modes=64\nepsilons=1e-2,1e-3\nfunctional.sine=1024", "functional.sine"),
     ("coverage", "n_modes=64\nepsilons=1e-2,1e-3\nfunctional.sine=1023", "functional.sine"),
+    # 0.5 + level / 2 rounded to 0.5: every row had radius 0 and was not
+    # covered, with exit 0, and the ball radius raised ZeroDivisionError
+    ("coverage", "n_modes=32\nfunctional.band=8\nlevel=1e-16", "level"),
+    ("coverage", "n_modes=32\nfunctional.band=8\nlevel=1e-300\nball_beta=3.5", "level"),
     ("coverage", "n_modes=32\nfunctional.kind=sobolev\nfunctional.band=0", "functional.band"),
     (
         "coverage",
@@ -680,22 +684,37 @@ class TestCoverageDiagnostics:
         body2 = out2.read_bytes().replace(bytes(str(out2), "utf-8"), b"OUT")
         assert body1 == body2
 
-    def test_forked_workers_reuse_the_parents_context(self, tmp_path, monkeypatch):
-        if multiprocessing.get_context().get_start_method() != "fork":
-            pytest.skip("only forked workers inherit the parent's context")
-        builds = tmp_path / "builds"
-        build = cli.build_context
-
-        def logged_build(config):
-            with open(builds, "a", encoding="utf-8") as fh:
-                fh.write(f"{os.getpid()}\n")
-            return build(config)
-
-        monkeypatch.setattr(cli, "build_context", logged_build)
-        config = parse_config(MINIMAL_BVP.format(out=tmp_path / "o.csv"))
-        assert run_command(config, workers=2) == 0
-        assert builds.read_text().splitlines() == [str(os.getpid())]
-        assert cli._worker_runs == {}
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_workers_receive_the_run_once(self, tmp_path, monkeypatch, method):
+        # 600 replicates on 2 workers are 3 chunks, so a worker scores two; the
+        # run it scores them with reaches it once, inherited under fork and
+        # unpickled once otherwise, and never with a chunk
+        log = tmp_path / "calls"
+        pool = cli.concurrent.futures.ProcessPoolExecutor
+        context = multiprocessing.get_context(method)
+        monkeypatch.setattr(
+            cli.concurrent.futures,
+            "ProcessPoolExecutor",
+            lambda max_workers, initializer=None, initargs=(): pool(
+                max_workers, mp_context=context, initializer=initializer, initargs=initargs
+            ),
+        )
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_coverage_rows", _TaggedRows(log))
+        text = MINIMAL_BVP.replace("n_replicates=5", "n_replicates=600")
+        assert run_command(parse_config(text.format(out=tmp_path / "o.csv")), workers=2) == 0
+        calls = [line.split() for line in log.read_text().splitlines()]
+        assert len(calls) == 3
+        tags = collections.defaultdict(set)
+        for pid, tag in calls:
+            tags[int(pid)].add(tag)
+        assert os.getpid() not in tags and len(tags) <= 2
+        assert all(len(seen) == 1 for seen in tags.values())
+        copies = set.union(*tags.values())
+        if method == "fork":
+            assert copies == {"parent"}
+        else:
+            assert "parent" not in copies and len(copies) == len(tags)
 
     @pytest.mark.parametrize("coefficient", ["constant", "sine"], ids=["diagonal", "dense"])
     def test_ball_flags_match_rates_dual_error(self, tmp_path, coefficient):
@@ -910,11 +929,33 @@ class TestConcentration:
         assert not (tmp_path / "c.csv").exists()
 
 
-class _RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+# read before any test patches it, so a worker that unpickles _TaggedRows finds it too
+_COVERAGE_ROWS = cli._coverage_rows
 
-    def __init__(self, sizes, max_workers):
+
+class _TaggedRows:
+    """Coverage rows that log the process and the copy of this object each call
+    runs in: the parent's copy is tagged "parent", each unpickled copy anew."""
+
+    def __init__(self, log):
+        self.log, self.tag = log, "parent"
+
+    def __setstate__(self, state):
+        self.__dict__.update(state, tag=os.urandom(8).hex())
+
+    def __call__(self, context, levels, indices):
+        with open(self.log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {self.tag}\n")
+        return _COVERAGE_ROWS(context, levels, indices)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, runs the initializer
+    and maps in-process."""
+
+    def __init__(self, sizes, max_workers, initializer, initargs):
         sizes.append(max_workers)
+        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -929,10 +970,14 @@ class _RecordingPool:
 @pytest.fixture
 def pool_sizes(monkeypatch):
     sizes = []
+    # the initializer sets the worker's run in this process; restore it after
+    monkeypatch.setattr(cli, "_worker_run", None)
     monkeypatch.setattr(
         cli.concurrent.futures,
         "ProcessPoolExecutor",
-        lambda max_workers: _RecordingPool(sizes, max_workers),
+        lambda max_workers, initializer, initargs: _RecordingPool(
+            sizes, max_workers, initializer, initargs
+        ),
     )
     return sizes
 
@@ -979,14 +1024,14 @@ class TestWorkerCap:
     def test_pool_run_builds_context_at_most_twice(
         self, tmp_path, monkeypatch, pool_sizes, builds, template, workers
     ):
-        # the fake pool maps in one process: the parent builds once, and the
-        # chunks share one more build however many there are
+        # the parent builds the context once and hands it to the workers; the
+        # chunks build none however many there are
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         path = tmp_path / "cfg"
         path.write_text(template.format(out=tmp_path / "o.csv"))
         assert main(["run", str(path), "--workers", str(workers)]) == 0
         assert pool_sizes == [workers]
-        assert 1 <= len(builds) <= 2
+        assert len(builds) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -1063,15 +1108,15 @@ class TestReplicateMajor:
 
     @pytest.mark.parametrize("experiment", ["coverage", "rates"])
     def test_spawned_workers_byte_identical(self, tmp_path, monkeypatch, experiment):
-        # a spawned worker inherits nothing from the parent: it builds the
-        # context and every level's factor and radii on its first chunk
+        # a spawned worker inherits nothing from the parent: it receives the
+        # context and every level's factor and radii pickled by the initializer
         pool = cli.concurrent.futures.ProcessPoolExecutor
         spawn = multiprocessing.get_context("spawn")
         started = []
 
-        def spawn_pool(max_workers):
+        def spawn_pool(max_workers, initializer, initargs):
             started.append(max_workers)
-            return pool(max_workers=max_workers, mp_context=spawn)
+            return pool(max_workers, mp_context=spawn, initializer=initializer, initargs=initargs)
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", spawn_pool)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)

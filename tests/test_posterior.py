@@ -402,6 +402,13 @@ class TestTwoSidedQuantile:
     def test_radius_vanishes_with_level(self):
         assert 0.0 < two_sided_quantile(1e-9) < 1e-8
 
+    def test_level_rounding_to_zero_rejected(self):
+        # below about 1.1e-16, 0.5 + level / 2 rounds to 0.5, whose quantile is 0
+        assert 0.0 < two_sided_quantile(1.2e-16)
+        for level in (1e-16, 1e-17, 1e-300):
+            with pytest.raises(ConfigurationError, match="too close to 0"):
+                two_sided_quantile(level)
+
     def test_mass_identity(self, prior, bvp_inv, interval):
         # the interval of half-width q sd about the posterior mean of <f, psi>
         # carries exactly the requested posterior mass
@@ -457,3 +464,10 @@ class TestExactBallRadius:
         for level in (0.0, 1.0):
             with pytest.raises(ConfigurationError, match="level"):
                 exact_ball_radius(factor, 3.5, level)
+
+    def test_vanishing_level_is_a_numerical_error(self, factor):
+        # the lower quantile shrinks with the level until the saddlepoint's
+        # curvature underflows to 0; that was a ZeroDivisionError
+        assert 0.0 < exact_ball_radius(factor, 3.5, 1e-100)
+        with pytest.raises(NumericalError, match="curvature underflows"):
+            exact_ball_radius(factor, 3.5, 1e-300)
