@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalError, ShapeError
 from .operators import DEFAULT_COND_LIMIT, ForwardOperator, apply, fisher_solve, normal_apply
 from .posterior import (
-    PosteriorFactor,
+    PosteriorSystem,
     exact_ball_radius,
     noise_block,
     two_sided_quantile,
@@ -166,7 +166,7 @@ class CredibleSets:
     them once per noise level and they serve every replicate.
     """
 
-    factor: PosteriorFactor
+    epsilon: float
     functional: TestFunctional
     level: float
     posterior_functional_variance: float
@@ -176,58 +176,63 @@ class CredibleSets:
 
 
 def credible_sets(
-    factor: PosteriorFactor,
+    system: PosteriorSystem,
+    epsilon: float,
     functional: TestFunctional,
     level: float = 0.95,
     ball_beta: Optional[float] = None,
 ) -> CredibleSets:
     """The functional's posterior variance and the interval and exact ball radii at
-    the factor's noise level."""
+    noise level epsilon."""
     q = two_sided_quantile(level)
-    variance = factor.functional_variance(functional.psi)
+    variance = system.functional_variance(functional.psi, epsilon)
     return CredibleSets(
-        factor=factor,
+        epsilon=epsilon,
         functional=functional,
         level=level,
         posterior_functional_variance=variance,
         interval_radius=q * math.sqrt(variance),
         ball_beta=ball_beta,
-        ball_radius=None if ball_beta is None else exact_ball_radius(factor, ball_beta, level),
+        ball_radius=(
+            None if ball_beta is None else exact_ball_radius(system, epsilon, ball_beta, level)
+        ),
     )
 
 
 def replicate_blocks(
-    factors: Sequence[PosteriorFactor],
+    system: PosteriorSystem,
+    epsilons: Sequence[float],
     f_dagger: CoeffVector,
     indices: Sequence[int],
     master_seed: int,
 ) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
     """Measurements ``A f_dagger + epsilon W`` from the fixed truth at every
-    factor's noise level, in blocks of up to ``REPLICATE_BLOCK`` replicates.
+    noise level, in blocks of up to ``REPLICATE_BLOCK`` replicates.
 
     Replicate i draws W once, from the seed ``derive_seed(master_seed, 2i)``,
-    and every factor updates that same W with its own operator and epsilon;
-    the master seed must lie in 0..2**64 - 1.  Each block yields
-    ``(k, rows, noise, means)`` for each factor k in turn: the slice of
-    ``indices`` it covers, its noise rows and their posterior means under
-    factor k, so a block holds one level's means at a time.  The update is
-    row-local, so every row is bitwise the same for any index split, and a
-    parallel driver may pass any sub-range of the indices.
+    and rotates it into the system's modes once for every level; the master
+    seed must lie in 0..2**64 - 1.  Each block yields ``(k, rows, noise,
+    modes)`` for each level k in turn: the slice of ``indices`` it covers, its
+    noise rows and their modal posterior means ``g * U^T (A f_dagger +
+    epsilon W)`` at ``epsilons[k]``, which ``system.synthesise`` maps to
+    coefficients.  Every step is row-local, so every row is bitwise the same
+    for any index split, and a parallel driver may pass any sub-range.
     """
-    signals = []
-    for factor in factors:
-        if not factor.operator.basis.compatible(f_dagger.basis):
-            raise ShapeError("truth lives on a different basis than the operator")
-        signals.append(apply(factor.operator, f_dagger).coeffs)
+    if not system.operator.basis.compatible(f_dagger.basis):
+        raise ShapeError("truth lives on a different basis than the operator")
+    signal = system.rotate(apply(system.operator, f_dagger).coeffs)
+    gains = [system.gains(epsilon) for epsilon in epsilons]
     for lo in range(0, len(indices), REPLICATE_BLOCK):
         block = np.asarray(indices[lo : lo + REPLICATE_BLOCK], dtype=np.uint64)
         rows = slice(lo, lo + len(block))
         noise = noise_block(f_dagger.basis, derive_seeds(master_seed, 2 * block))
-        for k, (factor, signal) in enumerate(zip(factors, signals)):
-            yield k, rows, noise, factor.update_block(signal + factor.epsilon * noise)
+        rotated = system.rotate(noise)
+        for k, (epsilon, gain) in enumerate(zip(epsilons, gains)):
+            yield k, rows, noise, gain * (signal + epsilon * rotated)
 
 
 def replicate_table(
+    system: PosteriorSystem,
     levels: Sequence[CredibleSets],
     f_dagger: CoeffVector,
     indices: Sequence[int],
@@ -236,31 +241,32 @@ def replicate_table(
     """The replicates of ``replicate_blocks`` scored against each noise level's
     credible sets, as columns: one table per level, in the order of ``levels``."""
     truth_values = [inner(f_dagger, sets.functional.psi) for sets in levels]
-    images = [apply(sets.factor.operator, sets.functional.psi_tilde).coeffs for sets in levels]
+    # <W m, psi> = <m, W^T psi>, so a level's functional is O(n) per replicate
+    psi_modes = [system.functional_modes(sets.functional.psi) for sets in levels]
+    images = [apply(system.operator, sets.functional.psi_tilde).coeffs for sets in levels]
     ball_weights = [
         None if sets.ball_beta is None
-        else (1.0 + sets.factor.operator.basis.eigenvalues) ** (-sets.ball_beta)
+        else (1.0 + system.prior.basis.eigenvalues) ** (-sets.ball_beta)
         for sets in levels
     ]
     shape = (len(levels), len(indices))
     means, noise_terms, distances = np.empty(shape), np.empty(shape), np.empty(shape)
-    factors = [sets.factor for sets in levels]
-    for k, rows, noise, post_means in replicate_blocks(factors, f_dagger, indices, master_seed):
-        means[k, rows] = np.vecdot(post_means, levels[k].functional.psi.coeffs)
+    epsilons = [sets.epsilon for sets in levels]
+    for k, rows, noise, modes in replicate_blocks(system, epsilons, f_dagger, indices, master_seed):
+        means[k, rows] = np.vecdot(modes, psi_modes[k])
         noise_terms[k, rows] = np.vecdot(noise, images[k])
         if ball_weights[k] is not None:
-            distances[k, rows] = np.sqrt(
-                np.vecdot((f_dagger.coeffs - post_means) ** 2, ball_weights[k])
-            )
+            errors = f_dagger.coeffs - system.synthesise(modes)
+            distances[k, rows] = np.sqrt(np.vecdot(errors**2, ball_weights[k]))
     columns = zip(levels, truth_values, means, noise_terms, distances)
     return [
         ReplicateTable(
-            epsilon=sets.factor.epsilon,
+            epsilon=sets.epsilon,
             level=sets.level,
             replicate_index=np.array(indices, dtype=np.int64),
             functional_mean=mean,
-            scaled_error=(mean - truth_value) / sets.factor.epsilon,
-            hat_psi=truth_value - sets.factor.epsilon * noise_term,
+            scaled_error=(mean - truth_value) / sets.epsilon,
+            hat_psi=truth_value - sets.epsilon * noise_term,
             interval_covered=np.abs(truth_value - mean) <= sets.interval_radius,
             interval_radius=sets.interval_radius,
             posterior_functional_variance=sets.posterior_functional_variance,

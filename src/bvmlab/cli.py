@@ -198,22 +198,6 @@ def _flag_cells(flags: np.ndarray) -> list[str]:
     return ["true" if flag else "false" for flag in flags.tolist()]
 
 
-def _factors(context: ExperimentContext) -> list[posterior.PosteriorFactor]:
-    """The posterior factor of each noise level, in epsilon order."""
-    return [
-        posterior.posterior_factor(context.prior, context.forward, epsilon)
-        for epsilon in context.config.epsilons
-    ]
-
-
-def _coverage_levels(context: ExperimentContext) -> list[bvm.CredibleSets]:
-    config = context.config
-    return [
-        bvm.credible_sets(factor, context.functional, config.level, config.ball_beta)
-        for factor in _factors(context)
-    ]
-
-
 def _table_rows(table: bvm.ReplicateTable, replicates: list[str]) -> _Rows:
     n_rows = len(replicates)
     no_ball = [""] * n_rows
@@ -236,27 +220,28 @@ def _table_rows(table: bvm.ReplicateTable, replicates: list[str]) -> _Rows:
     return list(zip(*cells))
 
 
-def _coverage_rows(
-    context: ExperimentContext, levels: Sequence[bvm.CredibleSets], indices: range
-) -> list[_Rows]:
-    tables = bvm.replicate_table(levels, context.truth, indices, context.config.master_seed)
+def _coverage_rows(context: ExperimentContext, run: tuple, indices: range) -> list[_Rows]:
+    # run is the posterior system and the credible sets of every noise level
+    tables = bvm.replicate_table(*run, context.truth, indices, context.config.master_seed)
     replicates = [str(i) for i in indices]
     return [_table_rows(table, replicates) for table in tables]
 
 
 def _rates_rows(
-    context: ExperimentContext, factors: Sequence[posterior.PosteriorFactor], indices: range
+    context: ExperimentContext, system: posterior.PosteriorSystem, indices: range
 ) -> list[_Rows]:
     # the dual norm of beta = 2, spectral.sobolev_norm at exponent -2, one row at a time
     weights = (1.0 + context.basis.eigenvalues) ** -2.0
-    errors = np.empty((len(factors), len(indices)))
-    blocks = bvm.replicate_blocks(factors, context.truth, indices, context.config.master_seed)
-    for k, rows, _, means in blocks:
+    epsilons, seed = context.config.epsilons, context.config.master_seed
+    errors = np.empty((len(epsilons), len(indices)))
+    blocks = bvm.replicate_blocks(system, epsilons, context.truth, indices, seed)
+    for k, rows, _, modes in blocks:
+        means = system.synthesise(modes)
         errors[k, rows] = np.sqrt(np.vecdot((means - context.truth.coeffs) ** 2, weights))
     replicates = [str(i) for i in indices]
     return [
-        list(zip([format(factor.epsilon, ".17g")] * len(indices), replicates, _float_cells(row)))
-        for factor, row in zip(factors, errors)
+        list(zip([format(epsilon, ".17g")] * len(indices), replicates, _float_cells(row)))
+        for epsilon, row in zip(epsilons, errors)
     ]
 
 
@@ -268,7 +253,7 @@ def _chunks(n: int, workers: int) -> list[range]:
     return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
-# the (row_fn, context, levels) a pool worker scores its chunks with: the pool's
+# the (row_fn, context, run) a pool worker scores its chunks with: the pool's
 # initializer stores it once per worker, inherited under fork and pickled once
 # otherwise, so a task is an index range and no worker builds or factors anything
 _worker_run: Optional[tuple] = None
@@ -280,34 +265,36 @@ def _init_worker(run: tuple) -> None:
 
 
 def _run_chunk(indices: range) -> list[_Rows]:
-    row_fn, context, levels = _worker_run
-    return row_fn(context, levels, indices)
+    row_fn, context, run = _worker_run
+    return row_fn(context, run, indices)
 
 
-def _map_chunks(context: ExperimentContext, workers: int, levels: list, row_fn) -> _Rows:
+def _map_chunks(context: ExperimentContext, workers: int, run, row_fn) -> _Rows:
     """The rows of every noise level and replicate, in (epsilon, replicate) order:
     noise level k owns rows ``k * n_replicates`` to ``(k + 1) * n_replicates - 1``.
 
-    ``levels`` holds each noise level's data-independent objects, built once
-    per run, and ``row_fn(context, levels, indices)`` returns one list of rows
-    per level for a chunk of replicates, so each replicate's noise is drawn
-    once for all levels.  One worker runs the chunks in-process; more map them
-    over a process pool whose initializer hands each worker the run once.
-    Rows depend only on (epsilon, replicate index), so the output is the same
-    for any worker count.
+    ``run`` holds the data-independent objects of every noise level, built
+    once per run (the posterior system, and for coverage the credible sets),
+    and ``row_fn(context, run, indices)`` returns one list of rows per level
+    for a chunk of replicates, so each replicate's noise is drawn once for all
+    levels.  One worker runs the chunks in-process; more map them over a
+    process pool whose initializer hands each worker the run once.  Rows
+    depend only on (epsilon, replicate index), so the output is the same for
+    any worker count.
     """
     workers = min(workers, os.cpu_count() or 1)
     tasks = _chunks(context.config.n_replicates, workers)
     if workers <= 1:
-        chunks = [row_fn(context, levels, chunk) for chunk in tasks]
+        chunks = [row_fn(context, run, chunk) for chunk in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=min(workers, len(tasks)),
             initializer=_init_worker,
-            initargs=((row_fn, context, levels),),
+            initargs=((row_fn, context, run),),
         ) as pool:
             chunks = list(pool.map(_run_chunk, tasks))
-    return [row for k in range(len(levels)) for chunk in chunks for row in chunk[k]]
+    levels = range(len(context.config.epsilons))
+    return [row for k in levels for chunk in chunks for row in chunk[k]]
 
 
 def _level_cells(rows: _Rows, n: int, column: int) -> list[list[str]]:
@@ -323,7 +310,12 @@ def _hits(rows: _Rows, n: int, column: str) -> str:
 
 def _run_coverage(context: ExperimentContext, workers: int):
     config = context.config
-    rows = _map_chunks(context, workers, _coverage_levels(context), _coverage_rows)
+    system = posterior.posterior_system(context.prior, context.forward)
+    levels = [
+        bvm.credible_sets(system, epsilon, context.functional, config.level, config.ball_beta)
+        for epsilon in config.epsilons
+    ]
+    rows = _map_chunks(context, workers, (system, levels), _coverage_rows)
     extra = [("diag.coverage_hits", _hits(rows, config.n_replicates, "covered"))]
     if config.ball_beta is not None:
         extra.append(("diag.ball_hits", _hits(rows, config.n_replicates, "ball_covered")))
@@ -332,7 +324,8 @@ def _run_coverage(context: ExperimentContext, workers: int):
 
 def _run_rates(context: ExperimentContext, workers: int):
     config = context.config
-    rows = _map_chunks(context, workers, _factors(context), _rates_rows)
+    system = posterior.posterior_system(context.prior, context.forward)
+    rows = _map_chunks(context, workers, system, _rates_rows)
     # the dual_error cells (column 2) reparse to the doubles they were formatted from
     mean_errors = [
         float(np.mean([float(cell) for cell in level]))

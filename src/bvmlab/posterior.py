@@ -2,13 +2,15 @@
 an independently coded Tikhonov minimiser as cross-check, variances of linear
 functionals, and exact dual-norm credible-ball radii.
 
-The posterior is the Gaussian law with mean K M and covariance R R^T, and
-neither the gain K nor the sampling root R depends on the data:
-``posterior_factor`` computes them once per noise level, and its
-``update_block`` turns a block of data vectors into posterior means with one
-matrix-vector product per row.  A dense operator costs one singular value
-decomposition of the whitened operator per noise level, and the covariance
-R R^T is positive semidefinite by construction.
+In the singular basis of the whitened operator A S^{1/2} = U diag(sigma) V^T
+(S the prior covariance) the posterior is diagonal at every noise level eps:
+the mean of data M is W (g * U^T M) with W = S^{1/2} V, and the covariance is
+W diag(h^2) W^T, where only the per-mode gains g and spreads h depend on eps.
+``posterior_system`` builds U^T, sigma and W once per (prior, operator) - one
+singular value decomposition on the dense path, per-mode vectors on the
+diagonal one - and every noise level then costs O(n) vectors; no n x n matrix
+is held per level, and the covariance is positive semidefinite by
+construction.
 """
 from __future__ import annotations
 
@@ -26,11 +28,11 @@ from .spectral import CoeffVector, SpectralBasis, coeff_vector
 
 __all__ = [
     "Observation",
-    "PosteriorFactor",
+    "PosteriorSystem",
     "noise_draw",
     "noise_block",
     "observe",
-    "posterior_factor",
+    "posterior_system",
     "posterior_update",
     "tikhonov_solve",
     "two_sided_quantile",
@@ -151,84 +153,90 @@ def observe(
     return Observation(data=data, epsilon=epsilon)
 
 
-@dataclass(frozen=True, eq=False)
-class PosteriorFactor:
-    """Data-independent part of the conjugate posterior for one (prior, operator, epsilon).
+def _map_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix @ row`` for every row along the last axis of ``rows``: elementwise
+    for a vector, which is a diagonal map, and one matrix-vector product per row
+    for a matrix, so a row's result is bitwise the same in any block."""
+    if matrix.ndim == 1:
+        return matrix * rows
+    return np.matmul(matrix, rows[..., None])[..., 0]
 
-    Under white noise the gain K = S A^T (A S A^T + eps^2 I)^{-1} and the
-    posterior covariance depend only on the prior, the operator and the noise
-    level, so one factor serves every data vector M: the posterior mean is K M.
-    ``root`` maps standard normal vectors to centred posterior draws, so the
-    covariance is R R^T.  Diagonal operators keep per-mode vectors (the gains
-    and the standard deviations), dense ones full matrices.
+
+@dataclass(frozen=True, eq=False)
+class PosteriorSystem:
+    """The conjugate posterior of one (prior, operator) pair at every noise level.
+
+    With S the prior covariance, A S^{1/2} = U diag(sigma) V^T and W = S^{1/2} V,
+    the posterior at noise level eps has mean W (g * U^T M) for data M and
+    covariance W diag(h^2) W^T, where only the gains g = sigma / (sigma^2 + eps^2)
+    and the spreads h = eps / (sigma^2 + eps^2)^{1/2} depend on eps.  A diagonal
+    operator keeps U^T = 1, sigma = a tau^{1/2} and W = tau^{1/2} as vectors.
     """
 
     prior: GaussianPrior
     operator: ForwardOperator
-    epsilon: float
-    gain: np.ndarray
-    root: np.ndarray
+    ut: np.ndarray
+    sigma: np.ndarray
+    w: np.ndarray
 
     def __post_init__(self):
-        for name in ("gain", "root"):
-            array = getattr(self, name)
-            if array.flags.writeable:
-                frozen = array.copy()
-                frozen.flags.writeable = False
-                object.__setattr__(self, name, frozen)
+        for name in ("ut", "sigma", "w"):
+            frozen = np.array(getattr(self, name))
+            frozen.flags.writeable = False
+            object.__setattr__(self, name, frozen)
 
-    @property
-    def is_diagonal(self) -> bool:
-        return self.root.ndim == 1
+    def gains(self, epsilon: float) -> np.ndarray:
+        _check_epsilon(epsilon)
+        return self.sigma / (self.sigma**2 + epsilon**2)
 
-    def weighted_spectrum(self, weights: np.ndarray) -> np.ndarray:
-        """Eigenvalues mu of W^{1/2} R R^T W^{1/2} for W = diag(weights).
+    def spreads(self, epsilon: float) -> np.ndarray:
+        _check_epsilon(epsilon)
+        return epsilon / np.sqrt(self.sigma**2 + epsilon**2)
+
+    def rotate(self, data: np.ndarray) -> np.ndarray:
+        """U^T M for data vectors M along the last axis: the data in the system's modes."""
+        return _map_rows(self.ut, data)
+
+    def synthesise(self, modes: np.ndarray) -> np.ndarray:
+        """W m for modal vectors m along the last axis: basis coefficients."""
+        return _map_rows(self.w, modes)
+
+    def functional_modes(self, psi: CoeffVector) -> np.ndarray:
+        """W^T psi, so that <W m, psi> = <m, W^T psi>."""
+        if not self.prior.basis.compatible(psi.basis):
+            raise ShapeError("functional lives on a different basis than the posterior")
+        return _map_rows(self.w.T, psi.coeffs)
+
+    def functional_variance(self, psi: CoeffVector, epsilon: float) -> float:
+        """Posterior variance |h * W^T psi|^2 of the functional <f, psi>; data-independent."""
+        spread = self.spreads(epsilon) * self.functional_modes(psi)
+        return float(np.dot(spread, spread))
+
+    def weighted_spectrum(self, weights: np.ndarray, epsilon: float) -> np.ndarray:
+        """Eigenvalues mu of D^{1/2} C D^{1/2} for the posterior covariance C at
+        noise level eps and D = diag(weights).
 
         A centred draw f has sum_j weights_j f_j^2 distributed as
         sum_k mu_k Z_k^2 with Z iid standard normal.  Dense path: the squared
-        singular values of W^{1/2} R, one singular value decomposition.
+        singular values of D^{1/2} W diag(h), one singular value decomposition.
         """
-        if self.is_diagonal:
-            return weights * self.root**2
+        spreads = self.spreads(epsilon)
+        if self.w.ndim == 1:
+            return weights * (self.w * spreads) ** 2
         try:
-            s = np.linalg.svd(np.sqrt(weights)[:, None] * self.root, compute_uv=False)
+            s = np.linalg.svd(np.sqrt(weights)[:, None] * self.w * spreads, compute_uv=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"weighted posterior spectrum singular value decomposition (svd) failed: {exc}"
             ) from exc
         return s**2
 
-    def functional_variance(self, psi: CoeffVector) -> float:
-        """Posterior variance |R^T psi|^2 of the functional <f, psi>; data-independent."""
-        if not self.prior.basis.compatible(psi.basis):
-            raise ShapeError("functional lives on a different basis than the posterior")
-        if self.is_diagonal:
-            spread = self.root * psi.coeffs
-        else:
-            spread = psi.coeffs @ self.root
-        return float(np.dot(spread, spread))
-
-    def update_block(self, data: np.ndarray) -> np.ndarray:
-        """Posterior means K M for data vectors along the last axis of ``data``.
-
-        Each row is computed on its own (an elementwise product, or one
-        matrix-vector product per row), so a row's mean is bitwise the same
-        in any block; a matrix-matrix product would not guarantee that.
-        """
-        if data.shape[-1] != self.prior.basis.n_modes:
-            raise ShapeError(
-                f"expected data with {self.prior.basis.n_modes} coefficients, "
-                f"got shape {data.shape}"
-            )
-        if self.is_diagonal:
-            return self.gain * data
-        return np.matmul(self.gain, data[..., None])[..., 0]
-
-    def update(self, data: CoeffVector) -> CoeffVector:
-        """Posterior mean K M for one data vector M; the covariance R R^T does not depend on M."""
+    def update(self, data: CoeffVector, epsilon: float) -> CoeffVector:
+        """Posterior mean W (g * U^T M) for one data vector M observed at noise level eps."""
         if not self.prior.basis.compatible(data.basis):
             raise ShapeError("data live on a different basis than the posterior")
-        return coeff_vector(self.prior.basis, self.update_block(data.coeffs))
+        modes = self.gains(epsilon) * self.rotate(data.coeffs)
+        return coeff_vector(self.prior.basis, self.synthesise(modes))
 
 
 def _check_compatible(prior: GaussianPrior, op: ForwardOperator, obs: Observation) -> None:
@@ -236,55 +244,30 @@ def _check_compatible(prior: GaussianPrior, op: ForwardOperator, obs: Observatio
         raise ShapeError("prior, operator, and observation must share one basis")
 
 
-def posterior_factor(
-    prior: GaussianPrior, op: ForwardOperator, epsilon: float
-) -> PosteriorFactor:
-    """Gain and sampling root of the conjugate update at noise level epsilon.
-
-    Diagonal path: per-mode formulas.  Dense path: with S the prior covariance
-    and the singular system B = A S^{1/2} / eps = U diag(s) V^T of the whitened
-    operator, W = S^{1/2} V gives the root R = W diag((1 + s^2)^{-1/2}), the
-    covariance R R^T = (A^T A / eps^2 + S^{-1})^{-1} and the gain
-    K = W diag(s / (1 + s^2)) U^T / eps.
-    """
+def posterior_system(prior: GaussianPrior, op: ForwardOperator) -> PosteriorSystem:
+    """The singular system of the whitened operator A S^{1/2}, which serves every
+    noise level: per-mode vectors on the diagonal path, one singular value
+    decomposition on the dense one."""
     if not prior.basis.compatible(op.basis):
         raise ShapeError("prior and operator must share one basis")
-    _check_epsilon(epsilon)
-    tau = prior.variances
+    prior_sd = np.sqrt(prior.variances)
     if op.is_diagonal:
-        eps2 = epsilon**2
-        a = op.multipliers
-        denom = a**2 * tau + eps2
-        return PosteriorFactor(
-            prior=prior,
-            operator=op,
-            epsilon=epsilon,
-            gain=tau * a / denom,
-            root=np.sqrt(eps2 * tau / denom),
-        )
-    prior_sd = np.sqrt(tau)
+        sigma = op.multipliers * prior_sd
+        return PosteriorSystem(prior, op, np.ones_like(sigma), sigma, prior_sd)
     try:
-        u, s, vt = np.linalg.svd(op.matrix * (prior_sd / epsilon)[None, :])
+        u, sigma, vt = np.linalg.svd(op.matrix * prior_sd)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
-            f"posterior factor singular value decomposition (svd) failed: {exc}"
+            f"posterior system singular value decomposition (svd) failed: {exc}"
         ) from exc
-    w = prior_sd[:, None] * vt.T
-    shrink = 1.0 + s**2
-    return PosteriorFactor(
-        prior=prior,
-        operator=op,
-        epsilon=epsilon,
-        gain=(w * (s / shrink)) @ u.T / epsilon,
-        root=w / np.sqrt(shrink),
-    )
+    return PosteriorSystem(prior, op, u.T, sigma, prior_sd[:, None] * vt.T)
 
 
 def posterior_update(
     prior: GaussianPrior, op: ForwardOperator, obs: Observation
 ) -> CoeffVector:
-    """Closed-form conjugate posterior mean: ``posterior_factor`` applied to the observed data."""
-    return posterior_factor(prior, op, obs.epsilon).update(obs.data)
+    """Closed-form conjugate posterior mean: ``posterior_system`` applied to the observed data."""
+    return posterior_system(prior, op).update(obs.data, obs.epsilon)
 
 
 def tikhonov_solve(
@@ -314,7 +297,12 @@ def tikhonov_solve(
 
 
 def two_sided_quantile(level: float) -> float:
-    """q with P(|Z| <= q) = level for standard normal Z."""
+    """q with P(|Z| <= q) = level for standard normal Z.
+
+    The sum 0.5 + level / 2 drops the low digits of a small level, so below
+    level 0.5 one Newton step on erf(q / sqrt(2)) = level, from the normal
+    quantile of that sum, restores full relative precision.
+    """
     if not 0.0 < level < 1.0:
         raise ConfigurationError("level must lie strictly between 0 and 1")
     upper = 0.5 + level / 2.0
@@ -322,19 +310,26 @@ def two_sided_quantile(level: float) -> float:
         raise ConfigurationError(f"level {level!r} is too close to 1 for a finite quantile")
     if upper == 0.5:
         raise ConfigurationError(f"level {level!r} is too close to 0 for a nonzero quantile")
-    return NormalDist().inv_cdf(upper)
+    q = NormalDist().inv_cdf(upper)
+    if level < 0.5:
+        # d/dq erf(q / sqrt(2)) = sqrt(2 / pi) exp(-q^2 / 2)
+        slope = math.sqrt(2.0 / math.pi) * math.exp(-0.5 * q * q)
+        q -= (math.erf(q / math.sqrt(2.0)) - level) / slope
+    return q
 
 
-def exact_ball_radius(factor: PosteriorFactor, beta: float, level: float) -> float:
-    """Radius of the level credible ball about the posterior mean, in the dual norm of
-    smoothness beta.
+def exact_ball_radius(
+    system: PosteriorSystem, epsilon: float, beta: float, level: float
+) -> float:
+    """Radius of the level credible ball about the posterior mean at noise level
+    epsilon, in the dual norm of smoothness beta.
 
     The squared distance of a posterior draw from the mean is a Gaussian
     quadratic form with the weighted spectrum of the covariance as weights, so
-    the radius is the square root of its exact quantile; it needs the factor
-    and not the data.
+    the radius is the square root of its exact quantile; it needs the system
+    and the noise level, and not the data.
     """
     if beta < 0:
         raise ConfigurationError("ball norms use beta >= 0")
-    weights = (1.0 + factor.prior.basis.eigenvalues) ** (-beta)
-    return math.sqrt(quadratic_form_quantile(factor.weighted_spectrum(weights), level))
+    weights = (1.0 + system.prior.basis.eigenvalues) ** (-beta)
+    return math.sqrt(quadratic_form_quantile(system.weighted_spectrum(weights, epsilon), level))

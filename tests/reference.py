@@ -72,11 +72,31 @@ def synthesize(f, points):
     return f.coeffs @ mode_values(f.basis, points)
 
 
-def centred_draws(factor, z):
-    """Map standard normal vectors (the last axis of ``z``) to centred posterior draws R z."""
-    if factor.is_diagonal:
-        return z * factor.root
-    return z @ factor.root.T
+def per_level_factor(prior, op, epsilon):
+    """Gain K and sampling root R of the conjugate posterior at one noise level,
+    from a fresh decomposition of that level: the mean of data M is K M and
+    the covariance is R R^T.
+
+    Diagonal operators give per-mode vectors.  Dense ones take the singular
+    system B = A S^{1/2} / eps = U diag(s) V^T; with W = S^{1/2} V the root is
+    W diag((1 + s^2)^{-1/2}) and the gain is W diag(s / (1 + s^2)) U^T / eps.
+    """
+    tau = prior.variances
+    if op.is_diagonal:
+        a, eps2 = op.multipliers, epsilon**2
+        denom = a**2 * tau + eps2
+        return tau * a / denom, np.sqrt(eps2 * tau / denom)
+    prior_sd = np.sqrt(tau)
+    u, s, vt = np.linalg.svd(op.matrix * (prior_sd / epsilon)[None, :])
+    w = prior_sd[:, None] * vt.T
+    shrink = 1.0 + s**2
+    return (w * (s / shrink)) @ u.T / epsilon, w / np.sqrt(shrink)
+
+
+def centred_draws(system, epsilon, z):
+    """Map standard normal vectors (the last axis of ``z``) to centred posterior
+    draws W (h * z) at noise level epsilon."""
+    return system.synthesise(system.spreads(epsilon) * z)
 
 
 def svd_truncated_functional(op, data, psi, level):

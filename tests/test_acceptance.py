@@ -35,7 +35,7 @@ from bvmlab.operators import (
 from bvmlab.posterior import (
     noise_draw,
     observe,
-    posterior_factor,
+    posterior_system,
     posterior_update,
     tikhonov_solve,
 )
@@ -91,11 +91,9 @@ def bvp_experiment(interval, bvp):
     image = bandlimit_approx(analyze(window, interval), N_MODES // 4)
     psi = apply(l_inv, image)
     functional = representer(l_inv, psi)
-    levels = [
-        credible_sets(posterior_factor(prior, l_inv, eps), functional, level=0.95)
-        for eps in EPS_LADDER
-    ]
-    tables = replicate_table(levels, fdag, range(2000), master_seed=MASTER_SEED)
+    system = posterior_system(prior, l_inv)
+    levels = [credible_sets(system, eps, functional, level=0.95) for eps in EPS_LADDER]
+    tables = replicate_table(system, levels, fdag, range(2000), master_seed=MASTER_SEED)
     results = dict(zip(EPS_LADDER, tables))
     return prior, l_inv, fdag, functional, results
 
@@ -172,8 +170,9 @@ def test_criterion_4_heat_bvm(interval):
     functional = heat_psi_from_representer(unit_vector(interval, 0), 0.1)
     sigma2_oracle = math.exp(-2 * math.pi**2 * 0.1)
     assert functional.limiting_variance == pytest.approx(sigma2_oracle, rel=1e-12)
+    system = posterior_system(prior, op)
     (table,) = replicate_table(
-        [credible_sets(posterior_factor(prior, op, 1e-4), functional, level=0.95)],
+        system, [credible_sets(system, 1e-4, functional, level=0.95)],
         fdag, range(2000), master_seed=MASTER_SEED,
     )
     ks = ks_distance(table.scaled_error, sigma2_oracle)
@@ -195,8 +194,9 @@ def test_criterion_5_psido_bvm():
         np.sum((1.0 + torus.frequencies.astype(float) ** 2) ** t_order * psi.coeffs**2)
     )
     assert functional.limiting_variance == pytest.approx(sigma2_oracle, rel=1e-10)
+    system = posterior_system(prior, op)
     (table,) = replicate_table(
-        [credible_sets(posterior_factor(prior, op, 1e-4), functional, level=0.95)],
+        system, [credible_sets(system, 1e-4, functional, level=0.95)],
         fdag, range(2000), master_seed=MASTER_SEED,
     )
     ks = ks_distance(table.scaled_error, sigma2_oracle)
@@ -244,8 +244,9 @@ def test_criterion_6_contraction_rate_slopes(interval, bvp):
 def test_criterion_7_credible_ball(bvp_experiment):
     """Dual-norm credible balls cover the truth and shrink linearly in the noise."""
     prior, l_inv, fdag, functional, _ = bvp_experiment
+    system = posterior_system(prior, l_inv)
     (table,) = replicate_table(
-        [credible_sets(posterior_factor(prior, l_inv, 3e-4), functional, 0.95, ball_beta=3.5)],
+        system, [credible_sets(system, 3e-4, functional, 0.95, ball_beta=3.5)],
         fdag, range(500), master_seed=MASTER_SEED,
     )
     rep = coverage_report(table, CoverageKind.BALL)
@@ -254,10 +255,9 @@ def test_criterion_7_credible_ball(bvp_experiment):
     # rungs saturate at the prior ball)
     slope_ladder = EPS_LADDER[-5:]
     levels = [
-        credible_sets(posterior_factor(prior, l_inv, eps), functional, 0.95, ball_beta=3.5)
-        for eps in slope_ladder
+        credible_sets(system, eps, functional, 0.95, ball_beta=3.5) for eps in slope_ladder
     ]
-    tables = replicate_table(levels, fdag, range(50), master_seed=MASTER_SEED + 1)
+    tables = replicate_table(system, levels, fdag, range(50), master_seed=MASTER_SEED + 1)
     radii = [table.ball_radius for table in tables]
     fit = rate_fit(slope_ladder, radii, 1.0)
     assert abs(fit.slope - 1.0) <= 0.15
@@ -272,9 +272,10 @@ def test_ball_coverage_below_smoothness_threshold_recorded(bvp_experiment):
     but carries no acceptance force."""
     prior, l_inv, fdag, functional, _ = bvp_experiment
     lines = []
+    system = posterior_system(prior, l_inv)
     for beta in (2.75, 3.0):
         (table,) = replicate_table(
-            [credible_sets(posterior_factor(prior, l_inv, 3e-4), functional, 0.95, ball_beta=beta)],
+            system, [credible_sets(system, 3e-4, functional, 0.95, ball_beta=beta)],
             fdag, range(100), master_seed=MASTER_SEED,
         )
         rep = coverage_report(table, CoverageKind.BALL)
@@ -403,9 +404,12 @@ def test_criterion_12_infrastructure(interval, bvp, tmp_path):
     diag_mean = posterior_update(prior, l_inv_const, obs)
     dense_mean = posterior_update(prior, l_inv_dense, obs)
     mean_gap = np.abs(dense_mean.coeffs - diag_mean.coeffs).max()
-    diag_root = posterior_factor(prior, l_inv_const, 1e-3).root
-    dense_root = posterior_factor(prior, l_inv_dense, 1e-3).root
-    cov_gap = np.abs(np.diag(dense_root @ dense_root.T) - diag_root**2).max()
+    # the posterior variances of the coordinates, diag(W diag(h^2) W^T)
+    diag_system = posterior_system(prior, l_inv_const)
+    dense_system = posterior_system(prior, l_inv_dense)
+    diag_var = (diag_system.w * diag_system.spreads(1e-3)) ** 2
+    dense_var = np.sum((dense_system.w * dense_system.spreads(1e-3)) ** 2, axis=1)
+    cov_gap = np.abs(dense_var - diag_var).max()
     assert mean_gap <= 1e-10 and cov_gap <= 1e-10
 
     # end-to-end determinism across worker counts

@@ -25,7 +25,7 @@ from bvmlab.operators import (
     elliptic_operator,
     heat_semigroup,
 )
-from bvmlab.posterior import noise_draw, observe, posterior_factor
+from bvmlab.posterior import noise_draw, observe, posterior_system
 from bvmlab.priors import matern_prior
 from bvmlab.seeds import derive_seed
 from bvmlab.spectral import (
@@ -165,8 +165,9 @@ def _table(setup, epsilon, n, level=0.95, ball_beta=None, master_seed=0):
     """``replicate_table`` over replicates ``range(n)`` of the small BVP experiment,
     at the one noise level ``epsilon``."""
     prior, op, fdag, tf = setup
-    sets = credible_sets(posterior_factor(prior, op, epsilon), tf, level, ball_beta)
-    (table,) = replicate_table([sets], fdag, range(n), master_seed)
+    system = posterior_system(prior, op)
+    sets = credible_sets(system, epsilon, tf, level, ball_beta)
+    (table,) = replicate_table(system, [sets], fdag, range(n), master_seed)
     return table
 
 
@@ -181,10 +182,11 @@ class TestRunReplicates:
 
     def test_index_split_invariance(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp
-        levels = [credible_sets(posterior_factor(prior, op, 1e-3), tf)]
-        (full,) = replicate_table(levels, fdag, range(20), master_seed=5)
-        (first,) = replicate_table(levels, fdag, range(0, 7), master_seed=5)
-        (rest,) = replicate_table(levels, fdag, range(7, 20), master_seed=5)
+        system = posterior_system(prior, op)
+        levels = [credible_sets(system, 1e-3, tf)]
+        (full,) = replicate_table(system, levels, fdag, range(20), master_seed=5)
+        (first,) = replicate_table(system, levels, fdag, range(0, 7), master_seed=5)
+        (rest,) = replicate_table(system, levels, fdag, range(7, 20), master_seed=5)
         for name in ("replicate_index", "functional_mean", "scaled_error", "hat_psi",
                      "interval_covered"):
             joined = np.concatenate([getattr(first, name), getattr(rest, name)])

@@ -688,7 +688,8 @@ class TestCoverageDiagnostics:
     def test_workers_receive_the_run_once(self, tmp_path, monkeypatch, method):
         # 600 replicates on 2 workers are 3 chunks, so a worker scores two; the
         # run it scores them with reaches it once, inherited under fork and
-        # unpickled once otherwise, and never with a chunk
+        # unpickled once otherwise, and never with a chunk.  The operator is
+        # dense and the run has a ball, yet no chunk decomposes anything
         log = tmp_path / "calls"
         pool = cli.concurrent.futures.ProcessPoolExecutor
         context = multiprocessing.get_context(method)
@@ -702,12 +703,14 @@ class TestCoverageDiagnostics:
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(cli, "_coverage_rows", _TaggedRows(log))
         text = MINIMAL_BVP.replace("n_replicates=5", "n_replicates=600")
+        text += "operator.coefficient=sine\nball_beta=3.5\n"
         assert run_command(parse_config(text.format(out=tmp_path / "o.csv")), workers=2) == 0
         calls = [line.split() for line in log.read_text().splitlines()]
         assert len(calls) == 3
         tags = collections.defaultdict(set)
-        for pid, tag in calls:
+        for pid, tag, svds in calls:
             tags[int(pid)].add(tag)
+            assert svds == "0"
         assert os.getpid() not in tags and len(tags) <= 2
         assert all(len(seen) == 1 for seen in tags.values())
         copies = set.union(*tags.values())
@@ -935,7 +938,8 @@ _COVERAGE_ROWS = cli._coverage_rows
 
 class _TaggedRows:
     """Coverage rows that log the process and the copy of this object each call
-    runs in: the parent's copy is tagged "parent", each unpickled copy anew."""
+    runs in, and the SVDs the call makes: the parent's copy is tagged "parent",
+    each unpickled copy anew."""
 
     def __init__(self, log):
         self.log, self.tag = log, "parent"
@@ -943,10 +947,21 @@ class _TaggedRows:
     def __setstate__(self, state):
         self.__dict__.update(state, tag=os.urandom(8).hex())
 
-    def __call__(self, context, levels, indices):
+    def __call__(self, context, run, indices):
+        svd, svds = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            svds.append(1)
+            return svd(*args, **kwargs)
+
+        np.linalg.svd = counted
+        try:
+            rows = _COVERAGE_ROWS(context, run, indices)
+        finally:
+            np.linalg.svd = svd
         with open(self.log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()} {self.tag}\n")
-        return _COVERAGE_ROWS(context, levels, indices)
+            fh.write(f"{os.getpid()} {self.tag} {len(svds)}\n")
+        return rows
 
 
 class _RecordingPool:
@@ -1078,7 +1093,7 @@ class TestReplicateMajor:
             monkeypatch.setattr(module, name, counted)
 
         count(bvm, "noise_block", lambda basis, seeds: len(seeds))
-        count(posterior, "posterior_factor", lambda *args: 1)
+        count(posterior, "posterior_system", lambda *args: 1)
         count(bvm, "exact_ball_radius", lambda *args: 1)
         return counts
 
@@ -1102,7 +1117,8 @@ class TestReplicateMajor:
         # the recording pool maps in this process, like a worker forked from it
         config = self._run(tmp_path, monkeypatch, experiment, workers=5)
         assert pool_sizes == [5]
-        assert counts["posterior_factor"] == len(config.epsilons)
+        # one posterior system serves every noise level
+        assert counts["posterior_system"] == 1
         balls = len(config.epsilons) if config.ball_beta is not None else 0
         assert counts["exact_ball_radius"] == balls
 

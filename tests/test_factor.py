@@ -1,6 +1,7 @@
-"""The per-noise-level posterior factor and the columnar replicate engine:
-agreement with independent solves and with a per-replicate reference loop,
-one factorisation per epsilon, chunk invariance, and error mapping."""
+"""The posterior system and the columnar replicate engine: agreement with
+independent solves and with a per-replicate reference loop, one
+factorisation per run whatever the number of noise levels, chunk
+invariance, and error mapping."""
 import math
 
 import numpy as np
@@ -9,13 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvmlab import cli, posterior
-from bvmlab.bvm import REPLICATE_BLOCK, credible_sets, replicate_table, representer
+from bvmlab.bvm import (
+    REPLICATE_BLOCK,
+    credible_sets,
+    replicate_blocks,
+    replicate_table,
+    representer,
+)
 from bvmlab.config import parse_config
 from bvmlab.errors import ConfigurationError, NumericalError
 from bvmlab.operators import EllipticCoefficient, apply, elliptic_operator, fisher_solve
 from bvmlab.posterior import (
     Observation,
-    posterior_factor,
+    posterior_system,
     tikhonov_solve,
 )
 from bvmlab.priors import matern_prior
@@ -80,8 +87,9 @@ PER_CALL = (
 def _table(setup, epsilon, indices, level=0.95, ball_beta=None, master_seed=0):
     """``replicate_table`` of a setup's functional at the one noise level ``epsilon``."""
     prior, op, truth, tf = setup
-    sets = credible_sets(posterior_factor(prior, op, epsilon), tf, level, ball_beta)
-    (table,) = replicate_table([sets], truth, indices, master_seed)
+    system = posterior_system(prior, op)
+    sets = credible_sets(system, epsilon, tf, level, ball_beta)
+    (table,) = replicate_table(system, [sets], truth, indices, master_seed)
     return table
 
 
@@ -104,31 +112,38 @@ def _per_call(table):
 def _reference_replicates(
     prior, op, f_dagger, functional, epsilon, indices, level, ball_beta, master_seed
 ):
-    """One replicate at a time through the single-vector API: the oracle for the engine.
+    """One replicate at a time through the single-vector maps of the system: the
+    oracle for the engine.
 
-    Returns the rows in the form of ``_rows`` and the per-call values in the
-    form of ``_per_call``.
+    Each replicate draws its own noise and takes the modal mean
+    g * (U^T A f_dagger + epsilon U^T w) the engine documents.  Returns the rows
+    in the form of ``_rows`` and the per-call values in the form of ``_per_call``.
     """
-    factor = posterior_factor(prior, op, epsilon)
+    system = posterior_system(prior, op)
     truth_value = inner(f_dagger, functional.psi)
     image = apply(op, functional.psi_tilde)
-    variance = factor.functional_variance(functional.psi)
+    variance = system.functional_variance(functional.psi, epsilon)
     radius = posterior.two_sided_quantile(level) * math.sqrt(variance)
     ball_radius = None
     if ball_beta is not None:
-        ball_radius = posterior.exact_ball_radius(factor, ball_beta, level)
-    signal = apply(op, f_dagger)
+        ball_radius = posterior.exact_ball_radius(system, epsilon, ball_beta, level)
+    observed = apply(op, f_dagger).coeffs
+    signal = system.rotate(observed)
+    psi_modes = system.functional_modes(functional.psi)
     rows = []
     for i in indices:
         noise = posterior.noise_draw(op.basis, derive_seed(master_seed, 2 * i))
-        mean = factor.update(coeff_vector(op.basis, signal.coeffs + epsilon * noise.coeffs))
+        modes = system.gains(epsilon) * (signal + epsilon * system.rotate(noise.coeffs))
+        mean = system.synthesise(modes)
+        # the modal form is the posterior mean of the replicate's data
+        data = coeff_vector(op.basis, observed + epsilon * noise.coeffs)
+        want = system.update(data, epsilon).coeffs
+        assert np.linalg.norm(mean - want) <= 1e-12 * np.linalg.norm(want)
         ball_covered = None
         if ball_beta is not None:
-            distance = sobolev_norm(
-                coeff_vector(op.basis, f_dagger.coeffs - mean.coeffs), -ball_beta
-            )
+            distance = sobolev_norm(coeff_vector(op.basis, f_dagger.coeffs - mean), -ball_beta)
             ball_covered = bool(distance <= ball_radius)
-        value = float(np.dot(mean.coeffs, functional.psi.coeffs))
+        value = float(np.dot(modes, psi_modes))
         rows.append(
             (
                 i,
@@ -156,11 +171,11 @@ def test_engine_matches_reference_loop(request, setup, ball_beta, indices):
     indices = range(n) if indices is None else indices
     kwargs = dict(level=0.9, ball_beta=ball_beta, master_seed=11)
     epsilons = (1e-2, 1e-3)
-    factors = [posterior_factor(prior, op, epsilon) for epsilon in epsilons]
+    system = posterior_system(prior, op)
     for functional in (tf, representer(op, unit_vector(op.basis, 1))):
         # one call scores every noise level against one noise draw per replicate
-        levels = [credible_sets(factor, functional, 0.9, ball_beta) for factor in factors]
-        tables = replicate_table(levels, truth, indices, master_seed=11)
+        levels = [credible_sets(system, eps, functional, 0.9, ball_beta) for eps in epsilons]
+        tables = replicate_table(system, levels, truth, indices, master_seed=11)
         assert len(tables) == len(epsilons)
         for epsilon, table in zip(epsilons, tables):
             want_rows, want_per_call = _reference_replicates(
@@ -173,18 +188,20 @@ def test_engine_matches_reference_loop(request, setup, ball_beta, indices):
 
 
 @pytest.mark.parametrize("setup", ["diag_setup", "dense_setup"])
-def test_update_block_matches_update_bitwise(request, setup):
+def test_block_rows_match_single_rows_bitwise(request, setup):
     prior, op, truth, _ = request.getfixturevalue(setup)
-    factor = posterior_factor(prior, op, 1e-3)
+    system = posterior_system(prior, op)
     seeds = [derive_seed(4, i) for i in range(40)]
     noise = posterior.noise_block(op.basis, seeds)
     for row, seed in zip(noise, seeds):
         assert row.tobytes() == posterior.noise_draw(op.basis, seed).coeffs.tobytes()
     data = apply(op, truth).coeffs + 1e-3 * noise
-    means = factor.update_block(data)
-    assert means.shape == data.shape
-    for mean, row in zip(means, data):
-        single = factor.update(coeff_vector(op.basis, row)).coeffs
+    rotated = system.rotate(data)
+    means = system.synthesise(system.gains(1e-3) * rotated)
+    assert rotated.shape == means.shape == data.shape
+    for row, rotated_row, mean in zip(data, rotated, means):
+        assert rotated_row.tobytes() == system.rotate(row).tobytes()
+        single = system.update(coeff_vector(op.basis, row), 1e-3).coeffs
         assert mean.tobytes() == single.tobytes()
 
 
@@ -205,17 +222,22 @@ output_path={tmp_path / "rates.csv"}
     )
     context = cli.build_context(config)
     indices = range(2, REPLICATE_BLOCK + 3)
-    chunk = cli._rates_rows(context, cli._factors(context), indices)
+    system = posterior_system(context.prior, context.forward)
+    chunk = cli._rates_rows(context, system, indices)
     assert len(chunk) == len(config.epsilons)
+    signal = system.rotate(apply(context.forward, context.truth).coeffs)
     for epsilon, rows in zip(config.epsilons, chunk):
-        factor = posterior_factor(context.prior, context.forward, epsilon)
         want = []
         for i in indices:
             # replicate i draws the noise of coverage replicate i
             seed = derive_seed(5, 2 * i)
+            noise = posterior.noise_draw(context.basis, seed).coeffs
+            modes = system.gains(epsilon) * (signal + epsilon * system.rotate(noise))
+            mean = system.synthesise(modes)
             obs = posterior.observe(context.forward, context.truth, epsilon, seed)
-            mean = factor.update(obs.data)
-            error = coeff_vector(context.basis, mean.coeffs - context.truth.coeffs)
+            posterior_mean = system.update(obs.data, epsilon).coeffs
+            assert np.linalg.norm(mean - posterior_mean) <= 1e-12 * np.linalg.norm(mean)
+            error = coeff_vector(context.basis, mean - context.truth.coeffs)
             want.append(sobolev_norm(error, -2.0))
         assert rows == [
             (format(epsilon, ".17g"), str(i), format(err, ".17g"))
@@ -251,36 +273,54 @@ def test_replicates_match_parameter_space_solve(dense_setup, epsilon):
     assert table.posterior_functional_variance == pytest.approx(want_var, rel=1e-10)
 
 
-def test_one_factorisation_per_epsilon(dense_setup, monkeypatch):
+@pytest.mark.parametrize("n_levels", [1, 3, 7])
+def test_one_svd_per_run(dense_setup, monkeypatch, n_levels):
+    prior, op, truth, tf = dense_setup
     counts = {}
-    _count_calls(monkeypatch, np.linalg, "svd", counts)
+    original_svd = np.linalg.svd
+
+    def svd(a, *args, compute_uv=True, **kwargs):
+        name = "svd" if compute_uv else "svd_values"
+        counts[name] = counts.get(name, 0) + 1
+        return original_svd(a, *args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
     _count_calls(monkeypatch, np.linalg, "cholesky", counts)
     _count_calls(monkeypatch, np.linalg, "solve", counts)
     _count_calls(monkeypatch, np.linalg, "eigvalsh", counts)
     _count_calls(monkeypatch, np.linalg, "eigh", counts)
-    # the factor and the engine together: gain, covariance and sampling root
-    # all come from one decomposition
-    _table(dense_setup, 1e-3, range(5), master_seed=1)
-    assert counts == {"svd": 1}
-    counts.clear()
-    _table(dense_setup, 1e-3, range(5), ball_beta=3.5, master_seed=1)
-    # the ball radius adds one for the weighted spectrum, not one per replicate
-    assert counts == {"svd": 2}
+    epsilons = np.geomspace(1e-1, 1e-4, n_levels).tolist()
+    for ball_beta in (None, 3.5):
+        counts.clear()
+        # the system, the credible sets and the engine together: every level's
+        # gain, covariance and sampling root come from one decomposition
+        system = posterior_system(prior, op)
+        levels = [credible_sets(system, eps, tf, 0.95, ball_beta) for eps in epsilons]
+        replicate_table(system, levels, truth, range(5), master_seed=1)
+        if ball_beta is None:
+            assert counts == {"svd": 1}
+        else:
+            # a ball adds the singular values of one weighted root per level,
+            # not one per replicate
+            assert counts == {"svd": 1, "svd_values": n_levels}
 
 
 @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
 def test_dense_factor_identities(dense_setup, epsilon):
     prior, op, _, _ = dense_setup
-    factor = posterior_factor(prior, op, epsilon)
+    system = posterior_system(prior, op)
     amat, tau = op.matrix, prior.variances
     prior_cov = np.diag(tau)
     # the data-space forms K = S A^T (A S A^T + eps^2 I)^{-1} and Sigma = S - K A S,
     # kept here as the oracle
     data_cov = amat @ prior_cov @ amat.T + epsilon**2 * np.eye(len(tau))
     want_gain = np.linalg.solve(data_cov, amat @ prior_cov).T
-    gap = np.linalg.norm(factor.gain - want_gain) / np.linalg.norm(want_gain)
+    # the system's gain is W diag(g) U^T and its covariance W diag(h^2) W^T
+    gain = system.w @ (system.gains(epsilon)[:, None] * system.ut)
+    gap = np.linalg.norm(gain - want_gain) / np.linalg.norm(want_gain)
     assert gap <= 1e-10
-    covariance = factor.root @ factor.root.T
+    root = system.w * system.spreads(epsilon)
+    covariance = root @ root.T
     np.testing.assert_allclose(
         covariance, prior_cov - want_gain @ amat @ prior_cov, rtol=0, atol=1e-14 * tau.sum()
     )
@@ -293,7 +333,7 @@ def test_dense_factor_identities(dense_setup, epsilon):
     ["experiment=rates", "experiment=coverage\nfunctional.band=8\nball_beta=3.5"],
     ids=["rates", "coverage-ball"],
 )
-def test_rates_factor_once_per_epsilon(tmp_path, monkeypatch, lines):
+def test_one_posterior_system_per_run(tmp_path, monkeypatch, lines):
     config = parse_config(
         f"""
 {lines}
@@ -305,16 +345,10 @@ epsilons=1e-1,1e-2,1e-3
 output_path={tmp_path / "out.csv"}
 """
     )
-    seen = []
-    original = posterior.posterior_factor
-
-    def counted(prior, op, epsilon):
-        seen.append(epsilon)
-        return original(prior, op, epsilon)
-
-    monkeypatch.setattr(posterior, "posterior_factor", counted)
+    counts = {}
+    _count_calls(monkeypatch, posterior, "posterior_system", counts)
     assert cli.run_command(config) == 0
-    assert seen == [1e-1, 1e-2, 1e-3]
+    assert counts == {"posterior_system": 1}
 
 
 def test_index_split_bitwise_with_ball(dense_setup):
@@ -372,9 +406,12 @@ def test_numpy_indices_match_range(dense_setup):
 # 1e300 squares to inf and 1e-200 to 0
 @pytest.mark.parametrize("epsilon", [0.0, -1.0, float("nan"), float("inf"), 1e300, 1e-200])
 def test_factor_rejects_bad_epsilon(dense_setup, epsilon):
-    prior, op, _, _ = dense_setup
+    prior, op, truth, tf = dense_setup
+    system = posterior_system(prior, op)
     with pytest.raises(ConfigurationError, match="epsilon"):
-        posterior_factor(prior, op, epsilon)
+        credible_sets(system, epsilon, tf)
+    with pytest.raises(ConfigurationError, match="epsilon"):
+        next(replicate_blocks(system, [epsilon], truth, range(1), 0))
 
 
 def _raise_linalg(*args, **kwargs):
@@ -384,8 +421,8 @@ def _raise_linalg(*args, **kwargs):
 def test_factor_svd_failure_is_numerical_error(dense_setup, monkeypatch):
     prior, op, _, _ = dense_setup
     monkeypatch.setattr(np.linalg, "svd", _raise_linalg)
-    with pytest.raises(NumericalError, match=r"posterior factor .*\(svd\) failed"):
-        posterior_factor(prior, op, 1e-3)
+    with pytest.raises(NumericalError, match=r"posterior system .*\(svd\) failed"):
+        posterior_system(prior, op)
 
 
 def test_operator_svd_failure_is_numerical_error(monkeypatch):
@@ -398,8 +435,8 @@ def test_operator_svd_failure_is_numerical_error(monkeypatch):
         fisher_solve(op, unit_vector(basis, 0))
 
 
-# coverage decomposes the operator for the representer before any posterior
-# factor; rates builds no functional, so its first decomposition is the factor's
+# coverage decomposes the operator for the representer before the posterior
+# system; rates builds no functional, so its first decomposition is the system's
 @pytest.mark.parametrize(
     "lines, stage",
     [
@@ -407,7 +444,7 @@ def test_operator_svd_failure_is_numerical_error(monkeypatch):
             "experiment=coverage\nfunctional.band=8\nball_beta=3.5\nepsilons=1e-3",
             "forward operator",
         ),
-        ("experiment=rates\nepsilons=1e-1,1e-2,1e-3", "posterior factor"),
+        ("experiment=rates\nepsilons=1e-1,1e-2,1e-3", "posterior system"),
     ],
     ids=["coverage", "rates"],
 )

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +19,12 @@ from bvmlab.operators import (
 )
 from bvmlab.posterior import (
     Observation,
-    PosteriorFactor,
+    PosteriorSystem,
     exact_ball_radius,
     noise_block,
     noise_draw,
     observe,
-    posterior_factor,
+    posterior_system,
     posterior_update,
     tikhonov_solve,
     two_sided_quantile,
@@ -37,7 +38,7 @@ from bvmlab.spectral import (
     sobolev_norm,
     unit_vector,
 )
-from reference import centred_draws
+from reference import centred_draws, per_level_factor
 
 
 @pytest.fixture(scope="module")
@@ -118,8 +119,8 @@ class TestPosteriorUpdate:
     def test_scalar_conjugate_gaussian(self):
         prior, op, obs = scalar_setup(2.0)
         assert posterior_update(prior, op, obs).coeffs[0] == pytest.approx(1.0, rel=1e-15)
-        root = posterior_factor(prior, op, obs.epsilon).root
-        assert root[0] ** 2 == pytest.approx(0.5, rel=1e-15)
+        variance = posterior_system(prior, op).functional_variance(unit_vector(prior.basis, 0), 1.0)
+        assert variance == pytest.approx(0.5, rel=1e-15)
 
     def test_dense_path_matches_diagonal(self, interval, prior, bvp_inv):
         f = sobolev_draw(interval, 2.0, 3)
@@ -130,29 +131,29 @@ class TestPosteriorUpdate:
             posterior_update(prior, bvp_inv, obs).coeffs,
             atol=1e-10,
         )
-        diag_root = posterior_factor(prior, bvp_inv, 1e-2).root
-        dense_root = posterior_factor(prior, dense, 1e-2).root
-        np.testing.assert_allclose(dense_root @ dense_root.T, np.diag(diag_root**2), atol=1e-10)
+        np.testing.assert_allclose(
+            _covariance(posterior_system(prior, dense), 1e-2),
+            _covariance(posterior_system(prior, bvp_inv), 1e-2),
+            atol=1e-10,
+        )
 
     def test_no_information_limit(self, prior, bvp_inv):
-        root = posterior_factor(prior, bvp_inv, 1e6).root
-        np.testing.assert_allclose(root**2, prior.variances, rtol=1e-6)
+        system = posterior_system(prior, bvp_inv)
+        np.testing.assert_allclose(np.diag(_covariance(system, 1e6)), prior.variances, rtol=1e-6)
 
     def test_variance_monotone_in_epsilon(self, prior, bvp_inv):
-        variances = [
-            posterior_factor(prior, bvp_inv, eps).root ** 2
-            for eps in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-        ]
+        system = posterior_system(prior, bvp_inv)
+        variances = [np.diag(_covariance(system, eps)) for eps in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)]
         for lo, hi in zip(variances, variances[1:]):
             assert np.all(hi > lo)
 
     def test_posterior_never_exceeds_prior_variance(self, interval, prior, bvp_inv):
         dense = ForwardOperator(basis=interval, matrix=np.diag(bvp_inv.multipliers))
-        factor = posterior_factor(prior, dense, 1e-3)
+        system = posterior_system(prior, dense)
         rng = np.random.default_rng(8)
         for _ in range(20):
             psi = rng.standard_normal(interval.n_modes)
-            quad_post = factor.functional_variance(coeff_vector(interval, psi))
+            quad_post = system.functional_variance(coeff_vector(interval, psi), 1e-3)
             quad_prior = np.dot(prior.variances, psi**2)
             assert quad_post <= quad_prior + 1e-10
 
@@ -262,117 +263,147 @@ class TestTikhonovSolve:
         assert sobolev_norm(err, -2.0) <= 1e-3
 
 
+# the posterior system's noise level in the shared fixtures
+EPS = 1e-2
+
+
 @pytest.fixture(params=["diagonal", "dense"])
-def factor(request, prior, families):
-    # the factor depends on (prior, operator, epsilon) only, so no data are needed
+def system(request, prior, families):
+    # the system depends on (prior, operator) only, so no data are needed
     op = families["bvp" if request.param == "diagonal" else "bvp_variable"]
-    return posterior_factor(prior, op, 1e-2)
+    return posterior_system(prior, op)
 
 
-def _normal_equation_covariance(factor):
-    """(A^T A / eps^2 + S^{-1})^{-1}, the oracle for the covariance R R^T of the root."""
-    op = factor.operator
+def _covariance(system, epsilon):
+    """The posterior covariance at one noise level, formed densely from centred
+    draws of the unit vectors: row i is the draw of e_i, so the rows form R^T."""
+    root_t = centred_draws(system, epsilon, np.eye(system.prior.basis.n_modes))
+    return root_t.T @ root_t
+
+
+def _normal_equation_covariance(system, epsilon):
+    """(A^T A / eps^2 + S^{-1})^{-1}, the oracle for the covariance of the system."""
+    op = system.operator
     amat = np.diag(op.multipliers) if op.is_diagonal else op.matrix
-    hess = amat.T @ amat / factor.epsilon**2 + np.diag(1.0 / factor.prior.variances)
+    hess = amat.T @ amat / epsilon**2 + np.diag(1.0 / system.prior.variances)
     return np.linalg.inv(hess)
 
 
-class TestPosteriorFactor:
-    def test_array_fields_are_gain_and_root(self):
-        names = [field.name for field in dataclasses.fields(PosteriorFactor)]
-        assert names == ["prior", "operator", "epsilon", "gain", "root"]
+def _assert_rel(got, want, rtol):
+    gap = np.linalg.norm(np.asarray(got) - want) / np.linalg.norm(want)
+    assert gap <= rtol, gap
 
-    def test_shapes_follow_the_operator(self, factor, interval):
+
+class TestPosteriorSystem:
+    def test_array_fields(self):
+        names = [field.name for field in dataclasses.fields(PosteriorSystem)]
+        assert names == ["prior", "operator", "ut", "sigma", "w"]
+
+    def test_shapes_follow_the_operator(self, system, interval):
+        # the rotation and the synthesis are matrices on the dense path only;
+        # a noise level adds only the O(n) gains and spreads
         n = interval.n_modes
-        assert factor.is_diagonal == factor.operator.is_diagonal
-        shape = (n,) if factor.is_diagonal else (n, n)
-        assert factor.gain.shape == shape and factor.root.shape == shape
+        shape = (n,) if system.operator.is_diagonal else (n, n)
+        assert system.ut.shape == system.w.shape == shape
+        assert system.sigma.shape == system.gains(EPS).shape == system.spreads(EPS).shape == (n,)
 
-    def test_arrays_are_frozen_copies(self, factor):
-        gain, root = factor.gain.copy(), factor.root.copy()
-        rebuilt = PosteriorFactor(
-            prior=factor.prior,
-            operator=factor.operator,
-            epsilon=factor.epsilon,
-            gain=gain,
-            root=root,
-        )
-        for name in ("gain", "root"):
+    def test_arrays_are_frozen_copies(self, system):
+        arrays = {name: getattr(system, name).copy() for name in ("ut", "sigma", "w")}
+        rebuilt = PosteriorSystem(system.prior, system.operator, **arrays)
+        for name, original in arrays.items():
             array = getattr(rebuilt, name)
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
-        # the caller's arrays stay writeable and are not aliased
-        gain[0] = root[0] = 0.0
-        np.testing.assert_array_equal(rebuilt.gain, factor.gain)
-        np.testing.assert_array_equal(rebuilt.root, factor.root)
+            # the caller's arrays stay writeable and are not aliased
+            original[0] = 0.0
+            np.testing.assert_array_equal(array, getattr(system, name))
 
-    def test_basis_mismatch(self, factor):
+    def test_basis_mismatch(self, system):
         other = build_basis(BasisKind.DIRICHLET_SINE, 16, 8)
         with pytest.raises(ShapeError):
-            factor.update(coeff_vector(other, np.zeros(other.n_modes)))
+            system.update(coeff_vector(other, np.zeros(other.n_modes)), EPS)
         with pytest.raises(ShapeError):
-            factor.update_block(np.zeros((3, other.n_modes)))
-        with pytest.raises(ShapeError):
-            factor.functional_variance(coeff_vector(other, np.zeros(other.n_modes)))
+            system.functional_variance(coeff_vector(other, np.zeros(other.n_modes)), EPS)
+
+    @pytest.mark.parametrize("epsilon", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_matches_per_level_factor(self, system, interval, epsilon):
+        # the oracle decomposes each noise level afresh; the system serves every
+        # level from one decomposition
+        gain, root = per_level_factor(system.prior, system.operator, epsilon)
+        rng = np.random.default_rng(17)
+        data = rng.standard_normal(interval.n_modes)
+        want = gain * data if gain.ndim == 1 else gain @ data
+        _assert_rel(system.update(coeff_vector(interval, data), epsilon).coeffs, want, 1e-12)
+        psi = rng.standard_normal(interval.n_modes)
+        spread = root * psi if root.ndim == 1 else psi @ root
+        got = system.functional_variance(coeff_vector(interval, psi), epsilon)
+        assert got == pytest.approx(np.dot(spread, spread), rel=1e-12)
+        weights = (1.0 + interval.eigenvalues) ** (-3.5)
+        if root.ndim == 1:
+            want_spectrum = weights * root**2
+        else:
+            want_spectrum = np.linalg.svd(np.sqrt(weights)[:, None] * root, compute_uv=False) ** 2
+        _assert_rel(
+            np.sort(system.weighted_spectrum(weights, epsilon)), np.sort(want_spectrum), 1e-12
+        )
 
 
 class TestSamplingRoot:
-    def test_moments(self, factor, interval):
-        # centred draws R z have mean 0 and covariance R R^T, which must be the
-        # normal-equation covariance
+    def test_moments(self, system, interval):
+        # centred draws have mean 0 and covariance W diag(h^2) W^T, which must be
+        # the normal-equation covariance
         n = 100_000
         z = np.random.default_rng(31).standard_normal((n, interval.n_modes))
-        draws = centred_draws(factor, z)
-        var = np.diag(_normal_equation_covariance(factor))
+        draws = centred_draws(system, EPS, z)
+        var = np.diag(_normal_equation_covariance(system, EPS))
         se_var = var * math.sqrt(2.0 / (n - 1))
         assert np.all(np.abs(draws.var(axis=0, ddof=1) - var) <= 3.5 * se_var)
         assert np.all(np.abs(draws.mean(axis=0)) <= 3.5 * np.sqrt(var / n))
 
-
-    def test_centred_draws_apply_root(self, factor, interval):
+    def test_centred_draws_apply_root(self, system, interval):
         z = np.random.default_rng(123).standard_normal((4, interval.n_modes))
-        draws = centred_draws(factor, z)
-        if factor.is_diagonal:
-            np.testing.assert_array_equal(draws, factor.root * z)
-        else:
-            want = np.array([factor.root @ row for row in z])
-            np.testing.assert_allclose(draws, want, rtol=1e-13, atol=1e-15)
+        draws = centred_draws(system, EPS, z)
+        _, root = per_level_factor(system.prior, system.operator, EPS)
+        want = root * z if root.ndim == 1 else z @ root.T
+        np.testing.assert_allclose(draws, want, rtol=1e-12, atol=1e-15)
         # a single vector maps like a row of a block
-        np.testing.assert_allclose(centred_draws(factor, z[1]), draws[1], rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(centred_draws(system, EPS, z[1]), draws[1])
 
 
 class TestFunctionalVariance:
     def test_coordinate_functional(self, prior, bvp_inv, interval):
-        factor = posterior_factor(prior, bvp_inv, 1e-2)
-        variance = factor.functional_variance(unit_vector(interval, 0))
-        assert variance == pytest.approx(factor.root[0] ** 2)
+        system = posterior_system(prior, bvp_inv)
+        variance = system.functional_variance(unit_vector(interval, 0), EPS)
+        _, root = per_level_factor(prior, bvp_inv, EPS)
+        assert variance == pytest.approx(root[0] ** 2)
 
-    def test_matches_normal_equation_covariance(self, factor, interval):
+    def test_matches_normal_equation_covariance(self, system, interval):
         psi = np.random.default_rng(2).standard_normal(interval.n_modes)
-        want = psi @ _normal_equation_covariance(factor) @ psi
-        got = factor.functional_variance(coeff_vector(interval, psi))
+        want = psi @ _normal_equation_covariance(system, EPS) @ psi
+        got = system.functional_variance(coeff_vector(interval, psi), EPS)
         assert got == pytest.approx(want, rel=1e-10)
 
-    def test_variance_positive_for_nonzero_psi(self, factor, interval):
+    def test_variance_positive_for_nonzero_psi(self, system, interval):
         rng = np.random.default_rng(2)
         psi = coeff_vector(interval, rng.standard_normal(interval.n_modes))
-        assert factor.functional_variance(psi) > 0
-        assert factor.functional_variance(coeff_vector(interval, 0.0 * psi.coeffs)) == 0.0
+        assert system.functional_variance(psi, EPS) > 0
+        zero = coeff_vector(interval, 0.0 * psi.coeffs)
+        assert system.functional_variance(zero, EPS) == 0.0
 
-    def test_quadratic_in_psi(self, factor, interval):
+    def test_quadratic_in_psi(self, system, interval):
         psi = np.random.default_rng(4).standard_normal(interval.n_modes)
-        variance = factor.functional_variance(coeff_vector(interval, psi))
+        variance = system.functional_variance(coeff_vector(interval, psi), EPS)
         for c in (-3.0, 0.5, 2.0):
-            scaled = factor.functional_variance(coeff_vector(interval, c * psi))
+            scaled = system.functional_variance(coeff_vector(interval, c * psi), EPS)
             assert scaled == pytest.approx(c**2 * variance, rel=1e-14)
 
-    def test_against_sampling(self, factor, interval):
+    def test_against_sampling(self, system, interval):
         psi = coeff_vector(interval, np.random.default_rng(3).standard_normal(interval.n_modes))
-        variance = factor.functional_variance(psi)
+        variance = system.functional_variance(psi, EPS)
         n = 100_000
         z = np.random.default_rng(77).standard_normal((n, interval.n_modes))
-        draws = centred_draws(factor, z) @ psi.coeffs
+        draws = centred_draws(system, EPS, z) @ psi.coeffs
         assert abs(draws.mean()) <= 3 * math.sqrt(variance / n)
         se_var = variance * math.sqrt(2.0 / (n - 1))
         assert abs(draws.var(ddof=1) - variance) <= 3 * se_var
@@ -393,8 +424,8 @@ class TestTwoSidedQuantile:
         prior2 = GaussianPrior(
             basis=prior.basis, variances=np.array([2.0]), rkhs_exponent=1.0, amplitude=2.0
         )
-        factor = posterior_factor(prior2, op, math.sqrt(2.0))
-        variance = factor.functional_variance(unit_vector(prior.basis, 0))
+        system = posterior_system(prior2, op)
+        variance = system.functional_variance(unit_vector(prior.basis, 0), math.sqrt(2.0))
         assert variance == pytest.approx(1.0, rel=1e-14)
         radius = two_sided_quantile(0.95) * math.sqrt(variance)
         assert radius == pytest.approx(1.959964, abs=1e-6)
@@ -412,62 +443,72 @@ class TestTwoSidedQuantile:
     def test_mass_identity(self, prior, bvp_inv, interval):
         # the interval of half-width q sd about the posterior mean of <f, psi>
         # carries exactly the requested posterior mass
-        factor = posterior_factor(prior, bvp_inv, 1e-2)
-        sd = math.sqrt(factor.functional_variance(unit_vector(interval, 2)))
+        system = posterior_system(prior, bvp_inv)
+        sd = math.sqrt(system.functional_variance(unit_vector(interval, 2), EPS))
         for level in (0.5, 0.9, 0.95, 0.99):
             radius = two_sided_quantile(level) * sd
             mass = 2 * scipy.stats.norm.cdf(radius / sd) - 1
             assert mass == pytest.approx(level, abs=1e-12)
 
-    @pytest.mark.parametrize("level", [1e-9, 0.5, 0.68, 0.9, 0.95, 0.99, 0.999999])
+    @pytest.mark.parametrize("level", [0.5, 0.68, 0.9, 0.95, 0.99, 0.999999])
     def test_quantile_matches_scipy_stats_to_8_ulp(self, level):
         want = scipy.stats.norm.ppf(0.5 + level / 2.0)
         np.testing.assert_array_max_ulp(two_sided_quantile(level), want, maxulp=8)
 
+    def test_small_levels_keep_relative_precision(self):
+        # 0.5 + level / 2 drops the low digits of a small level: from 1.2e-16
+        # and 2.3e-16 alike, the normal quantile of the sum is 2.783e-16
+        levels = np.geomspace(2.5e-16, 0.49, 400).tolist() + [1.2e-16, 2.3e-16, 1e-12, 1e-9]
+        for level in levels:
+            want = math.sqrt(2.0) * scipy.special.erfinv(level)
+            assert two_sided_quantile(level) == pytest.approx(want, rel=1e-15, abs=0.0), level
+        assert two_sided_quantile(1.2e-16) < two_sided_quantile(2.3e-16)
+
 
 class TestExactBallRadius:
-    def test_monte_carlo_hit_rate_in_wilson_band(self, factor, interval):
+    def test_monte_carlo_hit_rate_in_wilson_band(self, system, interval):
         # oracle: the dual norms of 200k centred draws, counted against the radius
         level, n_draws, block = 0.95, 200_000, 20_000
-        radius = exact_ball_radius(factor, 3.5, level)
+        radius = exact_ball_radius(system, EPS, 3.5, level)
         weights = (1.0 + interval.eigenvalues) ** (-3.5)
         rng = np.random.default_rng(6)
         hits = 0
         for _ in range(n_draws // block):
-            centred = centred_draws(factor, rng.standard_normal((block, interval.n_modes)))
+            centred = centred_draws(system, EPS, rng.standard_normal((block, interval.n_modes)))
             hits += int(np.count_nonzero(np.sqrt((centred**2) @ weights) <= radius))
         low, high = _wilson_interval(hits, n_draws)
         assert low <= level <= high, (hits / n_draws, low, high)
 
     def test_weighted_spectrum_paths_agree(self, prior, families, interval):
         weights = (1.0 + interval.eigenvalues) ** (-3.5)
-        diagonal = posterior_factor(prior, families["bvp"], 1e-2)
+        diagonal = posterior_system(prior, families["bvp"])
         dense_op = ForwardOperator(basis=interval, matrix=np.diag(families["bvp"].multipliers))
-        dense = posterior_factor(prior, dense_op, 1e-2)
+        dense = posterior_system(prior, dense_op)
         np.testing.assert_allclose(
-            np.sort(dense.weighted_spectrum(weights)),
-            np.sort(diagonal.weighted_spectrum(weights)),
+            np.sort(dense.weighted_spectrum(weights, EPS)),
+            np.sort(diagonal.weighted_spectrum(weights, EPS)),
             rtol=1e-9,
         )
 
-    def test_monotone_in_beta_and_level(self, factor):
+    def test_monotone_in_beta_and_level(self, system):
         levels = (0.5, 0.9, 0.95, 0.999, 1 - 1e-12)
-        by_level = [exact_ball_radius(factor, 3.5, level) for level in levels]
+        by_level = [exact_ball_radius(system, EPS, 3.5, level) for level in levels]
         assert all(math.isfinite(r) for r in by_level)
         assert all(a < b for a, b in zip(by_level, by_level[1:]))
-        by_beta = [exact_ball_radius(factor, beta, 0.95) for beta in (0.0, 1.0, 2.0, 3.5, 5.0)]
+        betas = (0.0, 1.0, 2.0, 3.5, 5.0)
+        by_beta = [exact_ball_radius(system, EPS, beta, 0.95) for beta in betas]
         assert all(a >= b for a, b in zip(by_beta, by_beta[1:]))
 
-    def test_validation(self, factor):
+    def test_validation(self, system):
         with pytest.raises(ConfigurationError, match="beta"):
-            exact_ball_radius(factor, -0.5, 0.95)
+            exact_ball_radius(system, EPS, -0.5, 0.95)
         for level in (0.0, 1.0):
             with pytest.raises(ConfigurationError, match="level"):
-                exact_ball_radius(factor, 3.5, level)
+                exact_ball_radius(system, EPS, 3.5, level)
 
-    def test_vanishing_level_is_a_numerical_error(self, factor):
+    def test_vanishing_level_is_a_numerical_error(self, system):
         # the lower quantile shrinks with the level until the saddlepoint's
         # curvature underflows to 0; that was a ZeroDivisionError
-        assert 0.0 < exact_ball_radius(factor, 3.5, 1e-100)
+        assert 0.0 < exact_ball_radius(system, EPS, 3.5, 1e-100)
         with pytest.raises(NumericalError, match="curvature underflows"):
-            exact_ball_radius(factor, 3.5, 1e-300)
+            exact_ball_radius(system, EPS, 3.5, 1e-300)
