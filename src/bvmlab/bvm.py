@@ -364,6 +364,8 @@ def rate_fit(
     err = np.asarray(errors, dtype=float)
     if eps.size != err.size or eps.size < 3:
         raise ConfigurationError("need at least three ladder points of equal count")
+    if not np.all(np.isfinite(err)):
+        raise NumericalError("rate fit errors must be finite")
     if np.any(eps <= 0) or np.any(err <= 0):
         raise ConfigurationError("ladder points and errors must be positive")
     x = np.log(eps)

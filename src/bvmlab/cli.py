@@ -60,9 +60,6 @@ COVERAGE_COLUMNS = (
     "ball_covered",
 )
 
-# the cells of a table's rows, each formatted where the row was computed
-_Rows = list[tuple[str, ...]]
-
 
 @dataclass
 class ExperimentContext:
@@ -146,25 +143,24 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
     return ExperimentContext(config, basis, forward, prior, truth, functional)
 
 
-def _csv_line(row: Sequence[str]) -> str:
-    return ",".join(row) + "\n"
+def _csv_text(rows) -> str:
+    """The CSV lines of rows of string cells, joined: the one joiner of every table body."""
+    return "".join([",".join(row) + "\n" for row in rows])
 
 
-def emit_csv(records, path: str, metadata: Sequence[tuple[str, str]] = ()) -> None:
-    """Write rows of string cells as CSV: one '# key=value' metadata block, then
-    header, then data.
+def emit_csv(
+    header: Sequence[str], text: str, path: str, metadata: Sequence[tuple[str, str]] = ()
+) -> None:
+    """Write one CSV file: a '# key=value' metadata block, the header, then the
+    body ``text``, the data lines as ``_csv_text`` joins them.
 
     The experiments format floating-point cells with 17 significant digits, so
     a reparse reproduces the values exactly.
     """
-    header, rows = records
-    if not rows:
+    if not text:
         raise ConfigurationError("refusing to emit an empty results table")
-    if any(len(row) != len(header) for row in rows):
-        raise ConfigurationError("row width does not match the header")
     # write a sibling file, then rename it over the output, so a reader never
-    # sees a partial table and a failed run leaves an older file intact; the
-    # lines are streamed, so the whole text is never held in memory
+    # sees a partial table and a failed run leaves an older file intact
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     fh = open(tmp, "x", encoding="utf-8")
@@ -172,7 +168,7 @@ def emit_csv(records, path: str, metadata: Sequence[tuple[str, str]] = ()) -> No
         with fh:
             fh.writelines(f"# {key}={value}\n" for key, value in metadata)
             fh.write(",".join(header) + "\n")
-            fh.writelines(map(_csv_line, rows))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -198,51 +194,64 @@ def _flag_cells(flags: np.ndarray) -> list[str]:
     return ["true" if flag else "false" for flag in flags.tolist()]
 
 
-def _table_rows(table: bvm.ReplicateTable, replicates: list[str]) -> _Rows:
+def _checked_cells(values: np.ndarray, column: str, epsilon: float) -> list[str]:
+    """A chunk's column at one noise level, formatted once it is known to be finite."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"column '{column}' is not finite at epsilon={epsilon!r}")
+    return _float_cells(values)
+
+
+def _table_text(table: bvm.ReplicateTable, replicates: list[str]) -> tuple[str, tuple[int, int]]:
+    """One noise level's CSV lines of a chunk, and its interval and ball hit counts."""
     n_rows = len(replicates)
     no_ball = [""] * n_rows
-    ball_cells = [no_ball, no_ball]
+    ball_cells, ball_hits = [no_ball, no_ball], 0
     if table.ball_radius is not None:
         ball_cells = [
             [format(table.ball_radius, ".17g")] * n_rows,
             _flag_cells(table.ball_covered),
         ]
+        ball_hits = int(np.count_nonzero(table.ball_covered))
     cells = (
         [format(table.epsilon, ".17g")] * n_rows,
         replicates,
-        _float_cells(table.functional_mean),
-        _float_cells(table.scaled_error),
-        _float_cells(table.hat_psi),
+        *(_checked_cells(getattr(table, c), c, table.epsilon) for c in COVERAGE_COLUMNS[2:5]),
         [format(table.interval_radius, ".17g")] * n_rows,
         _flag_cells(table.interval_covered),
         *ball_cells,
     )
-    return list(zip(*cells))
+    return _csv_text(zip(*cells)), (int(np.count_nonzero(table.interval_covered)), ball_hits)
 
 
-def _coverage_rows(context: ExperimentContext, run: tuple, indices: range) -> list[_Rows]:
-    # run is the posterior system and the credible sets of every noise level
-    tables = bvm.replicate_table(*run, context.truth, indices, context.config.master_seed)
+def _coverage_rows(context: ExperimentContext, run: tuple, indices: range) -> list[tuple]:
+    # run is the posterior system and the credible sets of every noise level;
+    # an overflow surfaces as the non-finite column that _checked_cells names
+    with np.errstate(over="ignore", invalid="ignore"):
+        tables = bvm.replicate_table(*run, context.truth, indices, context.config.master_seed)
     replicates = [str(i) for i in indices]
-    return [_table_rows(table, replicates) for table in tables]
+    return [_table_text(table, replicates) for table in tables]
 
 
 def _rates_rows(
     context: ExperimentContext, system: posterior.PosteriorSystem, indices: range
-) -> list[_Rows]:
+) -> list[tuple[str, np.ndarray]]:
     # the dual norm of beta = 2, spectral.sobolev_norm at exponent -2, one row at a time
     weights = (1.0 + context.basis.eigenvalues) ** -2.0
     epsilons, seed = context.config.epsilons, context.config.master_seed
     errors = np.empty((len(epsilons), len(indices)))
     blocks = bvm.replicate_blocks(system, epsilons, context.truth, indices, seed)
-    for k, rows, _, modes in blocks:
-        means = system.synthesise(modes)
-        errors[k, rows] = np.sqrt(np.vecdot((means - context.truth.coeffs) ** 2, weights))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, rows, _, modes in blocks:
+            means = system.synthesise(modes)
+            errors[k, rows] = np.sqrt(np.vecdot((means - context.truth.coeffs) ** 2, weights))
     replicates = [str(i) for i in indices]
-    return [
-        list(zip([format(epsilon, ".17g")] * len(indices), replicates, _float_cells(row)))
-        for epsilon, row in zip(epsilons, errors)
-    ]
+    texts = (
+        _csv_text(
+            zip([format(e, ".17g")] * len(indices), replicates, _checked_cells(row, "dual_error", e))
+        )
+        for e, row in zip(epsilons, errors)
+    )
+    return list(zip(texts, errors))
 
 
 def _chunks(n: int, workers: int) -> list[range]:
@@ -264,23 +273,24 @@ def _init_worker(run: tuple) -> None:
     _worker_run = run
 
 
-def _run_chunk(indices: range) -> list[_Rows]:
+def _run_chunk(indices: range) -> list[tuple]:
     row_fn, context, run = _worker_run
     return row_fn(context, run, indices)
 
 
-def _map_chunks(context: ExperimentContext, workers: int, run, row_fn) -> _Rows:
-    """The rows of every noise level and replicate, in (epsilon, replicate) order:
-    noise level k owns rows ``k * n_replicates`` to ``(k + 1) * n_replicates - 1``.
+def _map_chunks(context: ExperimentContext, workers: int, run, row_fn) -> tuple[str, list]:
+    """The CSV body of every noise level and replicate, in (epsilon, replicate)
+    order, and each level's chunk numbers, in chunk order.
 
     ``run`` holds the data-independent objects of every noise level, built
     once per run (the posterior system, and for coverage the credible sets),
-    and ``row_fn(context, run, indices)`` returns one list of rows per level
-    for a chunk of replicates, so each replicate's noise is drawn once for all
-    levels.  One worker runs the chunks in-process; more map them over a
-    process pool whose initializer hands each worker the run once.  Rows
-    depend only on (epsilon, replicate index), so the output is the same for
-    any worker count.
+    and ``row_fn(context, run, indices)`` returns one pair per level for a
+    chunk of replicates: the chunk's CSV lines at that level, joined, and its
+    numbers there (coverage's hit counts, rates' errors).  So each replicate's
+    noise is drawn once for all levels, and the parent reparses no cell.  One
+    worker runs the chunks in-process; more map them over a process pool
+    whose initializer hands each worker the run once.  Rows depend only on
+    (epsilon, replicate index), so the output is the same for any worker count.
     """
     workers = min(workers, os.cpu_count() or 1)
     tasks = _chunks(context.config.n_replicates, workers)
@@ -294,18 +304,8 @@ def _map_chunks(context: ExperimentContext, workers: int, run, row_fn) -> _Rows:
         ) as pool:
             chunks = list(pool.map(_run_chunk, tasks))
     levels = range(len(context.config.epsilons))
-    return [row for k in levels for chunk in chunks for row in chunk[k]]
-
-
-def _level_cells(rows: _Rows, n: int, column: int) -> list[list[str]]:
-    """One column's cells per noise level, for levels of ``n`` consecutive rows."""
-    return [[row[column] for row in rows[lo : lo + n]] for lo in range(0, len(rows), n)]
-
-
-def _hits(rows: _Rows, n: int, column: str) -> str:
-    """"true" cells of a flag column per noise level, comma-separated in order."""
-    cells = _level_cells(rows, n, COVERAGE_COLUMNS.index(column))
-    return ",".join(str(level.count("true")) for level in cells)
+    text = "".join(chunk[k][0] for k in levels for chunk in chunks)
+    return text, [[chunk[k][1] for chunk in chunks] for k in levels]
 
 
 def _run_coverage(context: ExperimentContext, workers: int):
@@ -315,22 +315,22 @@ def _run_coverage(context: ExperimentContext, workers: int):
         bvm.credible_sets(system, epsilon, context.functional, config.level, config.ball_beta)
         for epsilon in config.epsilons
     ]
-    rows = _map_chunks(context, workers, (system, levels), _coverage_rows)
-    extra = [("diag.coverage_hits", _hits(rows, config.n_replicates, "covered"))]
+    text, hits = _map_chunks(context, workers, (system, levels), _coverage_rows)
+    # per level, the summed (interval, ball) hits of its chunks
+    interval_hits, ball_hits = np.sum(hits, axis=1).T.tolist()
+    extra = [("diag.coverage_hits", ",".join(map(str, interval_hits)))]
     if config.ball_beta is not None:
-        extra.append(("diag.ball_hits", _hits(rows, config.n_replicates, "ball_covered")))
-    return COVERAGE_COLUMNS, rows, extra
+        extra.append(("diag.ball_hits", ",".join(map(str, ball_hits))))
+    return COVERAGE_COLUMNS, text, extra
 
 
 def _run_rates(context: ExperimentContext, workers: int):
     config = context.config
     system = posterior.posterior_system(context.prior, context.forward)
-    rows = _map_chunks(context, workers, system, _rates_rows)
-    # the dual_error cells (column 2) reparse to the doubles they were formatted from
-    mean_errors = [
-        float(np.mean([float(cell) for cell in level]))
-        for level in _level_cells(rows, config.n_replicates, 2)
-    ]
+    text, errors = _map_chunks(context, workers, system, _rates_rows)
+    # the doubles the dual_error cells were formatted from, so a reparse of the
+    # file's cells gives the same means
+    mean_errors = [float(np.mean(np.concatenate(level))) for level in errors]
     predicted = priors.predict_rate(-config.ambient_exponent, config.prior_r, config.truth_alpha)
     fit = bvm.rate_fit(config.epsilons, mean_errors, predicted.exponent)
     extra = [
@@ -339,7 +339,7 @@ def _run_rates(context: ExperimentContext, workers: int):
         ("rate_predicted_exponent", format(fit.predicted_exponent, ".17g")),
         ("rate_binding_branch", predicted.which.value),
     ]
-    return ("epsilon", "replicate", "dual_error"), rows, extra
+    return ("epsilon", "replicate", "dual_error"), text, extra
 
 
 def _run_tightness(context: ExperimentContext):
@@ -349,8 +349,8 @@ def _run_tightness(context: ExperimentContext):
     result = bvm.tightness_series(
         context.forward.companion, config.tightness_beta, config.tightness_max_modes
     )
-    rows = [(str(j), s) for j, s in enumerate(_float_cells(result.partial_sums), start=1)]
-    return ("modes", "partial_sum"), rows, [("tightness_verdict", result.verdict.value)]
+    text = _csv_text((str(j), s) for j, s in enumerate(_float_cells(result.partial_sums), start=1))
+    return ("modes", "partial_sum"), text, [("tightness_verdict", result.verdict.value)]
 
 
 def _run_concentration(context: ExperimentContext):
@@ -364,16 +364,16 @@ def _run_concentration(context: ExperimentContext):
         config.concentration_mc_samples,
         derive_seed(config.master_seed, 0),
     )
-    rows = [
-        tuple(format(x, ".17g") for x in (delta, v.approx_term, v.smallball_term, v.phi))
+    text = _csv_text(
+        [format(x, ".17g") for x in (delta, v.approx_term, v.smallball_term, v.phi)]
         for delta, v in zip(deltas, values)
-    ]
+    )
     extra = [
         ("diag.smallball_hits", ",".join(str(v.estimate.hits) for v in values)),
         ("diag.smallball_log_low", ",".join(format(v.estimate.log_low, ".17g") for v in values)),
         ("diag.smallball_log_high", ",".join(format(v.estimate.log_high, ".17g") for v in values)),
     ]
-    return ("delta", "approx_term", "smallball_term", "phi"), rows, extra
+    return ("delta", "approx_term", "smallball_term", "phi"), text, extra
 
 
 _CONJUGACY_FAMILIES = ("bvp", "psido", "heat")
@@ -422,7 +422,7 @@ def _run_conjugacy(context: ExperimentContext):
         raise NumericalError(
             f"Tikhonov minimiser and posterior mean disagree by {worst:.3g} (> 1e-8)"
         )
-    return ("index", "family", "epsilon", "rel_distance"), rows, []
+    return ("index", "family", "epsilon", "rel_distance"), _csv_text(rows), []
 
 
 def run_command(config: ExperimentConfig, workers: int = 1) -> int:
@@ -430,16 +430,16 @@ def run_command(config: ExperimentConfig, workers: int = 1) -> int:
     try:
         context = build_context(config)
         if config.experiment == "coverage":
-            header, rows, extra = _run_coverage(context, workers)
+            header, text, extra = _run_coverage(context, workers)
         elif config.experiment == "rates":
-            header, rows, extra = _run_rates(context, workers)
+            header, text, extra = _run_rates(context, workers)
         elif config.experiment == "tightness":
-            header, rows, extra = _run_tightness(context)
+            header, text, extra = _run_tightness(context)
         elif config.experiment == "concentration":
-            header, rows, extra = _run_concentration(context)
+            header, text, extra = _run_concentration(context)
         else:
-            header, rows, extra = _run_conjugacy(context)
-        emit_csv((header, rows), config.output_path, _base_metadata(context) + extra)
+            header, text, extra = _run_conjugacy(context)
+        emit_csv(header, text, config.output_path, _base_metadata(context) + extra)
     except BvmlabError as exc:
         for err_type, code in _EXIT_CODES:
             if isinstance(exc, err_type):

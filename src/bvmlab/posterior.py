@@ -332,4 +332,10 @@ def exact_ball_radius(
     if beta < 0:
         raise ConfigurationError("ball norms use beta >= 0")
     weights = (1.0 + system.prior.basis.eigenvalues) ** (-beta)
-    return math.sqrt(quadratic_form_quantile(system.weighted_spectrum(weights, epsilon), level))
+    spectrum = system.weighted_spectrum(weights, epsilon)
+    if not np.any(spectrum > 0):
+        raise ConfigurationError(
+            f"key 'ball_beta': the weighted posterior spectrum at epsilon={epsilon!r} "
+            f"underflows to 0 at ball_beta={beta!r}"
+        )
+    return math.sqrt(quadratic_form_quantile(spectrum, level))

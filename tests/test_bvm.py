@@ -17,7 +17,7 @@ from bvmlab.bvm import (
     representer,
     tightness_series,
 )
-from bvmlab.errors import ConfigurationError, IllPosedError
+from bvmlab.errors import ConfigurationError, IllPosedError, NumericalError
 from bvmlab.operators import (
     EllipticCoefficient,
     ForwardOperator,
@@ -327,6 +327,11 @@ class TestRateFit:
     def test_nonpositive_rejected(self):
         with pytest.raises(ConfigurationError):
             rate_fit([0.1, 0.01, 0.001], [0.1, -0.01, 0.001], 1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(NumericalError, match="finite"):
+            rate_fit([0.1, 0.01, 0.001], [0.1, bad, 0.001], 1.0)
 
 
 @pytest.fixture(scope="module")

@@ -195,8 +195,8 @@ class TestEmitCsv:
     def test_roundtrip_seventeen_digits(self, tmp_path):
         path = tmp_path / "x.csv"
         values = [math.pi, 1 / 3, 6.02e23, 1.7e-308]
-        rows = list(zip(map(str, range(len(values))), cli._float_cells(np.array(values))))
-        emit_csv((("idx", "value"), rows), str(path), [("key", "val")])
+        rows = zip(map(str, range(len(values))), cli._float_cells(np.array(values)))
+        emit_csv(("idx", "value"), cli._csv_text(rows), str(path), [("key", "val")])
         metadata, header, parsed = load_csv(str(path))
         assert metadata == {"key": "val"}
         assert header == ["idx", "value"]
@@ -205,12 +205,12 @@ class TestEmitCsv:
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            emit_csv((("a",), []), str(tmp_path / "x.csv"))
+            emit_csv(("a",), cli._csv_text([]), str(tmp_path / "x.csv"))
 
     def test_boolean_and_missing_cells(self, tmp_path):
         path = tmp_path / "x.csv"
-        rows = list(zip(cli._flag_cells(np.array([True, False])), ("", "1.5")))
-        emit_csv((("a", "b"), rows), str(path))
+        rows = zip(cli._flag_cells(np.array([True, False])), ("", "1.5"))
+        emit_csv(("a", "b"), cli._csv_text(rows), str(path))
         _, _, rows = load_csv(str(path))
         assert rows[0] == ["true", ""]
         assert rows[1] == ["false", "1.5"]
@@ -311,7 +311,8 @@ output_path={out}
         radii = {(r[epsilon], r[ball_radius]) for r in rows}
         assert len(radii) == len({r[epsilon] for r in rows}) == 2
 
-    def test_rates_metadata(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rates_metadata(self, tmp_path, workers):
         out = tmp_path / "rates.csv"
         text = f"""
 experiment=rates
@@ -325,10 +326,14 @@ epsilons=1e-2,3e-3,1e-3,3e-4
 output_path={out}
 """
         config = parse_config(text)
-        assert run_command(config) == 0
+        assert run_command(config, workers=workers) == 0
         metadata, header, rows = load_csv(str(out))
         assert header == ["epsilon", "replicate", "dual_error"]
-        assert "rate_slope" in metadata
+        # the fit is of each level's mean of the file's dual_error cells
+        means = [np.mean([float(r[2]) for r in rows if float(r[0]) == e]) for e in config.epsilons]
+        fit = bvm.rate_fit(config.epsilons, means, 5 / 6)
+        assert metadata["rate_slope"] == format(fit.slope, ".17g")
+        assert metadata["rate_r_squared"] == format(fit.r_squared, ".17g")
         assert metadata["rate_predicted_exponent"] == format(5 / 6, ".17g")
 
     def test_tightness_metadata(self, tmp_path):
@@ -350,6 +355,36 @@ output_path={out}
     def test_unwritable_path_exit_one(self, tmp_path):
         config = parse_config(MINIMAL_BVP.format(out="/nonexistent-dir/x.csv"))
         assert run_command(config) == 1
+
+
+class TestNonFiniteOutput:
+    """A truth of scale 1e308 overflows the replicates: the run names the column
+    and noise level instead of writing inf and nan cells."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (
+                "experiment=coverage\nfunctional.band=8\nepsilons=1e-3,1e-4",
+                "column 'functional_mean' is not finite at epsilon=0.0001",
+            ),
+            (
+                "experiment=rates\ntruth.kind=sobolev\nepsilons=1e-2,3e-3,1e-3",
+                "column 'dual_error' is not finite at epsilon=0.01",
+            ),
+        ],
+        ids=["coverage", "rates"],
+    )
+    def test_exit_two_naming_column(self, tmp_path, capsys, lines, message, workers):
+        path, out = tmp_path / "big.ini", tmp_path / "out.csv"
+        path.write_text(
+            f"{lines}\noperator.kind=bvp\nn_modes=32\nn_replicates=5\ntruth.scale=1e308\n"
+            f"output_path={out}\n"
+        )
+        assert main(["run", str(path), "--workers", str(workers)]) == 2
+        assert capsys.readouterr().err == f"error[2]: {message}\n"
+        assert not out.exists()
 
 
 class TestMain:
@@ -564,6 +599,24 @@ class TestLateFailingKeys:
         err = capsys.readouterr().err
         assert err.startswith(f"error[1]: key '{key}': ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_ball_spectrum_underflow_named_at_run(self, tmp_path, capsys):
+        # (1 + lambda_j)**-310 is 0 past the first mode and subnormal there;
+        # whether the weighted posterior spectrum underflows too depends on the
+        # noise level, which validate cannot know: here epsilon = 1e-3 is the
+        # first level where it is 0
+        path, out = tmp_path / "ball.ini", tmp_path / "out.csv"
+        path.write_text(
+            "experiment=coverage\noperator.kind=bvp\nn_modes=32\nfunctional.band=8\n"
+            f"ball_beta=310\nepsilons=1e-1,1e-2,1e-3\noutput_path={out}\n"
+        )
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[1]: key 'ball_beta': ") and err.count("\n") == 1
+        assert "epsilon=0.001 " in err
         assert not out.exists()
 
     def test_limits_still_accepted(self, tmp_path):
@@ -1193,7 +1246,7 @@ class TestFailureExitCodes:
 
         monkeypatch.setattr(cli.os, "replace", fail_replace)
         with pytest.raises(OSError, match="disk full"):
-            emit_csv((("a",), [("1",)]), str(out))
+            emit_csv(("a",), "1\n", str(out))
         assert out.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["o.csv"]
         config = parse_config(MINIMAL_BVP.format(out=out))
@@ -1201,7 +1254,7 @@ class TestFailureExitCodes:
         assert out.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["o.csv"]
         monkeypatch.undo()
-        emit_csv((("a",), [("1",)]), str(out))
+        emit_csv(("a",), "1\n", str(out))
         assert out.read_text() == "a\n1\n"
         assert os.listdir(tmp_path) == ["o.csv"]
 

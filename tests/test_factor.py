@@ -226,7 +226,7 @@ output_path={tmp_path / "rates.csv"}
     chunk = cli._rates_rows(context, system, indices)
     assert len(chunk) == len(config.epsilons)
     signal = system.rotate(apply(context.forward, context.truth).coeffs)
-    for epsilon, rows in zip(config.epsilons, chunk):
+    for epsilon, (text, errors) in zip(config.epsilons, chunk):
         want = []
         for i in indices:
             # replicate i draws the noise of coverage replicate i
@@ -239,11 +239,13 @@ output_path={tmp_path / "rates.csv"}
             assert np.linalg.norm(mean - posterior_mean) <= 1e-12 * np.linalg.norm(mean)
             error = coeff_vector(context.basis, mean - context.truth.coeffs)
             want.append(sobolev_norm(error, -2.0))
-        assert rows == [
-            (format(epsilon, ".17g"), str(i), format(err, ".17g"))
+        assert text == "".join(
+            f"{format(epsilon, '.17g')},{i},{format(err, '.17g')}\n"
             for i, err in zip(indices, want)
-        ]
-        assert [repr(float(row[2])) for row in rows] == [repr(e) for e in want]
+        )
+        assert [repr(e) for e in errors.tolist()] == [repr(e) for e in want]
+        cells = [line.split(",")[2] for line in text.splitlines()]
+        assert [repr(float(cell)) for cell in cells] == [repr(e) for e in want]
 
 
 def _count_calls(monkeypatch, module, name, counts):
