@@ -22,7 +22,7 @@ from .posterior import (
     two_sided_quantile,
 )
 from .priors import _wilson_interval
-from .seeds import derive_seeds
+from .seeds import derive_seed
 from .spectral import CoeffVector, coeff_vector, inner
 
 __all__ = [
@@ -209,23 +209,24 @@ def replicate_blocks(
     """Measurements ``A f_dagger + epsilon W`` from the fixed truth at every
     noise level, in blocks of up to ``REPLICATE_BLOCK`` replicates.
 
-    Replicate i draws W once, from the seed ``derive_seed(master_seed, 2i)``,
-    and rotates it into the system's modes once for every level; the master
-    seed must lie in 0..2**64 - 1.  Each block yields ``(k, rows, noise,
-    modes)`` for each level k in turn: the slice of ``indices`` it covers, its
-    noise rows and their modal posterior means ``g * U^T (A f_dagger +
-    epsilon W)`` at ``epsilons[k]``, which ``system.synthesise`` maps to
-    coefficients.  Every step is row-local, so every row is bitwise the same
-    for any index split, and a parallel driver may pass any sub-range.
+    Replicate i draws W once, as ``noise_draw`` of the key
+    ``derive_seed(master_seed, 2i)``, and rotates it into the system's modes
+    once for every level; the master seed must lie in 0..2**64 - 1.  Each
+    block yields ``(k, rows, noise, modes)`` for each level k in turn: the
+    slice of ``indices`` it covers, its noise rows and their modal posterior
+    means ``g * U^T (A f_dagger + epsilon W)`` at ``epsilons[k]``, which
+    ``system.synthesise`` maps to coefficients.  Every step is row-local, so
+    every row is bitwise the same for any index split, and a parallel driver
+    may pass any sub-range.
     """
     if not system.operator.basis.compatible(f_dagger.basis):
         raise ShapeError("truth lives on a different basis than the operator")
     signal = system.rotate(apply(system.operator, f_dagger).coeffs)
     gains = [system.gains(epsilon) for epsilon in epsilons]
     for lo in range(0, len(indices), REPLICATE_BLOCK):
-        block = np.asarray(indices[lo : lo + REPLICATE_BLOCK], dtype=np.uint64)
-        rows = slice(lo, lo + len(block))
-        noise = noise_block(f_dagger.basis, derive_seeds(master_seed, 2 * block))
+        keys = [derive_seed(master_seed, 2 * i) for i in indices[lo : lo + REPLICATE_BLOCK]]
+        rows = slice(lo, lo + len(keys))
+        noise = noise_block(f_dagger.basis, keys)
         rotated = system.rotate(noise)
         for k, (epsilon, gain) in enumerate(zip(epsilons, gains)):
             yield k, rows, noise, gain * (signal + epsilon * rotated)

@@ -362,7 +362,8 @@ def _run_concentration(context: ExperimentContext):
         deltas,
         config.ambient_exponent,
         config.concentration_mc_samples,
-        derive_seed(config.master_seed, 0),
+        # stream 0's key is the master seed itself, which may equal truth.seed
+        derive_seed(config.master_seed, 1),
     )
     text = _csv_text(
         [format(x, ".17g") for x in (delta, v.approx_term, v.smallball_term, v.phi)]

@@ -11,13 +11,18 @@ singular value decomposition on the dense path, per-mode vectors on the
 diagonal one - and every noise level then costs O(n) vectors; no n x n matrix
 is held per level, and the covariance is positive semidefinite by
 construction.
+
+Noise is drawn from NumPy's counter-based Philox generator, keyed by a
+128-bit integer (``seeds.derive_seed`` packs a master seed and a stream id
+into one); ``noise_block`` draws a whole block of keys on one generator.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from statistics import NormalDist
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,96 +63,52 @@ def _check_epsilon(epsilon: float) -> None:
         )
 
 
-# NumPy's seeding of default_rng(seed) for a seed below 2**64: SeedSequence
-# hashes the seed's two 32-bit words into a pool of four and draws four 64-bit
-# words from it, which set up PCG64's 128-bit state and increment
-# (numpy/random/bit_generator.pyx and pcg64.h)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_XSHIFT = 16
-_POOL_SIZE = 4
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_KEY_LIMIT = 1 << 128
+_MASK64 = (1 << 64) - 1
 
 
-def _hash_constants(init: int, mult: int) -> Iterator[tuple[int, int]]:
-    """The (xor, multiplier) pairs of successive hash steps; they depend on no data."""
-    const = init
-    while True:
-        step = (const * mult) & _MASK32
-        yield const, step
-        const = step
+def _checked_key(key: int) -> int:
+    key = operator.index(key)
+    if not 0 <= key < _KEY_LIMIT:
+        raise OverflowError(f"noise key must lie in 0..2**128 - 1, got {key}")
+    return key
 
 
-def _hash(value: np.ndarray, constants: Iterator[tuple[int, int]]) -> np.ndarray:
-    xor, mult = next(constants)
-    # words stay below 2**32, so the product fits in uint64
-    value = ((value ^ xor) * mult) & _MASK32
-    return value ^ (value >> _XSHIFT)
+def noise_block(basis: SpectralBasis, keys: Sequence[int]) -> np.ndarray:
+    """White-noise realisations, one row per key: row r is bitwise
+    ``noise_draw(basis, keys[r])``, shape (len(keys), n_modes).
 
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # the uint64 difference wraps modulo 2**64, a multiple of 2**32
-    value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return value ^ (value >> _XSHIFT)
-
-
-def _pcg64_states(seeds: np.ndarray) -> tuple[list[int], list[int]]:
-    """PCG64 (state, increment) of ``default_rng(seed)`` for each uint64 seed."""
-    constants = _hash_constants(_INIT_A, _MULT_A)
-    # a seed below 2**32 hashes like its two words [seed, 0]
-    words = [seeds & _MASK32, seeds >> 32] + [np.zeros_like(seeds)] * (_POOL_SIZE - 2)
-    pool = [_hash(word, constants) for word in words]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], constants))
-    constants = _hash_constants(_INIT_B, _MULT_B)
-    out = [_hash(pool[i % _POOL_SIZE], constants) for i in range(8)]
-    w0, w1, w2, w3 = ((out[2 * k] | (out[2 * k + 1] << 32)).tolist() for k in range(4))
-    states, incs = [], []
-    for a, b, c, d in zip(w0, w1, w2, w3):
-        initstate, initseq = (a << 64) | b, (c << 64) | d
-        inc = ((initseq << 1) | 1) & _MASK128
-        states.append(((inc + initstate) * _PCG64_MULT + inc) & _MASK128)
-        incs.append(inc)
-    return states, incs
-
-
-def noise_block(basis: SpectralBasis, seeds: Sequence[int]) -> np.ndarray:
-    """White-noise realisations, one row per seed: row r holds the iid standard
-    normal coefficients of ``default_rng(seeds[r])``, shape (len(seeds), n_modes).
-
-    Seeds must lie in 0..2**64 - 1.  One generator serves every row: its PCG64
-    state is set to the one ``default_rng(seed)`` starts from, computed for
-    the whole block at once, so no generator is built per row.
+    Keys must lie in 0..2**128 - 1.  One generator serves every row: before
+    each row its Philox state is set to the one ``Philox(key=key)`` starts
+    from - the row's key, a zero counter and an empty buffer - so no
+    generator is built per row.
     """
-    seeds = np.asarray(seeds, dtype=np.uint64)
-    block = np.empty((len(seeds), basis.n_modes))
-    generator = np.random.Generator(np.random.PCG64(0))
+    block = np.empty((len(keys), basis.n_modes))
+    generator = np.random.Generator(np.random.Philox(0))
     bit_generator = generator.bit_generator
-    for row, state, inc in zip(block, *_pcg64_states(seeds)):
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    state = bit_generator.state
+    state["state"]["counter"] = np.zeros(4, dtype=np.uint64)
+    # the buffer holds 4 words, so position 4 means it is empty
+    state["buffer_pos"], state["has_uint32"] = 4, 0
+    for row, key in zip(block, keys):
+        key = _checked_key(key)
+        state["state"]["key"] = [key & _MASK64, key >> 64]
+        bit_generator.state = state
         generator.standard_normal(out=row)
     return block
 
 
-def noise_draw(basis: SpectralBasis, seed: int) -> CoeffVector:
-    """White-noise realisation: iid standard normal coefficients of ``default_rng(seed)``."""
-    return coeff_vector(basis, np.random.default_rng(seed).standard_normal(basis.n_modes))
+def noise_draw(basis: SpectralBasis, key: int) -> CoeffVector:
+    """White-noise realisation: iid standard normal coefficients from the
+    Philox generator with 128-bit key ``key``, in 0..2**128 - 1."""
+    generator = np.random.Generator(np.random.Philox(key=_checked_key(key)))
+    return coeff_vector(basis, generator.standard_normal(basis.n_modes))
 
 
 def observe(
     op: ForwardOperator, f_dagger: CoeffVector, epsilon: float, seed: int
 ) -> Observation:
-    """Simulate one measurement from the fixed truth with a seeded noise draw."""
+    """Simulate one measurement from the fixed truth with the noise draw of key ``seed``."""
     w = noise_draw(op.basis, seed)
     data = coeff_vector(op.basis, apply(op, f_dagger).coeffs + epsilon * w.coeffs)
     return Observation(data=data, epsilon=epsilon)

@@ -196,7 +196,9 @@ def _rkhs_approximation_cost(
 
     The constrained quadratic program has the closed KKT form
     g_j = mu w_j f_j / (1/tau_j + mu w_j); the multiplier is found by
-    bisection until the constraint holds with relative residual <= 1e-10.
+    bisection until the constraint holds with relative residual <= 1e-10 or
+    the bracket closes.  A truth whose squared ambient norm overflows is a
+    configuration error on ``truth.scale``.
     """
     tau = prior.variances
     w = (1.0 + prior.basis.eigenvalues) ** ambient_exponent
@@ -205,7 +207,14 @@ def _rkhs_approximation_cost(
 
     def residual(mu: float) -> float:
         # squared ambient distance ||g(mu) - f||^2
-        return float(np.sum(w * f**2 / (1.0 + mu * w * tau) ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = float(np.sum(w * f**2 / (1.0 + mu * w * tau) ** 2))
+        if not math.isfinite(value):
+            raise ConfigurationError(
+                "key 'truth.scale': the truth's squared ambient norm is not finite, "
+                "so its approximation cost cannot be computed"
+            )
+        return value
 
     if residual(0.0) <= target:
         return 0.0
@@ -217,7 +226,9 @@ def _rkhs_approximation_cost(
     while True:
         mid = 0.5 * (lo + hi)
         res = residual(mid)
-        if abs(res - target) <= 1e-10 * target or (hi - lo) <= 1e-16 * max(hi, 1.0):
+        # mid equals lo or hi once they are adjacent doubles
+        stalled = mid in (lo, hi) or (hi - lo) <= 1e-16 * max(hi, 1.0)
+        if abs(res - target) <= 1e-10 * target or stalled:
             mu = mid
             break
         if res > target:

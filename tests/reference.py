@@ -6,21 +6,6 @@ import numpy as np
 from bvmlab.spectral import BasisKind, coeff_vector
 
 
-_MASK64 = (1 << 64) - 1
-
-
-def mix_seed(master_seed, stream_id):
-    """Splitmix64 finalizer of master_seed + stream_id * 0x9E3779B97F4A7C15 in
-    Python integers, modulo 2**64: the seed derivation ``seeds`` vectorises."""
-    z = (master_seed + stream_id * 0x9E3779B97F4A7C15) & _MASK64
-    z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
-    z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
-
-
 def random_vec(basis, seed, max_mode=None):
     """Standard normal coefficients, zeroed above frequency ``max_mode``."""
     c = np.random.default_rng(seed).standard_normal(basis.n_modes)

@@ -269,7 +269,10 @@ class TestKsDistance:
 
 class TestCoverageReport:
     def test_all_covered(self, setup_bvp):
-        table = _table(setup_bvp, 1e-4, 50, master_seed=8)
+        # the half-width is 7.13 posterior sds, and at 1e-4 the bias is 0.006
+        # frequentist sds, so a replicate is missed with probability about
+        # 1e-12 on any stream
+        table = _table(setup_bvp, 1e-4, 50, level=1 - 1e-12, master_seed=8)
         assert np.all(table.interval_covered)
         report = coverage_report(table)
         assert report.hit_rate == 1.0

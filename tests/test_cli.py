@@ -359,7 +359,7 @@ output_path={out}
 
 class TestNonFiniteOutput:
     """A truth of scale 1e308 overflows the replicates: the run names the column
-    and noise level instead of writing inf and nan cells."""
+    and noise level, or the key, instead of writing inf and nan cells."""
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -384,6 +384,17 @@ class TestNonFiniteOutput:
         )
         assert main(["run", str(path), "--workers", str(workers)]) == 2
         assert capsys.readouterr().err == f"error[2]: {message}\n"
+        assert not out.exists()
+
+    def test_concentration_names_truth_scale(self, tmp_path):
+        # the approximation cost's bisection used to run forever on an inf or nan residual
+        path, out = tmp_path / "big.ini", tmp_path / "out.csv"
+        text = CONCENTRATION.format(deltas="1.0,0.5,0.3", out=out)
+        path.write_text(text.replace("truth.scale=20", "truth.scale=1e308"))
+        done = _python(_CLI_MAIN, "run", str(path), timeout=60)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error[1]: key 'truth.scale': ")
+        assert done.stderr.count("\n") == 1
         assert not out.exists()
 
 
@@ -816,8 +827,9 @@ class TestBuildContext:
             )
 
 
-def _run_python(script, **env_overrides):
-    """Run ``script`` in a fresh interpreter that imports this checkout's bvmlab."""
+def _python(script, *args, timeout=120, **env_overrides):
+    """Run ``script`` with ``args`` in a fresh interpreter that imports this
+    checkout's bvmlab; ``subprocess.TimeoutExpired`` after ``timeout`` seconds."""
     src = os.path.dirname(os.path.dirname(bvmlab.__file__))
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -825,9 +837,18 @@ def _run_python(script, **env_overrides):
         env.pop(key, None)
         if value is not None:
             env[key] = value
-    done = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
+
+
+_CLI_MAIN = "import sys; from bvmlab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _run_python(script, **env_overrides):
+    """Run ``script`` in a fresh interpreter that imports this checkout's bvmlab."""
+    done = _python(script, **env_overrides)
     assert done.returncode == 0, done.stderr
     return done.stdout.strip()
 
@@ -922,6 +943,18 @@ class TestBlasThreads:
 
 
 class TestConcentration:
+    def test_subnormal_target_ends(self, tmp_path):
+        # delta**2 = 1e-320 is subnormal, so the tolerance 1e-10 * delta**2 of
+        # the approximation cost's bisection is 0; the bisection used to run
+        # forever and now stops once its bracket closes, after which the
+        # small-ball estimate is refused for having no hits
+        path, out = tmp_path / "tiny.ini", tmp_path / "out.csv"
+        path.write_text(CONCENTRATION.format(deltas="1e-160", out=out))
+        done = _python(_CLI_MAIN, "run", str(path), timeout=60)
+        assert done.returncode == 3
+        assert done.stderr.startswith("error[3]: delta=1e-160: only 0 of 5000 draws ")
+        assert not out.exists()
+
     def test_first_row_matches_single_delta_run(self, tmp_path):
         out = tmp_path / "conc.csv"
         config = parse_config(CONCENTRATION.format(deltas="0.3,0.1,0.2", out=out))
@@ -933,7 +966,7 @@ class TestConcentration:
             (0.3,),
             config.ambient_exponent,
             mc_samples=5000,
-            seed=derive_seed(11, 0),
+            seed=derive_seed(11, 1),
         )
         _, header, rows = load_csv(str(out))
         assert header == ["delta", "approx_term", "smallball_term", "phi"]
@@ -950,10 +983,10 @@ class TestConcentration:
         assert run_command(config) == 0
         context = build_context(config)
         expected = priors.concentration_ladder(
-            context.prior, context.truth, (0.5, 0.4), -1.0, 5000, derive_seed(11, 0)
+            context.prior, context.truth, (0.5, 0.4), -1.0, 5000, derive_seed(11, 1)
         )
         other = priors.concentration_ladder(
-            context.prior, context.truth, (0.5, 0.4), -2.0, 5000, derive_seed(11, 0)
+            context.prior, context.truth, (0.5, 0.4), -2.0, 5000, derive_seed(11, 1)
         )
         metadata, _, rows = load_csv(str(out))
         for row, value, wrong in zip(rows, expected, other):

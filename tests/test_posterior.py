@@ -85,34 +85,56 @@ class TestObservation:
                 Observation(data=unit_vector(interval, 0), epsilon=epsilon)
 
 
-def _default_rng_rows(basis, seeds):
-    return [np.random.default_rng(s).standard_normal(basis.n_modes).tobytes() for s in seeds]
+def _philox_rows(basis, keys):
+    return [
+        np.random.Generator(np.random.Philox(key=k)).standard_normal(basis.n_modes).tobytes()
+        for k in keys
+    ]
 
 
 class TestNoiseBlock:
-    """``noise_block`` recomputes NumPy's seeding of ``default_rng`` for a whole
-    block, so a NumPy release that seeds differently must fail here."""
+    """Row r of ``noise_block`` is bitwise what a fresh ``Generator(Philox(key))``
+    draws first: the reused generator must be reset to exactly that state."""
 
-    EDGE_SEEDS = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1]
+    EDGE_KEYS = [0, 1, 2**64 - 1, 2**64, 2**64 + 1, 2**127, 2**128 - 2, 2**128 - 1]
 
-    def test_edge_seeds_match_default_rng(self, interval):
-        block = noise_block(interval, self.EDGE_SEEDS)
-        assert block.shape == (len(self.EDGE_SEEDS), interval.n_modes)
-        assert [row.tobytes() for row in block] == _default_rng_rows(interval, self.EDGE_SEEDS)
+    def test_edge_keys_match_fresh_philox(self, interval):
+        block = noise_block(interval, self.EDGE_KEYS)
+        assert block.shape == (len(self.EDGE_KEYS), interval.n_modes)
+        want = _philox_rows(interval, self.EDGE_KEYS)
+        assert [row.tobytes() for row in block] == want
+        draws = [noise_draw(interval, k).coeffs.tobytes() for k in self.EDGE_KEYS]
+        assert draws == want
 
     @settings(max_examples=200, deadline=None)
-    @given(seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=6))
-    def test_matches_default_rng(self, interval, seeds):
-        block = noise_block(interval, np.array(seeds, dtype=np.uint64))
-        assert [row.tobytes() for row in block] == _default_rng_rows(interval, seeds)
+    @given(keys=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=6))
+    def test_matches_fresh_philox(self, interval, keys):
+        block = noise_block(interval, keys)
+        assert [row.tobytes() for row in block] == _philox_rows(interval, keys)
+
+    def test_draws_past_the_buffer_are_reset(self):
+        # an odd length leaves the previous row's generator mid-buffer
+        basis = build_basis(BasisKind.DIRICHLET_SINE, 7, 4)
+        keys = [3, 3, 2**64 + 3, 3]
+        block = noise_block(basis, keys)
+        assert [row.tobytes() for row in block] == _philox_rows(basis, keys)
 
     def test_empty_block(self, interval):
         assert noise_block(interval, []).shape == (0, interval.n_modes)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
-    def test_seed_outside_64_bits_refused(self, interval, seed):
+    @pytest.mark.parametrize("key", [-1, 2**128, 2**200])
+    def test_key_outside_128_bits_refused(self, interval, key):
         with pytest.raises(OverflowError):
-            noise_block(interval, [seed])
+            noise_block(interval, [key])
+        with pytest.raises(OverflowError):
+            noise_draw(interval, key)
+
+    @pytest.mark.parametrize("key", [1.5, "3"])
+    def test_non_integer_key_refused(self, interval, key):
+        with pytest.raises(TypeError):
+            noise_block(interval, [key])
+        with pytest.raises(TypeError):
+            noise_draw(interval, key)
 
 
 class TestPosteriorUpdate:
