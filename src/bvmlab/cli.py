@@ -78,15 +78,7 @@ def _build_operator(config: ExperimentConfig, basis) -> operators.ForwardOperato
         return operators.psido_multiplier(basis, config.operator_t)
     if config.operator_kind == "heat":
         return operators.heat_semigroup(basis, config.operator_time)
-    base, amplitude = config.operator_coefficient_base, config.operator_coefficient_amplitude
-    if config.operator_coefficient == "constant":
-        coeff = operators.EllipticCoefficient(lambda x, b=base: b * np.ones_like(x))
-    else:
-        coeff = operators.EllipticCoefficient(
-            lambda x, b=base, a=amplitude: b + a * np.sin(2 * np.pi * x),
-            floor=(base - abs(amplitude)) / 2,
-        )
-    return operators.elliptic_operator(coeff, basis)[1]
+    return operators.elliptic_operator(config.coefficient, basis)[1]
 
 
 def _build_truth(config: ExperimentConfig, basis) -> spectral.CoeffVector:
@@ -128,12 +120,7 @@ def _build_functional(config: ExperimentConfig, basis, forward) -> bvm.TestFunct
 
 def build_context(config: ExperimentConfig) -> ExperimentContext:
     """Materialise basis, operator, prior, truth, and functional for one config."""
-    kind = (
-        spectral.BasisKind.FOURIER_TORUS
-        if config.operator_kind == "psido"
-        else spectral.BasisKind.DIRICHLET_SINE
-    )
-    basis = spectral.build_basis(kind, config.basis_modes, config.oversample)
+    basis = spectral.build_basis(config.basis_kind, config.basis_modes, config.oversample)
     forward = _build_operator(config, basis)
     prior = priors.matern_prior(basis, config.prior_r, config.prior_amplitude)
     truth = _build_truth(config, basis) if config.reads_truth else None
@@ -235,8 +222,9 @@ def _coverage_rows(context: ExperimentContext, run: tuple, indices: range) -> li
 def _rates_rows(
     context: ExperimentContext, system: posterior.PosteriorSystem, indices: range
 ) -> list[tuple[str, np.ndarray]]:
-    # the dual norm of beta = 2, spectral.sobolev_norm at exponent -2, one row at a time
-    weights = (1.0 + context.basis.eigenvalues) ** -2.0
+    # the forward map's weak norm, spectral.sobolev_norm at the ambient exponent,
+    # one row at a time
+    weights = (1.0 + context.basis.eigenvalues) ** context.config.ambient_exponent
     epsilons, seed = context.config.epsilons, context.config.master_seed
     errors = np.empty((len(epsilons), len(indices)))
     blocks = bvm.replicate_blocks(system, epsilons, context.truth, indices, seed)
@@ -387,9 +375,8 @@ def _run_conjugacy(context: ExperimentContext):
         interval = spectral.build_basis(
             spectral.BasisKind.DIRICHLET_SINE, config.n_modes, config.oversample
         )
-    torus_modes = config.n_modes if config.n_modes % 2 == 1 else config.n_modes + 1
     torus = spectral.build_basis(
-        spectral.BasisKind.FOURIER_TORUS, torus_modes, config.oversample
+        spectral.BasisKind.FOURIER_TORUS, config.torus_modes, config.oversample
     )
     constant = operators.EllipticCoefficient(lambda x: np.ones_like(x))
     family_ops = {
@@ -486,6 +473,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigurationError as exc:
         print(f"error[1]: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # validate builds the run's basis
+        print(f"error[2]: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
     if args.command == "validate":
         for key, value in resolved_items(config):

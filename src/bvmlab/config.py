@@ -5,17 +5,24 @@ key, spelled as the key with its section dot replaced by ``_``
 (``operator.cond_limit`` is the field ``operator_cond_limit``), parsed by its
 annotation, and listed in field order.  Unknown keys are rejected by name;
 defaults are applied at parse time and echoed into every output file's
-metadata block.
+metadata block.  Settings derived from the keys are the config's properties,
+and ``validate`` checks each library limit by running the library's own check.
 """
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Optional
+from typing import Iterator, Optional
 
-from .bvm import HEAT_DECAY_CEILING
+import numpy as np
+
+from .bvm import heat_psi_from_representer
 from .errors import ConfigurationError
-from .operators import DEFAULT_COND_LIMIT, EllipticCoefficient
+from .operators import DEFAULT_COND_LIMIT, EllipticCoefficient, psido_multiplier
+from .posterior import two_sided_quantile
+from .priors import matern_prior
+from .spectral import BasisKind, build_basis, unit_vector
 
 __all__ = ["ExperimentConfig", "parse_config", "resolved_items"]
 
@@ -27,16 +34,16 @@ TRUTH_KINDS = ("bump", "sobolev", "modes")
 FUNCTIONAL_KINDS = ("smoothed_image", "mode", "heat_mode", "sobolev")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
+def _parse_list(text: str, item=float) -> tuple:
+    """Comma-separated items: an empty value is the empty list, an empty item an error."""
+    parts = text.split(",") if text else []
+    if not all(part.strip() for part in parts):
+        raise ValueError("empty list item")
+    return tuple(map(item, parts))
 
 
 def _parse_pair(text: str) -> tuple[float, float]:
-    parts = _parse_float_list(text)
+    parts = _parse_list(text)
     if len(parts) != 2:
         raise ValueError("expected two comma-separated numbers")
     return parts  # type: ignore[return-value]
@@ -48,8 +55,8 @@ _PARSERS = {
     "float": float,
     "str": str,
     "Optional[float]": float,
-    "tuple[float, ...]": _parse_float_list,
-    "tuple[int, ...]": _parse_int_list,
+    "tuple[float, ...]": _parse_list,
+    "tuple[int, ...]": lambda text: _parse_list(text, int),
     "tuple[float, float]": _parse_pair,
 }
 
@@ -107,6 +114,29 @@ class ExperimentConfig:
         return self.n_modes
 
     @property
+    def basis_kind(self) -> BasisKind:
+        """The torus for the smoothing multiplier, the Dirichlet sine basis otherwise."""
+        kind = self.operator_kind
+        return BasisKind.FOURIER_TORUS if kind == "psido" else BasisKind.DIRICHLET_SINE
+
+    @property
+    def torus_modes(self) -> int:
+        """Mode count of conjugacy's torus: n_modes, raised to odd."""
+        return self.n_modes | 1
+
+    @property
+    def coefficient(self) -> EllipticCoefficient:
+        """The elliptic operator's diffusion coefficient.  The sine's floor is
+        half its least value base - |swing|; the constant keeps the default."""
+        base, amplitude = self.operator_coefficient_base, self.operator_coefficient_amplitude
+        if self.operator_coefficient == "constant":
+            return EllipticCoefficient(lambda x: base * np.ones_like(x))
+        return EllipticCoefficient(
+            lambda x: base + amplitude * np.sin(2 * np.pi * x),
+            floor=(base - abs(amplitude)) / 2,
+        )
+
+    @property
     def ambient_exponent(self) -> float:
         """Sobolev exponent of the weak norm the forward map is measured in:
         H^{-t} for the order-t multiplier, H^{-2} for the elliptic solution
@@ -162,30 +192,19 @@ class ExperimentConfig:
             )
         if self.oversample < 4:
             raise ConfigurationError("key 'oversample': must be at least 4")
-        if self.prior_r <= 0.5:
-            raise ConfigurationError(
-                f"key 'prior.r': smoothness {self.prior_r} violates the requirement r > d/2 = 0.5"
-            )
-        if self.prior_amplitude <= 0:
-            raise ConfigurationError("key 'prior.amplitude': must be positive")
-        # every experiment builds the prior, and priors.matern_prior refuses a
-        # variance that underflows to 0; the highest mode's is the smallest
-        n = self.basis_modes
-        top = (n // 2) ** 2 if self.operator_kind == "psido" else (math.pi * n) ** 2
-        decay = (1.0 + top) ** -self.prior_r
-        if self.prior_amplitude * decay == 0.0:
-            key = "prior.r" if decay == 0.0 else "prior.amplitude"
-            raise ConfigurationError(f"key '{key}': the prior variance of mode {n} underflows to 0")
-        if not 0.0 < self.level < 1.0:
-            raise ConfigurationError("key 'level': must lie strictly between 0 and 1")
-        if 0.5 + self.level / 2.0 == 1.0:
-            raise ConfigurationError(
-                f"key 'level': {self.level!r} is too close to 1 for a finite quantile"
-            )
-        if 0.5 + self.level / 2.0 == 0.5:
-            raise ConfigurationError(
-                f"key 'level': {self.level!r} is too close to 0 for a nonzero quantile"
-            )
+        # the keys above are in range; the library's limits are checked on the run's basis
+        basis = build_basis(self.basis_kind, self.basis_modes, self.oversample)
+        # every experiment builds the prior; at unit amplitude its variances are
+        # the decay alone, so if those fail prior.r is at fault
+        key = "prior.amplitude"
+        try:
+            matern_prior(basis, self.prior_r)
+        except ConfigurationError:
+            key = "prior.r"
+        with _keyed(key):
+            matern_prior(basis, self.prior_r, self.prior_amplitude)
+        with _keyed("level"):
+            two_sided_quantile(self.level)
         if not self.epsilons or any(e <= 0 for e in self.epsilons):
             raise ConfigurationError("key 'epsilons': need a nonempty list of positive values")
         # the posterior squares each noise level, which must stay a positive double
@@ -205,19 +224,11 @@ class ExperimentConfig:
         if (self.operator_kind == "heat" or conjugacy) and self.operator_time < 0:
             raise ConfigurationError("key 'operator.time': must be nonnegative")
         if self.operator_kind == "psido" or conjugacy:
-            # operators.psido_multiplier refuses a multiplier (1 + k^2)^(-t/2)
-            # outside the positive finite doubles; the highest frequency's is extreme
-            k = self.basis_modes // 2
-            try:
-                edge = (1.0 + k * k) ** (-self.operator_t / 2.0)
-            except OverflowError:
-                edge = math.inf
-            if not 0.0 < edge < math.inf:
-                raise ConfigurationError(
-                    f"key 'operator.t': the multiplier of frequency {k} is {edge!r}"
-                )
+            torus = build_basis(BasisKind.FOURIER_TORUS, self.torus_modes, self.oversample)
+            with _keyed("operator.t"):
+                psido_multiplier(torus, self.operator_t)
         if self.operator_kind == "bvp":
-            self._check_coefficient()
+            self._check_coefficient(basis.grid)
         if self.reads_truth:
             self._check_truth()
         # replicate rows are gathered per noise level, so a repeated level
@@ -305,7 +316,7 @@ class ExperimentConfig:
         if coverage and kind == "smoothed_image" and self.functional_sine == 0:
             raise ConfigurationError("key 'functional.sine': sine 0 makes the functional zero")
         # the sine is sampled on the N-point midpoint grid, where k aliases to 2N - k
-        grid = self.oversample * self.basis_modes
+        grid = basis.grid.size
         if coverage and kind == "smoothed_image" and abs(self.functional_sine) >= grid:
             raise ConfigurationError(
                 f"key 'functional.sine': |sine| {abs(self.functional_sine)} must stay below "
@@ -316,37 +327,24 @@ class ExperimentConfig:
                 f"key 'functional.mode': mode {self.functional_mode} is outside "
                 f"1..n_modes={self.n_modes}"
             )
-        # bvm.heat_psi_from_representer refuses a mode whose weight exp(-2 lambda T)
-        # is numerically void
-        mode = self.functional_mode
-        if coverage and kind == "heat_mode" and (
-            2.0 * (math.pi * mode) ** 2 * self.operator_time > HEAT_DECAY_CEILING
-        ):
-            raise ConfigurationError(
-                f"key 'functional.mode': mode {mode} decays past 2 lambda T = {HEAT_DECAY_CEILING:g}"
-            )
+        if coverage and kind == "heat_mode":
+            with _keyed("functional.mode"):
+                tilde = unit_vector(basis, self.functional_mode - 1)
+                heat_psi_from_representer(tilde, self.operator_time)
 
-    def _check_coefficient(self) -> None:
+    def _check_coefficient(self, grid: np.ndarray) -> None:
         coefficient, base = self.operator_coefficient, self.operator_coefficient_base
-        amplitude = abs(self.operator_coefficient_amplitude)
         if coefficient not in ("constant", "sine"):
             raise ConfigurationError(
                 f"key 'operator.coefficient': unknown coefficient {coefficient!r}"
             )
-        if coefficient == "sine" and 0 < base <= amplitude:
+        if coefficient == "sine" and 0 < base <= abs(self.operator_coefficient_amplitude):
             raise ConfigurationError(
                 "key 'operator.coefficient_amplitude': sine swing must stay below the base "
                 "(uniform ellipticity)"
             )
-        # the constant coefficient must clear EllipticCoefficient's default
-        # floor; the sine coefficient's floor, (base - |swing|) / 2 as
-        # cli._build_operator sets it, must be a positive double
-        floor = (base - amplitude) / 2 if coefficient == "sine" else EllipticCoefficient.floor
-        if not base >= floor > 0:
-            raise ConfigurationError(
-                f"key 'operator.coefficient_base': {base!r} leaves the {coefficient} "
-                f"coefficient below its ellipticity floor"
-            )
+        with _keyed("operator.coefficient_base"):
+            self.coefficient.samples(grid)
 
     def _check_truth(self) -> None:
         if self.truth_kind == "bump":
@@ -370,6 +368,15 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"key 'truth.seed': must be nonnegative, got {self.truth_seed}"
             )
+
+
+@contextmanager
+def _keyed(key: str) -> Iterator[None]:
+    """Name ``key`` in a configuration error that the library raises in the block."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"key '{key}': {exc}") from exc
 
 
 def _key(attr: str) -> str:

@@ -9,6 +9,7 @@ import pkgutil
 import subprocess
 import re
 import sys
+import textwrap
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bvmlab
-from bvmlab import bvm, cli, operators, posterior, priors
+from bvmlab import bvm, cli, operators, posterior, priors, spectral
 from bvmlab import config as config_module
 from bvmlab.cli import build_context, emit_csv, main, run_command
 from bvmlab.config import parse_config, resolved_items
@@ -117,18 +118,33 @@ class TestParseConfig:
             )
 
     def test_every_key_is_read_by_the_cli(self):
-        # a key whose attribute the CLI never reads is a knob that changes nothing
-        tree = ast.parse(inspect.getsource(cli))
-        read = {
-            node.attr
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and isinstance(node.ctx, ast.Load)
-            and (
-                (isinstance(node.value, ast.Name) and node.value.id == "config")
-                or (isinstance(node.value, ast.Attribute) and node.value.attr == "config")
-            )
-        }
+        # a key whose attribute the CLI never reads, directly or through a config
+        # property it reads, is a knob that changes nothing
+        def loads(source, is_config):
+            tree = ast.parse(textwrap.dedent(source))
+            return {
+                node.attr
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Load)
+                and is_config(node.value)
+            }
+
+        read = loads(
+            inspect.getsource(cli),
+            lambda value: (isinstance(value, ast.Name) and value.id == "config")
+            or (isinstance(value, ast.Attribute) and value.attr == "config"),
+        )
+        pending = set(read)
+        while pending:
+            prop = getattr(config_module.ExperimentConfig, pending.pop(), None)
+            if isinstance(prop, property):
+                found = loads(
+                    inspect.getsource(prop.fget),
+                    lambda value: isinstance(value, ast.Name) and value.id == "self",
+                )
+                pending |= found - read
+                read |= found
         keys = {attr: key for key, (attr, _) in config_module._KEY_TABLE.items()}
         assert sorted(key for attr, key in keys.items() if attr not in read) == []
 
@@ -183,6 +199,28 @@ class TestParseConfig:
     def test_even_torus_modes_rejected(self):
         with pytest.raises(ConfigurationError, match="odd"):
             parse_config("experiment=coverage\noperator.kind=psido\nn_modes=256\n")
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("epsilons=1e-1,,1e-3", "epsilons"),
+            ("truth.modes=1,2,", "truth.modes"),
+            ("concentration.deltas=,0.3", "concentration.deltas"),
+            ("truth.support=0.2, ,0.7", "truth.support"),
+        ],
+    )
+    def test_empty_list_item_rejected(self, line, key):
+        # empty items were dropped: the first line ran two noise levels
+        with pytest.raises(ConfigurationError, match=f"^line 2: key '{re.escape(key)}': "):
+            parse_config(f"experiment=coverage\n{line}\n")
+
+    def test_empty_list_value_reparses(self):
+        # rates reads no delta, so an empty list passes; resolved_items writes
+        # it as an empty value, which parses back to the empty list
+        config = parse_config("experiment=rates\nepsilons=1e-1,1e-2,1e-3\nconcentration.deltas=\n")
+        assert config.concentration_deltas == ()
+        text = "\n".join(f"{k}={v}" for k, v in resolved_items(config))
+        assert parse_config(text).concentration_deltas == ()
 
     def test_resolved_text_reparses(self):
         config = parse_config("experiment=rates\nprior.r=1.5\nepsilons=1e-1,1e-2,1e-3\n")
@@ -335,6 +373,30 @@ output_path={out}
         assert metadata["rate_slope"] == format(fit.slope, ".17g")
         assert metadata["rate_r_squared"] == format(fit.r_squared, ".17g")
         assert metadata["rate_predicted_exponent"] == format(5 / 6, ".17g")
+
+    def test_rates_error_is_in_the_forward_maps_weak_norm(self, tmp_path):
+        # the order-1 multiplier's weak norm is H^-1, the norm the predicted
+        # exponent is for; the error was measured in H^-2 whatever the operator
+        out = tmp_path / "rates.csv"
+        config = parse_config(
+            "experiment=rates\noperator.kind=psido\noperator.t=1\nn_modes=33\n"
+            "n_replicates=3\ntruth.kind=sobolev\nepsilons=1e-2,1e-3,1e-4\nmaster_seed=7\n"
+            f"output_path={out}\n"
+        )
+        assert run_command(config) == 0
+        _, _, rows = load_csv(str(out))
+        context = build_context(config)
+        for epsilon, i, cell in rows:
+            noise = posterior.noise_draw(context.basis, derive_seed(7, 2 * int(i)))
+            data = operators.apply(context.forward, context.truth).coeffs
+            obs = posterior.Observation(
+                spectral.coeff_vector(context.basis, data + float(epsilon) * noise.coeffs),
+                float(epsilon),
+            )
+            mean = posterior.posterior_update(context.prior, context.forward, obs)
+            error = spectral.coeff_vector(context.basis, mean.coeffs - context.truth.coeffs)
+            want = spectral.sobolev_norm(error, -1.0)
+            assert abs(float(cell) - want) <= 1e-12 * want
 
     def test_tightness_metadata(self, tmp_path):
         out = tmp_path / "tight.csv"
@@ -1256,6 +1318,21 @@ class TestFailureExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error[2]: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_basis_too_large_exits_two_at_validate(self, tmp_path, monkeypatch, capsys, command):
+        # validate builds the run's basis, so a basis too large to allocate
+        # fails there
+        def fail(*args, **kwargs):
+            raise MemoryError("cannot allocate the quadrature grid")
+
+        monkeypatch.setattr(config_module, "build_basis", fail)
+        path, out = tmp_path / "big.ini", tmp_path / "o.csv"
+        path.write_text(MINIMAL_BVP.format(out=out))
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error[2]: MemoryError: cannot allocate the quadrature grid\n"
+        assert not out.exists()
 
     def test_raw_linalg_error_exits_two(self, tmp_path, monkeypatch, capsys):
         # scipy.linalg raises numpy's LinAlgError class; neither may escape as a traceback
