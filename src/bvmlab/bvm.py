@@ -414,15 +414,22 @@ def tightness_series(
         raise ConfigurationError(
             f"operator basis has {op_l.basis.n_modes} modes; build it with at least {max_modes}"
         )
-    weights = (1.0 + op_l.basis.eigenvalues[:max_modes]) ** (-beta)
-    if op_l.is_diagonal:
-        mode_norms = op_l.multipliers[:max_modes] ** 2
-    else:
-        mode_norms = np.sum(op_l.matrix[:, :max_modes] ** 2, axis=0)
-    partial = np.cumsum(weights * mode_norms)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (1.0 + op_l.basis.eigenvalues[:max_modes]) ** (-beta)
+        if op_l.is_diagonal:
+            mode_norms = op_l.multipliers[:max_modes] ** 2
+        else:
+            mode_norms = np.sum(op_l.matrix[:, :max_modes] ** 2, axis=0)
+        partial = np.cumsum(weights * mode_norms)
     s_full = partial[max_modes - 1]
     s_half = partial[max_modes // 2 - 1]
     s_quarter = partial[max_modes // 4 - 1]
+    # the verdict divides by the half and quarter sums
+    if not (np.all(np.isfinite(partial)) and s_quarter > 0):
+        raise ConfigurationError(
+            f"key 'tightness.beta': the partial sums at beta={beta!r} must be finite, "
+            f"and positive by mode {max_modes // 4}"
+        )
     r_hi = (s_full - s_half) / s_half
     r_lo = (s_half - s_quarter) / s_quarter
     if r_hi < 1e-3:

@@ -1,5 +1,6 @@
 """Command-line front end: experiment orchestration, deterministic parallel
-replicates, and CSV emission.
+replicates, and CSV emission.  Every experiment's table body goes through
+``_csv_text``, which formats each column once and refuses non-finite numbers.
 
 Exit codes: 0 success, 1 configuration, 2 numerical, 3 rare-event,
 4 ill-posedness.
@@ -59,6 +60,7 @@ COVERAGE_COLUMNS = (
     "ball_radius",
     "ball_covered",
 )
+_RATES_COLUMNS = ("epsilon", "replicate", "dual_error")
 
 
 @dataclass
@@ -130,20 +132,12 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
     return ExperimentContext(config, basis, forward, prior, truth, functional)
 
 
-def _csv_text(rows) -> str:
-    """The CSV lines of rows of string cells, joined: the one joiner of every table body."""
-    return "".join([",".join(row) + "\n" for row in rows])
-
-
 def emit_csv(
-    header: Sequence[str], text: str, path: str, metadata: Sequence[tuple[str, str]] = ()
+    header: Sequence[str], text: str, path: str, metadata: Sequence[tuple[str, object]] = ()
 ) -> None:
     """Write one CSV file: a '# key=value' metadata block, the header, then the
-    body ``text``, the data lines as ``_csv_text`` joins them.
-
-    The experiments format floating-point cells with 17 significant digits, so
-    a reparse reproduces the values exactly.
-    """
+    body ``text``, the data lines as ``_csv_text`` formats them.  A metadata
+    value is a str, or a number or list of numbers written in the cell format."""
     if not text:
         raise ConfigurationError("refusing to emit an empty results table")
     # write a sibling file, then rename it over the output, so a reader never
@@ -153,7 +147,10 @@ def emit_csv(
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
-            fh.writelines(f"# {key}={value}\n" for key, value in metadata)
+            for key, value in metadata:
+                if not isinstance(value, str):
+                    value = ",".join(_cells(np.atleast_1d(value)))
+                fh.write(f"# {key}={value}\n")
             fh.write(",".join(header) + "\n")
             fh.write(text)
         os.replace(tmp, path)
@@ -162,61 +159,59 @@ def emit_csv(
         raise
 
 
-def _base_metadata(context: ExperimentContext) -> list[tuple[str, str]]:
-    tail = priors.truncation_tail(context.prior)
-    # in the forward map's weak norm, which contraction and concentration use too
-    c = operators.embedding_constant(context.forward, context.config.ambient_exponent)
-    return [
-        *resolved_items(context.config),
-        ("prior_tail_bound", format(tail, ".17g")),
-        ("embedding_constant_c", format(c, ".17g")),
-    ]
-
-
-def _float_cells(values: np.ndarray) -> list[str]:
+def _cells(values: np.ndarray) -> list[str]:
+    """The one cell format: a bool array's values as true/false, a number
+    array's with 17 significant digits, so a reparse gives the same doubles."""
+    if values.dtype == bool:
+        return ["true" if flag else "false" for flag in values.tolist()]
     return [format(x, ".17g") for x in values.tolist()]
 
 
-def _flag_cells(flags: np.ndarray) -> list[str]:
-    return ["true" if flag else "false" for flag in flags.tolist()]
+def _csv_text(header: Sequence[str], columns: Sequence, where: str = "") -> str:
+    """The CSV lines of a table body, one column per ``header`` name.
+
+    A column is a float or bool array, a list of str cells printed as is, or
+    a single value repeated on every row (a number, a str, or None printed
+    empty).  A number that is not finite raises NumericalError naming its
+    column, with ``where`` appended.
+    """
+    n_rows = next(len(c) for c in columns if isinstance(c, (list, np.ndarray)))
+    cells = []
+    for name, column in zip(header, columns, strict=True):
+        if isinstance(column, list):
+            cells.append(column)
+        elif column is None or isinstance(column, str):
+            cells.append([column or ""] * n_rows)
+        else:
+            values = np.atleast_1d(column)
+            if not np.all(np.isfinite(values)):
+                raise NumericalError(f"column '{name}' is not finite{where}")
+            cells.append(_cells(values) if np.ndim(column) else _cells(values) * n_rows)
+    return "".join([",".join(row) + "\n" for row in zip(*cells, strict=True)])
 
 
-def _checked_cells(values: np.ndarray, column: str, epsilon: float) -> list[str]:
-    """A chunk's column at one noise level, formatted once it is known to be finite."""
-    if not np.all(np.isfinite(values)):
-        raise NumericalError(f"column '{column}' is not finite at epsilon={epsilon!r}")
-    return _float_cells(values)
-
-
-def _table_text(table: bvm.ReplicateTable, replicates: list[str]) -> tuple[str, tuple[int, int]]:
-    """One noise level's CSV lines of a chunk, and its interval and ball hit counts."""
-    n_rows = len(replicates)
-    no_ball = [""] * n_rows
-    ball_cells, ball_hits = [no_ball, no_ball], 0
-    if table.ball_radius is not None:
-        ball_cells = [
-            [format(table.ball_radius, ".17g")] * n_rows,
-            _flag_cells(table.ball_covered),
-        ]
-        ball_hits = int(np.count_nonzero(table.ball_covered))
-    cells = (
-        [format(table.epsilon, ".17g")] * n_rows,
-        replicates,
-        *(_checked_cells(getattr(table, c), c, table.epsilon) for c in COVERAGE_COLUMNS[2:5]),
-        [format(table.interval_radius, ".17g")] * n_rows,
-        _flag_cells(table.interval_covered),
-        *ball_cells,
-    )
-    return _csv_text(zip(*cells)), (int(np.count_nonzero(table.interval_covered)), ball_hits)
+def _base_metadata(context: ExperimentContext) -> list[tuple[str, object]]:
+    tail = priors.truncation_tail(context.prior)
+    # in the forward map's weak norm, which contraction and concentration use too
+    c = operators.embedding_constant(context.forward, context.config.ambient_exponent)
+    numbers = [("prior_tail_bound", tail), ("embedding_constant_c", c)]
+    return [*resolved_items(context.config), *numbers]
 
 
 def _coverage_rows(context: ExperimentContext, run: tuple, indices: range) -> list[tuple]:
     # run is the posterior system and the credible sets of every noise level;
-    # an overflow surfaces as the non-finite column that _checked_cells names
+    # an overflow surfaces as the non-finite column that _csv_text names
     with np.errstate(over="ignore", invalid="ignore"):
         tables = bvm.replicate_table(*run, context.truth, indices, context.config.master_seed)
     replicates = [str(i) for i in indices]
-    return [_table_text(table, replicates) for table in tables]
+    rows = []
+    for t in tables:
+        columns = (t.epsilon, replicates, t.functional_mean, t.scaled_error, t.hat_psi)
+        columns += (t.interval_radius, t.interval_covered, t.ball_radius, t.ball_covered)
+        text = _csv_text(COVERAGE_COLUMNS, columns, f" at epsilon={t.epsilon!r}")
+        ball_hits = 0 if t.ball_covered is None else int(np.count_nonzero(t.ball_covered))
+        rows.append((text, (int(np.count_nonzero(t.interval_covered)), ball_hits)))
+    return rows
 
 
 def _rates_rows(
@@ -233,13 +228,10 @@ def _rates_rows(
             means = system.synthesise(modes)
             errors[k, rows] = np.sqrt(np.vecdot((means - context.truth.coeffs) ** 2, weights))
     replicates = [str(i) for i in indices]
-    texts = (
-        _csv_text(
-            zip([format(e, ".17g")] * len(indices), replicates, _checked_cells(row, "dual_error", e))
-        )
+    return [
+        (_csv_text(_RATES_COLUMNS, (e, replicates, row), f" at epsilon={e!r}"), row)
         for e, row in zip(epsilons, errors)
-    )
-    return list(zip(texts, errors))
+    ]
 
 
 def _chunks(n: int, workers: int) -> list[range]:
@@ -306,9 +298,9 @@ def _run_coverage(context: ExperimentContext, workers: int):
     text, hits = _map_chunks(context, workers, (system, levels), _coverage_rows)
     # per level, the summed (interval, ball) hits of its chunks
     interval_hits, ball_hits = np.sum(hits, axis=1).T.tolist()
-    extra = [("diag.coverage_hits", ",".join(map(str, interval_hits)))]
+    extra = [("diag.coverage_hits", interval_hits)]
     if config.ball_beta is not None:
-        extra.append(("diag.ball_hits", ",".join(map(str, ball_hits))))
+        extra.append(("diag.ball_hits", ball_hits))
     return COVERAGE_COLUMNS, text, extra
 
 
@@ -321,13 +313,10 @@ def _run_rates(context: ExperimentContext, workers: int):
     mean_errors = [float(np.mean(np.concatenate(level))) for level in errors]
     predicted = priors.predict_rate(-config.ambient_exponent, config.prior_r, config.truth_alpha)
     fit = bvm.rate_fit(config.epsilons, mean_errors, predicted.exponent)
-    extra = [
-        ("rate_slope", format(fit.slope, ".17g")),
-        ("rate_r_squared", format(fit.r_squared, ".17g")),
-        ("rate_predicted_exponent", format(fit.predicted_exponent, ".17g")),
-        ("rate_binding_branch", predicted.which.value),
-    ]
-    return ("epsilon", "replicate", "dual_error"), text, extra
+    names = ("slope", "r_squared", "predicted_exponent")
+    extra = [(f"rate_{name}", getattr(fit, name)) for name in names]
+    extra.append(("rate_binding_branch", predicted.which.value))
+    return _RATES_COLUMNS, text, extra
 
 
 def _run_tightness(context: ExperimentContext):
@@ -337,8 +326,10 @@ def _run_tightness(context: ExperimentContext):
     result = bvm.tightness_series(
         context.forward.companion, config.tightness_beta, config.tightness_max_modes
     )
-    text = _csv_text((str(j), s) for j, s in enumerate(_float_cells(result.partial_sums), start=1))
-    return ("modes", "partial_sum"), text, [("tightness_verdict", result.verdict.value)]
+    header = ("modes", "partial_sum")
+    modes = [str(j) for j in range(1, config.tightness_max_modes + 1)]
+    text = _csv_text(header, (modes, result.partial_sums))
+    return header, text, [("tightness_verdict", result.verdict.value)]
 
 
 def _run_concentration(context: ExperimentContext):
@@ -353,16 +344,13 @@ def _run_concentration(context: ExperimentContext):
         # stream 0's key is the master seed itself, which may equal truth.seed
         derive_seed(config.master_seed, 1),
     )
-    text = _csv_text(
-        [format(x, ".17g") for x in (delta, v.approx_term, v.smallball_term, v.phi)]
-        for delta, v in zip(deltas, values)
-    )
+    header = ("delta", "approx_term", "smallball_term", "phi")
+    columns = [np.array([getattr(v, name) for v in values]) for name in header[1:]]
     extra = [
-        ("diag.smallball_hits", ",".join(str(v.estimate.hits) for v in values)),
-        ("diag.smallball_log_low", ",".join(format(v.estimate.log_low, ".17g") for v in values)),
-        ("diag.smallball_log_high", ",".join(format(v.estimate.log_high, ".17g") for v in values)),
+        (f"diag.smallball_{name}", [getattr(v.estimate, name) for v in values])
+        for name in ("hits", "log_low", "log_high")
     ]
-    return ("delta", "approx_term", "smallball_term", "phi"), text, extra
+    return header, _csv_text(header, [np.array(deltas), *columns]), extra
 
 
 _CONJUGACY_FAMILIES = ("bvp", "psido", "heat")
@@ -384,33 +372,31 @@ def _run_conjugacy(context: ExperimentContext):
         "psido": operators.psido_multiplier(torus, config.operator_t),
         "heat": operators.heat_semigroup(interval, config.operator_time),
     }
-    rows = []
-    worst = 0.0
-    for i in range(config.n_replicates):
-        family = _CONJUGACY_FAMILIES[i % len(_CONJUGACY_FAMILIES)]
+    n = config.n_replicates
+    families = [_CONJUGACY_FAMILIES[i % len(_CONJUGACY_FAMILIES)] for i in range(n)]
+    epsilons, gaps = np.empty(n), np.empty(n)
+    for i, family in enumerate(families):
         op = family_ops[family]
         rng = np.random.default_rng(derive_seed(config.master_seed, i))
         r = 0.8 + 1.4 * rng.random()
         amplitude = 0.5 + 1.5 * rng.random()
-        epsilon = 10.0 ** rng.uniform(-3, -1)
+        epsilons[i] = epsilon = 10.0 ** rng.uniform(-3, -1)
         prior = priors.matern_prior(op.basis, r, amplitude)
         truth = spectral.sobolev_draw(op.basis, 1.5, derive_seed(config.master_seed, 2**32 + i))
-        obs = posterior.observe(
-            op, truth, epsilon, derive_seed(config.master_seed, 2**33 + i)
-        )
+        obs = posterior.observe(op, truth, epsilon, derive_seed(config.master_seed, 2**33 + i))
         mean = posterior.posterior_update(prior, op, obs)
         tik = posterior.tikhonov_solve(prior, op, obs)
-        gap = float(
-            np.linalg.norm(tik.coeffs - mean.coeffs)
-            / max(np.linalg.norm(mean.coeffs), np.finfo(float).tiny)
+        gaps[i] = np.linalg.norm(tik.coeffs - mean.coeffs) / max(
+            np.linalg.norm(mean.coeffs), np.finfo(float).tiny
         )
-        worst = max(worst, gap)
-        rows.append((str(i), family, format(epsilon, ".17g"), format(gap, ".17g")))
+    worst = float(np.max(gaps))
     if worst > 1e-8:
         raise NumericalError(
             f"Tikhonov minimiser and posterior mean disagree by {worst:.3g} (> 1e-8)"
         )
-    return ("index", "family", "epsilon", "rel_distance"), _csv_text(rows), []
+    header = ("index", "family", "epsilon", "rel_distance")
+    text = _csv_text(header, ([str(i) for i in range(n)], families, epsilons, gaps))
+    return header, text, []
 
 
 def run_command(config: ExperimentConfig, workers: int = 1) -> int:
@@ -429,11 +415,9 @@ def run_command(config: ExperimentConfig, workers: int = 1) -> int:
             header, text, extra = _run_conjugacy(context)
         emit_csv(header, text, config.output_path, _base_metadata(context) + extra)
     except BvmlabError as exc:
-        for err_type, code in _EXIT_CODES:
-            if isinstance(exc, err_type):
-                print(f"error[{code}]: {exc}", file=sys.stderr)
-                return code
-        raise AssertionError("unreachable")
+        code = next(code for err_type, code in _EXIT_CODES if isinstance(exc, err_type))
+        print(f"error[{code}]: {exc}", file=sys.stderr)
+        return code
     except OSError as exc:
         print(f"error[1]: cannot write output: {exc}", file=sys.stderr)
         return 1

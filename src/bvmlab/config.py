@@ -193,7 +193,9 @@ class ExperimentConfig:
         if self.oversample < 4:
             raise ConfigurationError("key 'oversample': must be at least 4")
         # the keys above are in range; the library's limits are checked on the run's basis
-        basis = build_basis(self.basis_kind, self.basis_modes, self.oversample)
+        widened = self.basis_modes > self.n_modes
+        with _keyed("tightness.max_modes" if widened else "n_modes", "oversample"):
+            basis = build_basis(self.basis_kind, self.basis_modes, self.oversample)
         # every experiment builds the prior; at unit amplitude its variances are
         # the decay alone, so if those fail prior.r is at fault
         key = "prior.amplitude"
@@ -371,12 +373,13 @@ class ExperimentConfig:
 
 
 @contextmanager
-def _keyed(key: str) -> Iterator[None]:
-    """Name ``key`` in a configuration error that the library raises in the block."""
+def _keyed(*keys: str) -> Iterator[None]:
+    """Name ``keys`` in a configuration error that the library raises in the block."""
+    names = "/".join(f"'{key}'" for key in keys)
     try:
         yield
     except ConfigurationError as exc:
-        raise ConfigurationError(f"key '{key}': {exc}") from exc
+        raise ConfigurationError(f"key{'s' * (len(keys) > 1)} {names}: {exc}") from exc
 
 
 def _key(attr: str) -> str:

@@ -99,6 +99,11 @@ def build_basis(kind: BasisKind, n_modes: int, oversample: int = 8) -> SpectralB
     if oversample < 4:
         raise ConfigurationError("oversample must be at least 4 for quadrature accuracy")
     n_grid = oversample * n_modes
+    # refused before anything is allocated: NumPy makes no array of more bytes than intp counts
+    if n_grid * np.dtype(float).itemsize > np.iinfo(np.intp).max:
+        raise ConfigurationError(
+            f"oversample * n_modes = {n_grid} float64 grid points are more than NumPy can allocate"
+        )
     if kind is BasisKind.FOURIER_TORUS:
         if n_modes % 2 == 0:
             raise ConfigurationError("torus basis needs an odd mode count (0 plus +-k pairs)")

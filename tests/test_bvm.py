@@ -361,6 +361,12 @@ class TestTightness:
         oracle = np.cumsum((1 + lam) ** (-beta) * lam**2)
         np.testing.assert_allclose(result.partial_sums, oracle, rtol=1e-10)
 
+    @pytest.mark.parametrize("beta", [400.0, -150.0], ids=["underflow", "overflow"])
+    def test_extreme_beta_names_key(self, big_l, beta):
+        # every term underflows to 0 at beta = 400; the sums reach inf at -150
+        with pytest.raises(ConfigurationError, match=r"^key 'tightness\.beta': "):
+            tightness_series(big_l, beta, 400)
+
     def test_mode_floor(self, big_l):
         with pytest.raises(ConfigurationError):
             tightness_series(big_l, 3.5, 50)

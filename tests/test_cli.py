@@ -10,6 +10,7 @@ import subprocess
 import re
 import sys
 import textwrap
+import types
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from bvmlab import bvm, cli, operators, posterior, priors, spectral
 from bvmlab import config as config_module
 from bvmlab.cli import build_context, emit_csv, main, run_command
 from bvmlab.config import parse_config, resolved_items
-from bvmlab.errors import ConfigurationError
+from bvmlab.errors import ConfigurationError, NumericalError
 from bvmlab.seeds import derive_seed
 from reference import load_csv
 
@@ -233,8 +234,9 @@ class TestEmitCsv:
     def test_roundtrip_seventeen_digits(self, tmp_path):
         path = tmp_path / "x.csv"
         values = [math.pi, 1 / 3, 6.02e23, 1.7e-308]
-        rows = zip(map(str, range(len(values))), cli._float_cells(np.array(values)))
-        emit_csv(("idx", "value"), cli._csv_text(rows), str(path), [("key", "val")])
+        columns = ([str(i) for i in range(len(values))], np.array(values))
+        text = cli._csv_text(("idx", "value"), columns)
+        emit_csv(("idx", "value"), text, str(path), [("key", "val")])
         metadata, header, parsed = load_csv(str(path))
         assert metadata == {"key": "val"}
         assert header == ["idx", "value"]
@@ -243,15 +245,59 @@ class TestEmitCsv:
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            emit_csv(("a",), cli._csv_text([]), str(tmp_path / "x.csv"))
+            emit_csv(("a",), cli._csv_text(("a",), ([],)), str(tmp_path / "x.csv"))
 
     def test_boolean_and_missing_cells(self, tmp_path):
         path = tmp_path / "x.csv"
-        rows = zip(cli._flag_cells(np.array([True, False])), ("", "1.5"))
-        emit_csv(("a", "b"), cli._csv_text(rows), str(path))
+        columns = (np.array([True, False]), ["", "1.5"])
+        emit_csv(("a", "b"), cli._csv_text(("a", "b"), columns), str(path))
         _, _, rows = load_csv(str(path))
         assert rows[0] == ["true", ""]
         assert rows[1] == ["false", "1.5"]
+
+
+class TestCsvText:
+    """Every table body goes through one formatter, which takes a column per
+    header name and refuses a non-finite number by the column's name."""
+
+    @pytest.mark.parametrize(
+        "column, cells",
+        [
+            (np.array([0.1, -2.5e-300]), ["0.10000000000000001", "-2.5e-300"]),
+            (np.array([True, False]), ["true", "false"]),
+            (["7", "a b"], ["7", "a b"]),
+            (1 / 3, ["0.33333333333333331"] * 2),
+            ("bvp", ["bvp"] * 2),
+            (None, ["", ""]),
+        ],
+        ids=["float", "bool", "str", "scalar", "scalar_str", "none"],
+    )
+    def test_column_kinds(self, column, cells):
+        text = cli._csv_text(("n", "x"), (["0", "1"], column))
+        assert text == "".join(f"{i},{cell}\n" for i, cell in enumerate(cells))
+        if isinstance(column, np.ndarray) and column.dtype == float:
+            assert [float(cell) for cell in cells] == column.tolist()
+
+    @pytest.mark.parametrize(
+        "column",
+        [np.array([1.0, np.inf]), np.array([np.nan, 0.0]), -np.inf],
+        ids=["inf", "nan", "scalar_inf"],
+    )
+    def test_non_finite_names_column(self, column):
+        with pytest.raises(NumericalError, match=r"^column 'x' is not finite at epsilon=0\.1$"):
+            cli._csv_text(("n", "x"), (["0", "1"], column), " at epsilon=0.1")
+
+    def test_header_and_columns_must_agree(self):
+        with pytest.raises(ValueError):
+            cli._csv_text(("n", "x", "y"), (["0"], np.array([1.0])))
+        with pytest.raises(ValueError):
+            cli._csv_text(("n", "x"), (["0", "1"], np.array([1.0])))
+
+    def test_metadata_numbers_share_the_cell_format(self, tmp_path):
+        path = tmp_path / "x.csv"
+        metadata = [("a", 0.1), ("b", [1.5, -math.inf, 3]), ("c", "text")]
+        emit_csv(("x",), "1\n", str(path), metadata)
+        assert path.read_text().startswith("# a=0.10000000000000001\n# b=1.5,-inf,3\n# c=text\n")
 
 
 class TestRunCommand:
@@ -447,6 +493,27 @@ class TestNonFiniteOutput:
         assert main(["run", str(path), "--workers", str(workers)]) == 2
         assert capsys.readouterr().err == f"error[2]: {message}\n"
         assert not out.exists()
+
+    def test_tightness_and_conjugacy_columns_checked(self, tmp_path, monkeypatch, capsys):
+        # every experiment's table goes through the same finite check
+        def inf_series(op_l, beta, max_modes):
+            return bvm.TightnessResult(np.full(max_modes, np.inf), bvm.TightnessVerdict.BOUNDARY)
+
+        def nan_solve(prior, op, obs):
+            # a CoeffVector refuses nan, so this stands in for one
+            return types.SimpleNamespace(coeffs=np.full(op.basis.n_modes, np.nan))
+
+        monkeypatch.setattr(bvm, "tightness_series", inf_series)
+        monkeypatch.setattr(posterior, "tikhonov_solve", nan_solve)
+        out = tmp_path / "out.csv"
+        tightness = f"experiment=tightness\ntightness.max_modes=100\noutput_path={out}\n"
+        for text, column in (
+            (tightness, "partial_sum"),
+            (CONJUGACY.format(out=out), "rel_distance"),
+        ):
+            assert run_command(parse_config(text)) == 2
+            assert capsys.readouterr().err == f"error[2]: column '{column}' is not finite\n"
+            assert not out.exists()
 
     def test_concentration_names_truth_scale(self, tmp_path):
         # the approximation cost's bisection used to run forever on an inf or nan residual
@@ -690,6 +757,38 @@ class TestLateFailingKeys:
         err = capsys.readouterr().err
         assert err.startswith("error[1]: key 'ball_beta': ") and err.count("\n") == 1
         assert "epsilon=0.001 " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta", ["400", "-150"])
+    def test_tightness_series_out_of_range_named_at_run(self, tmp_path, capsys, beta):
+        # at beta = 400 every partial sum underflows to 0, at -150 the sums
+        # reach inf; validate sums no series, so run names the key
+        path, out = tmp_path / "tight.ini", tmp_path / "out.csv"
+        path.write_text(f"experiment=tightness\ntightness.beta={beta}\noutput_path={out}\n")
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[1]: key 'tightness.beta': ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "n_modes=10000000000000000000",
+            "n_modes=2000000000000000000",
+            "oversample=10000000000000000000",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_grid_numpy_cannot_index(self, tmp_path, capsys, line, command):
+        # these ended in a ValueError traceback from np.arange
+        path, out = tmp_path / "huge.ini", tmp_path / "out.csv"
+        path.write_text(f"experiment=coverage\n{line}\nfunctional.band=8\noutput_path={out}\n")
+        assert main([command, str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[1]: keys 'n_modes'/'oversample': ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_limits_still_accepted(self, tmp_path):

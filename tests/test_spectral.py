@@ -54,6 +54,12 @@ class TestBuildBasis:
         with pytest.raises(ConfigurationError):
             build_basis(BasisKind.FOURIER_TORUS, 6, 4)
 
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    def test_grid_beyond_numpy_rejected_before_allocating(self, kind):
+        # 8 * 2**60 float64 points need 2**66 bytes, more than any intp counts
+        with pytest.raises(ConfigurationError, match="more than NumPy can allocate"):
+            build_basis(kind, 2**60 + 1, 8)
+
     def test_grid_oversampling(self, interval):
         assert interval.grid.size >= 4 * interval.n_modes
 
