@@ -348,8 +348,9 @@ def _run_concentration(context: ExperimentContext):
     columns = [np.array([getattr(v, name) for v in values]) for name in header[1:]]
     extra = [
         (f"diag.smallball_{name}", [getattr(v.estimate, name) for v in values])
-        for name in ("hits", "log_low", "log_high")
+        for name in ("hits", "log_low", "log_high", "log_exact")
     ]
+    extra.append(("diag.quadrature_rtol", priors.QUADRATURE_RTOL))
     return header, _csv_text(header, [np.array(deltas), *columns]), extra
 
 

@@ -21,7 +21,7 @@ from .bvm import heat_psi_from_representer
 from .errors import ConfigurationError
 from .operators import DEFAULT_COND_LIMIT, EllipticCoefficient, psido_multiplier
 from .posterior import two_sided_quantile
-from .priors import matern_prior
+from .priors import MAX_MC_SAMPLES, matern_prior
 from .spectral import BasisKind, build_basis, unit_vector
 
 __all__ = ["ExperimentConfig", "parse_config", "resolved_items"]
@@ -267,6 +267,11 @@ class ExperimentConfig:
             if self.concentration_mc_samples < 1000:
                 raise ConfigurationError(
                     "key 'concentration.mc_samples': need at least 1000 samples"
+                )
+            if self.concentration_mc_samples > MAX_MC_SAMPLES:
+                raise ConfigurationError(
+                    "key 'concentration.mc_samples': at most 2**63 - 1 samples, "
+                    f"got {self.concentration_mc_samples}"
                 )
             if not self.concentration_deltas:
                 raise ConfigurationError("key 'concentration.deltas': need at least one delta")

@@ -1,6 +1,10 @@
 """Matern-type Gaussian priors: small-ball probability estimation, the
 concentration function, contraction-rate prediction, and the exact law of a
 Gaussian quadratic form sum_j w_j Z_j^2.
+
+Under the prior the squared norm ||f||^2 is such a quadratic form, so the
+small-ball probabilities P(||f|| <= delta) are evaluated exactly and the Monte
+Carlo hit counts drawn from their joint law; no prior field is simulated.
 """
 from __future__ import annotations
 
@@ -29,10 +33,12 @@ __all__ = [
     "predict_rate",
 ]
 
-# draws per chunk when Monte Carlo estimates are accumulated; the draws are
-# read from one stream row by row, so the chunk size bounds memory and never
-# changes the estimates
-_MC_CHUNK = 256
+# NumPy's multinomial counts draws in a signed 64-bit integer
+MAX_MC_SAMPLES = 2**63 - 1
+
+# a ball mass or its complement below 2**-127 is set to 0: at most
+# MAX_MC_SAMPLES draws land there with probability below 2**-64
+_LOG_NEGLIGIBLE = -127 * math.log(2.0)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -48,13 +54,15 @@ class GaussianPrior:
 
 
 class SmallBallEstimate(NamedTuple):
-    """Log small-ball probability with its Wilson 95% uncertainty band."""
+    """Log small-ball probability with its Wilson 95% uncertainty band, and the
+    exact log probability its hit count is drawn from."""
 
     log_prob: float
     log_low: float
     log_high: float
     hits: int
     n_samples: int
+    log_exact: float
 
 
 class ConcentrationValue(NamedTuple):
@@ -128,7 +136,7 @@ def _positive_deltas(deltas: Sequence[float]) -> tuple[float, ...]:
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
         raise ConfigurationError("need at least one delta")
-    if any(d <= 0 for d in deltas):
+    if not all(d > 0 for d in deltas):
         raise ConfigurationError("delta must be positive")
     return deltas
 
@@ -142,40 +150,44 @@ def small_ball_ladder(
 ) -> tuple[SmallBallEstimate, ...]:
     """Monte Carlo estimates of log P(||f|| <= delta) for every delta, from one sample.
 
-    The norm has smoothness ``norm_exponent``.  Each draw is made and its norm
-    computed once, then tested against every radius, so all estimates share
-    one set of ``mc_samples`` draws and the hit counts are non-decreasing in
-    delta.  Refuses rare-event regimes: if any delta gets fewer than 10 hits,
+    The norm has smoothness ``norm_exponent``, so ||f||^2 is the quadratic
+    form Q = sum_j w_j Z_j^2 with w_j = tau_j (1 + lambda_j)^norm_exponent.
+    The estimates are those of ``mc_samples`` prior draws, each scored against
+    every radius, but no draw is made: sorted from the widest ball in, the
+    draws outside it, in each shell between one ball and the next and in the
+    narrowest ball are one multinomial draw whose cell probabilities come from
+    the exact masses P(Q <= delta^2) (``_ball_log_masses``).  So the hit counts
+    have the sampling law of shared draws, non-decreasing in delta, at a cost
+    that does not grow with ``mc_samples``.  The widest delta's count is the one
+    a single-delta run at that delta draws from the same seed.  Refuses
+    rare-event regimes: if any delta gets fewer than 10 hits,
     ``RareEventError`` names the first such delta in the given order rather
     than returning a silently unreliable number.
     """
     deltas = _positive_deltas(deltas)
-    if mc_samples < 1000:
-        raise ConfigurationError("need at least 1000 Monte Carlo samples")
+    if not 1000 <= mc_samples <= MAX_MC_SAMPLES:
+        raise ConfigurationError(
+            f"need between 1000 and 2**63 - 1 Monte Carlo samples, got {mc_samples}"
+        )
     weights = (1.0 + prior.basis.eigenvalues) ** norm_exponent * prior.variances
-    rng = np.random.default_rng(seed)
-    hits = [0] * len(deltas)
-    thresholds = [d**2 for d in deltas]
-    buffer = np.empty((min(_MC_CHUNK, mc_samples), prior.basis.n_modes))
-    remaining = mc_samples
-    while remaining > 0:
-        block = min(_MC_CHUNK, remaining)
-        g = rng.standard_normal(out=buffer[:block])
-        np.square(g, out=g)
-        # one dot product per row: a matrix-vector product would let a row's
-        # norm depend on the chunk it falls in
-        norms_sq = np.vecdot(g, weights)
-        for k, thresh in enumerate(thresholds):
-            hits[k] += int(np.count_nonzero(norms_sq <= thresh))
-        remaining -= block
-    for delta, h in zip(deltas, hits):
+    log_mass = _ball_log_masses(weights, np.square(deltas))
+    order = np.argsort(deltas, kind="stable")[::-1]
+    # widest first: the outer cell is drawn first, as in a single-delta run;
+    # the running minimum keeps every cell >= 0 where exp rounds two close
+    # log masses out of order
+    mass = np.minimum.accumulate(np.exp(log_mass[order]))
+    cells = np.append(-np.diff(mass, prepend=1.0), mass[-1])
+    counts = np.random.default_rng(seed).multinomial(mc_samples, cells)
+    hits = np.empty(len(deltas), dtype=np.int64)
+    hits[order] = mc_samples - np.cumsum(counts[:-1])
+    for delta, h in zip(deltas, hits.tolist()):
         if h < 10:
             raise RareEventError(
                 f"delta={delta!r}: only {h} of {mc_samples} draws landed in the ball; "
                 "estimate would be unreliable (need >= 10 hits)"
             )
     estimates = []
-    for h in hits:
+    for h, exact in zip(hits.tolist(), log_mass.tolist()):
         low, high = _wilson_interval(h, mc_samples)
         estimates.append(
             SmallBallEstimate(
@@ -184,6 +196,7 @@ def small_ball_ladder(
                 log_high=math.log(high) if high > 0 else -math.inf,
                 hits=h,
                 n_samples=mc_samples,
+                log_exact=exact,
             )
         )
     return tuple(estimates)
@@ -249,8 +262,9 @@ def concentration_ladder(
 ) -> tuple[ConcentrationValue, ...]:
     """phi(delta) = RKHS approximation cost of the truth + negative log small-ball mass.
 
-    Evaluated at every delta; the small-ball terms come from one
-    ``small_ball_ladder`` sample, so phi is non-increasing in delta.
+    Evaluated at every delta; the small-ball terms are -log(hits / mc_samples)
+    from one ``small_ball_ladder`` draw, so phi is non-increasing in delta, and
+    each estimate carries the exact log mass its count was drawn from.
     ``ambient_exponent`` selects the weak norm the accuracy is measured in
     (-2 for the elliptic solution map's natural scale).
     """
@@ -391,6 +405,57 @@ def _tail_and_density(weights: np.ndarray, x: float, upper: bool) -> tuple[float
     return math.log1p(-direct), sign * math.exp(scale) * density_integral / (1.0 - direct)
 
 
+def _unit_weights(weights) -> tuple[np.ndarray, float]:
+    """The positive weights scaled to unit sum, and the sum they were scaled by."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(w < 0) or not np.any(w > 0):
+        raise ConfigurationError("quadratic-form weights must be finite, nonnegative, not all 0")
+    total = float(w.sum())
+    return w[w > 0] / total, total
+
+
+def _chernoff_log_bound(weights: np.ndarray, x: float, upper: bool) -> float:
+    """log of a Chernoff bound exp(K(s) - s x) on P(Q > x) (upper) or P(Q <= x).
+
+    The weights have unit sum.  Upper: s = 1 / (4 max w), halfway to the
+    branch point.  Lower: the least bound over s = -m / (2 x) for m = 1, 2,
+    4, ... up to the first power of 2 above the weight count; there
+    K(s) - s x = m / 2 - sum_j log(1 + m w_j / x) / 2, taken in logs so that
+    no ratio w_j / x overflows.
+    """
+    if upper:
+        w_max = float(weights.max())
+        return float(_cgf(weights, np.array([0.25 / w_max]))[0]) - x / (4.0 * w_max)
+    m = 2.0 ** np.arange(weights.size.bit_length() + 1)
+    log_ratio = np.log(weights) - math.log(x)
+    bounds = 0.5 * m - 0.5 * np.sum(np.logaddexp(0.0, np.add.outer(np.log(m), log_ratio)), axis=1)
+    return float(bounds.min())
+
+
+def _ball_log_masses(weights, points: np.ndarray) -> np.ndarray:
+    """log P(Q <= x) at each of ``points``, for Q = sum_j w_j Z_j^2.
+
+    Each value is Rice's contour integral (``_tail_and_density``), exact up to
+    ``QUADRATURE_RTOL``, unless a Chernoff bound shows one side below 2**-127:
+    then the mass is 0 (log -inf) or 1 (log 0).  That covers both ends, where
+    the integral's saddlepoint underflows or does not converge.  The values
+    are made non-decreasing in x by a running maximum in sorted order.
+    """
+    w, total = _unit_weights(weights)
+    x = np.asarray(points, dtype=float) / total
+    out = np.empty(x.shape)
+    for i, xi in enumerate(x.tolist()):
+        if xi == 0.0 or _chernoff_log_bound(w, xi, upper=False) < _LOG_NEGLIGIBLE:
+            out[i] = -math.inf
+        elif _chernoff_log_bound(w, xi, upper=True) < _LOG_NEGLIGIBLE:
+            out[i] = 0.0
+        else:
+            out[i] = min(_tail_and_density(w, xi, upper=False)[0], 0.0)
+    order = np.argsort(x, kind="stable")
+    out[order] = np.maximum.accumulate(out[order])
+    return out
+
+
 def quadratic_form_quantile(weights: Sequence[float], level: float) -> float:
     """The x with P(Q <= x) = level for Q = sum_j w_j Z_j^2, Z_j iid standard normal.
 
@@ -400,13 +465,9 @@ def quadratic_form_quantile(weights: Sequence[float], level: float) -> float:
     upper tail and in log x for the lower, where each log tail is nearly
     linear.  The weights are scaled to unit sum; zero weights drop out.
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or not np.all(np.isfinite(w)) or np.any(w < 0) or not np.any(w > 0):
-        raise ConfigurationError("quadratic-form weights must be finite, nonnegative, not all 0")
+    w, total = _unit_weights(weights)
     if not 0.0 < level < 1.0:
         raise ConfigurationError("level must lie strictly between 0 and 1")
-    total = float(w.sum())
-    w = w[w > 0] / total
     upper = level > 0.5
     log_target = math.log(1.0 - level if upper else level)
     # start from the Wilson-Hilferty quantile of the scaled chi-square g chi^2_nu

@@ -110,6 +110,34 @@ def oracle_truncation_level(op, psi, f_dagger, epsilon):
     return int(np.argmin(mse))
 
 
+# draws per chunk of the field sampler; the draws are read from one stream
+# row by row, so the chunk size bounds memory and never changes the counts
+MC_CHUNK = 256
+
+
+def field_ladder_hits(prior, norm_exponent, deltas, mc_samples, seed):
+    """Small-ball hit counts by simulating the prior field: ``mc_samples`` draws
+    of the modes, each draw's squared norm of smoothness ``norm_exponent``
+    scored against every delta (the Monte Carlo oracle of the exact ladder)."""
+    weights = (1.0 + prior.basis.eigenvalues) ** norm_exponent * prior.variances
+    rng = np.random.default_rng(seed)
+    hits = [0] * len(deltas)
+    thresholds = [d**2 for d in deltas]
+    buffer = np.empty((min(MC_CHUNK, mc_samples), prior.basis.n_modes))
+    remaining = mc_samples
+    while remaining > 0:
+        block = min(MC_CHUNK, remaining)
+        g = rng.standard_normal(out=buffer[:block])
+        np.square(g, out=g)
+        # one dot product per row: a matrix-vector product would let a row's
+        # norm depend on the chunk it falls in
+        norms_sq = np.vecdot(g, weights)
+        for k, thresh in enumerate(thresholds):
+            hits[k] += int(np.count_nonzero(norms_sq <= thresh))
+        remaining -= block
+    return hits
+
+
 def load_csv(path):
     """Read back an emitted file: (metadata dict, header list, rows of strings)."""
     metadata, header, rows = {}, [], []

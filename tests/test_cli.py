@@ -604,6 +604,13 @@ _LATE_FAILING = [
     ("concentration", "n_modes=32\nconcentration.deltas=", "concentration.deltas"),
     ("concentration", "n_modes=32\nconcentration.deltas=0.3,0", "concentration.deltas"),
     ("concentration", "n_modes=32\nconcentration.deltas=-0.1", "concentration.deltas"),
+    # 10**23 draws were simulated for practically ever; NumPy's multinomial
+    # takes at most 2**63 - 1
+    (
+        "concentration",
+        "n_modes=32\nconcentration.mc_samples=9223372036854775808",
+        "concentration.mc_samples",
+    ),
     ("tightness", "n_modes=32\ntightness.max_modes=99", "tightness.max_modes"),
     # tightness sums the elliptic differential operator's series; the heat
     # semigroup had none and failed unnamed, the torus raised n_modes to the
@@ -1170,6 +1177,22 @@ class TestConcentration:
             log_prob = -float(row[2])
             assert log_prob == math.log(h / 5000)
             assert lo <= log_prob <= hi
+
+    def test_exact_diagnostics_reparse(self, tmp_path):
+        # the exact log masses the counts were drawn from, and the tolerance
+        # of the contour integral behind them
+        out = tmp_path / "conc.csv"
+        config = parse_config(CONCENTRATION.format(deltas="0.3,0.1,0.2", out=out))
+        assert run_command(config) == 0
+        context = build_context(config)
+        expected = priors.small_ball_ladder(
+            context.prior, config.ambient_exponent, (0.3, 0.1, 0.2), 5000, derive_seed(11, 1)
+        )
+        metadata, _, _ = load_csv(str(out))
+        exact = [float(x) for x in metadata["diag.smallball_log_exact"].split(",")]
+        assert exact == [est.log_exact for est in expected]
+        assert exact[1] < exact[2] < exact[0] < 0
+        assert float(metadata["diag.quadrature_rtol"]) == priors.QUADRATURE_RTOL
 
     def test_rare_event_names_delta(self, tmp_path, capsys):
         config = parse_config(CONCENTRATION.format(deltas="1.0,1e-9", out=tmp_path / "c.csv"))

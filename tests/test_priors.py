@@ -20,6 +20,9 @@ from bvmlab.priors import (
 )
 from bvmlab.spectral import BasisKind, build_basis, coeff_vector
 
+import reference
+from reference import field_ladder_hits
+
 
 @pytest.fixture(scope="module")
 def interval():
@@ -70,6 +73,8 @@ class TestSmallBall:
         se = math.sqrt(p * (1 - p) / est.n_samples)
         assert abs(p - math.exp(exact)) <= 4 * se
         assert est.log_low <= est.log_prob <= est.log_high
+        # the mass the count is drawn from is the closed form
+        assert est.log_exact == pytest.approx(exact, rel=1e-13)
 
     def test_whole_space_limit(self, prior):
         (est,) = small_ball_ladder(prior, 0.0, (1e3,), mc_samples=2000, seed=3)
@@ -90,6 +95,7 @@ class TestSmallBall:
         p = math.exp(est.log_prob)
         se = math.sqrt(p * (1 - p) / est.n_samples)
         assert abs(p - exact) <= 3 * se
+        assert abs(math.exp(est.log_exact) - exact) <= 1e-6
 
     def test_rare_event_gate(self, prior):
         with pytest.raises(RareEventError):
@@ -100,42 +106,96 @@ class TestSmallBall:
             small_ball_ladder(prior, 0.0, (1.0,), mc_samples=500, seed=5)
 
 
-def _per_delta_hits(prior, norm_exponent, delta, mc_samples, seed):
-    """Reference: one fresh sample per delta, counted the way the estimator does."""
-    weights = (1.0 + prior.basis.eigenvalues) ** norm_exponent * prior.variances
-    rng = np.random.default_rng(seed)
-    hits, remaining = 0, mc_samples
-    while remaining > 0:
-        block = min(4096, remaining)
-        norms_sq = (rng.standard_normal((block, prior.basis.n_modes)) ** 2) @ weights
-        hits += int(np.count_nonzero(norms_sq <= delta**2))
-        remaining -= block
-    return hits
-
-
 @pytest.fixture(scope="module")
 def tiny_prior():
     return matern_prior(build_basis(BasisKind.DIRICHLET_SINE, 4, 8), r=1.0)
 
 
-class TestSmallBallLadder:
-    def test_hits_match_per_delta_runs(self, prior):
-        deltas = (0.3, 0.05, 0.1, 0.2)
-        ladder = small_ball_ladder(prior, -2.0, deltas, 10_000, seed=31)
-        for delta, est in zip(deltas, ladder):
-            assert est.hits == _per_delta_hits(prior, -2.0, delta, 10_000, 31)
-            assert est == small_ball_ladder(prior, -2.0, (delta,), 10_000, seed=31)[0]
+def _ladder_prior():
+    """The prior of the benchmark's smallball-ladder workload: 256 modes, r = 1."""
+    return matern_prior(build_basis(BasisKind.DIRICHLET_SINE, 256, 8), r=1.0)
 
+
+def _norm_weights(prior, norm_exponent):
+    return (1.0 + prior.basis.eigenvalues) ** norm_exponent * prior.variances
+
+
+class TestFieldOracle:
     def test_chunk_size_changes_no_estimate(self, prior, monkeypatch):
         # the draws are read row by row and each norm is one dot product, so
         # the chunk size only bounds memory
         deltas = (0.03, 0.012, 0.02, 0.015)
         ladders = []
         for chunk in (1, 7, 256, 4096):
-            monkeypatch.setattr(priors, "_MC_CHUNK", chunk)
-            ladders.append(small_ball_ladder(prior, -2.0, deltas, 10_000, seed=31))
+            monkeypatch.setattr(reference, "MC_CHUNK", chunk)
+            ladders.append(field_ladder_hits(prior, -2.0, deltas, 10_000, seed=31))
         assert all(ladder == ladders[0] for ladder in ladders)
-        assert 0 < ladders[0][1].hits < ladders[0][0].hits < 10_000
+        assert 0 < ladders[0][1] < ladders[0][0] < 10_000
+
+    @pytest.mark.parametrize(
+        "case",
+        ["interval-24", "tiny-l2", "smallball-ladder"],
+    )
+    def test_exact_mass_in_field_wilson_band(self, prior, tiny_prior, case):
+        # the exact mass each count is drawn from lies in the Wilson 95% band
+        # (the one the CLI reports) of simulated prior fields, and in that of
+        # the drawn count
+        setting, norm_exponent, deltas, n = {
+            "interval-24": (prior, -2.0, (0.03, 0.012, 0.02, 0.015), 100_000),
+            "tiny-l2": (tiny_prior, 0.0, (0.2, 0.3, 0.45, 0.7), 100_000),
+            "smallball-ladder": (_ladder_prior(), -2.0, (0.02, 0.01, 0.005, 0.0025), 50_000),
+        }[case]
+        field = field_ladder_hits(setting, norm_exponent, deltas, n, seed=2024)
+        ladder = small_ball_ladder(setting, norm_exponent, deltas, n, seed=2024)
+        for hits, est in zip(field, ladder):
+            p = math.exp(est.log_exact)
+            for count in (hits, est.hits):
+                low, high = priors._wilson_interval(count, n)
+                assert low <= p <= high
+            assert 0.01 < p < 0.99  # every band is informative
+
+
+class TestSmallBallLadder:
+    def test_cells_have_binomial_moments(self, tiny_prior):
+        # each shell between neighbouring balls (and the inside of the
+        # narrowest, the outside of the widest) holds a Bin(N, c) count, c its
+        # exact mass; mean and variance over 300 seeds within 4 standard errors
+        deltas, n, runs = (0.45, 0.2, 0.3), 2000, 300
+        order = np.argsort(deltas)
+        counts = []
+        for seed in range(runs):
+            ladder = small_ball_ladder(tiny_prior, 0.0, deltas, n, seed)
+            hits = [ladder[k].hits for k in order]
+            counts.append(np.diff(hits, prepend=0, append=n))
+        counts = np.array(counts, dtype=float)
+        masses = [math.exp(ladder[k].log_exact) for k in order]
+        cells = np.diff(masses, prepend=0.0, append=1.0)
+        assert np.all(cells > 0.05)
+        for c, column in zip(cells, counts.T):
+            var = n * c * (1 - c)
+            fourth = var * (1 + 3 * (n - 2) * c * (1 - c))
+            assert abs(column.mean() - n * c) <= 4 * math.sqrt(var / runs)
+            var_se = math.sqrt((fourth - var**2 * (runs - 3) / (runs - 1)) / runs)
+            assert abs(column.var(ddof=1) - var) <= 4 * var_se
+
+    def test_permuted_deltas_permute_estimates(self, prior):
+        # the draw depends on the set of radii only; a repeated delta gets
+        # the same count
+        deltas = (0.03, 0.012, 0.02, 0.015, 0.02)
+        ladder = small_ball_ladder(prior, -2.0, deltas, 10_000, seed=31)
+        assert ladder[2] == ladder[4]
+        for perm in ((4, 3, 2, 1, 0), (1, 3, 2, 4, 0), (2, 0, 4, 1, 3)):
+            permuted = small_ball_ladder(prior, -2.0, [deltas[i] for i in perm], 10_000, seed=31)
+            assert permuted == tuple(ladder[i] for i in perm)
+        by_delta = sorted(zip(deltas, (est.hits for est in ladder)))
+        assert all(lo[1] < hi[1] or lo[0] == hi[0] for lo, hi in zip(by_delta, by_delta[1:]))
+
+    def test_widest_count_matches_single_delta_run(self, prior):
+        # the draws outside the widest ball are drawn first, as in a run at
+        # that delta alone
+        deltas = (0.012, 0.03, 0.02)
+        ladder = small_ball_ladder(prior, -2.0, deltas, 10_000, seed=31)
+        assert ladder[1] == small_ball_ladder(prior, -2.0, (0.03,), 10_000, seed=31)[0]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -160,24 +220,83 @@ class TestSmallBallLadder:
         with pytest.raises(RareEventError, match=r"^delta=1e-09: only 0 of 2000 draws"):
             small_ball_ladder(prior, 0.0, deltas, 2000, seed=5)
 
-    @pytest.mark.parametrize("deltas", [(), (0.1, 0.0), (-0.1,)], ids=["empty", "zero", "negative"])
+    @pytest.mark.parametrize(
+        "deltas",
+        [(), (0.1, 0.0), (-0.1,), (math.nan,)],
+        ids=["empty", "zero", "negative", "nan"],
+    )
     def test_bad_deltas_rejected(self, prior, deltas):
         with pytest.raises(ConfigurationError):
             small_ball_ladder(prior, 0.0, deltas, 2000, seed=5)
 
-    def test_concentration_ladder_matches_per_delta_terms(self, prior, interval):
+    def test_sample_count_ceiling(self, prior):
+        # NumPy's multinomial counts in int64; the cost does not grow with the count
+        most = 2**63 - 1
+        (est,) = small_ball_ladder(prior, -2.0, (0.02,), most, seed=5)
+        assert est.n_samples == most
+        assert abs(est.log_prob - est.log_exact) <= 1e-6
+        with pytest.raises(ConfigurationError, match="2\\*\\*63 - 1"):
+            small_ball_ladder(prior, -2.0, (0.02,), most + 1, seed=5)
+
+    def test_concentration_ladder_permutes_per_delta_terms(self, prior, interval):
         rng = np.random.default_rng(17)
         f = coeff_vector(interval, rng.standard_normal(interval.n_modes))
         deltas = (0.02, 0.04, 0.01)
         values = concentration_ladder(prior, f, deltas, -2.0, 5000, seed=9)
+        reversed_values = concentration_ladder(prior, f, deltas[::-1], -2.0, 5000, seed=9)
+        assert reversed_values == values[::-1]
         for delta, value in zip(deltas, values):
             (single,) = concentration_ladder(prior, f, (delta,), -2.0, 5000, seed=9)
-            assert value == single
-            assert value.smallball_term == -math.log(
-                _per_delta_hits(prior, -2.0, delta, 5000, 9) / 5000
-            )
+            assert value.approx_term == single.approx_term
+            assert value.smallball_term == -math.log(value.estimate.hits / 5000)
+            assert value.phi == value.approx_term + value.smallball_term
         ordered = [v.phi for _, v in sorted(zip(deltas, values))]
         assert ordered[0] > ordered[1] > ordered[2]
+
+
+class TestBallMasses:
+    # weights of the ladder, of an L2 ball, of one and two modes, of a flat
+    # spectrum and of one dominant mode among 255 negligible ones
+    WEIGHTS = {
+        "smallball-ladder": lambda: _norm_weights(_ladder_prior(), -2.0),
+        "tiny-l2": lambda: _norm_weights(
+            matern_prior(build_basis(BasisKind.DIRICHLET_SINE, 4, 8), r=1.0), 0.0
+        ),
+        "one-mode": lambda: np.array([3.0]),
+        "two-mode": lambda: np.array([0.6, 0.2]),
+        "flat-64": lambda: np.ones(64),
+        "dominant": lambda: np.array([1.0] + [1e-200] * 255),
+    }
+
+    @pytest.mark.parametrize("case", list(WEIGHTS))
+    def test_sweep_from_subnormal_to_whole_space(self, case):
+        # delta^2 / sum(w) over 1e-300 ... 1e6: no NumericalError at either
+        # end, masses in [0, 1] and non-decreasing, exactly 0 and 1 at the ends
+        weights = self.WEIGHTS[case]()
+        points = np.logspace(-300, 6, 613) * weights.sum()
+        log_mass = priors._ball_log_masses(weights, points)
+        mass = np.exp(log_mass)
+        assert np.all((mass >= 0) & (mass <= 1))
+        assert np.all(np.diff(mass) >= 0)
+        assert mass[0] == 0.0 and mass[-1] == 1.0
+        interior = np.isfinite(log_mass) & (log_mass < 0)
+        assert np.count_nonzero(interior) >= 3  # the contour integral ran
+        # the Chernoff bounds that short-circuit the ends hold at every
+        # point the contour integral evaluated
+        w = weights / weights.sum()
+        for x, lm in zip(points[interior] / weights.sum(), log_mass[interior]):
+            lower, upper = (priors._chernoff_log_bound(w, x, side) for side in (False, True))
+            assert lm <= lower + 1e-12
+            assert math.log(-math.expm1(lm)) <= upper + 1e-12
+        # the points may come in any order
+        shuffled = np.random.default_rng(1).permutation(points.size)
+        np.testing.assert_array_equal(
+            priors._ball_log_masses(weights, points[shuffled]), log_mass[shuffled]
+        )
+
+    def test_radius_squared_zero_or_inf(self):
+        log_mass = priors._ball_log_masses(np.array([1.0, 0.5]), np.array([0.0, math.inf]))
+        assert log_mass.tolist() == [-math.inf, 0.0]
 
 
 def _projected_gradient_cost(prior, f_dagger, delta, ambient_exponent, iters=200_000):
