@@ -1,7 +1,8 @@
 """Monte Carlo harness for the asymptotic-normality experiments: representer
 construction, limiting variances, credible sets per noise level, the
-replicate engine (one noise draw per replicate, scored at every noise level),
-the Kolmogorov-Smirnov distance, coverage reports, rate regression, and the
+replicate engine (one noise draw per replicate, scored at every noise level
+against the credible sets or by its distance from the truth), the
+Kolmogorov-Smirnov distance, coverage reports, rate regression, and the
 tightness series of the limit law.
 """
 from __future__ import annotations
@@ -37,8 +38,8 @@ __all__ = [
     "representer",
     "heat_psi_from_representer",
     "credible_sets",
-    "replicate_blocks",
     "replicate_table",
+    "replicate_errors",
     "ks_distance",
     "coverage_report",
     "rate_fit",
@@ -199,7 +200,7 @@ def credible_sets(
     )
 
 
-def replicate_blocks(
+def _replicate_blocks(
     system: PosteriorSystem,
     epsilons: Sequence[float],
     f_dagger: CoeffVector,
@@ -232,6 +233,15 @@ def replicate_blocks(
             yield k, rows, noise, gain * (signal + epsilon * rotated)
 
 
+def _distances(
+    system: PosteriorSystem, f_dagger: CoeffVector, modes: np.ndarray, weights: np.ndarray
+) -> np.ndarray:
+    """The weighted distance from the truth to the posterior mean ``W m`` of each
+    modal row m, one row-local dot product per row."""
+    errors = f_dagger.coeffs - system.synthesise(modes)
+    return np.sqrt(np.vecdot(errors**2, weights))
+
+
 def replicate_table(
     system: PosteriorSystem,
     levels: Sequence[CredibleSets],
@@ -239,8 +249,8 @@ def replicate_table(
     indices: Sequence[int],
     master_seed: int = 0,
 ) -> list[ReplicateTable]:
-    """The replicates of ``replicate_blocks`` scored against each noise level's
-    credible sets, as columns: one table per level, in the order of ``levels``."""
+    """The replicates scored against each noise level's credible sets, as
+    columns: one table per level, in the order of ``levels``."""
     truth_values = [inner(f_dagger, sets.functional.psi) for sets in levels]
     # <W m, psi> = <m, W^T psi>, so a level's functional is O(n) per replicate
     psi_modes = [system.functional_modes(sets.functional.psi) for sets in levels]
@@ -253,12 +263,12 @@ def replicate_table(
     shape = (len(levels), len(indices))
     means, noise_terms, distances = np.empty(shape), np.empty(shape), np.empty(shape)
     epsilons = [sets.epsilon for sets in levels]
-    for k, rows, noise, modes in replicate_blocks(system, epsilons, f_dagger, indices, master_seed):
+    blocks = _replicate_blocks(system, epsilons, f_dagger, indices, master_seed)
+    for k, rows, noise, modes in blocks:
         means[k, rows] = np.vecdot(modes, psi_modes[k])
         noise_terms[k, rows] = np.vecdot(noise, images[k])
         if ball_weights[k] is not None:
-            errors = f_dagger.coeffs - system.synthesise(modes)
-            distances[k, rows] = np.sqrt(np.vecdot(errors**2, ball_weights[k]))
+            distances[k, rows] = _distances(system, f_dagger, modes, ball_weights[k])
     columns = zip(levels, truth_values, means, noise_terms, distances)
     return [
         ReplicateTable(
@@ -277,6 +287,28 @@ def replicate_table(
         )
         for sets, truth_value, mean, noise_term, distance in columns
     ]
+
+
+def replicate_errors(
+    system: PosteriorSystem,
+    epsilons: Sequence[float],
+    f_dagger: CoeffVector,
+    indices: Sequence[int],
+    exponent: float,
+    master_seed: int = 0,
+) -> np.ndarray:
+    """Each replicate's distance from the truth to its posterior mean, in the
+    norm of smoothness ``exponent``: shape (len(epsilons), len(indices)).
+
+    Replicate i is the one ``replicate_table`` scores, and with exponent
+    -ball_beta its distance is the one its ball flag compares with the ball
+    radius; every row is bitwise the same for any index split.
+    """
+    weights = (1.0 + system.prior.basis.eigenvalues) ** exponent
+    errors = np.empty((len(epsilons), len(indices)))
+    for k, rows, _, modes in _replicate_blocks(system, epsilons, f_dagger, indices, master_seed):
+        errors[k, rows] = _distances(system, f_dagger, modes, weights)
+    return errors
 
 
 def _check_samples(samples: Sequence[float], variance: float) -> np.ndarray:
@@ -421,6 +453,13 @@ def tightness_series(
         else:
             mode_norms = np.sum(op_l.matrix[:, :max_modes] ** 2, axis=0)
         partial = np.cumsum(weights * mode_norms)
+    # every column of a differential operator is nonzero: a norm at 0 or inf
+    # is the operator's scale leaving the double range, not beta's fault
+    if not np.all((mode_norms > 0) & (mode_norms < math.inf)):
+        raise NumericalError(
+            "the operator's squared column norms must be finite and positive; "
+            f"they span [{mode_norms.min():.3g}, {mode_norms.max():.3g}]"
+        )
     s_full = partial[max_modes - 1]
     s_half = partial[max_modes // 2 - 1]
     s_quarter = partial[max_modes // 4 - 1]

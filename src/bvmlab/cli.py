@@ -83,20 +83,6 @@ def _build_operator(config: ExperimentConfig, basis) -> operators.ForwardOperato
     return operators.elliptic_operator(config.coefficient, basis)[1]
 
 
-def _build_truth(config: ExperimentConfig, basis) -> spectral.CoeffVector:
-    if config.truth_kind == "bump":
-        zeta = spectral.make_bump(config.truth_support, config.truth_plateau)
-        base = spectral.analyze(zeta(basis.grid), basis)
-        return spectral.coeff_vector(basis, config.truth_scale * base.coeffs)
-    if config.truth_kind == "sobolev":
-        draw = spectral.sobolev_draw(basis, config.truth_alpha, config.truth_seed)
-        return spectral.coeff_vector(basis, config.truth_scale * draw.coeffs)
-    coeffs = np.zeros(basis.n_modes)
-    for mode, value in zip(config.truth_modes, config.truth_values):
-        coeffs[mode - 1] = value
-    return spectral.coeff_vector(basis, config.truth_scale * coeffs)
-
-
 def _build_functional(config: ExperimentConfig, basis, forward) -> bvm.TestFunctional:
     kind = config.functional_kind
     if kind == "heat_mode":
@@ -125,7 +111,7 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
     basis = spectral.build_basis(config.basis_kind, config.basis_modes, config.oversample)
     forward = _build_operator(config, basis)
     prior = priors.matern_prior(basis, config.prior_r, config.prior_amplitude)
-    truth = _build_truth(config, basis) if config.reads_truth else None
+    truth = config.truth(basis) if config.reads_truth else None
     functional = None
     if config.experiment == "coverage":
         functional = _build_functional(config, basis, forward)
@@ -217,20 +203,18 @@ def _coverage_rows(context: ExperimentContext, run: tuple, indices: range) -> li
 def _rates_rows(
     context: ExperimentContext, system: posterior.PosteriorSystem, indices: range
 ) -> list[tuple[str, np.ndarray]]:
-    # the forward map's weak norm, spectral.sobolev_norm at the ambient exponent,
-    # one row at a time
-    weights = (1.0 + context.basis.eigenvalues) ** context.config.ambient_exponent
-    epsilons, seed = context.config.epsilons, context.config.master_seed
-    errors = np.empty((len(epsilons), len(indices)))
-    blocks = bvm.replicate_blocks(system, epsilons, context.truth, indices, seed)
+    config = context.config
+    # in the forward map's weak norm; an overflow surfaces as the non-finite
+    # column that _csv_text names
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, rows, _, modes in blocks:
-            means = system.synthesise(modes)
-            errors[k, rows] = np.sqrt(np.vecdot((means - context.truth.coeffs) ** 2, weights))
+        errors = bvm.replicate_errors(
+            system, config.epsilons, context.truth, indices, config.ambient_exponent,
+            config.master_seed,
+        )
     replicates = [str(i) for i in indices]
     return [
         (_csv_text(_RATES_COLUMNS, (e, replicates, row), f" at epsilon={e!r}"), row)
-        for e, row in zip(epsilons, errors)
+        for e, row in zip(config.epsilons, errors)
     ]
 
 

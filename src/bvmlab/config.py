@@ -21,8 +21,18 @@ from .bvm import heat_psi_from_representer
 from .errors import ConfigurationError
 from .operators import DEFAULT_COND_LIMIT, EllipticCoefficient, psido_multiplier
 from .posterior import two_sided_quantile
-from .priors import MAX_MC_SAMPLES, matern_prior
-from .spectral import BasisKind, build_basis, unit_vector
+from .priors import MAX_MC_SAMPLES, _positive_deltas, matern_prior
+from .spectral import (
+    BasisKind,
+    CoeffVector,
+    SpectralBasis,
+    analyze,
+    build_basis,
+    coeff_vector,
+    make_bump,
+    sobolev_draw,
+    unit_vector,
+)
 
 __all__ = ["ExperimentConfig", "parse_config", "resolved_items"]
 
@@ -150,6 +160,22 @@ class ExperimentConfig:
         """Tightness and conjugacy never read the configured truth."""
         return self.experiment in ("coverage", "rates", "concentration")
 
+    def truth(self, basis: SpectralBasis) -> CoeffVector:
+        """The configured truth on ``basis``: its shape times truth.scale."""
+        return coeff_vector(basis, self.truth_scale * self._truth_shape(basis))
+
+    def _truth_shape(self, basis: SpectralBasis) -> np.ndarray:
+        """The bump, the unit-norm Sobolev draw or the listed modes, unscaled."""
+        if self.truth_kind == "bump":
+            zeta = make_bump(self.truth_support, self.truth_plateau)
+            return analyze(zeta(basis.grid), basis).coeffs
+        if self.truth_kind == "sobolev":
+            return sobolev_draw(basis, self.truth_alpha, self.truth_seed).coeffs
+        coeffs = np.zeros(basis.n_modes)
+        for mode, value in zip(self.truth_modes, self.truth_values):
+            coeffs[mode - 1] = value
+        return coeffs
+
     def validate(self) -> None:
         for key, (attr, _) in _KEY_TABLE.items():
             value = getattr(self, attr)
@@ -232,7 +258,7 @@ class ExperimentConfig:
         if self.operator_kind == "bvp":
             self._check_coefficient(basis.grid)
         if self.reads_truth:
-            self._check_truth()
+            self._check_truth(basis)
         # replicate rows are gathered per noise level, so a repeated level
         # would count its rows twice
         if self.experiment in ("coverage", "rates") and len(set(self.epsilons)) != len(
@@ -273,12 +299,8 @@ class ExperimentConfig:
                     "key 'concentration.mc_samples': at most 2**63 - 1 samples, "
                     f"got {self.concentration_mc_samples}"
                 )
-            if not self.concentration_deltas:
-                raise ConfigurationError("key 'concentration.deltas': need at least one delta")
-            if any(d <= 0 for d in self.concentration_deltas):
-                raise ConfigurationError(
-                    "key 'concentration.deltas': every delta must be positive"
-                )
+            with _keyed("concentration.deltas"):
+                _positive_deltas(self.concentration_deltas)
         if self.experiment == "tightness" and self.tightness_max_modes < 100:
             raise ConfigurationError(
                 "key 'tightness.max_modes': need at least 100 modes to judge the tail"
@@ -338,6 +360,9 @@ class ExperimentConfig:
             with _keyed("functional.mode"):
                 tilde = unit_vector(basis, self.functional_mode - 1)
                 heat_psi_from_representer(tilde, self.operator_time)
+        if coverage and kind == "sobolev":
+            with np.errstate(over="ignore", invalid="ignore"), _keyed("functional.alpha"):
+                sobolev_draw(basis, self.functional_alpha, self.functional_seed)
 
     def _check_coefficient(self, grid: np.ndarray) -> None:
         coefficient, base = self.operator_coefficient, self.operator_coefficient_base
@@ -353,7 +378,7 @@ class ExperimentConfig:
         with _keyed("operator.coefficient_base"):
             self.coefficient.samples(grid)
 
-    def _check_truth(self) -> None:
+    def _check_truth(self, basis: SpectralBasis) -> None:
         if self.truth_kind == "bump":
             _check_bump("truth", self.truth_support, self.truth_plateau)
         modes = self.truth_modes
@@ -375,6 +400,13 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"key 'truth.seed': must be nonnegative, got {self.truth_seed}"
             )
+        # the run's own builder: only a Sobolev shape can leave the double range
+        # (at an extreme alpha), and then the scale can take a finite shape out
+        with np.errstate(over="ignore", invalid="ignore"):
+            with _keyed("truth.alpha"):
+                shape = self._truth_shape(basis)
+            with _keyed("truth.scale"):
+                coeff_vector(basis, self.truth_scale * shape)
 
 
 @contextmanager

@@ -231,7 +231,14 @@ def fisher_solve(
         raise IllPosedError(
             f"normal operator condition {cond:.3g} exceeds limit {cond_limit:.3g}"
         )
-    return coeff_vector(op.basis, vt.T @ ((vt @ psi.coeffs) / s**2))
+    with np.errstate(over="ignore"):
+        squared = s**2
+    # an eigenvalue of A^T A at inf would zero its mode of the solution
+    if not squared[0] < math.inf:
+        raise NumericalError(
+            f"the normal operator's largest eigenvalue, {s[0]:.3g} squared, overflows"
+        )
+    return coeff_vector(op.basis, vt.T @ ((vt @ psi.coeffs) / squared))
 
 
 def embedding_constant(op: ForwardOperator, ambient_exponent: float) -> float:

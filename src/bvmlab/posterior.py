@@ -145,6 +145,15 @@ class PosteriorSystem:
             frozen = np.array(getattr(self, name))
             frozen.flags.writeable = False
             object.__setattr__(self, name, frozen)
+        # the gains and spreads square sigma; an inf there gives zero means and
+        # spreads at every noise level
+        with np.errstate(over="ignore"):
+            squares = np.square(self.sigma)
+        if not np.all(squares < math.inf):
+            raise NumericalError(
+                f"the whitened operator's singular value {float(np.max(self.sigma)):.3g} "
+                "squares past the largest double"
+            )
 
     def gains(self, epsilon: float) -> np.ndarray:
         _check_epsilon(epsilon)

@@ -136,8 +136,12 @@ def _positive_deltas(deltas: Sequence[float]) -> tuple[float, ...]:
     deltas = tuple(float(d) for d in deltas)
     if not deltas:
         raise ConfigurationError("need at least one delta")
-    if not all(d > 0 for d in deltas):
-        raise ConfigurationError("delta must be positive")
+    # the approximation cost squares each delta
+    for d in deltas:
+        if not (d > 0 and d * d < math.inf):
+            raise ConfigurationError(
+                f"every delta must be positive with a finite square, got {d!r}"
+            )
     return deltas
 
 
@@ -298,6 +302,10 @@ _QUANTILE_STEP_TOL = 1e-13
 # temporaries of one cumulant evaluation
 _CONTOUR_BLOCK_ENTRIES = 1 << 15
 
+# most contour points one pass evaluates, in the search for the integrand's
+# decay and in the trapezoid's halvings: a point costs one cumulant evaluation
+_MAX_CONTOUR_POINTS = 1 << 16
+
 
 def _cgf(weights: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Cumulant generating function K(s) = -1/2 sum_j log(1 - 2 s w_j), elementwise in s."""
@@ -346,10 +354,11 @@ def _saddlepoint(weights: np.ndarray, x: float) -> float:
 def _trapezoid(integrand, h: float, n: int) -> np.ndarray:
     """Integrals over t >= 0 of integrands even in t: the whole-line trapezoid
     rule folded at 0, on points 0, h, ..., n h, with h halved until two passes
-    agree.  ``integrand`` maps a vector of t to one row per integrand."""
+    agree, while a pass takes at most ``_MAX_CONTOUR_POINTS`` new points.
+    ``integrand`` maps a vector of t to one row per integrand."""
     values = integrand(h * np.arange(n + 1))
     total = h * (values.sum(axis=1) - 0.5 * values[:, 0])
-    for _ in range(20):
+    while n <= _MAX_CONTOUR_POINTS:
         values = integrand(h * (np.arange(n) + 0.5))
         refined = 0.5 * total + 0.5 * h * values.sum(axis=1)
         h, n = 0.5 * h, 2 * n
@@ -395,7 +404,7 @@ def _tail_and_density(weights: np.ndarray, x: float, upper: bool) -> tuple[float
         if np.all(np.abs(ends[:, 1]) <= 1e-3 * QUADRATURE_RTOL * np.abs(ends[:, 0])):
             break
         n *= 2
-        if n > 1 << 16:
+        if n > _MAX_CONTOUR_POINTS:
             raise NumericalError("quadratic-form integrand does not decay along the contour")
     tail_integral, density_integral = _trapezoid(integrand, h, n) / math.pi
     direct = math.exp(scale) * abs(tail_integral)  # P(Q > x) if c > 0, else P(Q <= x)

@@ -120,7 +120,8 @@ class TestParseConfig:
 
     def test_every_key_is_read_by_the_cli(self):
         # a key whose attribute the CLI never reads, directly or through a config
-        # property it reads, is a knob that changes nothing
+        # property or method it reads, is a knob that changes nothing; validate
+        # reads every key to check it, not to run with it
         def loads(source, is_config):
             tree = ast.parse(textwrap.dedent(source))
             return {
@@ -138,10 +139,12 @@ class TestParseConfig:
         )
         pending = set(read)
         while pending:
-            prop = getattr(config_module.ExperimentConfig, pending.pop(), None)
-            if isinstance(prop, property):
+            member = getattr(config_module.ExperimentConfig, pending.pop(), None)
+            if isinstance(member, property):
+                member = member.fget
+            if inspect.isfunction(member) and member.__name__ != "validate":
                 found = loads(
-                    inspect.getsource(prop.fget),
+                    inspect.getsource(member),
                     lambda value: isinstance(value, ast.Name) and value.id == "self",
                 )
                 pending |= found - read
@@ -515,6 +518,36 @@ class TestNonFiniteOutput:
             assert capsys.readouterr().err == f"error[2]: column '{column}' is not finite\n"
             assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "experiment, extra, message",
+        [
+            ("coverage", "", "the normal operator's largest eigenvalue"),
+            ("coverage", "ball_beta=3.5\n", "the normal operator's largest eigenvalue"),
+            ("rates", "", "the whitened operator's singular value"),
+            ("tightness", "", "the operator's squared column norms"),
+        ],
+        ids=["coverage", "coverage-ball", "rates", "tightness"],
+    )
+    def test_overflowing_dense_operator_exits_two(
+        self, tmp_path, capsys, experiment, extra, message
+    ):
+        # a sine coefficient near 1e-300 puts the dense solution map's entries
+        # near 1e299, whose squares overflow: coverage wrote radius 0 rows and
+        # rates a constant dual_error with exit 0, the ball blamed ball_beta,
+        # and tightness, whose squared column norms underflow, blamed its beta
+        path, out = tmp_path / "dense.ini", tmp_path / "out.csv"
+        path.write_text(
+            f"experiment={experiment}\n{extra}n_modes=32\nfunctional.band=8\nn_replicates=4\n"
+            "operator.coefficient=sine\noperator.coefficient_base=1e-300\n"
+            f"operator.coefficient_amplitude=1e-301\noutput_path={out}\n"
+        )
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[2]: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_concentration_names_truth_scale(self, tmp_path):
         # the approximation cost's bisection used to run forever on an inf or nan residual
         path, out = tmp_path / "big.ini", tmp_path / "out.csv"
@@ -721,6 +754,22 @@ _LATE_FAILING = [
         "coverage",
         "operator.kind=psido\nn_modes=33\nfunctional.kind=sobolev\nfunctional.band=-1",
         "functional.band",
+    ),
+    # delta**2 raised an OverflowError traceback in the approximation cost
+    ("concentration", "n_modes=32\nconcentration.deltas=1e300", "concentration.deltas"),
+    # the truth or the functional left the double range when the run built it,
+    # and the error named no key
+    ("rates", "n_modes=32\ntruth.kind=sobolev\ntruth.alpha=1e300", "truth.alpha"),
+    (
+        "coverage",
+        "operator.kind=psido\nn_modes=33\nfunctional.kind=sobolev\nfunctional.alpha=1e300\n"
+        "functional.band=8",
+        "functional.alpha",
+    ),
+    (
+        "coverage",
+        "n_modes=32\nfunctional.band=8\ntruth.kind=modes\ntruth.values=1e308\ntruth.scale=10",
+        "truth.scale",
     ),
 ]
 
@@ -1056,6 +1105,17 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     exported = getattr(module, "__all__", ())
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+@pytest.mark.parametrize("name", _MODULES)
+def test_no_exported_name_is_a_generator(name):
+    # a span the tracer wraps around a generator function closes when the
+    # generator is created, before any of its work runs
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", ())
+    assert [
+        attr for attr in exported if inspect.isgeneratorfunction(getattr(module, attr, None))
+    ] == []
 
 
 def test_every_exported_name_is_used():

@@ -13,7 +13,7 @@ from bvmlab import cli, posterior
 from bvmlab.bvm import (
     REPLICATE_BLOCK,
     credible_sets,
-    replicate_blocks,
+    replicate_errors,
     replicate_table,
     representer,
 )
@@ -353,6 +353,22 @@ output_path={tmp_path / "out.csv"}
     assert counts == {"posterior_system": 1}
 
 
+@pytest.mark.parametrize("setup", ["diag_setup", "dense_setup"])
+def test_ball_flag_is_error_within_radius(request, setup):
+    # the ball flag and replicate_errors at exponent -beta share one distance
+    prior, op, truth, tf = request.getfixturevalue(setup)
+    system = posterior_system(prior, op)
+    epsilons, beta, indices = (1e-2, 1e-3, 1e-4), 3.5, range(3, REPLICATE_BLOCK + 9)
+    levels = [credible_sets(system, eps, tf, 0.95, beta) for eps in epsilons]
+    tables = replicate_table(system, levels, truth, indices, master_seed=13)
+    errors = replicate_errors(system, epsilons, truth, indices, -beta, master_seed=13)
+    assert errors.shape == (len(epsilons), len(indices))
+    for table, row in zip(tables, errors):
+        assert table.ball_covered.tobytes() == (row <= table.ball_radius).tobytes()
+        # neither all in nor all out, so the comparison tells the two apart
+        assert 0 < np.count_nonzero(table.ball_covered) < len(indices)
+
+
 def test_index_split_bitwise_with_ball(dense_setup):
     kwargs = dict(ball_beta=3.5, master_seed=7)
     full = _table(dense_setup, 1e-3, range(10), **kwargs)
@@ -379,6 +395,15 @@ def _check_contiguous_split(setup, data, max_n, ball_beta, max_cuts=None):
     parts = [_table(setup, 1e-3, range(lo, hi), **kwargs) for lo, hi in zip(bounds, bounds[1:])]
     assert [row for part in parts for row in _rows(part)] == _rows(full)
     assert all(_per_call(part) == _per_call(full) for part in parts)
+    # the weak-norm errors of the same replicates, at two noise levels
+    prior, op, truth, _ = setup
+    system = posterior_system(prior, op)
+    errors = [
+        replicate_errors(system, (1e-2, 1e-3), truth, range(lo, hi), -2.0, kwargs["master_seed"])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    whole = replicate_errors(system, (1e-2, 1e-3), truth, range(n), -2.0, kwargs["master_seed"])
+    assert np.concatenate(errors, axis=1).tobytes() == whole.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -413,7 +438,7 @@ def test_factor_rejects_bad_epsilon(dense_setup, epsilon):
     with pytest.raises(ConfigurationError, match="epsilon"):
         credible_sets(system, epsilon, tf)
     with pytest.raises(ConfigurationError, match="epsilon"):
-        next(replicate_blocks(system, [epsilon], truth, range(1), 0))
+        replicate_errors(system, [epsilon], truth, range(1), -2.0)
 
 
 def _raise_linalg(*args, **kwargs):

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvmlab import priors
-from bvmlab.errors import ConfigurationError, RareEventError
+from bvmlab.errors import ConfigurationError, NumericalError, RareEventError
 from bvmlab.priors import (
     GaussianPrior,
     RateBranch,
@@ -222,8 +223,8 @@ class TestSmallBallLadder:
 
     @pytest.mark.parametrize(
         "deltas",
-        [(), (0.1, 0.0), (-0.1,), (math.nan,)],
-        ids=["empty", "zero", "negative", "nan"],
+        [(), (0.1, 0.0), (-0.1,), (math.nan,), (1e300,)],
+        ids=["empty", "zero", "negative", "nan", "square-overflows"],
     )
     def test_bad_deltas_rejected(self, prior, deltas):
         with pytest.raises(ConfigurationError):
@@ -293,6 +294,19 @@ class TestBallMasses:
         np.testing.assert_array_equal(
             priors._ball_log_masses(weights, points[shuffled]), log_mass[shuffled]
         )
+
+    def test_contour_work_is_bounded(self, monkeypatch):
+        # 64 equal weights at x = 1e4 times their sum, past the Chernoff cut-off
+        # that keeps every caller away: the trapezoid never converges, and its
+        # halvings used to evaluate 21 million contour points in about 50 s
+        points = []
+        cgf = priors._cgf
+        monkeypatch.setattr(priors, "_cgf", lambda w, s: points.append(s.size) or cgf(w, s))
+        start = time.process_time()
+        with pytest.raises(NumericalError, match="trapezoid passes .* did not converge"):
+            priors._tail_and_density(np.full(64, 1 / 64), 1e4, upper=False)
+        assert time.process_time() - start < 1.0
+        assert sum(points) <= 2 * priors._MAX_CONTOUR_POINTS
 
     def test_radius_squared_zero_or_inf(self):
         log_mass = priors._ball_log_masses(np.array([1.0, 0.5]), np.array([0.0, math.inf]))
