@@ -68,11 +68,20 @@ class TestFunctional:
     limiting_variance: float
 
 
+def _check_in_range(name: str, value: float) -> None:
+    """Refuse a norm or variance of a nonzero vector that is 0 or not finite: its
+    squares left the double range, where a relative check compares 0 with 0 or
+    inf with inf and passes."""
+    if not 0 < value < math.inf:
+        raise NumericalError(f"the representer's {name} is {value:.3g}, outside the double range")
+
+
 def _roundtrip_check(op: ForwardOperator, psi: CoeffVector, psi_tilde: CoeffVector) -> None:
     reproduced = normal_apply(op, psi_tilde)
     gap = np.linalg.norm(-reproduced.coeffs - psi.coeffs)
     scale = np.linalg.norm(psi.coeffs)
-    if gap > 1e-8 * max(scale, np.finfo(float).tiny):
+    _check_in_range("psi norm", scale)
+    if not gap <= 1e-8 * scale:
         raise NumericalError(
             f"representer roundtrip residual {gap / scale:.3g} exceeds 1e-8"
         )
@@ -85,26 +94,29 @@ def representer(
 
     An operator with a companion C (the elliptic pair, each the inverse of
     the other) has the closed form psi_tilde = -C(C psi) as well, which must
-    agree with the solver path to relative 1e-8.  A zero psi is refused.
+    agree with the solver path to relative 1e-8.  A zero psi is refused, and
+    so are norms and a limiting variance that leave the double range.
     """
     if not np.any(psi.coeffs):
         raise ConfigurationError("the functional psi is zero")
     tilde = coeff_vector(op.basis, -fisher_solve(op, psi, cond_limit).coeffs)
-    if op.companion is not None:
-        alt = coeff_vector(op.basis, -apply(op.companion, apply(op.companion, psi)).coeffs)
-        gap = np.linalg.norm(alt.coeffs - tilde.coeffs)
-        scale = max(np.linalg.norm(tilde.coeffs), np.finfo(float).tiny)
-        if gap > 1e-8 * scale:
-            raise NumericalError(
-                f"solver and closed-form representers disagree by {gap / scale:.3g}"
-            )
-    _roundtrip_check(op, psi, tilde)
-    image = apply(op, tilde)
-    return TestFunctional(
-        psi=psi,
-        psi_tilde=tilde,
-        limiting_variance=inner(image, image),
-    )
+    # the norms and the variance square coefficients; each is refused outside
+    # the double range, so an overflow there is an error rather than a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if op.companion is not None:
+            alt = coeff_vector(op.basis, -apply(op.companion, apply(op.companion, psi)).coeffs)
+            gap = np.linalg.norm(alt.coeffs - tilde.coeffs)
+            scale = np.linalg.norm(tilde.coeffs)
+            _check_in_range("psi_tilde norm", scale)
+            if not gap <= 1e-8 * scale:
+                raise NumericalError(
+                    f"solver and closed-form representers disagree by {gap / scale:.3g}"
+                )
+        _roundtrip_check(op, psi, tilde)
+        image = apply(op, tilde)
+        variance = inner(image, image)
+    _check_in_range("limiting variance", variance)
+    return TestFunctional(psi=psi, psi_tilde=tilde, limiting_variance=variance)
 
 
 def heat_psi_from_representer(psi_tilde: CoeffVector, time_horizon: float) -> TestFunctional:
@@ -219,6 +231,10 @@ def _replicate_blocks(
     ``system.synthesise`` maps to coefficients.  Every step is row-local, so
     every row is bitwise the same for any index split, and a parallel driver
     may pass any sub-range.
+
+    Every level's modal rows are computed into one reused buffer, so a
+    yielded ``modes`` block stays valid only until the next yield: both
+    consumers read it at once, before they ask for the next block.
     """
     if not system.operator.basis.compatible(f_dagger.basis):
         raise ShapeError("truth lives on a different basis than the operator")
@@ -229,8 +245,13 @@ def _replicate_blocks(
         rows = slice(lo, lo + len(keys))
         noise = noise_block(f_dagger.basis, keys)
         rotated = system.rotate(noise)
+        modes = np.empty_like(rotated)
         for k, (epsilon, gain) in enumerate(zip(epsilons, gains)):
-            yield k, rows, noise, gain * (signal + epsilon * rotated)
+            # gain * (signal + epsilon * rotated), ufunc by ufunc
+            np.multiply(epsilon, rotated, out=modes)
+            np.add(signal, modes, out=modes)
+            np.multiply(gain, modes, out=modes)
+            yield k, rows, noise, modes
 
 
 def _distances(
@@ -238,8 +259,10 @@ def _distances(
 ) -> np.ndarray:
     """The weighted distance from the truth to the posterior mean ``W m`` of each
     modal row m, one row-local dot product per row."""
-    errors = f_dagger.coeffs - system.synthesise(modes)
-    return np.sqrt(np.vecdot(errors**2, weights))
+    errors = system.synthesise(modes)
+    np.subtract(f_dagger.coeffs, errors, out=errors)
+    np.square(errors, out=errors)
+    return np.sqrt(np.vecdot(errors, weights))
 
 
 def replicate_table(
@@ -266,7 +289,11 @@ def replicate_table(
     blocks = _replicate_blocks(system, epsilons, f_dagger, indices, master_seed)
     for k, rows, noise, modes in blocks:
         means[k, rows] = np.vecdot(modes, psi_modes[k])
-        noise_terms[k, rows] = np.vecdot(noise, images[k])
+        # <w, A psi_tilde> does not depend on the noise level
+        if k and levels[k].functional is levels[k - 1].functional:
+            noise_terms[k, rows] = noise_terms[k - 1, rows]
+        else:
+            noise_terms[k, rows] = np.vecdot(noise, images[k])
         if ball_weights[k] is not None:
             distances[k, rows] = _distances(system, f_dagger, modes, ball_weights[k])
     columns = zip(levels, truth_values, means, noise_terms, distances)

@@ -1,6 +1,9 @@
 """Command-line front end: experiment orchestration, deterministic parallel
 replicates, and CSV emission.  Every experiment's table body goes through
-``_csv_text``, which formats each column once and refuses non-finite numbers.
+``_csv_text``, which fills one row template per row and refuses non-finite
+numbers.  The coverage and rates bodies reach ``emit_csv`` as the chunks'
+pieces, which it writes in order without joining them, so the parent holds
+each body once.
 
 Exit codes: 0 success, 1 configuration, 2 numerical, 3 rare-event,
 4 ill-posedness.
@@ -119,12 +122,19 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
 
 
 def emit_csv(
-    header: Sequence[str], text: str, path: str, metadata: Sequence[tuple[str, object]] = ()
+    header: Sequence[str],
+    body: str | Sequence[str],
+    path: str,
+    metadata: Sequence[tuple[str, object]] = (),
 ) -> None:
     """Write one CSV file: a '# key=value' metadata block, the header, then the
-    body ``text``, the data lines as ``_csv_text`` formats them.  A metadata
-    value is a str, or a number or list of numbers written in the cell format."""
-    if not text:
+    data lines as ``_csv_text`` formats them.  ``body`` is one text or a
+    sequence of pieces, written in order and never joined, so the file holds
+    their concatenation and the caller's pieces are the only copy of the body.
+    A metadata value is a str, or a number or list of numbers written in the
+    cell format."""
+    pieces = [body] if isinstance(body, str) else body
+    if not any(pieces):
         raise ConfigurationError("refusing to emit an empty results table")
     # write a sibling file, then rename it over the output, so a reader never
     # sees a partial table and a failed run leaves an older file intact
@@ -138,7 +148,7 @@ def emit_csv(
                     value = ",".join(_cells(np.atleast_1d(value)))
                 fh.write(f"# {key}={value}\n")
             fh.write(",".join(header) + "\n")
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -162,18 +172,34 @@ def _csv_text(header: Sequence[str], columns: Sequence, where: str = "") -> str:
     column, with ``where`` appended.
     """
     n_rows = next(len(c) for c in columns if isinstance(c, (list, np.ndarray)))
-    cells = []
+    # one %-template per row: a single value is formatted once into the
+    # template, and the per-row cells fill it from one row-major object array;
+    # '%.17g' runs the conversion format(x, '.17g') does
+    template, per_row = [], []
     for name, column in zip(header, columns, strict=True):
-        if isinstance(column, list):
-            cells.append(column)
-        elif column is None or isinstance(column, str):
-            cells.append([column or ""] * n_rows)
+        if column is None or isinstance(column, str):
+            template.append((column or "").replace("%", "%%"))
+        elif isinstance(column, list):
+            template.append("%s")
+            per_row.append(column)
         else:
             values = np.atleast_1d(column)
             if not np.all(np.isfinite(values)):
                 raise NumericalError(f"column '{name}' is not finite{where}")
-            cells.append(_cells(values) if np.ndim(column) else _cells(values) * n_rows)
-    return "".join([",".join(row) + "\n" for row in zip(*cells, strict=True)])
+            if not np.ndim(column):
+                template.append(_cells(values)[0])
+            elif values.dtype == bool:
+                template.append("%s")
+                per_row.append(_cells(values))
+            else:
+                template.append("%.17g")
+                per_row.append(values)
+    if any(len(column) != n_rows for column in per_row):
+        raise ValueError(f"every column must hold {n_rows} rows")
+    cells = np.empty((n_rows, len(per_row)), dtype=object)
+    for j, column in enumerate(per_row):
+        cells[:, j] = column
+    return (",".join(template) + "\n") * n_rows % tuple(cells.ravel().tolist())
 
 
 def _base_metadata(context: ExperimentContext) -> list[tuple[str, object]]:
@@ -242,16 +268,19 @@ def _run_chunk(indices: range) -> list[tuple]:
     return row_fn(context, run, indices)
 
 
-def _map_chunks(context: ExperimentContext, workers: int, run, row_fn) -> tuple[str, list]:
-    """The CSV body of every noise level and replicate, in (epsilon, replicate)
-    order, and each level's chunk numbers, in chunk order.
+def _map_chunks(
+    context: ExperimentContext, workers: int, run, row_fn
+) -> tuple[list[str], list]:
+    """The CSV body of every noise level and replicate as the chunks' pieces, in
+    (epsilon, replicate) order, and each level's chunk numbers, in chunk order.
 
     ``run`` holds the data-independent objects of every noise level, built
     once per run (the posterior system, and for coverage the credible sets),
     and ``row_fn(context, run, indices)`` returns one pair per level for a
     chunk of replicates: the chunk's CSV lines at that level, joined, and its
     numbers there (coverage's hit counts, rates' errors).  So each replicate's
-    noise is drawn once for all levels, and the parent reparses no cell.  One
+    noise is drawn once for all levels, and the parent reparses no cell and
+    joins no text: ``emit_csv`` writes the pieces one by one.  One
     worker runs the chunks in-process; more map them over a process pool
     whose initializer hands each worker the run once.  Rows depend only on
     (epsilon, replicate index), so the output is the same for any worker count.
@@ -268,8 +297,8 @@ def _map_chunks(context: ExperimentContext, workers: int, run, row_fn) -> tuple[
         ) as pool:
             chunks = list(pool.map(_run_chunk, tasks))
     levels = range(len(context.config.epsilons))
-    text = "".join(chunk[k][0] for k in levels for chunk in chunks)
-    return text, [[chunk[k][1] for chunk in chunks] for k in levels]
+    pieces = [chunk[k][0] for k in levels for chunk in chunks]
+    return pieces, [[chunk[k][1] for chunk in chunks] for k in levels]
 
 
 def _run_coverage(context: ExperimentContext, workers: int):
@@ -279,19 +308,19 @@ def _run_coverage(context: ExperimentContext, workers: int):
         bvm.credible_sets(system, epsilon, context.functional, config.level, config.ball_beta)
         for epsilon in config.epsilons
     ]
-    text, hits = _map_chunks(context, workers, (system, levels), _coverage_rows)
+    pieces, hits = _map_chunks(context, workers, (system, levels), _coverage_rows)
     # per level, the summed (interval, ball) hits of its chunks
     interval_hits, ball_hits = np.sum(hits, axis=1).T.tolist()
     extra = [("diag.coverage_hits", interval_hits)]
     if config.ball_beta is not None:
         extra.append(("diag.ball_hits", ball_hits))
-    return COVERAGE_COLUMNS, text, extra
+    return COVERAGE_COLUMNS, pieces, extra
 
 
 def _run_rates(context: ExperimentContext, workers: int):
     config = context.config
     system = posterior.posterior_system(context.prior, context.forward)
-    text, errors = _map_chunks(context, workers, system, _rates_rows)
+    pieces, errors = _map_chunks(context, workers, system, _rates_rows)
     # the doubles the dual_error cells were formatted from, so a reparse of the
     # file's cells gives the same means
     mean_errors = [float(np.mean(np.concatenate(level))) for level in errors]
@@ -300,7 +329,7 @@ def _run_rates(context: ExperimentContext, workers: int):
     names = ("slope", "r_squared", "predicted_exponent")
     extra = [(f"rate_{name}", getattr(fit, name)) for name in names]
     extra.append(("rate_binding_branch", predicted.which.value))
-    return _RATES_COLUMNS, text, extra
+    return _RATES_COLUMNS, pieces, extra
 
 
 def _run_tightness(context: ExperimentContext):
@@ -389,16 +418,16 @@ def run_command(config: ExperimentConfig, workers: int = 1) -> int:
     try:
         context = build_context(config)
         if config.experiment == "coverage":
-            header, text, extra = _run_coverage(context, workers)
+            header, body, extra = _run_coverage(context, workers)
         elif config.experiment == "rates":
-            header, text, extra = _run_rates(context, workers)
+            header, body, extra = _run_rates(context, workers)
         elif config.experiment == "tightness":
-            header, text, extra = _run_tightness(context)
+            header, body, extra = _run_tightness(context)
         elif config.experiment == "concentration":
-            header, text, extra = _run_concentration(context)
+            header, body, extra = _run_concentration(context)
         else:
-            header, text, extra = _run_conjugacy(context)
-        emit_csv(header, text, config.output_path, _base_metadata(context) + extra)
+            header, body, extra = _run_conjugacy(context)
+        emit_csv(header, body, config.output_path, _base_metadata(context) + extra)
     except BvmlabError as exc:
         code = next(code for err_type, code in _EXIT_CODES if isinstance(exc, err_type))
         print(f"error[{code}]: {exc}", file=sys.stderr)

@@ -110,15 +110,26 @@ def truncation_tail(prior: GaussianPrior, terms: int = 100_000) -> float:
     """
     r = prior.rkhs_exponent
     n = prior.basis.n_modes
+    # the terms are computed in place, in one array: the ufuncs of
+    # (1 + (pi j)^2)^(-r) and 2 (1 + k^2)^(-r) in their order, so the sums
+    # keep their bits
     if prior.basis.kind is BasisKind.DIRICHLET_SINE:
         j = np.arange(n + 1, n + terms + 1, dtype=float)
-        head = float(np.sum((1.0 + (np.pi * j) ** 2) ** (-r)))
+        j *= np.pi
+        j **= 2
+        j += 1.0
+        j **= -r
+        head = float(np.sum(j))
         edge = n + terms
         remainder = (np.pi ** (-2 * r)) * edge ** (1 - 2 * r) / (2 * r - 1)
         return prior.amplitude * (head + remainder)
     half = (n - 1) // 2
     k = np.arange(half + 1, half + terms + 1, dtype=float)
-    head = float(np.sum(2.0 * (1.0 + k**2) ** (-r)))
+    k **= 2
+    k += 1.0
+    k **= -r
+    k *= 2.0
+    head = float(np.sum(k))
     edge = half + terms
     remainder = 2.0 * edge ** (1 - 2 * r) / (2 * r - 1)
     return prior.amplitude * (head + remainder)

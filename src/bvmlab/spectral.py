@@ -247,11 +247,18 @@ def sobolev_draw(basis: SpectralBasis, alpha: float, seed: int) -> CoeffVector:
 
     Coefficients (1 + lambda_j)^(-alpha/2 - 0.3) g_j with g_j iid standard
     normal, then normalised; the extra 0.3 decay keeps every truncation level
-    inside the target space.
+    inside the target space.  An alpha whose norm weights overflow, or whose
+    coefficients underflow, leaves a norm that is not a positive double; it
+    is refused, since dividing by it would return zeros.
     """
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(basis.n_modes)
     c = (1.0 + basis.eigenvalues) ** (-alpha / 2.0 - 0.25 - 0.05) * g
     f = coeff_vector(basis, c)
-    norm = sobolev_norm(f, alpha)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = sobolev_norm(f, alpha)
+    if not 0 < norm < math.inf:
+        raise ConfigurationError(
+            f"alpha={alpha!r}: the draw's norm is {norm:.3g}, not a positive finite double"
+        )
     return coeff_vector(basis, c / norm)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 
+from bvmlab.errors import NumericalError
 from bvmlab.spectral import BasisKind, coeff_vector
 
 
@@ -136,6 +137,49 @@ def field_ladder_hits(prior, norm_exponent, deltas, mc_samples, seed):
             hits[k] += int(np.count_nonzero(norms_sq <= thresh))
         remaining -= block
     return hits
+
+
+def csv_text_per_cell(header, columns, where=""):
+    """The table formatter cell by cell (the oracle of ``cli._csv_text``): every
+    column becomes a list of str cells, a single value repeated on every row,
+    and the rows are joined cell by cell."""
+    def cells(values):
+        if values.dtype == bool:
+            return ["true" if flag else "false" for flag in values.tolist()]
+        return [format(x, ".17g") for x in values.tolist()]
+
+    n_rows = next(len(c) for c in columns if isinstance(c, (list, np.ndarray)))
+    table = []
+    for name, column in zip(header, columns, strict=True):
+        if isinstance(column, list):
+            table.append(column)
+        elif column is None or isinstance(column, str):
+            table.append([column or ""] * n_rows)
+        else:
+            values = np.atleast_1d(column)
+            if not np.all(np.isfinite(values)):
+                raise NumericalError(f"column '{name}' is not finite{where}")
+            table.append(cells(values) if np.ndim(column) else cells(values) * n_rows)
+    return "".join([",".join(row) + "\n" for row in zip(*table, strict=True)])
+
+
+def truncation_tail_expression(prior, terms=100_000):
+    """``priors.truncation_tail`` with its head sum as one expression, each step
+    a new array (the oracle of its in-place terms)."""
+    r = prior.rkhs_exponent
+    n = prior.basis.n_modes
+    if prior.basis.kind is BasisKind.DIRICHLET_SINE:
+        j = np.arange(n + 1, n + terms + 1, dtype=float)
+        head = float(np.sum((1.0 + (np.pi * j) ** 2) ** (-r)))
+        edge = n + terms
+        remainder = (np.pi ** (-2 * r)) * edge ** (1 - 2 * r) / (2 * r - 1)
+        return prior.amplitude * (head + remainder)
+    half = (n - 1) // 2
+    k = np.arange(half + 1, half + terms + 1, dtype=float)
+    head = float(np.sum(2.0 * (1.0 + k**2) ** (-r)))
+    edge = half + terms
+    remainder = 2.0 * edge ** (1 - 2 * r) / (2 * r - 1)
+    return prior.amplitude * (head + remainder)
 
 
 def load_csv(path):

@@ -107,6 +107,22 @@ class TestRepresenter:
         with pytest.raises(ConfigurationError, match="zero"):
             representer(op, coeff_vector(interval, np.zeros(interval.n_modes)))
 
+    @pytest.mark.parametrize(
+        "coeffs, name",
+        [(np.full(32, 1e300), "psi_tilde norm is inf"), (1e-200 * np.eye(32)[0], "norm is 0")],
+        ids=["overflow", "underflow"],
+    )
+    @pytest.mark.parametrize("kind", ["companion", "dense"])
+    def test_norms_outside_the_double_range_refused(self, interval, bvp_pair, coeffs, name, kind):
+        # the agreement checks compared inf with 1e-8 * inf, or 0 with 0, and
+        # passed: the limiting variance came back inf or 0
+        op = bvp_pair[1]
+        if kind == "dense":
+            op = ForwardOperator(basis=interval, matrix=np.diag(op.multipliers))
+            name = name.replace("psi_tilde", "psi")
+        with pytest.raises(NumericalError, match=name):
+            representer(op, coeff_vector(interval, coeffs))
+
     def test_heat_generic_psi_ill_posed(self, interval):
         op = heat_semigroup(interval, 0.1)
         rng = np.random.default_rng(6)

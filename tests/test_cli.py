@@ -10,6 +10,7 @@ import subprocess
 import re
 import sys
 import textwrap
+import tracemalloc
 import types
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -27,7 +28,7 @@ from bvmlab.cli import build_context, emit_csv, main, run_command
 from bvmlab.config import parse_config, resolved_items
 from bvmlab.errors import ConfigurationError, NumericalError
 from bvmlab.seeds import derive_seed
-from reference import load_csv
+from reference import csv_text_per_cell, load_csv
 
 MINIMAL_BVP = """
 experiment=coverage
@@ -250,6 +251,30 @@ class TestEmitCsv:
         with pytest.raises(ConfigurationError):
             emit_csv(("a",), cli._csv_text(("a",), ([],)), str(tmp_path / "x.csv"))
 
+    def test_pieces_are_written_unjoined(self, tmp_path):
+        # 128 pieces of 64 KiB: the file holds their concatenation, and the
+        # write holds about one piece beyond them; writing the joined body at
+        # once encodes all 8 MiB in one go
+        pieces = [f"{i:07d}\n" * 8192 for i in range(128)]
+        path = tmp_path / "x.csv"
+
+        def peak_of(body):
+            tracemalloc.start()
+            try:
+                emit_csv(("a",), body, str(path))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak_of(pieces) < 1 << 20
+        assert path.read_text() == "a\n" + "".join(pieces)
+        assert peak_of("".join(pieces)) > 6 << 20
+
+    def test_empty_pieces_rejected(self, tmp_path):
+        with pytest.raises(ConfigurationError):
+            emit_csv(("a",), ["", ""], str(tmp_path / "x.csv"))
+        assert os.listdir(tmp_path) == []
+
     def test_boolean_and_missing_cells(self, tmp_path):
         path = tmp_path / "x.csv"
         columns = (np.array([True, False]), ["", "1.5"])
@@ -259,9 +284,38 @@ class TestEmitCsv:
         assert rows[1] == ["false", "1.5"]
 
 
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+
+
+@st.composite
+def _table(draw):
+    """A header and columns of every kind the formatter takes, at least one of
+    them holding a cell per row."""
+    n_rows = draw(st.integers(0, 12))
+    cells = st.text(max_size=6)
+    per_row = st.one_of(
+        st.lists(_FINITE, min_size=n_rows, max_size=n_rows).map(np.array),
+        st.lists(st.booleans(), min_size=n_rows, max_size=n_rows).map(np.array),
+        st.lists(cells, min_size=n_rows, max_size=n_rows),
+    )
+    single = st.one_of(
+        _FINITE, st.sampled_from(["%", "100%", "%s%%", "%(x)d", ""]), cells, st.none()
+    )
+    columns = draw(st.lists(st.one_of(per_row, single), min_size=0, max_size=6))
+    columns.insert(draw(st.integers(0, len(columns))), draw(per_row))
+    return [f"c{j}" for j in range(len(columns))], columns
+
+
 class TestCsvText:
     """Every table body goes through one formatter, which takes a column per
     header name and refuses a non-finite number by the column's name."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=_table())
+    def test_matches_the_per_cell_formatter(self, table):
+        header, columns = table
+        assert cli._csv_text(header, columns) == csv_text_per_cell(header, columns)
 
     @pytest.mark.parametrize(
         "column, cells",
@@ -770,6 +824,15 @@ _LATE_FAILING = [
         "coverage",
         "n_modes=32\nfunctional.band=8\ntruth.kind=modes\ntruth.values=1e308\ntruth.scale=10",
         "truth.scale",
+    ),
+    # the Sobolev draw's top norm weights overflowed, so its norm was inf and
+    # the draw all zeros: rates wrote a full table with exit 0, and coverage
+    # failed on a zero functional naming no key
+    ("rates", "n_modes=32\ntruth.kind=sobolev\ntruth.alpha=78", "truth.alpha"),
+    (
+        "coverage",
+        "n_modes=32\nfunctional.kind=sobolev\nfunctional.alpha=78\nfunctional.band=8",
+        "functional.alpha",
     ),
 ]
 

@@ -188,6 +188,23 @@ def test_engine_matches_reference_loop(request, setup, ball_beta, indices):
 
 
 @pytest.mark.parametrize("setup", ["diag_setup", "dense_setup"])
+def test_levels_with_other_functionals_score_alone(request, setup):
+    # consecutive levels of one functional share each replicate's noise term;
+    # a level whose functional differs from its neighbour's computes its own
+    prior, op, truth, tf = request.getfixturevalue(setup)
+    other = representer(op, unit_vector(op.basis, 1))
+    system = posterior_system(prior, op)
+    plan = [(1e-2, tf), (3e-3, other), (1e-3, other), (3e-4, tf)]
+    levels = [credible_sets(system, eps, functional, 0.9) for eps, functional in plan]
+    indices = range(REPLICATE_BLOCK + 3)
+    tables = replicate_table(system, levels, truth, indices, master_seed=5)
+    for sets, table in zip(levels, tables):
+        (alone,) = replicate_table(system, [sets], truth, indices, master_seed=5)
+        assert _rows(table) == _rows(alone)
+        assert _per_call(table) == _per_call(alone)
+
+
+@pytest.mark.parametrize("setup", ["diag_setup", "dense_setup"])
 def test_block_rows_match_single_rows_bitwise(request, setup):
     prior, op, truth, _ = request.getfixturevalue(setup)
     system = posterior_system(prior, op)

@@ -482,3 +482,11 @@ class TestTruncationTail:
         torus = build_basis(BasisKind.FOURIER_TORUS, 33, 8)
         tail = truncation_tail(matern_prior(torus, r=1.0))
         assert 0 < tail < 1.0
+
+    @pytest.mark.parametrize("kind", list(BasisKind))
+    @pytest.mark.parametrize("r", [0.51, 0.75, 1.0, 4 / 3, 2.0, 3.5, 7.0])
+    def test_in_place_terms_keep_the_bits(self, kind, r):
+        # the head is summed over one array computed in place; the oracle
+        # builds a new array at each step of the same expression
+        prior = matern_prior(build_basis(kind, 33, 4), r, amplitude=1.7)
+        assert truncation_tail(prior) == reference.truncation_tail_expression(prior)

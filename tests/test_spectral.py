@@ -293,3 +293,12 @@ class TestSobolevDraw:
         g = sobolev_draw(interval, 2.0, 42)
         np.testing.assert_array_equal(f.coeffs, g.coeffs)
         np.testing.assert_allclose(sobolev_norm(f, 2.0), 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("alpha", [78.0, 400.0])
+    def test_norm_outside_the_double_range_refused(self, alpha):
+        # the top weights (1 + lambda_32)^alpha overflow while the squared
+        # coefficients are subnormal or 0: the norm is inf or nan, and dividing
+        # by it returned zeros
+        basis = build_basis(BasisKind.DIRICHLET_SINE, 32, 4)
+        with pytest.raises(ConfigurationError, match=r"^alpha=.*: the draw's norm is (inf|nan)"):
+            sobolev_draw(basis, alpha, 0)
