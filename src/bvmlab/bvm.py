@@ -50,11 +50,6 @@ __all__ = [
 # semigroup weight is numerically void
 HEAT_DECAY_CEILING = 300.0
 
-# the replicate engine works through its replicates in blocks of this many
-# rows, so its memory is O(REPLICATE_BLOCK * n_modes) for any replicate count
-REPLICATE_BLOCK = 256
-
-
 @dataclass(frozen=True)
 class TestFunctional:
     """A test functional psi together with its representer and limiting variance.
@@ -144,31 +139,6 @@ def heat_psi_from_representer(psi_tilde: CoeffVector, time_horizon: float) -> Te
 
 
 @dataclass(frozen=True, eq=False)
-class ReplicateTable:
-    """Columnar replicate records of one functional at one noise level.
-
-    Row r belongs to replicate ``replicate_index[r]``; the ball fields are None
-    unless a ball was requested.  The interval and ball radii depend only on
-    the posterior covariance, so each is one number per table.  The noise
-    level, the credible level and the limiting variance are recorded too, so
-    ``coverage_report`` needs nothing but the table.
-    """
-
-    epsilon: float
-    level: float
-    replicate_index: np.ndarray  # (rows,)
-    functional_mean: np.ndarray  # (rows,)
-    scaled_error: np.ndarray  # (rows,)
-    hat_psi: np.ndarray  # (rows,)
-    interval_covered: np.ndarray  # (rows,), bool
-    interval_radius: float
-    posterior_functional_variance: float
-    limiting_variance: float
-    ball_radius: Optional[float] = None
-    ball_covered: Optional[np.ndarray] = None  # (rows,), bool
-
-
-@dataclass(frozen=True, eq=False)
 class CredibleSets:
     """The credible sets of one functional at one noise level.
 
@@ -186,6 +156,25 @@ class CredibleSets:
     interval_radius: float
     ball_beta: Optional[float] = None
     ball_radius: Optional[float] = None
+
+
+@dataclass(frozen=True, eq=False)
+class ReplicateTable:
+    """Columnar replicate records of one functional at one noise level.
+
+    Row r belongs to replicate ``replicate_index[r]``; ``ball_covered`` is None
+    unless the level's credible sets hold a ball.  The noise level, the
+    credible level, the radii and the variances are the level's ``sets``, so
+    ``coverage_report`` needs nothing but the table.
+    """
+
+    sets: CredibleSets
+    replicate_index: np.ndarray  # (rows,)
+    functional_mean: np.ndarray  # (rows,)
+    scaled_error: np.ndarray  # (rows,)
+    hat_psi: np.ndarray  # (rows,)
+    interval_covered: np.ndarray  # (rows,), bool
+    ball_covered: Optional[np.ndarray] = None  # (rows,), bool
 
 
 def credible_sets(
@@ -212,46 +201,43 @@ def credible_sets(
     )
 
 
-def _replicate_blocks(
+def _replicate_modes(
     system: PosteriorSystem,
     epsilons: Sequence[float],
     f_dagger: CoeffVector,
     indices: Sequence[int],
     master_seed: int,
-) -> Iterator[tuple[int, slice, np.ndarray, np.ndarray]]:
+) -> tuple[np.ndarray, Iterator[np.ndarray]]:
     """Measurements ``A f_dagger + epsilon W`` from the fixed truth at every
-    noise level, in blocks of up to ``REPLICATE_BLOCK`` replicates.
+    noise level, for the replicates ``indices`` in one block.
 
     Replicate i draws W once, as ``noise_draw`` of the key
     ``derive_seed(master_seed, 2i)``, and rotates it into the system's modes
-    once for every level; the master seed must lie in 0..2**64 - 1.  Each
-    block yields ``(k, rows, noise, modes)`` for each level k in turn: the
-    slice of ``indices`` it covers, its noise rows and their modal posterior
-    means ``g * U^T (A f_dagger + epsilon W)`` at ``epsilons[k]``, which
-    ``system.synthesise`` maps to coefficients.  Every step is row-local, so
-    every row is bitwise the same for any index split, and a parallel driver
-    may pass any sub-range.
-
-    Every level's modal rows are computed into one reused buffer, so a
-    yielded ``modes`` block stays valid only until the next yield: both
-    consumers read it at once, before they ask for the next block.
+    once for every level; the master seed must lie in 0..2**64 - 1.  Returns
+    the noise rows and an iterator over the levels' modal posterior means
+    ``g * U^T (A f_dagger + epsilon W)``, which ``system.synthesise`` maps to
+    coefficients.  Every step is row-local, so every row is bitwise the same
+    for any index split: a parallel driver bounds memory by the ranges it
+    passes.  Every level's modal rows are computed into one reused buffer,
+    valid only until the iterator's next step.
     """
     if not system.operator.basis.compatible(f_dagger.basis):
         raise ShapeError("truth lives on a different basis than the operator")
     signal = system.rotate(apply(system.operator, f_dagger).coeffs)
     gains = [system.gains(epsilon) for epsilon in epsilons]
-    for lo in range(0, len(indices), REPLICATE_BLOCK):
-        keys = [derive_seed(master_seed, 2 * i) for i in indices[lo : lo + REPLICATE_BLOCK]]
-        rows = slice(lo, lo + len(keys))
-        noise = noise_block(f_dagger.basis, keys)
-        rotated = system.rotate(noise)
+    noise = noise_block(f_dagger.basis, [derive_seed(master_seed, 2 * i) for i in indices])
+    rotated = system.rotate(noise)
+
+    def modal_means() -> Iterator[np.ndarray]:
         modes = np.empty_like(rotated)
-        for k, (epsilon, gain) in enumerate(zip(epsilons, gains)):
+        for epsilon, gain in zip(epsilons, gains):
             # gain * (signal + epsilon * rotated), ufunc by ufunc
             np.multiply(epsilon, rotated, out=modes)
             np.add(signal, modes, out=modes)
             np.multiply(gain, modes, out=modes)
-            yield k, rows, noise, modes
+            yield modes
+
+    return noise, modal_means()
 
 
 def _distances(
@@ -273,47 +259,38 @@ def replicate_table(
     master_seed: int = 0,
 ) -> list[ReplicateTable]:
     """The replicates scored against each noise level's credible sets, as
-    columns: one table per level, in the order of ``levels``."""
-    truth_values = [inner(f_dagger, sets.functional.psi) for sets in levels]
-    # <W m, psi> = <m, W^T psi>, so a level's functional is O(n) per replicate
-    psi_modes = [system.functional_modes(sets.functional.psi) for sets in levels]
-    images = [apply(system.operator, sets.functional.psi_tilde).coeffs for sets in levels]
-    ball_weights = [
-        None if sets.ball_beta is None
-        else (1.0 + system.prior.basis.eigenvalues) ** (-sets.ball_beta)
-        for sets in levels
-    ]
-    shape = (len(levels), len(indices))
-    means, noise_terms, distances = np.empty(shape), np.empty(shape), np.empty(shape)
+    columns: one table per level, in the order of ``levels``, which must all
+    hold one functional and one ``ball_beta``."""
+    functional, ball_beta = levels[0].functional, levels[0].ball_beta
+    if any(sets.functional is not functional or sets.ball_beta != ball_beta for sets in levels):
+        raise ConfigurationError("every noise level must score one functional and one ball_beta")
+    truth_value = inner(f_dagger, functional.psi)
+    # <W m, psi> = <m, W^T psi>, so the functional is O(n) per replicate
+    psi_modes = system.functional_modes(functional.psi)
+    image = apply(system.operator, functional.psi_tilde).coeffs
+    weights = None if ball_beta is None else (1.0 + system.prior.basis.eigenvalues) ** -ball_beta
     epsilons = [sets.epsilon for sets in levels]
-    blocks = _replicate_blocks(system, epsilons, f_dagger, indices, master_seed)
-    for k, rows, noise, modes in blocks:
-        means[k, rows] = np.vecdot(modes, psi_modes[k])
-        # <w, A psi_tilde> does not depend on the noise level
-        if k and levels[k].functional is levels[k - 1].functional:
-            noise_terms[k, rows] = noise_terms[k - 1, rows]
-        else:
-            noise_terms[k, rows] = np.vecdot(noise, images[k])
-        if ball_weights[k] is not None:
-            distances[k, rows] = _distances(system, f_dagger, modes, ball_weights[k])
-    columns = zip(levels, truth_values, means, noise_terms, distances)
-    return [
-        ReplicateTable(
-            epsilon=sets.epsilon,
-            level=sets.level,
-            replicate_index=np.array(indices, dtype=np.int64),
-            functional_mean=mean,
-            scaled_error=(mean - truth_value) / sets.epsilon,
-            hat_psi=truth_value - sets.epsilon * noise_term,
-            interval_covered=np.abs(truth_value - mean) <= sets.interval_radius,
-            interval_radius=sets.interval_radius,
-            posterior_functional_variance=sets.posterior_functional_variance,
-            limiting_variance=sets.functional.limiting_variance,
-            ball_radius=sets.ball_radius,
-            ball_covered=None if sets.ball_beta is None else distance <= sets.ball_radius,
+    noise, modes_by_level = _replicate_modes(system, epsilons, f_dagger, indices, master_seed)
+    # <w, A psi_tilde> does not depend on the noise level
+    noise_term = np.vecdot(noise, image)
+    tables = []
+    for sets, modes in zip(levels, modes_by_level):
+        mean = np.vecdot(modes, psi_modes)
+        tables.append(
+            ReplicateTable(
+                sets=sets,
+                replicate_index=np.array(indices, dtype=np.int64),
+                functional_mean=mean,
+                scaled_error=(mean - truth_value) / sets.epsilon,
+                hat_psi=truth_value - sets.epsilon * noise_term,
+                interval_covered=np.abs(truth_value - mean) <= sets.interval_radius,
+                ball_covered=(
+                    None if weights is None
+                    else _distances(system, f_dagger, modes, weights) <= sets.ball_radius
+                ),
+            )
         )
-        for sets, truth_value, mean, noise_term, distance in columns
-    ]
+    return tables
 
 
 def replicate_errors(
@@ -333,8 +310,9 @@ def replicate_errors(
     """
     weights = (1.0 + system.prior.basis.eigenvalues) ** exponent
     errors = np.empty((len(epsilons), len(indices)))
-    for k, rows, _, modes in _replicate_blocks(system, epsilons, f_dagger, indices, master_seed):
-        errors[k, rows] = _distances(system, f_dagger, modes, weights)
+    _, modes_by_level = _replicate_modes(system, epsilons, f_dagger, indices, master_seed)
+    for k, modes in enumerate(modes_by_level):
+        errors[k] = _distances(system, f_dagger, modes, weights)
     return errors
 
 
@@ -386,12 +364,13 @@ def coverage_report(
     n = len(table.replicate_index)
     if n == 0:
         raise ConfigurationError("cannot report coverage of an empty table")
+    sets = table.sets
     if which is CoverageKind.BALL:
-        if table.ball_radius is None:
+        if sets.ball_radius is None:
             raise ConfigurationError("ball coverage requested but the table has no ball")
-        covered, radius = table.ball_covered, table.ball_radius
+        covered, radius = table.ball_covered, sets.ball_radius
     else:
-        covered, radius = table.interval_covered, table.interval_radius
+        covered, radius = table.interval_covered, sets.interval_radius
     hits = int(np.count_nonzero(covered))
     low, high = _wilson_interval(hits, n)
     return CoverageReport(
@@ -399,9 +378,9 @@ def coverage_report(
         hit_rate=hits / n,
         wilson_low=low,
         wilson_high=high,
-        mean_scaled_radius=radius / table.epsilon,
-        ks_to_limit=ks_distance(table.scaled_error, table.limiting_variance),
-        target_level=table.level,
+        mean_scaled_radius=radius / sets.epsilon,
+        ks_to_limit=ks_distance(table.scaled_error, sets.functional.limiting_variance),
+        target_level=sets.level,
     )
 
 

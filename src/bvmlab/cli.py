@@ -65,6 +65,10 @@ COVERAGE_COLUMNS = (
 )
 _RATES_COLUMNS = ("epsilon", "replicate", "dual_error")
 
+# the most replicates in one chunk: the replicate engine scores a chunk in one
+# block, so a task's memory is O(REPLICATE_BLOCK * n_modes) for any replicate count
+REPLICATE_BLOCK = 256
+
 
 @dataclass
 class ExperimentContext:
@@ -218,9 +222,10 @@ def _coverage_rows(context: ExperimentContext, run: tuple, indices: range) -> li
     replicates = [str(i) for i in indices]
     rows = []
     for t in tables:
-        columns = (t.epsilon, replicates, t.functional_mean, t.scaled_error, t.hat_psi)
-        columns += (t.interval_radius, t.interval_covered, t.ball_radius, t.ball_covered)
-        text = _csv_text(COVERAGE_COLUMNS, columns, f" at epsilon={t.epsilon!r}")
+        sets = t.sets
+        columns = (sets.epsilon, replicates, t.functional_mean, t.scaled_error, t.hat_psi)
+        columns += (sets.interval_radius, t.interval_covered, sets.ball_radius, t.ball_covered)
+        text = _csv_text(COVERAGE_COLUMNS, columns, f" at epsilon={sets.epsilon!r}")
         ball_hits = 0 if t.ball_covered is None else int(np.count_nonzero(t.ball_covered))
         rows.append((text, (int(np.count_nonzero(t.interval_covered)), ball_hits)))
     return rows
@@ -246,9 +251,9 @@ def _rates_rows(
 
 def _chunks(n: int, workers: int) -> list[range]:
     """Contiguous index ranges of ``ceil(n / workers)`` replicates, but of no more
-    than ``bvm.REPLICATE_BLOCK``: a chunk holds every noise level's rows of its
+    than ``REPLICATE_BLOCK``: a chunk holds every noise level's rows of its
     replicates, so the block size bounds what a task holds."""
-    size = min(bvm.REPLICATE_BLOCK, math.ceil(n / workers))
+    size = min(REPLICATE_BLOCK, math.ceil(n / workers))
     return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 

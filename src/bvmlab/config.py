@@ -19,7 +19,12 @@ import numpy as np
 
 from .bvm import heat_psi_from_representer
 from .errors import ConfigurationError
-from .operators import DEFAULT_COND_LIMIT, EllipticCoefficient, psido_multiplier
+from .operators import (
+    DEFAULT_COND_LIMIT,
+    EllipticCoefficient,
+    embedding_constant,
+    psido_multiplier,
+)
 from .posterior import two_sided_quantile
 from .priors import MAX_MC_SAMPLES, _positive_deltas, matern_prior
 from .spectral import (
@@ -254,7 +259,10 @@ class ExperimentConfig:
         if self.operator_kind == "psido" or conjugacy:
             torus = build_basis(BasisKind.FOURIER_TORUS, self.torus_modes, self.oversample)
             with _keyed("operator.t"):
-                psido_multiplier(torus, self.operator_t)
+                multiplier = psido_multiplier(torus, self.operator_t)
+                # every run's metadata holds the forward map's embedding constant
+                if self.operator_kind == "psido":
+                    embedding_constant(multiplier, self.ambient_exponent)
         if self.operator_kind == "bvp":
             self._check_coefficient(basis.grid)
         if self.reads_truth:

@@ -222,32 +222,46 @@ def fisher_solve(
                 f"(effective condition {math.inf if s_worst == 0 else s_best / s_worst:.3g} "
                 f"> limit {cond_limit:.3g})"
             )
-        out = np.zeros(op.basis.n_modes)
-        out[occupied] = psi.coeffs[occupied] / squared[occupied]
-        return coeff_vector(op.basis, out)
-    s, vt = op._svd
-    cond = math.inf if s[-1] == 0.0 else float((s[0] / s[-1]) ** 2)
-    if cond > cond_limit:
-        raise IllPosedError(
-            f"normal operator condition {cond:.3g} exceeds limit {cond_limit:.3g}"
-        )
-    with np.errstate(over="ignore"):
-        squared = s**2
-    # an eigenvalue of A^T A at inf would zero its mode of the solution
-    if not squared[0] < math.inf:
-        raise NumericalError(
-            f"the normal operator's largest eigenvalue, {s[0]:.3g} squared, overflows"
-        )
-    return coeff_vector(op.basis, vt.T @ ((vt @ psi.coeffs) / squared))
+        solution = np.zeros(op.basis.n_modes)
+        # a quotient that overflows is refused below
+        with np.errstate(over="ignore"):
+            solution[occupied] = psi.coeffs[occupied] / squared[occupied]
+    else:
+        s, vt = op._svd
+        cond = math.inf if s[-1] == 0.0 else float((s[0] / s[-1]) ** 2)
+        if cond > cond_limit:
+            raise IllPosedError(
+                f"normal operator condition {cond:.3g} exceeds limit {cond_limit:.3g}"
+            )
+        # an overflowing quotient, and the nan it leaves in the product, are refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            squared = s**2
+            # an eigenvalue of A^T A at inf would zero its mode of the solution
+            if not squared[0] < math.inf:
+                raise NumericalError(
+                    f"the normal operator's largest eigenvalue, {s[0]:.3g} squared, overflows"
+                )
+            solution = vt.T @ ((vt @ psi.coeffs) / squared)
+    if not np.all(np.isfinite(solution)):
+        raise NumericalError("the solution of A*A x = psi overflows the double range")
+    return coeff_vector(op.basis, solution)
 
 
 def embedding_constant(op: ForwardOperator, ambient_exponent: float) -> float:
     """Calibrated constant c with ||A f|| <= c * ||f|| in the smoothness-``ambient_exponent`` norm.
 
     Computed as the operator norm of A composed with the inverse weight map,
-    exact for diagonal operators.
+    exact for diagonal operators.  A constant that leaves the double range is
+    refused.
     """
-    half_inverse_weights = (1.0 + op.basis.eigenvalues) ** (-ambient_exponent / 2.0)
-    if op.is_diagonal:
-        return float(np.max(np.abs(op.multipliers) * half_inverse_weights))
-    return float(np.linalg.norm(op.matrix * half_inverse_weights[None, :], 2))
+    with np.errstate(over="ignore"):
+        half_inverse_weights = (1.0 + op.basis.eigenvalues) ** (-ambient_exponent / 2.0)
+        if op.is_diagonal:
+            c = float(np.max(np.abs(op.multipliers) * half_inverse_weights))
+        else:
+            c = float(np.linalg.norm(op.matrix * half_inverse_weights[None, :], 2))
+    if not c < math.inf:
+        raise ConfigurationError(
+            f"the embedding constant is {c!r}: the weak-norm bound leaves the double range"
+        )
+    return c

@@ -138,7 +138,7 @@ def test_criterion_2_semiparametric_bvm_bvp(bvp_experiment):
     assert last_three[0] >= last_three[1] >= last_three[2], f"KS not monotone: {last_three}"
     assert last_three[-1] < 0.05
     finest = results[EPS_LADDER[-1]]
-    var_ratio = finest.posterior_functional_variance / (EPS_LADDER[-1] ** 2 * sigma2)
+    var_ratio = finest.sets.posterior_functional_variance / (EPS_LADDER[-1] ** 2 * sigma2)
     assert abs(var_ratio - 1.0) <= 0.05
     report(
         "2 semiparametric BvM (elliptic solution map)",
@@ -258,7 +258,7 @@ def test_criterion_7_credible_ball(bvp_experiment):
         credible_sets(system, eps, functional, 0.95, ball_beta=3.5) for eps in slope_ladder
     ]
     tables = replicate_table(system, levels, fdag, range(50), master_seed=MASTER_SEED + 1)
-    radii = [table.ball_radius for table in tables]
+    radii = [table.sets.ball_radius for table in tables]
     fit = rate_fit(slope_ladder, radii, 1.0)
     assert abs(fit.slope - 1.0) <= 0.15
     report(

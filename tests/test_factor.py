@@ -3,6 +3,7 @@ independent solves and with a per-replicate reference loop, one
 factorisation per run whatever the number of noise levels, chunk
 invariance, and error mapping."""
 import math
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from bvmlab import cli, posterior
 from bvmlab.bvm import (
-    REPLICATE_BLOCK,
     credible_sets,
     replicate_errors,
     replicate_table,
@@ -65,7 +65,10 @@ def diag_setup():
     return prior, op, truth, tf
 
 
-# the table's columns with one entry per row, and its numbers with one value per call
+REPLICATE_BLOCK = cli.REPLICATE_BLOCK
+
+# the table's columns with one entry per row, and its level's numbers, read
+# through its credible sets
 ROW_COLUMNS = (
     "replicate_index",
     "functional_mean",
@@ -79,7 +82,7 @@ PER_CALL = (
     "level",
     "interval_radius",
     "posterior_functional_variance",
-    "limiting_variance",
+    "functional.limiting_variance",
     "ball_radius",
 )
 
@@ -106,7 +109,7 @@ def _rows(table):
 
 def _per_call(table):
     """Everything in the table that does not depend on the row, as one repr."""
-    return repr([getattr(table, name) for name in PER_CALL])
+    return repr([attrgetter(name)(table.sets) for name in PER_CALL])
 
 
 def _reference_replicates(
@@ -167,7 +170,7 @@ def _reference_replicates(
 )
 def test_engine_matches_reference_loop(request, setup, ball_beta, indices):
     prior, op, truth, tf = request.getfixturevalue(setup)
-    n = REPLICATE_BLOCK + 3  # crosses a row-block boundary
+    n = REPLICATE_BLOCK + 3  # more replicates than one chunk of the CLI
     indices = range(n) if indices is None else indices
     kwargs = dict(level=0.9, ball_beta=ball_beta, master_seed=11)
     epsilons = (1e-2, 1e-3)
@@ -184,24 +187,27 @@ def test_engine_matches_reference_loop(request, setup, ball_beta, indices):
             assert _rows(table) == want_rows
             assert _per_call(table) == want_per_call
             assert table.functional_mean.shape == (len(want_rows),)
-            assert (table.ball_radius is None) == (ball_beta is None)
+            assert (table.sets.ball_radius is None) == (ball_beta is None)
 
 
 @pytest.mark.parametrize("setup", ["diag_setup", "dense_setup"])
-def test_levels_with_other_functionals_score_alone(request, setup):
-    # consecutive levels of one functional share each replicate's noise term;
-    # a level whose functional differs from its neighbour's computes its own
+@pytest.mark.parametrize(
+    "plan",
+    [
+        [(1e-2, "tf", None), (1e-3, "other", None)],
+        [(1e-2, "tf", None), (1e-3, "tf", 3.5)],
+        [(1e-2, "tf", 3.5), (1e-3, "tf", 2.75)],
+    ],
+    ids=["functionals", "ball-and-none", "ball-norms"],
+)
+def test_levels_mixing_functionals_or_balls_are_refused(request, setup, plan):
+    # one call scores one functional and one ball norm over its noise levels
     prior, op, truth, tf = request.getfixturevalue(setup)
-    other = representer(op, unit_vector(op.basis, 1))
+    functionals = {"tf": tf, "other": representer(op, unit_vector(op.basis, 1))}
     system = posterior_system(prior, op)
-    plan = [(1e-2, tf), (3e-3, other), (1e-3, other), (3e-4, tf)]
-    levels = [credible_sets(system, eps, functional, 0.9) for eps, functional in plan]
-    indices = range(REPLICATE_BLOCK + 3)
-    tables = replicate_table(system, levels, truth, indices, master_seed=5)
-    for sets, table in zip(levels, tables):
-        (alone,) = replicate_table(system, [sets], truth, indices, master_seed=5)
-        assert _rows(table) == _rows(alone)
-        assert _per_call(table) == _per_call(alone)
+    levels = [credible_sets(system, eps, functionals[f], 0.9, beta) for eps, f, beta in plan]
+    with pytest.raises(ConfigurationError, match="one functional and one ball_beta"):
+        replicate_table(system, levels, truth, range(3), master_seed=5)
 
 
 @pytest.mark.parametrize("setup", ["diag_setup", "dense_setup"])
@@ -289,7 +295,7 @@ def test_replicates_match_parameter_space_solve(dense_setup, epsilon):
         obs = Observation(data=data, epsilon=epsilon)
         want_mean = float(np.dot(tikhonov_solve(prior, op, obs).coeffs, tf.psi.coeffs))
         assert mean == pytest.approx(want_mean, rel=1e-10, abs=1e-14)
-    assert table.posterior_functional_variance == pytest.approx(want_var, rel=1e-10)
+    assert table.sets.posterior_functional_variance == pytest.approx(want_var, rel=1e-10)
 
 
 @pytest.mark.parametrize("n_levels", [1, 3, 7])
@@ -381,7 +387,7 @@ def test_ball_flag_is_error_within_radius(request, setup):
     errors = replicate_errors(system, epsilons, truth, indices, -beta, master_seed=13)
     assert errors.shape == (len(epsilons), len(indices))
     for table, row in zip(tables, errors):
-        assert table.ball_covered.tobytes() == (row <= table.ball_radius).tobytes()
+        assert table.ball_covered.tobytes() == (row <= table.sets.ball_radius).tobytes()
         # neither all in nor all out, so the comparison tells the two apart
         assert 0 < np.count_nonzero(table.ball_covered) < len(indices)
 
@@ -393,7 +399,7 @@ def test_index_split_bitwise_with_ball(dense_setup):
     rest = _table(dense_setup, 1e-3, range(5, 10), **kwargs)
     assert _rows(first) + _rows(rest) == _rows(full)
     assert _per_call(first) == _per_call(rest) == _per_call(full)
-    assert isinstance(full.ball_radius, float)
+    assert isinstance(full.sets.ball_radius, float)
     assert full.ball_covered.shape == (10,)
 
 
@@ -432,7 +438,7 @@ def test_any_contiguous_split_is_bitwise(dense_setup, data):
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_any_contiguous_split_is_bitwise_diagonal(diag_setup, data):
-    # large enough for splits that cut across row blocks
+    # large enough for splits longer than one chunk of the CLI
     _check_contiguous_split(
         diag_setup, data, max_n=2 * REPLICATE_BLOCK + 8, ball_beta=None, max_cuts=6
     )

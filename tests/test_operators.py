@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bvmlab.errors import ConfigurationError, IllPosedError, ShapeError
+from bvmlab.errors import ConfigurationError, IllPosedError, NumericalError, ShapeError
 from bvmlab.operators import (
     EllipticCoefficient,
     ForwardOperator,
@@ -305,6 +305,16 @@ class TestFisherSolve:
         diag_out = fisher_solve(inv, psi, 1e12)
         dense_out = fisher_solve(dense, psi, 1e12)
         np.testing.assert_allclose(dense_out.coeffs, diag_out.coeffs, rtol=1e-8)
+
+    def test_overflowing_solution_is_numerical_error(self, bvp_pair, interval):
+        # 1e305 * (pi k)^4 leaves the double range on every mode: the quotient
+        # warned, and its inf failed later as an unkeyed configuration error
+        _, inv = bvp_pair
+        dense = ForwardOperator(basis=interval, matrix=np.diag(inv.multipliers))
+        psi = coeff_vector(interval, np.full(interval.n_modes, 1e305))
+        for op in (inv, dense):
+            with pytest.raises(NumericalError, match="overflows the double range"):
+                fisher_solve(op, psi)
 
     def test_dense_cond_limit_gates_normal_operator(self, bvp_variable_pair, interval):
         _, inv = bvp_variable_pair
