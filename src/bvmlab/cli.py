@@ -26,7 +26,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from . import bvm, operators, posterior, priors, spectral  # noqa: E402
-from .config import ExperimentConfig, parse_config, resolved_items  # noqa: E402
+from .config import ExperimentConfig, _keyed, parse_config, resolved_items  # noqa: E402
 from .errors import (  # noqa: E402
     BvmlabError,
     ConfigurationError,
@@ -72,7 +72,8 @@ REPLICATE_BLOCK = 256
 
 @dataclass
 class ExperimentContext:
-    """All objects an experiment needs, built deterministically from the config."""
+    """All objects an experiment needs, built once from the config by
+    ``build_context``, which checks each library limit on the way."""
 
     config: ExperimentConfig
     basis: spectral.SpectralBasis
@@ -80,49 +81,105 @@ class ExperimentContext:
     prior: priors.GaussianPrior
     truth: Optional[spectral.CoeffVector]  # None for experiments that read no truth
     functional: Optional[bvm.TestFunctional]
+    embedding_constant: float  # the forward map's, in its weak norm
+    prior_tail: float  # the prior's variance beyond the basis
+    conjugacy_maps: Optional[dict[str, operators.ForwardOperator]]  # by family, for conjugacy
 
 
-def _build_operator(config: ExperimentConfig, basis) -> operators.ForwardOperator:
-    if config.operator_kind == "psido":
-        return operators.psido_multiplier(basis, config.operator_t)
-    if config.operator_kind == "heat":
-        return operators.heat_semigroup(basis, config.operator_time)
-    return operators.elliptic_operator(config.coefficient, basis)[1]
+# the key each operator kind's builder reads
+_OPERATOR_KEYS = {"psido": "operator.t", "bvp": "operator.coefficient_base", "heat": "operator.time"}
+
+
+def _build_operator(config: ExperimentConfig, kind: str, basis) -> operators.ForwardOperator:
+    with _keyed(_OPERATOR_KEYS[kind]):
+        if kind == "psido":
+            return operators.psido_multiplier(basis, config.operator_t)
+        if kind == "heat":
+            return operators.heat_semigroup(basis, config.operator_time)
+        return operators.elliptic_operator(config.coefficient, basis)[1]
+
+
+def _build_prior(config: ExperimentConfig, basis) -> priors.GaussianPrior:
+    try:
+        return priors.matern_prior(basis, config.prior_r, config.prior_amplitude)
+    except ConfigurationError as exc:
+        # at unit amplitude the variances are the decay alone, so if those
+        # fail too prior.r is at fault
+        try:
+            priors.matern_prior(basis, config.prior_r)
+        except ConfigurationError:
+            raise ConfigurationError(f"key 'prior.r': {exc}") from exc
+        raise ConfigurationError(f"key 'prior.amplitude': {exc}") from exc
 
 
 def _build_functional(config: ExperimentConfig, basis, forward) -> bvm.TestFunctional:
     kind = config.functional_kind
     if kind == "heat_mode":
-        tilde = spectral.unit_vector(basis, config.functional_mode - 1)
-        return bvm.heat_psi_from_representer(tilde, config.operator_time)
+        with _keyed("functional.mode"):
+            tilde = spectral.unit_vector(basis, config.functional_mode - 1)
+            return bvm.heat_psi_from_representer(tilde, config.operator_time)
     if kind == "mode":
-        psi = spectral.unit_vector(basis, config.functional_mode - 1)
+        with _keyed("functional.mode"):
+            psi = spectral.unit_vector(basis, config.functional_mode - 1)
         return bvm.representer(forward, psi, config.operator_cond_limit)
     if kind == "sobolev":
-        draw = spectral.sobolev_draw(basis, config.functional_alpha, config.functional_seed)
-        psi = spectral.bandlimit_approx(draw, config.functional_band)
+        with np.errstate(over="ignore", invalid="ignore"), _keyed("functional.alpha"):
+            draw = spectral.sobolev_draw(basis, config.functional_alpha, config.functional_seed)
+        with _keyed("functional.band"):
+            psi = spectral.bandlimit_approx(draw, config.functional_band)
         return bvm.representer(forward, psi, config.operator_cond_limit)
     # smoothed_image: the functional whose image under the differential
-    # operator is a band-limited bump-windowed sine
+    # operator is a band-limited bump-windowed sine, sampled on the N-point
+    # midpoint grid, where sine k aliases to 2N - k
+    sine, grid = config.functional_sine, basis.grid
+    if abs(sine) >= grid.size:
+        raise ConfigurationError(
+            f"key 'functional.sine': |sine| {abs(sine)} must stay below "
+            f"the grid size oversample * n_modes = {grid.size}"
+        )
     zeta = spectral.make_bump(config.functional_support, config.functional_plateau)
-    window = zeta(basis.grid) * np.sin(config.functional_sine * np.pi * basis.grid)
-    image = spectral.bandlimit_approx(
-        spectral.analyze(window, basis), config.functional_band
-    )
+    window = zeta(grid) * np.sin(sine * np.pi * grid)
+    with _keyed("functional.band"):
+        image = spectral.bandlimit_approx(spectral.analyze(window, basis), config.functional_band)
     psi = operators.apply(forward, image)
     return bvm.representer(forward, psi, config.operator_cond_limit)
 
 
+def _conjugacy_maps(
+    config: ExperimentConfig, basis, forward
+) -> dict[str, operators.ForwardOperator]:
+    """The unit-coefficient solution map and the configured multiplier and
+    semigroup; the run's own basis and forward map serve where they fit."""
+    sine, torus = spectral.BasisKind.DIRICHLET_SINE, spectral.BasisKind.FOURIER_TORUS
+    bases = {basis.kind: basis}
+    with _keyed("n_modes", "oversample"):
+        for kind, n_modes in ((sine, config.n_modes), (torus, config.torus_modes)):
+            if kind not in bases:
+                bases[kind] = spectral.build_basis(kind, n_modes, config.oversample)
+    unit = operators.EllipticCoefficient(lambda x: np.ones_like(x))
+    maps = {"bvp": operators.elliptic_operator(unit, bases[sine])[1]}
+    for kind, on in (("psido", bases[torus]), ("heat", bases[sine])):
+        maps[kind] = forward if config.operator_kind == kind else _build_operator(config, kind, on)
+    return maps
+
+
 def build_context(config: ExperimentConfig) -> ExperimentContext:
-    """Materialise basis, operator, prior, truth, and functional for one config."""
-    basis = spectral.build_basis(config.basis_kind, config.basis_modes, config.oversample)
-    forward = _build_operator(config, basis)
-    prior = priors.matern_prior(basis, config.prior_r, config.prior_amplitude)
+    """Build the basis, operator, prior, truth and functional of one config,
+    each once.  Each builder runs the library's own checks, and an error
+    there names the key the builder reads."""
+    widened = config.basis_modes > config.n_modes
+    with _keyed("tightness.max_modes" if widened else "n_modes", "oversample"):
+        basis = spectral.build_basis(config.basis_kind, config.basis_modes, config.oversample)
+    forward = _build_operator(config, config.operator_kind, basis)
+    with _keyed(_OPERATOR_KEYS[config.operator_kind]):
+        c = operators.embedding_constant(forward, config.ambient_exponent)
+    prior = _build_prior(config, basis)
     truth = config.truth(basis) if config.reads_truth else None
-    functional = None
-    if config.experiment == "coverage":
-        functional = _build_functional(config, basis, forward)
-    return ExperimentContext(config, basis, forward, prior, truth, functional)
+    experiment = config.experiment
+    functional = _build_functional(config, basis, forward) if experiment == "coverage" else None
+    maps = _conjugacy_maps(config, basis, forward) if experiment == "conjugacy" else None
+    tail = priors.truncation_tail(prior)
+    return ExperimentContext(config, basis, forward, prior, truth, functional, c, tail, maps)
 
 
 def emit_csv(
@@ -207,10 +264,10 @@ def _csv_text(header: Sequence[str], columns: Sequence, where: str = "") -> str:
 
 
 def _base_metadata(context: ExperimentContext) -> list[tuple[str, object]]:
-    tail = priors.truncation_tail(context.prior)
-    # in the forward map's weak norm, which contraction and concentration use too
-    c = operators.embedding_constant(context.forward, context.config.ambient_exponent)
-    numbers = [("prior_tail_bound", tail), ("embedding_constant_c", c)]
+    numbers = [
+        ("prior_tail_bound", context.prior_tail),
+        ("embedding_constant_c", context.embedding_constant),
+    ]
     return [*resolved_items(context.config), *numbers]
 
 
@@ -377,25 +434,11 @@ _CONJUGACY_FAMILIES = ("bvp", "psido", "heat")
 
 def _run_conjugacy(context: ExperimentContext):
     config = context.config
-    interval = context.basis
-    if interval.kind is not spectral.BasisKind.DIRICHLET_SINE:
-        interval = spectral.build_basis(
-            spectral.BasisKind.DIRICHLET_SINE, config.n_modes, config.oversample
-        )
-    torus = spectral.build_basis(
-        spectral.BasisKind.FOURIER_TORUS, config.torus_modes, config.oversample
-    )
-    constant = operators.EllipticCoefficient(lambda x: np.ones_like(x))
-    family_ops = {
-        "bvp": operators.elliptic_operator(constant, interval)[1],
-        "psido": operators.psido_multiplier(torus, config.operator_t),
-        "heat": operators.heat_semigroup(interval, config.operator_time),
-    }
     n = config.n_replicates
     families = [_CONJUGACY_FAMILIES[i % len(_CONJUGACY_FAMILIES)] for i in range(n)]
     epsilons, gaps = np.empty(n), np.empty(n)
     for i, family in enumerate(families):
-        op = family_ops[family]
+        op = context.conjugacy_maps[family]
         rng = np.random.default_rng(derive_seed(config.master_seed, i))
         r = 0.8 + 1.4 * rng.random()
         amplitude = 0.5 + 1.5 * rng.random()
@@ -418,6 +461,19 @@ def _run_conjugacy(context: ExperimentContext):
     return header, text, []
 
 
+# what a failed build or run raises besides a write error, each reported as
+# one stderr line
+_FAILURES = (BvmlabError, concurrent.futures.BrokenExecutor, MemoryError, np.linalg.LinAlgError)
+
+
+def _failed(exc: BaseException) -> int:
+    """Print ``exc`` as the one stderr line of a failed command; return its exit code."""
+    code = next((code for err_type, code in _EXIT_CODES if isinstance(exc, err_type)), 2)
+    message = str(exc) if isinstance(exc, BvmlabError) else f"{type(exc).__name__}: {exc}"
+    print(f"error[{code}]: {message}", file=sys.stderr)
+    return code
+
+
 def run_command(config: ExperimentConfig, workers: int = 1) -> int:
     """Execute the configured experiment, write its CSV, and return an exit status."""
     try:
@@ -433,16 +489,11 @@ def run_command(config: ExperimentConfig, workers: int = 1) -> int:
         else:
             header, body, extra = _run_conjugacy(context)
         emit_csv(header, body, config.output_path, _base_metadata(context) + extra)
-    except BvmlabError as exc:
-        code = next(code for err_type, code in _EXIT_CODES if isinstance(exc, err_type))
-        print(f"error[{code}]: {exc}", file=sys.stderr)
-        return code
     except OSError as exc:
         print(f"error[1]: cannot write output: {exc}", file=sys.stderr)
         return 1
-    except (concurrent.futures.BrokenExecutor, MemoryError, np.linalg.LinAlgError) as exc:
-        print(f"error[2]: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    except _FAILURES as exc:
+        return _failed(exc)
     return 0
 
 
@@ -457,7 +508,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     run_parser.add_argument("--workers", type=int, default=1, help="parallel worker count")
     run_parser.add_argument("--out", help="override output_path")
     run_parser.add_argument("--seed", type=int, help="override master_seed")
-    validate_parser = sub.add_parser("validate", help="parse and validate a configuration")
+    validate_parser = sub.add_parser("validate", help="parse a configuration and build its run")
     validate_parser.add_argument("config")
     args = parser.parse_args(argv)
 
@@ -473,12 +524,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             # the override passes the same check as the key
             config.master_seed = args.seed
             config.validate()
-    except ConfigurationError as exc:
-        print(f"error[1]: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:  # validate builds the run's basis
-        print(f"error[2]: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        if args.command == "validate":
+            # the build run makes, so a refusal there exits with run's code
+            build_context(config)
+    except _FAILURES as exc:
+        return _failed(exc)
 
     if args.command == "validate":
         for key, value in resolved_items(config):

@@ -5,8 +5,10 @@ key, spelled as the key with its section dot replaced by ``_``
 (``operator.cond_limit`` is the field ``operator_cond_limit``), parsed by its
 annotation, and listed in field order.  Unknown keys are rejected by name;
 defaults are applied at parse time and echoed into every output file's
-metadata block.  Settings derived from the keys are the config's properties,
-and ``validate`` checks each library limit by running the library's own check.
+metadata block.  Settings derived from the keys are the config's properties.
+``validate`` checks each key's own range and the keys' compatibility; the
+library's limits are met where the run is built, by ``cli.build_context``,
+which names the key each builder reads.
 """
 from __future__ import annotations
 
@@ -17,26 +19,18 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .bvm import heat_psi_from_representer
 from .errors import ConfigurationError
-from .operators import (
-    DEFAULT_COND_LIMIT,
-    EllipticCoefficient,
-    embedding_constant,
-    psido_multiplier,
-)
+from .operators import DEFAULT_COND_LIMIT, EllipticCoefficient
 from .posterior import two_sided_quantile
-from .priors import MAX_MC_SAMPLES, _positive_deltas, matern_prior
+from .priors import MAX_MC_SAMPLES, _positive_deltas
 from .spectral import (
     BasisKind,
     CoeffVector,
     SpectralBasis,
     analyze,
-    build_basis,
     coeff_vector,
     make_bump,
     sobolev_draw,
-    unit_vector,
 )
 
 __all__ = ["ExperimentConfig", "parse_config", "resolved_items"]
@@ -166,8 +160,16 @@ class ExperimentConfig:
         return self.experiment in ("coverage", "rates", "concentration")
 
     def truth(self, basis: SpectralBasis) -> CoeffVector:
-        """The configured truth on ``basis``: its shape times truth.scale."""
-        return coeff_vector(basis, self.truth_scale * self._truth_shape(basis))
+        """The configured truth on ``basis``: its shape times truth.scale.
+
+        Only a Sobolev shape can leave the double range (at an extreme alpha),
+        and then the scale can take a finite shape out of it; each refusal
+        names its key."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            with _keyed("truth.alpha"):
+                shape = self._truth_shape(basis)
+            with _keyed("truth.scale"):
+                return coeff_vector(basis, self.truth_scale * shape)
 
     def _truth_shape(self, basis: SpectralBasis) -> np.ndarray:
         """The bump, the unit-norm Sobolev draw or the listed modes, unscaled."""
@@ -182,6 +184,7 @@ class ExperimentConfig:
         return coeffs
 
     def validate(self) -> None:
+        """Check each key's own range and the keys' compatibility; build nothing."""
         for key, (attr, _) in _KEY_TABLE.items():
             value = getattr(self, attr)
             values = value if isinstance(value, tuple) else (value,)
@@ -223,19 +226,6 @@ class ExperimentConfig:
             )
         if self.oversample < 4:
             raise ConfigurationError("key 'oversample': must be at least 4")
-        # the keys above are in range; the library's limits are checked on the run's basis
-        widened = self.basis_modes > self.n_modes
-        with _keyed("tightness.max_modes" if widened else "n_modes", "oversample"):
-            basis = build_basis(self.basis_kind, self.basis_modes, self.oversample)
-        # every experiment builds the prior; at unit amplitude its variances are
-        # the decay alone, so if those fail prior.r is at fault
-        key = "prior.amplitude"
-        try:
-            matern_prior(basis, self.prior_r)
-        except ConfigurationError:
-            key = "prior.r"
-        with _keyed(key):
-            matern_prior(basis, self.prior_r, self.prior_amplitude)
         with _keyed("level"):
             two_sided_quantile(self.level)
         if not self.epsilons or any(e <= 0 for e in self.epsilons):
@@ -252,21 +242,10 @@ class ExperimentConfig:
             raise ConfigurationError("key 'n_replicates': must be a positive integer")
         if self.ball_beta is not None and self.ball_beta < 0:
             raise ConfigurationError("key 'ball_beta': must be nonnegative")
-        # conjugacy builds all three forward maps, whatever operator.kind says
-        conjugacy = self.experiment == "conjugacy"
-        if (self.operator_kind == "heat" or conjugacy) and self.operator_time < 0:
-            raise ConfigurationError("key 'operator.time': must be nonnegative")
-        if self.operator_kind == "psido" or conjugacy:
-            torus = build_basis(BasisKind.FOURIER_TORUS, self.torus_modes, self.oversample)
-            with _keyed("operator.t"):
-                multiplier = psido_multiplier(torus, self.operator_t)
-                # every run's metadata holds the forward map's embedding constant
-                if self.operator_kind == "psido":
-                    embedding_constant(multiplier, self.ambient_exponent)
         if self.operator_kind == "bvp":
-            self._check_coefficient(basis.grid)
+            self._check_coefficient()
         if self.reads_truth:
-            self._check_truth(basis)
+            self._check_truth()
         # replicate rows are gathered per noise level, so a repeated level
         # would count its rows twice
         if self.experiment in ("coverage", "rates") and len(set(self.epsilons)) != len(
@@ -322,9 +301,7 @@ class ExperimentConfig:
             raise ConfigurationError(
                 "key 'functional.kind': heat_mode requires the heat operator"
             )
-        # the coverage functional indexes a basis of exactly n_modes modes
         reads_band = kind in ("sobolev", "smoothed_image")
-        reads_mode = kind in ("mode", "heat_mode")
         # every functional but heat_mode goes through the representer solve
         reads_cond = kind != "heat_mode"
         if coverage and reads_cond and self.operator_cond_limit <= 0:
@@ -337,11 +314,6 @@ class ExperimentConfig:
             )
         if coverage and kind == "smoothed_image":
             _check_bump("functional", self.functional_support, self.functional_plateau)
-        if coverage and reads_band and self.functional_band > self.n_modes:
-            raise ConfigurationError(
-                f"key 'functional.band': band {self.functional_band} exceeds "
-                f"n_modes={self.n_modes}"
-            )
         # a band below the basis's lowest frequency, or sin(0 pi x), makes psi
         # zero, and a zero functional covers every replicate with radius 0
         lowest = 0 if self.operator_kind == "psido" else 1
@@ -352,27 +324,8 @@ class ExperimentConfig:
             )
         if coverage and kind == "smoothed_image" and self.functional_sine == 0:
             raise ConfigurationError("key 'functional.sine': sine 0 makes the functional zero")
-        # the sine is sampled on the N-point midpoint grid, where k aliases to 2N - k
-        grid = basis.grid.size
-        if coverage and kind == "smoothed_image" and abs(self.functional_sine) >= grid:
-            raise ConfigurationError(
-                f"key 'functional.sine': |sine| {abs(self.functional_sine)} must stay below "
-                f"the grid size oversample * n_modes = {grid}"
-            )
-        if coverage and reads_mode and not 1 <= self.functional_mode <= self.n_modes:
-            raise ConfigurationError(
-                f"key 'functional.mode': mode {self.functional_mode} is outside "
-                f"1..n_modes={self.n_modes}"
-            )
-        if coverage and kind == "heat_mode":
-            with _keyed("functional.mode"):
-                tilde = unit_vector(basis, self.functional_mode - 1)
-                heat_psi_from_representer(tilde, self.operator_time)
-        if coverage and kind == "sobolev":
-            with np.errstate(over="ignore", invalid="ignore"), _keyed("functional.alpha"):
-                sobolev_draw(basis, self.functional_alpha, self.functional_seed)
 
-    def _check_coefficient(self, grid: np.ndarray) -> None:
+    def _check_coefficient(self) -> None:
         coefficient, base = self.operator_coefficient, self.operator_coefficient_base
         if coefficient not in ("constant", "sine"):
             raise ConfigurationError(
@@ -383,10 +336,8 @@ class ExperimentConfig:
                 "key 'operator.coefficient_amplitude': sine swing must stay below the base "
                 "(uniform ellipticity)"
             )
-        with _keyed("operator.coefficient_base"):
-            self.coefficient.samples(grid)
 
-    def _check_truth(self, basis: SpectralBasis) -> None:
+    def _check_truth(self) -> None:
         if self.truth_kind == "bump":
             _check_bump("truth", self.truth_support, self.truth_plateau)
         modes = self.truth_modes
@@ -408,13 +359,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"key 'truth.seed': must be nonnegative, got {self.truth_seed}"
             )
-        # the run's own builder: only a Sobolev shape can leave the double range
-        # (at an extreme alpha), and then the scale can take a finite shape out
-        with np.errstate(over="ignore", invalid="ignore"):
-            with _keyed("truth.alpha"):
-                shape = self._truth_shape(basis)
-            with _keyed("truth.scale"):
-                coeff_vector(basis, self.truth_scale * shape)
 
 
 @contextmanager
@@ -454,7 +398,11 @@ def _check_bump(section: str, support: tuple[float, float], plateau: tuple[float
 
 
 def parse_config(text: str) -> ExperimentConfig:
-    """Parse and fully validate a key=value configuration document."""
+    """Parse a key=value configuration document and check its keys' ranges.
+
+    Nothing is built: a limit of the library (a prior variance that
+    underflows, a functional the basis cannot hold) is met by
+    ``cli.build_context``, which names its key."""
     config = ExperimentConfig()
     seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -135,7 +135,7 @@ def coeff_vector(basis: SpectralBasis, values) -> CoeffVector:
 def unit_vector(basis: SpectralBasis, index: int) -> CoeffVector:
     """Coordinate vector e_index (0-based position in the mode list)."""
     if not 0 <= index < basis.n_modes:
-        raise ConfigurationError(f"mode index {index} out of range")
+        raise ConfigurationError(f"mode index {index} is outside 0..{basis.n_modes - 1}")
     c = np.zeros(basis.n_modes)
     c[index] = 1.0
     return coeff_vector(basis, c)
@@ -237,7 +237,7 @@ def make_bump(support: tuple[float, float], plateau: tuple[float, float]) -> Bum
 def bandlimit_approx(f: CoeffVector, cutoff_freq: int) -> CoeffVector:
     """Exact spectral projection to modes with |frequency| <= cutoff_freq."""
     if cutoff_freq > f.basis.n_modes:
-        raise ConfigurationError("cutoff_freq exceeds the number of available modes")
+        raise ConfigurationError(f"cutoff_freq {cutoff_freq} exceeds the {f.basis.n_modes} modes")
     keep = np.abs(f.basis.frequencies) <= cutoff_freq
     return coeff_vector(f.basis, np.where(keep, f.coeffs, 0.0))
 

@@ -80,9 +80,11 @@ class TestParseConfig:
         items = dict(resolved_items(config))
         assert items["level"] == "0.95"
 
-    def test_rough_prior_rejected_at_parse_time(self):
-        with pytest.raises(ConfigurationError, match="r > d/2"):
-            parse_config("experiment=coverage\nprior.r=0.4\n")
+    def test_rough_prior_rejected_at_build(self):
+        # the parse builds nothing; the prior's builder names its key
+        config = parse_config("experiment=coverage\nprior.r=0.4\n")
+        with pytest.raises(ConfigurationError, match="^key 'prior.r': .*r > d/2"):
+            build_context(config)
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigurationError, match="'foo'"):
@@ -372,9 +374,11 @@ class TestRunCommand:
         for key, value in resolved_items(config):
             assert metadata.get(key) == value
 
-    def test_heat_unresolvable_functional_exit_four(self, tmp_path):
-        out = tmp_path / "heat.csv"
-        text = f"""
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_heat_unresolvable_functional_exit_four(self, tmp_path, capsys, command):
+        # the representer is built with the run, so validate refuses it too
+        path, out = tmp_path / "heat.ini", tmp_path / "heat.csv"
+        path.write_text(f"""
 experiment=coverage
 operator.kind=heat
 operator.time=0.1
@@ -383,9 +387,11 @@ n_replicates=3
 functional.kind=mode
 functional.mode=40
 output_path={out}
-"""
-        config = parse_config(text)
-        assert run_command(config) == 4
+""")
+        assert main([command, str(path)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error[4]: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_rare_event_exit_three(self, tmp_path):
         out = tmp_path / "conc.csv"
@@ -573,29 +579,31 @@ class TestNonFiniteOutput:
             assert not out.exists()
 
     @pytest.mark.parametrize(
-        "experiment, extra, message",
+        "experiment, extra, message, validated",
         [
-            ("coverage", "", "the normal operator's largest eigenvalue"),
-            ("coverage", "ball_beta=3.5\n", "the normal operator's largest eigenvalue"),
-            ("rates", "", "the whitened operator's singular value"),
-            ("tightness", "", "the operator's squared column norms"),
+            ("coverage", "", "the normal operator's largest eigenvalue", 2),
+            ("coverage", "ball_beta=3.5\n", "the normal operator's largest eigenvalue", 2),
+            ("rates", "", "the whitened operator's singular value", 0),
+            ("tightness", "", "the operator's squared column norms", 0),
         ],
         ids=["coverage", "coverage-ball", "rates", "tightness"],
     )
     def test_overflowing_dense_operator_exits_two(
-        self, tmp_path, capsys, experiment, extra, message
+        self, tmp_path, capsys, experiment, extra, message, validated
     ):
         # a sine coefficient near 1e-300 puts the dense solution map's entries
         # near 1e299, whose squares overflow: coverage wrote radius 0 rows and
         # rates a constant dual_error with exit 0, the ball blamed ball_beta,
-        # and tightness, whose squared column norms underflow, blamed its beta
+        # and tightness, whose squared column norms underflow, blamed its beta;
+        # validate builds coverage's representer, whose solve refuses it, while
+        # rates and tightness fail only in the run's posterior system and series
         path, out = tmp_path / "dense.ini", tmp_path / "out.csv"
         path.write_text(
             f"experiment={experiment}\n{extra}n_modes=32\nfunctional.band=8\nn_replicates=4\n"
             "operator.coefficient=sine\noperator.coefficient_base=1e-300\n"
             f"operator.coefficient_amplitude=1e-301\noutput_path={out}\n"
         )
-        assert main(["validate", str(path)]) == 0
+        assert main(["validate", str(path)]) == validated
         capsys.readouterr()
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
@@ -776,6 +784,15 @@ _LATE_FAILING = [
     # the highest multiplier was subnormal, so its inverse weak-norm weight
     # overflowed and the file held embedding_constant_c=inf with exit 0
     ("concentration", "operator.kind=psido\nn_modes=257\noperator.t=150", "operator.t"),
+    # a sine coefficient of constant value 1e-309 (a subnormal floor) gives a
+    # diagonal solution map near 1e308, whose embedding constant overflows:
+    # the run ended with an unkeyed error once the whole ladder had run
+    (
+        "concentration",
+        "n_modes=32\noperator.coefficient=sine\noperator.coefficient_base=1e-309\n"
+        "operator.coefficient_amplitude=0",
+        "operator.coefficient_base",
+    ),
     # conjugacy builds the multiplier and the semigroup whatever operator.kind is
     ("conjugacy", "n_modes=256\noperator.t=1000", "operator.t"),
     ("conjugacy", "n_modes=32\noperator.time=-1", "operator.time"),
@@ -1108,6 +1125,37 @@ class TestBuildContext:
                 "experiment=coverage\noperator.kind=heat\nfunctional.kind=smoothed_image\n"
                 "n_modes=32\n"
             )
+
+    @pytest.fixture
+    def builder_calls(self, monkeypatch):
+        """Call counts of library builders, wherever a module of the package binds them."""
+        counts = collections.Counter()
+        for builder in (spectral.build_basis, priors.matern_prior, operators.psido_multiplier):
+
+            def counting(*args, _builder=builder, **kwargs):
+                counts[_builder.__name__] += 1
+                return _builder(*args, **kwargs)
+
+            for info in pkgutil.iter_modules(bvmlab.__path__):
+                module = importlib.import_module(f"bvmlab.{info.name}")
+                for name, value in list(vars(module).items()):
+                    if value is builder:
+                        monkeypatch.setattr(module, name, counting)
+        return counts
+
+    def test_coverage_run_builds_basis_and_prior_once(self, tmp_path, builder_calls):
+        # the parse builds nothing, and the run builds its context once
+        path = tmp_path / "cfg"
+        path.write_text(MINIMAL_BVP.format(out=tmp_path / "o.csv"))
+        assert main(["run", str(path)]) == 0
+        assert builder_calls["build_basis"] == 1
+        assert builder_calls["matern_prior"] == 1
+
+    def test_conjugacy_run_builds_torus_multiplier_once(self, tmp_path, builder_calls):
+        path = tmp_path / "cfg"
+        path.write_text(CONJUGACY.format(out=tmp_path / "o.csv"))
+        assert main(["run", str(path)]) == 0
+        assert builder_calls["psido_multiplier"] == 1
 
 
 def _python(script, *args, timeout=120, **env_overrides):
@@ -1569,12 +1617,12 @@ class TestFailureExitCodes:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_basis_too_large_exits_two_at_validate(self, tmp_path, monkeypatch, capsys, command):
-        # validate builds the run's basis, so a basis too large to allocate
+        # validate builds the run's context, so a basis too large to allocate
         # fails there
         def fail(*args, **kwargs):
             raise MemoryError("cannot allocate the quadrature grid")
 
-        monkeypatch.setattr(config_module, "build_basis", fail)
+        monkeypatch.setattr(spectral, "build_basis", fail)
         path, out = tmp_path / "big.ini", tmp_path / "o.csv"
         path.write_text(MINIMAL_BVP.format(out=out))
         assert main([command, str(path)]) == 2
