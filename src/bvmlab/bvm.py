@@ -268,7 +268,7 @@ def replicate_table(
     # <W m, psi> = <m, W^T psi>, so the functional is O(n) per replicate
     psi_modes = system.functional_modes(functional.psi)
     image = apply(system.operator, functional.psi_tilde).coeffs
-    weights = None if ball_beta is None else (1.0 + system.prior.basis.eigenvalues) ** -ball_beta
+    weights = None if ball_beta is None else system.prior.basis.sobolev_weights(-ball_beta)
     epsilons = [sets.epsilon for sets in levels]
     noise, modes_by_level = _replicate_modes(system, epsilons, f_dagger, indices, master_seed)
     # <w, A psi_tilde> does not depend on the noise level
@@ -308,7 +308,7 @@ def replicate_errors(
     -ball_beta its distance is the one its ball flag compares with the ball
     radius; every row is bitwise the same for any index split.
     """
-    weights = (1.0 + system.prior.basis.eigenvalues) ** exponent
+    weights = system.prior.basis.sobolev_weights(exponent)
     errors = np.empty((len(epsilons), len(indices)))
     _, modes_by_level = _replicate_modes(system, epsilons, f_dagger, indices, master_seed)
     for k, modes in enumerate(modes_by_level):
@@ -453,7 +453,7 @@ def tightness_series(
             f"operator basis has {op_l.basis.n_modes} modes; build it with at least {max_modes}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = (1.0 + op_l.basis.eigenvalues[:max_modes]) ** (-beta)
+        weights = op_l.basis.sobolev_weights(-beta)[:max_modes]
         if op_l.is_diagonal:
             mode_norms = op_l.multipliers[:max_modes] ** 2
         else:

@@ -343,17 +343,18 @@ def _map_chunks(
     numbers there (coverage's hit counts, rates' errors).  So each replicate's
     noise is drawn once for all levels, and the parent reparses no cell and
     joins no text: ``emit_csv`` writes the pieces one by one.  One
-    worker runs the chunks in-process; more map them over a process pool
-    whose initializer hands each worker the run once.  Rows depend only on
+    worker, or one chunk, runs in-process; more map the chunks over a process
+    pool whose initializer hands each worker the run once.  Rows depend only on
     (epsilon, replicate index), so the output is the same for any worker count.
     """
     workers = min(workers, os.cpu_count() or 1)
     tasks = _chunks(context.config.n_replicates, workers)
+    workers = min(workers, len(tasks))
     if workers <= 1:
         chunks = [row_fn(context, run, chunk) for chunk in tasks]
     else:
         with concurrent.futures.ProcessPoolExecutor(
-            max_workers=min(workers, len(tasks)),
+            max_workers=workers,
             initializer=_init_worker,
             initargs=((row_fn, context, run),),
         ) as pool:

@@ -115,7 +115,7 @@ def psido_multiplier(basis: SpectralBasis, t: float) -> ForwardOperator:
     if basis.kind is not BasisKind.FOURIER_TORUS:
         raise ConfigurationError("the smoothing multiplier is defined on the torus basis")
     with np.errstate(over="ignore"):
-        mult = (1.0 + basis.eigenvalues) ** (-t / 2.0)
+        mult = basis.sobolev_weights(-t / 2.0)
     if not np.all((mult > 0) & (mult < math.inf)):
         raise ConfigurationError(f"order t={t!r} takes a multiplier to 0 or inf")
     return ForwardOperator(basis=basis, multipliers=mult)
@@ -255,7 +255,7 @@ def embedding_constant(op: ForwardOperator, ambient_exponent: float) -> float:
     refused.
     """
     with np.errstate(over="ignore"):
-        half_inverse_weights = (1.0 + op.basis.eigenvalues) ** (-ambient_exponent / 2.0)
+        half_inverse_weights = op.basis.sobolev_weights(-ambient_exponent / 2.0)
         if op.is_diagonal:
             c = float(np.max(np.abs(op.multipliers) * half_inverse_weights))
         else:

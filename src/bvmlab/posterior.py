@@ -301,7 +301,7 @@ def exact_ball_radius(
     """
     if beta < 0:
         raise ConfigurationError("ball norms use beta >= 0")
-    weights = (1.0 + system.prior.basis.eigenvalues) ** (-beta)
+    weights = system.prior.basis.sobolev_weights(-beta)
     spectrum = system.weighted_spectrum(weights, epsilon)
     if not np.any(spectrum > 0):
         raise ConfigurationError(

@@ -42,6 +42,8 @@ _LOG_NEGLIGIBLE = -127 * math.log(2.0)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95% normal quantile
 
+TAIL_TERMS = 100_000  # modes truncation_tail sums before its integral bound
+
 
 @dataclass(frozen=True)
 class GaussianPrior:
@@ -94,44 +96,37 @@ def matern_prior(basis: SpectralBasis, r: float, amplitude: float = 1.0) -> Gaus
         )
     if amplitude <= 0:
         raise ConfigurationError("amplitude must be positive")
-    tau = amplitude * (1.0 + basis.eigenvalues) ** (-r)
+    tau = amplitude * basis.sobolev_weights(-r)
     if not np.all((tau > 0) & (tau < math.inf)):
         raise ConfigurationError(f"r={r!r}, amplitude={amplitude!r}: a variance is 0 or inf")
     tau.flags.writeable = False
     return GaussianPrior(basis=basis, variances=tau, rkhs_exponent=float(r), amplitude=float(amplitude))
 
 
-def truncation_tail(prior: GaussianPrior, terms: int = 100_000) -> float:
+def truncation_tail(prior: GaussianPrior) -> float:
     """Mass sum of the prior variances beyond the truncation level.
 
-    Sums the next ``terms`` modes of the untruncated variance law and closes
+    One series for both bases: frequency k past the basis's top one carries
+    variance multiplicity * (1 + (scale k)^2)^(-r), with (pi, 1) on the interval
+    and (1, 2) for the torus's +-k pair.  Sums the next ``TAIL_TERMS`` and closes
     with an integral bound for the remainder; a diagnostic for how much of the
     infinite-dimensional law the finite basis carries.
     """
     r = prior.rkhs_exponent
-    n = prior.basis.n_modes
-    # the terms are computed in place, in one array: the ufuncs of
-    # (1 + (pi j)^2)^(-r) and 2 (1 + k^2)^(-r) in their order, so the sums
-    # keep their bits
-    if prior.basis.kind is BasisKind.DIRICHLET_SINE:
-        j = np.arange(n + 1, n + terms + 1, dtype=float)
-        j *= np.pi
-        j **= 2
-        j += 1.0
-        j **= -r
-        head = float(np.sum(j))
-        edge = n + terms
-        remainder = (np.pi ** (-2 * r)) * edge ** (1 - 2 * r) / (2 * r - 1)
-        return prior.amplitude * (head + remainder)
-    half = (n - 1) // 2
-    k = np.arange(half + 1, half + terms + 1, dtype=float)
+    top = int(prior.basis.frequencies.max())
+    sine = prior.basis.kind is BasisKind.DIRICHLET_SINE
+    scale, multiplicity = (math.pi, 1.0) if sine else (1.0, 2.0)
+    # the terms are computed in place, in one array; multiplying by 1.0 is
+    # exact, so each basis keeps the bits of its own series
+    k = np.arange(top + 1, top + TAIL_TERMS + 1, dtype=float)
+    k *= scale
     k **= 2
     k += 1.0
     k **= -r
-    k *= 2.0
+    k *= multiplicity
     head = float(np.sum(k))
-    edge = half + terms
-    remainder = 2.0 * edge ** (1 - 2 * r) / (2 * r - 1)
+    edge = top + TAIL_TERMS
+    remainder = multiplicity * scale ** (-2 * r) * edge ** (1 - 2 * r) / (2 * r - 1)
     return prior.amplitude * (head + remainder)
 
 
@@ -184,7 +179,7 @@ def small_ball_ladder(
         raise ConfigurationError(
             f"need between 1000 and 2**63 - 1 Monte Carlo samples, got {mc_samples}"
         )
-    weights = (1.0 + prior.basis.eigenvalues) ** norm_exponent * prior.variances
+    weights = prior.basis.sobolev_weights(norm_exponent) * prior.variances
     log_mass = _ball_log_masses(weights, np.square(deltas))
     order = np.argsort(deltas, kind="stable")[::-1]
     # widest first: the outer cell is drawn first, as in a single-delta run;
@@ -229,7 +224,7 @@ def _rkhs_approximation_cost(
     configuration error on ``truth.scale``.
     """
     tau = prior.variances
-    w = (1.0 + prior.basis.eigenvalues) ** ambient_exponent
+    w = prior.basis.sobolev_weights(ambient_exponent)
     f = f_dagger.coeffs
     target = delta**2
 

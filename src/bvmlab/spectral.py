@@ -61,6 +61,10 @@ class SpectralBasis:
     eigenvalues: np.ndarray  # Laplacian eigenvalues, nondecreasing in |freq|
     grid: np.ndarray         # quadrature nodes
 
+    def sobolev_weights(self, exponent: float) -> np.ndarray:
+        """The smoothness scale's weights (1 + lambda_j)^exponent, one per mode."""
+        return (1.0 + self.eigenvalues) ** exponent
+
     def compatible(self, other: "SpectralBasis") -> bool:
         return (
             self.kind is other.kind
@@ -186,7 +190,7 @@ def inner(f: CoeffVector, g: CoeffVector) -> float:
 
 def sobolev_norm(f: CoeffVector, exponent: float) -> float:
     """Smoothness-weighted norm sqrt(sum_j (1 + lambda_j)^s c_j^2); s = 0 is the L2 norm."""
-    weights = (1.0 + f.basis.eigenvalues) ** exponent
+    weights = f.basis.sobolev_weights(exponent)
     return float(np.sqrt(np.dot(weights, f.coeffs**2)))
 
 
@@ -253,7 +257,7 @@ def sobolev_draw(basis: SpectralBasis, alpha: float, seed: int) -> CoeffVector:
     """
     rng = np.random.default_rng(seed)
     g = rng.standard_normal(basis.n_modes)
-    c = (1.0 + basis.eigenvalues) ** (-alpha / 2.0 - 0.25 - 0.05) * g
+    c = basis.sobolev_weights(-alpha / 2.0 - 0.25 - 0.05) * g
     f = coeff_vector(basis, c)
     with np.errstate(over="ignore", invalid="ignore"):
         norm = sobolev_norm(f, alpha)

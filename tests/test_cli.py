@@ -1459,6 +1459,18 @@ class TestWorkerCap:
         assert main(["run", str(path), "--out", str(serial)]) == 0
         assert load_csv(str(out))[1:] == load_csv(str(serial))[1:]
 
+    @pytest.mark.parametrize("template", [MINIMAL_BVP, RATES], ids=["coverage", "rates"])
+    def test_one_chunk_starts_no_pool(self, tmp_path, monkeypatch, pool_sizes, template):
+        # one replicate is one chunk: a second worker would have nothing to do
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        path = tmp_path / "cfg"
+        out = tmp_path / "o.csv"
+        path.write_text(template.format(out=out).replace("n_replicates=5", "n_replicates=1"))
+        assert main(["run", str(path), "--workers", "2"]) == 0
+        assert pool_sizes == []
+        serial = tmp_path / "serial.csv"
+        assert main(["run", str(path), "--out", str(serial)]) == 0
+        assert load_csv(str(out))[1:] == load_csv(str(serial))[1:]
 
     @pytest.fixture
     def builds(self, monkeypatch):

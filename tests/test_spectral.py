@@ -1,8 +1,11 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bvmlab
 from bvmlab.errors import ConfigurationError, ShapeError
 from bvmlab.spectral import (
     BasisKind,
@@ -206,6 +209,19 @@ class TestSobolevNorms:
     def test_dual_norm_dominated_by_l2(self, interval):
         f = random_vec(interval, 13)
         assert sobolev_norm(f, -1.5) <= sobolev_norm(f, 0.0)
+
+    def test_one_definition_of_the_weights(self):
+        # every module takes the smoothness scale's weights from
+        # SpectralBasis.sobolev_weights; only spectral writes them out
+        pattern = re.compile(r"1\.0 \+ [\w.]*eigenvalues")
+        hits = [
+            f"{path.name}:{number}"
+            for path in sorted(Path(bvmlab.__file__).parent.glob("*.py"))
+            if path.name != "spectral.py"
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if pattern.search(line)
+        ]
+        assert hits == []
 
 
 class TestBumpCutoff:
