@@ -454,10 +454,7 @@ def tightness_series(
         )
     with np.errstate(over="ignore", invalid="ignore"):
         weights = op_l.basis.sobolev_weights(-beta)[:max_modes]
-        if op_l.is_diagonal:
-            mode_norms = op_l.multipliers[:max_modes] ** 2
-        else:
-            mode_norms = np.sum(op_l.matrix[:, :max_modes] ** 2, axis=0)
+        mode_norms = np.sum(np.atleast_2d(op_l.array)[:, :max_modes] ** 2, axis=0)
         partial = np.cumsum(weights * mode_norms)
     # every column of a differential operator is nonzero: a norm at 0 or inf
     # is the operator's scale leaving the double range, not beta's fault

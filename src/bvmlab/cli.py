@@ -171,11 +171,19 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
     with _keyed("tightness.max_modes" if widened else "n_modes", "oversample"):
         basis = spectral.build_basis(config.basis_kind, config.basis_modes, config.oversample)
     forward = _build_operator(config, config.operator_kind, basis)
+    experiment = config.experiment
     with _keyed(_OPERATOR_KEYS[config.operator_kind]):
         c = operators.embedding_constant(forward, config.ambient_exponent)
+        # concentration measures the truth and its small balls in the weak norm
+        if experiment == "concentration":
+            with np.errstate(over="ignore"):
+                weak = basis.sobolev_weights(config.ambient_exponent)
+            if not np.all(weak < math.inf):
+                raise ConfigurationError(
+                    f"the weak norm's weights (1 + lambda_j)^{config.ambient_exponent!r} overflow"
+                )
     prior = _build_prior(config, basis)
     truth = config.truth(basis) if config.reads_truth else None
-    experiment = config.experiment
     functional = _build_functional(config, basis, forward) if experiment == "coverage" else None
     maps = _conjugacy_maps(config, basis, forward) if experiment == "conjugacy" else None
     tail = priors.truncation_tail(prior)

@@ -2,8 +2,9 @@
 operator on the interval, heat semigroup, with adjoints and inversion of the
 normal operator A*A.
 
-Operators are immutable; a dense operator's singular value decomposition is
-computed once and cached.
+Only this module reads how a map is stored: a vector is a diagonal map and
+a matrix a dense one.  Operators are immutable; the singular system (V = I on
+the diagonal path) is computed once and cached.
 """
 from __future__ import annotations
 
@@ -72,10 +73,17 @@ class ForwardOperator:
     def is_diagonal(self) -> bool:
         return self.multipliers is not None
 
+    @property
+    def array(self) -> np.ndarray:
+        """The stored map: the multipliers of a diagonal operator, else the matrix."""
+        return self.multipliers if self.is_diagonal else self.matrix
+
     @cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray]:
-        # singular values (descending) and right singular vectors V^T of the
-        # dense representation; A^T A = V diag(s^2) V^T
+        # singular values and right singular vectors V^T, with A^T A = V diag(s^2) V^T;
+        # a diagonal map's are its multipliers and V = I, stored as a vector of ones
+        if self.is_diagonal:
+            return self.multipliers, np.ones(self.basis.n_modes)
         try:
             _, s, vt = np.linalg.svd(self.matrix)
         except np.linalg.LinAlgError as exc:
@@ -168,6 +176,15 @@ def heat_semigroup(basis: SpectralBasis, time_horizon: float) -> ForwardOperator
     return ForwardOperator(basis=basis, multipliers=mult)
 
 
+def _map_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix @ row`` for every row along the last axis of ``rows``: elementwise
+    for a vector, which is a diagonal map, and one matrix-vector product per row
+    for a matrix, so a row's result is bitwise the same in any block."""
+    if matrix.ndim == 1:
+        return matrix * rows
+    return np.matmul(matrix, rows[..., None])[..., 0]
+
+
 def _check_basis(op: ForwardOperator, f: CoeffVector) -> None:
     if not op.basis.compatible(f.basis):
         raise ShapeError("operator and coefficient vector live on different bases")
@@ -176,17 +193,13 @@ def _check_basis(op: ForwardOperator, f: CoeffVector) -> None:
 def apply(op: ForwardOperator, f: CoeffVector) -> CoeffVector:
     """Forward action A f."""
     _check_basis(op, f)
-    if op.is_diagonal:
-        return coeff_vector(op.basis, op.multipliers * f.coeffs)
-    return coeff_vector(op.basis, op.matrix @ f.coeffs)
+    return coeff_vector(op.basis, _map_rows(op.array, f.coeffs))
 
 
 def adjoint_apply(op: ForwardOperator, g: CoeffVector) -> CoeffVector:
     """Adjoint action A* g (transpose action for the dense representation)."""
     _check_basis(op, g)
-    if op.is_diagonal:
-        return coeff_vector(op.basis, op.multipliers * g.coeffs)
-    return coeff_vector(op.basis, op.matrix.T @ g.coeffs)
+    return coeff_vector(op.basis, _map_rows(op.array.T, g.coeffs))
 
 
 def normal_apply(op: ForwardOperator, f: CoeffVector) -> CoeffVector:
@@ -197,51 +210,42 @@ def normal_apply(op: ForwardOperator, f: CoeffVector) -> CoeffVector:
 def fisher_solve(
     op: ForwardOperator, psi: CoeffVector, cond_limit: float = DEFAULT_COND_LIMIT
 ) -> CoeffVector:
-    """Solve A*A x = psi, refusing when the normal operator is too ill-conditioned.
+    """Solve A*A x = psi, refusing when the normal operator is too ill-conditioned
+    on the singular modes psi occupies.
 
-    For diagonal operators the effective condition number is measured over the
-    modes psi actually occupies, relative to the best-observed mode; exceeding
-    ``cond_limit`` (or touching an underflowed mode) raises ``IllPosedError``.
-    Dense operators use their cached singular system A = U diag(s) V^T: the
-    condition is (s_max / s_min)^2 (infinite when s_min = 0), and the solution
+    With the cached A = U diag(s) V^T (V = I for a diagonal map), psi occupies
+    the modes where V^T psi is nonzero.  A largest s^2 that overflows raises
+    ``NumericalError``; a condition (largest s^2 over least occupied s^2) above
+    ``cond_limit``, or an occupied s = 0, raises ``IllPosedError``.  The solution
     V ((V^T psi) / s^2) has an error that scales with cond(A), not cond(A^T A).
     """
     _check_basis(op, psi)
     if cond_limit <= 0:
         raise ConfigurationError("cond_limit must be positive")
-    if op.is_diagonal:
-        squared = op.multipliers**2
-        occupied = psi.coeffs != 0.0
-        if not np.any(occupied):
-            return coeff_vector(op.basis, np.zeros(op.basis.n_modes))
+    s, vt = op._svd
+    coef = _map_rows(vt, psi.coeffs)
+    occupied = coef != 0.0
+    # an overflowing quotient, and the nan it leaves in a dense product, are refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        squared = s**2
         s_best = float(squared.max())
-        s_worst = float(squared[occupied].min())
-        if s_worst == 0.0 or s_best / s_worst > cond_limit:
-            raise IllPosedError(
-                "requested modes are outside the numerically resolvable range of A*A "
-                f"(effective condition {math.inf if s_worst == 0 else s_best / s_worst:.3g} "
-                f"> limit {cond_limit:.3g})"
+        # an eigenvalue of A^T A at inf would zero its mode of the solution
+        if not s_best < math.inf:
+            raise NumericalError(
+                f"the normal operator's largest eigenvalue, {float(np.abs(s).max()):.3g} "
+                "squared, overflows"
             )
-        solution = np.zeros(op.basis.n_modes)
-        # a quotient that overflows is refused below
-        with np.errstate(over="ignore"):
-            solution[occupied] = psi.coeffs[occupied] / squared[occupied]
-    else:
-        s, vt = op._svd
-        cond = math.inf if s[-1] == 0.0 else float((s[0] / s[-1]) ** 2)
+        # psi = 0 occupies no mode: condition 0 and solution 0
+        s_worst = float(np.min(squared[occupied], initial=math.inf))
+        cond = math.inf if s_worst == 0.0 else s_best / s_worst
         if cond > cond_limit:
             raise IllPosedError(
-                f"normal operator condition {cond:.3g} exceeds limit {cond_limit:.3g}"
+                f"normal operator condition {cond:.3g} over the modes psi occupies "
+                f"exceeds limit {cond_limit:.3g}"
             )
-        # an overflowing quotient, and the nan it leaves in the product, are refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            squared = s**2
-            # an eigenvalue of A^T A at inf would zero its mode of the solution
-            if not squared[0] < math.inf:
-                raise NumericalError(
-                    f"the normal operator's largest eigenvalue, {s[0]:.3g} squared, overflows"
-                )
-            solution = vt.T @ ((vt @ psi.coeffs) / squared)
+        modes = np.zeros(op.basis.n_modes)
+        modes[occupied] = coef[occupied] / squared[occupied]
+        solution = _map_rows(vt.T, modes)
     if not np.all(np.isfinite(solution)):
         raise NumericalError("the solution of A*A x = psi overflows the double range")
     return coeff_vector(op.basis, solution)
@@ -256,10 +260,11 @@ def embedding_constant(op: ForwardOperator, ambient_exponent: float) -> float:
     """
     with np.errstate(over="ignore"):
         half_inverse_weights = op.basis.sobolev_weights(-ambient_exponent / 2.0)
-        if op.is_diagonal:
-            c = float(np.max(np.abs(op.multipliers) * half_inverse_weights))
+        scaled = op.array * half_inverse_weights
+        if scaled.ndim == 1:
+            c = float(np.max(np.abs(scaled)))
         else:
-            c = float(np.linalg.norm(op.matrix * half_inverse_weights[None, :], 2))
+            c = float(np.linalg.norm(scaled, 2))
     if not c < math.inf:
         raise ConfigurationError(
             f"the embedding constant is {c!r}: the weak-norm bound leaves the double range"

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
-from .operators import ForwardOperator, apply
+from .operators import ForwardOperator, _map_rows, apply
 from .priors import GaussianPrior, quadratic_form_quantile
 from .spectral import CoeffVector, SpectralBasis, coeff_vector
 
@@ -112,15 +112,6 @@ def observe(
     w = noise_draw(op.basis, seed)
     data = coeff_vector(op.basis, apply(op, f_dagger).coeffs + epsilon * w.coeffs)
     return Observation(data=data, epsilon=epsilon)
-
-
-def _map_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``matrix @ row`` for every row along the last axis of ``rows``: elementwise
-    for a vector, which is a diagonal map, and one matrix-vector product per row
-    for a matrix, so a row's result is bitwise the same in any block."""
-    if matrix.ndim == 1:
-        return matrix * rows
-    return np.matmul(matrix, rows[..., None])[..., 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,11 +212,11 @@ def posterior_system(prior: GaussianPrior, op: ForwardOperator) -> PosteriorSyst
     if not prior.basis.compatible(op.basis):
         raise ShapeError("prior and operator must share one basis")
     prior_sd = np.sqrt(prior.variances)
-    if op.is_diagonal:
-        sigma = op.multipliers * prior_sd
-        return PosteriorSystem(prior, op, np.ones_like(sigma), sigma, prior_sd)
+    whitened = op.array * prior_sd
+    if whitened.ndim == 1:
+        return PosteriorSystem(prior, op, np.ones_like(whitened), whitened, prior_sd)
     try:
-        u, sigma, vt = np.linalg.svd(op.matrix * prior_sd)
+        u, sigma, vt = np.linalg.svd(whitened)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"posterior system singular value decomposition (svd) failed: {exc}"
@@ -251,10 +242,8 @@ def tikhonov_solve(
     """
     _check_compatible(prior, op, obs)
     eps2 = obs.epsilon**2
-    if op.is_diagonal:
-        amat = np.diag(op.multipliers)
-    else:
-        amat = op.matrix
+    a = op.array
+    amat = np.diag(a) if a.ndim == 1 else a
     hess = amat.T @ amat / eps2 + np.diag(1.0 / prior.variances)
     rhs = amat.T @ obs.data.coeffs / eps2
     try:

@@ -528,6 +528,14 @@ output_path={out}
         assert run_command(config) == 1
 
 
+# a sine coefficient of constant value 1e-300 is stored as a diagonal solution
+# map near 1e299, whose squares overflow
+_FLAT_SINE = (
+    "n_modes=32\nfunctional.band=8\noperator.coefficient=sine\n"
+    "operator.coefficient_base=1e-300\noperator.coefficient_amplitude=0\n"
+)
+
+
 class TestNonFiniteOutput:
     """A truth of scale 1e308 overflows the replicates: the run names the column
     and noise level, or the key, instead of writing inf and nan cells."""
@@ -608,6 +616,43 @@ class TestNonFiniteOutput:
         assert main(["run", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error[2]: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "lines, message, status",
+        [
+            (_FLAT_SINE, "the normal operator's largest eigenvalue", 2),
+            (_FLAT_SINE + "ball_beta=3.5\n", "the normal operator's largest eigenvalue", 2),
+            (
+                "operator.kind=psido\nn_modes=33\noperator.t=-250\nfunctional.kind=sobolev\n"
+                "functional.band=8\n",
+                "the normal operator's largest eigenvalue",
+                2,
+            ),
+            (
+                "experiment=concentration\noperator.kind=psido\nn_modes=33\noperator.t=-250\n",
+                "key 'operator.t': the weak norm's weights",
+                1,
+            ),
+        ],
+        ids=["flat-sine", "flat-sine-ball", "psido-rough", "concentration-rough"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_overflowing_diagonal_operator_one_line(
+        self, tmp_path, lines, message, status, command
+    ):
+        # a stored-diagonal map whose squares overflow leaked a RuntimeWarning
+        # (two stderr lines) before its error: the flat sine coefficient then
+        # blamed the representer's norm and the order -250 multiplier exited 4
+        # at condition inf, and concentration's weak norm blamed truth.scale;
+        # a fresh interpreter shows what the console script prints
+        path, out = tmp_path / "rough.ini", tmp_path / "out.csv"
+        experiment = "" if lines.startswith("experiment=") else "experiment=coverage\n"
+        path.write_text(f"{experiment}{lines}n_replicates=4\noutput_path={out}\n")
+        done = _python(_CLI_MAIN, command, str(path), timeout=60)
+        assert done.returncode == status
+        assert done.stderr.startswith(f"error[{status}]: {message}")
+        assert done.stderr.count("\n") == 1
         assert not out.exists()
 
     def test_concentration_names_truth_scale(self, tmp_path):

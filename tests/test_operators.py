@@ -1,10 +1,13 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bvmlab
 from bvmlab.errors import ConfigurationError, IllPosedError, NumericalError, ShapeError
 from bvmlab.operators import (
     EllipticCoefficient,
@@ -305,6 +308,23 @@ class TestFisherSolve:
         diag_out = fisher_solve(inv, psi, 1e12)
         dense_out = fisher_solve(dense, psi, 1e12)
         np.testing.assert_allclose(dense_out.coeffs, diag_out.coeffs, rtol=1e-8)
+        # both storages gate the modes psi occupies: the dense copy of the heat
+        # semigroup used to be refused at condition 1e32 over all its modes
+        basis = build_basis(BasisKind.DIRICHLET_SINE, 64, 8)
+        heat = heat_semigroup(basis, 0.1)
+        dense = ForwardOperator(basis=basis, matrix=np.diag(heat.multipliers))
+        psi = unit_vector(basis, 0)
+        diag_out = fisher_solve(heat, psi, 1e12)
+        assert diag_out.coeffs[0] == pytest.approx(7.19884704253, rel=1e-11)
+        np.testing.assert_array_equal(fisher_solve(dense, psi, 1e12).coeffs, diag_out.coeffs)
+
+    def test_overflowing_squares_are_numerical_error(self):
+        # the squares 1e400 overflowed to inf, inf / inf gave a nan condition
+        # that passed the gate, and the diagonal path returned zeros
+        basis = build_basis(BasisKind.DIRICHLET_SINE, 64, 8)
+        op = ForwardOperator(basis=basis, multipliers=np.full(64, 1e200))
+        with pytest.raises(NumericalError, match="largest eigenvalue"):
+            fisher_solve(op, unit_vector(basis, 3))
 
     def test_overflowing_solution_is_numerical_error(self, bvp_pair, interval):
         # 1e305 * (pi k)^4 leaves the double range on every mode: the quotient
@@ -349,3 +369,17 @@ class TestSmoothingEstimate:
             lhs = sobolev_norm(apply(inv_var, f), 0.0)
             rhs = sobolev_norm(f, -2.0)
             assert lhs <= 10 * c * rhs
+
+
+def test_only_operators_reads_the_storage():
+    # every other module reads a forward map through ForwardOperator.array
+    # and the functions of this module, never through how it is stored
+    pattern = re.compile(r"\.(multipliers|matrix|is_diagonal)\b")
+    hits = [
+        f"{path.name}:{number}"
+        for path in sorted(Path(bvmlab.__file__).parent.glob("*.py"))
+        if path.name != "operators.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if pattern.search(line)
+    ]
+    assert hits == []
