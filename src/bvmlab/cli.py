@@ -1,9 +1,10 @@
 """Command-line front end: experiment orchestration, deterministic parallel
 replicates, and CSV emission.  Every experiment's table body goes through
 ``_csv_text``, which fills one row template per row and refuses non-finite
-numbers.  The coverage and rates bodies reach ``emit_csv`` as the chunks'
-pieces, which it writes in order without joining them, so the parent holds
-each body once.
+numbers.  The coverage and rates chunks' texts go to an unlinked spill file
+beside the output as each chunk arrives, and reach ``emit_csv`` as pieces read
+back one at a time, so the parent holds about one chunk per worker, never the
+body.
 
 Exit codes: 0 success, 1 configuration, 2 numerical, 3 rare-event,
 4 ill-posedness.
@@ -11,7 +12,9 @@ Exit codes: 0 success, 1 configuration, 2 numerical, 3 rare-event,
 from __future__ import annotations
 
 import argparse
+import collections.abc
 import concurrent.futures
+import contextlib
 import math
 import os
 import sys
@@ -66,7 +69,9 @@ COVERAGE_COLUMNS = (
 _RATES_COLUMNS = ("epsilon", "replicate", "dual_error")
 
 # the most replicates in one chunk: the replicate engine scores a chunk in one
-# block, so a task's memory is O(REPLICATE_BLOCK * n_modes) for any replicate count
+# block and the parent spills each chunk's rows as it arrives, so a task's
+# memory is O(REPLICATE_BLOCK * n_modes) and the parent's about one chunk's
+# texts per worker, for any replicate count
 REPLICATE_BLOCK = 256
 
 
@@ -207,8 +212,7 @@ def emit_csv(
         raise ConfigurationError("refusing to emit an empty results table")
     # write a sibling file, then rename it over the output, so a reader never
     # sees a partial table and a failed run leaves an older file intact
-    directory, name = os.path.split(path)
-    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    tmp = _sibling(path, "tmp")
     fh = open(tmp, "x", encoding="utf-8")
     try:
         with fh:
@@ -222,6 +226,53 @@ def emit_csv(
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def _sibling(path: str, suffix: str) -> str:
+    """The hidden name '.{name}.{pid}.{suffix}' beside ``path``."""
+    directory, name = os.path.split(path)
+    return os.path.join(directory, f".{name}.{os.getpid()}.{suffix}")
+
+
+class _Spill(collections.abc.Sequence):
+    """Text pieces kept in a file beside the output instead of in memory.
+
+    The file is created exclusively under a sibling name of the output and
+    unlinked at once, so neither a finished nor a failed run leaves it
+    behind; leaving the ``with`` block closes it.  ``write`` appends one piece
+    and returns its (offset, length) in bytes.  As a sequence the spill holds
+    the pieces whose extents ``order`` lists, each read back only when it is
+    indexed."""
+
+    def __init__(self, output_path: str):
+        path = _sibling(output_path, "spill")
+        self._file = open(path, "x+b")
+        try:
+            os.unlink(path)
+        except BaseException:
+            self._file.close()
+            raise
+        self.order: list[tuple[int, int]] = []
+
+    def write(self, text: str) -> tuple[int, int]:
+        data = text.encode()
+        offset = self._file.tell()
+        self._file.write(data)
+        return offset, len(data)
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, index: int) -> str:
+        offset, length = self.order[index]
+        self._file.flush()
+        return os.pread(self._file.fileno(), length, offset).decode()
+
+    def __enter__(self) -> _Spill:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._file.close()
 
 
 def _cells(values: np.ndarray) -> list[str]:
@@ -338,60 +389,71 @@ def _run_chunk(indices: range) -> list[tuple]:
     return row_fn(context, run, indices)
 
 
-def _map_chunks(
-    context: ExperimentContext, workers: int, run, row_fn
-) -> tuple[list[str], list]:
-    """The CSV body of every noise level and replicate as the chunks' pieces, in
-    (epsilon, replicate) order, and each level's chunk numbers, in chunk order.
+def _map_chunks(context: ExperimentContext, workers: int, run, row_fn, spill: _Spill) -> list:
+    """Write the CSV body of every noise level and replicate to ``spill``, whose
+    pieces it orders (epsilon, replicate)-major, and return each level's chunk
+    numbers, in chunk order.
 
     ``run`` holds the data-independent objects of every noise level, built
     once per run (the posterior system, and for coverage the credible sets),
     and ``row_fn(context, run, indices)`` returns one pair per level for a
     chunk of replicates: the chunk's CSV lines at that level, joined, and its
     numbers there (coverage's hit counts, rates' errors).  So each replicate's
-    noise is drawn once for all levels, and the parent reparses no cell and
-    joins no text: ``emit_csv`` writes the pieces one by one.  One
+    noise is drawn once for all levels.  Each chunk's texts are spilled as the
+    chunk arrives, and the parent keeps only their extents and the numbers: it
+    reparses no cell, joins no text and holds about one chunk per worker.  One
     worker, or one chunk, runs in-process; more map the chunks over a process
-    pool whose initializer hands each worker the run once.  Rows depend only on
-    (epsilon, replicate index), so the output is the same for any worker count.
+    pool, which yields them in chunk order, and whose initializer hands each
+    worker the run once.  Rows depend only on (epsilon, replicate index), so
+    the output is the same for any worker count.
     """
     workers = min(workers, os.cpu_count() or 1)
     tasks = _chunks(context.config.n_replicates, workers)
     workers = min(workers, len(tasks))
+    levels = range(len(context.config.epsilons))
+    extents, numbers = [[] for _ in levels], [[] for _ in levels]
+
+    def keep(chunk):
+        for k, (text, number) in enumerate(chunk):
+            extents[k].append(spill.write(text))
+            numbers[k].append(number)
+
     if workers <= 1:
-        chunks = [row_fn(context, run, chunk) for chunk in tasks]
+        # a chunk's texts are freed before the next chunk is scored
+        for indices in tasks:
+            keep(row_fn(context, run, indices))
     else:
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
             initargs=((row_fn, context, run),),
         ) as pool:
-            chunks = list(pool.map(_run_chunk, tasks))
-    levels = range(len(context.config.epsilons))
-    pieces = [chunk[k][0] for k in levels for chunk in chunks]
-    return pieces, [[chunk[k][1] for chunk in chunks] for k in levels]
+            for chunk in pool.map(_run_chunk, tasks):
+                keep(chunk)
+    spill.order = [extent for level in extents for extent in level]
+    return numbers
 
 
-def _run_coverage(context: ExperimentContext, workers: int):
+def _run_coverage(context: ExperimentContext, workers: int, spill: _Spill):
     config = context.config
     system = posterior.posterior_system(context.prior, context.forward)
     levels = [
         bvm.credible_sets(system, epsilon, context.functional, config.level, config.ball_beta)
         for epsilon in config.epsilons
     ]
-    pieces, hits = _map_chunks(context, workers, (system, levels), _coverage_rows)
+    hits = _map_chunks(context, workers, (system, levels), _coverage_rows, spill)
     # per level, the summed (interval, ball) hits of its chunks
     interval_hits, ball_hits = np.sum(hits, axis=1).T.tolist()
     extra = [("diag.coverage_hits", interval_hits)]
     if config.ball_beta is not None:
         extra.append(("diag.ball_hits", ball_hits))
-    return COVERAGE_COLUMNS, pieces, extra
+    return COVERAGE_COLUMNS, spill, extra
 
 
-def _run_rates(context: ExperimentContext, workers: int):
+def _run_rates(context: ExperimentContext, workers: int, spill: _Spill):
     config = context.config
     system = posterior.posterior_system(context.prior, context.forward)
-    pieces, errors = _map_chunks(context, workers, system, _rates_rows)
+    errors = _map_chunks(context, workers, system, _rates_rows, spill)
     # the doubles the dual_error cells were formatted from, so a reparse of the
     # file's cells gives the same means
     mean_errors = [float(np.mean(np.concatenate(level))) for level in errors]
@@ -400,7 +462,7 @@ def _run_rates(context: ExperimentContext, workers: int):
     names = ("slope", "r_squared", "predicted_exponent")
     extra = [(f"rate_{name}", getattr(fit, name)) for name in names]
     extra.append(("rate_binding_branch", predicted.which.value))
-    return _RATES_COLUMNS, pieces, extra
+    return _RATES_COLUMNS, spill, extra
 
 
 def _run_tightness(context: ExperimentContext):
@@ -485,19 +547,27 @@ def _failed(exc: BaseException) -> int:
 
 def run_command(config: ExperimentConfig, workers: int = 1) -> int:
     """Execute the configured experiment, write its CSV, and return an exit status."""
+    path = config.output_path
     try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(f"output_path {path!r} is a directory")
         context = build_context(config)
-        if config.experiment == "coverage":
-            header, body, extra = _run_coverage(context, workers)
-        elif config.experiment == "rates":
-            header, body, extra = _run_rates(context, workers)
-        elif config.experiment == "tightness":
-            header, body, extra = _run_tightness(context)
-        elif config.experiment == "concentration":
-            header, body, extra = _run_concentration(context)
-        else:
-            header, body, extra = _run_conjugacy(context)
-        emit_csv(header, body, config.output_path, _base_metadata(context) + extra)
+        experiment = config.experiment
+        # the chunked experiments' spill is made before any replicate is
+        # scored, so an output directory that cannot be written fails first
+        chunked = experiment in ("coverage", "rates")
+        with _Spill(path) if chunked else contextlib.nullcontext() as spill:
+            if experiment == "coverage":
+                header, body, extra = _run_coverage(context, workers, spill)
+            elif experiment == "rates":
+                header, body, extra = _run_rates(context, workers, spill)
+            elif experiment == "tightness":
+                header, body, extra = _run_tightness(context)
+            elif experiment == "concentration":
+                header, body, extra = _run_concentration(context)
+            else:
+                header, body, extra = _run_conjugacy(context)
+            emit_csv(header, body, path, _base_metadata(context) + extra)
     except OSError as exc:
         print(f"error[1]: cannot write output: {exc}", file=sys.stderr)
         return 1

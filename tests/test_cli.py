@@ -564,6 +564,8 @@ class TestNonFiniteOutput:
         assert main(["run", str(path), "--workers", str(workers)]) == 2
         assert capsys.readouterr().err == f"error[2]: {message}\n"
         assert not out.exists()
+        # neither the spill nor the sibling the table is written to stays behind
+        assert os.listdir(tmp_path) == ["big.ini"]
 
     def test_tightness_and_conjugacy_columns_checked(self, tmp_path, monkeypatch, capsys):
         # every experiment's table goes through the same finite check
@@ -1092,6 +1094,8 @@ class TestCoverageDiagnostics:
         body1 = out1.read_bytes().replace(bytes(str(out1), "utf-8"), b"OUT")
         body2 = out2.read_bytes().replace(bytes(str(out2), "utf-8"), b"OUT")
         assert body1 == body2
+        # the runs leave their tables and nothing else beside them
+        assert sorted(os.listdir(tmp_path)) == ["w1.csv", "w2.csv"]
 
     @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
     def test_workers_receive_the_run_once(self, tmp_path, monkeypatch, method):
@@ -1657,12 +1661,127 @@ class TestReplicateMajor:
         assert bodies[1] == bodies[0] and bodies[2] == bodies[0]
 
 
+class TestSpill:
+    """The coverage and rates parent spills each chunk's texts to a nameless
+    file beside the output as the chunk arrives, and keeps only where they are."""
+
+    def test_parent_holds_about_one_chunk(self, tmp_path, monkeypatch):
+        # 4096 replicates at three noise levels are 16 serial chunks of 256.
+        # The peak is taken from the end of the build, whose own peak (the
+        # prior tail's series) does not depend on the replicate count; what
+        # is left is one chunk's texts and one level's formatting, however
+        # many chunks there are, while holding the body costs 16 chunks
+        build = cli.build_context
+
+        def built(config):
+            context = build(config)
+            tracemalloc.reset_peak()
+            return context
+
+        monkeypatch.setattr(cli, "build_context", built)
+        text = (
+            "experiment=coverage\noperator.kind=bvp\nn_modes=8\nfunctional.band=4\n"
+            "epsilons=1e-2,1e-3,1e-4\noutput_path={out}\nn_replicates="
+        )
+
+        def peak_and_body(n_replicates):
+            out = tmp_path / f"{n_replicates}.csv"
+            config = parse_config(text.format(out=out) + str(n_replicates))
+            tracemalloc.start()
+            try:
+                assert run_command(config) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            lines = out.read_text().splitlines(keepends=True)
+            return peak, sum(len(line) for line in lines if not line.startswith("#"))
+
+        # a first run imports what scoring needs, outside the measured runs
+        peak_and_body(4)
+        one_peak, _ = peak_and_body(cli.REPLICATE_BLOCK)
+        peak, body = peak_and_body(16 * cli.REPLICATE_BLOCK)
+        chunk = body / 16
+        assert peak < 3 * chunk
+        assert peak < body / 4
+        assert peak - one_peak < chunk / 4
+
+    @pytest.mark.parametrize("template", [MINIMAL_BVP, RATES], ids=["coverage", "rates"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_spill_has_no_name_while_scoring(
+        self, tmp_path, monkeypatch, pool_sizes, template, workers
+    ):
+        # a run killed mid-way leaves nothing behind: while the chunks are
+        # scored the output's directory holds only the config (the recording
+        # pool maps in this process, so every chunk looks)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        seen = []
+        name = "_coverage_rows" if template is MINIMAL_BVP else "_rates_rows"
+        rows = getattr(cli, name)
+
+        def listing(context, run, indices):
+            seen.append(sorted(os.listdir(tmp_path)))
+            return rows(context, run, indices)
+
+        monkeypatch.setattr(cli, name, listing)
+        path, out = tmp_path / "cfg", tmp_path / "o.csv"
+        path.write_text(template.format(out=out).replace("n_replicates=5", "n_replicates=600"))
+        assert main(["run", str(path), "--workers", str(workers)]) == 0
+        assert pool_sizes == ([] if workers == 1 else [2])
+        assert len(seen) == 3 and all(listed == ["cfg"] for listed in seen)
+        assert sorted(os.listdir(tmp_path)) == ["cfg", "o.csv"]
+
+    @pytest.mark.parametrize("template", [MINIMAL_BVP, RATES], ids=["coverage", "rates"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_missing_directory_fails_before_scoring(
+        self, tmp_path, monkeypatch, capsys, pool_sizes, template, workers
+    ):
+        calls = []
+        for name in ("replicate_table", "replicate_errors"):
+            original = getattr(bvm, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(bvm, name, counted)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        missing = tmp_path / "missing"
+        config = parse_config(template.format(out=missing / "o.csv"))
+        assert run_command(config, workers=workers) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[1]: cannot write output: ") and err.count("\n") == 1
+        assert calls == [] and pool_sizes == []
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("template", [MINIMAL_BVP, CONJUGACY], ids=["coverage", "conjugacy"])
+    @pytest.mark.parametrize("via", ["output_path", "--out"])
+    def test_directory_output_refused_before_the_build(
+        self, tmp_path, monkeypatch, capsys, template, via
+    ):
+        # a directory used to be scored in full, then written beside as
+        # '/.name.pid.tmp' in its parent
+        builds = []
+        monkeypatch.setattr(cli, "build_context", builds.append)
+        directory = tmp_path / "out"
+        directory.mkdir()
+        path = tmp_path / "cfg"
+        out = directory if via == "output_path" else tmp_path / "o.csv"
+        path.write_text(template.format(out=out))
+        argv = ["run", str(path)] + (["--out", str(directory)] if via == "--out" else [])
+        assert main(argv) == 1
+        message = f"output_path {str(directory)!r} is a directory"
+        assert capsys.readouterr().err == f"error[1]: cannot write output: {message}\n"
+        assert builds == []
+        assert sorted(os.listdir(tmp_path)) == ["cfg", "out"]
+        assert os.listdir(directory) == []
+
+
 class TestFailureExitCodes:
     @pytest.mark.parametrize(
         "error", [BrokenProcessPool("a worker died"), MemoryError()], ids=["broken_pool", "memory"]
     )
     def test_escaping_error_exits_two(self, tmp_path, monkeypatch, capsys, error):
-        def fail(context, workers):
+        def fail(context, workers, spill):
             raise error
 
         monkeypatch.setattr(cli, "_run_coverage", fail)
