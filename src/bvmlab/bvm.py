@@ -218,8 +218,9 @@ def _replicate_modes(
     ``g * U^T (A f_dagger + epsilon W)``, which ``system.synthesise`` maps to
     coefficients.  Every step is row-local, so every row is bitwise the same
     for any index split: a parallel driver bounds memory by the ranges it
-    passes.  Every level's modal rows are computed into one reused buffer,
-    valid only until the iterator's next step.
+    passes.  Every level's modal rows are computed into the noise block, which
+    is dead once rotated: the returned noise rows are valid only until the
+    iterator's first step, and each level's modal rows only until its next.
     """
     if not system.operator.basis.compatible(f_dagger.basis):
         raise ShapeError("truth lives on a different basis than the operator")
@@ -229,7 +230,7 @@ def _replicate_modes(
     rotated = system.rotate(noise)
 
     def modal_means() -> Iterator[np.ndarray]:
-        modes = np.empty_like(rotated)
+        modes = noise
         for epsilon, gain in zip(epsilons, gains):
             # gain * (signal + epsilon * rotated), ufunc by ufunc
             np.multiply(epsilon, rotated, out=modes)
@@ -271,7 +272,8 @@ def replicate_table(
     weights = None if ball_beta is None else system.prior.basis.sobolev_weights(-ball_beta)
     epsilons = [sets.epsilon for sets in levels]
     noise, modes_by_level = _replicate_modes(system, epsilons, f_dagger, indices, master_seed)
-    # <w, A psi_tilde> does not depend on the noise level
+    # <w, A psi_tilde> does not depend on the noise level; it is taken before
+    # the first level overwrites the noise rows
     noise_term = np.vecdot(noise, image)
     tables = []
     for sets, modes in zip(levels, modes_by_level):

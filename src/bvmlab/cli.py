@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import collections.abc
-import concurrent.futures
+import concurrent  # the package; its futures module loads with a pool
 import contextlib
 import math
 import os
@@ -423,6 +423,9 @@ def _map_chunks(context: ExperimentContext, workers: int, run, row_fn, spill: _S
         for indices in tasks:
             keep(row_fn(context, run, indices))
     else:
+        # loaded here, so a run that starts no pool does not pay for the module
+        import concurrent.futures
+
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,
@@ -532,9 +535,13 @@ def _run_conjugacy(context: ExperimentContext):
     return header, text, []
 
 
-# what a failed build or run raises besides a write error, each reported as
-# one stderr line
-_FAILURES = (BvmlabError, concurrent.futures.BrokenExecutor, MemoryError, np.linalg.LinAlgError)
+def _failures() -> tuple[type[BaseException], ...]:
+    """What a failed build or run raises besides a write error, each reported as
+    one stderr line.  A broken process pool is among them once
+    ``concurrent.futures`` is loaded; before that no pool can exist."""
+    futures = sys.modules.get("concurrent.futures")
+    broken = () if futures is None else (futures.BrokenExecutor,)
+    return (BvmlabError, MemoryError, np.linalg.LinAlgError, *broken)
 
 
 def _failed(exc: BaseException) -> int:
@@ -545,13 +552,25 @@ def _failed(exc: BaseException) -> int:
     return code
 
 
+def _unwritable(exc: OSError) -> int:
+    """Print the one stderr line of an output that cannot be written; return 1."""
+    print(f"error[1]: cannot write output: {exc}", file=sys.stderr)
+    return 1
+
+
+def _checked_build(config: ExperimentConfig) -> ExperimentContext:
+    """The run's context, built only for an ``output_path`` that is not a
+    directory, so that ``run`` and ``validate`` refuse the same configs."""
+    if os.path.isdir(config.output_path):
+        raise IsADirectoryError(f"output_path {config.output_path!r} is a directory")
+    return build_context(config)
+
+
 def run_command(config: ExperimentConfig, workers: int = 1) -> int:
     """Execute the configured experiment, write its CSV, and return an exit status."""
     path = config.output_path
     try:
-        if os.path.isdir(path):
-            raise IsADirectoryError(f"output_path {path!r} is a directory")
-        context = build_context(config)
+        context = _checked_build(config)
         experiment = config.experiment
         # the chunked experiments' spill is made before any replicate is
         # scored, so an output directory that cannot be written fails first
@@ -569,9 +588,8 @@ def run_command(config: ExperimentConfig, workers: int = 1) -> int:
                 header, body, extra = _run_conjugacy(context)
             emit_csv(header, body, path, _base_metadata(context) + extra)
     except OSError as exc:
-        print(f"error[1]: cannot write output: {exc}", file=sys.stderr)
-        return 1
-    except _FAILURES as exc:
+        return _unwritable(exc)
+    except _failures() as exc:
         return _failed(exc)
     return 0
 
@@ -604,9 +622,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             config.master_seed = args.seed
             config.validate()
         if args.command == "validate":
-            # the build run makes, so a refusal there exits with run's code
-            build_context(config)
-    except _FAILURES as exc:
+            # the checks and the build run makes, so a refusal there exits
+            # with run's code
+            _checked_build(config)
+    except OSError as exc:
+        return _unwritable(exc)
+    except _failures() as exc:
         return _failed(exc)
 
     if args.command == "validate":

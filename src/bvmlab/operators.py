@@ -157,7 +157,9 @@ def elliptic_operator(
         raise NumericalError(f"Galerkin matrix is numerically singular: {exc}") from exc
     # mat = C C^T, so mat^{-1} = C^{-T} C^{-1}
     inv_mat = chol_inv.T @ chol_inv
-    inv_mat = 0.5 * (inv_mat + inv_mat.T)
+    del chol_inv
+    inv_mat += inv_mat.T
+    inv_mat *= 0.5
     fwd = ForwardOperator(basis=basis, matrix=mat)
     inv = ForwardOperator(basis=basis, matrix=inv_mat, companion=fwd)
     object.__setattr__(fwd, "companion", inv)

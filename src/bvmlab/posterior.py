@@ -184,8 +184,10 @@ class PosteriorSystem:
         spreads = self.spreads(epsilon)
         if self.w.ndim == 1:
             return weights * (self.w * spreads) ** 2
+        scaled = np.sqrt(weights)[:, None] * self.w
+        scaled *= spreads
         try:
-            s = np.linalg.svd(np.sqrt(weights)[:, None] * self.w * spreads, compute_uv=False)
+            s = np.linalg.svd(scaled, compute_uv=False)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"weighted posterior spectrum singular value decomposition (svd) failed: {exc}"
@@ -208,7 +210,11 @@ def _check_compatible(prior: GaussianPrior, op: ForwardOperator, obs: Observatio
 def posterior_system(prior: GaussianPrior, op: ForwardOperator) -> PosteriorSystem:
     """The singular system of the whitened operator A S^{1/2}, which serves every
     noise level: per-mode vectors on the diagonal path, one singular value
-    decomposition on the dense one."""
+    decomposition on the dense one.
+
+    On the dense path the whitened matrix is dropped once decomposed, and W is
+    V^T's transpose scaled in place, so besides the system's own copies of U^T
+    and W the build holds only the decomposition's U and V^T."""
     if not prior.basis.compatible(op.basis):
         raise ShapeError("prior and operator must share one basis")
     prior_sd = np.sqrt(prior.variances)
@@ -221,7 +227,10 @@ def posterior_system(prior: GaussianPrior, op: ForwardOperator) -> PosteriorSyst
         raise NumericalError(
             f"posterior system singular value decomposition (svd) failed: {exc}"
         ) from exc
-    return PosteriorSystem(prior, op, u.T, sigma, prior_sd[:, None] * vt.T)
+    del whitened
+    w = vt.T
+    w *= prior_sd[:, None]
+    return PosteriorSystem(prior, op, u.T, sigma, w)
 
 
 def posterior_update(

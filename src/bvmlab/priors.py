@@ -304,9 +304,10 @@ QUADRATURE_RTOL = 1e-14
 # log x (lower tail) by less than this
 _QUANTILE_STEP_TOL = 1e-13
 
-# contour points per block, times the weight count, bounds the complex
-# temporaries of one cumulant evaluation
-_CONTOUR_BLOCK_ENTRIES = 1 << 15
+# contour points per block, times the weight count, bounds the one complex
+# buffer of a cumulant evaluation (64 kB); a row sums its own weights in the
+# same order at any block size, so the size changes no bit
+_CONTOUR_BLOCK_ENTRIES = 1 << 12
 
 # most contour points one pass evaluates, in the search for the integrand's
 # decay and in the trapezoid's halvings: a point costs one cumulant evaluation
@@ -318,9 +319,11 @@ def _cgf(weights: np.ndarray, s: np.ndarray) -> np.ndarray:
     block = max(1, _CONTOUR_BLOCK_ENTRIES // weights.size)
     out = np.empty(s.shape, dtype=s.dtype)
     for lo in range(0, s.size, block):
-        out[lo : lo + block] = -0.5 * np.sum(
-            np.log1p(-2.0 * np.multiply.outer(s[lo : lo + block], weights)), axis=1
-        )
+        # log1p(-2 s w) in the one buffer the outer product allocates
+        terms = np.multiply.outer(s[lo : lo + block], weights)
+        terms *= -2.0
+        np.log1p(terms, out=terms)
+        out[lo : lo + block] = -0.5 * np.sum(terms, axis=1)
     return out
 
 

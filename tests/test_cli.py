@@ -1259,6 +1259,28 @@ def test_cli_runs_with_scipy_unimportable(tmp_path):
     assert _run_python(script) == str([0] * len(configs))
 
 
+def test_pool_module_loaded_only_by_a_pool(tmp_path):
+    # concurrent.futures costs a serial run memory and start-up time, so only
+    # the pool branch loads it; 600 replicates on 2 workers are 3 chunks
+    serial, concentration, pooled = (tmp_path / f"{name}.ini" for name in ("s", "c", "p"))
+    serial.write_text(MINIMAL_BVP.format(out=tmp_path / "s.csv"))
+    concentration.write_text(CONCENTRATION.format(deltas="0.3,0.2", out=tmp_path / "c.csv"))
+    pooled.write_text(
+        MINIMAL_BVP.replace("n_replicates=5", "n_replicates=600").format(out=tmp_path / "p.csv")
+    )
+    script = (
+        "import sys\n"
+        "from bvmlab import cli\n"
+        "cli.os.cpu_count = lambda: 2\n"
+        "loaded = lambda: 'concurrent.futures' in sys.modules\n"
+        f"codes = [cli.main(['run', {str(serial)!r}]), cli.main(['run', {str(concentration)!r}])]\n"
+        "before = loaded()\n"
+        f"codes.append(cli.main(['run', {str(pooled)!r}, '--workers', '2']))\n"
+        "print(codes, before, loaded())\n"
+    )
+    assert _run_python(script) == "[0, 0, 0] False True"
+
+
 _MODULES = ["bvmlab"] + [f"bvmlab.{m.name}" for m in pkgutil.iter_modules(bvmlab.__path__)]
 
 
@@ -1754,20 +1776,24 @@ class TestSpill:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("template", [MINIMAL_BVP, CONJUGACY], ids=["coverage", "conjugacy"])
-    @pytest.mark.parametrize("via", ["output_path", "--out"])
+    @pytest.mark.parametrize("via", ["output_path", "--out", "validate"])
     def test_directory_output_refused_before_the_build(
         self, tmp_path, monkeypatch, capsys, template, via
     ):
         # a directory used to be scored in full, then written beside as
-        # '/.name.pid.tmp' in its parent
+        # '/.name.pid.tmp' in its parent; validate, given the directory as
+        # output_path, exits with run's code and line
         builds = []
         monkeypatch.setattr(cli, "build_context", builds.append)
         directory = tmp_path / "out"
         directory.mkdir()
         path = tmp_path / "cfg"
-        out = directory if via == "output_path" else tmp_path / "o.csv"
+        out = tmp_path / "o.csv" if via == "--out" else directory
         path.write_text(template.format(out=out))
-        argv = ["run", str(path)] + (["--out", str(directory)] if via == "--out" else [])
+        if via == "validate":
+            argv = ["validate", str(path)]
+        else:
+            argv = ["run", str(path)] + (["--out", str(directory)] if via == "--out" else [])
         assert main(argv) == 1
         message = f"output_path {str(directory)!r} is a directory"
         assert capsys.readouterr().err == f"error[1]: cannot write output: {message}\n"

@@ -308,6 +308,19 @@ class TestBallMasses:
         assert time.process_time() - start < 1.0
         assert sum(points) <= 2 * priors._MAX_CONTOUR_POINTS
 
+    @pytest.mark.parametrize("points", [1, 15, 16, 17, 400])
+    def test_cgf_blocks_keep_the_bits(self, points):
+        # the blocked, in-place cumulant against the whole expression at once:
+        # 256 weights make blocks of _CONTOUR_BLOCK_ENTRIES // 256 contour
+        # points, and each row sums its own weights in the same order in any block
+        weights = np.linspace(1.0, 0.01, 256)
+        s = 0.1 + 1j * np.linspace(0.0, 5.0, points)
+        whole = -0.5 * np.sum(np.log1p(-2.0 * np.multiply.outer(s, weights)), axis=1)
+        np.testing.assert_array_equal(priors._cgf(weights, s), whole)
+        real = np.linspace(-3.0, 0.4, points)
+        whole = -0.5 * np.sum(np.log1p(-2.0 * np.multiply.outer(real, weights)), axis=1)
+        np.testing.assert_array_equal(priors._cgf(weights, real), whole)
+
     def test_radius_squared_zero_or_inf(self):
         log_mass = priors._ball_log_masses(np.array([1.0, 0.5]), np.array([0.0, math.inf]))
         assert log_mass.tolist() == [-math.inf, 0.0]
