@@ -390,10 +390,7 @@ def coverage_report(
 class RateFit:
     """Least-squares slope of log error against log noise level."""
 
-    epsilons: tuple[float, ...]
-    errors: tuple[float, ...]
     slope: float
-    intercept: float
     r_squared: float
     predicted_exponent: float
 
@@ -417,10 +414,7 @@ def rate_fit(
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 and ss_res < 1e-28 else 1.0 - ss_res / max(ss_tot, np.finfo(float).tiny)
     return RateFit(
-        epsilons=tuple(eps),
-        errors=tuple(err),
         slope=float(slope),
-        intercept=float(intercept),
         r_squared=r_squared,
         predicted_exponent=float(predicted_exponent),
     )

@@ -6,23 +6,23 @@ key, spelled as the key with its section dot replaced by ``_``
 annotation, and listed in field order.  Unknown keys are rejected by name;
 defaults are applied at parse time and echoed into every output file's
 metadata block.  Settings derived from the keys are the config's properties.
-``validate`` checks each key's own range and the keys' compatibility; the
-library's limits are met where the run is built, by ``cli.build_context``,
-which names the key each builder reads.
+``validate`` checks each key's own range and the keys' compatibility: first
+what every experiment needs, then what the experiment's record in
+``experiments.EXPERIMENTS`` checks.  The library's limits are met where the
+run is built, by ``cli.build_context``, which names the key each builder reads.
 """
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _keyed
+from .experiments import EXPERIMENTS, _check_bump, _format_value
 from .operators import DEFAULT_COND_LIMIT, EllipticCoefficient
 from .posterior import two_sided_quantile
-from .priors import MAX_MC_SAMPLES, _positive_deltas
 from .spectral import (
     BasisKind,
     CoeffVector,
@@ -37,7 +37,6 @@ __all__ = ["ExperimentConfig", "parse_config", "resolved_items"]
 
 DEFAULT_EPSILONS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
-EXPERIMENTS = ("coverage", "rates", "tightness", "concentration", "conjugacy")
 OPERATOR_KINDS = ("psido", "bvp", "heat")
 TRUTH_KINDS = ("bump", "sobolev", "modes")
 FUNCTIONAL_KINDS = ("smoothed_image", "mode", "heat_mode", "sobolev")
@@ -116,13 +115,6 @@ class ExperimentConfig:
     concentration_mc_samples: int = 100_000
 
     @property
-    def basis_modes(self) -> int:
-        """Mode count of the experiment's basis, which tightness widens to its series."""
-        if self.experiment == "tightness":
-            return max(self.n_modes, self.tightness_max_modes)
-        return self.n_modes
-
-    @property
     def basis_kind(self) -> BasisKind:
         """The torus for the smoothing multiplier, the Dirichlet sine basis otherwise."""
         kind = self.operator_kind
@@ -154,11 +146,6 @@ class ExperimentConfig:
             return -self.operator_t
         return -2.0 if self.operator_kind == "bvp" else 0.0
 
-    @property
-    def reads_truth(self) -> bool:
-        """Tightness and conjugacy never read the configured truth."""
-        return self.experiment in ("coverage", "rates", "concentration")
-
     def truth(self, basis: SpectralBasis) -> CoeffVector:
         """The configured truth on ``basis``: its shape times truth.scale.
 
@@ -184,7 +171,8 @@ class ExperimentConfig:
         return coeffs
 
     def validate(self) -> None:
-        """Check each key's own range and the keys' compatibility; build nothing."""
+        """Check each key's own range and the keys' compatibility, the
+        experiment's own checks last; build nothing."""
         for key, (attr, _) in _KEY_TABLE.items():
             value = getattr(self, attr)
             values = value if isinstance(value, tuple) else (value,)
@@ -207,12 +195,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"key 'functional.kind': unknown functional {self.functional_kind!r}"
             )
-        # tightness sums the series of the elliptic differential operator
-        if self.experiment == "tightness" and self.operator_kind != "bvp":
-            raise ConfigurationError(
-                f"key 'operator.kind': tightness needs the elliptic operator (bvp), "
-                f"got {self.operator_kind!r}"
-            )
         if self.n_modes < 1:
             raise ConfigurationError("key 'n_modes': must be a positive integer")
         if self.operator_kind == "psido" and self.n_modes % 2 == 0:
@@ -230,100 +212,16 @@ class ExperimentConfig:
             two_sided_quantile(self.level)
         if not self.epsilons or any(e <= 0 for e in self.epsilons):
             raise ConfigurationError("key 'epsilons': need a nonempty list of positive values")
-        # the posterior squares each noise level, which must stay a positive double
-        if self.experiment in ("coverage", "rates") and not all(
-            0 < e * e < math.inf for e in self.epsilons
-        ):
-            raise ConfigurationError(
-                f"key 'epsilons': every squared noise level must be a positive finite double, "
-                f"got {_format_value(self.epsilons)}"
-            )
         if self.n_replicates < 1:
             raise ConfigurationError("key 'n_replicates': must be a positive integer")
         if self.ball_beta is not None and self.ball_beta < 0:
             raise ConfigurationError("key 'ball_beta': must be nonnegative")
         if self.operator_kind == "bvp":
             self._check_coefficient()
-        if self.reads_truth:
-            self._check_truth()
-        # replicate rows are gathered per noise level, so a repeated level
-        # would count its rows twice
-        if self.experiment in ("coverage", "rates") and len(set(self.epsilons)) != len(
-            self.epsilons
-        ):
-            raise ConfigurationError(
-                f"key 'epsilons': noise levels must be distinct, got {_format_value(self.epsilons)}"
-            )
-        if self.experiment == "rates" and self.operator_kind == "heat":
-            raise ConfigurationError(
-                "key 'experiment': polynomial rate fits are not defined for the heat semigroup"
-            )
-        if self.experiment == "rates":
-            # the rate fit reads these only after every replicate has run
-            if len(self.epsilons) < 3:
-                raise ConfigurationError(
-                    f"key 'epsilons': a rate fit needs at least three noise levels, "
-                    f"got {_format_value(self.epsilons)}"
-                )
-            if self.operator_kind == "psido" and self.operator_t < 0:
-                raise ConfigurationError(
-                    f"key 'operator.t': a rate needs a smoothing order t >= 0, "
-                    f"got {self.operator_t!r}"
-                )
-            t = -self.ambient_exponent
-            if self.truth_alpha < 0 and self.truth_alpha <= -t:
-                raise ConfigurationError(
-                    f"key 'truth.alpha': a rate needs truth smoothness alpha > -t = {-t!r}, "
-                    f"got {self.truth_alpha!r}"
-                )
-        if self.experiment == "concentration":
-            if self.concentration_mc_samples < 1000:
-                raise ConfigurationError(
-                    "key 'concentration.mc_samples': need at least 1000 samples"
-                )
-            if self.concentration_mc_samples > MAX_MC_SAMPLES:
-                raise ConfigurationError(
-                    "key 'concentration.mc_samples': at most 2**63 - 1 samples, "
-                    f"got {self.concentration_mc_samples}"
-                )
-            with _keyed("concentration.deltas"):
-                _positive_deltas(self.concentration_deltas)
-        if self.experiment == "tightness" and self.tightness_max_modes < 100:
-            raise ConfigurationError(
-                "key 'tightness.max_modes': need at least 100 modes to judge the tail"
-            )
-        kind, coverage = self.functional_kind, self.experiment == "coverage"
-        if coverage and kind == "smoothed_image" and self.operator_kind != "bvp":
-            raise ConfigurationError(
-                "key 'functional.kind': smoothed_image requires the elliptic operator (bvp)"
-            )
-        if coverage and kind == "heat_mode" and self.operator_kind != "heat":
-            raise ConfigurationError(
-                "key 'functional.kind': heat_mode requires the heat operator"
-            )
-        reads_band = kind in ("sobolev", "smoothed_image")
-        # every functional but heat_mode goes through the representer solve
-        reads_cond = kind != "heat_mode"
-        if coverage and reads_cond and self.operator_cond_limit <= 0:
-            raise ConfigurationError(
-                f"key 'operator.cond_limit': must be positive, got {self.operator_cond_limit!r}"
-            )
-        if coverage and kind == "sobolev" and self.functional_seed < 0:
-            raise ConfigurationError(
-                f"key 'functional.seed': must be nonnegative, got {self.functional_seed}"
-            )
-        if coverage and kind == "smoothed_image":
-            _check_bump("functional", self.functional_support, self.functional_plateau)
-        # a band below the basis's lowest frequency, or sin(0 pi x), makes psi
-        # zero, and a zero functional covers every replicate with radius 0
-        lowest = 0 if self.operator_kind == "psido" else 1
-        if coverage and reads_band and self.functional_band < lowest:
-            raise ConfigurationError(
-                f"key 'functional.band': band {self.functional_band} keeps no mode; "
-                f"the basis's lowest frequency is {lowest}"
-            )
-        if coverage and kind == "smoothed_image" and self.functional_sine == 0:
-            raise ConfigurationError("key 'functional.sine': sine 0 makes the functional zero")
+        experiment = EXPERIMENTS[self.experiment]
+        if experiment.reads_truth:
+            self._check_truth(experiment.basis_modes(self)[0])
+        experiment.check(self)
 
     def _check_coefficient(self) -> None:
         coefficient, base = self.operator_coefficient, self.operator_coefficient_base
@@ -337,7 +235,7 @@ class ExperimentConfig:
                 "(uniform ellipticity)"
             )
 
-    def _check_truth(self) -> None:
+    def _check_truth(self, n_modes: int) -> None:
         if self.truth_kind == "bump":
             _check_bump("truth", self.truth_support, self.truth_plateau)
         modes = self.truth_modes
@@ -349,9 +247,9 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"key 'truth.modes': modes must be distinct, got {_format_value(modes)}"
             )
-        if self.truth_kind == "modes" and not all(1 <= m <= self.basis_modes for m in modes):
+        if self.truth_kind == "modes" and not all(1 <= m <= n_modes for m in modes):
             raise ConfigurationError(
-                f"key 'truth.modes': modes must lie in 1..{self.basis_modes}, "
+                f"key 'truth.modes': modes must lie in 1..{n_modes}, "
                 f"got {_format_value(modes)}"
             )
         # a Sobolev draw seeds NumPy's generator, which takes no negative seed
@@ -359,16 +257,6 @@ class ExperimentConfig:
             raise ConfigurationError(
                 f"key 'truth.seed': must be nonnegative, got {self.truth_seed}"
             )
-
-
-@contextmanager
-def _keyed(*keys: str) -> Iterator[None]:
-    """Name ``keys`` in a configuration error that the library raises in the block."""
-    names = "/".join(f"'{key}'" for key in keys)
-    try:
-        yield
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"key{'s' * (len(keys) > 1)} {names}: {exc}") from exc
 
 
 def _key(attr: str) -> str:
@@ -380,21 +268,6 @@ def _key(attr: str) -> str:
 _KEY_TABLE = {
     _key(field.name): (field.name, _PARSERS[field.type]) for field in fields(ExperimentConfig)
 }
-
-
-def _check_bump(section: str, support: tuple[float, float], plateau: tuple[float, float]) -> None:
-    """The cutoff ``spectral.make_bump`` accepts: 0 < a < p <= q < b < 1."""
-    (a, b), (p, q) = support, plateau
-    if not 0.0 < a < b < 1.0:
-        raise ConfigurationError(
-            f"key '{section}.support': need 0 < support[0] < support[1] < 1, "
-            f"got {_format_value(support)}"
-        )
-    if not a < p <= q < b:
-        raise ConfigurationError(
-            f"key '{section}.plateau': need support[0] < plateau[0] <= plateau[1] < support[1], "
-            f"got {_format_value(plateau)} inside {_format_value(support)}"
-        )
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -428,14 +301,6 @@ def parse_config(text: str) -> ExperimentConfig:
             ) from exc
     config.validate()
     return config
-
-
-def _format_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def resolved_items(config: ExperimentConfig) -> list[tuple[str, str]]:

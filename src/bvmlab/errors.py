@@ -3,6 +3,8 @@
 The CLI maps these onto exit codes: configuration 1, numerical 2,
 rare-event 3, ill-posedness 4.
 """
+from contextlib import contextmanager
+from typing import Iterator
 
 
 class BvmlabError(Exception):
@@ -27,3 +29,13 @@ class RareEventError(BvmlabError):
 
 class IllPosedError(BvmlabError):
     """Requested inversion exceeds the numerically resolvable range."""
+
+
+@contextmanager
+def _keyed(*keys: str) -> Iterator[None]:
+    """Name ``keys`` in a configuration error that the library raises in the block."""
+    names = "/".join(f"'{key}'" for key in keys)
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"key{'s' * (len(keys) > 1)} {names}: {exc}") from exc

@@ -1,5 +1,6 @@
 import ast
 import collections
+import dataclasses
 import importlib
 import inspect
 import math
@@ -22,11 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bvmlab
-from bvmlab import bvm, cli, operators, posterior, priors, spectral
+from bvmlab import bvm, cli, experiments, operators, posterior, priors, spectral
 from bvmlab import config as config_module
 from bvmlab.cli import build_context, emit_csv, main, run_command
 from bvmlab.config import parse_config, resolved_items
 from bvmlab.errors import ConfigurationError, NumericalError
+from bvmlab.experiments import EXPERIMENTS
 from bvmlab.seeds import derive_seed
 from reference import csv_text_per_cell, load_csv
 
@@ -57,6 +59,13 @@ n_replicates=5
 truth.kind=sobolev
 truth.alpha=2.0
 epsilons=1e-2,3e-3,1e-3
+output_path={out}
+"""
+
+TIGHTNESS = """
+experiment=tightness
+n_modes=32
+tightness.max_modes=100
 output_path={out}
 """
 
@@ -122,9 +131,10 @@ class TestParseConfig:
             )
 
     def test_every_key_is_read_by_the_cli(self):
-        # a key whose attribute the CLI never reads, directly or through a config
-        # property or method it reads, is a knob that changes nothing; validate
-        # reads every key to check it, not to run with it
+        # a key whose attribute the CLI never reads, directly, through what it
+        # runs of an experiment's record or through a config property or method
+        # it reads, is a knob that changes nothing; validate and the records'
+        # checks read every key to check it, not to run with it
         def loads(source, is_config):
             tree = ast.parse(textwrap.dedent(source))
             return {
@@ -135,11 +145,32 @@ class TestParseConfig:
                 and is_config(node.value)
             }
 
-        read = loads(
-            inspect.getsource(cli),
-            lambda value: (isinstance(value, ast.Name) and value.id == "config")
-            or (isinstance(value, ast.Attribute) and value.attr == "config"),
-        )
+        def is_config(value):
+            return (isinstance(value, ast.Name) and value.id == "config") or (
+                isinstance(value, ast.Attribute) and value.attr == "config"
+            )
+
+        def called(source):
+            # the functions of experiments that ``source`` names
+            nodes = ast.walk(ast.parse(textwrap.dedent(source)))
+            named = [getattr(experiments, n.id, None) for n in nodes if isinstance(n, ast.Name)]
+            own = experiments.__name__
+            return [f for f in named if inspect.isfunction(f) and f.__module__ == own]
+
+        # the CLI, each record's functions but its check, and what they call
+        sources = [inspect.getsource(cli)]
+        functions = called(sources[0]) + [
+            getattr(record, field.name)
+            for record in EXPERIMENTS.values()
+            for field in dataclasses.fields(record)
+            if field.name != "check" and inspect.isfunction(getattr(record, field.name))
+        ]
+        while functions:
+            source = inspect.getsource(functions.pop())
+            if source not in sources:
+                sources.append(source)
+                functions += called(source)
+        read = set().union(*(loads(source, is_config) for source in sources))
         pending = set(read)
         while pending:
             member = getattr(config_module.ExperimentConfig, pending.pop(), None)
@@ -1077,20 +1108,26 @@ class TestCoverageDiagnostics:
         else:
             assert "diag.ball_hits" not in metadata
 
-    @pytest.mark.parametrize(
-        "template, extra",
-        [
-            (MINIMAL_BVP, "ball_beta=3.5\n"),
-            (MINIMAL_BVP, "ball_beta=3.5\noperator.coefficient=sine\n"),
-            (RATES, ""),
-        ],
-        ids=["coverage", "coverage-dense", "rates"],
-    )
+    WORKER_CASES = {
+        "coverage": (MINIMAL_BVP, "ball_beta=3.5\n"),
+        "coverage-dense": (MINIMAL_BVP, "ball_beta=3.5\noperator.coefficient=sine\n"),
+        "rates": (RATES, ""),
+        "tightness": (TIGHTNESS, ""),
+        "concentration": (CONCENTRATION, ""),
+        "conjugacy": (CONJUGACY, ""),
+    }
+
+    @pytest.mark.parametrize("template, extra", WORKER_CASES.values(), ids=WORKER_CASES)
     def test_one_and_two_workers_byte_identical(self, tmp_path, template, extra):
-        # a real process pool (criterion 12), capped at the core count
+        # a real process pool (criterion 12), capped at the core count; a new
+        # experiment brings a case
+        cases = [text.format(out="o.csv", deltas="1.0") for text, _ in self.WORKER_CASES.values()]
+        assert {parse_config(text).experiment for text in cases} == set(EXPERIMENTS)
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
-        assert run_command(parse_config(template.format(out=out1) + extra), workers=1) == 0
-        assert run_command(parse_config(template.format(out=out2) + extra), workers=2) == 0
+        text1 = template.format(out=out1, deltas="0.5,0.35") + extra
+        text2 = template.format(out=out2, deltas="0.5,0.35") + extra
+        assert run_command(parse_config(text1), workers=1) == 0
+        assert run_command(parse_config(text2), workers=2) == 0
         body1 = out1.read_bytes().replace(bytes(str(out1), "utf-8"), b"OUT")
         body2 = out2.read_bytes().replace(bytes(str(out2), "utf-8"), b"OUT")
         assert body1 == body2
@@ -1114,7 +1151,8 @@ class TestCoverageDiagnostics:
             ),
         )
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(cli, "_coverage_rows", _TaggedRows(log))
+        rows = dataclasses.replace(EXPERIMENTS["coverage"], rows=_TaggedRows(log))
+        monkeypatch.setitem(EXPERIMENTS, "coverage", rows)
         text = MINIMAL_BVP.replace("n_replicates=5", "n_replicates=600")
         text += "operator.coefficient=sine\nball_beta=3.5\n"
         assert run_command(parse_config(text.format(out=tmp_path / "o.csv")), workers=2) == 0
@@ -1328,6 +1366,31 @@ def test_every_exported_name_is_used():
     assert unused == []
 
 
+def test_only_experiments_reads_the_experiment_name():
+    # every other module looks an experiment's record up in EXPERIMENTS and
+    # never compares the experiment's name with a literal
+    def named(node):
+        return (isinstance(node, ast.Name) and node.id == "experiment") or (
+            isinstance(node, ast.Attribute) and node.attr == "experiment"
+        )
+
+    def literal(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return all(map(literal, node.elts))
+        return isinstance(node, ast.Constant)
+
+    hits = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(bvmlab.__file__).parent.glob("*.py"))
+        if path.name != "experiments.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Compare)
+        and any(map(named, [node.left, *node.comparators]))
+        and any(map(literal, [node.left, *node.comparators]))
+    ]
+    assert hits == []
+
+
 _BLAS_SCRIPT = """
 import os
 import bvmlab.cli
@@ -1448,7 +1511,7 @@ class TestConcentration:
 
 
 # read before any test patches it, so a worker that unpickles _TaggedRows finds it too
-_COVERAGE_ROWS = cli._coverage_rows
+_COVERAGE_ROWS = EXPERIMENTS["coverage"].rows
 
 
 class _TaggedRows:
@@ -1737,14 +1800,15 @@ class TestSpill:
         # pool maps in this process, so every chunk looks)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         seen = []
-        name = "_coverage_rows" if template is MINIMAL_BVP else "_rates_rows"
-        rows = getattr(cli, name)
+        name = "coverage" if template is MINIMAL_BVP else "rates"
+        rows = EXPERIMENTS[name].rows
 
         def listing(context, run, indices):
             seen.append(sorted(os.listdir(tmp_path)))
             return rows(context, run, indices)
 
-        monkeypatch.setattr(cli, name, listing)
+        listed = dataclasses.replace(EXPERIMENTS[name], rows=listing)
+        monkeypatch.setitem(EXPERIMENTS, name, listed)
         path, out = tmp_path / "cfg", tmp_path / "o.csv"
         path.write_text(template.format(out=out).replace("n_replicates=5", "n_replicates=600"))
         assert main(["run", str(path), "--workers", str(workers)]) == 0
@@ -1752,23 +1816,34 @@ class TestSpill:
         assert len(seen) == 3 and all(listed == ["cfg"] for listed in seen)
         assert sorted(os.listdir(tmp_path)) == ["cfg", "o.csv"]
 
-    @pytest.mark.parametrize("template", [MINIMAL_BVP, RATES], ids=["coverage", "rates"])
+    @pytest.mark.parametrize(
+        "template",
+        [MINIMAL_BVP, RATES, TIGHTNESS, CONCENTRATION, CONJUGACY],
+        ids=["coverage", "rates", "tightness", "concentration", "conjugacy"],
+    )
     @pytest.mark.parametrize("workers", [1, 2])
     def test_missing_directory_fails_before_scoring(
         self, tmp_path, monkeypatch, capsys, pool_sizes, template, workers
     ):
+        # every experiment's spill is made before anything is computed
         calls = []
-        for name in ("replicate_table", "replicate_errors"):
-            original = getattr(bvm, name)
+        for module, name in (
+            (bvm, "replicate_table"),
+            (bvm, "replicate_errors"),
+            (bvm, "tightness_series"),
+            (priors, "concentration_ladder"),
+            (posterior, "posterior_update"),
+        ):
+            original = getattr(module, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
                 calls.append(_name)
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(bvm, name, counted)
+            monkeypatch.setattr(module, name, counted)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         missing = tmp_path / "missing"
-        config = parse_config(template.format(out=missing / "o.csv"))
+        config = parse_config(template.format(out=missing / "o.csv", deltas="1.0,0.5"))
         assert run_command(config, workers=workers) == 1
         err = capsys.readouterr().err
         assert err.startswith("error[1]: cannot write output: ") and err.count("\n") == 1
@@ -1807,10 +1882,11 @@ class TestFailureExitCodes:
         "error", [BrokenProcessPool("a worker died"), MemoryError()], ids=["broken_pool", "memory"]
     )
     def test_escaping_error_exits_two(self, tmp_path, monkeypatch, capsys, error):
-        def fail(context, workers, spill):
+        def fail(context, score_chunks):
             raise error
 
-        monkeypatch.setattr(cli, "_run_coverage", fail)
+        failing = dataclasses.replace(EXPERIMENTS["coverage"], run=fail)
+        monkeypatch.setitem(EXPERIMENTS, "coverage", failing)
         config = parse_config(MINIMAL_BVP.format(out=tmp_path / "o.csv"))
         assert run_command(config, workers=2) == 2
         err = capsys.readouterr().err

@@ -246,7 +246,7 @@ output_path={tmp_path / "rates.csv"}
     context = cli.build_context(config)
     indices = range(2, REPLICATE_BLOCK + 3)
     system = posterior_system(context.prior, context.forward)
-    chunk = cli._rates_rows(context, system, indices)
+    chunk = cli._chunk_texts(context, system, indices)
     assert len(chunk) == len(config.epsilons)
     signal = system.rotate(apply(context.forward, context.truth).coeffs)
     for epsilon, (text, errors) in zip(config.epsilons, chunk):
