@@ -16,6 +16,7 @@ import argparse
 import collections.abc
 import concurrent  # the package; its futures module loads with a pool
 import functools
+import importlib.util
 import math
 import os
 import sys
@@ -115,18 +116,17 @@ def build_context(config: ExperimentConfig) -> ExperimentContext:
 
 def emit_csv(
     header: Sequence[str],
-    body: str | Sequence[str],
+    body: Sequence[str],
     path: str,
     metadata: Sequence[tuple[str, object]] = (),
 ) -> None:
     """Write one CSV file: a '# key=value' metadata block, the header, then the
-    data lines as ``_csv_text`` formats them.  ``body`` is one text or a
-    sequence of pieces, written in order and never joined, so the file holds
-    their concatenation and the caller's pieces are the only copy of the body.
-    A metadata value is a str, or a number or list of numbers written in the
+    data lines as ``_csv_text`` formats them.  ``body`` is a sequence of
+    pieces, written in order and never joined, so the file holds their
+    concatenation and the caller's pieces are the only copy of the body.  A
+    metadata value is a str, or a number or list of numbers written in the
     cell format."""
-    pieces = [body] if isinstance(body, str) else body
-    if not any(pieces):
+    if not any(body):
         raise ConfigurationError("refusing to emit an empty results table")
     # write a sibling file, then rename it over the output, so a reader never
     # sees a partial table and a failed run leaves an older file intact
@@ -139,7 +139,7 @@ def emit_csv(
                     value = ",".join(_cells(np.atleast_1d(value)))
                 fh.write(f"# {key}={value}\n")
             fh.write(",".join(header) + "\n")
-            fh.writelines(pieces)
+            fh.writelines(body)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -256,6 +256,28 @@ def _chunks(n: int, workers: int) -> list[range]:
     return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
+# the modules hashlib builds its digests from when OpenSSL's _hashlib is absent
+_BUILTIN_DIGESTS = ("_md5", "_sha1", "_blake2", "_sha3") + (
+    ("_sha2",) if sys.version_info >= (3, 12) else ("_sha256", "_sha512")
+)
+
+
+def _skip_openssl() -> None:
+    """Block OpenSSL's ``_hashlib`` before ``numpy.random`` loads.
+
+    ``numpy.random`` imports ``secrets``, ``hmac`` and ``hashlib``, whose
+    ``_hashlib`` maps libcrypto (3.7 MB resident), although nothing here
+    hashes and every stream is seeded explicitly.  A ``None`` entry in
+    ``sys.modules`` makes that import fail, so ``hashlib`` and ``hmac`` use
+    CPython's built-in digests.  ``main`` and the pool's initializer call
+    this, never an import of the module.  An interpreter that lacks a built-in
+    digest is left alone, since ``hashlib`` would then log an error per
+    missing algorithm to stderr; ``find_spec`` looks for them without loading
+    anything.  An already loaded ``_hashlib`` is kept."""
+    if all(importlib.util.find_spec(name) for name in _BUILTIN_DIGESTS):
+        sys.modules.setdefault("_hashlib", None)
+
+
 # the (context, run) a pool worker scores its chunks with: the pool's
 # initializer stores it once per worker, inherited under fork and pickled once
 # otherwise, so a task is an index range and no worker builds or factors anything
@@ -264,6 +286,8 @@ _worker_run: Optional[tuple] = None
 
 def _init_worker(run: tuple) -> None:
     global _worker_run
+    # a spawned or forkserver worker starts without the parent's sys.modules
+    _skip_openssl()
     _worker_run = run
 
 
@@ -301,7 +325,12 @@ def _map_chunks(context: ExperimentContext, workers: int, spill: _Spill, run) ->
     worker the context and the run once.  Rows depend only on (epsilon,
     replicate index), so the output is the same for any worker count.
     """
-    workers = min(workers, os.cpu_count() or 1)
+    # the CPUs this process may run on, where the platform reports its
+    # affinity: more workers than those would only time-share them
+    if hasattr(os, "sched_getaffinity"):
+        workers = min(workers, len(os.sched_getaffinity(0)))
+    else:
+        workers = min(workers, os.cpu_count() or 1)
     tasks = _chunks(context.config.n_replicates, workers)
     workers = min(workers, len(tasks))
     levels = range(len(context.config.epsilons))
@@ -385,6 +414,7 @@ def run_command(config: ExperimentConfig, workers: int = 1) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    _skip_openssl()
     parser = argparse.ArgumentParser(
         prog="bvmlab",
         description="Gaussian-prior inverse problem experiments with frequentist scoring",

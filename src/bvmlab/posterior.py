@@ -75,8 +75,9 @@ def _checked_key(key: int) -> int:
 
 
 def noise_block(basis: SpectralBasis, keys: Sequence[int]) -> np.ndarray:
-    """White-noise realisations, one row per key: row r is bitwise
-    ``noise_draw(basis, keys[r])``, shape (len(keys), n_modes).
+    """White-noise realisations, one row per key: row r holds the iid standard
+    normals the Philox generator with 128-bit key ``keys[r]`` draws first,
+    shape (len(keys), n_modes).
 
     Keys must lie in 0..2**128 - 1.  One generator serves every row: before
     each row its Philox state is set to the one ``Philox(key=key)`` starts
@@ -99,10 +100,8 @@ def noise_block(basis: SpectralBasis, keys: Sequence[int]) -> np.ndarray:
 
 
 def noise_draw(basis: SpectralBasis, key: int) -> CoeffVector:
-    """White-noise realisation: iid standard normal coefficients from the
-    Philox generator with 128-bit key ``key``, in 0..2**128 - 1."""
-    generator = np.random.Generator(np.random.Philox(key=_checked_key(key)))
-    return coeff_vector(basis, generator.standard_normal(basis.n_modes))
+    """White-noise realisation: the one row of ``noise_block(basis, [key])``."""
+    return coeff_vector(basis, noise_block(basis, [key])[0])
 
 
 def observe(

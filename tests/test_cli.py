@@ -273,7 +273,7 @@ class TestEmitCsv:
         values = [math.pi, 1 / 3, 6.02e23, 1.7e-308]
         columns = ([str(i) for i in range(len(values))], np.array(values))
         text = cli._csv_text(("idx", "value"), columns)
-        emit_csv(("idx", "value"), text, str(path), [("key", "val")])
+        emit_csv(("idx", "value"), [text], str(path), [("key", "val")])
         metadata, header, parsed = load_csv(str(path))
         assert metadata == {"key": "val"}
         assert header == ["idx", "value"]
@@ -282,7 +282,7 @@ class TestEmitCsv:
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            emit_csv(("a",), cli._csv_text(("a",), ([],)), str(tmp_path / "x.csv"))
+            emit_csv(("a",), [cli._csv_text(("a",), ([],))], str(tmp_path / "x.csv"))
 
     def test_pieces_are_written_unjoined(self, tmp_path):
         # 128 pieces of 64 KiB: the file holds their concatenation, and the
@@ -301,7 +301,7 @@ class TestEmitCsv:
 
         assert peak_of(pieces) < 1 << 20
         assert path.read_text() == "a\n" + "".join(pieces)
-        assert peak_of("".join(pieces)) > 6 << 20
+        assert peak_of(["".join(pieces)]) > 6 << 20
 
     def test_empty_pieces_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -311,7 +311,7 @@ class TestEmitCsv:
     def test_boolean_and_missing_cells(self, tmp_path):
         path = tmp_path / "x.csv"
         columns = (np.array([True, False]), ["", "1.5"])
-        emit_csv(("a", "b"), cli._csv_text(("a", "b"), columns), str(path))
+        emit_csv(("a", "b"), [cli._csv_text(("a", "b"), columns)], str(path))
         _, _, rows = load_csv(str(path))
         assert rows[0] == ["true", ""]
         assert rows[1] == ["false", "1.5"]
@@ -386,7 +386,7 @@ class TestCsvText:
     def test_metadata_numbers_share_the_cell_format(self, tmp_path):
         path = tmp_path / "x.csv"
         metadata = [("a", 0.1), ("b", [1.5, -math.inf, 3]), ("c", "text")]
-        emit_csv(("x",), "1\n", str(path), metadata)
+        emit_csv(("x",), ["1\n"], str(path), metadata)
         assert path.read_text().startswith("# a=0.10000000000000001\n# b=1.5,-inf,3\n# c=text\n")
 
 
@@ -1150,7 +1150,7 @@ class TestCoverageDiagnostics:
                 max_workers, mp_context=context, initializer=initializer, initargs=initargs
             ),
         )
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        _set_cpus(monkeypatch, 2)
         rows = dataclasses.replace(EXPERIMENTS["coverage"], rows=_TaggedRows(log))
         monkeypatch.setitem(EXPERIMENTS, "coverage", rows)
         text = MINIMAL_BVP.replace("n_replicates=5", "n_replicates=600")
@@ -1309,7 +1309,7 @@ def test_pool_module_loaded_only_by_a_pool(tmp_path):
     script = (
         "import sys\n"
         "from bvmlab import cli\n"
-        "cli.os.cpu_count = lambda: 2\n"
+        "cli.os.sched_getaffinity = lambda pid: {0, 1}\n"
         "loaded = lambda: 'concurrent.futures' in sys.modules\n"
         f"codes = [cli.main(['run', {str(serial)!r}]), cli.main(['run', {str(concentration)!r}])]\n"
         "before = loaded()\n"
@@ -1317,6 +1317,95 @@ def test_pool_module_loaded_only_by_a_pool(tmp_path):
         "print(codes, before, loaded())\n"
     )
     assert _run_python(script) == "[0, 0, 0] False True"
+
+
+# each config runs in a fresh interpreter: main() in this process would block
+# _hashlib for every test after it
+_OPENSSL_RUNS = {
+    "coverage": MINIMAL_BVP.replace("n_replicates=5", "n_replicates=600"),
+    "concentration": CONCENTRATION.replace("{deltas}", "0.3,0.2"),
+}
+
+
+@pytest.mark.parametrize("case", [*_OPENSSL_RUNS, "worker"])
+def test_cli_process_leaves_openssl_unloaded(tmp_path, case):
+    # numpy.random reaches OpenSSL's libcrypto through secrets, hmac and
+    # hashlib; a CLI process, or a pool worker, blocks _hashlib before that
+    # import, while importing the CLI blocks nothing
+    if case == "worker":
+        call = "cli._init_worker(None)\nimport numpy.random\n"
+    else:
+        path = tmp_path / "cfg.ini"
+        path.write_text(_OPENSSL_RUNS[case].format(out=tmp_path / "o.csv"))
+        call = f"assert cli.main(['run', {str(path)!r}, '--workers', '1']) == 0\n"
+    script = (
+        "import sys\n"
+        "from bvmlab import cli\n"
+        "assert '_hashlib' not in sys.modules\n"
+        f"{call}"
+        "print(sys.modules['_hashlib'], 'numpy.random' in sys.modules)\n"
+    )
+    done = _python(script)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "None True\n")
+
+
+def test_openssl_loaded_first_writes_the_same_bytes(tmp_path):
+    # no digest reaches a stream: a process that loaded OpenSSL before the CLI
+    # ran keeps it, and writes what a process without it writes, at one and
+    # two workers
+    for name, template in _OPENSSL_RUNS.items():
+        (tmp_path / f"{name}.ini").write_text(template.format(out=tmp_path / f"{name}.csv"))
+    bodies = collections.defaultdict(set)
+    for first in ("", "import hashlib\n"):
+        runs = [
+            (name, tmp_path / f"{name}-{bool(first)}-{workers}.csv", workers)
+            for name in _OPENSSL_RUNS
+            for workers in (1, 2)
+        ]
+        calls = [
+            ["run", str(tmp_path / f"{name}.ini"), "--workers", str(workers), "--out", str(out)]
+            for name, out, workers in runs
+        ]
+        script = (
+            f"import sys\n{first}"
+            "from bvmlab import cli\n"
+            "cli.os.sched_getaffinity = lambda pid: {0, 1}\n"
+            f"for argv in {calls!r}:\n"
+            "    assert cli.main(argv) == 0\n"
+            "print(type(sys.modules['_hashlib']).__name__)\n"
+        )
+        done = _python(script)
+        loaded = "module" if first else "NoneType"
+        assert (done.returncode, done.stderr, done.stdout) == (0, "", f"{loaded}\n")
+        for name, out, _ in runs:
+            bodies[name].add(_body(out))
+    assert {name: len(texts) for name, texts in bodies.items()} == dict.fromkeys(_OPENSSL_RUNS, 1)
+
+
+def test_skip_openssl_keeps_a_loaded_hashlib():
+    script = (
+        "import sys, _hashlib\n"
+        "from bvmlab import cli\n"
+        "cli._skip_openssl()\n"
+        "print(sys.modules['_hashlib'] is _hashlib)\n"
+    )
+    assert _run_python(script) == "True"
+
+
+def test_openssl_kept_without_a_builtin_digest(tmp_path):
+    # with _hashlib blocked, hashlib logs one stderr line per algorithm it has
+    # no built-in module for; so an interpreter that lacks one keeps OpenSSL
+    path = tmp_path / "cfg.ini"
+    path.write_text(_OPENSSL_RUNS["concentration"].format(out=tmp_path / "o.csv"))
+    script = (
+        "import sys\n"
+        "sys.modules['_md5'] = None\n"
+        "from bvmlab import cli\n"
+        f"code = cli.main(['run', {str(path)!r}])\n"
+        "print(code, type(sys.modules['_hashlib']).__name__)\n"
+    )
+    done = _python(script)
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "0 module\n")
 
 
 _MODULES = ["bvmlab"] + [f"bvmlab.{m.name}" for m in pkgutil.iter_modules(bvmlab.__path__)]
@@ -1560,6 +1649,16 @@ class _RecordingPool:
         return map(fn, payloads)
 
 
+def _set_cpus(monkeypatch, cpus):
+    """Let this process run on ``cpus`` CPUs; with None the platform reports no
+    affinity and the machine's CPU count is unknown."""
+    if cpus is None:
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     sizes = []
@@ -1583,7 +1682,7 @@ class TestWorkerCap:
         # chunk of one replicate per payload, each covering every noise level;
         # one core, or an unknown count, runs without a pool
         expected = {3: [3], 64: [5], 1: [], None: []}[cpus]
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        _set_cpus(monkeypatch, cpus)
         path = tmp_path / "cfg"
         out = tmp_path / "o.csv"
         path.write_text(template.format(out=out))
@@ -1594,9 +1693,23 @@ class TestWorkerCap:
         assert load_csv(str(out))[1:] == load_csv(str(serial))[1:]
 
     @pytest.mark.parametrize("template", [MINIMAL_BVP, RATES], ids=["coverage", "rates"])
+    def test_affinity_caps_the_pool(self, tmp_path, monkeypatch, pool_sizes, template):
+        # a process pinned to one of the machine's 64 CPUs runs in-process: four
+        # workers would only time-share that CPU
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        _set_cpus(monkeypatch, 1)
+        path = tmp_path / "cfg"
+        pinned, serial = tmp_path / "pinned.csv", tmp_path / "serial.csv"
+        path.write_text(template.format(out=pinned))
+        assert main(["run", str(path), "--workers", "4"]) == 0
+        assert pool_sizes == []
+        assert main(["run", str(path), "--out", str(serial)]) == 0
+        assert _body(pinned) == _body(serial)
+
+    @pytest.mark.parametrize("template", [MINIMAL_BVP, RATES], ids=["coverage", "rates"])
     def test_one_chunk_starts_no_pool(self, tmp_path, monkeypatch, pool_sizes, template):
         # one replicate is one chunk: a second worker would have nothing to do
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        _set_cpus(monkeypatch, 64)
         path = tmp_path / "cfg"
         out = tmp_path / "o.csv"
         path.write_text(template.format(out=out).replace("n_replicates=5", "n_replicates=1"))
@@ -1631,7 +1744,7 @@ class TestWorkerCap:
     ):
         # the parent builds the context once and hands it to the workers; the
         # chunks build none however many there are
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        _set_cpus(monkeypatch, 64)
         path = tmp_path / "cfg"
         path.write_text(template.format(out=tmp_path / "o.csv"))
         assert main(["run", str(path), "--workers", str(workers)]) == 0
@@ -1688,7 +1801,7 @@ class TestReplicateMajor:
         return counts
 
     def _run(self, tmp_path, monkeypatch, experiment, workers):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        _set_cpus(monkeypatch, 64)
         config = parse_config(self.TEMPLATES[experiment].format(out=tmp_path / "o.csv"))
         assert run_command(config, workers=workers) == 0
         return config
@@ -1725,7 +1838,7 @@ class TestReplicateMajor:
             return pool(max_workers, mp_context=spawn, initializer=initializer, initargs=initargs)
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", spawn_pool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        _set_cpus(monkeypatch, 2)
         template = self.TEMPLATES[experiment]
         out1, out2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
         assert run_command(parse_config(template.format(out=out1)), workers=1) == 0
@@ -1736,7 +1849,7 @@ class TestReplicateMajor:
     def test_ragged_chunks_byte_identical(self, tmp_path, monkeypatch):
         # 300 replicates: one worker runs chunks of 256 and 44, two run 150 each
         # and three 100 each
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        _set_cpus(monkeypatch, 3)
         template = MINIMAL_BVP.replace("n_replicates=5", "n_replicates=300") + "ball_beta=3.5\n"
         bodies = []
         for workers in (1, 2, 3):
@@ -1798,7 +1911,7 @@ class TestSpill:
         # a run killed mid-way leaves nothing behind: while the chunks are
         # scored the output's directory holds only the config (the recording
         # pool maps in this process, so every chunk looks)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        _set_cpus(monkeypatch, 2)
         seen = []
         name = "coverage" if template is MINIMAL_BVP else "rates"
         rows = EXPERIMENTS[name].rows
@@ -1841,7 +1954,7 @@ class TestSpill:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        _set_cpus(monkeypatch, 2)
         missing = tmp_path / "missing"
         config = parse_config(template.format(out=missing / "o.csv", deltas="1.0,0.5"))
         assert run_command(config, workers=workers) == 1
@@ -1930,7 +2043,7 @@ class TestFailureExitCodes:
 
         monkeypatch.setattr(cli.os, "replace", fail_replace)
         with pytest.raises(OSError, match="disk full"):
-            emit_csv(("a",), "1\n", str(out))
+            emit_csv(("a",), ["1\n"], str(out))
         assert out.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["o.csv"]
         config = parse_config(MINIMAL_BVP.format(out=out))
@@ -1938,7 +2051,7 @@ class TestFailureExitCodes:
         assert out.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["o.csv"]
         monkeypatch.undo()
-        emit_csv(("a",), "1\n", str(out))
+        emit_csv(("a",), ["1\n"], str(out))
         assert out.read_text() == "a\n1\n"
         assert os.listdir(tmp_path) == ["o.csv"]
 
