@@ -2,7 +2,7 @@
 record from ``experiments.EXPERIMENTS``, deterministic parallel replicates,
 and CSV emission.  Every experiment's table body goes through
 ``_csv_text``, which fills one row template per row and refuses non-finite
-numbers, and then to an unlinked spill file beside the output: a chunked
+numbers, and then to a nameless spill file beside the output: a chunked
 experiment's texts as each chunk arrives, any other's as one text.  They
 reach ``emit_csv`` as pieces read back one at a time, so the parent holds
 about one chunk per worker, never the body.
@@ -20,6 +20,7 @@ import importlib.util
 import math
 import os
 import sys
+import tempfile  # NumPy loads it too
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -155,21 +156,15 @@ def _sibling(path: str, suffix: str) -> str:
 class _Spill(collections.abc.Sequence):
     """Text pieces kept in a file beside the output instead of in memory.
 
-    The file is created exclusively under a sibling name of the output and
-    unlinked at once, so neither a finished nor a failed run leaves it
-    behind; leaving the ``with`` block closes it.  ``write`` appends one piece
-    and returns its (offset, length) in bytes.  As a sequence the spill holds
-    the pieces whose extents ``order`` lists, each read back only when it is
-    indexed."""
+    The file is a ``tempfile.TemporaryFile`` in the output's directory, which
+    never has a name on Linux and is unlinked at once on other POSIX systems,
+    so neither a finished nor a failed run leaves it behind; leaving the
+    ``with`` block closes it.  ``write`` appends one piece and returns its
+    (offset, length) in bytes.  As a sequence the spill holds the pieces
+    whose extents ``order`` lists, each read back only when it is indexed."""
 
     def __init__(self, output_path: str):
-        path = _sibling(output_path, "spill")
-        self._file = open(path, "x+b")
-        try:
-            os.unlink(path)
-        except BaseException:
-            self._file.close()
-            raise
+        self._file = tempfile.TemporaryFile(dir=os.path.dirname(output_path) or os.curdir)
         self.order: list[tuple[int, int]] = []
 
     def write(self, text: str) -> tuple[int, int]:

@@ -115,6 +115,11 @@ def _check_coverage(config) -> None:
         )
     if kind == "heat_mode" and operator_kind != "heat":
         raise ConfigurationError("key 'functional.kind': heat_mode requires the heat operator")
+    if kind in ("mode", "heat_mode") and not 1 <= config.functional_mode <= config.n_modes:
+        raise ConfigurationError(
+            f"key 'functional.mode': mode must lie in 1..{config.n_modes}, "
+            f"got {config.functional_mode}"
+        )
     # every functional but heat_mode goes through the representer solve
     if kind != "heat_mode" and config.operator_cond_limit <= 0:
         raise ConfigurationError(
@@ -206,8 +211,7 @@ def _build_functional(config, basis, forward) -> dict:
             tilde = spectral.unit_vector(basis, config.functional_mode - 1)
             return {"functional": bvm.heat_psi_from_representer(tilde, config.operator_time)}
     if kind == "mode":
-        with _keyed("functional.mode"):
-            psi = spectral.unit_vector(basis, config.functional_mode - 1)
+        psi = spectral.unit_vector(basis, config.functional_mode - 1)
     elif kind == "sobolev":
         with np.errstate(over="ignore", invalid="ignore"), _keyed("functional.alpha"):
             draw = spectral.sobolev_draw(basis, config.functional_alpha, config.functional_seed)

@@ -3,14 +3,13 @@ operator on the interval, heat semigroup, with adjoints and inversion of the
 normal operator A*A.
 
 Only this module reads how a map is stored: a vector is a diagonal map and
-a matrix a dense one.  Operators are immutable; the singular system (V = I on
-the diagonal path) is computed once and cached.
+a matrix a dense one.  Operators are immutable and cache nothing; every
+singular value decomposition of a stored map runs here.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -77,20 +76,6 @@ class ForwardOperator:
     def array(self) -> np.ndarray:
         """The stored map: the multipliers of a diagonal operator, else the matrix."""
         return self.multipliers if self.is_diagonal else self.matrix
-
-    @cached_property
-    def _svd(self) -> tuple[np.ndarray, np.ndarray]:
-        # singular values and right singular vectors V^T, with A^T A = V diag(s^2) V^T;
-        # a diagonal map's are its multipliers and V = I, stored as a vector of ones
-        if self.is_diagonal:
-            return self.multipliers, np.ones(self.basis.n_modes)
-        try:
-            _, s, vt = np.linalg.svd(self.matrix)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"forward operator singular value decomposition (svd) failed: {exc}"
-            ) from exc
-        return s, vt
 
 
 @dataclass(frozen=True)
@@ -187,6 +172,33 @@ def _map_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.matmul(matrix, rows[..., None])[..., 0]
 
 
+def _svd(matrix: np.ndarray, stage: str, compute_uv: bool = True):
+    """``np.linalg.svd`` of a matrix, whose failure raises NumericalError naming ``stage``."""
+    try:
+        return np.linalg.svd(matrix, compute_uv=compute_uv)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{stage} singular value decomposition (svd) failed: {exc}") from exc
+
+
+def _singular_system(matrix: np.ndarray, stage: str) -> tuple[np.ndarray, ...]:
+    """U^T, s and V^T of a stored map M = U diag(s) V^T.  A vector is a diagonal
+    map: s is the vector itself and U = V = I, kept as vectors of ones."""
+    if matrix.ndim == 1:
+        return np.ones_like(matrix), matrix, np.ones_like(matrix)
+    u, s, vt = _svd(matrix, stage)
+    return u.T, s, vt
+
+
+def _singular_squares(d: np.ndarray, m: np.ndarray, r: np.ndarray, stage: str) -> np.ndarray:
+    """Squared singular values of diag(d)^{1/2} M diag(r) for a stored map M:
+    elementwise for a vector, one values-only decomposition for a matrix."""
+    if m.ndim == 1:
+        return d * (m * r) ** 2
+    scaled = np.sqrt(d)[:, None] * m
+    scaled *= r
+    return _svd(scaled, stage, compute_uv=False) ** 2
+
+
 def _check_basis(op: ForwardOperator, f: CoeffVector) -> None:
     if not op.basis.compatible(f.basis):
         raise ShapeError("operator and coefficient vector live on different bases")
@@ -215,16 +227,17 @@ def fisher_solve(
     """Solve A*A x = psi, refusing when the normal operator is too ill-conditioned
     on the singular modes psi occupies.
 
-    With the cached A = U diag(s) V^T (V = I for a diagonal map), psi occupies
-    the modes where V^T psi is nonzero.  A largest s^2 that overflows raises
-    ``NumericalError``; a condition (largest s^2 over least occupied s^2) above
-    ``cond_limit``, or an occupied s = 0, raises ``IllPosedError``.  The solution
-    V ((V^T psi) / s^2) has an error that scales with cond(A), not cond(A^T A).
+    With A = U diag(s) V^T (V = I for a diagonal map), decomposed on each call,
+    psi occupies the modes where V^T psi is nonzero.  A largest s^2 that
+    overflows raises ``NumericalError``; a condition (largest s^2 over least
+    occupied s^2) above ``cond_limit``, or an occupied s = 0, raises
+    ``IllPosedError``.  The solution V ((V^T psi) / s^2) has an error that
+    scales with cond(A), not cond(A^T A).
     """
     _check_basis(op, psi)
     if cond_limit <= 0:
         raise ConfigurationError("cond_limit must be positive")
-    s, vt = op._svd
+    _, s, vt = _singular_system(op.array, "forward operator")
     coef = _map_rows(vt, psi.coeffs)
     occupied = coef != 0.0
     # an overflowing quotient, and the nan it leaves in a dense product, are refused below

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
-from .operators import ForwardOperator, _map_rows, apply
+from .operators import ForwardOperator, _map_rows, _singular_squares, _singular_system, apply
 from .priors import GaussianPrior, quadratic_form_quantile
 from .spectral import CoeffVector, SpectralBasis, coeff_vector
 
@@ -181,17 +181,7 @@ class PosteriorSystem:
         singular values of D^{1/2} W diag(h), one singular value decomposition.
         """
         spreads = self.spreads(epsilon)
-        if self.w.ndim == 1:
-            return weights * (self.w * spreads) ** 2
-        scaled = np.sqrt(weights)[:, None] * self.w
-        scaled *= spreads
-        try:
-            s = np.linalg.svd(scaled, compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"weighted posterior spectrum singular value decomposition (svd) failed: {exc}"
-            ) from exc
-        return s**2
+        return _singular_squares(weights, self.w, spreads, "weighted posterior spectrum")
 
     def update(self, data: CoeffVector, epsilon: float) -> CoeffVector:
         """Posterior mean W (g * U^T M) for one data vector M observed at noise level eps."""
@@ -212,24 +202,14 @@ def posterior_system(prior: GaussianPrior, op: ForwardOperator) -> PosteriorSyst
     decomposition on the dense one.
 
     On the dense path the whitened matrix is dropped once decomposed, and W is
-    V^T's transpose scaled in place, so besides the system's own copies of U^T
-    and W the build holds only the decomposition's U and V^T."""
+    formed in place as (V^T S^{1/2})^T, so besides the system's own copies of
+    U^T and W the build holds only the decomposition's U and V^T."""
     if not prior.basis.compatible(op.basis):
         raise ShapeError("prior and operator must share one basis")
     prior_sd = np.sqrt(prior.variances)
-    whitened = op.array * prior_sd
-    if whitened.ndim == 1:
-        return PosteriorSystem(prior, op, np.ones_like(whitened), whitened, prior_sd)
-    try:
-        u, sigma, vt = np.linalg.svd(whitened)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(
-            f"posterior system singular value decomposition (svd) failed: {exc}"
-        ) from exc
-    del whitened
-    w = vt.T
-    w *= prior_sd[:, None]
-    return PosteriorSystem(prior, op, u.T, sigma, w)
+    ut, sigma, vt = _singular_system(op.array * prior_sd, "posterior system")
+    vt *= prior_sd
+    return PosteriorSystem(prior, op, ut, sigma, vt.T)
 
 
 def posterior_update(

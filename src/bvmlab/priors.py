@@ -221,7 +221,8 @@ def _rkhs_approximation_cost(
     g_j = mu w_j f_j / (1/tau_j + mu w_j); the multiplier is found by
     bisection until the constraint holds with relative residual <= 1e-10 or
     the bracket closes.  A truth whose squared ambient norm overflows is a
-    configuration error on ``truth.scale``.
+    configuration error on ``truth.scale``, and a delta no multiplier below
+    1e300 reaches one on ``concentration.deltas``.
     """
     tau = prior.variances
     w = prior.basis.sobolev_weights(ambient_exponent)
@@ -245,7 +246,10 @@ def _rkhs_approximation_cost(
     while residual(hi) > target:
         hi *= 2.0
         if hi > 1e300:
-            raise ConfigurationError("approximation constraint cannot be met")
+            raise ConfigurationError(
+                f"key 'concentration.deltas': the approximation constraint at delta={delta!r} "
+                "cannot be met"
+            )
     while True:
         mid = 0.5 * (lo + hi)
         res = residual(mid)

@@ -989,6 +989,36 @@ class TestLateFailingKeys:
         assert err.startswith("error[1]: key 'tightness.beta': ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_unreachable_delta_named_at_run(self, tmp_path, capsys):
+        # at prior.r = 40 no multiplier the bisection tries brings the truth
+        # within delta = 1e-150; validate runs no ladder, so run names the key
+        # and the delta at fault
+        path, out = tmp_path / "delta.ini", tmp_path / "out.csv"
+        path.write_text(
+            "experiment=concentration\nprior.r=40\nn_modes=64\n"
+            f"concentration.deltas=0.5,1e-150\noutput_path={out}\n"
+        )
+        assert main(["validate", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["run", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error[1]: key 'concentration.deltas': the approximation constraint "
+            "at delta=1e-150 cannot be met\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["mode", "heat_mode"])
+    @pytest.mark.parametrize("mode", [0, 17, 99])
+    def test_functional_mode_refused_in_its_own_terms(self, kind, mode):
+        # the refusal quoted the 0-based index: -1 for mode 0, 98 for mode 99
+        operator = "heat" if kind == "heat_mode" else "bvp"
+        with pytest.raises(ConfigurationError) as info:
+            parse_config(
+                f"experiment=coverage\noperator.kind={operator}\nn_modes=16\n"
+                f"functional.kind={kind}\nfunctional.mode={mode}\n"
+            )
+        assert str(info.value) == f"key 'functional.mode': mode must lie in 1..16, got {mode}"
+
     @pytest.mark.parametrize(
         "line",
         [

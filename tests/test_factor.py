@@ -476,7 +476,7 @@ def test_factor_svd_failure_is_numerical_error(dense_setup, monkeypatch):
 
 
 def test_operator_svd_failure_is_numerical_error(monkeypatch):
-    # a fresh operator, so that no decomposition is cached yet
+    # fisher_solve decomposes the dense map on each call
     basis = build_basis(BasisKind.DIRICHLET_SINE, 32, 8)
     coeff = EllipticCoefficient(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), floor=0.25)
     op = elliptic_operator(coeff, basis)[1]

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 import re
 from pathlib import Path
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bvmlab
+from bvmlab import cli, posterior
+from bvmlab.config import parse_config
 from bvmlab.errors import ConfigurationError, IllPosedError, NumericalError, ShapeError
 from bvmlab.operators import (
     EllipticCoefficient,
@@ -371,15 +375,40 @@ class TestSmoothingEstimate:
             assert lhs <= 10 * c * rhs
 
 
-def test_only_operators_reads_the_storage():
-    # every other module reads a forward map through ForwardOperator.array
-    # and the functions of this module, never through how it is stored
-    pattern = re.compile(r"\.(multipliers|matrix|is_diagonal)\b")
-    hits = [
+def _hits_outside_operators(pattern: str) -> list[str]:
+    """Each line of the package outside this module that ``pattern`` matches."""
+    return [
         f"{path.name}:{number}"
         for path in sorted(Path(bvmlab.__file__).parent.glob("*.py"))
         if path.name != "operators.py"
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-        if pattern.search(line)
+        if re.search(pattern, line)
     ]
-    assert hits == []
+
+
+def test_only_operators_reads_the_storage():
+    # every other module reads a forward map through ForwardOperator.array
+    # and the functions of this module, never through how it is stored
+    assert _hits_outside_operators(r"\.(multipliers|matrix|is_diagonal)\b") == []
+
+
+def test_only_operators_decomposes_a_stored_map():
+    # the posterior system and its weighted spectrum decompose through this
+    # module's helpers, which alone hold the rule that a vector is diagonal
+    assert _hits_outside_operators(r"\blinalg\.svd\b") == []
+    for function in (posterior.posterior_system, posterior.PosteriorSystem.weighted_spectrum):
+        assert ".ndim" not in inspect.getsource(function)
+
+
+def test_forward_map_caches_nothing():
+    # the build's representer solve decomposes the dense map and keeps nothing
+    # of it, so no V^T lives through the run or is pickled into the workers
+    context = cli.build_context(
+        parse_config(
+            "experiment=coverage\nn_modes=32\nfunctional.band=8\n"
+            "operator.coefficient=sine\noutput_path=o.csv\n"
+        )
+    )
+    forward = context.forward
+    assert not forward.is_diagonal and context.functional is not None
+    assert set(vars(forward)) == {field.name for field in dataclasses.fields(forward)}
