@@ -376,9 +376,9 @@ def _run_conjugacy(context, score_chunks):
         epsilons[i] = epsilon = 10.0 ** rng.uniform(-3, -1)
         prior = priors.matern_prior(op.basis, r, amplitude)
         truth = spectral.sobolev_draw(op.basis, 1.5, derive_seed(config.master_seed, 2**32 + i))
-        obs = posterior.observe(op, truth, epsilon, derive_seed(config.master_seed, 2**33 + i))
-        mean = posterior.posterior_update(prior, op, obs)
-        tik = posterior.tikhonov_solve(prior, op, obs)
+        data = posterior.observe(op, truth, epsilon, derive_seed(config.master_seed, 2**33 + i))
+        mean = posterior.posterior_system(prior, op).update(data, epsilon)
+        tik = posterior.tikhonov_solve(prior, op, data, epsilon)
         gaps[i] = np.linalg.norm(tik.coeffs - mean.coeffs) / max(
             np.linalg.norm(mean.coeffs), np.finfo(float).tiny
         )

@@ -38,44 +38,40 @@ DEFAULT_COND_LIMIT = 1e12
 
 @dataclass(frozen=True, eq=False)
 class ForwardOperator:
-    """Linear forward map in the spectral basis: diagonal multipliers or a dense matrix.
+    """Linear forward map in the spectral basis, stored as one finite array: a
+    vector of multipliers is a diagonal map, an n x n matrix a dense one.
 
     ``companion`` links the elliptic differential operator and its solution
     map to each other.
     """
 
     basis: SpectralBasis
-    multipliers: Optional[np.ndarray] = None
-    matrix: Optional[np.ndarray] = None
+    array: np.ndarray
     companion: Optional["ForwardOperator"] = None
 
     def __post_init__(self):
-        if (self.multipliers is None) == (self.matrix is None):
-            raise ConfigurationError("exactly one of multipliers/matrix must be given")
-        if self.multipliers is not None:
-            m = np.array(self.multipliers, dtype=float, copy=True)
-            if m.shape != (self.basis.n_modes,):
-                raise ShapeError("multiplier count does not match the basis")
-            if not np.all(np.isfinite(m)):
-                raise ConfigurationError("multipliers must be finite")
-            m.flags.writeable = False
-            object.__setattr__(self, "multipliers", m)
-        else:
-            a = np.array(self.matrix, dtype=float, copy=True)
-            n = self.basis.n_modes
-            if a.shape != (n, n):
-                raise ShapeError("matrix must be square over the basis modes")
-            a.flags.writeable = False
-            object.__setattr__(self, "matrix", a)
+        a = np.array(self.array, dtype=float, copy=True)
+        n = self.basis.n_modes
+        if a.shape not in ((n,), (n, n)):
+            raise ShapeError(f"a map over {n} modes has shape ({n},) or ({n}, {n}), not {a.shape}")
+        if not np.all(np.isfinite(a)):
+            raise ConfigurationError("the forward map's entries must be finite")
+        a.flags.writeable = False
+        object.__setattr__(self, "array", a)
 
     @property
     def is_diagonal(self) -> bool:
-        return self.multipliers is not None
+        return self.array.ndim == 1
 
     @property
-    def array(self) -> np.ndarray:
-        """The stored map: the multipliers of a diagonal operator, else the matrix."""
-        return self.multipliers if self.is_diagonal else self.matrix
+    def multipliers(self) -> Optional[np.ndarray]:
+        """The stored vector of a diagonal map, else None."""
+        return self.array if self.is_diagonal else None
+
+    @property
+    def matrix(self) -> Optional[np.ndarray]:
+        """The stored matrix of a dense map, else None."""
+        return None if self.is_diagonal else self.array
 
 
 @dataclass(frozen=True)
@@ -111,7 +107,7 @@ def psido_multiplier(basis: SpectralBasis, t: float) -> ForwardOperator:
         mult = basis.sobolev_weights(-t / 2.0)
     if not np.all((mult > 0) & (mult < math.inf)):
         raise ConfigurationError(f"order t={t!r} takes a multiplier to 0 or inf")
-    return ForwardOperator(basis=basis, multipliers=mult)
+    return ForwardOperator(basis, mult)
 
 
 def elliptic_operator(
@@ -122,31 +118,40 @@ def elliptic_operator(
     The Galerkin entries, quadratures of a(x) phi_i'(x) phi_j'(x), are
     pi^2 i j (a_{|i-j|} + a_{i+j}) in the cosine moments a_k of the coefficient
     (exactly symmetric); a constant coefficient collapses both operators to
-    exact diagonals.  Returns ``(L, L_inv)`` linked as companions.
+    exact diagonals.  Each map is assembled under ``np.errstate`` and passes the
+    forward map's finite check, so a coefficient whose entries leave the double
+    range is refused before any factorisation.  Returns ``(L, L_inv)`` linked
+    as companions.
     """
     if basis.kind is not BasisKind.DIRICHLET_SINE:
         raise ConfigurationError("the elliptic solution operator is defined on the Dirichlet basis")
     avals = coeff.samples(basis.grid)
-    if np.ptp(avals) == 0.0:
-        lam = avals[0] * basis.eigenvalues
-        fwd = ForwardOperator(basis=basis, multipliers=lam)
-        inv = ForwardOperator(basis=basis, multipliers=1.0 / lam, companion=fwd)
-        object.__setattr__(fwd, "companion", inv)
-        return fwd, inv
-    j = np.arange(1, basis.n_modes + 1)
-    moments = fourier_moments(avals, basis, 2 * basis.n_modes + 1).real
-    mat = np.pi**2 * np.outer(j, j) * (moments[np.abs(j[:, None] - j)] + moments[j[:, None] + j])
-    try:
-        chol_inv = np.linalg.inv(np.linalg.cholesky(mat))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"Galerkin matrix is numerically singular: {exc}") from exc
-    # mat = C C^T, so mat^{-1} = C^{-T} C^{-1}
-    inv_mat = chol_inv.T @ chol_inv
-    del chol_inv
-    inv_mat += inv_mat.T
-    inv_mat *= 0.5
-    fwd = ForwardOperator(basis=basis, matrix=mat)
-    inv = ForwardOperator(basis=basis, matrix=inv_mat, companion=fwd)
+    # an entry past the double range is refused by the forward map's own check
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.ptp(avals) == 0.0:
+            array = avals[0] * basis.eigenvalues
+        else:
+            j = np.arange(1, basis.n_modes + 1)
+            moments = fourier_moments(avals, basis, 2 * basis.n_modes + 1).real
+            array = np.pi**2 * np.outer(j, j) * (
+                moments[np.abs(j[:, None] - j)] + moments[j[:, None] + j]
+            )
+    fwd = ForwardOperator(basis, array)
+    del array
+    if fwd.is_diagonal:
+        with np.errstate(over="ignore", divide="ignore"):
+            inv_array = 1.0 / fwd.array
+    else:
+        try:
+            chol_inv = np.linalg.inv(np.linalg.cholesky(fwd.array))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Galerkin matrix is numerically singular: {exc}") from exc
+        # L = C C^T, so L^{-1} = C^{-T} C^{-1}
+        inv_array = chol_inv.T @ chol_inv
+        del chol_inv
+        inv_array += inv_array.T
+        inv_array *= 0.5
+    inv = ForwardOperator(basis, inv_array, companion=fwd)
     object.__setattr__(fwd, "companion", inv)
     return fwd, inv
 
@@ -160,7 +165,7 @@ def heat_semigroup(basis: SpectralBasis, time_horizon: float) -> ForwardOperator
     with np.errstate(under="ignore"):
         mult = np.exp(-basis.eigenvalues * time_horizon)
     mult[mult < UNDERFLOW_FLOOR] = 0.0
-    return ForwardOperator(basis=basis, multipliers=mult)
+    return ForwardOperator(basis, mult)
 
 
 def _map_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -170,6 +175,11 @@ def _map_rows(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     if matrix.ndim == 1:
         return matrix * rows
     return np.matmul(matrix, rows[..., None])[..., 0]
+
+
+def _dense(matrix: np.ndarray) -> np.ndarray:
+    """The n x n matrix of a stored map: a vector is a diagonal map."""
+    return np.diag(matrix) if matrix.ndim == 1 else matrix
 
 
 def _svd(matrix: np.ndarray, stage: str, compute_uv: bool = True):
@@ -279,7 +289,7 @@ def embedding_constant(op: ForwardOperator, ambient_exponent: float) -> float:
         if scaled.ndim == 1:
             c = float(np.max(np.abs(scaled)))
         else:
-            c = float(np.linalg.norm(scaled, 2))
+            c = float(_svd(scaled, "embedding constant", compute_uv=False)[0])
     if not c < math.inf:
         raise ConfigurationError(
             f"the embedding constant is {c!r}: the weak-norm bound leaves the double range"

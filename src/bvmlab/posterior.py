@@ -27,32 +27,27 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
-from .operators import ForwardOperator, _map_rows, _singular_squares, _singular_system, apply
+from .operators import (
+    ForwardOperator,
+    _dense,
+    _map_rows,
+    _singular_squares,
+    _singular_system,
+    apply,
+)
 from .priors import GaussianPrior, quadratic_form_quantile
 from .spectral import CoeffVector, SpectralBasis, coeff_vector
 
 __all__ = [
-    "Observation",
     "PosteriorSystem",
     "noise_draw",
     "noise_block",
     "observe",
     "posterior_system",
-    "posterior_update",
     "tikhonov_solve",
     "two_sided_quantile",
     "exact_ball_radius",
 ]
-
-@dataclass(frozen=True)
-class Observation:
-    """Noisy measurement M = A f + eps * w."""
-
-    data: CoeffVector
-    epsilon: float
-
-    def __post_init__(self):
-        _check_epsilon(self.epsilon)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -106,11 +101,10 @@ def noise_draw(basis: SpectralBasis, key: int) -> CoeffVector:
 
 def observe(
     op: ForwardOperator, f_dagger: CoeffVector, epsilon: float, seed: int
-) -> Observation:
-    """Simulate one measurement from the fixed truth with the noise draw of key ``seed``."""
+) -> CoeffVector:
+    """Data M = A f + eps * w from the fixed truth, with the noise draw of key ``seed``."""
     w = noise_draw(op.basis, seed)
-    data = coeff_vector(op.basis, apply(op, f_dagger).coeffs + epsilon * w.coeffs)
-    return Observation(data=data, epsilon=epsilon)
+    return coeff_vector(op.basis, apply(op, f_dagger).coeffs + epsilon * w.coeffs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,11 +185,6 @@ class PosteriorSystem:
         return coeff_vector(self.prior.basis, self.synthesise(modes))
 
 
-def _check_compatible(prior: GaussianPrior, op: ForwardOperator, obs: Observation) -> None:
-    if not (prior.basis.compatible(op.basis) and op.basis.compatible(obs.data.basis)):
-        raise ShapeError("prior, operator, and observation must share one basis")
-
-
 def posterior_system(prior: GaussianPrior, op: ForwardOperator) -> PosteriorSystem:
     """The singular system of the whitened operator A S^{1/2}, which serves every
     noise level: per-mode vectors on the diagonal path, one singular value
@@ -212,28 +201,23 @@ def posterior_system(prior: GaussianPrior, op: ForwardOperator) -> PosteriorSyst
     return PosteriorSystem(prior, op, ut, sigma, vt.T)
 
 
-def posterior_update(
-    prior: GaussianPrior, op: ForwardOperator, obs: Observation
-) -> CoeffVector:
-    """Closed-form conjugate posterior mean: ``posterior_system`` applied to the observed data."""
-    return posterior_system(prior, op).update(obs.data, obs.epsilon)
-
-
 def tikhonov_solve(
-    prior: GaussianPrior, op: ForwardOperator, obs: Observation
+    prior: GaussianPrior, op: ForwardOperator, data: CoeffVector, epsilon: float
 ) -> CoeffVector:
     """Minimise the penalised data-misfit functional by parameter-space normal equations.
 
-    Deliberately a different factorization than ``posterior_update`` - solving
-    (A^T A / eps^2 + S^{-1}) f = A^T M / eps^2 densely even for diagonal
-    operators - so agreement with the posterior mean is a genuine cross-check.
+    Deliberately a different factorization than ``PosteriorSystem.update`` -
+    solving (A^T A / eps^2 + S^{-1}) f = A^T M / eps^2 densely even for
+    diagonal operators - so agreement with the posterior mean is a genuine
+    cross-check.
     """
-    _check_compatible(prior, op, obs)
-    eps2 = obs.epsilon**2
-    a = op.array
-    amat = np.diag(a) if a.ndim == 1 else a
+    if not (prior.basis.compatible(op.basis) and op.basis.compatible(data.basis)):
+        raise ShapeError("prior, operator, and data must share one basis")
+    _check_epsilon(epsilon)
+    eps2 = epsilon**2
+    amat = _dense(op.array)
     hess = amat.T @ amat / eps2 + np.diag(1.0 / prior.variances)
-    rhs = amat.T @ obs.data.coeffs / eps2
+    rhs = amat.T @ data.coeffs / eps2
     try:
         # the Cholesky factor is only the positive-definiteness gate
         np.linalg.cholesky(hess)

@@ -36,7 +36,6 @@ from bvmlab.posterior import (
     noise_draw,
     observe,
     posterior_system,
-    posterior_update,
     tikhonov_solve,
 )
 from bvmlab.priors import matern_prior, predict_rate, small_ball_ladder
@@ -117,9 +116,10 @@ def test_criterion_1_conjugacy_identity(interval):
         rng = np.random.default_rng(derive_seed(101, i))
         prior = matern_prior(op.basis, 0.8 + 1.4 * rng.random(), 0.5 + 1.5 * rng.random())
         truth = sobolev_draw(op.basis, 1.5, derive_seed(102, i))
-        obs = observe(op, truth, 10.0 ** rng.uniform(-3, -1), seed=derive_seed(103, i))
-        mean = posterior_update(prior, op, obs)
-        tik = tikhonov_solve(prior, op, obs)
+        epsilon = 10.0 ** rng.uniform(-3, -1)
+        data = observe(op, truth, epsilon, seed=derive_seed(103, i))
+        mean = posterior_system(prior, op).update(data, epsilon)
+        tik = tikhonov_solve(prior, op, data, epsilon)
         gap = np.linalg.norm(tik.coeffs - mean.coeffs) / np.linalg.norm(mean.coeffs)
         worst = max(worst, gap)
     assert worst <= 1e-8
@@ -208,6 +208,7 @@ def test_criterion_6_contraction_rate_slopes(interval, bvp):
     """Posterior-mean error in the weak norm follows the predicted power of the noise."""
     _, l_inv = bvp
     prior = matern_prior(interval, r=1.0, amplitude=1e5)
+    system = posterior_system(prior, l_inv)
     slopes = {}
     for alpha in (2.0, 0.5):
         predicted = predict_rate(2.0, 1.0, alpha)
@@ -218,9 +219,7 @@ def test_criterion_6_contraction_rate_slopes(interval, bvp):
                 sobolev_norm(
                     coeff_vector(
                         interval,
-                        posterior_update(
-                            prior, l_inv, observe(l_inv, fdag, eps, derive_seed(99, i))
-                        ).coeffs
+                        system.update(observe(l_inv, fdag, eps, derive_seed(99, i)), eps).coeffs
                         - fdag.coeffs,
                     ),
                     -2.0,
@@ -399,14 +398,14 @@ def test_criterion_12_infrastructure(interval, bvp, tmp_path):
     # dense/diagonal equivalence for operator action and posterior
     prior = matern_prior(interval, r=1.0)
     fdag = sobolev_draw(interval, 2.0, 5)
-    obs = observe(l_inv_const, fdag, 1e-3, seed=77)
-    l_inv_dense = ForwardOperator(basis=interval, matrix=np.diag(l_inv_const.multipliers))
-    diag_mean = posterior_update(prior, l_inv_const, obs)
-    dense_mean = posterior_update(prior, l_inv_dense, obs)
-    mean_gap = np.abs(dense_mean.coeffs - diag_mean.coeffs).max()
-    # the posterior variances of the coordinates, diag(W diag(h^2) W^T)
+    data = observe(l_inv_const, fdag, 1e-3, seed=77)
+    l_inv_dense = ForwardOperator(basis=interval, array=np.diag(l_inv_const.multipliers))
     diag_system = posterior_system(prior, l_inv_const)
     dense_system = posterior_system(prior, l_inv_dense)
+    diag_mean = diag_system.update(data, 1e-3)
+    dense_mean = dense_system.update(data, 1e-3)
+    mean_gap = np.abs(dense_mean.coeffs - diag_mean.coeffs).max()
+    # the posterior variances of the coordinates, diag(W diag(h^2) W^T)
     diag_var = (diag_system.w * diag_system.spreads(1e-3)) ** 2
     dense_var = np.sum((dense_system.w * dense_system.spreads(1e-3)) ** 2, axis=1)
     cov_gap = np.abs(dense_var - diag_var).max()

@@ -69,7 +69,7 @@ def setup_bvp(interval, bvp_pair):
 
 class TestRepresenter:
     def test_identity_flips_sign(self, interval):
-        op = ForwardOperator(basis=interval, multipliers=np.ones(interval.n_modes))
+        op = ForwardOperator(basis=interval, array=np.ones(interval.n_modes))
         psi = sobolev_draw(interval, 2.0, 0)
         tf = representer(op, psi)
         np.testing.assert_array_equal(tf.psi_tilde.coeffs, -psi.coeffs)
@@ -103,7 +103,7 @@ class TestRepresenter:
     def test_zero_psi_refused(self, interval, bvp_pair, kind):
         op = bvp_pair[1]
         if kind == "dense":
-            op = ForwardOperator(basis=interval, matrix=np.diag(op.multipliers))
+            op = ForwardOperator(basis=interval, array=np.diag(op.multipliers))
         with pytest.raises(ConfigurationError, match="zero"):
             representer(op, coeff_vector(interval, np.zeros(interval.n_modes)))
 
@@ -118,7 +118,7 @@ class TestRepresenter:
         # passed: the limiting variance came back inf or 0
         op = bvp_pair[1]
         if kind == "dense":
-            op = ForwardOperator(basis=interval, matrix=np.diag(op.multipliers))
+            op = ForwardOperator(basis=interval, array=np.diag(op.multipliers))
             name = name.replace("psi_tilde", "psi")
         with pytest.raises(NumericalError, match=name):
             representer(op, coeff_vector(interval, coeffs))
@@ -402,15 +402,15 @@ class TestTightness:
 class TestSpectralCutoffCompetitor:
     def test_full_level_is_plain_least_squares(self, setup_bvp, interval):
         prior, op, fdag, tf = setup_bvp
-        obs = observe(op, fdag, 1e-3, seed=4)
-        value = svd_truncated_functional(op, obs.data, tf.psi, interval.n_modes)
-        want = float(np.dot(tf.psi.coeffs, obs.data.coeffs / op.multipliers))
+        data = observe(op, fdag, 1e-3, seed=4)
+        value = svd_truncated_functional(op, data, tf.psi, interval.n_modes)
+        want = float(np.dot(tf.psi.coeffs, data.coeffs / op.multipliers))
         assert value == pytest.approx(want, rel=1e-12)
 
     def test_zero_level_is_zero(self, setup_bvp, interval):
         prior, op, fdag, tf = setup_bvp
-        obs = observe(op, fdag, 1e-3, seed=4)
-        assert svd_truncated_functional(op, obs.data, tf.psi, 0) == 0.0
+        data = observe(op, fdag, 1e-3, seed=4)
+        assert svd_truncated_functional(op, data, tf.psi, 0) == 0.0
 
     def test_oracle_level_grows_as_noise_shrinks(self, setup_bvp):
         prior, op, fdag, tf = setup_bvp

@@ -526,14 +526,12 @@ output_path={out}
         assert run_command(config) == 0
         _, _, rows = load_csv(str(out))
         context = build_context(config)
+        system = posterior.posterior_system(context.prior, context.forward)
         for epsilon, i, cell in rows:
             noise = posterior.noise_draw(context.basis, derive_seed(7, 2 * int(i)))
-            data = operators.apply(context.forward, context.truth).coeffs
-            obs = posterior.Observation(
-                spectral.coeff_vector(context.basis, data + float(epsilon) * noise.coeffs),
-                float(epsilon),
-            )
-            mean = posterior.posterior_update(context.prior, context.forward, obs)
+            signal = operators.apply(context.forward, context.truth).coeffs
+            data = spectral.coeff_vector(context.basis, signal + float(epsilon) * noise.coeffs)
+            mean = system.update(data, float(epsilon))
             error = spectral.coeff_vector(context.basis, mean.coeffs - context.truth.coeffs)
             want = spectral.sobolev_norm(error, -1.0)
             assert abs(float(cell) - want) <= 1e-12 * want
@@ -603,7 +601,7 @@ class TestNonFiniteOutput:
         def inf_series(op_l, beta, max_modes):
             return bvm.TightnessResult(np.full(max_modes, np.inf), bvm.TightnessVerdict.BOUNDARY)
 
-        def nan_solve(prior, op, obs):
+        def nan_solve(prior, op, data, epsilon):
             # a CoeffVector refuses nan, so this stands in for one
             return types.SimpleNamespace(coeffs=np.full(op.basis.n_modes, np.nan))
 
@@ -956,6 +954,30 @@ class TestLateFailingKeys:
         err = capsys.readouterr().err
         assert err.startswith(f"error[1]: key '{key}': ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "coefficient",
+        [
+            "operator.coefficient_base=1e306\n",
+            "operator.coefficient=sine\noperator.coefficient_base=1e306\n"
+            "operator.coefficient_amplitude=5e305\n",
+        ],
+        ids=["constant", "sine"],
+    )
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_overflowing_elliptic_map_named(self, tmp_path, capsys, coefficient, command):
+        # the constant coefficient's multipliers and the sine coefficient's
+        # Galerkin entries pass the largest double; the forward map's finite
+        # check refuses either before any factorisation, with no warning
+        path, out = tmp_path / "huge.ini", tmp_path / "out.csv"
+        path.write_text(
+            f"experiment=coverage\nn_modes=32\nfunctional.band=8\n{coefficient}output_path={out}\n"
+        )
+        assert main([command, str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error[1]: key 'operator.coefficient_base': the forward map's entries must be finite\n"
+        )
         assert not out.exists()
 
     def test_ball_spectrum_underflow_named_at_run(self, tmp_path, capsys):
@@ -1975,7 +1997,7 @@ class TestSpill:
             (bvm, "replicate_errors"),
             (bvm, "tightness_series"),
             (priors, "concentration_ladder"),
-            (posterior, "posterior_update"),
+            (posterior, "tikhonov_solve"),
         ):
             original = getattr(module, name)
 

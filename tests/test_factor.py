@@ -19,12 +19,14 @@ from bvmlab.bvm import (
 )
 from bvmlab.config import parse_config
 from bvmlab.errors import ConfigurationError, NumericalError
-from bvmlab.operators import EllipticCoefficient, apply, elliptic_operator, fisher_solve
-from bvmlab.posterior import (
-    Observation,
-    posterior_system,
-    tikhonov_solve,
+from bvmlab.operators import (
+    EllipticCoefficient,
+    apply,
+    elliptic_operator,
+    embedding_constant,
+    fisher_solve,
 )
+from bvmlab.posterior import posterior_system, tikhonov_solve
 from bvmlab.priors import matern_prior
 from bvmlab.seeds import derive_seed
 from bvmlab.spectral import (
@@ -257,8 +259,8 @@ output_path={tmp_path / "rates.csv"}
             noise = posterior.noise_draw(context.basis, seed).coeffs
             modes = system.gains(epsilon) * (signal + epsilon * system.rotate(noise))
             mean = system.synthesise(modes)
-            obs = posterior.observe(context.forward, context.truth, epsilon, seed)
-            posterior_mean = system.update(obs.data, epsilon).coeffs
+            data = posterior.observe(context.forward, context.truth, epsilon, seed)
+            posterior_mean = system.update(data, epsilon).coeffs
             assert np.linalg.norm(mean - posterior_mean) <= 1e-12 * np.linalg.norm(mean)
             error = coeff_vector(context.basis, mean - context.truth.coeffs)
             want.append(sobolev_norm(error, -2.0))
@@ -292,8 +294,7 @@ def test_replicates_match_parameter_space_solve(dense_setup, epsilon):
     for i, mean in zip(table.replicate_index.tolist(), table.functional_mean.tolist()):
         noise = posterior.noise_draw(op.basis, derive_seed(3, 2 * i))
         data = coeff_vector(op.basis, signal + epsilon * noise.coeffs)
-        obs = Observation(data=data, epsilon=epsilon)
-        want_mean = float(np.dot(tikhonov_solve(prior, op, obs).coeffs, tf.psi.coeffs))
+        want_mean = float(np.dot(tikhonov_solve(prior, op, data, epsilon).coeffs, tf.psi.coeffs))
         assert mean == pytest.approx(want_mean, rel=1e-10, abs=1e-14)
     assert table.sets.posterior_functional_variance == pytest.approx(want_var, rel=1e-10)
 
@@ -485,16 +486,26 @@ def test_operator_svd_failure_is_numerical_error(monkeypatch):
         fisher_solve(op, unit_vector(basis, 0))
 
 
-# coverage decomposes the operator for the representer before the posterior
-# system; rates builds no functional, so its first decomposition is the system's
+def test_embedding_constant_svd_failure_is_numerical_error(monkeypatch):
+    # the dense map's 2-norm is its largest singular value
+    basis = build_basis(BasisKind.DIRICHLET_SINE, 32, 8)
+    coeff = EllipticCoefficient(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), floor=0.25)
+    op = elliptic_operator(coeff, basis)[1]
+    monkeypatch.setattr(np.linalg, "svd", _raise_linalg)
+    with pytest.raises(NumericalError, match=r"^embedding constant .*\(svd\) failed"):
+        embedding_constant(op, -2.0)
+
+
+# the build takes the dense map's embedding constant before the representer
+# (coverage) and before the posterior system (both), so both fail there first
 @pytest.mark.parametrize(
     "lines, stage",
     [
         (
             "experiment=coverage\nfunctional.band=8\nball_beta=3.5\nepsilons=1e-3",
-            "forward operator",
+            "embedding constant",
         ),
-        ("experiment=rates\nepsilons=1e-1,1e-2,1e-3", "posterior system"),
+        ("experiment=rates\nepsilons=1e-1,1e-2,1e-3", "embedding constant"),
     ],
     ids=["coverage", "rates"],
 )
@@ -530,6 +541,8 @@ output_path={tmp_path / "out.csv"}
         ("operator.time", "nan"),
         ("operator.coefficient_base", "inf"),
         ("operator.coefficient_amplitude", "nan"),
+        # finite, but the constant coefficient's multipliers overflow
+        ("operator.coefficient_base", "1e306"),
     ],
 )
 def test_non_finite_value_exits_one_naming_key(tmp_path, capsys, key, value):
@@ -539,4 +552,5 @@ def test_non_finite_value_exits_one_naming_key(tmp_path, capsys, key, value):
     assert cli.main(["run", str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error[1]:") and f"'{key}'" in err and "finite" in err
+    assert err.count("\n") == 1
     assert not out.exists()

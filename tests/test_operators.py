@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bvmlab
-from bvmlab import cli, posterior
+from bvmlab import bvm, cli, posterior
 from bvmlab.config import parse_config
 from bvmlab.errors import ConfigurationError, IllPosedError, NumericalError, ShapeError
 from bvmlab.operators import (
@@ -55,6 +55,52 @@ def bvp_pair(interval):
 def bvp_variable_pair(interval):
     coeff = EllipticCoefficient(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), floor=0.4)
     return elliptic_operator(coeff, interval)
+
+
+class TestForwardOperator:
+    """The one check of a stored map: its shape, finiteness and freezing."""
+
+    def test_vector_and_square_matrix_accepted(self, interval):
+        n = interval.n_modes
+        diagonal = ForwardOperator(interval, [1] * n)
+        dense = ForwardOperator(interval, np.eye(n))
+        assert diagonal.array.dtype == dense.array.dtype == np.float64
+        assert diagonal.array.shape == (n,) and dense.array.shape == (n, n)
+
+    @pytest.mark.parametrize("shape", [(31,), (33,), (32, 31), (31, 31), (32, 32, 1), ()])
+    def test_other_shapes_refused(self, interval, shape):
+        with pytest.raises(ShapeError, match=r"\(32,\) or \(32, 32\)"):
+            ForwardOperator(interval, np.ones(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("dense", [False, True], ids=["vector", "matrix"])
+    def test_non_finite_entry_refused(self, interval, bad, dense):
+        array = np.eye(interval.n_modes) if dense else np.ones(interval.n_modes)
+        array.flat[5] = bad
+        with pytest.raises(ConfigurationError, match="entries must be finite"):
+            ForwardOperator(interval, array)
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["vector", "matrix"])
+    def test_array_is_a_frozen_copy(self, interval, dense):
+        given = np.eye(interval.n_modes) if dense else np.ones(interval.n_modes)
+        op = ForwardOperator(interval, given)
+        given[0] = 7.0
+        assert op.array[0].max() == 1.0
+        assert not op.array.flags.writeable
+        with pytest.raises(ValueError):
+            op.array[0] = 2.0
+
+    def test_views_agree_with_array(self, bvp_pair, bvp_variable_pair):
+        for op in (*bvp_pair, *bvp_variable_pair):
+            assert op.is_diagonal == (op.array.ndim == 1)
+            stored = op.multipliers if op.is_diagonal else op.matrix
+            assert stored is op.array
+            assert (op.matrix if op.is_diagonal else op.multipliers) is None
+        assert bvp_pair[1].is_diagonal and not bvp_variable_pair[1].is_diagonal
+
+    def test_fields_are_basis_array_companion(self, interval):
+        op = ForwardOperator(interval, np.ones(interval.n_modes))
+        assert [field.name for field in dataclasses.fields(op)] == ["basis", "array", "companion"]
 
 
 class TestPsido:
@@ -195,7 +241,7 @@ class TestApplyAdjoint:
 
     def test_dense_wrap_matches_diagonal(self, interval):
         op = heat_semigroup(interval, 0.05)
-        dense = ForwardOperator(basis=interval, matrix=np.diag(op.multipliers))
+        dense = ForwardOperator(basis=interval, array=np.diag(op.multipliers))
         f = random_vec(interval, 3)
         np.testing.assert_allclose(
             apply(dense, f).coeffs, apply(op, f).coeffs, atol=1e-12
@@ -243,14 +289,14 @@ class TestApplyAdjoint:
         self, torus, interval, bvp_pair, bvp_variable_pair, family, dense, seeds
     ):
         op = {
-            "identity": ForwardOperator(basis=interval, multipliers=np.ones(interval.n_modes)),
+            "identity": ForwardOperator(basis=interval, array=np.ones(interval.n_modes)),
             "psido": psido_multiplier(torus, 2.0),
             "bvp": bvp_pair[1],
             "bvp_variable": bvp_variable_pair[1],
             "heat": heat_semigroup(interval, 0.1),
         }[family]
         if dense and op.is_diagonal:
-            op = ForwardOperator(basis=op.basis, matrix=np.diag(op.multipliers))
+            op = ForwardOperator(basis=op.basis, array=np.diag(op.multipliers))
         f, g = random_vec(op.basis, seeds[0]), random_vec(op.basis, seeds[1])
         af, adj_g = apply(op, f), adjoint_apply(op, g)
         lhs, rhs = inner(af, g), inner(f, adj_g)
@@ -278,7 +324,7 @@ class TestFisherSolve:
         np.testing.assert_allclose(out.coeffs, want, rtol=1e-12)
 
     def test_identity_unchanged(self, interval):
-        op = ForwardOperator(basis=interval, multipliers=np.ones(interval.n_modes))
+        op = ForwardOperator(basis=interval, array=np.ones(interval.n_modes))
         f = random_vec(interval, 7)
         np.testing.assert_array_equal(fisher_solve(op, f, 1e12).coeffs, f.coeffs)
 
@@ -307,7 +353,7 @@ class TestFisherSolve:
 
     def test_dense_matches_diagonal(self, bvp_pair, interval):
         _, inv = bvp_pair
-        dense = ForwardOperator(basis=interval, matrix=np.diag(inv.multipliers))
+        dense = ForwardOperator(basis=interval, array=np.diag(inv.multipliers))
         psi = random_vec(interval, 11)
         diag_out = fisher_solve(inv, psi, 1e12)
         dense_out = fisher_solve(dense, psi, 1e12)
@@ -316,7 +362,7 @@ class TestFisherSolve:
         # semigroup used to be refused at condition 1e32 over all its modes
         basis = build_basis(BasisKind.DIRICHLET_SINE, 64, 8)
         heat = heat_semigroup(basis, 0.1)
-        dense = ForwardOperator(basis=basis, matrix=np.diag(heat.multipliers))
+        dense = ForwardOperator(basis=basis, array=np.diag(heat.multipliers))
         psi = unit_vector(basis, 0)
         diag_out = fisher_solve(heat, psi, 1e12)
         assert diag_out.coeffs[0] == pytest.approx(7.19884704253, rel=1e-11)
@@ -326,7 +372,7 @@ class TestFisherSolve:
         # the squares 1e400 overflowed to inf, inf / inf gave a nan condition
         # that passed the gate, and the diagonal path returned zeros
         basis = build_basis(BasisKind.DIRICHLET_SINE, 64, 8)
-        op = ForwardOperator(basis=basis, multipliers=np.full(64, 1e200))
+        op = ForwardOperator(basis=basis, array=np.full(64, 1e200))
         with pytest.raises(NumericalError, match="largest eigenvalue"):
             fisher_solve(op, unit_vector(basis, 3))
 
@@ -334,7 +380,7 @@ class TestFisherSolve:
         # 1e305 * (pi k)^4 leaves the double range on every mode: the quotient
         # warned, and its inf failed later as an unkeyed configuration error
         _, inv = bvp_pair
-        dense = ForwardOperator(basis=interval, matrix=np.diag(inv.multipliers))
+        dense = ForwardOperator(basis=interval, array=np.diag(inv.multipliers))
         psi = coeff_vector(interval, np.full(interval.n_modes, 1e305))
         for op in (inv, dense):
             with pytest.raises(NumericalError, match="overflows the double range"):
@@ -393,11 +439,12 @@ def test_only_operators_reads_the_storage():
 
 
 def test_only_operators_decomposes_a_stored_map():
-    # the posterior system and its weighted spectrum decompose through this
-    # module's helpers, which alone hold the rule that a vector is diagonal
+    # the posterior system, its weighted spectrum and the Tikhonov cross-check
+    # decompose or densify through this module's helpers, which alone hold the
+    # rule that a vector is diagonal
     assert _hits_outside_operators(r"\blinalg\.svd\b") == []
-    for function in (posterior.posterior_system, posterior.PosteriorSystem.weighted_spectrum):
-        assert ".ndim" not in inspect.getsource(function)
+    for module in (posterior, bvm):
+        assert ".ndim" not in inspect.getsource(module)
 
 
 def test_forward_map_caches_nothing():

@@ -18,14 +18,12 @@ from bvmlab.operators import (
     psido_multiplier,
 )
 from bvmlab.posterior import (
-    Observation,
     PosteriorSystem,
     exact_ball_radius,
     noise_block,
     noise_draw,
     observe,
     posterior_system,
-    posterior_update,
     tikhonov_solve,
     two_sided_quantile,
 )
@@ -61,28 +59,20 @@ def scalar_setup(measurement):
     tau = np.array([1.0])
     tau.flags.writeable = False
     prior = GaussianPrior(basis=basis, variances=tau, rkhs_exponent=1.0, amplitude=1.0)
-    op = ForwardOperator(basis=basis, multipliers=np.ones(1))
-    obs = Observation(data=coeff_vector(basis, [measurement]), epsilon=1.0)
-    return prior, op, obs
+    op = ForwardOperator(basis=basis, array=np.ones(1))
+    # observed at noise level 1
+    return prior, op, coeff_vector(basis, [measurement])
 
 
-class TestObservation:
+class TestObserve:
     def test_simulated_data_reproducible(self, interval, prior, bvp_inv):
         f = sobolev_draw(interval, 2.0, 1)
         a = observe(bvp_inv, f, 1e-2, seed=42)
         b = observe(bvp_inv, f, 1e-2, seed=42)
-        np.testing.assert_array_equal(a.data.coeffs, b.data.coeffs)
+        np.testing.assert_array_equal(a.coeffs, b.coeffs)
         # data decomposes into signal plus the seeded noise draw
         w = noise_draw(interval, 42)
-        np.testing.assert_array_equal(
-            a.data.coeffs, apply(bvp_inv, f).coeffs + 1e-2 * w.coeffs
-        )
-
-    def test_epsilon_must_be_positive(self, interval):
-        # 1e300 squares to inf and 1e-200 to 0
-        for epsilon in (0.0, -1.0, math.inf, math.nan, 1e300, 1e-200):
-            with pytest.raises(ConfigurationError):
-                Observation(data=unit_vector(interval, 0), epsilon=epsilon)
+        np.testing.assert_array_equal(a.coeffs, apply(bvp_inv, f).coeffs + 1e-2 * w.coeffs)
 
 
 def _philox_rows(basis, keys):
@@ -138,19 +128,32 @@ class TestNoiseBlock:
 
 
 class TestPosteriorUpdate:
+    def test_epsilon_must_be_positive(self, interval, prior, bvp_inv):
+        # 1e300 squares to inf and 1e-200 to 0; the mean and the cross-check
+        # each refuse the noise level
+        system = posterior_system(prior, bvp_inv)
+        data = unit_vector(interval, 0)
+        for epsilon in (0.0, -1.0, math.inf, math.nan, 1e300, 1e-200):
+            with pytest.raises(ConfigurationError, match="noise level epsilon"):
+                system.update(data, epsilon)
+            with pytest.raises(ConfigurationError, match="noise level epsilon"):
+                tikhonov_solve(prior, bvp_inv, data, epsilon)
+
     def test_scalar_conjugate_gaussian(self):
-        prior, op, obs = scalar_setup(2.0)
-        assert posterior_update(prior, op, obs).coeffs[0] == pytest.approx(1.0, rel=1e-15)
+        prior, op, data = scalar_setup(2.0)
+        assert posterior_system(prior, op).update(data, 1.0).coeffs[0] == pytest.approx(
+            1.0, rel=1e-15
+        )
         variance = posterior_system(prior, op).functional_variance(unit_vector(prior.basis, 0), 1.0)
         assert variance == pytest.approx(0.5, rel=1e-15)
 
     def test_dense_path_matches_diagonal(self, interval, prior, bvp_inv):
         f = sobolev_draw(interval, 2.0, 3)
-        obs = observe(bvp_inv, f, 1e-2, seed=5)
-        dense = ForwardOperator(basis=interval, matrix=np.diag(bvp_inv.multipliers))
+        data = observe(bvp_inv, f, 1e-2, seed=5)
+        dense = ForwardOperator(basis=interval, array=np.diag(bvp_inv.multipliers))
         np.testing.assert_allclose(
-            posterior_update(prior, dense, obs).coeffs,
-            posterior_update(prior, bvp_inv, obs).coeffs,
+            posterior_system(prior, dense).update(data, 1e-2).coeffs,
+            posterior_system(prior, bvp_inv).update(data, 1e-2).coeffs,
             atol=1e-10,
         )
         np.testing.assert_allclose(
@@ -170,7 +173,7 @@ class TestPosteriorUpdate:
             assert np.all(hi > lo)
 
     def test_posterior_never_exceeds_prior_variance(self, interval, prior, bvp_inv):
-        dense = ForwardOperator(basis=interval, matrix=np.diag(bvp_inv.multipliers))
+        dense = ForwardOperator(basis=interval, array=np.diag(bvp_inv.multipliers))
         system = posterior_system(prior, dense)
         rng = np.random.default_rng(8)
         for _ in range(20):
@@ -181,10 +184,14 @@ class TestPosteriorUpdate:
 
     def test_basis_mismatch(self, prior, interval):
         other = build_basis(BasisKind.DIRICHLET_SINE, 16, 8)
-        op = ForwardOperator(basis=other, multipliers=np.ones(other.n_modes))
-        obs = Observation(data=coeff_vector(other, np.zeros(other.n_modes)), epsilon=1.0)
+        op = ForwardOperator(basis=other, array=np.ones(other.n_modes))
+        data = coeff_vector(other, np.zeros(other.n_modes))
         with pytest.raises(ShapeError):
-            posterior_update(prior, op, obs)
+            posterior_system(prior, op)
+        with pytest.raises(ShapeError):
+            tikhonov_solve(prior, op, data, 1.0)
+        with pytest.raises(ShapeError):
+            tikhonov_solve(prior, ForwardOperator(interval, np.ones(interval.n_modes)), data, 1.0)
 
 
 # the operator families of the conjugacy experiment, diagonal and dense
@@ -212,7 +219,7 @@ def families(interval):
     }
     for name in ("bvp", "heat", "psido"):
         op = ops[name]
-        ops[f"{name}_dense"] = ForwardOperator(basis=op.basis, matrix=np.diag(op.multipliers))
+        ops[f"{name}_dense"] = ForwardOperator(basis=op.basis, array=np.diag(op.multipliers))
     assert set(ops) == set(CONJUGACY_FAMILIES)
     assert not ops["bvp_variable"].is_diagonal and ops["bvp"].is_diagonal
     return ops
@@ -220,8 +227,8 @@ def families(interval):
 
 class TestTikhonovSolve:
     def test_zero_data_gives_zero(self, interval, prior, bvp_inv):
-        obs = Observation(data=coeff_vector(interval, np.zeros(interval.n_modes)), epsilon=0.1)
-        out = tikhonov_solve(prior, bvp_inv, obs)
+        zero = coeff_vector(interval, np.zeros(interval.n_modes))
+        out = tikhonov_solve(prior, bvp_inv, zero, 0.1)
         np.testing.assert_allclose(out.coeffs, 0.0, atol=1e-15)
 
     @pytest.mark.parametrize("family", ["bvp", "bvp_variable", "heat", "psido"])
@@ -242,9 +249,10 @@ class TestTikhonovSolve:
         prior = matern_prior(basis, r=1.2, amplitude=0.8)
         for seed in range(10):
             f = sobolev_draw(basis, 1.5, seed)
-            obs = observe(op, f, 10 ** (-1 - 2 * (seed % 3) / 2), seed=seed)
-            mean = posterior_update(prior, op, obs)
-            tik = tikhonov_solve(prior, op, obs)
+            epsilon = 10 ** (-1 - 2 * (seed % 3) / 2)
+            data = observe(op, f, epsilon, seed=seed)
+            mean = posterior_system(prior, op).update(data, epsilon)
+            tik = tikhonov_solve(prior, op, data, epsilon)
             gap = np.linalg.norm(tik.coeffs - mean.coeffs)
             assert gap <= 1e-8 * max(np.linalg.norm(mean.coeffs), 1e-30)
 
@@ -262,25 +270,25 @@ class TestTikhonovSolve:
         op = families[family]
         prior = matern_prior(op.basis, r=r, amplitude=amplitude)
         truth = sobolev_draw(op.basis, 1.5, seed)
-        obs = observe(op, truth, 10.0**log_epsilon, seed=seed + 1)
-        mean = posterior_update(prior, op, obs)
-        tik = tikhonov_solve(prior, op, obs)
+        epsilon = 10.0**log_epsilon
+        data = observe(op, truth, epsilon, seed=seed + 1)
+        mean = posterior_system(prior, op).update(data, epsilon)
+        tik = tikhonov_solve(prior, op, data, epsilon)
         gap = np.linalg.norm(tik.coeffs - mean.coeffs)
         assert gap <= 1e-8 * max(np.linalg.norm(mean.coeffs), 1e-30)
 
     def test_indefinite_normal_equations_raise(self):
         # hess = 1 + 1 / (-0.5) = -1 is nonsingular, so only the Cholesky gate can refuse it
-        prior, op, obs = scalar_setup(1.0)
+        prior, op, data = scalar_setup(1.0)
         bad = GaussianPrior(
             basis=prior.basis, variances=np.array([-0.5]), rkhs_exponent=1.0, amplitude=1.0
         )
         with pytest.raises(NumericalError, match="normal-equation solve failed"):
-            tikhonov_solve(bad, op, obs)
+            tikhonov_solve(bad, op, data, 1.0)
 
     def test_vanishing_regularisation_recovers_rkhs_truth(self, interval, prior, bvp_inv):
         f = sobolev_draw(interval, 1.0, 9)
-        obs = Observation(data=apply(bvp_inv, f), epsilon=1e-6)
-        out = tikhonov_solve(prior, bvp_inv, obs)
+        out = tikhonov_solve(prior, bvp_inv, apply(bvp_inv, f), 1e-6)
         err = coeff_vector(interval, out.coeffs - f.coeffs)
         assert sobolev_norm(err, -2.0) <= 1e-3
 
@@ -504,7 +512,7 @@ class TestExactBallRadius:
     def test_weighted_spectrum_paths_agree(self, prior, families, interval):
         weights = (1.0 + interval.eigenvalues) ** (-3.5)
         diagonal = posterior_system(prior, families["bvp"])
-        dense_op = ForwardOperator(basis=interval, matrix=np.diag(families["bvp"].multipliers))
+        dense_op = ForwardOperator(basis=interval, array=np.diag(families["bvp"].multipliers))
         dense = posterior_system(prior, dense_op)
         np.testing.assert_allclose(
             np.sort(dense.weighted_spectrum(weights, EPS)),
