@@ -87,10 +87,10 @@ def representer(
 ) -> TestFunctional:
     """Solve psi = -A*A psi_tilde and record the limiting variance ||A psi_tilde||^2.
 
-    An operator with a companion C (the elliptic pair, each the inverse of
-    the other) has the closed form psi_tilde = -C(C psi) as well, which must
-    agree with the solver path to relative 1e-8.  A zero psi is refused, and
-    so are norms and a limiting variance that leave the double range.
+    psi_tilde comes from ``fisher_solve``; the roundtrip check applies A itself
+    to it, so it checks either of that function's paths.  A zero psi is
+    refused, and so are a psi norm and a limiting variance that leave the
+    double range.
     """
     if not np.any(psi.coeffs):
         raise ConfigurationError("the functional psi is zero")
@@ -98,15 +98,6 @@ def representer(
     # the norms and the variance square coefficients; each is refused outside
     # the double range, so an overflow there is an error rather than a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if op.companion is not None:
-            alt = coeff_vector(op.basis, -apply(op.companion, apply(op.companion, psi)).coeffs)
-            gap = np.linalg.norm(alt.coeffs - tilde.coeffs)
-            scale = np.linalg.norm(tilde.coeffs)
-            _check_in_range("psi_tilde norm", scale)
-            if not gap <= 1e-8 * scale:
-                raise NumericalError(
-                    f"solver and closed-form representers disagree by {gap / scale:.3g}"
-                )
         _roundtrip_check(op, psi, tilde)
         image = apply(op, tilde)
         variance = inner(image, image)

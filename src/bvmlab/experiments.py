@@ -120,7 +120,8 @@ def _check_coverage(config) -> None:
             f"key 'functional.mode': mode must lie in 1..{config.n_modes}, "
             f"got {config.functional_mode}"
         )
-    # every functional but heat_mode goes through the representer solve
+    # every functional but heat_mode goes through the representer solve; its gate
+    # reads the limit only without a companion (psido, heat), yet the key is checked
     if kind != "heat_mode" and config.operator_cond_limit <= 0:
         raise ConfigurationError(
             f"key 'operator.cond_limit': must be positive, got {config.operator_cond_limit!r}"

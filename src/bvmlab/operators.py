@@ -234,43 +234,48 @@ def normal_apply(op: ForwardOperator, f: CoeffVector) -> CoeffVector:
 def fisher_solve(
     op: ForwardOperator, psi: CoeffVector, cond_limit: float = DEFAULT_COND_LIMIT
 ) -> CoeffVector:
-    """Solve A*A x = psi, refusing when the normal operator is too ill-conditioned
-    on the singular modes psi occupies.
+    """Solve A*A x = psi.
 
-    With A = U diag(s) V^T (V = I for a diagonal map), decomposed on each call,
-    psi occupies the modes where V^T psi is nonzero.  A largest s^2 that
-    overflows raises ``NumericalError``; a condition (largest s^2 over least
-    occupied s^2) above ``cond_limit``, or an occupied s = 0, raises
+    A map with a companion C (the elliptic pair: exactly symmetric, each the
+    other's inverse) has (A*A)^-1 = C C, so x = C(C psi), ungated.  Any other
+    map is decomposed on each call as A = U diag(s) V^T (V = I for a diagonal
+    map); psi occupies the modes where V^T psi is nonzero.  A largest s^2
+    that overflows raises ``NumericalError``; a condition (largest s^2 over
+    least occupied s^2) above ``cond_limit``, or an occupied s = 0, raises
     ``IllPosedError``.  The solution V ((V^T psi) / s^2) has an error that
-    scales with cond(A), not cond(A^T A).
+    scales with cond(A), not cond(A^T A).  A solution past the double range
+    raises ``NumericalError`` on both paths.
     """
     _check_basis(op, psi)
     if cond_limit <= 0:
         raise ConfigurationError("cond_limit must be positive")
-    _, s, vt = _singular_system(op.array, "forward operator")
-    coef = _map_rows(vt, psi.coeffs)
-    occupied = coef != 0.0
-    # an overflowing quotient, and the nan it leaves in a dense product, are refused below
+    # an overflow, and the nan it leaves in a dense product, is refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        squared = s**2
-        s_best = float(squared.max())
-        # an eigenvalue of A^T A at inf would zero its mode of the solution
-        if not s_best < math.inf:
-            raise NumericalError(
-                f"the normal operator's largest eigenvalue, {float(np.abs(s).max()):.3g} "
-                "squared, overflows"
-            )
-        # psi = 0 occupies no mode: condition 0 and solution 0
-        s_worst = float(np.min(squared[occupied], initial=math.inf))
-        cond = math.inf if s_worst == 0.0 else s_best / s_worst
-        if cond > cond_limit:
-            raise IllPosedError(
-                f"normal operator condition {cond:.3g} over the modes psi occupies "
-                f"exceeds limit {cond_limit:.3g}"
-            )
-        modes = np.zeros(op.basis.n_modes)
-        modes[occupied] = coef[occupied] / squared[occupied]
-        solution = _map_rows(vt.T, modes)
+        if op.companion is not None:
+            solution = _map_rows(op.companion.array, _map_rows(op.companion.array, psi.coeffs))
+        else:
+            _, s, vt = _singular_system(op.array, "forward operator")
+            coef = _map_rows(vt, psi.coeffs)
+            occupied = coef != 0.0
+            squared = s**2
+            s_best = float(squared.max())
+            # an eigenvalue of A^T A at inf would zero its mode of the solution
+            if not s_best < math.inf:
+                raise NumericalError(
+                    f"the normal operator's largest eigenvalue, {float(np.abs(s).max()):.3g} "
+                    "squared, overflows"
+                )
+            # psi = 0 occupies no mode: condition 0 and solution 0
+            s_worst = float(np.min(squared[occupied], initial=math.inf))
+            cond = math.inf if s_worst == 0.0 else s_best / s_worst
+            if cond > cond_limit:
+                raise IllPosedError(
+                    f"normal operator condition {cond:.3g} over the modes psi occupies "
+                    f"exceeds limit {cond_limit:.3g}"
+                )
+            modes = np.zeros(op.basis.n_modes)
+            modes[occupied] = coef[occupied] / squared[occupied]
+            solution = _map_rows(vt.T, modes)
     if not np.all(np.isfinite(solution)):
         raise NumericalError("the solution of A*A x = psi overflows the double range")
     return coeff_vector(op.basis, solution)

@@ -565,6 +565,11 @@ _FLAT_SINE = (
 )
 
 
+# a constant coefficient of 1e160 puts the representer C(C psi) near 1e320
+_HUGE_REPRESENTER = "n_modes=32\nfunctional.band=8\noperator.coefficient_base=1e160\n"
+_SOLUTION_OVERFLOWS = "the solution of A*A x = psi overflows"
+
+
 class TestNonFiniteOutput:
     """A truth of scale 1e308 overflows the replicates: the run names the column
     and noise level, or the key, instead of writing inf and nan cells."""
@@ -620,8 +625,8 @@ class TestNonFiniteOutput:
     @pytest.mark.parametrize(
         "experiment, extra, message, validated",
         [
-            ("coverage", "", "the normal operator's largest eigenvalue", 2),
-            ("coverage", "ball_beta=3.5\n", "the normal operator's largest eigenvalue", 2),
+            ("coverage", "", "the representer's psi norm is inf", 2),
+            ("coverage", "ball_beta=3.5\n", "the representer's psi norm is inf", 2),
             ("rates", "", "the whitened operator's singular value", 0),
             ("tightness", "", "the operator's squared column norms", 0),
         ],
@@ -634,8 +639,9 @@ class TestNonFiniteOutput:
         # near 1e299, whose squares overflow: coverage wrote radius 0 rows and
         # rates a constant dual_error with exit 0, the ball blamed ball_beta,
         # and tightness, whose squared column norms underflow, blamed its beta;
-        # validate builds coverage's representer, whose solve refuses it, while
-        # rates and tightness fail only in the run's posterior system and series
+        # validate builds coverage's representer, which refuses psi = A g, whose
+        # norm overflows, while rates and tightness fail only in the run's
+        # posterior system and series
         path, out = tmp_path / "dense.ini", tmp_path / "out.csv"
         path.write_text(
             f"experiment={experiment}\n{extra}n_modes=32\nfunctional.band=8\nn_replicates=4\n"
@@ -652,8 +658,8 @@ class TestNonFiniteOutput:
     @pytest.mark.parametrize(
         "lines, message, status",
         [
-            (_FLAT_SINE, "the normal operator's largest eigenvalue", 2),
-            (_FLAT_SINE + "ball_beta=3.5\n", "the normal operator's largest eigenvalue", 2),
+            (_FLAT_SINE, "the representer's psi norm is inf", 2),
+            (_FLAT_SINE + "ball_beta=3.5\n", "the representer's psi norm is inf", 2),
             (
                 "operator.kind=psido\nn_modes=33\noperator.t=-250\nfunctional.kind=sobolev\n"
                 "functional.band=8\n",
@@ -665,8 +671,17 @@ class TestNonFiniteOutput:
                 "key 'operator.t': the weak norm's weights",
                 1,
             ),
+            (_HUGE_REPRESENTER + "functional.kind=sobolev\n", _SOLUTION_OVERFLOWS, 2),
+            (_HUGE_REPRESENTER + "functional.kind=mode\n", _SOLUTION_OVERFLOWS, 2),
         ],
-        ids=["flat-sine", "flat-sine-ball", "psido-rough", "concentration-rough"],
+        ids=[
+            "flat-sine",
+            "flat-sine-ball",
+            "psido-rough",
+            "concentration-rough",
+            "representer-sobolev",
+            "representer-mode",
+        ],
     )
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_overflowing_diagonal_operator_one_line(
@@ -676,15 +691,32 @@ class TestNonFiniteOutput:
         # (two stderr lines) before its error: the flat sine coefficient then
         # blamed the representer's norm and the order -250 multiplier exited 4
         # at condition inf, and concentration's weak norm blamed truth.scale;
-        # a fresh interpreter shows what the console script prints
+        # the flat sine's representer comes from its companion, with no
+        # decomposition, so its psi = A g fails first, on its overflowing norm;
+        # a fresh interpreter under -W error shows what the console script
+        # prints, and fails on any warning it would print
         path, out = tmp_path / "rough.ini", tmp_path / "out.csv"
         experiment = "" if lines.startswith("experiment=") else "experiment=coverage\n"
         path.write_text(f"{experiment}{lines}n_replicates=4\noutput_path={out}\n")
-        done = _python(_CLI_MAIN, command, str(path), timeout=60)
+        done = _python(_CLI_MAIN, command, str(path), timeout=60, PYTHONWARNINGS="error")
         assert done.returncode == status
         assert done.stderr.startswith(f"error[{status}]: {message}")
         assert done.stderr.count("\n") == 1
         assert not out.exists()
+
+    def test_representer_whose_norm_overflows_runs(self, tmp_path):
+        # psi_tilde near 1e200 is finite, though its squared norm is not; the
+        # representer takes no norm of it, and the run's cells stay finite
+        path, out = tmp_path / "big.ini", tmp_path / "out.csv"
+        path.write_text(
+            "experiment=coverage\nn_modes=32\nfunctional.band=8\nn_replicates=4\n"
+            f"operator.coefficient_base=1e100\nfunctional.kind=sobolev\noutput_path={out}\n"
+        )
+        assert main(["run", str(path)]) == 0
+        _, header, rows = load_csv(str(out))
+        numeric = [i for i, name in enumerate(header) if "covered" not in name]
+        cells = [float(row[i]) for row in rows for i in numeric if row[i]]
+        assert rows and np.all(np.isfinite(cells))
 
     def test_concentration_names_truth_scale(self, tmp_path):
         # the approximation cost's bisection used to run forever on an inf or nan residual

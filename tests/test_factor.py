@@ -21,6 +21,7 @@ from bvmlab.config import parse_config
 from bvmlab.errors import ConfigurationError, NumericalError
 from bvmlab.operators import (
     EllipticCoefficient,
+    ForwardOperator,
     apply,
     elliptic_operator,
     embedding_constant,
@@ -477,10 +478,10 @@ def test_factor_svd_failure_is_numerical_error(dense_setup, monkeypatch):
 
 
 def test_operator_svd_failure_is_numerical_error(monkeypatch):
-    # fisher_solve decomposes the dense map on each call
+    # fisher_solve decomposes a dense map without a companion on each call
     basis = build_basis(BasisKind.DIRICHLET_SINE, 32, 8)
     coeff = EllipticCoefficient(lambda x: 1.0 + 0.5 * np.sin(2 * np.pi * x), floor=0.25)
-    op = elliptic_operator(coeff, basis)[1]
+    op = ForwardOperator(basis, elliptic_operator(coeff, basis)[1].array)
     monkeypatch.setattr(np.linalg, "svd", _raise_linalg)
     with pytest.raises(NumericalError, match=r"forward operator .*\(svd\) failed"):
         fisher_solve(op, unit_vector(basis, 0))

@@ -387,7 +387,9 @@ class TestFisherSolve:
                 fisher_solve(op, psi)
 
     def test_dense_cond_limit_gates_normal_operator(self, bvp_variable_pair, interval):
-        _, inv = bvp_variable_pair
+        # a map with a companion is solved in closed form and not gated, so
+        # the gate is checked on a bare copy of the solution map
+        inv = ForwardOperator(interval, bvp_variable_pair[1].array)
         assert not inv.is_diagonal
         s = np.linalg.svd(inv.matrix, compute_uv=False)
         cond = (s[0] / s[-1]) ** 2
@@ -397,6 +399,22 @@ class TestFisherSolve:
         sol = fisher_solve(inv, psi, cond * (1 + 1e-6))
         back = normal_apply(inv, sol)
         np.testing.assert_allclose(back.coeffs, psi.coeffs, rtol=1e-8, atol=1e-9)
+
+    @pytest.mark.parametrize("n_modes", [32, 256])
+    @pytest.mark.parametrize("coefficient", ["constant", "sine"])
+    @pytest.mark.parametrize("index", [0, 1], ids=["L", "L_inv"])
+    def test_companion_closed_form_matches_svd_solve(self, n_modes, coefficient, index):
+        # the elliptic pair solve A*A x = psi as C(C psi); the decomposition of
+        # a bare copy, which has no companion, is the oracle
+        basis = build_basis(BasisKind.DIRICHLET_SINE, n_modes, 8)
+        amplitude = {"constant": 0.0, "sine": 0.5}[coefficient]
+        coeff = EllipticCoefficient(lambda x: 1.0 + amplitude * np.sin(2 * np.pi * x), floor=0.4)
+        op = elliptic_operator(coeff, basis)[index]
+        assert op.is_diagonal == (coefficient == "constant")
+        psi = random_vec(basis, 13)
+        closed = fisher_solve(op, psi).coeffs
+        oracle = fisher_solve(ForwardOperator(basis, op.array), psi).coeffs
+        assert np.linalg.norm(closed - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
     @pytest.mark.parametrize("pair_name", ["bvp_pair", "bvp_variable_pair"])
     def test_normal_roundtrip(self, pair_name, interval, request):
@@ -448,8 +466,9 @@ def test_only_operators_decomposes_a_stored_map():
 
 
 def test_forward_map_caches_nothing():
-    # the build's representer solve decomposes the dense map and keeps nothing
-    # of it, so no V^T lives through the run or is pickled into the workers
+    # the build decomposes the dense map for its embedding constant alone and
+    # keeps nothing of it, so no factor lives through the run or is pickled
+    # into the workers
     context = cli.build_context(
         parse_config(
             "experiment=coverage\nn_modes=32\nfunctional.band=8\n"
@@ -459,3 +478,37 @@ def test_forward_map_caches_nothing():
     forward = context.forward
     assert not forward.is_diagonal and context.functional is not None
     assert set(vars(forward)) == {field.name for field in dataclasses.fields(forward)}
+
+
+def test_elliptic_build_decomposes_only_for_the_embedding_constant(monkeypatch):
+    # the benchmark's coverage-dense config: the representer comes from the
+    # companion, so the one decomposition is the embedding constant's values
+    svd, calls = np.linalg.svd, []
+
+    def counting_svd(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    cli.build_context(
+        parse_config(
+            "experiment=coverage\nn_modes=256\noperator.kind=bvp\noperator.coefficient=sine\n"
+            "epsilons=1e-2,1e-3,1e-4\nn_replicates=10\nball_beta=3.5\noutput_path=o.csv\n"
+        )
+    )
+    assert calls == [False]
+
+
+def test_dense_sine_map_at_1024_modes_builds():
+    # a decomposition's condition gate counts every singular mode as occupied
+    # by a band-limited psi, 2.56e12 here against the 1e12 limit; the
+    # companion's closed form has no gate
+    context = cli.build_context(
+        parse_config(
+            "experiment=coverage\nn_modes=1024\noversample=4\noperator.coefficient=sine\n"
+            "output_path=o.csv\n"
+        )
+    )
+    functional, forward = context.functional, context.forward
+    residual = normal_apply(forward, functional.psi_tilde).coeffs + functional.psi.coeffs
+    assert np.linalg.norm(residual) < 1e-12 * np.linalg.norm(functional.psi.coeffs)
