@@ -15,7 +15,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NumericalError, ShapeError
-from .operators import DEFAULT_COND_LIMIT, ForwardOperator, apply, fisher_solve, normal_apply
+from .operators import ForwardOperator, apply, fisher_solve, normal_apply
 from .posterior import (
     PosteriorSystem,
     exact_ball_radius,
@@ -82,19 +82,17 @@ def _roundtrip_check(op: ForwardOperator, psi: CoeffVector, psi_tilde: CoeffVect
         )
 
 
-def representer(
-    op: ForwardOperator, psi: CoeffVector, cond_limit: float = DEFAULT_COND_LIMIT
-) -> TestFunctional:
+def representer(op: ForwardOperator, psi: CoeffVector) -> TestFunctional:
     """Solve psi = -A*A psi_tilde and record the limiting variance ||A psi_tilde||^2.
 
-    psi_tilde comes from ``fisher_solve``; the roundtrip check applies A itself
-    to it, so it checks either of that function's paths.  A zero psi is
-    refused, and so are a psi norm and a limiting variance that leave the
-    double range.
+    psi must lie in the range of A*A, or ``fisher_solve`` raises IllPosedError;
+    the roundtrip check applies A itself to psi_tilde, so it checks either of
+    that function's paths.  A zero psi is refused, and so are a psi norm and a
+    limiting variance that leave the double range.
     """
     if not np.any(psi.coeffs):
         raise ConfigurationError("the functional psi is zero")
-    tilde = coeff_vector(op.basis, -fisher_solve(op, psi, cond_limit).coeffs)
+    tilde = coeff_vector(op.basis, -fisher_solve(op, psi).coeffs)
     # the norms and the variance square coefficients; each is refused outside
     # the double range, so an overflow there is an error rather than a warning
     with np.errstate(over="ignore", invalid="ignore"):

@@ -2,7 +2,7 @@
 
 ``ExperimentConfig`` is the only description of the keys: each field is one
 key, spelled as the key with its section dot replaced by ``_``
-(``operator.cond_limit`` is the field ``operator_cond_limit``), parsed by its
+(``operator.time`` is the field ``operator_time``), parsed by its
 annotation, and listed in field order.  Unknown keys are rejected by name;
 defaults are applied at parse time and echoed into every output file's
 metadata block.  Settings derived from the keys are the config's properties.
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigurationError, _keyed
 from .experiments import EXPERIMENTS, _check_bump, _format_value
-from .operators import DEFAULT_COND_LIMIT, EllipticCoefficient
+from .operators import EllipticCoefficient
 from .posterior import two_sided_quantile
 from .spectral import (
     BasisKind,
@@ -90,7 +90,6 @@ class ExperimentConfig:
     operator_coefficient: str = "constant"
     operator_coefficient_base: float = 1.0
     operator_coefficient_amplitude: float = 0.5
-    operator_cond_limit: float = DEFAULT_COND_LIMIT
     prior_r: float = 1.0
     prior_amplitude: float = 1.0
     truth_kind: str = "bump"

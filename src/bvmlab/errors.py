@@ -28,14 +28,14 @@ class RareEventError(BvmlabError):
 
 
 class IllPosedError(BvmlabError):
-    """Requested inversion exceeds the numerically resolvable range."""
+    """The functional is outside the range of A*A: a mode it occupies has s^2 < tiny."""
 
 
 @contextmanager
 def _keyed(*keys: str) -> Iterator[None]:
-    """Name ``keys`` in a configuration error that the library raises in the block."""
+    """Name ``keys`` in a configuration or numerical error raised in the block."""
     names = "/".join(f"'{key}'" for key in keys)
     try:
         yield
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"key{'s' * (len(keys) > 1)} {names}: {exc}") from exc
+    except (ConfigurationError, NumericalError) as exc:
+        raise type(exc)(f"key{'s' * (len(keys) > 1)} {names}: {exc}") from exc

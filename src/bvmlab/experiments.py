@@ -120,12 +120,6 @@ def _check_coverage(config) -> None:
             f"key 'functional.mode': mode must lie in 1..{config.n_modes}, "
             f"got {config.functional_mode}"
         )
-    # every functional but heat_mode goes through the representer solve; its gate
-    # reads the limit only without a companion (psido, heat), yet the key is checked
-    if kind != "heat_mode" and config.operator_cond_limit <= 0:
-        raise ConfigurationError(
-            f"key 'operator.cond_limit': must be positive, got {config.operator_cond_limit!r}"
-        )
     if kind == "sobolev" and config.functional_seed < 0:
         raise ConfigurationError(
             f"key 'functional.seed': must be nonnegative, got {config.functional_seed}"
@@ -220,7 +214,9 @@ def _build_functional(config, basis, forward) -> dict:
             psi = spectral.bandlimit_approx(draw, config.functional_band)
     else:
         psi = operators.apply(forward, _smoothed_image(config, basis))
-    return {"functional": bvm.representer(forward, psi, config.operator_cond_limit)}
+    # the representer's norms and solve scale with the forward map
+    with _keyed(_OPERATOR_KEYS[config.operator_kind]):
+        return {"functional": bvm.representer(forward, psi)}
 
 
 def _smoothed_image(config, basis) -> spectral.CoeffVector:
@@ -251,6 +247,17 @@ def _check_weak_norm(config, basis, forward) -> dict:
     return {}
 
 
+_CONJUGACY_FAMILIES = ("bvp", "psido", "heat")
+
+
+def _conjugacy_draws(config, i: int) -> tuple[float, float, float]:
+    """Replicate i's prior smoothness r, prior amplitude and noise level."""
+    rng = np.random.default_rng(derive_seed(config.master_seed, i))
+    r = 0.8 + 1.4 * rng.random()
+    amplitude = 0.5 + 1.5 * rng.random()
+    return r, amplitude, 10.0 ** rng.uniform(-3, -1)
+
+
 def _conjugacy_maps(config, basis, forward) -> dict:
     """The unit-coefficient solution map and the configured multiplier and
     semigroup; the run's own basis and forward map serve where they fit."""
@@ -264,6 +271,16 @@ def _conjugacy_maps(config, basis, forward) -> dict:
     maps = {"bvp": operators.elliptic_operator(unit, bases[sine])[1]}
     for kind, on in (("psido", bases[torus]), ("heat", bases[sine])):
         maps[kind] = forward if config.operator_kind == kind else _build_operator(config, kind, on)
+    # replicate i observes family i % 3, psido at 1; its Tikhonov check forms a^2 / eps^2
+    top = float(np.max(maps["psido"].array))
+    with _keyed("operator.t"), np.errstate(over="ignore"):
+        for i in range(1, config.n_replicates, len(_CONJUGACY_FAMILIES)):
+            epsilon = _conjugacy_draws(config, i)[2]
+            if not top * top / epsilon**2 < math.inf:
+                raise ConfigurationError(
+                    f"the torus multiplier {top:.3g} squared over replicate {i}'s noise "
+                    f"variance {epsilon**2:.3g} passes the largest double"
+                )
     return {"conjugacy_maps": maps}
 
 
@@ -361,9 +378,6 @@ def _run_concentration(context, score_chunks):
     return [np.array(deltas), *columns], extra
 
 
-_CONJUGACY_FAMILIES = ("bvp", "psido", "heat")
-
-
 def _run_conjugacy(context, score_chunks):
     config = context.config
     n = config.n_replicates
@@ -371,10 +385,8 @@ def _run_conjugacy(context, score_chunks):
     epsilons, gaps = np.empty(n), np.empty(n)
     for i, family in enumerate(families):
         op = context.conjugacy_maps[family]
-        rng = np.random.default_rng(derive_seed(config.master_seed, i))
-        r = 0.8 + 1.4 * rng.random()
-        amplitude = 0.5 + 1.5 * rng.random()
-        epsilons[i] = epsilon = 10.0 ** rng.uniform(-3, -1)
+        r, amplitude, epsilon = _conjugacy_draws(config, i)
+        epsilons[i] = epsilon
         prior = priors.matern_prior(op.basis, r, amplitude)
         truth = spectral.sobolev_draw(op.basis, 1.5, derive_seed(config.master_seed, 2**32 + i))
         data = posterior.observe(op, truth, epsilon, derive_seed(config.master_seed, 2**33 + i))

@@ -33,8 +33,6 @@ __all__ = [
 # multipliers below this are stored as exact zeros
 UNDERFLOW_FLOOR = 1e-300
 
-DEFAULT_COND_LIMIT = 1e12
-
 
 @dataclass(frozen=True, eq=False)
 class ForwardOperator:
@@ -231,24 +229,19 @@ def normal_apply(op: ForwardOperator, f: CoeffVector) -> CoeffVector:
     return adjoint_apply(op, apply(op, f))
 
 
-def fisher_solve(
-    op: ForwardOperator, psi: CoeffVector, cond_limit: float = DEFAULT_COND_LIMIT
-) -> CoeffVector:
+def fisher_solve(op: ForwardOperator, psi: CoeffVector) -> CoeffVector:
     """Solve A*A x = psi.
 
     A map with a companion C (the elliptic pair: exactly symmetric, each the
-    other's inverse) has (A*A)^-1 = C C, so x = C(C psi), ungated.  Any other
-    map is decomposed on each call as A = U diag(s) V^T (V = I for a diagonal
-    map); psi occupies the modes where V^T psi is nonzero.  A largest s^2
-    that overflows raises ``NumericalError``; a condition (largest s^2 over
-    least occupied s^2) above ``cond_limit``, or an occupied s = 0, raises
-    ``IllPosedError``.  The solution V ((V^T psi) / s^2) has an error that
-    scales with cond(A), not cond(A^T A).  A solution past the double range
-    raises ``NumericalError`` on both paths.
+    other's inverse) has (A*A)^-1 = C C, so x = C(C psi).  Any other map is
+    decomposed on each call as A = U diag(s) V^T (V = I for a diagonal map),
+    and x = V ((V^T psi) / s^2) on the modes where V^T psi is nonzero.  psi is
+    in the range of A*A only if each of those has s^2 >= np.finfo(float).tiny,
+    else ``IllPosedError``; a dense decomposition resolves s only to about
+    eps * max(s), but every dense map the program builds has a companion.  A
+    largest s^2 or a solution past the double range raises ``NumericalError``.
     """
     _check_basis(op, psi)
-    if cond_limit <= 0:
-        raise ConfigurationError("cond_limit must be positive")
     # an overflow, and the nan it leaves in a dense product, is refused below
     with np.errstate(over="ignore", invalid="ignore"):
         if op.companion is not None:
@@ -258,20 +251,17 @@ def fisher_solve(
             coef = _map_rows(vt, psi.coeffs)
             occupied = coef != 0.0
             squared = s**2
-            s_best = float(squared.max())
             # an eigenvalue of A^T A at inf would zero its mode of the solution
-            if not s_best < math.inf:
+            if not squared.max() < math.inf:
                 raise NumericalError(
                     f"the normal operator's largest eigenvalue, {float(np.abs(s).max()):.3g} "
                     "squared, overflows"
                 )
-            # psi = 0 occupies no mode: condition 0 and solution 0
-            s_worst = float(np.min(squared[occupied], initial=math.inf))
-            cond = math.inf if s_worst == 0.0 else s_best / s_worst
-            if cond > cond_limit:
+            least = np.min(squared[occupied], initial=math.inf)  # psi = 0 occupies none
+            if least < np.finfo(float).tiny:
                 raise IllPosedError(
-                    f"normal operator condition {cond:.3g} over the modes psi occupies "
-                    f"exceeds limit {cond_limit:.3g}"
+                    f"psi occupies a mode whose squared singular value {least:.3g} is below "
+                    "the least normal double, so psi is outside the range of A*A"
                 )
             modes = np.zeros(op.basis.n_modes)
             modes[occupied] = coef[occupied] / squared[occupied]

@@ -126,12 +126,13 @@ class TestRepresenter:
         op = heat_semigroup(interval, 0.1)
         rng = np.random.default_rng(6)
         psi = coeff_vector(interval, rng.standard_normal(interval.n_modes))
+        # modes 19 to 32 have a squared multiplier below the least normal double
         with pytest.raises(IllPosedError):
-            representer(op, psi, cond_limit=1e6)
+            representer(op, psi)
 
     def test_heat_bandlimited_psi_succeeds(self, interval):
         op = heat_semigroup(interval, 0.1)
-        tf = representer(op, unit_vector(interval, 0), cond_limit=1e6)
+        tf = representer(op, unit_vector(interval, 0))
         want = math.exp(2 * math.pi**2 * 0.1)
         np.testing.assert_allclose(tf.psi_tilde.coeffs[0], -want, rtol=1e-12)
 
@@ -164,8 +165,7 @@ class TestHeatPsi:
             interval, [0.5, -1.0, 0.25] + [0.0] * (interval.n_modes - 3)
         )
         tf = heat_psi_from_representer(tilde, 0.1)
-        spread = math.exp(2 * (interval.eigenvalues[2] - interval.eigenvalues[0]) * 0.1)
-        back = representer(op, tf.psi, cond_limit=spread * 10)
+        back = representer(op, tf.psi)
         np.testing.assert_allclose(back.psi_tilde.coeffs, tilde.coeffs, rtol=1e-8)
         np.testing.assert_allclose(back.limiting_variance, tf.limiting_variance, rtol=1e-8)
 

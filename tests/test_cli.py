@@ -117,11 +117,16 @@ class TestParseConfig:
         with pytest.raises(ConfigurationError, match="key 'level'"):
             parse_config("experiment=coverage\nlevel=0.9999999999999999\n")
 
-    def test_ball_draws_is_unknown(self, tmp_path, capsys):
-        path = tmp_path / "ball.ini"
-        path.write_text("experiment=coverage\nball_beta=3.5\nball_draws=1000\n")
+    @pytest.mark.parametrize(
+        "line, key",
+        [("ball_draws=1000", "ball_draws"), ("operator.cond_limit=1e12", "operator.cond_limit")],
+        ids=["ball_draws", "cond_limit"],
+    )
+    def test_retired_key_is_unknown(self, tmp_path, capsys, line, key):
+        path = tmp_path / "retired.ini"
+        path.write_text(f"experiment=coverage\nball_beta=3.5\n{line}\n")
         assert main(["validate", str(path)]) == 1
-        assert "unknown configuration key 'ball_draws'" in capsys.readouterr().err
+        assert f"unknown configuration key '{key}'" in capsys.readouterr().err
 
     def test_repeated_truth_modes_rejected(self):
         # the second value used to overwrite the first without an error
@@ -205,7 +210,6 @@ class TestParseConfig:
             "operator.coefficient",
             "operator.coefficient_base",
             "operator.coefficient_amplitude",
-            "operator.cond_limit",
             "prior.r",
             "prior.amplitude",
             "truth.kind",
@@ -567,7 +571,9 @@ _FLAT_SINE = (
 
 # a constant coefficient of 1e160 puts the representer C(C psi) near 1e320
 _HUGE_REPRESENTER = "n_modes=32\nfunctional.band=8\noperator.coefficient_base=1e160\n"
-_SOLUTION_OVERFLOWS = "the solution of A*A x = psi overflows"
+_SOLUTION_OVERFLOWS = "key 'operator.coefficient_base': the solution of A*A x = psi overflows"
+# psi = A g for the smoothed_image functional: the coefficient sets its scale
+_PSI_NORM_OVERFLOWS = "key 'operator.coefficient_base': the representer's psi norm is inf"
 
 
 class TestNonFiniteOutput:
@@ -625,8 +631,8 @@ class TestNonFiniteOutput:
     @pytest.mark.parametrize(
         "experiment, extra, message, validated",
         [
-            ("coverage", "", "the representer's psi norm is inf", 2),
-            ("coverage", "ball_beta=3.5\n", "the representer's psi norm is inf", 2),
+            ("coverage", "", _PSI_NORM_OVERFLOWS, 2),
+            ("coverage", "ball_beta=3.5\n", _PSI_NORM_OVERFLOWS, 2),
             ("rates", "", "the whitened operator's singular value", 0),
             ("tightness", "", "the operator's squared column norms", 0),
         ],
@@ -640,8 +646,8 @@ class TestNonFiniteOutput:
         # rates a constant dual_error with exit 0, the ball blamed ball_beta,
         # and tightness, whose squared column norms underflow, blamed its beta;
         # validate builds coverage's representer, which refuses psi = A g, whose
-        # norm overflows, while rates and tightness fail only in the run's
-        # posterior system and series
+        # norm overflows, under the coefficient's key; rates and tightness fail
+        # only in the run's posterior system and series
         path, out = tmp_path / "dense.ini", tmp_path / "out.csv"
         path.write_text(
             f"experiment={experiment}\n{extra}n_modes=32\nfunctional.band=8\nn_replicates=4\n"
@@ -658,12 +664,12 @@ class TestNonFiniteOutput:
     @pytest.mark.parametrize(
         "lines, message, status",
         [
-            (_FLAT_SINE, "the representer's psi norm is inf", 2),
-            (_FLAT_SINE + "ball_beta=3.5\n", "the representer's psi norm is inf", 2),
+            (_FLAT_SINE, _PSI_NORM_OVERFLOWS, 2),
+            (_FLAT_SINE + "ball_beta=3.5\n", _PSI_NORM_OVERFLOWS, 2),
             (
                 "operator.kind=psido\nn_modes=33\noperator.t=-250\nfunctional.kind=sobolev\n"
                 "functional.band=8\n",
-                "the normal operator's largest eigenvalue",
+                "key 'operator.t': the normal operator's largest eigenvalue",
                 2,
             ),
             (
@@ -692,7 +698,8 @@ class TestNonFiniteOutput:
         # blamed the representer's norm and the order -250 multiplier exited 4
         # at condition inf, and concentration's weak norm blamed truth.scale;
         # the flat sine's representer comes from its companion, with no
-        # decomposition, so its psi = A g fails first, on its overflowing norm;
+        # decomposition, so its psi = A g fails first, on its overflowing norm,
+        # which names the coefficient's key as the multiplier's overflow names t;
         # a fresh interpreter under -W error shows what the console script
         # prints, and fails on any warning it would print
         path, out = tmp_path / "rough.ini", tmp_path / "out.csv"
@@ -717,6 +724,37 @@ class TestNonFiniteOutput:
         numeric = [i for i, name in enumerate(header) if "covered" not in name]
         cells = [float(row[i]) for row in rows for i in numeric if row[i]]
         assert rows and np.all(np.isfinite(cells))
+
+    @pytest.mark.parametrize(
+        "lines",
+        [
+            "operator.kind=heat\nn_modes=64\nfunctional.kind=mode\nfunctional.mode=4\n",
+            "operator.kind=heat\nn_modes=64\nfunctional.kind=mode\nfunctional.mode=18\n",
+            "operator.kind=psido\nn_modes=257\noperator.t=4\nfunctional.kind=sobolev\n"
+            "functional.band=128\n",
+        ],
+        ids=["heat-mode-4", "heat-mode-18", "psido-t4-band128"],
+    )
+    def test_representer_at_any_condition_runs(self, tmp_path, capsys, lines):
+        # psi occupies only modes whose squared multiplier is a normal double,
+        # so it lies in the range of A*A and psi_j / a_j^2 is exact to rounding;
+        # a condition gate refused these with exit 4, at conditions 7.2e12,
+        # 7.9e276 and 7.2e16 over psi's modes
+        path = tmp_path / "cond.ini"
+        path.write_text(f"experiment=coverage\n{lines}n_replicates=6\nepsilons=1e-2,1e-4\n")
+        assert main(["validate", str(path)]) == 0
+        texts = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"out-{workers}.csv"
+            assert main(["run", str(path), "--workers", workers, "--out", str(out)]) == 0
+            _, header, rows = load_csv(str(out))
+            numeric = [i for i, name in enumerate(header) if "covered" not in name]
+            cells = [float(row[i]) for row in rows for i in numeric if row[i]]
+            assert len(rows) == 12 and np.all(np.isfinite(cells))
+            written = out.read_text().splitlines()
+            texts.append([line for line in written if not line.startswith("# output_path=")])
+        assert texts[0] == texts[1]
+        assert capsys.readouterr().err == ""
 
     def test_concentration_names_truth_scale(self, tmp_path):
         # the approximation cost's bisection used to run forever on an inf or nan residual
@@ -797,12 +835,6 @@ _LATE_FAILING = [
         "coverage",
         "operator.kind=heat\nn_modes=32\nfunctional.kind=heat_mode\nfunctional.mode=33",
         "functional.mode",
-    ),
-    ("coverage", "n_modes=32\nfunctional.band=8\noperator.cond_limit=0", "operator.cond_limit"),
-    (
-        "coverage",
-        "n_modes=32\nfunctional.kind=mode\noperator.cond_limit=-1",
-        "operator.cond_limit",
     ),
     ("concentration", "n_modes=32\nconcentration.deltas=", "concentration.deltas"),
     ("concentration", "n_modes=32\nconcentration.deltas=0.3,0", "concentration.deltas"),
@@ -904,6 +936,11 @@ _LATE_FAILING = [
     # conjugacy builds the multiplier and the semigroup whatever operator.kind is
     ("conjugacy", "n_modes=256\noperator.t=1000", "operator.t"),
     ("conjugacy", "n_modes=32\noperator.time=-1", "operator.time"),
+    # a psido replicate's posterior squared the order -250 torus multiplier
+    # past the largest double: validate passed, and run exited 2 naming no
+    # key, whatever operator.kind said
+    ("conjugacy", "operator.kind=psido\nn_modes=33\noperator.t=-250", "operator.t"),
+    ("conjugacy", "n_modes=32\noperator.t=-250", "operator.t"),
     # every prior variance underflowed to 0: radius-0 coverage rows, constant
     # rates errors and a zero concentration, each with exit 0
     ("coverage", "n_modes=32\nfunctional.band=8\nprior.r=1e6", "prior.r"),
@@ -1107,14 +1144,13 @@ class TestLateFailingKeys:
         # the other experiments build no functional, so its keys are not read;
         # the same holds for the keys only concentration or tightness reads
         assert parse_config(
-            "experiment=rates\nn_modes=16\nfunctional.mode=999\noperator.cond_limit=0\n"
+            "experiment=rates\nn_modes=16\nfunctional.mode=999\n"
             "concentration.deltas=\ntightness.max_modes=99\n"
         )
-        # heat_mode functionals skip the representer solve, so cond_limit is not
-        # read; mode 12 is the last whose 2 lambda T stays within 300 at T = 0.1
+        # mode 12 is the last whose 2 lambda T stays within 300 at T = 0.1
         assert parse_config(
             "experiment=coverage\noperator.kind=heat\nn_modes=32\n"
-            "functional.kind=heat_mode\noperator.cond_limit=0\nfunctional.mode=12\n"
+            "functional.kind=heat_mode\nfunctional.mode=12\n"
         )
         # a bump's plateau may shrink to a point; the functional's cutoff is read
         # only for a smoothed_image functional, and the truth's only for a bump

@@ -498,7 +498,8 @@ def test_embedding_constant_svd_failure_is_numerical_error(monkeypatch):
 
 
 # the build takes the dense map's embedding constant before the representer
-# (coverage) and before the posterior system (both), so both fail there first
+# (coverage) and before the posterior system (both), so both fail there first,
+# naming the key the map is built from
 @pytest.mark.parametrize(
     "lines, stage",
     [
@@ -525,7 +526,8 @@ output_path={tmp_path / "out.csv"}
     monkeypatch.setattr(np.linalg, "svd", _raise_linalg)
     assert cli.main(["run", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error[2]: {stage} ") and "(svd) failed" in err
+    assert err.startswith(f"error[2]: key 'operator.coefficient_base': {stage} ")
+    assert "(svd) failed" in err
     assert "Traceback" not in err
 
 
